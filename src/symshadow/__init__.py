@@ -31,7 +31,7 @@ from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
                         shadow_periodic)
 from .systems import (Horseshoe, HyperbolicSplitting, LyapunovReport,
                       SftSystem, ToralAutomorphism, cat_map, differential,
-                      evaluate, homoclinic_point, lyapunov_exponents_periodic,
+                      homoclinic_point, lyapunov_exponents_periodic,
                       net, parse_system, torus_distance)
 from .measures import (ApproximationResult, BernoulliApproximation,
                        BernoulliProduct, CylinderObservable,

@@ -351,7 +351,10 @@ def cmd_coding_table(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The argument parser; ``config`` values (keyed by dest) replace option
+    defaults and satisfy required options, so explicit flags still win."""
+    config = config or {}
     parser = argparse.ArgumentParser(prog="symshadow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
@@ -363,6 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="recorded in reports")
         p.add_argument("--format", choices=["json", "csv"], default="json")
+        options = {a.dest: a for a in p._actions
+                   if a.option_strings and a.dest not in ("config", "help")}
+        for key in config.keys() & options.keys():
+            options[key].default = _config_value(options[key], key, config[key])
+            options[key].required = False
+        p.set_defaults(unknown_config=sorted(set(config) - set(options)))
 
     p = sub.add_parser("analyze", help="subshift structure report")
     p.add_argument("matrix", help="matrix JSON file")
@@ -422,34 +431,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_config(argv: list[str]) -> list[str]:
-    """Splice option values from a --config JSON file into argv, right
-    after the subcommand so later explicit flags override them."""
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    options = _load_json(argv[at + 1])
-    extra: list[str] = []
-    for key, value in sorted(options.items()):
-        flag = "--" + str(key).replace("_", "-")
-        extra.extend([flag, json.dumps(value) if isinstance(value, (dict, list))
-                      else str(value)])
-    insert_at = 1 if argv and not argv[0].startswith("-") else 0
-    return argv[:insert_at + 1] + extra + argv[insert_at + 1:]
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as the option's default: true/false for a flag, else
+    its text, which argparse converts like a command-line value."""
+    text = value if value is None or isinstance(value, (str, bool)) else json.dumps(value)
+    if (action.nargs == 0) != isinstance(value, bool) or text not in (action.choices or [text]):
+        raise ValueError(f"config option {key}: invalid value {value!r}")
+    return text
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv after a pre-parse that loads the --config file."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv)[0].config
+    config = _load_json(path) if path else {}
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: expected a JSON object of option values")
+    args = build_parser({str(k).replace("-", "_"): v for k, v in config.items()}
+                        ).parse_args(argv)
+    if args.unknown_config:
+        raise ValueError(f"{path}: unknown option(s) {', '.join(args.unknown_config)}")
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        argv = _expand_config(list(argv))
+        args = _parse_args(list(argv))
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (PreconditionError, InsufficientSegmentError, HorizonTooSmallError) as exc:

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from math import prod
 from typing import Any, Sequence
 
+from .sft import _primitive_period
+from .shiftspace import ShiftPoint, nearest_distances
+
 
 class InsufficientSegmentError(ValueError):
     """Homoclinic orbit segment too short; carries the needed extension."""
@@ -239,33 +242,34 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
     """Recompute the defect step by step, test for a smaller cyclic period,
     and (when a reference point set is supplied) measure the Hausdorff
     distance to it."""
-    system = po.system
-    n = po.period
-    pts = po.points
-    max_defect = 0.0
-    for i in range(n):
-        d = system.distance(system.apply(pts[i]), pts[(i + 1) % n])
-        max_defect = max(max_defect, d)
-
-    exact = True
-    for p in range(1, n):
-        if n % p == 0 and all(_same_point(system, pts[i], pts[(i + p) % n])
-                              for i in range(n)):
-            exact = False
-            break
-
+    system, n, pts = po.system, po.period, po.points
+    max_defect = max(system.distance(system.apply(pts[i]), pts[(i + 1) % n])
+                     for i in range(n))
     report = {
         "max_defect": max_defect,
         "within_delta": max_defect <= delta,
-        "exact_period_ok": exact,
+        "exact_period_ok": cyclic_period(system, pts) == n,
     }
     if reference:
         ref = list(reference)
-        to_ref = max(min(system.distance(x, y) for y in ref) for x in pts)
-        from_ref = max(min(system.distance(x, y) for x in pts) for y in ref)
-        report["hausdorff_to_reference"] = max(to_ref, from_ref)
+        report["hausdorff_to_reference"] = max(min_distances(system, pts, ref)
+                                               + min_distances(system, ref, pts))
     return report
 
 
-def _same_point(system, x, y) -> bool:
-    return system.distance(x, y) <= 1e-12
+def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
+    """min over y in points of d(x, y) for each query x: from a sorted key
+    index on shift spaces, pairwise for the float systems."""
+    if queries and isinstance(queries[0], ShiftPoint):
+        return nearest_distances(queries, points)
+    return [min(system.distance(x, y) for y in points) for x in queries]
+
+
+def cyclic_period(system, points: Sequence) -> int:
+    """Smallest p dividing n with points[i] = points[i + p mod n] for all i:
+    exact equality of shift points, a 1e-12 threshold for float points."""
+    if isinstance(points[0], ShiftPoint):
+        return _primitive_period(tuple(points))
+    n = len(points)
+    return next(p for p in range(1, n + 1) if n % p == 0 and all(
+        system.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n)))

@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
-                  enumerate_cycles, is_primitive, perron_data)
+from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap,
+                  count_periodic_points, enumerate_cycles, is_primitive, perron_data)
 from .shiftspace import ShiftPoint
 from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
@@ -193,33 +193,21 @@ class MarkovMeasure:
         if drift > 1e-10:
             raise ValueError(f"pi not stationary (drift {drift:.2e})")
 
-    def cylinder_mass(self, word: Sequence[int]) -> float:
-        """Transfer product over label-compatible state paths."""
+    def cylinder_mass(self, word: Sequence) -> float:
+        """Transfer product over label-compatible state paths; a None
+        symbol after the first matches every state."""
         word = tuple(word)
         n = self.support.size
         vec = [self.pi[s] if self.labels[s] == word[0] else 0.0 for s in range(n)]
         for sym in word[1:]:
             vec = [sum(vec[i] * self.P[i][j] for i in range(n))
-                   if self.labels[j] == sym else 0.0 for j in range(n)]
+                   if sym is None or self.labels[j] == sym else 0.0 for j in range(n)]
         return sum(vec)
 
     def joint_mass(self, u: Sequence[int], v: Sequence[int], lag: int) -> float:
         """Mass of {x carries u at 0 and v at lag}."""
-        u, v = tuple(u), tuple(v)
-        if lag < len(u):
-            merged = _superpose(u, v, lag)
-            return 0.0 if merged is None else self.cylinder_mass(merged)
-        n = self.support.size
-        vec = [self.pi[s] if self.labels[s] == u[0] else 0.0 for s in range(n)]
-        for sym in u[1:]:
-            vec = [sum(vec[i] * self.P[i][j] for i in range(n))
-                   if self.labels[j] == sym else 0.0 for j in range(n)]
-        for _ in range(lag - len(u)):
-            vec = [sum(vec[i] * self.P[i][j] for i in range(n)) for j in range(n)]
-        for sym in v:
-            vec = [sum(vec[i] * self.P[i][j] for i in range(n))
-                   if self.labels[j] == sym else 0.0 for j in range(n)]
-        return sum(vec)
+        merged = _merge_overlap(tuple(u), tuple(v), lag)
+        return 0.0 if merged is None else self.cylinder_mass(merged)
 
     def integrate(self, obs) -> float:
         if isinstance(obs, CylinderObservable):
@@ -238,18 +226,6 @@ class MarkovMeasure:
         return {"P": [list(r) for r in self.P], "pi": list(self.pi),
                 "support": {"rows": [list(r) for r in self.support.rows]},
                 "labels": list(self.labels)}
-
-
-def _superpose(u: tuple, v: tuple, lag: int) -> tuple | None:
-    length = max(len(u), lag + len(v))
-    out = []
-    for i in range(length):
-        a = u[i] if i < len(u) else None
-        b = v[i - lag] if 0 <= i - lag < len(v) else None
-        if a is not None and b is not None and a != b:
-            return None
-        out.append(a if a is not None else b)
-    return tuple(out)
 
 
 class LebesgueTorus:
@@ -355,31 +331,17 @@ class ApproximationResult:
 
 def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[int, ...], float]]:
     """Decompose a finite-support shift measure into periodic orbits:
-    [(cycle word, total weight)]."""
-    remaining = list(target.atoms)
-    out = []
-    while remaining:
-        p, w = remaining[0]
-        if not isinstance(p, ShiftPoint):
+    [(cycle word read off its first atom, total weight)]; [] unless every
+    atom is a periodic shift point."""
+    orbits: dict[tuple[int, ...], list] = {}
+    for p, w in target.atoms:
+        period = p.period() if isinstance(p, ShiftPoint) else None
+        if period is None:
             return []
-        period = 1
-        cur = p.shift(1)
-        while not cur.equals(p):
-            period += 1
-            cur = cur.shift(1)
-            if period > 10_000:
-                return []
         word = p.window(0, period)
-        weight = 0.0
-        keep = []
-        for p2, w2 in remaining:
-            if any(p2.equals(p.shift(i)) for i in range(period)):
-                weight += float(w2)
-            else:
-                keep.append((p2, w2))
-        remaining = keep
-        out.append((word, weight))
-    return out
+        rotation_class = min(word[i:] + word[:i] for i in range(period))
+        orbits.setdefault(rotation_class, [word, 0.0])[1] += float(w)
+    return [(word, weight) for word, weight in orbits.values()]
 
 
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,

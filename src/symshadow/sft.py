@@ -135,13 +135,6 @@ class SymbolicCycle:
             raise ValueError(f"word {word} is not an admissible cycle")
         return cls(word, len(word), _primitive_period(word))
 
-    def rotations(self) -> list[Word]:
-        w = self.states
-        return [w[i:] + w[:i] for i in range(len(w))]
-
-    def canonical(self) -> Word:
-        return min(self.rotations())
-
     def __str__(self) -> str:
         return "".join(str(s) for s in self.states)
 
@@ -435,7 +428,7 @@ def _identity_bool(n: int) -> np.ndarray:
 
 
 def _merge_overlap(u: Word, v: Word, n: int) -> Word | None:
-    """Superpose u at 0 and v at n < |u|; None if they disagree."""
+    """Superpose u at 0 and v at n (None fills a gap); None if they disagree."""
     length = max(len(u), n + len(v))
     out: list[int] = []
     for i in range(length):

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homoclinic import PseudoOrbit
+from .homoclinic import PseudoOrbit, cyclic_period, min_distances
 from .sft import enumerate_cycles, count_periodic_points
-from .shiftspace import ShiftPoint
-from .systems import Horseshoe, SftSystem, ToralAutomorphism
+from .shiftspace import ShiftPoint, longest_common_prefixes, word_radius
+from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
 
 NEWTON_MAX_ITER = 50
 
@@ -158,7 +158,7 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
             f"C * delta = {C * delta:.3g}")
     return PeriodicOrbit(points=points, period=po.period, residual=residual,
                          shadow_distance=shadow_distance,
-                         primitive_period=_primitive_period_points(system, points),
+                         primitive_period=cyclic_period(system, points),
                          shadowing_constant=C)
 
 
@@ -174,16 +174,7 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
     shadow_distance = max(system.distance(p, q) for p, q in zip(points, po.points))
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,
                          shadow_distance=shadow_distance,
-                         primitive_period=_primitive_period_points(system, points))
-
-
-def _primitive_period_points(system, points) -> int:
-    n = len(points)
-    for p in range(1, n):
-        if n % p == 0 and all(system.distance(points[i], points[(i + p) % n]) <= 1e-12
-                              for i in range(n)):
-            return p
-    return n
+                         primitive_period=cyclic_period(system, points))
 
 
 # -- exact periodic-orbit enumeration ------------------------------------
@@ -243,25 +234,16 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
     when it enters its cylinder, which matches the factor-scan density of
     certificate witnesses.
     """
-    from .shiftspace import word_radius
-    from .systems import net as system_net
     if net_points is None:
-        net_points = system_net(system, epsilon / 2.0)
+        net_points = net(system, epsilon / 2.0)
     if isinstance(system, SftSystem):
         cap = max(word_radius(epsilon) + 8, 16)
-
-        def proximity(x, y):
-            lcp = 0
-            while lcp < cap and x[lcp] == y[lcp]:
-                lcp += 1
-            return 2.0 ** (-lcp)
+        common = longest_common_prefixes([y.text(0, cap) for y in net_points],
+                                         [x.text(0, cap) for x in orbit_points])
+        distances = [2.0 ** (-m) for m in common]
     else:
-        proximity = system.distance
-    worst = -1.0
-    witness = None
-    for y in net_points:
-        d = min(proximity(x, y) for x in orbit_points)
-        if d > worst:
-            worst, witness = d, y
+        distances = min_distances(system, net_points, orbit_points)
+    worst = max(distances, default=-1.0)
     return DensityReport(dense=worst <= epsilon, worst_distance=worst,
-                         witness=None if worst <= epsilon else witness)
+                         witness=None if worst <= epsilon
+                         else net_points[distances.index(worst)])

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .dense_periods import admissible_words
 from .homoclinic import HomoclinicDatum, homoclinic_datum
 from .sft import TransitionMatrix
 from .shiftspace import ShiftPoint, word_radius
@@ -66,25 +67,6 @@ class HyperbolicSplitting:
     def shadowing_constant(self) -> float:
         per_coord = max(1.0 / (1.0 - self.mu_s), 1.0 / (1.0 - 1.0 / self.mu_u))
         return 2.0 / self.basis_angle_sin * per_coord
-
-
-@dataclass(frozen=True)
-class ManifoldSegment:
-    """Local stable or unstable manifold piece of a linear system: the
-    line through ``base`` along the unit eigen-direction, restricted to a
-    parameter interval."""
-
-    base: tuple
-    direction: tuple[float, float]
-    lo: float
-    hi: float
-    stable: bool
-
-    def point(self, t: float) -> tuple[float, float]:
-        if not self.lo <= t <= self.hi:
-            raise ValueError(f"parameter {t} outside [{self.lo}, {self.hi}]")
-        return (float(self.base[0]) + t * self.direction[0],
-                float(self.base[1]) + t * self.direction[1])
 
 
 def _wrap(value):
@@ -218,12 +200,6 @@ class ToralAutomorphism:
 
     # -- homoclinic orbit along the eigenlines ------------------------
 
-    def stable_segment(self, base, radius: float = 1.0) -> ManifoldSegment:
-        return ManifoldSegment(base, self.v_s, -radius, radius, stable=True)
-
-    def unstable_segment(self, base, radius: float = 1.0) -> ManifoldSegment:
-        return ManifoldSegment(base, self.v_u, -radius, radius, stable=False)
-
     def homoclinic_intersection(self, p_orbit: Sequence, translate_range: int = 3
                                 ) -> tuple[float, float]:
         """Coefficients (t, s) with p + t v_s = f(p) + m + s v_u for the
@@ -343,12 +319,6 @@ def _smith_normal_form_2x2(m):
         d, u2, v2 = _smith_normal_form_2x2(a)
         return d, _int_mul2(u2, tuple(map(tuple, u))), _int_mul2(tuple(map(tuple, v)), v2)
     return (a[0][0], a[1][1]), tuple(map(tuple, u)), tuple(map(tuple, v))
-
-
-def _unimodular_inverse_2x2(v):
-    det = v[0][0] * v[1][1] - v[0][1] * v[1][0]
-    assert det in (1, -1)
-    return ((v[1][1] * det, -v[0][1] * det), (-v[1][0] * det, v[0][0] * det))
 
 
 class Horseshoe:
@@ -516,11 +486,6 @@ class SftSystem:
 # -- dispatching helpers ------------------------------------------------
 
 
-def evaluate(system, x):
-    """One application of the system map."""
-    return system.apply(x)
-
-
 def differential(system, x):
     """Derivative of the map at x (constant for these linear/affine
     systems); shift systems carry no differentiable structure."""
@@ -580,19 +545,9 @@ def net(system, spacing: float) -> list:
                 raise ValueError("spacing too fine for a horseshoe net at desk scale")
         return [(row["x"], row["y"]) for row in system.coding_table(m)]
     if isinstance(system, SftSystem):
-        m = max(1, word_radius(spacing))
-        reps = []
-        for word in _admissible_words(system.matrix, m):
-            reps.append(sft_point_through_word(system.matrix, word))
-        return reps
+        words = admissible_words(system.matrix, max(1, word_radius(spacing)))
+        return [sft_point_through_word(system.matrix, w) for w in words]
     raise TypeError(f"unknown system {system!r}")
-
-
-def _admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, ...]]:
-    words = [(s,) for s in range(matrix.size)]
-    for _ in range(length - 1):
-        words = [w + (t,) for w in words for t in matrix.succ[w[-1]]]
-    return words
 
 
 def sft_point_through_word(matrix: TransitionMatrix, word: Sequence[int]) -> ShiftPoint:
@@ -623,11 +578,8 @@ def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
     while length <= max_len:
         for c in _center_candidates(matrix, w, length):
             q = ShiftPoint(rho, c, w, pos=0)
-            if not q.is_admissible(matrix):
-                continue
-            if any(q.equals(ShiftPoint.from_cycle(w, phase)) for phase in range(tau)):
-                continue
-            return q, c
+            if q.is_admissible(matrix) and q.period() is None:  # q is off the p-orbit
+                return q, c
         length += tau if tau > 1 else 1
     raise ValueError(f"no homoclinic splice found for cycle {w}")
 

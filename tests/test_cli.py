@@ -171,3 +171,62 @@ def test_reports_are_byte_identical_across_reruns(files, tmp_path):
     assert main(argv + ["--out", out_b]) == 0
     for name in ("pseudo_shadow.json", "pseudo_shadow.csv"):
         assert (Path(out_a) / name).read_bytes() == (Path(out_b) / name).read_bytes()
+
+
+# -- --config files ----------------------------------------------------------------
+
+
+def write_config(files, payload):
+    path = files["tmp"] / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_config_sets_a_boolean_flag(files):
+    config = write_config(files, {"dump_orbits": True, "n_to": 10})
+    assert main(["pseudo-shadow", files["full2"], "0", "--delta", "0.125",
+                 "--config", config, "--out", files["out"]]) == 0
+    report = read_report(files, "pseudo_shadow.json")
+    assert [row["n"] for row in report["rows"]] == [9, 10]
+    assert len(report["orbits"]) == 2
+
+
+def test_config_sets_valued_and_required_options(files):
+    config = write_config(files, {"max_period": 4})
+    assert main(["analyze", files["golden"], "--config", config,
+                 "--out", files["out"]]) == 0
+    report = read_report(files, "analyze.json")
+    assert sorted(report["periodic_counts"]) == ["1", "2", "3", "4"]
+    assert report["config"]["parameters"]["max_period"] == 4
+
+    config = write_config(files, {"epsilon": 0.25, "n_max": 30})
+    assert main(["lpp", files["golden"], "--config", config, "--out", files["out"]]) == 0
+    report = read_report(files, "lpp.json")
+    assert report["N0"] == 3 and report["config"]["parameters"]["epsilon"] == 0.25
+
+
+def test_explicit_flag_overrides_config(files):
+    config = write_config(files, {"max_period": 4})
+    assert main(["analyze", files["golden"], "--max-period", "6", "--config", config,
+                 "--out", files["out"]]) == 0
+    report = read_report(files, "analyze.json")
+    assert len(report["periodic_counts"]) == 6
+
+
+def test_config_rejects_unknown_or_mistyped_options(files, capsys):
+    analyze = ["analyze", files["golden"]]
+    shadow = ["pseudo-shadow", files["full2"], "0", "--delta", "0.125", "--n-to", "9"]
+    approx = ["approx-measure", files["lebesgue"], files["cat"], "--epsilon", "0.1"]
+    for argv, payload in ((analyze, {"no_such_option": 1}),
+                          (analyze, {"matrix": "x.json"}),
+                          (analyze, {"max_period": "many"}),
+                          (shadow, {"dump_orbits": "yes"}),
+                          (approx, {"mode": "sideways"})):
+        config = write_config(files, payload)
+        try:  # argparse itself exits on values it cannot convert
+            code = main(argv + ["--config", config, "--out", files["out"]])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+    assert main(shadow + ["--config", write_config(files, {"dump_orbits": False}),
+                          "--out", files["out"]]) == 0

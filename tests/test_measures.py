@@ -69,6 +69,18 @@ def test_periodic_measure_invariance():
     assert not lopsided.is_invariant_under(system)
 
 
+def test_orbit_cycles_of_target_groups_rotation_classes():
+    from symshadow.measures import _orbit_cycles_of_target
+    atoms = [(ShiftPoint.from_cycle((0, 1, 1), 1), Fraction(1, 6)),
+             (ShiftPoint.from_cycle((0,)), Fraction(1, 6)),
+             (ShiftPoint((0, 1, 1, 0, 1, 1), (), (0, 1, 1), pos=4), Fraction(1, 3)),
+             (ShiftPoint((0, 0), (0,), (0,), pos=-2), Fraction(1, 3))]
+    parts = _orbit_cycles_of_target(FiniteSupportMeasure(atoms))
+    assert parts == [((1, 1, 0), 0.5), ((0,), 0.5)]
+    stray = ShiftPoint((0,), (1,), (0,), pos=0)  # not periodic
+    assert _orbit_cycles_of_target(FiniteSupportMeasure([(stray, 1.0)])) == []
+
+
 def test_normalization_enforced():
     with pytest.raises(ValueError):
         FiniteSupportMeasure([((0.0, 0.0), 0.5)])

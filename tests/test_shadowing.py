@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import (ShadowingError, density_check,
                                  enumerate_periodic_orbits, shadow_periodic)
-from symshadow.shiftspace import ShiftPoint
+from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (SftSystem, cat_map, net, sft_homoclinic_datum,
                                toral_homoclinic_datum)
 
@@ -140,6 +142,49 @@ def test_density_symbolic_witness_matches_factor_scan():
     orbit_points = [base.shift(i) for i in range(cert.N0)]
     report = density_check(system, orbit_points, 2.0 ** -cert.word_length)
     assert report.dense
+
+
+def proximity_loop_density(orbit_points, epsilon, net_points):
+    """The per-pair forward-window loop: lcp of x_0..x_{cap-1} and y_0..y_{cap-1}."""
+    cap = max(word_radius(epsilon) + 8, 16)
+
+    def proximity(x, y):
+        lcp = 0
+        while lcp < cap and x[lcp] == y[lcp]:
+            lcp += 1
+        return 2.0 ** (-lcp)
+
+    worst, witness = -1.0, None
+    for y in net_points:
+        d = min(proximity(x, y) for x in orbit_points)
+        if d > worst:
+            worst, witness = d, y
+    return worst <= epsilon, worst, None if worst <= epsilon else witness
+
+
+words = st.lists(st.integers(0, 1), min_size=1, max_size=7).map(tuple)
+
+
+@given(st.lists(st.tuples(words, words, st.integers(-25, 40)), max_size=5),
+       st.lists(st.tuples(words, words, st.integers(-25, 40)), min_size=1, max_size=8),
+       st.sampled_from([0.5, 0.25, 0.1, 2.0 ** -20, 1e-9]))
+def test_symbolic_density_matches_the_proximity_loop(orbit, net_points, epsilon):
+    # points that share long stretches of 0s (past the window cap) and of their cycles
+    orbit = [ShiftPoint(a, b, a, pos=k) for a, b, k in orbit] + [ShiftPoint.from_cycle((0,))]
+    net_points = [ShiftPoint((0,), a + b, b, pos=k) for a, b, k in net_points]
+    report = density_check(SftSystem(FULL2), orbit, epsilon, net_points=net_points)
+    dense, worst, witness = proximity_loop_density(orbit, epsilon, net_points)
+    assert (report.dense, report.worst_distance) == (dense, worst)
+    assert report.witness is witness
+
+
+def test_symbolic_density_caps_the_forward_window():
+    zero = ShiftPoint.from_cycle((0,))
+    far = ShiftPoint((0,), (1,), (0,), pos=60)  # shares x_0..x_59 with the zero point
+    for epsilon, cap in ((0.5, 16), (2.0 ** -20, 28), (1e-9, 38)):
+        report = density_check(SftSystem(FULL2), [zero], epsilon, net_points=[far])
+        assert report.worst_distance == 2.0 ** -cap
+        assert report.worst_distance == proximity_loop_density([zero], epsilon, [far])[1]
 
 
 def test_shadowing_bound_guard():

@@ -1,9 +1,20 @@
-"""Exact bi-infinite shift points: indexing, shifting, metric."""
+"""Exact bi-infinite shift points: indexing, shifting, metric.
+
+The properties compare the canonical points against oracles that read the
+raw presentations coordinate by coordinate.
+"""
+
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from symshadow.homoclinic import cyclic_period
 from symshadow.sft import TransitionMatrix
-from symshadow.shiftspace import ShiftPoint, cylinder_contains, word_radius
+from symshadow.shiftspace import (ShiftPoint, cylinder_contains, nearest_distances,
+                                  word_radius)
+from symshadow.systems import SftSystem
 
 
 def test_cycle_point_coordinates():
@@ -25,6 +36,7 @@ def test_distance_is_two_power_of_agreement():
     p = ShiftPoint.from_cycle((0, 1))
     q = ShiftPoint((1, 0), (0, 0), (0, 1), pos=-1)  # agrees near 0, breaks outside
     k = p.agreement_radius(q)
+    assert k == 1
     assert p.distance(q) == 2.0 ** (-k)
     assert p.distance(p.shift(2)) == 0.0  # period-2 point: shift by 2 is identity
 
@@ -68,3 +80,146 @@ def test_word_radius():
         word_radius(0.0)
     with pytest.raises(ValueError):
         word_radius(2.0)
+
+
+# -- oracles on raw presentations -----------------------------------------------
+
+
+def raw_coordinate(raw, i):
+    """x_i of the presentation (left, center, right, pos), read directly."""
+    left, center, right, pos = raw
+    end = pos + len(center)
+    if pos <= i < end:
+        return center[i - pos]
+    if i >= end:
+        return right[(i - end) % len(right)]
+    return left[(i - pos) % len(left)]
+
+
+def raw_span(raw, other):
+    """A radius beyond which two presentations cannot first disagree: both
+    rays are periodic past the centers, and periodic words that agree on
+    len(u) * len(v) >= lcm symbols agree everywhere."""
+    (l1, c1, r1, p1), (l2, c2, r2, p2) = raw, other
+    return (abs(p1) + len(c1) + abs(p2) + len(c2)
+            + len(l1) * len(l2) + len(r1) * len(r2) + 2)
+
+
+def oracle_radius(raw, other, cap):
+    """The coordinate loop: largest k <= cap with x_i = y_i for all |i| < k."""
+    k = 0
+    while k < cap:
+        if (raw_coordinate(raw, k) != raw_coordinate(other, k)
+                or raw_coordinate(raw, -k) != raw_coordinate(other, -k)):
+            return k
+        k += 1
+    return cap
+
+
+def oracle_equal(raw, other):
+    cap = raw_span(raw, other)
+    return oracle_radius(raw, other, cap) == cap
+
+
+def point(raw):
+    return ShiftPoint(*raw)
+
+
+def re_present(raw, take_right, take_left, rep_left, rep_right):
+    """The same sequence written differently: ``take_right`` symbols of the
+    right tail and ``take_left`` of the left tail moved into the center,
+    then each tail repeated."""
+    left, center, right, pos = raw
+    a = take_right % len(right)
+    center = center + tuple(raw_coordinate(raw, pos + len(center) + j)
+                            for j in range(take_right))
+    right = right[a:] + right[:a]
+    b = take_left % len(left)
+    center = tuple(raw_coordinate(raw, pos - take_left + j)
+                   for j in range(take_left)) + center
+    left = left[-b:] + left[:-b] if b else left
+    return (left * rep_left, center, right * rep_right, pos - take_left)
+
+
+symbols = st.integers(0, 1)
+raws = st.tuples(st.lists(symbols, min_size=1, max_size=7).map(tuple),
+                 st.lists(symbols, max_size=6).map(tuple),
+                 st.lists(symbols, min_size=1, max_size=7).map(tuple),
+                 st.integers(-6, 6))
+
+
+@given(raws, st.integers(0, 5), st.integers(0, 5), st.integers(1, 3), st.integers(1, 3))
+def test_presentations_of_one_sequence_are_equal(raw, a, b, kl, kr):
+    other = re_present(raw, a, b, kl, kr)
+    assert all(raw_coordinate(raw, i) == raw_coordinate(other, i) for i in range(-30, 30))
+    x, y = point(raw), point(other)
+    assert x == y and x.equals(y) and hash(x) == hash(y)
+    assert (x.left, x.center, x.right, x.pos) == (y.left, y.center, y.right, y.pos)
+    assert x.distance(y) == 0.0 and x.agreement_radius(y) == math.inf
+
+
+@given(raws, st.integers(-8, 8))
+def test_coordinates_windows_and_shift_match_the_presentation(raw, k):
+    x = point(raw)
+    assert [x[i] for i in range(-20, 20)] == [raw_coordinate(raw, i) for i in range(-20, 20)]
+    assert x.window(-20, 20) == tuple(raw_coordinate(raw, i) for i in range(-20, 20))
+    assert x.text(-3, 9) == "".join(chr(raw_coordinate(raw, i)) for i in range(-3, 9))
+    s = x.shift(k)
+    assert s.window(-12, 12) == tuple(raw_coordinate(raw, i + k) for i in range(-12, 12))
+    assert s.shift(-k) == x
+
+
+@given(raws, raws, st.integers(-8, 8))
+def test_metric_matches_the_coordinate_loop(raw, other, k):
+    # a shift of the same point gives near pairs as well as far ones
+    for raw_y in (other, re_present(raw, 0, 0, 1, 1)[:3] + (raw[3] - k,)):
+        x, y = point(raw), point(raw_y)
+        r = oracle_radius(raw, raw_y, raw_span(raw, raw_y))
+        same = oracle_equal(raw, raw_y)
+        assert (x == y) == same and x.equals(y) == same
+        if same:
+            assert hash(x) == hash(y) and x.distance(y) == 0.0
+        else:
+            assert x.agreement_radius(y) == y.agreement_radius(x) == r
+            assert x.distance(y) == 2.0 ** -r > 0.0
+    period = next((p for p in range(1, 8) if oracle_equal(raw, raw[:3] + (raw[3] - p,))),
+                  None)
+    assert point(raw).period() == period
+
+
+@given(st.lists(st.tuples(raws, st.integers(-10, 10)), min_size=1, max_size=6),
+       st.lists(st.tuples(raws, st.integers(-10, 10)), min_size=1, max_size=6))
+def test_nearest_distances_match_the_pairwise_scan(queries, points):
+    qs = [point(raw).shift(k) for raw, k in queries]
+    ps = [point(raw).shift(k) for raw, k in points] + qs[:1]
+    assert nearest_distances(qs, ps) == [min(x.distance(y) for y in ps) for x in qs]
+    assert nearest_distances(ps, qs) == [min(y.distance(x) for x in qs) for y in ps]
+
+
+def test_agreement_far_out_in_long_tails():
+    # no center: the rays first differ deep inside the left tails
+    x = ShiftPoint((0, 0, 0, 0, 0, 1), (), (0,))
+    y = ShiftPoint((0, 0, 0, 0, 0, 0, 0, 1), (), (0,))
+    assert x.agreement_radius(y) == 7 and x.distance(y) == 2.0 ** -7
+    assert nearest_distances([x], [y]) == [2.0 ** -7]
+
+
+def test_distinct_points_stay_apart_beyond_float_range():
+    p = ShiftPoint.from_cycle((0,))
+    far = ShiftPoint((0,), (1,), (0,), pos=2000)
+    assert far != p and hash(far) != hash(p)
+    assert p.agreement_radius(far) == 2000
+    assert p.distance(far) > 0.0 and far.distance(p) > 0.0
+    assert nearest_distances([far], [p, far.shift(1)]) == [p.distance(far)]
+    assert nearest_distances([far], [p, far]) == [0.0]
+    near = ShiftPoint((0,), (1,), (0,), pos=60)
+    assert p.distance(near) == 2.0 ** -60
+
+
+def test_cyclic_period_is_exact_on_shift_points():
+    # distinct points that agree on |i| < 50 are not one point
+    p = ShiftPoint.from_cycle((0,))
+    q = ShiftPoint((0,), (1,), (0,), pos=50)
+    system = SftSystem(TransitionMatrix.full_shift(2))
+    assert cyclic_period(system, [p, q, p, q]) == 2
+    assert cyclic_period(system, [p, ShiftPoint((0, 0), (), (0,), pos=3)]) == 1

@@ -10,7 +10,7 @@ from symshadow.homoclinic import compute_excursion_parameters
 from symshadow.sft import TransitionMatrix
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
-                               differential, evaluate, homoclinic_point,
+                               differential, homoclinic_point,
                                lyapunov_exponents_periodic, net, parse_system,
                                sft_homoclinic_splice, torus_distance)
 
@@ -23,7 +23,7 @@ def test_evaluate_examples():
     assert CAT.apply((0.2, 0.4)) == (0.8, 0.6000000000000001)
     assert CAT.apply((0.0, 0.0)) == (0.0, 0.0)
     p = ShiftPoint((0,), (1, 0), (0,), pos=0)
-    shifted = evaluate(SftSystem(FULL2), p)
+    shifted = SftSystem(FULL2).apply(p)
     assert shifted[0] == p[1] and shifted[-1] == p[0]
 
 
