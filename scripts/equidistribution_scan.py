@@ -6,10 +6,8 @@ and ranks them by weak-* distance to Lebesgue over low Fourier modes.
 """
 
 import argparse
-import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from symshadow.measures import (LebesgueTorus, fourier_family, periodic_measure,
                                 weak_star_distance)
@@ -30,29 +28,13 @@ def run(config: ScanConfig):
     lebesgue = LebesgueTorus()
     start = time.time()
     ranked = []
-    seen = set()
-    for q in range(1, config.max_denominator + 1):
-        for i in range(q):
-            for j in range(q):
-                if math.gcd(math.gcd(i, j), q) != 1:
-                    continue
-                p0 = (Fraction(i, q), Fraction(j, q))
-                if p0 in seen:
-                    continue
-                orbit = [p0]
-                seen.add(p0)
-                cur = system.apply(p0)
-                while cur != p0 and len(orbit) <= config.max_period:
-                    orbit.append(cur)
-                    seen.add(cur)
-                    cur = system.apply(cur)
-                if cur != p0:
-                    continue
-                d = weak_star_distance(periodic_measure(orbit), lebesgue, family)
-                ranked.append((d, len(orbit), q, (i, j)))
+    for (i, j, q), orbit in system.rational_orbits(config.max_period,
+                                                    config.max_denominator):
+        d = weak_star_distance(periodic_measure(orbit), lebesgue, family)
+        ranked.append((d, len(orbit), q, (i, j)))
     ranked.sort()
-    print(f"scanned {len(seen)} points, {len(ranked)} orbits of period "
-          f"<= {config.max_period} in {time.time() - start:.1f}s")
+    print(f"{len(ranked)} orbits of period <= {config.max_period} with "
+          f"denominator <= {config.max_denominator} in {time.time() - start:.1f}s")
     print(f"{'distance':>10} {'period':>7} {'q':>4}  start")
     for d, period, q, start_pt in ranked[:config.top]:
         print(f"{d:>10.5f} {period:>7} {q:>4}  ({start_pt[0]}/{q}, {start_pt[1]}/{q})")

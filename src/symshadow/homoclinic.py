@@ -20,9 +20,12 @@ tau*l*tau margin for the all-the-way-around case, every n >= N0 =
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import prod
 from typing import Any, Sequence
+
+import numpy as np
 
 from .sft import _primitive_period
 from .shiftspace import ShiftPoint, nearest_distances
@@ -252,17 +255,68 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
     }
     if reference:
         ref = list(reference)
-        report["hausdorff_to_reference"] = max(min_distances(system, pts, ref)
-                                               + min_distances(system, ref, pts))
+        if isinstance(pts[0], ShiftPoint):
+            there, back = nearest_distances(pts, ref), nearest_distances(ref, pts)
+        else:
+            matrix = system.distance_matrix(pts, ref)
+            there = _exact_row_minima(system, pts, ref, matrix)
+            back = _exact_row_minima(system, ref, pts, matrix.T)
+        report["hausdorff_to_reference"] = max(there + back)
     return report
 
 
+# float entries per distance-matrix block of min_distances (8 MB)
+_BLOCK_ENTRIES = 1 << 20
+
+
 def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
-    """min over y in points of d(x, y) for each query x: from a sorted key
-    index on shift spaces, pairwise for the float systems."""
-    if queries and isinstance(queries[0], ShiftPoint):
+    """min over y in points of d(x, y) for each query x, exactly.
+
+    Shift spaces answer from a sorted key index.  The float systems answer
+    from ``system.distance_matrix``, in blocks of queries that bound its
+    memory, and return ``min(system.distance(x, y) for y in points)`` bit
+    for bit.  A matrix entry is the metric up to a few ulps (``np.hypot``
+    against ``math.hypot`` on the horseshoe; on the torus the entry repeats
+    ``torus_distance`` exactly), so the exact minimum of a row lies among
+    the entries at most (1 + 1e-9) times the row's smallest, plus 1e-300
+    for subnormal results; only those entries are recomputed with
+    ``system.distance``.  A row whose smallest entry is 0 returns 0.0 as
+    is: ``np.hypot`` does not underflow, so it is 0 only on equal
+    coordinates, and on the torus the entry is the metric itself.  This
+    takes horseshoe coordinates to be floats; the torus converts its
+    coordinates to floats, as its metric does.
+
+    No queries give []; queries against an empty point set raise
+    ValueError.
+    """
+    if not queries:
+        return []
+    if not points:
+        raise ValueError("distance to an empty point set")
+    if isinstance(queries[0], ShiftPoint):
         return nearest_distances(queries, points)
-    return [min(system.distance(x, y) for y in points) for x in queries]
+    rows = max(1, _BLOCK_ENTRIES // len(points))
+    out: list[float] = []
+    for start in range(0, len(queries), rows):
+        block = queries[start:start + rows]
+        out += _exact_row_minima(system, block, points,
+                                 system.distance_matrix(block, points))
+    return out
+
+
+def _exact_row_minima(system, queries: Sequence, points: Sequence, matrix
+                      ) -> list[float]:
+    """Exact row minima of ``matrix``, whose entry [i, j] is
+    d(queries[i], points[j]) up to a few ulps (see :func:`min_distances`)."""
+    mins = matrix.min(axis=1)
+    out = np.where(mins > 0.0, math.inf, 0.0).tolist()
+    bound = np.where(mins > 0.0, mins * (1.0 + 1e-9) + 1e-300, -1.0)
+    rows, cols = np.nonzero(matrix <= bound[:, None])
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        d = system.distance(queries[i], points[j])
+        if d < out[i]:
+            out[i] = d
+    return out
 
 
 def cyclic_period(system, points: Sequence) -> int:

@@ -378,27 +378,8 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
                     if matrix.is_admissible_cycle(word):
                         candidates.append((f"blocks x{reps}", cycle_measure(matrix, word)))
     elif isinstance(system, ToralAutomorphism):
-        seen: set = set()
-        for q in range(1, max_denominator + 1):
-            for i in range(q):
-                for j in range(q):
-                    if math.gcd(math.gcd(i, j), q) != 1:
-                        continue
-                    p0 = (Fraction(i, q), Fraction(j, q))
-                    if p0 in seen:
-                        continue
-                    orbit = [p0]
-                    seen.add(p0)
-                    cur = system.apply(p0)
-                    closed = cur == p0
-                    while not closed and len(orbit) <= max_period:
-                        orbit.append(cur)
-                        seen.add(cur)
-                        cur = system.apply(cur)
-                        closed = cur == p0
-                    if closed and len(orbit) <= max_period:
-                        candidates.append((f"orbit({i}/{q},{j}/{q})",
-                                           periodic_measure(orbit)))
+        for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator):
+            candidates.append((f"orbit({i}/{q},{j}/{q})", periodic_measure(orbit)))
     else:
         raise TypeError(f"unsupported system {system!r}")
 

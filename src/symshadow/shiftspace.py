@@ -197,7 +197,12 @@ def longest_common_prefixes(queries: Sequence[str], keys: Sequence[str]) -> list
 def nearest_distances(queries: Sequence[ShiftPoint],
                       points: Sequence[ShiftPoint]) -> list[float]:
     """d(x, points) = min over y in points of d(x, y), exactly, for each
-    query x, from a sorted index of interleaved keys."""
+    query x, from a sorted index of interleaved keys.  No queries give
+    []; queries against an empty point set raise ValueError."""
+    if not queries:
+        return []
+    if not points:
+        raise ValueError("distance to an empty point set")
     radius = max(y.extent() for y in points) + max(x.extent() for x in queries)
     common = longest_common_prefixes([x.key(radius) for x in queries],
                                      [y.key(radius) for y in points])

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .dense_periods import admissible_words
 from .homoclinic import HomoclinicDatum, homoclinic_datum
@@ -87,6 +89,16 @@ def torus_distance(a, b) -> float:
         d = min(d, 1.0 - d)
         total += d * d
     return math.sqrt(total)
+
+
+def _coordinate(points: Sequence, k: int) -> np.ndarray:
+    return np.fromiter((float(p[k]) for p in points), np.float64, len(points))
+
+
+def _coordinate_differences(queries: Sequence, points: Sequence, k: int) -> np.ndarray:
+    """|x_k - y_k| for x in queries (rows) and y in points (columns)."""
+    d = np.subtract.outer(_coordinate(queries, k), _coordinate(points, k))
+    return np.abs(d, out=d)
 
 
 class ToralAutomorphism:
@@ -156,6 +168,18 @@ class ToralAutomorphism:
     def distance(self, a, b) -> float:
         return torus_distance(a, b)
 
+    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
+        """d(x, y) for x in queries (rows) and y in points (columns), equal
+        to ``distance`` bit for bit: the same float operations in the same
+        order."""
+        dx, dy = (_coordinate_differences(queries, points, k) for k in range(2))
+        for d in (dx, dy):
+            np.remainder(d, 1.0, out=d)
+            # min(d, 1 - d) is d up to 1/2 and the exact 1 - d above it
+            np.subtract(1.0, d, out=d, where=d > 0.5)
+            np.multiply(d, d, out=d)
+        return np.sqrt(np.add(dx, dy, out=dx), out=dx)
+
     def splitting(self) -> HyperbolicSplitting:
         return HyperbolicSplitting(self.lam_s, self.lam_u, self.v_s, self.v_u)
 
@@ -197,6 +221,33 @@ class ToralAutomorphism:
                 return orbit
             orbit.append(nxt)
         raise ValueError(f"point {p} not periodic within {cap} iterates")
+
+    def rational_orbits(self, max_period: int, max_denominator: int
+                        ) -> Iterator[tuple[tuple[int, int, int], list]]:
+        """Periodic orbits of period <= max_period through the points
+        (i/q, j/q) with gcd(i, j, q) = 1, by increasing q, then i, then j.
+
+        Yields ((i, j, q), orbit) with orbit[0] = (i/q, j/q).  A start
+        point is skipped once an earlier scan has visited it.
+        """
+        seen: set = set()
+        for q in range(1, max_denominator + 1):
+            for i in range(q):
+                for j in range(q):
+                    if math.gcd(math.gcd(i, j), q) != 1:
+                        continue
+                    p0 = (Fraction(i, q), Fraction(j, q))
+                    if p0 in seen:
+                        continue
+                    orbit = [p0]
+                    seen.add(p0)
+                    cur = self.apply(p0)
+                    while cur != p0 and len(orbit) <= max_period:
+                        orbit.append(cur)
+                        seen.add(cur)
+                        cur = self.apply(cur)
+                    if cur == p0 and len(orbit) <= max_period:
+                        yield (i, j, q), orbit
 
     # -- homoclinic orbit along the eigenlines ------------------------
 
@@ -374,6 +425,13 @@ class Horseshoe:
 
     def distance(self, a, b) -> float:
         return math.hypot(a[0] - b[0], a[1] - b[1])
+
+    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
+        """d(x, y) for x in queries (rows) and y in points (columns).
+        ``np.hypot`` may differ from ``math.hypot`` in the last bit, but it
+        never underflows: an entry is 0 only for equal coordinates."""
+        dx = _coordinate_differences(queries, points, 0)
+        return np.hypot(dx, _coordinate_differences(queries, points, 1), out=dx)
 
     def splitting(self) -> HyperbolicSplitting:
         return HyperbolicSplitting(self.mu_s, self.mu_u, (1.0, 0.0), (0.0, 1.0))

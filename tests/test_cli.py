@@ -1,11 +1,14 @@
 """End-to-end CLI runs: file IO, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from symshadow.cli import main
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -171,6 +174,19 @@ def test_reports_are_byte_identical_across_reruns(files, tmp_path):
     assert main(argv + ["--out", out_b]) == 0
     for name in ("pseudo_shadow.json", "pseudo_shadow.csv"):
         assert (Path(out_a) / name).read_bytes() == (Path(out_b) / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["cat_map.json", "1/5,2/5", "--delta", "0.01"],
+     "e16bdc7f7c0ebdde29aceda3a482db45772858afd1502ceeb0652f955228757a"),
+    (["horseshoe.json", "01", "--delta", "0.05"],
+     "2638756d9e192bdf01de429a45972741b43ca0c30e4218ba85ada4787671dff5"),
+], ids=["cat_map", "horseshoe"])
+def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
+    # a change in the last bit of a float distance or defect changes the digest
+    out = tmp_path / "out"
+    assert main(["pseudo-shadow", str(DATA / argv[0]), *argv[1:], "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256
 
 
 # -- --config files ----------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Pseudo-orbit construction from homoclinic data: exact periods, defects
 bounded by delta, jumps only at the designated seams."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from symshadow import homoclinic
 from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
                                   build_periodic_pseudo_orbit,
-                                  compute_excursion_parameters,
+                                  compute_excursion_parameters, min_distances,
                                   verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
-from symshadow.shiftspace import ShiftPoint
-from symshadow.systems import (SftSystem, cat_map, sft_homoclinic_datum,
+from symshadow.shadowing import density_check
+from symshadow.shiftspace import ShiftPoint, nearest_distances
+from symshadow.systems import (Horseshoe, SftSystem, cat_map,
+                               horseshoe_homoclinic_datum, sft_homoclinic_datum,
                                toral_homoclinic_datum)
 
 FULL2 = TransitionMatrix.full_shift(2)
@@ -177,3 +184,140 @@ def test_hausdorff_stays_near_reference(cat_datum):
     # pseudo-orbit points are segment points, so one side is 0; the other
     # side stays within the expansion of the delta/2-ball along one period
     assert report["hausdorff_to_reference"] <= 3 * DELTA_CAT
+
+
+# -- float point-to-set distances against the pairwise scan --------------------
+
+CAT = cat_map()
+HORSESHOE = Horseshoe(1 / 3, 3.0)
+CAT_P_ORBIT = CAT.orbit_of((Fraction(1, 5), Fraction(2, 5)))
+
+
+def pairwise_min(system, queries, points):
+    """Oracle: min over every pair, one ``system.distance`` call each."""
+    return [min(system.distance(x, y) for y in points) for x in queries]
+
+
+def nudge(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+EDGES = (0.0, 1.0 - 2.0 ** -53, 2.0 ** -53, 0.5, 0.25, 1e-170, 5e-324)
+coordinates = st.one_of(st.sampled_from(EDGES),
+                        st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def point_sets(draw, system):
+    """Points drawn with repetition from a pool holding exact duplicates,
+    few-ulp neighbours, mirror images (near ties across the torus seam),
+    wrap edges and, on the cat map, the exact Fraction p-orbit.  Horseshoe
+    y-coordinates are squeezed into the bottom strip so that the map applies."""
+    base = draw(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=5))
+    if system is HORSESHOE:
+        base = [(x, y / 3.0) for x, y in base]
+    pool = list(base)
+    for x, y in base:
+        pool.append((nudge(x, draw(st.integers(-3, 3))), y))
+        pool.append((x, nudge(y, draw(st.integers(-3, 3)))))
+        pool.append((1.0 - x, y))
+    if system is CAT:
+        pool += CAT_P_ORBIT
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+
+
+float_systems = st.sampled_from([CAT, HORSESHOE])
+
+
+@given(st.data(), float_systems)
+def test_min_distances_equal_the_pairwise_scan(data, system):
+    queries = data.draw(point_sets(system))
+    points = data.draw(point_sets(system))
+    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
+    assert min_distances(system, points, queries) == pairwise_min(system, points, queries)
+
+
+@given(st.data(), float_systems)
+def test_hausdorff_from_one_matrix_is_the_larger_oracle_direction(data, system):
+    points = data.draw(point_sets(system))
+    reference = data.draw(point_sets(system))
+    po = PseudoOrbit(points=points, period=len(points), defect=0.0, system=system)
+    report = verify_pseudo_orbit(po, 1.0, reference=reference)
+    assert report["hausdorff_to_reference"] == max(pairwise_min(system, points, reference)
+                                                   + pairwise_min(system, reference, points))
+
+
+@given(st.data(), float_systems, st.floats(0.0, 1.0))
+def test_float_density_check_matches_the_oracle(data, system, epsilon):
+    net_points = data.draw(point_sets(system))
+    orbit = data.draw(point_sets(system))
+    report = density_check(system, orbit, epsilon, net_points=net_points)
+    distances = pairwise_min(system, net_points, orbit)
+    worst = max(distances)
+    assert report.worst_distance == worst
+    assert report.dense == (worst <= epsilon)
+    assert report.witness == (None if worst <= epsilon
+                              else net_points[distances.index(worst)])
+
+
+@pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
+def test_min_distances_on_many_rows_with_near_ties(system, monkeypatch):
+    # numpy's hypot and math.hypot disagree in the last bit on about 0.5% of
+    # pairs, and each point has a neighbour one ulp away, so the rows carry
+    # near ties whose order the matrix may get wrong; small blocks of
+    # queries exercise the blocked scan
+    monkeypatch.setattr(homoclinic, "_BLOCK_ENTRIES", 1000)
+    rng = random.Random(7)
+    points = [(rng.random(), rng.random() / 3.0) for _ in range(12)]
+    points += [(nudge(x, 1), y) for x, y in points]
+    queries = [(rng.random(), rng.random()) for _ in range(3000)]
+    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
+
+
+def test_min_distances_edge_cases():
+    # across the torus seam 0.0 and 1 - 2^-53 are 2^-53 apart
+    assert min_distances(CAT, [(0.0, 0.0)], [(1.0 - 2.0 ** -53, 0.0), (0.5, 0.5)]) \
+        == [2.0 ** -53]
+    # the torus metric squares its differences, so 1e-170 reads as 0 there ...
+    assert min_distances(CAT, [(0.0, 0.0)], [(1e-170, 0.0)]) == [0.0]
+    # ... but the horseshoe's hypot does not underflow: no 0 for distinct points
+    assert min_distances(HORSESHOE, [(0.0, 0.0)], [(2e-170, 0.0), (1e-170, 0.0)]) \
+        == [1e-170]
+    assert min_distances(HORSESHOE, [(0.25, 0.1)] * 3, [(0.3, 0.2), (0.25, 0.1)]) \
+        == [0.0] * 3
+    # a near tie that np.hypot orders the other way round from math.hypot
+    # (glibc's hypot): the larger matrix entry holds the exact minimum
+    query = (0.32059447113252204, 0.39924651546101675)
+    near, nearer = (0.17146304860013686, 0.2472971453318724), \
+        (0.17146304860013684, 0.24729714533187241)
+    assert min_distances(HORSESHOE, [query], [near, nearer]) \
+        == [HORSESHOE.distance(query, nearer)] == [0.2129055947343247]
+    assert min_distances(CAT, CAT_P_ORBIT, [(0.2, 0.4)]) == pairwise_min(
+        CAT, CAT_P_ORBIT, [(0.2, 0.4)])
+
+
+def test_min_distances_on_homoclinic_data(cat_datum):
+    horseshoe = horseshoe_homoclinic_datum(HORSESHOE, (0, 1), 0.05,
+                                           forward_length=160, backward_length=80)
+    for datum in (cat_datum, horseshoe):
+        params = compute_excursion_parameters(datum)
+        po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
+        reference = list(datum.segment) + list(datum.p_orbit)
+        for queries, points in ((po.points, reference), (reference, po.points)):
+            assert min_distances(datum.system, queries, points) \
+                == pairwise_min(datum.system, queries, points)
+
+
+def test_empty_queries_and_empty_point_sets():
+    shift_points = [ShiftPoint.from_cycle((0, 1))]
+    for system, points in ((CAT, [(0.0, 0.0)]), (HORSESHOE, [(0.0, 0.0)]),
+                           (SftSystem(FULL2), shift_points)):
+        assert min_distances(system, [], points) == []
+        assert min_distances(system, [], []) == []
+        with pytest.raises(ValueError, match="empty point set"):
+            min_distances(system, points, [])
+    assert nearest_distances([], shift_points) == []
+    with pytest.raises(ValueError, match="empty point set"):
+        nearest_distances(shift_points, [])

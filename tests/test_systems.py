@@ -27,6 +27,27 @@ def test_evaluate_examples():
     assert shifted[0] == p[1] and shifted[-1] == p[0]
 
 
+@pytest.mark.parametrize("max_period, max_denominator", [(3, 6), (1, 4), (6, 12)])
+def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominator):
+    # oracle: the orbit of every lattice point up to the denominator bound
+    expected = set()
+    for q in range(1, max_denominator + 1):
+        for i in range(q):
+            for j in range(q):
+                orbit = CAT.orbit_of((Fraction(i, q), Fraction(j, q)))
+                if len(orbit) <= max_period:
+                    expected.add(frozenset(orbit))
+    found = list(CAT.rational_orbits(max_period, max_denominator))
+    for (i, j, q), orbit in found:
+        assert orbit[0] == (Fraction(i, q), Fraction(j, q))
+        assert math.gcd(math.gcd(i, j), q) == 1
+        assert CAT.orbit_of(orbit[0]) == orbit
+    assert len(found) == len(expected)
+    assert {frozenset(orbit) for _, orbit in found} == expected
+    starts = [(q, i, j) for (i, j, q), _ in found]
+    assert starts == sorted(starts)
+
+
 def test_exact_fraction_evaluation():
     p = (Fraction(1, 5), Fraction(2, 5))
     q = CAT.apply(p)
