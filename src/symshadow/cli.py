@@ -235,12 +235,21 @@ def cmd_pseudo_shadow(args) -> int:
     return EXIT_OK
 
 
-def _load_target(path: str, matrix: TransitionMatrix | None):
+def _load_target(path: str, system):
+    """The target measure and its report id, checked against the system: a
+    lebesgue target needs a toral system, a bernoulli target an sft system
+    with one probability per symbol, a periodic_mix target an sft system."""
     data = _load_json(path)
     kind = data.get("kind")
+    matrix = system.matrix if isinstance(system, SftSystem) else None
     if kind == "lebesgue":
+        if not isinstance(system, ToralAutomorphism):
+            raise ValueError("lebesgue target needs a toral system")
         return LebesgueTorus(), "lebesgue"
     if kind == "bernoulli":
+        if matrix is None or not isinstance(data["p"], list) or len(data["p"]) != matrix.size:
+            raise ValueError("bernoulli target needs an sft system and one "
+                             "probability per symbol")
         return BernoulliProduct(data["p"]), f"bernoulli({data['p']})"
     if kind == "periodic_mix":
         if matrix is None:
@@ -259,7 +268,9 @@ def _load_target(path: str, matrix: TransitionMatrix | None):
 def cmd_approx_measure(args) -> int:
     system = parse_system(_load_json(args.system))
     matrix = system.matrix if isinstance(system, SftSystem) else None
-    target, target_id = _load_target(args.target, matrix)
+    if args.depth < 1:
+        raise ValueError(f"--depth must be >= 1, got {args.depth}")
+    target, target_id = _load_target(args.target, system)
     config = ExperimentConfig("approx-measure", {
         "system": system.to_config(), "target": target_id, "epsilon": args.epsilon,
         "mode": args.mode, "depth": args.depth, "max_period": args.max_period,

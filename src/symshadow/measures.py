@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dense_periods import admissible_words
 from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap,
                   count_periodic_points, enumerate_cycles, is_primitive, perron_data)
 from .shiftspace import ShiftPoint
@@ -39,6 +40,7 @@ from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
+TWO_PI_I = 2j * math.pi
 
 
 # -- observables ----------------------------------------------------------
@@ -60,10 +62,6 @@ class FourierMode:
 
     k: tuple[int, int]
 
-    def value(self, point) -> complex:
-        phase = float(point[0]) * self.k[0] + float(point[1]) * self.k[1]
-        return cmath.exp(2j * math.pi * phase)
-
     def __str__(self) -> str:
         return f"e({self.k[0]},{self.k[1]})"
 
@@ -84,14 +82,10 @@ class TestFamily:
 def cylinder_family(matrix: TransitionMatrix, depth: int) -> TestFamily:
     """All admissible words of length 1..depth, ordered by length then
     lexicographically."""
-    obs = []
-    words = [(s,) for s in range(matrix.size)]
-    for length in range(1, depth + 1):
-        if length > 1:
-            words = [w + (t,) for w in words for t in matrix.succ[w[-1]]]
-        obs.extend(CylinderObservable(w) for w in sorted(words))
+    obs = tuple(CylinderObservable(w) for length in range(1, depth + 1)
+                for w in sorted(admissible_words(matrix, length)))
     weights = tuple(2.0 ** (-(j + 1)) for j in range(len(obs)))
-    return TestFamily(tuple(obs), weights, f"cylinders depth {depth}")
+    return TestFamily(obs, weights, f"cylinders depth {depth}")
 
 
 def fourier_family(max_frequency: int) -> TestFamily:
@@ -114,8 +108,25 @@ def fourier_family(max_frequency: int) -> TestFamily:
 # -- measures -------------------------------------------------------------
 
 
-class FiniteSupportMeasure:
-    """Atoms (point, weight) with positive weights summing to one."""
+class _Measure:
+    """A measure's integrals against a test family, computed once per family
+    and kept; each entry holds its family, so the family's id stays a
+    unique key."""
+
+    def integrals(self, family: TestFamily) -> list:
+        cache = self.__dict__.setdefault("_integrals", {})
+        if id(family) not in cache:
+            cache[id(family)] = (family, self._compute_integrals(family))
+        return cache[id(family)][1]
+
+    def _compute_integrals(self, family: TestFamily) -> list:
+        return [self.integrate(obs) for obs in family.observables]
+
+
+class FiniteSupportMeasure(_Measure):
+    """Atoms (point, weight) with positive weights summing to one: shift
+    points, integrated against cylinders, or torus points, against Fourier
+    modes."""
 
     def __init__(self, atoms: Sequence[tuple]):
         atoms = [(p, w) for p, w in atoms]
@@ -127,13 +138,41 @@ class FiniteSupportMeasure:
         self.atoms = atoms
 
     def integrate(self, obs) -> complex | float:
-        if isinstance(obs, CylinderObservable):
-            return sum(float(w) for p, w in self.atoms
-                       if isinstance(p, ShiftPoint)
-                       and p.window(0, len(obs.word)) == obs.word)
-        if isinstance(obs, FourierMode):
-            return sum(float(w) * obs.value(p) for p, w in self.atoms)
-        raise TypeError(f"unsupported observable {obs!r}")
+        return self._compute_integrals(TestFamily((obs,), (1.0,), str(obs)))[0]
+
+    def _compute_integrals(self, family: TestFamily) -> list:
+        """Sums over the atoms in atom order, each weight and coordinate
+        converted to float once.  Shift-point atoms integrate cylinders: the
+        weights of the atoms whose window at the family's depth starts with
+        the word.  Torus atoms integrate Fourier modes: w e(k.x), with the
+        phase k.x taken in float."""
+        weights = [float(w) for _, w in self.atoms]
+        shift = [isinstance(p, ShiftPoint) for p, _ in self.atoms]
+        if all(shift):
+            fits = CylinderObservable
+            depth = max((len(o.word) for o in family.observables if isinstance(o, fits)),
+                        default=0)
+            cylinders: dict = {}
+            for (p, _), w in zip(self.atoms, weights):
+                window = p.window(0, depth)
+                for length in range(depth + 1):
+                    cylinders.setdefault(window[:length], []).append(w)
+
+            def integral(obs):
+                return sum(cylinders.get(obs.word, ()))
+        else:
+            fits = () if any(shift) else FourierMode
+            coordinates = [(float(p[0]), float(p[1]), w)
+                           for (p, _), w in zip(self.atoms, weights)]
+
+            def integral(obs):
+                k0, k1 = obs.k
+                return sum(w * cmath.exp(TWO_PI_I * (x * k0 + y * k1))
+                           for x, y, w in coordinates)
+        for obs in family.observables:
+            if not isinstance(obs, fits):
+                raise TypeError(f"{obs!r} does not fit the atoms of this measure")
+        return [integral(obs) for obs in family.observables]
 
     def is_invariant_under(self, system, tol: float = 1e-9) -> bool:
         """Pushforward permutes the atoms with matching weights."""
@@ -166,7 +205,7 @@ def cycle_measure(matrix: TransitionMatrix, word: Sequence[int]) -> FiniteSuppor
     return periodic_measure([base.shift(i) for i in range(cyc.primitive_period)])
 
 
-class MarkovMeasure:
+class MarkovMeasure(_Measure):
     """Stationary Markov chain on the states of a transition-matrix
     support; ``labels`` maps states to output symbols when the chain is a
     block presentation of a subshift (identity when omitted)."""
@@ -228,7 +267,7 @@ class MarkovMeasure:
                 "labels": list(self.labels)}
 
 
-class LebesgueTorus:
+class LebesgueTorus(_Measure):
     """Normalized Lebesgue measure on the 2-torus (closed-form integrals)."""
 
     def integrate(self, obs):
@@ -240,7 +279,7 @@ class LebesgueTorus:
         return {"reference": "lebesgue_torus"}
 
 
-class BernoulliProduct:
+class BernoulliProduct(_Measure):
     """Product measure on the full shift with per-symbol probabilities."""
 
     def __init__(self, probabilities: Sequence[float]):
@@ -267,10 +306,11 @@ def integrate(measure, observable):
 
 
 def weak_star_distance(mu, nu, family: TestFamily) -> float:
-    """sum_j 2^-j |int phi_j d mu - int phi_j d nu|."""
+    """sum_j 2^-j |int phi_j d mu - int phi_j d nu|, read off the integral
+    vectors each measure keeps per family."""
     total = 0.0
-    for obs, w in zip(family.observables, family.weights):
-        total += w * abs(integrate(mu, obs) - integrate(nu, obs))
+    for w, a, b in zip(family.weights, mu.integrals(family), nu.integrals(family)):
+        total += w * abs(a - b)
     return total
 
 

@@ -165,29 +165,22 @@ def _primitive_period(word: Word) -> int:
 # -- boolean matrix helpers (numpy-backed reachability) ----------------
 
 
-def _bool_rows(matrix: TransitionMatrix) -> np.ndarray:
-    return np.array(matrix.rows, dtype=bool)
-
-
 def _bool_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # int32 accumulation: row sums stay below 2^31 for <= 64 symbols
     return (a.astype(np.int32) @ b.astype(np.int32)) > 0
 
 
-def _all_positive(a: np.ndarray) -> bool:
-    return bool(a.all())
-
-
-def _reachable(matrix: TransitionMatrix, start: int) -> set[int]:
-    """States reachable from ``start`` in at least one step."""
+def _reachable(adjacency: Sequence[Sequence[int]], start: int) -> set[int]:
+    """States reachable from ``start`` in at least one step along
+    ``adjacency`` (a matrix's ``succ``, or ``pred`` to walk backwards)."""
     seen: set[int] = set()
-    frontier = list(matrix.succ[start])
+    frontier = list(adjacency[start])
     while frontier:
         nxt = []
         for v in frontier:
             if v not in seen:
                 seen.add(v)
-                nxt.extend(matrix.succ[v])
+                nxt.extend(adjacency[v])
         frontier = nxt
     return seen
 
@@ -196,26 +189,15 @@ def _reachable(matrix: TransitionMatrix, start: int) -> set[int]:
 
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
-    """True iff every state reaches every state in >= 1 steps."""
-    n = matrix.size
-    for i in range(n):
-        if len(_reachable(matrix, i)) != n:
-            return False
-    return True
+    """True iff every state reaches every state in >= 1 steps, i.e. state 0
+    reaches every state and every state reaches state 0."""
+    return len(strongly_connected_component(matrix, 0)) == matrix.size
 
 
 def is_primitive(matrix: TransitionMatrix) -> bool:
-    """True iff some power up to the Wielandt bound (n-1)^2 + 1 is
-    entrywise positive."""
-    rows = _bool_rows(matrix)
-    n = matrix.size
-    bound = (n - 1) * (n - 1) + 1
-    cur = rows
-    for _ in range(bound):
-        if _all_positive(cur):
-            return True
-        cur = _bool_mul(cur, rows)
-    return _all_positive(cur)
+    """True iff irreducible with class period 1, which holds iff some power
+    of the matrix is entrywise positive (Lind & Marcus, Theorem 4.5.8)."""
+    return is_irreducible(matrix) and _cyclic_levels(matrix)[0] == 1
 
 
 def class_period(matrix: TransitionMatrix) -> int:
@@ -223,6 +205,13 @@ def class_period(matrix: TransitionMatrix) -> int:
     state 0) of an irreducible matrix."""
     if not is_irreducible(matrix):
         raise ReducibleMatrixError("class period undefined for reducible matrix")
+    return _cyclic_levels(matrix)[0]
+
+
+def _cyclic_levels(matrix: TransitionMatrix) -> tuple[int, list[int]]:
+    """Class period and breadth-first distance from state 0 of each state of
+    an irreducible matrix; the period is the gcd over edges u -> v of
+    dist[u] + 1 - dist[v]."""
     n = matrix.size
     dist = [-1] * n
     dist[0] = 0
@@ -239,7 +228,7 @@ def class_period(matrix: TransitionMatrix) -> int:
     for u in range(n):
         for v in matrix.succ[u]:
             g = math.gcd(g, dist[u] + 1 - dist[v])
-    return g
+    return g, dist
 
 
 def cyclic_decomposition(matrix: TransitionMatrix) -> CyclicDecomposition:
@@ -249,20 +238,11 @@ def cyclic_decomposition(matrix: TransitionMatrix) -> CyclicDecomposition:
     the matrix maps class k into class k+1 mod l, and A^l restricted to
     each class is primitive.
     """
-    l = class_period(matrix)
-    n = matrix.size
-    dist = [-1] * n
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in matrix.succ[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    classes = tuple(frozenset(i for i in range(n) if dist[i] % l == k) for k in range(l))
+    if not is_irreducible(matrix):
+        raise ReducibleMatrixError("class period undefined for reducible matrix")
+    l, dist = _cyclic_levels(matrix)
+    classes = tuple(frozenset(i for i in range(matrix.size) if dist[i] % l == k)
+                    for k in range(l))
     return CyclicDecomposition(l, classes)
 
 
@@ -408,7 +388,7 @@ def return_time_set(matrix: TransitionMatrix, u: Sequence[int], v: Sequence[int]
     v = matrix.require_word(v)
     hits: set[int] = set()
     powers = [_identity_bool(matrix.size)]
-    rows = _bool_rows(matrix)
+    rows = np.array(matrix.rows, dtype=bool)
     for _ in range(horizon + 1):
         powers.append(_bool_mul(powers[-1], rows))
     for n in range(horizon + 1):
@@ -444,17 +424,7 @@ def strongly_connected_component(matrix: TransitionMatrix, state: int) -> frozen
     """States mutually reachable with ``state`` (in >= 1 steps in each
     direction, so a loop-free isolated state is not in its own component
     unless it lies on a cycle)."""
-    fwd = _reachable(matrix, state)
-    back: set[int] = set()
-    frontier = list(matrix.pred[state])
-    while frontier:
-        nxt = []
-        for vtx in frontier:
-            if vtx not in back:
-                back.add(vtx)
-                nxt.extend(matrix.pred[vtx])
-        frontier = nxt
-    return frozenset(fwd & back)
+    return frozenset(_reachable(matrix.succ, state) & _reachable(matrix.pred, state))
 
 
 def restrict(matrix: TransitionMatrix, states: Iterable[int]

@@ -186,31 +186,36 @@ class ToralAutomorphism:
     # -- exact periodic points ----------------------------------------
 
     def periodic_lattice_points(self, n: int, cap: int = 200_000) -> list:
-        """All fixed points of A^n on the torus, as exact Fractions.
+        """All fixed points of A^n on the torus, as exact Fractions, sorted.
 
-        Solves (A^n - I) x = 0 mod Z^2 by Smith normal form; the count is
-        |det(A^n - I)|.
+        With M = A^n - I they are the group M^-1 Z^2 / Z^2 of order
+        |det M|, generated by the columns of M^-1 = adj(M) / det M; the
+        closure of 0 under the generators walks it on the numerators mod
+        |det M|.
         """
-        mat = _int_pow2(self.matrix, n)
-        m = ((mat[0][0] - 1, mat[0][1]), (mat[1][0], mat[1][1] - 1))
-        count = abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        (a, b), (c, d) = _int_pow2(self.matrix, n)
+        a, d = a - 1, d - 1
+        det = a * d - b * c
+        count = abs(det)
         if count == 0:
             raise ValueError("A^n - I singular; matrix not hyperbolic?")
         if count > cap:
             raise ValueError(f"{count} fixed points of order {n} exceeds cap {cap}")
-        d, _u, v = _smith_normal_form_2x2(m)
-        # U m V = diag, so m x integer iff y := V^{-1} x has d_k y_k integer;
-        # enumerate y on the (1/d1) x (1/d2) lattice and map back by x = V y
-        points = []
-        for i in range(d[0]):
-            for j in range(d[1]):
-                y = (Fraction(i, d[0]), Fraction(j, d[1]))
-                x = (v[0][0] * y[0] + v[0][1] * y[1],
-                     v[1][0] * y[0] + v[1][1] * y[1])
-                points.append(_wrap_point(x))
-        points.sort()
+        sign = 1 if det > 0 else -1
+        gens = ((sign * d % count, -sign * c % count), (-sign * b % count, sign * a % count))
+        points = {(0, 0)}
+        frontier = [(0, 0)]
+        while frontier:
+            nxt = []
+            for u, v in frontier:
+                for gu, gv in gens:
+                    q = ((u + gu) % count, (v + gv) % count)
+                    if q not in points:
+                        points.add(q)
+                        nxt.append(q)
+            frontier = nxt
         assert len(points) == count
-        return points
+        return [(Fraction(u, count), Fraction(v, count)) for u, v in sorted(points)]
 
     def orbit_of(self, p, cap: int = 10_000) -> list:
         """Forward orbit of an exact rational point up to first return."""
@@ -228,26 +233,28 @@ class ToralAutomorphism:
         (i/q, j/q) with gcd(i, j, q) = 1, by increasing q, then i, then j.
 
         Yields ((i, j, q), orbit) with orbit[0] = (i/q, j/q).  A start
-        point is skipped once an earlier scan has visited it.
+        point is skipped once an earlier scan has visited it.  The scan
+        walks the integer pairs (u, v) for (u/q, v/q) mod q: a start point
+        has exact order q in the torus group and A is invertible mod q, so
+        no two lattices share an orbit and each q keeps its own table of
+        visited points.
         """
-        seen: set = set()
+        (a, b), (c, d) = self.matrix
         for q in range(1, max_denominator + 1):
+            seen = bytearray(q * q)
             for i in range(q):
                 for j in range(q):
-                    if math.gcd(math.gcd(i, j), q) != 1:
+                    if math.gcd(i, j, q) != 1 or seen[i * q + j]:
                         continue
-                    p0 = (Fraction(i, q), Fraction(j, q))
-                    if p0 in seen:
-                        continue
-                    orbit = [p0]
-                    seen.add(p0)
-                    cur = self.apply(p0)
-                    while cur != p0 and len(orbit) <= max_period:
-                        orbit.append(cur)
-                        seen.add(cur)
-                        cur = self.apply(cur)
-                    if cur == p0 and len(orbit) <= max_period:
-                        yield (i, j, q), orbit
+                    orbit = [(i, j)]
+                    seen[i * q + j] = 1
+                    u, v = (a * i + b * j) % q, (c * i + d * j) % q
+                    while (u != i or v != j) and len(orbit) <= max_period:
+                        orbit.append((u, v))
+                        seen[u * q + v] = 1
+                        u, v = (a * u + b * v) % q, (c * u + d * v) % q
+                    if u == i and v == j and len(orbit) <= max_period:
+                        yield (i, j, q), [(Fraction(x, q), Fraction(y, q)) for x, y in orbit]
 
     # -- homoclinic orbit along the eigenlines ------------------------
 
@@ -302,74 +309,15 @@ def _int_pow2(m, n: int):
     base = tuple(tuple(row) for row in m)
     while n:
         if n & 1:
-            result = _int_mul2(result, base)
-        base = _int_mul2(base, base)
+            result = _mul2(result, base)
+        base = _mul2(base, base)
         n >>= 1
     return result
 
 
-def _int_mul2(a, b):
+def _mul2(a, b):
     return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
             (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def _smith_normal_form_2x2(m):
-    """(diag, U, V) with U m V = diag(d1, d2), d1 | d2, U and V unimodular."""
-    a = [list(r) for r in m]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
-
-    def row_op(i, j, k):  # row_i += k * row_j
-        a[i][0] += k * a[j][0]
-        a[i][1] += k * a[j][1]
-        u[i][0] += k * u[j][0]
-        u[i][1] += k * u[j][1]
-
-    def col_op(i, j, k):  # col_i += k * col_j
-        a[0][i] += k * a[0][j]
-        a[1][i] += k * a[1][j]
-        v[0][i] += k * v[0][j]
-        v[1][i] += k * v[1][j]
-
-    def swap_rows():
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
-
-    def swap_cols():
-        a[0][0], a[0][1] = a[0][1], a[0][0]
-        a[1][0], a[1][1] = a[1][1], a[1][0]
-        v[0][0], v[0][1] = v[0][1], v[0][0]
-        v[1][0], v[1][1] = v[1][1], v[1][0]
-
-    # clear position (1,0) and (0,1) by gcd reduction
-    for _ in range(200):
-        if a[1][0] != 0:
-            if a[0][0] == 0 or abs(a[1][0]) < abs(a[0][0]):
-                swap_rows()
-                continue
-            row_op(1, 0, -(a[1][0] // a[0][0]))
-            continue
-        if a[0][1] != 0:
-            if a[0][0] == 0 or abs(a[0][1]) < abs(a[0][0]):
-                swap_cols()
-                continue
-            col_op(1, 0, -(a[0][1] // a[0][0]))
-            continue
-        break
-    assert a[1][0] == 0 and a[0][1] == 0, "Smith reduction failed to terminate"
-    if a[0][0] < 0:
-        a[0][0], a[0][1] = -a[0][0], -a[0][1]
-        u[0][0], u[0][1] = -u[0][0], -u[0][1]
-    if a[1][1] < 0:
-        a[1][0], a[1][1] = -a[1][0], -a[1][1]
-        u[1][0], u[1][1] = -u[1][0], -u[1][1]
-    # enforce divisibility d1 | d2
-    if a[0][0] != 0 and a[1][1] % a[0][0] != 0:
-        col_op(0, 1, 1)
-        # restart the reduction once; 2x2 always terminates
-        d, u2, v2 = _smith_normal_form_2x2(a)
-        return d, _int_mul2(u2, tuple(map(tuple, u))), _int_mul2(tuple(map(tuple, v)), v2)
-    return (a[0][0], a[1][1]), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 class Horseshoe:
@@ -568,7 +516,7 @@ def lyapunov_exponents_periodic(system, orbit_points: Sequence) -> LyapunovRepor
     prod = ((1.0, 0.0), (0.0, 1.0))
     for p in orbit_points:
         d = system.differential(p)
-        prod = _float_mul2(tuple(tuple(float(v) for v in row) for row in d), prod)
+        prod = _mul2(tuple(tuple(float(v) for v in row) for row in d), prod)
     tr = prod[0][0] + prod[1][1]
     det = prod[0][0] * prod[1][1] - prod[0][1] * prod[1][0]
     disc = tr * tr - 4.0 * det
@@ -580,11 +528,6 @@ def lyapunov_exponents_periodic(system, orbit_points: Sequence) -> LyapunovRepor
         moduli = [modulus, modulus]
     exps = tuple(math.log(m) / tau if m > 0 else float("-inf") for m in moduli)
     return LyapunovReport(exps, True)
-
-
-def _float_mul2(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
 
 
 def net(system, spacing: float) -> list:

@@ -143,6 +143,57 @@ def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):
                  "--out", files["out"]]) == 2
 
 
+@pytest.mark.parametrize("target, system, mode", [
+    ("lebesgue", "full2", "periodic"),
+    ("lebesgue", "horseshoe", "periodic"),
+    ("bernoulli", "cat", "periodic"),
+    ("bernoulli", "horseshoe", "periodic"),
+    ("bernoulli3", "full2", "periodic"),
+    ("bernoulli3", "full2", "bernoulli"),
+    ("mix", "horseshoe", "periodic"),
+    ("mix", "cat", "periodic"),
+    ("lebesgue", "full2", "bernoulli"),
+])
+def test_approx_measure_target_must_fit_the_system_exit_2(files, capsys, target, system,
+                                                          mode):
+    targets = {"bernoulli": {"kind": "bernoulli", "p": [0.5, 0.5]},
+               "bernoulli3": {"kind": "bernoulli", "p": [0.2, 0.3, 0.5]}}
+    if target in targets:
+        path = files["tmp"] / f"{target}.json"
+        path.write_text(json.dumps(targets[target]))
+        files[target] = str(path)
+    assert main(["approx-measure", files[target], files[system], "--epsilon", "0.1",
+                 "--mode", mode, "--out", files["out"]]) == 2
+    assert "invalid input: " in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_approx_measure_depth_below_one_exit_2(files, capsys, depth):
+    # depth 0 made an empty test family: every distance 0.0, always "within epsilon"
+    for target, system in (("mix", "full2"), ("lebesgue", "cat")):
+        assert main(["approx-measure", files[target], files[system], "--epsilon", "0.1",
+                     "--mode", "periodic", "--depth", depth, "--out", files["out"]]) == 2
+        assert "--depth must be >= 1" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
+      "--mode", "bernoulli"],
+     "6f6a8a39c0f68f53dc78d2dcca089df3391b9a9a144b8fffad8773bc50a0826b"),
+    (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
+      "--mode", "periodic", "--max-period", "30"],
+     "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),
+], ids=["bernoulli", "periodic_torus"])
+def test_readme_approx_measure_reports_are_pinned(tmp_path, argv, sha256):
+    # the README runs; a change in the last bit of a distance, P or pi changes the digest
+    out = tmp_path / "out"
+    assert main(["approx-measure", str(DATA / argv[0]), str(DATA / argv[1]), *argv[2:],
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "approx_measure.json").read_bytes()).hexdigest() == sha256
+
+
 def test_perturb_smoke(files):
     code = main(["perturb-smoke", files["horseshoe"], "--magnitude", "0.033",
                  "--out", files["out"]])

@@ -1,13 +1,19 @@
 """Measures, weak-* distances, correlation decay, and the approximation
 pipeline, cross-checked against closed forms and brute-force counts."""
 
+import cmath
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from symshadow.measures import TestFamily as Family
 from symshadow.measures import (BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
                                 MarkovMeasure, approximate_by_periodic,
@@ -15,7 +21,8 @@ from symshadow.measures import (BernoulliProduct, CylinderObservable,
                                 correlation, cycle_measure, cylinder_family,
                                 fourier_family, integrate, parry_measure,
                                 periodic_measure, weak_star_distance)
-from symshadow.sft import TransitionMatrix, is_primitive, topological_entropy
+from symshadow.sft import (TransitionMatrix, enumerate_cycles, is_primitive,
+                           topological_entropy)
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import SftSystem, cat_map
 
@@ -157,6 +164,147 @@ def test_unsupported_observable_raises():
         integrate(parry_measure(FULL2), FourierMode((1, 1)))
     with pytest.raises(TypeError):
         integrate(LebesgueTorus(), CylinderObservable((0,)))
+    # a cylinder against torus atoms, a Fourier mode against shift-point atoms
+    with pytest.raises(TypeError):
+        integrate(cat_map_orbit_measure(), CylinderObservable((0,)))
+    with pytest.raises(TypeError):
+        integrate(cycle_measure(FULL2, (0, 1)), FourierMode((1, 0)))
+    with pytest.raises(TypeError):
+        weak_star_distance(cat_map_orbit_measure(), cycle_measure(FULL2, (0, 1)), FAM3)
+    with pytest.raises(TypeError):
+        weak_star_distance(LebesgueTorus(), cycle_measure(FULL2, (0, 1)), fourier_family(1))
+
+
+def cat_map_orbit_measure():
+    return periodic_measure(cat_map().orbit_of((Fraction(1, 5), Fraction(2, 5))))
+
+
+# -- weak-* distance against the one-observable-at-a-time oracle --------------------
+
+
+def oracle_integrate(measure, obs):
+    """One observable at a time: every atom rescanned, every Fraction weight
+    and coordinate converted to float again on each call."""
+    if not isinstance(measure, FiniteSupportMeasure):
+        return measure.integrate(obs)
+    if isinstance(obs, CylinderObservable):
+        return sum(float(w) for p, w in measure.atoms
+                   if tuple(p[i] for i in range(len(obs.word))) == obs.word)
+    return sum(float(w) * cmath.exp(2j * math.pi * (float(p[0]) * obs.k[0]
+                                                     + float(p[1]) * obs.k[1]))
+               for p, w in measure.atoms)
+
+
+def oracle_weak_star(mu, nu, family):
+    total = 0.0
+    for obs, w in zip(family.observables, family.weights):
+        total += w * abs(oracle_integrate(mu, obs) - oracle_integrate(nu, obs))
+    return total
+
+
+SHIFTS = [FULL2, GOLDEN, WHEEL, TransitionMatrix.full_shift(3)]
+CYCLES = {m: [c.states for n in range(1, 6) for c in enumerate_cycles(m, n).cycles]
+          for m in SHIFTS}
+numerators = st.integers(1, 97)
+words = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+
+
+def fraction_weights(draw, n):
+    raw = [draw(numerators) for _ in range(n)]
+    return [Fraction(x, sum(raw)) for x in raw]
+
+
+@st.composite
+def shift_measures(draw, matrix):
+    """Mixtures of cycle measures, or atoms at non-periodic shift points."""
+    if draw(st.booleans()):
+        cycles = draw(st.lists(st.sampled_from(CYCLES[matrix]), min_size=1, max_size=3))
+        atoms = []
+        for cycle, weight in zip(cycles, fraction_weights(draw, len(cycles))):
+            atoms.extend((p, weight * w) for p, w in cycle_measure(matrix, cycle).atoms)
+        return FiniteSupportMeasure(atoms)
+    size = matrix.size
+    points = [ShiftPoint(tuple(s % size for s in draw(words)),
+                         tuple(s % size for s in draw(words)),
+                         tuple(s % size for s in draw(words)), draw(st.integers(-3, 3)))
+              for _ in range(draw(st.integers(1, 5)))]
+    return FiniteSupportMeasure(list(zip(points, fraction_weights(draw, len(points)))))
+
+
+@st.composite
+def torus_measures(draw):
+    """Mixtures of cat-map orbits with Fraction coordinates, or float atoms."""
+    if draw(st.booleans()):
+        cat = cat_map()
+        starts = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 11),
+                                         st.integers(0, 11)), min_size=1, max_size=3))
+        orbits = [cat.orbit_of((Fraction(i % q, q), Fraction(j % q, q))) for q, i, j in starts]
+        atoms = []
+        for orbit, weight in zip(orbits, fraction_weights(draw, len(orbits))):
+            atoms.extend((p, weight / len(orbit)) for p in orbit)
+        return FiniteSupportMeasure(atoms)
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    points = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        return periodic_measure(points)
+    return FiniteSupportMeasure(list(zip(points, fraction_weights(draw, len(points)))))
+
+
+def assert_bitwise_oracle(mu, nu, family):
+    assert weak_star_distance(mu, nu, family).hex() == oracle_weak_star(mu, nu, family).hex()
+    for obs in family.observables:
+        for measure in (mu, nu):
+            got, want = complex(integrate(measure, obs)), complex(oracle_integrate(measure, obs))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@given(st.data(), st.sampled_from(SHIFTS), st.integers(1, 4), st.integers(1, 4))
+def test_weak_star_on_shifts_equals_the_oracle_bit_for_bit(data, matrix, depth, depth2):
+    mu = data.draw(shift_measures(matrix))
+    partners = [data.draw(shift_measures(matrix)), parry_measure(matrix)]
+    if matrix.rows == ((1,) * matrix.size,) * matrix.size:
+        p = fraction_weights(data.draw, matrix.size)
+        partners.append(BernoulliProduct([float(x) for x in p]))
+    family, other = cylinder_family(matrix, depth), cylinder_family(matrix, depth2)
+    # the same measures against two families, in both orders: a cache keyed
+    # by anything but the family itself would hand one family's vector to the other
+    for fam in (family, other, family):
+        for nu in partners:
+            assert_bitwise_oracle(mu, nu, fam)
+            assert_bitwise_oracle(nu, mu, fam)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+def test_weak_star_on_the_torus_equals_the_oracle_bit_for_bit(data, bound, bound2):
+    mu = data.draw(torus_measures())
+    partners = [data.draw(torus_measures()), LebesgueTorus()]
+    family, other = fourier_family(bound), fourier_family(bound2)
+    for fam in (family, other, family):
+        for nu in partners:
+            assert_bitwise_oracle(mu, nu, fam)
+            assert_bitwise_oracle(nu, mu, fam)
+
+
+def test_integral_cache_keeps_one_entry_per_family():
+    mu = cycle_measure(FULL2, (0, 0, 1))
+    a = cylinder_family(FULL2, 2)
+    # a distinct family with the same description gets its own vector
+    b = Family(a.observables[::-1], a.weights, a.description)
+    assert mu.integrals(a) == [oracle_integrate(mu, o) for o in a.observables]
+    assert mu.integrals(b) == [oracle_integrate(mu, o) for o in b.observables]
+    # families dropped right after use: a later family may take the id of an
+    # earlier one unless the cache keeps its families alive
+    for depth in (1, 2, 3, 4, 2, 1, 4, 3, 1, 2, 4):
+        got = mu.integrals(cylinder_family(FULL2, depth))
+        family = cylinder_family(FULL2, depth)
+        assert got == [oracle_integrate(mu, o) for o in family.observables]
+        del family
+    family = cylinder_family(FULL2, 3)
+    alive = weakref.ref(family)
+    mu.integrals(family)
+    del family
+    gc.collect()
+    assert alive() is not None
 
 
 # -- weak-* distance --------------------------------------------------------------

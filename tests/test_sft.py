@@ -46,6 +46,28 @@ def brute_return_time_gcd(matrix, state):
     return g
 
 
+def wielandt_primitive(matrix):
+    """Some boolean power A^k with k up to the Wielandt bound (n-1)^2 + 1 is
+    entrywise positive."""
+    a = np.array(matrix.rows, dtype=np.int64)
+    cur = a.copy()
+    for _ in range((matrix.size - 1) ** 2 + 1):
+        if cur.all():
+            return True
+        cur = (cur @ a > 0).astype(np.int64)
+    return False
+
+
+def closure_irreducible(matrix):
+    """Every entry of A + A^2 + ... + A^n is positive (transitive closure)."""
+    a = np.array(matrix.rows, dtype=np.int64)
+    reach, cur = a.copy(), a.copy()
+    for _ in range(matrix.size):
+        cur = (cur @ a > 0).astype(np.int64)
+        reach |= cur
+    return bool(reach.all())
+
+
 def random_essential(rng, size, density):
     while True:
         rows = [[1 if rng.random() < density else 0 for _ in range(size)]
@@ -107,9 +129,10 @@ def test_class_period_examples():
 def test_primitive_iff_class_period_one(size, seed):
     import random
     matrix = random_essential(random.Random(seed), size, 0.4)
-    if not is_irreducible(matrix):
-        return
-    assert is_primitive(matrix) == (class_period(matrix) == 1)
+    assert is_irreducible(matrix) == closure_irreducible(matrix)
+    assert is_primitive(matrix) == wielandt_primitive(matrix)
+    if is_irreducible(matrix):
+        assert wielandt_primitive(matrix) == (class_period(matrix) == 1)
 
 
 def test_primitive_iff_class_period_one_thousand_samples():
@@ -119,10 +142,27 @@ def test_primitive_iff_class_period_one_thousand_samples():
     while checked < 1000:
         matrix = random_essential(rng, rng.choice([2, 3, 4, 5, 6]),
                                   rng.choice([0.3, 0.4, 0.6]))
+        assert is_primitive(matrix) == wielandt_primitive(matrix)
         if not is_irreducible(matrix):
             continue
-        assert is_primitive(matrix) == (class_period(matrix) == 1)
+        assert wielandt_primitive(matrix) == (class_period(matrix) == 1)
         checked += 1
+
+
+def test_primitivity_of_block_subshifts_matches_wielandt():
+    # the block presentations the measure pipeline builds, up to 36 states
+    from symshadow.measures import block_subshift
+    from symshadow.systems import sft_homoclinic_splice
+    cases = [(matrix, cycle, (cycle[0],) + sft_homoclinic_splice(matrix, cycle)[1])
+             for matrix, cycle in ((FULL2, (0, 1)), (GOLDEN, (0, 1)), (FULL2, (0, 0, 0, 1, 1)))]
+    cases.append((FULL2, (0, 1), (0, 1, 1, 0)))  # even block lengths: class period 2
+    verdicts = set()
+    for matrix, cycle, excursion in cases:
+        for m in range(1, 8):
+            sub = block_subshift(matrix, cycle, m, excursion).matrix
+            assert is_primitive(sub) == wielandt_primitive(sub)
+            verdicts.add(is_primitive(sub))
+    assert verdicts == {True, False}
 
 
 @given(st.integers(2, 5), st.integers(0, 10**9))

@@ -48,6 +48,61 @@ def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominato
     assert starts == sorted(starts)
 
 
+def fraction_orbit_scan(system, max_period, max_denominator):
+    """The scan with Fraction points and one set of visited points over all
+    denominators."""
+    seen = set()
+    for q in range(1, max_denominator + 1):
+        for i in range(q):
+            for j in range(q):
+                if math.gcd(math.gcd(i, j), q) != 1:
+                    continue
+                p0 = (Fraction(i, q), Fraction(j, q))
+                if p0 in seen:
+                    continue
+                orbit = [p0]
+                seen.add(p0)
+                cur = system.apply(p0)
+                while cur != p0 and len(orbit) <= max_period:
+                    orbit.append(cur)
+                    seen.add(cur)
+                    cur = system.apply(cur)
+                if cur == p0 and len(orbit) <= max_period:
+                    yield (i, j, q), orbit
+
+
+@pytest.mark.parametrize("system", [CAT, ToralAutomorphism([[1, 1], [1, 0]])],
+                         ids=["cat", "det_minus_one"])
+@pytest.mark.parametrize("max_period, max_denominator", [(1, 5), (3, 8), (6, 12), (10, 15)])
+def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denominator):
+    found = list(system.rational_orbits(max_period, max_denominator))
+    expected = list(fraction_orbit_scan(system, max_period, max_denominator))
+    assert found == expected
+    assert [tuple(map(repr, p)) for _, orbit in found for p in orbit] == \
+        [tuple(map(repr, p)) for _, orbit in expected for p in orbit]
+
+
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 2], [1, 1]],
+                                    [[-2, 1], [1, -1]], [[0, 1], [1, 3]]])
+def test_periodic_lattice_points_are_the_lattice_fixed_points(matrix):
+    # oracle: |det(A^n - I)| = D fixed points, all on the lattice (1/D) Z^2
+    system = ToralAutomorphism(matrix)
+    (a, b), (c, d) = matrix
+    power = ((1, 0), (0, 1))
+    for n in range(1, 6):
+        power = ((a * power[0][0] + b * power[1][0], a * power[0][1] + b * power[1][1]),
+                 (c * power[0][0] + d * power[1][0], c * power[0][1] + d * power[1][1]))
+        (p, q), (r, s) = power
+        count = abs((p - 1) * (s - 1) - q * r)
+        if count > 150:
+            break
+        expected = [(Fraction(i, count), Fraction(j, count))
+                    for i in range(count) for j in range(count)
+                    if ((p * i + q * j - i) % count, (r * i + s * j - j) % count) == (0, 0)]
+        assert system.periodic_lattice_points(n) == expected
+        assert len(expected) == count
+
+
 def test_exact_fraction_evaluation():
     p = (Fraction(1, 5), Fraction(2, 5))
     q = CAT.apply(p)
