@@ -33,9 +33,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dense_periods import (DensePeriodsCertificate, DensePeriodsRefutation,
-                            HorizonTooSmallError, dense_periods_certificate,
-                            homoclinic_restricted_certificate)
+from .dense_periods import (BlockGraphTooLargeError, DensePeriodsCertificate,
+                            DensePeriodsRefutation, HorizonTooSmallError,
+                            dense_periods_certificate, homoclinic_restricted_certificate)
 from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
 from .measures import (BernoulliProduct, FiniteSupportMeasure, LebesgueTorus,
@@ -352,6 +352,8 @@ def cmd_coding_table(args) -> int:
     system = parse_system(_load_json(args.system))
     if not isinstance(system, Horseshoe):
         raise ValueError("coding-table runs on horseshoe systems")
+    if args.depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     config = ExperimentConfig("coding-table", {
         "system": system.to_config(), "depth": args.depth}, seed=args.seed)
     report = {"table": system.coding_table(args.depth)}
@@ -476,7 +478,8 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except (PreconditionError, InsufficientSegmentError, HorizonTooSmallError) as exc:
+    except (PreconditionError, InsufficientSegmentError, HorizonTooSmallError,
+            BlockGraphTooLargeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ShadowingError, ConvergenceError) as exc:

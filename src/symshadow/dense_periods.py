@@ -28,17 +28,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
-                  enumerate_cycles, is_primitive, restrict,
-                  strongly_connected_component, _merge_overlap)
+                  enumerate_cycles, is_primitive, restrict, return_time_set,
+                  strongly_connected_component, _bfs_distances, _int_mat_pow,
+                  _least_walk, _merge_overlap, _step_layers)
 from .shiftspace import word_radius
 
 EXHAUSTIVE_CAP = 4096
 EXHAUSTIVE_BUDGET = 60_000  # total enumerated cycles per certificate call
 PAD_VARIANTS = 8
+MAX_BLOCK_NODES = 2048  # (m-1)-block graph size limit; its all-pairs table is quadratic
 
 
 class HorizonTooSmallError(ValueError):
     """n_max cannot fit a single covering cycle; no verdict possible."""
+
+
+class BlockGraphTooLargeError(ValueError):
+    """The scale epsilon = 2^-m needs more than MAX_BLOCK_NODES (m-1)-blocks."""
 
 
 class CertificateTooCoarseError(ValueError):
@@ -153,15 +159,22 @@ class _BlockGraph:
         if m <= 1:
             self.nodes = [(s,) for s in range(matrix.size)]
         else:
+            # the admissible (m-1)-words are counted by the entries of A^(m-2)
+            count = sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], m - 2)))
+            if count > MAX_BLOCK_NODES:
+                raise BlockGraphTooLargeError(
+                    f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
             self.nodes = admissible_words(matrix, m - 1)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.succ: list[list[int]] = [[] for _ in self.nodes]
+        self.pred: list[list[int]] = [[] for _ in self.nodes]
         for i, v in enumerate(self.nodes):
             for t in matrix.succ[v[-1]]:
                 w = v[1:] + (t,) if m >= 2 else (t,)
                 j = self.index.get(w)
                 if j is not None:
                     self.succ[i].append(j)
+                    self.pred[j].append(i)
         self.cover_edges = m >= 2
 
     def required_edges(self) -> set[tuple[int, int]]:
@@ -175,54 +188,24 @@ class _BlockGraph:
         return tuple(self.nodes[i][0] for i in walk)
 
 
-def _shortest_path_tables(succ: list[list[int]]) -> list[list[int]]:
-    n = len(succ)
-    INF = 1 << 30
-    dist = [[INF] * n for _ in range(n)]
-    for s in range(n):
-        dist[s][s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    if dist[s][v] > d:
-                        dist[s][v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
-
-
 def _covering_walk(graph: _BlockGraph) -> list[int] | None:
     """Deterministic closed walk from the lex-least node covering all
     required edges (m >= 2) or all nodes (m = 1); None when the graph is
     not strongly connected.  Returned as node sequence of length n (walk
     steps), base node implicit at both ends."""
     succ = graph.succ
-    nnodes = len(succ)
-    if nnodes == 0:
-        return None
-    dist = _shortest_path_tables(succ)
-    INF = 1 << 30
+    dist = [_bfs_distances(succ, [s]) for s in range(len(succ))]
     base = 0
-    if any(dist[base][v] >= INF for v in range(nnodes)) or \
-       any(dist[v][base] >= INF for v in range(nnodes)):
+    if min(dist[base]) < 0 or any(row[base] < 0 for row in dist):
         return None
 
     walk = [base]
 
-    def go_to(target: int) -> bool:
+    def go_to(target: int) -> None:
         cur = walk[-1]
         while cur != target:
-            step = min((v for v in succ[cur] if dist[v][target] == dist[cur][target] - 1),
-                       default=None)
-            if step is None:
-                return False
-            walk.append(step)
-            cur = step
-        return True
+            cur = min(v for v in succ[cur] if dist[v][target] == dist[cur][target] - 1)
+            walk.append(cur)
 
     if graph.cover_edges:
         uncovered = graph.required_edges()
@@ -232,55 +215,15 @@ def _covering_walk(graph: _BlockGraph) -> list[int] | None:
         while uncovered:
             cur = walk[-1]
             u, v = min(uncovered, key=lambda e: (dist[cur][e[0]], e[0], e[1]))
-            if dist[cur][u] >= INF or not go_to(u):
-                return None
+            go_to(u)
             walk.append(v)
             discharge()
     else:
-        for target in range(nnodes):
+        for target in range(len(succ)):
             if target not in walk:
-                if not go_to(target):
-                    return None
-    if not go_to(base):
-        return None
+                go_to(target)
+    go_to(base)
     return walk[1:]  # length = number of steps; closed at base
-
-
-class _PadTables:
-    """Exact-length return walks at the base node: forward[t] = nodes
-    reachable from base in exactly t steps, backward[t] = nodes reaching
-    base in exactly t steps."""
-
-    def __init__(self, succ: list[list[int]], base: int, horizon: int):
-        self.succ = succ
-        self.base = base
-        pred: list[list[int]] = [[] for _ in succ]
-        for u, outs in enumerate(succ):
-            for v in outs:
-                pred[v].append(u)
-        self.backward: list[set[int]] = [set() for _ in range(horizon + 1)]
-        self.backward[0].add(base)
-        for t in range(1, horizon + 1):
-            self.backward[t] = {u for v in self.backward[t - 1] for u in pred[v]}
-
-    def has_return(self, t: int) -> bool:
-        return t < len(self.backward) and self.base in self.backward[t]
-
-    def return_walk(self, t: int, variant: int = 0) -> list[int] | None:
-        """A closed walk at base of exactly t steps (node sequence without
-        the leading base); ``variant`` perturbs early branch choices."""
-        if not self.has_return(t):
-            return None
-        walk = []
-        cur = self.base
-        for r in range(t, 0, -1):
-            options = sorted(v for v in self.succ[cur] if v in self.backward[r - 1])
-            if not options:
-                return None
-            pick = options[min(variant, len(options) - 1)] if r == t else options[0]
-            walk.append(pick)
-            cur = pick
-        return walk
 
 
 # -- the engine -----------------------------------------------------------
@@ -297,27 +240,22 @@ class _Engine:
         self.m = word_radius(self.epsilon)
         self.graph = _BlockGraph(self.matrix, self.m)
         self.cover = _covering_walk(self.graph)
-        self.pads = None
-        if self.cover is not None:
-            self.pads = _PadTables(self.graph.succ, 0, self.n_max)
+        # pads[t] = block nodes with a walk of exactly t steps to the base node 0,
+        # so a closed walk at the base stretches the cover by any t with 0 in pads[t]
+        self.pads = (_step_layers(self.graph.pred, 0, self.n_max)
+                     if self.cover is not None else None)
 
     def constructive_witness(self, n: int) -> SymbolicCycle | None:
-        if self.cover is None:
+        if not self.constructive_possible(n):
             return None
-        c = len(self.cover)
-        if n < c or self.pads is None or not self.pads.has_return(n - c):
-            return None
+        cycles = []
         for variant in range(PAD_VARIANTS):
-            pad = self.pads.return_walk(n - c, variant)
-            if pad is None:
-                break
-            word = self.graph.walk_to_word(self.cover + pad)
-            cyc = SymbolicCycle.from_word(self.matrix, word)
-            if cyc.primitive_period == n:
-                return cyc
-        pad = self.pads.return_walk(n - c, 0)
-        word = self.graph.walk_to_word(self.cover + pad)
-        return SymbolicCycle.from_word(self.matrix, word)  # flagged by caller
+            pad = _least_walk(self.graph.succ, self.pads, 0, n - len(self.cover), variant)
+            cycles.append(SymbolicCycle.from_word(
+                self.matrix, self.graph.walk_to_word(self.cover + pad)))
+            if cycles[-1].primitive_period == n:
+                return cycles[-1]
+        return cycles[0]  # flagged by caller
 
     def exhaustive_witness(self, n: int, budget: list[int]
                            ) -> tuple[SymbolicCycle | None, bool]:
@@ -337,9 +275,8 @@ class _Engine:
         return (dense[0], True) if dense else (None, True)
 
     def constructive_possible(self, n: int) -> bool:
-        if self.cover is None or self.pads is None:
-            return False
-        return n >= len(self.cover) and self.pads.has_return(n - len(self.cover))
+        return (self.cover is not None and len(self.cover) <= n <= self.n_max
+                and 0 in self.pads[n - len(self.cover)])
 
 
 def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: int
@@ -445,19 +382,6 @@ class MixingPairReport:
     misses: tuple[int, ...]
 
 
-def _hits_directly(matrix: TransitionMatrix, u, v, n: int) -> bool:
-    """sigma^n([u]) meets [v]: a pattern with u at 0 and v at n extends."""
-    if n < len(u):
-        merged = _merge_overlap(tuple(u), tuple(v), n)
-        return merged is not None and matrix.is_admissible_word(merged)
-    # path of n - |u| + 1 edges from the end of u to the start of v
-    steps = n - len(u) + 1
-    reach = {u[-1]}
-    for _ in range(steps):
-        reach = {t for s in reach for t in matrix.succ[s]}
-    return v[0] in reach
-
-
 def verify_mixing_from_certificate(matrix: TransitionMatrix,
                                    cert: DensePeriodsCertificate,
                                    pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
@@ -471,7 +395,8 @@ def verify_mixing_from_certificate(matrix: TransitionMatrix,
     sigma^n(sigma^{n1} z) = z, so sigma^n([u]) meets [v].  The threshold
     is therefore the N0 of an internal certificate at word length |W|;
     every n in [threshold, n_max] is additionally checked directly against
-    matrix powers and any miss reported.
+    the exact-step reachability layers of :func:`return_time_set` and any
+    miss reported.  A reducible matrix raises ``ValueError``.
     """
     reports = []
     for u_raw, v_raw in pairs:
@@ -480,11 +405,8 @@ def verify_mixing_from_certificate(matrix: TransitionMatrix,
         if max(len(u), len(v)) > max(cert.word_length, 1):
             raise CertificateTooCoarseError(
                 f"pair words longer than certificate scale m = {cert.word_length}")
-        n1 = None
-        for k in range(1, matrix.size * matrix.size + len(u) + len(v) + 2):
-            if _hits_directly(matrix, v, u, k):
-                n1 = k
-                break
+        back = return_time_set(matrix, v, u, matrix.size * matrix.size + len(u) + len(v) + 1)
+        n1 = min(back - {0}, default=None)
         if n1 is None:
             raise ValueError(f"no hitting time for pair {u}, {v}; matrix not mixing")
         ball = _ball_word(matrix, v, u, n1)
@@ -492,8 +414,8 @@ def verify_mixing_from_certificate(matrix: TransitionMatrix,
         if isinstance(fine, DensePeriodsRefutation):
             raise ValueError("internal fine certificate refuted; matrix not mixing")
         threshold = fine.N0
-        misses = tuple(n for n in range(threshold, cert.n_max + 1)
-                       if not _hits_directly(matrix, u, v, n))
+        hits = return_time_set(matrix, u, v, cert.n_max)
+        misses = tuple(n for n in range(threshold, cert.n_max + 1) if n not in hits)
         reports.append(MixingPairReport(u=u, v=v, first_hit=n1, ball_word=ball,
                                         threshold=threshold,
                                         verified_all=not misses, misses=misses))
@@ -508,23 +430,10 @@ def _ball_word(matrix: TransitionMatrix, v, u, n1: int) -> tuple[int, ...]:
         if merged is None or not matrix.is_admissible_word(merged):
             raise ValueError("hitting time inconsistent with admissibility")
         return merged
-    # fill the gap between the end of v and the start of u lexicographically
-    gap = n1 - len(v)
-    best = None
-
-    def rec(word: list[int]):
-        nonlocal best
-        if best is not None:
-            return
-        if len(word) == gap:
-            if matrix.admits(word[-1] if word else v[-1], u[0]):
-                best = tuple(v) + tuple(word) + tuple(u)
-            return
-        prev = word[-1] if word else v[-1]
-        for t in matrix.succ[prev]:
-            rec(word + [t])
-
-    rec([])
-    if best is None:
+    # fill the gap between the end of v and the start of u lexicographically:
+    # the least walk of gap + 1 steps from v[-1] to u[0]
+    steps = n1 - len(v) + 1
+    walk = _least_walk(matrix.succ, _step_layers(matrix.pred, u[0], steps), v[-1], steps)
+    if walk is None:
         raise ValueError("hitting time inconsistent with admissibility")
-    return best
+    return tuple(v) + tuple(walk) + tuple(u[1:])

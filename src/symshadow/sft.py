@@ -162,27 +162,61 @@ def _primitive_period(word: Word) -> int:
     return n
 
 
-# -- boolean matrix helpers (numpy-backed reachability) ----------------
+# -- graph walks on adjacency lists -----------------------------------
+#
+# ``adjacency[u]`` lists the nodes one step after u: a matrix's ``succ``,
+# its ``pred`` to walk backwards, or the successor lists of a block graph.
 
 
-def _bool_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # int32 accumulation: row sums stay below 2^31 for <= 64 symbols
-    return (a.astype(np.int32) @ b.astype(np.int32)) > 0
-
-
-def _reachable(adjacency: Sequence[Sequence[int]], start: int) -> set[int]:
-    """States reachable from ``start`` in at least one step along
-    ``adjacency`` (a matrix's ``succ``, or ``pred`` to walk backwards)."""
-    seen: set[int] = set()
-    frontier = list(adjacency[start])
+def _bfs_distances(adjacency: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int]:
+    """Fewest steps from any of ``sources`` to each node; -1 where no walk
+    arrives."""
+    dist = [-1] * len(adjacency)
+    frontier = []
+    for s in sources:
+        if dist[s] < 0:
+            dist[s] = 0
+            frontier.append(s)
+    d = 0
     while frontier:
+        d += 1
         nxt = []
-        for v in frontier:
-            if v not in seen:
-                seen.add(v)
-                nxt.extend(adjacency[v])
+        for u in frontier:
+            for v in adjacency[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
         frontier = nxt
-    return seen
+    return dist
+
+
+def _step_layers(adjacency: Sequence[Sequence[int]], start: int, steps: int
+                 ) -> list[set[int]]:
+    """layers[t] = nodes at the end of a walk of exactly t steps from
+    ``start``, for t in [0, steps]."""
+    layers = [{start}]
+    for _ in range(steps):
+        layers.append({v for u in layers[-1] for v in adjacency[u]})
+    return layers
+
+
+def _least_walk(succ: Sequence[Sequence[int]], ending_layers: list[set[int]], start: int,
+                steps: int, variant: int = 0) -> list[int] | None:
+    """Least walk of exactly ``steps`` steps from ``start`` to the target
+    whose backward ``_step_layers`` are ``ending_layers``, as the nodes
+    after ``start``; None if there is none.  Each step takes the smallest
+    successor that can still reach the target in the steps that remain;
+    ``variant`` instead takes the variant-th smallest (capped at the
+    largest) on the first step."""
+    if steps >= len(ending_layers) or start not in ending_layers[steps]:
+        return None
+    walk = []
+    cur = start
+    for r in range(steps - 1, -1, -1):
+        options = sorted(v for v in succ[cur] if v in ending_layers[r])
+        cur = options[min(variant, len(options) - 1)] if r == steps - 1 else options[0]
+        walk.append(cur)
+    return walk
 
 
 # -- core predicates ---------------------------------------------------
@@ -212,20 +246,9 @@ def _cyclic_levels(matrix: TransitionMatrix) -> tuple[int, list[int]]:
     """Class period and breadth-first distance from state 0 of each state of
     an irreducible matrix; the period is the gcd over edges u -> v of
     dist[u] + 1 - dist[v]."""
-    n = matrix.size
-    dist = [-1] * n
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in matrix.succ[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+    dist = _bfs_distances(matrix.succ, [0])
     g = 0
-    for u in range(n):
+    for u in range(matrix.size):
         for v in matrix.succ[u]:
             g = math.gcd(g, dist[u] + 1 - dist[v])
     return g, dist
@@ -287,15 +310,6 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
     truncated = False
     word = [0] * n
 
-    def closure_layers(start: int) -> list[set[int]]:
-        """layers[t] = states with a path of exactly t edges to ``start``."""
-        layers = [set() for _ in range(n + 1)]
-        layers[0].add(start)
-        for t in range(1, n + 1):
-            layers[t] = {s for s in range(matrix.size)
-                         if any(v in layers[t - 1] for v in matrix.succ[s])}
-        return layers
-
     def dfs(pos: int, layers: list[set[int]]) -> bool:
         nonlocal truncated
         if pos == n:
@@ -316,7 +330,8 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
         return True
 
     for first in range(matrix.size):
-        layers = closure_layers(first)
+        # layers[t] = states with a path of exactly t edges to ``first``
+        layers = _step_layers(matrix.pred, first, n)
         if first not in layers[n]:
             continue
         word[0] = first
@@ -344,7 +359,6 @@ def perron_data(matrix: TransitionMatrix, tol: float = 1e-13, max_iter: int = 50
     """
     if not is_irreducible(matrix):
         raise ReducibleMatrixError("Perron data requires an irreducible matrix")
-    import numpy as np
     n = matrix.size
     shifted = np.array(matrix.rows, dtype=float) + np.eye(n)
 
@@ -386,25 +400,13 @@ def return_time_set(matrix: TransitionMatrix, u: Sequence[int], v: Sequence[int]
         raise ReducibleMatrixError("return-time sets computed for irreducible matrices")
     u = matrix.require_word(u)
     v = matrix.require_word(v)
-    hits: set[int] = set()
-    powers = [_identity_bool(matrix.size)]
-    rows = np.array(matrix.rows, dtype=bool)
-    for _ in range(horizon + 1):
-        powers.append(_bool_mul(powers[-1], rows))
-    for n in range(horizon + 1):
-        if n < len(u):
-            merged = _merge_overlap(u, v, n)
-            if merged is not None and matrix.is_admissible_word(merged):
-                hits.add(n)
-        else:
-            gap = n - len(u) + 1
-            if powers[gap][u[-1]][v[0]]:
-                hits.add(n)
+    hits = {n for n in range(min(len(u), horizon + 1))
+            if (merged := _merge_overlap(u, v, n)) is not None
+            and matrix.is_admissible_word(merged)}
+    # beyond the overlaps: a path of n - |u| + 1 edges from u[-1] to v[0]
+    layers = _step_layers(matrix.succ, u[-1], horizon - len(u) + 1)
+    hits.update(n for n in range(len(u), horizon + 1) if v[0] in layers[n - len(u) + 1])
     return hits
-
-
-def _identity_bool(n: int) -> np.ndarray:
-    return np.eye(n, dtype=bool)
 
 
 def _merge_overlap(u: Word, v: Word, n: int) -> Word | None:
@@ -424,7 +426,9 @@ def strongly_connected_component(matrix: TransitionMatrix, state: int) -> frozen
     """States mutually reachable with ``state`` (in >= 1 steps in each
     direction, so a loop-free isolated state is not in its own component
     unless it lies on a cycle)."""
-    return frozenset(_reachable(matrix.succ, state) & _reachable(matrix.pred, state))
+    forward = _bfs_distances(matrix.succ, matrix.succ[state])
+    backward = _bfs_distances(matrix.pred, matrix.pred[state])
+    return frozenset(s for s in range(matrix.size) if forward[s] >= 0 and backward[s] >= 0)
 
 
 def restrict(matrix: TransitionMatrix, states: Iterable[int]

@@ -85,6 +85,14 @@ def test_lpp_horizon_too_small_exit_3(files, tmp_path):
                  "--out", files["out"]]) == 3
 
 
+def test_lpp_block_graph_too_large_exit_3(files, capsys):
+    # epsilon = 1e-6 is m = 20: 2^19 block nodes, refused before the graph is built
+    assert main(["lpp", str(DATA / "full_2_shift.json"), "--epsilon", "1e-6",
+                 "--n-max", "100", "--out", files["out"]]) == 3
+    assert "524288 block nodes > 2048" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_pseudo_shadow_cat_table(files):
     code = main(["pseudo-shadow", files["cat"], "1/5,2/5", "--delta", "0.01",
                  "--n-to", "50", "--out", files["out"]])
@@ -216,6 +224,13 @@ def test_coding_table(files):
                  "--out", files["out"]]) == 0
     report = read_report(files, "coding_table.json")
     assert len(report["table"]) == 16
+
+
+def test_coding_table_negative_depth_exit_2(files, capsys):
+    assert main(["coding-table", files["horseshoe"], "--depth", "-2",
+                 "--out", files["out"]]) == 2
+    assert "--depth must be >= 0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
 
 
 def test_reports_are_byte_identical_across_reruns(files, tmp_path):

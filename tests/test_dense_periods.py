@@ -1,5 +1,7 @@
 """Dense-period certificates, refutations, and mixing thresholds."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,14 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow.dense_periods import (CertificateTooCoarseError,
+from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
+                                     CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
                                      HorizonTooSmallError, admissible_words,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
                                      is_dense_cycle,
-                                     verify_mixing_from_certificate)
+                                     verify_mixing_from_certificate, _BlockGraph,
+                                     _ball_word)
 from symshadow.sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
                            is_primitive)
 
@@ -119,6 +123,36 @@ def test_every_witness_passes_independent_scanner(seed):
         assert scanner_contains_all_words(matrix, witness.states, result.word_length)
 
 
+def test_certificates_are_pinned():
+    # sha256 of to_json_dict() over seeded random matrices: pins N0 and every
+    # witness word, so an engine change that moves either must re-pin on purpose
+    rng = random.Random(20140)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        matrix = random_essential(rng, rng.randint(2, 6), rng.choice([0.35, 0.5, 0.65]))
+        for epsilon in (0.5, 0.25):
+            try:
+                result = dense_periods_certificate(matrix, epsilon, 60).to_json_dict()
+            except HorizonTooSmallError:
+                result = "horizon too small"
+            digest.update(json.dumps(result, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "c61f3794592fe8db364e1c061d32d3e73d10b1d04aa348745d335996cbfc929c"
+
+
+def test_block_graph_size_guard():
+    # the full 2-shift has 2^(m-1) blocks of length m - 1
+    assert len(_BlockGraph(FULL2, 12).nodes) == MAX_BLOCK_NODES == 2048
+    with pytest.raises(BlockGraphTooLargeError, match="4096 block nodes"):
+        _BlockGraph(FULL2, 13)
+    with pytest.raises(BlockGraphTooLargeError):
+        dense_periods_certificate(FULL2, 1e-6, 100)
+    # golden mean: Fibonacci many blocks, 1597 of length 15 and 2584 of length 16
+    assert len(_BlockGraph(GOLDEN, 16).nodes) == 1597
+    with pytest.raises(BlockGraphTooLargeError, match="2584 block nodes"):
+        _BlockGraph(GOLDEN, 17)
+
+
 # -- component restriction ----------------------------------------------------
 
 
@@ -214,3 +248,73 @@ def test_is_dense_cycle_agrees_with_scanner():
         for m in (1, 2):
             assert is_dense_cycle(FULL2, word, m) == \
                 scanner_contains_all_words(FULL2, word, m)
+
+
+def per_n_hits(matrix, u, v, n):
+    """sigma^n([u]) meets [v], by a fresh walk for this n alone."""
+    if n < len(u):
+        agree = all(u[i] == v[i - n] for i in range(n, min(len(u), n + len(v))))
+        return agree and matrix.is_admissible_word(tuple(u) + tuple(v[len(u) - n:]))
+    reach = {u[-1]}
+    for _ in range(n - len(u) + 1):
+        reach = {t for s in reach for t in matrix.succ[s]}
+    return v[0] in reach
+
+
+def dfs_ball_word(matrix, v, u, n1):
+    """Least admissible word with v at 0 and u at n1, by recursive search
+    over the gap fills in lexicographic order."""
+    if n1 <= len(v):
+        return tuple(v) + tuple(u[len(v) - n1:])
+    gap = n1 - len(v)
+
+    def rec(word):
+        if len(word) == gap:
+            return word if matrix.admits(word[-1] if word else v[-1], u[0]) else None
+        for t in matrix.succ[word[-1] if word else v[-1]]:
+            found = rec(word + [t])
+            if found is not None:
+                return found
+        return None
+
+    return tuple(v) + tuple(rec([])) + tuple(u)
+
+
+@given(st.integers(2, 6), st.integers(0, 10**9))
+def test_mixing_reports_match_per_n_walks_and_dfs_ball(size, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.4, 0.55, 0.7]))
+    if not is_primitive(matrix):
+        return
+    try:
+        cert = dense_periods_certificate(matrix, 0.25, 120)
+    except HorizonTooSmallError:
+        return
+    words = admissible_words(matrix, 1) + admissible_words(matrix, 2)
+    for _ in range(3):
+        u, v = rng.choice(words), rng.choice(words)
+        for k in range(1, 16):  # every ball, not only the one at the first hit
+            if per_n_hits(matrix, v, u, k):
+                assert _ball_word(matrix, v, u, k) == dfs_ball_word(matrix, v, u, k)
+        try:
+            rep = verify_mixing_from_certificate(matrix, cert, [(u, v)])[0]
+        except ValueError as exc:  # the internal fine certificate does not fit n_max
+            assert isinstance(exc, (HorizonTooSmallError, BlockGraphTooLargeError)) \
+                or "fine certificate refuted" in str(exc)
+            continue
+        n1 = next(k for k in range(1, 100) if per_n_hits(matrix, v, u, k))
+        assert rep.first_hit == n1
+        assert rep.ball_word == dfs_ball_word(matrix, v, u, n1)
+        assert rep.misses == tuple(n for n in range(rep.threshold, cert.n_max + 1)
+                                   if not per_n_hits(matrix, u, v, n))
+
+
+def test_mixing_on_reducible_matrix_raises_value_error():
+    block = TransitionMatrix([[1, 1, 0, 0], [1, 1, 0, 0],
+                              [0, 0, 1, 1], [0, 0, 1, 1]])
+    cert = homoclinic_restricted_certificate(block, SymbolicCycle.from_word(block, (0,)),
+                                             0.5, 20)
+    assert isinstance(cert, DensePeriodsCertificate)
+    for pair in (((0,), (1,)), ((0,), (2,))):
+        with pytest.raises(ValueError):
+            verify_mixing_from_certificate(block, cert, [pair])

@@ -1,6 +1,7 @@
 """Core subshift machinery against independent brute-force oracles."""
 
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -13,7 +14,7 @@ from symshadow.sft import (NonEssentialMatrixError,
                            class_period, count_periodic_points,
                            cyclic_decomposition, enumerate_cycles, is_irreducible,
                            is_primitive, perron_data, return_time_set,
-                           topological_entropy)
+                           topological_entropy, _bfs_distances, _step_layers)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -341,3 +342,85 @@ def test_return_time_gaps_eventually_class_period(size, seed):
                   if n >= horizon // 2)
     assert hits, "irreducible shifts must keep hitting"
     assert all(b - a == l for a, b in zip(hits, hits[1:]))
+
+
+def bool_power_return_time_set(matrix, u, v, horizon):
+    """Return times from boolean matrix powers: u and v superpose
+    admissibly (n < |u|), or A^(n-|u|+1) links u[-1] to v[0]."""
+    a = np.array(matrix.rows, dtype=np.int32)
+    powers = [np.eye(matrix.size, dtype=np.int32)]
+    for _ in range(horizon + 1):
+        powers.append((powers[-1] @ a > 0).astype(np.int32))
+    hits = set()
+    for n in range(horizon + 1):
+        if n < len(u):
+            agree = all(u[i] == v[i - n] for i in range(n, min(len(u), n + len(v))))
+            if agree and matrix.is_admissible_word(tuple(u) + tuple(v[len(u) - n:])):
+                hits.add(n)
+        elif powers[n - len(u) + 1][u[-1], v[0]]:
+            hits.add(n)
+    return hits
+
+
+def random_word(rng, matrix, length):
+    word = [rng.randrange(matrix.size)]
+    while len(word) < length:
+        word.append(rng.choice(matrix.succ[word[-1]]))
+    return tuple(word)
+
+
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 3), st.integers(0, 40),
+       st.integers(0, 10**9))
+def test_return_time_set_matches_boolean_powers(size, len_u, len_v, horizon, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.3, 0.45, 0.6]))
+    u, v = random_word(rng, matrix, len_u), random_word(rng, matrix, len_v)
+    if not is_irreducible(matrix):
+        with pytest.raises(ReducibleMatrixError):
+            return_time_set(matrix, u, v, horizon)
+        return
+    assert return_time_set(matrix, u, v, horizon) == \
+        bool_power_return_time_set(matrix, u, v, horizon)
+
+
+# -- graph core -------------------------------------------------------------------
+
+
+def floyd_warshall(matrix):
+    inf = math.inf
+    n = matrix.size
+    dist = [[0 if i == j else (1 if matrix.rows[i][j] else inf) for j in range(n)]
+            for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
+
+
+@given(st.integers(2, 6), st.integers(0, 10**9))
+def test_bfs_distances_match_floyd_warshall(size, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.25, 0.4, 0.6]))
+    fw = floyd_warshall(matrix)
+    sources = rng.sample(range(size), rng.randint(1, size))
+    for adjacency, dist_to in ((matrix.succ, lambda s, t: fw[s][t]),
+                               (matrix.pred, lambda s, t: fw[t][s])):
+        expected = [min(dist_to(s, t) for s in sources) for t in range(size)]
+        assert _bfs_distances(adjacency, sources) == \
+            [-1 if d == math.inf else d for d in expected]
+
+
+@given(st.integers(2, 6), st.integers(0, 30), st.integers(0, 10**9))
+def test_step_layers_match_matrix_powers(size, steps, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.25, 0.4, 0.6]))
+    start = rng.randrange(size)
+    a = np.array(matrix.rows, dtype=object)  # exact: no int64 overflow
+    forward = _step_layers(matrix.succ, start, steps)
+    backward = _step_layers(matrix.pred, start, steps)
+    assert len(forward) == len(backward) == steps + 1
+    for t in range(steps + 1):
+        power = np.linalg.matrix_power(a, t) > 0
+        assert forward[t] == {j for j in range(size) if power[start, j]}
+        assert backward[t] == {i for i in range(size) if power[i, start]}
