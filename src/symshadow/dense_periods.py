@@ -209,15 +209,12 @@ def _covering_walk(graph: _BlockGraph) -> list[int] | None:
 
     if graph.cover_edges:
         uncovered = graph.required_edges()
-        def discharge():
-            for i in range(1, len(walk)):
-                uncovered.discard((walk[i - 1], walk[i]))
         while uncovered:
-            cur = walk[-1]
+            cur, walked = walk[-1], len(walk)
             u, v = min(uncovered, key=lambda e: (dist[cur][e[0]], e[0], e[1]))
             go_to(u)
             walk.append(v)
-            discharge()
+            uncovered.difference_update(zip(walk[walked - 1:], walk[walked:]))
     else:
         for target in range(len(succ)):
             if target not in walk:
@@ -293,9 +290,9 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     cycles of coprime lengths force a primitive matrix, which in turn
     guarantees witnesses beyond the horizon, so a lone witnessed period at
     n_max is no certificate.  A refutation reports the smallest period
-    excluded by exhaustive evidence; a primitive matrix whose covering
-    cycle alone exceeds n_max raises :class:`HorizonTooSmallError`
-    instead.
+    excluded by exhaustive evidence; a primitive matrix without a
+    witnessed suffix (for one, a covering cycle longer than n_max) raises
+    :class:`HorizonTooSmallError` instead.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -328,7 +325,13 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
             epsilon=eng.epsilon, word_length=eng.m, N0=N0, n_max=n_max,
             witnesses=WitnessMap(N0, n_max, build, cache))
 
-    # no witnessed suffix: hunt for the smallest exhaustively excluded period
+    # no witnessed suffix: a primitive matrix has witnesses at every large
+    # period, so only a longer horizon can show them
+    if is_primitive(matrix):
+        raise HorizonTooSmallError(
+            f"no two consecutive witnessed periods up to n_max = {n_max}")
+
+    # hunt for the smallest exhaustively excluded period
     budget = [EXHAUSTIVE_BUDGET]
     first_unknown = None
     for k in range(2, n_max + 1):

@@ -1,13 +1,10 @@
 """Shadowing of periodic pseudo-orbits by true periodic orbits.
 
-For the smooth systems the cyclic system f(x_i) - x_{i+1} = 0 is solved
-by Newton iteration started at the pseudo-orbit.  The linearized cyclic
-block system is solved exactly through the stable/unstable splitting:
-writing the correction in the adapted frame, the stable component obeys a
-forward contraction recurrence and the unstable component a backward one,
-each with an explicit cyclic fixed point (a geometric sum).  For linear
-toral automorphisms and the affine horseshoe this single correction IS
-the Newton step and lands at machine precision.
+The smooth systems are linear or affine, so ``system.shadowing_orbit``
+solves for the shadowing orbit in closed form (the Anosov closing lemma;
+Katok & Hasselblatt 1995, sections 6.4 and 18.1): an integer lattice walk
+up to its first return on the torus, the itinerary's affine cycle on the
+horseshoe.
 
 For shift systems shadowing is exact word concatenation: the glued cyclic
 word reads off coordinate zero of every pseudo-orbit point, which is
@@ -20,16 +17,13 @@ Residual bounds are floating point, not interval-arithmetic proofs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homoclinic import PseudoOrbit, cyclic_period, min_distances
+from .homoclinic import PseudoOrbit, cyclic_period, encode_point, min_distances
 from .sft import enumerate_cycles, count_periodic_points
 from .shiftspace import ShiftPoint, longest_common_prefixes, word_radius
 from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
-
-NEWTON_MAX_ITER = 50
 
 
 class ShadowingError(RuntimeError):
@@ -37,8 +31,8 @@ class ShadowingError(RuntimeError):
 
 
 class ShadowingBoundViolatedError(ShadowingError):
-    """Correction exceeded C * delta: bad hyperbolicity constants or a
-    pseudo-orbit too coarse for the chart."""
+    """The shadowing orbit lies farther than C * delta from the pseudo-orbit:
+    bad hyperbolicity constants or a pseudo-orbit too coarse for the chart."""
 
 
 @dataclass
@@ -57,99 +51,35 @@ class PeriodicOrbit:
             self.primitive_period = self.period
 
     def to_json_dict(self) -> dict:
-        from .homoclinic import encode_point
         return {"points": [encode_point(p) for p in self.points],
                 "n": self.period, "primitive_period": self.primitive_period,
                 "residual": self.residual, "shadow_distance": self.shadow_distance}
 
 
-def _wrap_diff(a: float, b: float) -> float:
-    return (a - b + 0.5) % 1.0 - 0.5
-
-
-def _defect_vectors(system, points) -> list[tuple[float, float]]:
-    n = len(points)
-    out = []
-    wrap = isinstance(system, ToralAutomorphism)
-    for i in range(n):
-        fx = system.apply(points[i])
-        nxt = points[(i + 1) % n]
-        if wrap:
-            out.append((_wrap_diff(float(fx[0]), float(nxt[0])),
-                        _wrap_diff(float(fx[1]), float(nxt[1]))))
-        else:
-            out.append((float(fx[0]) - float(nxt[0]), float(fx[1]) - float(nxt[1])))
-    return out
-
-
-def _cyclic_correction(splitting, defects) -> list[tuple[float, float]]:
-    """Solve A e_i - e_{i+1} = -d_i (the linearized cyclic system) in the
-    adapted frame; returns the corrections e_i."""
-    n = len(defects)
-    vs, vu = splitting.v_s, splitting.v_u
-    det = vs[0] * vu[1] - vs[1] * vu[0]
-    alpha = []
-    beta = []
-    for d in defects:
-        alpha.append((d[0] * vu[1] - d[1] * vu[0]) / det)
-        beta.append((vs[0] * d[1] - vs[1] * d[0]) / det)
-    lam_s, lam_u = splitting.lam_s, splitting.lam_u
-
-    # stable: a_{i+1} = lam_s a_i + alpha_i, cyclic fixed point then forward
-    geo = 0.0
-    for k in range(n):
-        geo += (lam_s ** k) * alpha[(n - 1 - k) % n]
-    a = [0.0] * n
-    a[0] = geo / (1.0 - lam_s ** n)
-    for i in range(n - 1):
-        a[i + 1] = lam_s * a[i] + alpha[i]
-
-    # unstable: b_i = (b_{i+1} - beta_i) / lam_u, cyclic fixed point then backward
-    geo = 0.0
-    for k in range(n):
-        geo += (lam_u ** (-(k + 1))) * beta[k % n]
-    b = [0.0] * n
-    b[0] = -geo / (1.0 - lam_u ** (-n))
-    for i in range(n - 1, 0, -1):
-        nxt = b[(i + 1) % n]
-        b[i] = (nxt - beta[i]) / lam_u
-
-    return [(a[i] * vs[0] + b[i] * vu[0], a[i] * vs[1] + b[i] * vu[1])
-            for i in range(n)]
-
-
 def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbit:
     """Shadow a periodic delta-pseudo-orbit by a true periodic orbit.
 
-    The orbit is a fixed point of the n-step cyclic system, certified by a
-    per-step residual at most ``tol``; the distance to the source
-    pseudo-orbit must stay within C * delta for the shadowing constant C
-    reported by the system's splitting, else the bound is declared
-    violated.
+    The smooth systems solve for the orbit in closed form
+    (``system.shadowing_orbit``), with its float per-step residual at most
+    ``tol``; the distance to the source pseudo-orbit must stay within
+    C * delta for the shadowing constant C reported by the system's
+    splitting, else the bound is declared violated.
     """
     if isinstance(system, SftSystem):
         return _shadow_symbolic(system, po)
 
-    splitting = system.splitting()
-    C = splitting.shadowing_constant
+    C = system.splitting().shadowing_constant
     delta = max(po.defect, 1e-300)
     if C * delta > system.chart_radius:
         raise ShadowingError(
             f"C * delta = {C * delta:.3g} exceeds the chart radius "
             f"{system.chart_radius}; pseudo-orbit too coarse to shadow")
 
-    wrap = isinstance(system, ToralAutomorphism)
-    points = [(float(p[0]), float(p[1])) for p in po.points]
-    residual = max(math.hypot(*d) for d in _defect_vectors(system, points))
-    for _ in range(NEWTON_MAX_ITER):
-        if residual <= tol:
-            break
-        corrections = _cyclic_correction(splitting, _defect_vectors(system, points))
-        points = [((p[0] + e[0]) % 1.0, (p[1] + e[1]) % 1.0) if wrap
-                  else (p[0] + e[0], p[1] + e[1]) for p, e in zip(points, corrections)]
-        residual = max(math.hypot(*d) for d in _defect_vectors(system, points))
-    else:
-        raise ShadowingError(f"Newton did not reach tol {tol}; last residual {residual:.3g}")
+    points, primitive_period = system.shadowing_orbit(po.points)
+    residual = max(system.distance(system.apply(p), q)
+                   for p, q in zip(points, points[1:] + points[:1]))
+    if residual > tol:
+        raise ShadowingError(f"closed-form orbit misses tol {tol}; residual {residual:.3g}")
 
     shadow_distance = max(system.distance(p, q) for p, q in zip(points, po.points))
     if shadow_distance > C * delta:
@@ -158,8 +88,7 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
             f"C * delta = {C * delta:.3g}")
     return PeriodicOrbit(points=points, period=po.period, residual=residual,
                          shadow_distance=shadow_distance,
-                         primitive_period=cyclic_period(system, points),
-                         shadowing_constant=C)
+                         primitive_period=primitive_period, shadowing_constant=C)
 
 
 def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dense_periods import admissible_words
 from .homoclinic import HomoclinicDatum, homoclinic_datum
-from .sft import TransitionMatrix
+from .sft import TransitionMatrix, _int_mat_mul, _int_mat_pow, _primitive_period
 from .shiftspace import ShiftPoint, word_radius
 
 
@@ -193,39 +193,75 @@ class ToralAutomorphism:
         closure of 0 under the generators walks it on the numerators mod
         |det M|.
         """
-        (a, b), (c, d) = _int_pow2(self.matrix, n)
-        a, d = a - 1, d - 1
-        det = a * d - b * c
-        count = abs(det)
-        if count == 0:
-            raise ValueError("A^n - I singular; matrix not hyperbolic?")
+        count, gens = self._fixed_point_generators(n)
         if count > cap:
             raise ValueError(f"{count} fixed points of order {n} exceeds cap {cap}")
-        sign = 1 if det > 0 else -1
-        gens = ((sign * d % count, -sign * c % count), (-sign * b % count, sign * a % count))
-        points = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            nxt = []
-            for u, v in frontier:
-                for gu, gv in gens:
-                    q = ((u + gu) % count, (v + gv) % count)
-                    if q not in points:
-                        points.add(q)
-                        nxt.append(q)
-            frontier = nxt
+        points, stack = {(0, 0)}, [(0, 0)]
+        while stack:
+            u, v = stack.pop()
+            for gu, gv in gens:
+                q = ((u + gu) % count, (v + gv) % count)
+                if q not in points:
+                    points.add(q)
+                    stack.append(q)
         assert len(points) == count
         return [(Fraction(u, count), Fraction(v, count)) for u, v in sorted(points)]
 
+    def _fixed_point_generators(self, n: int) -> tuple[int, tuple]:
+        """|det M| for M = A^n - I, and the columns of M^-1 = adj(M) / det M
+        as numerators mod |det M|."""
+        (a, b), (c, d) = _int_mat_pow([list(r) for r in self.matrix], n)
+        a, d = a - 1, d - 1
+        det = a * d - b * c
+        if det == 0:
+            raise ValueError("A^n - I singular; matrix not hyperbolic?")
+        count, sign = abs(det), (1 if det > 0 else -1)
+        return count, ((sign * d % count, -sign * c % count),
+                       (-sign * b % count, sign * a % count))
+
     def orbit_of(self, p, cap: int = 10_000) -> list:
-        """Forward orbit of an exact rational point up to first return."""
-        orbit = [_wrap_point((Fraction(p[0]), Fraction(p[1])))]
-        while len(orbit) <= cap:
-            nxt = self.apply(orbit[-1])
-            if nxt == orbit[0]:
-                return orbit
-            orbit.append(nxt)
-        raise ValueError(f"point {p} not periodic within {cap} iterates")
+        """Forward orbit of an exact rational point up to first return,
+        walked on its numerators over the lcm q of its denominators."""
+        x, y = _wrap_point((Fraction(p[0]), Fraction(p[1])))
+        q = math.lcm(x.denominator, y.denominator)
+        start = (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+        return [(Fraction(u, q), Fraction(v, q)) for u, v in self._lattice_walk(start, q, cap)]
+
+    def _lattice_walk(self, start: tuple[int, int], modulus: int, cap: int) -> list:
+        """The integer walk Y -> A Y mod modulus from start up to its first
+        return (the orbit of start / modulus), at most cap points long."""
+        (a, b), (c, d) = self.matrix
+        walk = [start]
+        u, v = start
+        while True:
+            u, v = (a * u + b * v) % modulus, (c * u + d * v) % modulus
+            if (u, v) == start:
+                return walk
+            if len(walk) == cap:
+                raise ValueError(f"{start} / {modulus} not periodic within {cap} iterates")
+            walk.append((u, v))
+
+    def shadowing_orbit(self, points: Sequence) -> tuple[list, int]:
+        """The periodic orbit shadowing the cyclic pseudo-orbit ``points``
+        (defect below 1/4), as floats, and its exact primitive period.
+
+        With the lifts k_i = round(A x_i - x_{i+1}) the orbit solves
+        y_{i+1} = A y_i - k_i cyclically, so y_0 = (A^n - I)^-1 K mod 1 for
+        K = sum_i A^(n-1-i) k_i: Y_0 / D with D = |det(A^n - I)|.  The k_i
+        drop out mod D: the orbit is the walk Y -> A Y mod D from Y_0, and
+        each coordinate is the correctly rounded u / D.
+        """
+        (a, b), (c, d) = self.matrix
+        n = len(points)
+        xs = [(float(p[0]), float(p[1])) for p in points]
+        K0 = K1 = 0
+        for (x0, x1), (z0, z1) in zip(xs, xs[1:] + xs[:1]):
+            K0, K1 = (a * K0 + b * K1 + round(a * x0 + b * x1 - z0),
+                      c * K0 + d * K1 + round(c * x0 + d * x1 - z1))
+        D, ((g0, g1), (h0, h1)) = self._fixed_point_generators(n)
+        start = ((K0 * g0 + K1 * h0) % D, (K0 * g1 + K1 * h1) % D)
+        walk = self._lattice_walk(start, D, n)
+        return [(u / D, v / D) for u, v in walk] * (n // len(walk)), len(walk)
 
     def rational_orbits(self, max_period: int, max_denominator: int
                         ) -> Iterator[tuple[tuple[int, int, int], list]]:
@@ -304,22 +340,6 @@ class ToralAutomorphism:
         return {"kind": "toral", "matrix": [list(r) for r in self.matrix]}
 
 
-def _int_pow2(m, n: int):
-    result = ((1, 0), (0, 1))
-    base = tuple(tuple(row) for row in m)
-    while n:
-        if n & 1:
-            result = _mul2(result, base)
-        base = _mul2(base, base)
-        n >>= 1
-    return result
-
-
-def _mul2(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
 class Horseshoe:
     """Two-branch affine horseshoe model on the unit square.
 
@@ -384,6 +404,18 @@ class Horseshoe:
     def splitting(self) -> HyperbolicSplitting:
         return HyperbolicSplitting(self.mu_s, self.mu_u, (1.0, 0.0), (0.0, 1.0))
 
+    def shadowing_orbit(self, points: Sequence) -> tuple[list, int]:
+        """The periodic orbit shadowing the cyclic pseudo-orbit ``points``
+        and its exact primitive period: the coding is a conjugacy, so the
+        orbit is that of the itinerary c_i = branch_of(x_i).  Over one
+        primitive cycle x solves x_{i+1} = mu_s x_i + c_i (1 - mu_s)
+        cyclically, and y the same recurrence backwards with rate 1/mu_u."""
+        itinerary = tuple(self.branch_of(p) for p in points)
+        p = _primitive_period(itinerary)
+        xs = _cyclic_affine_orbit(self.mu_s, itinerary[:p])
+        ys = _cyclic_affine_orbit(1.0 / self.mu_u, itinerary[p - 1::-1])
+        return list(zip(xs, ys[:1] + ys[:0:-1])) * (len(points) // p), p
+
     # -- coding --------------------------------------------------------
 
     def code_point(self, itinerary: ShiftPoint) -> tuple[float, float]:
@@ -423,6 +455,18 @@ class Horseshoe:
 
     def to_config(self) -> dict:
         return {"kind": "horseshoe", "rates": [self.mu_s, self.mu_u]}
+
+
+def _cyclic_affine_orbit(rate: float, codes: Sequence[int]) -> list[float]:
+    """The cyclic solution of z_{i+1} = rate z_i + codes_i (1 - rate): the
+    geometric sum over one cycle fixes z_0, then one pass forward."""
+    z = 0.0
+    for c in codes:
+        z = rate * z + c * (1.0 - rate)
+    out = [z / (1.0 - rate ** len(codes))]
+    for c in codes[:-1]:
+        out.append(rate * out[-1] + c * (1.0 - rate))
+    return out
 
 
 def _tail_sum(point: ShiftPoint, start: int, step: int, ratio: float) -> float:
@@ -513,10 +557,9 @@ def lyapunov_exponents_periodic(system, orbit_points: Sequence) -> LyapunovRepor
     if isinstance(system, SftSystem):
         return LyapunovReport((), False, "shift systems carry no differentiable structure")
     tau = len(orbit_points)
-    prod = ((1.0, 0.0), (0.0, 1.0))
+    prod = [[1.0, 0.0], [0.0, 1.0]]
     for p in orbit_points:
-        d = system.differential(p)
-        prod = _mul2(tuple(tuple(float(v) for v in row) for row in d), prod)
+        prod = _int_mat_mul([[float(v) for v in row] for row in system.differential(p)], prod)
     tr = prod[0][0] + prod[1][1]
     det = prod[0][0] * prod[1][1] - prod[0][1] * prod[1][0]
     disc = tr * tr - 4.0 * det

@@ -94,6 +94,24 @@ def test_horizon_too_small_error():
         dense_periods_certificate(wheel4, 0.25, 3)
 
 
+def test_primitive_matrix_with_a_cover_of_exactly_n_max_is_never_refuted():
+    # the covering walk is 80 long: at n_max = 80 only n = 80 is constructible,
+    # and a lone witnessed period once drew an "exhaustive" refutation at n = 2
+    matrix = TransitionMatrix([[1, 1, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 0, 1],
+                               [1, 1, 1, 0, 1], [0, 1, 0, 1, 1]])
+    assert is_primitive(matrix)
+    with pytest.raises(HorizonTooSmallError):
+        dense_periods_certificate(matrix, 1 / 8, 80)
+    cert = dense_periods_certificate(matrix, 1 / 8, 81)
+    assert isinstance(cert, DensePeriodsCertificate) and cert.N0 == 80
+    [report] = verify_mixing_from_certificate(matrix, cert, [((2, 0), (2,))])
+    assert report.verified_all
+    # a coarser certificate whose internal fine certificate hits the same horizon
+    coarse = dense_periods_certificate(matrix, 1 / 4, 80)
+    with pytest.raises(HorizonTooSmallError):
+        verify_mixing_from_certificate(matrix, coarse, [((2, 0), (2,))])
+
+
 def test_refutation_for_reducible_matrix():
     two_loops = TransitionMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     # essential but reducible: no single cycle sees both components' words

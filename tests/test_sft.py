@@ -26,12 +26,18 @@ WHEEL = TransitionMatrix([[1, 1, 0], [0, 0, 1], [1, 0, 0]])  # 3-cycle plus loop
 
 
 def brute_cyclic_words(matrix, n):
-    """All admissible cyclic words of length n by full product scan."""
-    out = []
-    for word in product(range(matrix.size), repeat=n):
-        if all(matrix.rows[word[i]][word[(i + 1) % n]] for i in range(n)):
-            out.append(word)
-    return out
+    """All admissible cyclic words of length n, lexicographically: a
+    depth-first walk extends admissible prefixes by the symbols the matrix
+    rows allow and keeps a full word when its closing edge is allowed."""
+    rows = matrix.rows
+    stack = [(s,) for s in reversed(range(matrix.size))]
+    while stack:
+        word = stack.pop()
+        if len(word) < n:
+            stack.extend(word + (t,) for t in reversed(range(matrix.size))
+                         if rows[word[-1]][t])
+        elif rows[word[-1]][word[0]]:
+            yield word
 
 
 def brute_return_time_gcd(matrix, state):
@@ -237,7 +243,7 @@ def test_count_periodic_points_examples():
 def test_count_matches_brute_enumeration(size, n, seed):
     import random
     matrix = random_essential(random.Random(seed), size, 0.5)
-    assert count_periodic_points(matrix, n) == len(brute_cyclic_words(matrix, n))
+    assert count_periodic_points(matrix, n) == sum(1 for _ in brute_cyclic_words(matrix, n))
 
 
 def test_count_huge_power_is_exact():

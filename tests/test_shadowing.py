@@ -1,12 +1,13 @@
-"""Shadowing solver: exact linear correction against an independent dense
-cyclic solve, exact periodic-point enumeration, density checks."""
+"""Shadowing solver: the closed-form orbits against an independent dense
+cyclic solve, exact Fraction solves and the horseshoe coding map; exact
+periodic-point enumeration; density checks."""
 
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
@@ -15,10 +16,12 @@ from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import (ShadowingError, density_check,
                                  enumerate_periodic_orbits, shadow_periodic)
 from symshadow.shiftspace import ShiftPoint, word_radius
-from symshadow.systems import (SftSystem, cat_map, net, sft_homoclinic_datum,
-                               toral_homoclinic_datum)
+from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map, net,
+                               sft_homoclinic_datum, toral_homoclinic_datum)
 
 CAT = cat_map()
+GOLDEN_TORUS = ToralAutomorphism([[1, 1], [1, 0]])  # det -1
+HORSESHOE = Horseshoe(1 / 3, 3.0)
 FULL2 = TransitionMatrix.full_shift(2)
 
 
@@ -78,6 +81,90 @@ def test_shadow_long_pseudo_orbit_against_oracle():
     assert orbit.residual <= 1e-12
     assert orbit.period == po.period
     assert orbit.primitive_period == po.period
+
+
+def fraction_shadow_oracle(system, points):
+    """Independent exact shadowing orbit: the lifts k_i of the exact values
+    of the float points, K = sum_i A^(n-1-i) k_i from explicit matrix
+    powers, a 2x2 Fraction solve of (A^n - I) y_0 = K, and n - 1 exact
+    steps of ``apply``."""
+    (a, b), (c, d) = system.matrix
+    xs = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(xs)
+    power = ((1, 0), (0, 1))  # A^(n-1-i) at step i, i falling
+    K = [0, 0]
+    for i in reversed(range(n)):
+        (x0, x1), (z0, z1) = xs[i], xs[(i + 1) % n]
+        k = (round(a * x0 + b * x1 - z0), round(c * x0 + d * x1 - z1))
+        for r in range(2):
+            K[r] += power[r][0] * k[0] + power[r][1] * k[1]
+        power = tuple(tuple(power[r][0] * system.matrix[0][col]
+                            + power[r][1] * system.matrix[1][col] for col in range(2))
+                      for r in range(2))
+    (m00, m01), (m10, m11) = (power[0][0] - 1, power[0][1]), (power[1][0], power[1][1] - 1)
+    det = m00 * m11 - m01 * m10
+    y = (Fraction(m11 * K[0] - m01 * K[1], det) % 1,
+         Fraction(m00 * K[1] - m10 * K[0], det) % 1)
+    orbit = [y]
+    for _ in range(n - 1):
+        orbit.append(system.apply(orbit[-1]))
+    return orbit
+
+
+def lifts_are_unambiguous(system, points):
+    """No step of A x_i - x_{i+1} lies within float error of a half-integer."""
+    (a, b), (c, d) = system.matrix
+    return all(abs(abs(r - round(r)) - 0.5) >= 1e-9
+               for (x0, x1), (z0, z1) in zip(points, points[1:] + points[:1])
+               for r in (a * x0 + b * x1 - z0, c * x0 + d * x1 - z1))
+
+
+unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(st.sampled_from([CAT, GOLDEN_TORUS]),
+       st.lists(st.tuples(unit, unit), min_size=1, max_size=40))
+def test_torus_closed_form_is_the_exact_fraction_orbit(system, points):
+    assume(lifts_are_unambiguous(system, points))
+    orbit, period = system.shadowing_orbit(points)
+    exact = fraction_shadow_oracle(system, points)
+    assert orbit == [(float(x), float(y)) for x, y in exact]
+    assert period == next(p for p in range(1, len(exact) + 1)
+                          if exact[p % len(exact)] == exact[0])
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), unit, unit), min_size=1, max_size=40))
+def test_horseshoe_closed_form_is_the_coded_itinerary(draws):
+    # any points in the strips of the itinerary c_i: height 1/mu_u at the bottom or top
+    itinerary = tuple(c for c, _, _ in draws)
+    h = 1.0 / HORSESHOE.mu_u
+    points = [(x, 1.0 - t * h if c else t * h) for c, x, t in draws]
+    orbit, period = HORSESHOE.shadowing_orbit(points)
+    base = ShiftPoint.from_cycle(itinerary)
+    for i, point in enumerate(orbit):
+        coded = HORSESHOE.code_point(base.shift(i))
+        assert max(abs(point[0] - coded[0]), abs(point[1] - coded[1])) <= 1e-15
+    n = len(itinerary)
+    assert period == next(p for p in range(1, n + 1)
+                          if n % p == 0 and itinerary == itinerary[p:] + itinerary[:p])
+
+
+def test_repeated_lifts_and_itineraries_give_the_smaller_primitive_period():
+    near_two_cycle = [(0.2003, 0.3998), (0.7999, 0.6002)]  # the cat-map orbit of (1/5, 2/5)
+    base = ShiftPoint.from_cycle((0, 1, 0))
+    near_010 = [(x + 1e-4, y) for x, y in (HORSESHOE.code_point(base.shift(i))
+                                           for i in range(3))]
+    for system, points, p in ((CAT, near_two_cycle, 2), (HORSESHOE, near_010, 3)):
+        orbit, period = system.shadowing_orbit(points * 4)
+        assert period == p and orbit == system.shadowing_orbit(points)[0] * 4
+        n = 4 * len(points)
+        defect = max(system.distance(system.apply(x), y)
+                     for x, y in zip(points, points[1:] + points[:1]))
+        shadow = shadow_periodic(system, PseudoOrbit(points=points * 4, period=n,
+                                                     defect=defect, system=system))
+        assert (shadow.period, shadow.primitive_period) == (n, p)
+        assert shadow.points == orbit
+    assert CAT.shadowing_orbit(near_two_cycle)[0] == [(0.2, 0.4), (0.8, 0.6)]
 
 
 def test_symbolic_shadow_is_word_gluing():

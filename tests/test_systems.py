@@ -27,6 +27,19 @@ def test_evaluate_examples():
     assert shifted[0] == p[1] and shifted[-1] == p[0]
 
 
+def test_orbit_of_matches_exact_fraction_steps():
+    for system in (CAT, ToralAutomorphism([[1, 1], [1, 0]])):
+        for p in ((Fraction(1, 6), Fraction(3, 10)), (Fraction(2, 7), Fraction(0)),
+                  (Fraction(5, 9), Fraction(4, 15)), (Fraction(3, 2), Fraction(-1, 4))):
+            oracle = [(p[0] % 1, p[1] % 1)]
+            while system.apply(oracle[-1]) != oracle[0]:
+                oracle.append(system.apply(oracle[-1]))
+            assert system.orbit_of(p) == oracle
+            assert system.orbit_of(p, cap=len(oracle)) == oracle
+            with pytest.raises(ValueError):
+                system.orbit_of(p, cap=len(oracle) - 1)
+
+
 @pytest.mark.parametrize("max_period, max_denominator", [(3, 6), (1, 4), (6, 12)])
 def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominator):
     # oracle: the orbit of every lattice point up to the denominator bound
