@@ -36,7 +36,7 @@ from .shiftspace import word_radius
 EXHAUSTIVE_CAP = 4096
 EXHAUSTIVE_BUDGET = 60_000  # total enumerated cycles per certificate call
 PAD_VARIANTS = 8
-MAX_BLOCK_NODES = 2048  # (m-1)-block graph size limit; its all-pairs table is quadratic
+MAX_BLOCK_NODES = 2048  # block graph size limit: its node list and n_max + 1 pad sets
 
 
 class HorizonTooSmallError(ValueError):
@@ -177,11 +177,6 @@ class _BlockGraph:
                     self.pred[j].append(i)
         self.cover_edges = m >= 2
 
-    def required_edges(self) -> set[tuple[int, int]]:
-        if self.cover_edges:
-            return {(i, j) for i in range(len(self.nodes)) for j in self.succ[i]}
-        return set()
-
     def walk_to_word(self, walk: list[int]) -> tuple[int, ...]:
         """Closed walk (node indices, length n, base not repeated) to the
         cyclic word of length n."""
@@ -192,34 +187,36 @@ def _covering_walk(graph: _BlockGraph) -> list[int] | None:
     """Deterministic closed walk from the lex-least node covering all
     required edges (m >= 2) or all nodes (m = 1); None when the graph is
     not strongly connected.  Returned as node sequence of length n (walk
-    steps), base node implicit at both ends."""
-    succ = graph.succ
-    dist = [_bfs_distances(succ, [s]) for s in range(len(succ))]
-    base = 0
-    if min(dist[base]) < 0 or any(row[base] < 0 for row in dist):
+    steps), base node implicit at both ends.  Greedy: the least shortest
+    walk to the least node with an uncovered edge in the first exact-step
+    layer that holds one, then that node's least uncovered edge."""
+    succ, pred = graph.succ, graph.pred
+    home = _bfs_distances(pred, [0])  # steps from each node back to the base
+    if min(_bfs_distances(succ, [0])) < 0 or min(home) < 0:
         return None
+    walk = [0]
 
-    walk = [base]
-
-    def go_to(target: int) -> None:
-        cur = walk[-1]
-        while cur != target:
-            cur = min(v for v in succ[cur] if dist[v][target] == dist[cur][target] - 1)
-            walk.append(cur)
+    def go_to(target: int, steps: int) -> None:
+        walk.extend(_least_walk(succ, _step_layers(pred, target, steps), walk[-1], steps))
 
     if graph.cover_edges:
-        uncovered = graph.required_edges()
-        while uncovered:
-            cur, walked = walk[-1], len(walk)
-            u, v = min(uncovered, key=lambda e: (dist[cur][e[0]], e[0], e[1]))
-            go_to(u)
-            walk.append(v)
-            uncovered.difference_update(zip(walk[walked - 1:], walk[walked:]))
+        uncovered = [set(out) for out in succ]
+        left = sum(map(len, uncovered))
+        while left:
+            layer, d, walked = {walk[-1]}, 0, len(walk)
+            while not (hits := [u for u in layer if uncovered[u]]):
+                layer, d = {v for u in layer for v in succ[u]}, d + 1
+            u = min(hits)
+            go_to(u, d)
+            walk.append(min(uncovered[u]))
+            for a, b in zip(walk[walked - 1:], walk[walked:]):
+                left -= b in uncovered[a]
+                uncovered[a].discard(b)
     else:
         for target in range(len(succ)):
             if target not in walk:
-                go_to(target)
-    go_to(base)
+                go_to(target, _bfs_distances(succ, [walk[-1]])[target])
+    go_to(0, home[walk[-1]])
     return walk[1:]  # length = number of steps; closed at base
 
 
@@ -262,10 +259,9 @@ class _Engine:
         if count > EXHAUSTIVE_CAP or count > budget[0]:
             return None, False
         budget[0] -= count
-        enum = enumerate_cycles(self.matrix, n, limit=EXHAUSTIVE_CAP + 1)
-        if enum.truncated:
-            return None, False
-        dense = [c for c in enum.cycles if is_dense_cycle(self.matrix, c.states, self.m)]
+        # at most count cycles, so the enumeration is never truncated
+        dense = [c for c in enumerate_cycles(self.matrix, n).cycles
+                 if is_dense_cycle(self.matrix, c.states, self.m)]
         for c in dense:
             if c.primitive_period == n:
                 return c, True

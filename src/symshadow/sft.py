@@ -300,6 +300,11 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
     per rotation class (the lexicographically least rotation), in
     lexicographic order, truncated at ``limit``.
 
+    Least rotations are generated as necklaces by the Fredricksen-Kessler-
+    Maiorana rule (Ruskey, Savage & Wang, J. Algorithms 13, 1992): with p
+    the prefix's Lyndon period, position pos takes s >= word[pos - p], and
+    a full word is a necklace iff p divides n, p its primitive period.
+
     Deduplication is up to rotation only, not symbol relabeling: two
     rotations of one word are the same orbit, differently labeled words
     are not.
@@ -310,22 +315,22 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
     truncated = False
     word = [0] * n
 
-    def dfs(pos: int, layers: list[set[int]]) -> bool:
+    def dfs(pos: int, p: int, layers: list[set[int]]) -> bool:
         nonlocal truncated
         if pos == n:
-            if matrix.rows[word[-1]][word[0]] and _is_min_rotation(word):
+            if n % p == 0 and matrix.rows[word[-1]][word[0]]:
                 if len(out) >= limit:
                     truncated = True
                     return False
-                out.append(SymbolicCycle(tuple(word), n, _primitive_period(tuple(word))))
+                out.append(SymbolicCycle(tuple(word), n, p))
             return True
         for s in matrix.succ[word[pos - 1]]:
-            # prune: from s there must remain a path of exactly n - pos
-            # edges back to word[0] to close the cycle
-            if s not in layers[n - pos]:
+            # prune: s must keep the prefix a prenecklace, and from s there
+            # must remain a path of exactly n - pos edges back to word[0]
+            if s < word[pos - p] or s not in layers[n - pos]:
                 continue
             word[pos] = s
-            if not dfs(pos + 1, layers):
+            if not dfs(pos + 1, p if s == word[pos - p] else pos + 1, layers):
                 return False
         return True
 
@@ -335,15 +340,9 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
         if first not in layers[n]:
             continue
         word[0] = first
-        if not dfs(1, layers):
+        if not dfs(1, 1, layers):
             break
     return CycleEnumeration(tuple(out), truncated)
-
-
-def _is_min_rotation(word: Sequence[int]) -> bool:
-    w = tuple(word)
-    n = len(w)
-    return all(w <= w[i:] + w[:i] for i in range(1, n))
 
 
 def perron_data(matrix: TransitionMatrix, tol: float = 1e-13, max_iter: int = 500_000

@@ -118,11 +118,14 @@ def enumerate_periodic_orbits(system, n: int, cap: int = 100_000) -> list[Period
     horseshoe systems enumerate admissible cyclic words.
     """
     if isinstance(system, ToralAutomorphism):
-        out = []
-        for p in system.periodic_lattice_points(n, cap=cap):
-            orbit = system.orbit_of(p, cap=n + 1)
-            out.append(PeriodicOrbit(points=orbit, period=len(orbit), residual=0.0))
-        return out
+        points = system.periodic_lattice_points(n, cap=cap)
+        rotated: dict = {}  # point -> its orbit from there, walked once per orbit
+        for p in points:
+            if p not in rotated:
+                orbit = system.orbit_of(p, cap=n + 1)
+                rotated.update((q, orbit[i:] + orbit[:i]) for i, q in enumerate(orbit))
+        return [PeriodicOrbit(points=rotated[p], period=len(rotated[p]), residual=0.0)
+                for p in points]
     if isinstance(system, (SftSystem, Horseshoe)):
         matrix = system.matrix if isinstance(system, SftSystem) else system.coding_matrix
         if count_periodic_points(matrix, n) > cap:

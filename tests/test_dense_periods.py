@@ -18,9 +18,9 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      homoclinic_restricted_certificate,
                                      is_dense_cycle,
                                      verify_mixing_from_certificate, _BlockGraph,
-                                     _ball_word)
+                                     _ball_word, _covering_walk)
 from symshadow.sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
-                           is_primitive)
+                           is_primitive, _bfs_distances)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -169,6 +169,67 @@ def test_block_graph_size_guard():
     assert len(_BlockGraph(GOLDEN, 16).nodes) == 1597
     with pytest.raises(BlockGraphTooLargeError, match="2584 block nodes"):
         _BlockGraph(GOLDEN, 17)
+
+
+# -- covering walk -------------------------------------------------------------
+
+
+def all_pairs_covering_walk(graph):
+    """The greedy covering walk from an all-pairs BFS table: head for the
+    uncovered edge (u, v) least by (dist[cur][u], u, v), stepping to the
+    least successor one step closer."""
+    succ = graph.succ
+    dist = [_bfs_distances(succ, [s]) for s in range(len(succ))]
+    base = 0
+    if min(dist[base]) < 0 or any(row[base] < 0 for row in dist):
+        return None
+
+    walk = [base]
+
+    def go_to(target):
+        cur = walk[-1]
+        while cur != target:
+            cur = min(v for v in succ[cur] if dist[v][target] == dist[cur][target] - 1)
+            walk.append(cur)
+
+    if graph.cover_edges:
+        uncovered = {(i, j) for i in range(len(succ)) for j in succ[i]}
+        while uncovered:
+            cur, walked = walk[-1], len(walk)
+            u, v = min(uncovered, key=lambda e: (dist[cur][e[0]], e[0], e[1]))
+            go_to(u)
+            walk.append(v)
+            uncovered.difference_update(zip(walk[walked - 1:], walk[walked:]))
+    else:
+        for target in range(len(succ)):
+            if target not in walk:
+                go_to(target)
+    go_to(base)
+    return walk[1:]
+
+
+def test_covering_walk_matches_all_pairs_greedy():
+    rng = random.Random(1992)
+    graphs = [_BlockGraph(FULL2, m) for m in range(1, 9)]
+    graphs += [_BlockGraph(GOLDEN, m) for m in range(1, 11)]
+    graphs += [_BlockGraph(random_essential(rng, rng.randint(1, 6),
+                                            rng.choice([0.35, 0.5, 0.65])),
+                           rng.randint(1, 5)) for _ in range(150)]
+    closed = 0
+    for graph in graphs:
+        walk = _covering_walk(graph)
+        assert walk == all_pairs_covering_walk(graph)
+        if walk is None:
+            continue
+        closed += 1
+        steps = list(zip([0] + walk, walk))  # empty for a one-node cover at m = 1
+        assert (walk or [0])[-1] == 0 and all(b in graph.succ[a] for a, b in steps)
+        if graph.cover_edges:
+            assert set(steps) == {(i, j) for i in range(len(graph.nodes))
+                                  for j in graph.succ[i]}
+        else:
+            assert set([0] + walk) == set(range(len(graph.nodes)))
+    assert closed > 100
 
 
 # -- component restriction ----------------------------------------------------

@@ -14,7 +14,8 @@ from symshadow.sft import (NonEssentialMatrixError,
                            class_period, count_periodic_points,
                            cyclic_decomposition, enumerate_cycles, is_irreducible,
                            is_primitive, perron_data, return_time_set,
-                           topological_entropy, _bfs_distances, _step_layers)
+                           topological_entropy, _bfs_distances, _primitive_period,
+                           _step_layers)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -264,12 +265,24 @@ def test_enumerate_cycles_examples():
     assert [str(c) for c in enumerate_cycles(PARITY, 2).cycles] == ["01"]
 
 
-def test_enumerate_cycles_matches_brute_rotation_classes():
-    for n in range(1, 9):
-        enum = enumerate_cycles(GOLDEN, n)
-        brute = {min(w[i:] + w[:i] for i in range(n))
-                 for w in brute_cyclic_words(GOLDEN, n)}
-        assert {c.states for c in enum.cycles} == brute
+@given(st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 8)),
+                 st.tuples(st.just(4), st.integers(1, 6))),
+       st.integers(1, 4), st.integers(0, 10**9))
+def test_enumerate_cycles_matches_brute_rotation_classes(size_n, limit, seed):
+    import random
+    size, n = size_n
+    matrix = random_essential(random.Random(seed), size, 0.5)
+    enum = enumerate_cycles(matrix, n)
+    brute = sorted({min(w[i:] + w[:i] for i in range(n))
+                    for w in brute_cyclic_words(matrix, n)})
+    assert [c.states for c in enum.cycles] == brute and not enum.truncated
+    assert all(c.period == n and c.primitive_period == _primitive_period(c.states)
+               for c in enum.cycles)
+    # each rotation class of primitive period p holds p fixed points of sigma^n
+    assert sum(c.primitive_period for c in enum.cycles) == count_periodic_points(matrix, n)
+    head = enumerate_cycles(matrix, n, limit=limit)
+    assert head.cycles == enum.cycles[:limit]
+    assert head.truncated == (len(enum.cycles) > limit)
 
 
 def test_enumerate_cycles_truncation_flag():

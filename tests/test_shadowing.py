@@ -200,6 +200,15 @@ def test_enumerate_orbit_entries_are_true_orbits():
             assert CAT.apply(pts[i]) == pts[(i + 1) % len(pts)]
 
 
+def test_torus_entries_are_the_orbits_of_the_sorted_fixed_points():
+    for system, n_max in ((CAT, 6), (ToralAutomorphism([[3, 2], [1, 1]]), 5)):
+        for n in range(1, n_max + 1):
+            orbits = enumerate_periodic_orbits(system, n)
+            assert [o.points for o in orbits] == \
+                [system.orbit_of(p) for p in system.periodic_lattice_points(n)]
+            assert all(o.period == len(o.points) for o in orbits)
+
+
 def test_enumerate_sft_matches_trace():
     from symshadow.sft import count_periodic_points
     system = SftSystem(TransitionMatrix.golden_mean())
