@@ -233,6 +233,7 @@ class _Engine:
     def __post_init__(self):
         self.m = word_radius(self.epsilon)
         self.graph = _BlockGraph(self.matrix, self.m)
+        self.m_words = set(admissible_words(self.matrix, self.m))
         self.cover = _covering_walk(self.graph)
         # pads[t] = block nodes with a walk of exactly t steps to the base node 0,
         # so a closed walk at the base stretches the cover by any t with 0 in pads[t]
@@ -261,7 +262,7 @@ class _Engine:
         budget[0] -= count
         # at most count cycles, so the enumeration is never truncated
         dense = [c for c in enumerate_cycles(self.matrix, n).cycles
-                 if is_dense_cycle(self.matrix, c.states, self.m)]
+                 if self.m_words <= cyclic_factors(c.states, self.m)]
         for c in dense:
             if c.primitive_period == n:
                 return c, True

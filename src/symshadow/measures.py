@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .dense_periods import admissible_words
 from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap,
                   count_periodic_points, enumerate_cycles, is_primitive, perron_data)
@@ -132,9 +130,9 @@ class FiniteSupportMeasure(_Measure):
         atoms = [(p, w) for p, w in atoms]
         if not atoms or any(w <= 0 for _, w in atoms):
             raise ValueError("atoms must be non-empty with positive weights")
-        total = sum(w for _, w in atoms)
-        if abs(float(total) - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"weights sum to {float(total)}, not 1")
+        total = math.fsum(float(w) for _, w in atoms)
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"weights sum to {total}, not 1")
         self.atoms = atoms
 
     def integrate(self, obs) -> complex | float:
@@ -234,12 +232,15 @@ class MarkovMeasure(_Measure):
 
     def cylinder_mass(self, word: Sequence) -> float:
         """Transfer product over label-compatible state paths; a None
-        symbol after the first matches every state."""
+        symbol after the first matches every state, and the empty word
+        every path.  Only support predecessors enter each step's sum."""
         word = tuple(word)
-        n = self.support.size
+        if not word:
+            return sum(self.pi)
+        n, pred = self.support.size, self.support.pred
         vec = [self.pi[s] if self.labels[s] == word[0] else 0.0 for s in range(n)]
         for sym in word[1:]:
-            vec = [sum(vec[i] * self.P[i][j] for i in range(n))
+            vec = [sum(vec[i] * self.P[i][j] for i in pred[j])
                    if sym is None or self.labels[j] == sym else 0.0 for j in range(n)]
         return sum(vec)
 
@@ -319,35 +320,25 @@ def weak_star_distance(mu, nu, family: TestFamily) -> float:
 
 def parry_measure(matrix: TransitionMatrix, labels: Sequence[int] | None = None
                   ) -> MarkovMeasure:
-    """The maximal-entropy Markov measure of a primitive subshift:
-    P_ij = A_ij v_j / (lambda v_i) and pi_i proportional to u_i v_i for
-    the Perron root lambda and right/left Perron vectors v, u.  Its chain
-    entropy equals log lambda."""
+    """The maximal-entropy Markov measure of a primitive subshift (Parry,
+    Trans. AMS 112, 1964): P_ij = A_ij v_j / (lambda v_i) and pi_i =
+    u_i v_i / sum_k u_k v_k for the certified Perron root lambda and the
+    right/left Perron vectors v, u.  Its chain entropy equals log lambda."""
     if not is_primitive(matrix):
         raise ValueError("Parry measure requires a primitive (mixing) support")
-    lam, v, _u = perron_data(matrix)
+    lam, v, u = perron_data(matrix)
     n = matrix.size
     P = [[matrix.rows[i][j] * v[j] / (lam * v[i]) for j in range(n)] for i in range(n)]
     # normalize rows exactly to kill the last float drift
     P = [[x / sum(row) for x in row] for row in P]
-    pi = _stationary_vector(P)
+    uv = [a * b for a, b in zip(u, v)]
+    total = sum(uv)
+    pi = [x / total for x in uv]
     measure = MarkovMeasure(matrix, P, pi, labels)
     h = measure.entropy()
     if abs(h - math.log(lam)) > 1e-10:
         raise ValueError(f"Parry entropy {h} drifted from log Perron {math.log(lam)}")
     return measure
-
-
-def _stationary_vector(P: Sequence[Sequence[float]]) -> list[float]:
-    """Stationary row vector of an irreducible stochastic matrix, by a
-    direct linear solve (pi (P - I) = 0 with sum pi = 1)."""
-    n = len(P)
-    a = np.transpose(np.array(P)) - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    return [float(x) for x in pi]
 
 
 def correlation(measure: MarkovMeasure, phi: CylinderObservable,

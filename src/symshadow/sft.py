@@ -21,6 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_SYMBOLS = 64
+PERRON_TOL = 1e-13  # certified relative spread of the Collatz-Wielandt bracket
+PERRON_FLOOR = 2.0 ** -52  # eig seed floor: its accuracy on a unit-norm vector
+MAX_POWER_STEPS = 500_000
 
 Word = tuple[int, ...]
 
@@ -345,30 +348,30 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
     return CycleEnumeration(tuple(out), truncated)
 
 
-def perron_data(matrix: TransitionMatrix, tol: float = 1e-13, max_iter: int = 500_000
-                ) -> tuple[float, list[float], list[float]]:
+def perron_data(matrix: TransitionMatrix) -> tuple[float, list[float], list[float]]:
     """Perron root and right/left Perron vectors of an irreducible matrix.
 
-    Power iteration applied to A + I (primitive whenever A is irreducible,
-    so the iteration converges even for periodic matrices), stopped on the
-    Collatz-Wielandt spread: min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
-    for positive v, so the returned eigenvalue carries a certified
-    two-sided error below ``tol``.  The +1 shift is removed; vectors are
-    positive with unit sum.
+    Each vector starts from numpy's eigenvector of B = A + I (primitive
+    whenever A is irreducible) for its largest real eigenvalue, as |Re v|
+    floored at ``PERRON_FLOOR``, and takes power steps on B until the
+    Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
+    is narrower than ``PERRON_TOL`` relative: one step for most matrices,
+    more where eig loses small components (a dense core with a long return
+    chain).  The +1 shift is removed; vectors are positive with unit sum.
     """
     if not is_irreducible(matrix):
         raise ReducibleMatrixError("Perron data requires an irreducible matrix")
-    n = matrix.size
-    shifted = np.array(matrix.rows, dtype=float) + np.eye(n)
+    shifted = np.array(matrix.rows, dtype=float) + np.eye(matrix.size)
 
     def iterate(mat) -> tuple[float, list[float]]:
-        v = np.full(n, 1.0 / n)
-        for _ in range(max_iter):
+        values, vectors = np.linalg.eig(mat)
+        v = np.maximum(np.abs(vectors[:, np.argmax(values.real)].real), PERRON_FLOOR)
+        for _ in range(MAX_POWER_STEPS):
             w = mat @ v
             ratios = w / v
             lo, hi = float(ratios.min()), float(ratios.max())
             v = w / w.sum()
-            if hi - lo <= tol * hi:
+            if hi - lo <= PERRON_TOL * hi:
                 return (lo + hi) / 2.0 - 1.0, [float(x) for x in v]
         raise ConvergenceError("power iteration did not converge")
 
@@ -379,11 +382,10 @@ def perron_data(matrix: TransitionMatrix, tol: float = 1e-13, max_iter: int = 50
     return lam, right, left
 
 
-def topological_entropy(matrix: TransitionMatrix, tol: float = 1e-12) -> float:
-    """log of the Perron root of an irreducible matrix, to relative
-    tolerance ``tol`` on the eigenvalue."""
-    lam, _, _ = perron_data(matrix, tol=tol * 0.1)
-    return math.log(lam)
+def topological_entropy(matrix: TransitionMatrix) -> float:
+    """log of the Perron root of an irreducible matrix, whose relative
+    error is certified below ``PERRON_TOL``."""
+    return math.log(perron_data(matrix)[0])
 
 
 def return_time_set(matrix: TransitionMatrix, u: Sequence[int], v: Sequence[int],

@@ -189,7 +189,7 @@ def test_approx_measure_depth_below_one_exit_2(files, capsys, depth):
 @pytest.mark.parametrize("argv, sha256", [
     (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
       "--mode", "bernoulli"],
-     "6f6a8a39c0f68f53dc78d2dcca089df3391b9a9a144b8fffad8773bc50a0826b"),
+     "b1e7f97034cfa1786ad4d9274b79e27f6020462b957ac343df01fa603cbab3b8"),
     (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
       "--mode", "periodic", "--max-period", "30"],
      "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),

@@ -95,6 +95,20 @@ def test_normalization_enforced():
         FiniteSupportMeasure([((0.0, 0.0), -1.0), ((0.1, 0.1), 2.0)])
 
 
+def test_normalization_tolerance_on_fraction_weights():
+    # exact 1/n weights pass, all n to 256 and a stride to 2048; an atom off
+    # by 1e-13 in either direction does not
+    for n in [*range(1, 257), *range(257, 2048, 37), 2047, 2048]:
+        w = Fraction(1, n)
+        FiniteSupportMeasure([(i, w) for i in range(n)])
+    for n in (1, 3, 64, 2048):
+        for off in (Fraction(1, 10 ** 13), -Fraction(1, 10 ** 13)):
+            atoms = [(i, Fraction(1, n)) for i in range(n)]
+            atoms[-1] = (n - 1, Fraction(1, n) + off)
+            with pytest.raises(ValueError):
+                FiniteSupportMeasure(atoms)
+
+
 # -- Parry measures ------------------------------------------------------------
 
 
@@ -149,6 +163,14 @@ def test_integrate_examples():
     mu = parry_measure(GOLDEN)
     assert integrate(mu, CylinderObservable((0, 0))) == pytest.approx(
         mu.pi[0] * mu.P[0][0], abs=1e-14)
+
+
+def test_empty_cylinder_is_the_total_mass():
+    empty = CylinderObservable(())
+    mu = parry_measure(GOLDEN)
+    assert integrate(mu, empty) == sum(mu.pi) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(cycle_measure(FULL2, (0, 0, 1)), empty) == pytest.approx(1.0, abs=1e-15)
+    assert integrate(BernoulliProduct((0.3, 0.7)), empty) == 1.0
 
 
 def test_markov_cylinder_mass_is_chain_product():
