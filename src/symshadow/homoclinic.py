@@ -258,6 +258,8 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
         if isinstance(pts[0], ShiftPoint):
             there, back = nearest_distances(pts, ref), nearest_distances(ref, pts)
         else:
+            # every distinct point has the minimum of all its copies
+            pts, ref = _distinct(pts)[0], _distinct(ref)[0]
             matrix = system.distance_matrix(pts, ref)
             there = _exact_row_minima(system, pts, ref, matrix)
             back = _exact_row_minima(system, ref, pts, matrix.T)
@@ -272,19 +274,17 @@ _BLOCK_ENTRIES = 1 << 20
 def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
     """min over y in points of d(x, y) for each query x, exactly.
 
-    Shift spaces answer from a sorted key index.  The float systems answer
-    from ``system.distance_matrix``, in blocks of queries that bound its
-    memory, and return ``min(system.distance(x, y) for y in points)`` bit
-    for bit.  A matrix entry is the metric up to a few ulps (``np.hypot``
-    against ``math.hypot`` on the horseshoe; on the torus the entry repeats
-    ``torus_distance`` exactly), so the exact minimum of a row lies among
-    the entries at most (1 + 1e-9) times the row's smallest, plus 1e-300
-    for subnormal results; only those entries are recomputed with
-    ``system.distance``.  A row whose smallest entry is 0 returns 0.0 as
-    is: ``np.hypot`` does not underflow, so it is 0 only on equal
-    coordinates, and on the torus the entry is the metric itself.  This
-    takes horseshoe coordinates to be floats; the torus converts its
-    coordinates to floats, as its metric does.
+    Shift spaces answer from a sorted key index.  The float systems work
+    over distinct points: exactly equal points, queries and points alike,
+    are collapsed first (a Fraction with its equal float, 0.0 with -0.0;
+    the metric sees only their float differences, so copies share every
+    distance).  ``system.distance_matrix`` is built over the distinct
+    queries and points, in blocks of queries that bound its memory, and
+    each query takes the row minimum of its distinct equal, which is
+    ``min(system.distance(x, y) for y in points)`` bit for bit (see
+    :func:`_exact_row_minima`).  This takes horseshoe coordinates to be
+    floats; the torus converts its coordinates to floats, as its metric
+    does.
 
     No queries give []; queries against an empty point set raise
     ValueError.
@@ -295,20 +295,43 @@ def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
         raise ValueError("distance to an empty point set")
     if isinstance(queries[0], ShiftPoint):
         return nearest_distances(queries, points)
+    queries, inverse = _distinct(queries)
+    points = _distinct(points)[0]
     rows = max(1, _BLOCK_ENTRIES // len(points))
-    out: list[float] = []
+    mins: list[float] = []
     for start in range(0, len(queries), rows):
         block = queries[start:start + rows]
-        out += _exact_row_minima(system, block, points,
-                                 system.distance_matrix(block, points))
-    return out
+        mins += _exact_row_minima(system, block, points,
+                                  system.distance_matrix(block, points))
+    return [mins[i] for i in inverse]
+
+
+def _distinct(points: Sequence) -> tuple[list, list[int]]:
+    """The distinct points in first-seen order, and for each point the
+    index of its equal among them."""
+    index: dict = {}
+    inverse = [index.setdefault(tuple(p), len(index)) for p in points]
+    return list(index), inverse
 
 
 def _exact_row_minima(system, queries: Sequence, points: Sequence, matrix
                       ) -> list[float]:
     """Exact row minima of ``matrix``, whose entry [i, j] is
-    d(queries[i], points[j]) up to a few ulps (see :func:`min_distances`)."""
+    d(queries[i], points[j]), over distinct queries and distinct points.
+
+    The torus matrix repeats ``torus_distance`` operation for operation,
+    so its row minima are returned as they are.  A horseshoe entry is
+    ``np.hypot`` against the metric's ``math.hypot`` and may differ in
+    the last bit, so the exact minimum of a row lies among the entries at
+    most (1 + 1e-9) times the row's smallest, plus 1e-300 for subnormal
+    results; only those entries, each a distinct pair, are recomputed
+    with ``system.distance``.  A row whose smallest entry is 0 returns
+    0.0 as is: ``np.hypot`` does not underflow, so it is 0 only on equal
+    coordinates.
+    """
     mins = matrix.min(axis=1)
+    if system.kind == "toral":
+        return mins.tolist()
     out = np.where(mins > 0.0, math.inf, 0.0).tolist()
     bound = np.where(mins > 0.0, mins * (1.0 + 1e-9) + 1e-300, -1.0)
     rows, cols = np.nonzero(matrix <= bound[:, None])

@@ -130,7 +130,8 @@ class FiniteSupportMeasure(_Measure):
         atoms = [(p, w) for p, w in atoms]
         if not atoms or any(w <= 0 for _, w in atoms):
             raise ValueError("atoms must be non-empty with positive weights")
-        total = math.fsum(float(w) for _, w in atoms)
+        self._weights = [float(w) for _, w in atoms]
+        total = math.fsum(self._weights)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         self.atoms = atoms
@@ -139,12 +140,13 @@ class FiniteSupportMeasure(_Measure):
         return self._compute_integrals(TestFamily((obs,), (1.0,), str(obs)))[0]
 
     def _compute_integrals(self, family: TestFamily) -> list:
-        """Sums over the atoms in atom order, each weight and coordinate
-        converted to float once.  Shift-point atoms integrate cylinders: the
-        weights of the atoms whose window at the family's depth starts with
-        the word.  Torus atoms integrate Fourier modes: w e(k.x), with the
-        phase k.x taken in float."""
-        weights = [float(w) for _, w in self.atoms]
+        """Sums over the atoms in atom order, with the float weights of the
+        normalization check and each coordinate converted to float once.
+        Shift-point atoms integrate cylinders: the weights of the atoms
+        whose window at the family's depth starts with the word.  Torus
+        atoms integrate Fourier modes: w e(k.x), with the phase k.x taken
+        in float."""
+        weights = self._weights
         shift = [isinstance(p, ShiftPoint) for p, _ in self.atoms]
         if all(shift):
             fits = CylinderObservable

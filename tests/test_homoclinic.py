@@ -262,6 +262,112 @@ def test_float_density_check_matches_the_oracle(data, system, epsilon):
                               else net_points[distances.index(worst)])
 
 
+def equal_forms(c, system):
+    """Coordinates equal to c: 0.0 beside -0.0, and on the cat map the
+    Fraction equal to a float."""
+    forms = [c]
+    if c == 0.0:
+        forms += [0.0, -0.0]
+    if system is CAT and isinstance(c, float):
+        forms.append(Fraction(c))
+    return forms
+
+
+@st.composite
+def duplicate_heavy_sets(draw, system):
+    """A few distinct points, each repeated up to a dozen times, with every
+    copy a new tuple of equal coordinates, shuffled."""
+    copies = []
+    for x, y in draw(point_sets(system))[:4]:
+        for _ in range(draw(st.integers(1, 12))):
+            copies.append((draw(st.sampled_from(equal_forms(x, system))),
+                           draw(st.sampled_from(equal_forms(y, system)))))
+    return draw(st.permutations(copies))
+
+
+@given(st.data(), float_systems)
+def test_duplicate_heavy_sets_match_the_pairwise_scan(data, system):
+    queries = data.draw(duplicate_heavy_sets(system))
+    points = data.draw(duplicate_heavy_sets(system))
+    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
+    assert min_distances(system, points, queries) == pairwise_min(system, points, queries)
+    po = PseudoOrbit(points=queries, period=len(queries), defect=0.0, system=system)
+    report = verify_pseudo_orbit(po, 1.0, reference=points)
+    assert report["hausdorff_to_reference"] == max(pairwise_min(system, queries, points)
+                                                   + pairwise_min(system, points, queries))
+    distances = pairwise_min(system, queries, points)
+    worst = max(distances)
+    epsilon = data.draw(st.sampled_from([0.0, worst / 2.0, worst]))
+    density = density_check(system, points, epsilon, net_points=queries)
+    assert density.worst_distance == worst
+    assert density.dense == (worst <= epsilon)
+    # the witness is the first net point at the worst distance, not an equal copy
+    assert density.witness is (None if worst <= epsilon
+                               else queries[distances.index(worst)])
+
+
+def test_mixed_equal_coordinates_collapse_to_one_point():
+    # a Fraction with its equal float, and 0.0 with -0.0, are one point
+    queries = [(Fraction(1, 4), 0.0), (0.25, -0.0), (0.25, Fraction(0)), (0.5, 0.5)]
+    points = [(-0.0, Fraction(3, 8)), (0.0, 0.375), (Fraction(1, 5), 0.0)] * 5
+    assert homoclinic._distinct(queries) == ([(Fraction(1, 4), 0.0), (0.5, 0.5)],
+                                             [0, 0, 0, 1])
+    assert min_distances(CAT, queries, points) == pairwise_min(CAT, queries, points)
+    # the horseshoe takes float coordinates, where 0.0 and -0.0 are one point
+    queries = [(0.25, 0.0), (-0.0, 0.1), (0.25, -0.0), (0.0, 0.1)]
+    points = [(0.0, 0.2), (-0.0, 0.2), (0.3, -0.0)] * 5
+    assert homoclinic._distinct(queries)[1] == [0, 1, 0, 1]
+    assert min_distances(HORSESHOE, queries, points) \
+        == pairwise_min(HORSESHOE, queries, points)
+
+
+def counting_distance(system, monkeypatch) -> list:
+    """Record the (query, point) pair of every ``system.distance`` call."""
+    calls, exact = [], system.distance
+
+    def distance(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return exact(a, b)
+
+    monkeypatch.setattr(system, "distance", distance)
+    return calls
+
+
+def test_torus_minima_make_no_distance_calls(monkeypatch):
+    datum = toral_homoclinic_datum(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
+                                   DELTA_CAT, forward_length=220, backward_length=80)
+    params = compute_excursion_parameters(datum)
+    po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
+    reference = list(datum.segment) + list(datum.p_orbit)
+    rng = random.Random(3)
+    grid = [(rng.random(), rng.random()) for _ in range(50)] * 3
+    cases = [(po.points, reference), (reference, po.points), (grid, po.points)]
+    expected = [pairwise_min(datum.system, queries, points) for queries, points in cases]
+    assert min(expected[-1]) > 0.0
+    calls = counting_distance(datum.system, monkeypatch)
+    assert [min_distances(datum.system, *case) for case in cases] == expected
+    assert calls == []
+
+
+def test_horseshoe_recomputes_each_distinct_near_minimal_pair_once(monkeypatch):
+    system = Horseshoe(1 / 3, 3.0)
+    datum = horseshoe_homoclinic_datum(system, (0, 1), 0.05,
+                                       forward_length=160, backward_length=80)
+    params = compute_excursion_parameters(datum)
+    po = build_periodic_pseudo_orbit(datum, params, params.N0 + 101)
+    reference = list(datum.segment) + list(datum.p_orbit)
+    # the forward tail repeats the p-cycle, so both sets hold exact repeats
+    assert len(set(po.points)) < len(po.points) and len(set(reference)) < len(reference)
+    for queries, points in ((po.points, reference), (reference, po.points)):
+        expected = pairwise_min(system, queries, points)
+        near = {(x, y) for x, m in zip(queries, expected) if m > 0.0 for y in points
+                if system.distance(x, y) <= m * (1.0 + 1e-8) + 1e-300}
+        calls = counting_distance(system, monkeypatch)
+        assert min_distances(system, queries, points) == expected
+        assert len(calls) == len(set(calls)) and set(calls) <= near
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
 def test_min_distances_on_many_rows_with_near_ties(system, monkeypatch):
     # numpy's hypot and math.hypot disagree in the last bit on about 0.5% of

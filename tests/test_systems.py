@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symshadow.homoclinic import compute_excursion_parameters
 from symshadow.sft import TransitionMatrix
@@ -121,6 +123,25 @@ def test_exact_fraction_evaluation():
     q = CAT.apply(p)
     assert q == (Fraction(4, 5), Fraction(3, 5))
     assert CAT.apply(q) == p  # period 2, exactly
+
+
+SEAM = (0.0, -0.0, 1.0 - 2.0 ** -53, 2.0 ** -53, -2.0 ** -53, 0.5, 1.0, -1.0,
+        1.5, 1e-170, 5e-324, Fraction(1, 5), Fraction(-7, 3))
+torus_coordinates = st.one_of(
+    st.sampled_from(SEAM),
+    st.floats(-3.0, 3.0),
+    st.fractions(-3, 3, max_denominator=1000),
+    st.floats(-3.0, 3.0).map(Fraction))
+
+
+@given(st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6),
+       st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6))
+def test_torus_distance_matrix_is_the_metric_bit_for_bit(queries, points):
+    # the distance minima return the torus matrix's row minima without
+    # recomputing them, which rests on this equality
+    matrix = CAT.distance_matrix(queries, points).tolist()
+    assert [[d.hex() for d in row] for row in matrix] == \
+        [[torus_distance(x, y).hex() for y in points] for x in queries]
 
 
 def test_inverse_round_trip():
