@@ -155,19 +155,13 @@ def cmd_lpp(args) -> int:
         "epsilon": args.epsilon, "n_max": args.n_max,
         "cycle": args.cycle,
     }, seed=args.seed)
-    try:
-        if args.cycle:
-            cyc = SymbolicCycle.from_word(matrix, _parse_word(args.cycle))
-            result = homoclinic_restricted_certificate(matrix, cyc, args.epsilon,
-                                                       args.n_max)
-        else:
-            result = dense_periods_certificate(matrix, args.epsilon, args.n_max)
-    except HorizonTooSmallError as exc:
-        raise PreconditionError(str(exc)) from exc
-    if isinstance(result, DensePeriodsCertificate):
-        report = {"verdict": "certificate", **result.to_json_dict()}
+    if args.cycle:
+        cyc = SymbolicCycle.from_word(matrix, _parse_word(args.cycle))
+        result = homoclinic_restricted_certificate(matrix, cyc, args.epsilon, args.n_max)
     else:
-        report = {"verdict": "refutation", **result.to_json_dict()}
+        result = dense_periods_certificate(matrix, args.epsilon, args.n_max)
+    verdict = "certificate" if isinstance(result, DensePeriodsCertificate) else "refutation"
+    report = {"verdict": verdict, **result.to_json_dict()}
     _emit(report, config, args.out, "lpp", args.format)
     return EXIT_OK
 

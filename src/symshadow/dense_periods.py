@@ -4,16 +4,18 @@ For a subshift X_A and epsilon = 2^-m, a period-n witness is an
 admissible cyclic word of length n whose bi-infinite repetition visits
 every admissible m-cylinder, i.e. contains every admissible m-word as a
 cyclic factor.  A certificate exhibits such a witness for every n in
-[N0, n_max]; a refutation names a period n at which an exhaustive search
-(or an exact fixed-point count of zero) rules every witness out.
+[N0, n_max]; a refutation names a period n at which exhaustive search
+(or an exact fixed-point count of zero) or a structural proof rules every
+witness out.
 
 Witness construction is splice-and-pad: walk the (m-1)-block graph along
 a deterministic closed walk covering every m-word edge, then append a
 return walk at the base block to stretch the cycle to the exact target
 length.  Exhaustive search over Fix(sigma^n) is the fallback oracle for
-periods the construction cannot reach; refutations are only issued from
-exhaustive evidence (a non-exhaustive failure is reported, flagged
-inconclusive).
+periods the construction cannot reach.  The structural proof: for m >= 1
+a block graph that is not strongly connected has no closed walk covering
+every m-word, so no period has a witness.  ``exhaustive`` means the
+exclusion is proven; a failure without proof is flagged inconclusive.
 
 The return-time gaps of a primitive matrix die out, so exactly the
 primitive matrices are certified; a certificate together with a first
@@ -263,10 +265,8 @@ class _Engine:
         # at most count cycles, so the enumeration is never truncated
         dense = [c for c in enumerate_cycles(self.matrix, n).cycles
                  if self.m_words <= cyclic_factors(c.states, self.m)]
-        for c in dense:
-            if c.primitive_period == n:
-                return c, True
-        return (dense[0], True) if dense else (None, True)
+        primitive = (c for c in dense if c.primitive_period == n)
+        return next(primitive, dense[0] if dense else None), True
 
     def constructive_possible(self, n: int) -> bool:
         return (self.cover is not None and len(self.cover) <= n <= self.n_max
@@ -287,13 +287,20 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     cycles of coprime lengths force a primitive matrix, which in turn
     guarantees witnesses beyond the horizon, so a lone witnessed period at
     n_max is no certificate.  A refutation reports the smallest period
-    excluded by exhaustive evidence; a primitive matrix without a
-    witnessed suffix (for one, a covering cycle longer than n_max) raises
+    excluded by proof: n = 2 at once when the block graph is not strongly
+    connected (no period has a dense cycle), else the first period that
+    exhaustive search excludes.  A primitive matrix without a witnessed
+    suffix (for one, a covering cycle longer than n_max) raises
     :class:`HorizonTooSmallError` instead.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     eng = _Engine(matrix, epsilon, n_max)
+    if eng.cover is None and eng.m >= 1:
+        # every block node has an in- and an out-edge (A is essential), so no
+        # closed walk covers them all; at m = 0 every cycle is dense
+        return DensePeriodsRefutation(eng.epsilon, 2, True, n_max, reason=(
+            "block graph not strongly connected: no closed walk covers every m-word"))
     if eng.cover is not None and len(eng.cover) > n_max and is_primitive(matrix):
         raise HorizonTooSmallError(
             f"covering cycle needs length {len(eng.cover)} > n_max = {n_max}")
@@ -302,13 +309,11 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     cache: dict[int, SymbolicCycle] = {}
     n = n_max
     while n >= 2:
-        if eng.constructive_possible(n):
-            n -= 1  # witness constructible on demand
-            continue
-        cyc, _ = eng.exhaustive_witness(n, budget)
-        if cyc is None:
-            break
-        cache[n] = cyc
+        if not eng.constructive_possible(n):  # else constructible on demand
+            cyc, _ = eng.exhaustive_witness(n, budget)
+            if cyc is None:
+                break
+            cache[n] = cyc
         n -= 1
     N0 = n + 1
 
@@ -350,10 +355,7 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
     orbits: mutual reachability with the p-cycle)."""
     if not matrix.is_admissible_cycle(p.states):
         raise ValueError(f"cycle {p.states} not admissible")
-    component = strongly_connected_component(matrix, p.states[0])
-    if not set(p.states) <= component:
-        raise ValueError("cycle escapes its strongly connected component")
-    sub, order = restrict(matrix, component)
+    sub, order = restrict(matrix, strongly_connected_component(matrix, p.states[0]))
     result = dense_periods_certificate(sub, epsilon, n_max)
     if isinstance(result, DensePeriodsRefutation):
         return result

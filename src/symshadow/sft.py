@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -283,19 +284,20 @@ def count_periodic_points(matrix: TransitionMatrix, n: int) -> int:
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def _int_mat_pow(a: list[list[int]], n: int) -> list[list[int]]:
-    size = len(a)
-    result = [[int(i == j) for j in range(size)] for i in range(size)]
-    base = a
-    while n:
-        if n & 1:
-            result = _int_mat_mul(result, base)
-        base = _int_mat_mul(base, base)
-        n >>= 1
-    return result
+    """a^n by left-to-right binary powering from a itself (no product with
+    the identity, no square after the last bit)."""
+    if n == 0:
+        return [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    power = a
+    for bit in bin(n)[3:]:
+        power = _int_mat_mul(power, power)
+        if bit == "1":
+            power = _int_mat_mul(power, a)
+    return power
 
 
 def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> CycleEnumeration:

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
+from symshadow.dense_periods import (EXHAUSTIVE_BUDGET, MAX_BLOCK_NODES,
+                                     BlockGraphTooLargeError,
                                      CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
@@ -18,9 +20,10 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      homoclinic_restricted_certificate,
                                      is_dense_cycle,
                                      verify_mixing_from_certificate, _BlockGraph,
-                                     _ball_word, _covering_walk)
-from symshadow.sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
-                           is_primitive, _bfs_distances)
+                                     _ball_word, _covering_walk, _Engine)
+from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
+                           TransitionMatrix, count_periodic_points,
+                           is_irreducible, is_primitive, _bfs_distances)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -169,6 +172,137 @@ def test_block_graph_size_guard():
     assert len(_BlockGraph(GOLDEN, 16).nodes) == 1597
     with pytest.raises(BlockGraphTooLargeError, match="2584 block nodes"):
         _BlockGraph(GOLDEN, 17)
+
+
+# -- structural refutation -----------------------------------------------------
+
+
+def scan_and_hunt(matrix, epsilon, n_max):
+    """Oracle: the verdict flow without the structural refutation (the
+    downward scan, then the upward hunt for an exhaustive exclusion).
+    Returns ("certificate", N0) or ("refutation", blocking_n, exhaustive)."""
+    eng = _Engine(matrix, epsilon, n_max)
+    if eng.cover is not None and len(eng.cover) > n_max and is_primitive(matrix):
+        raise HorizonTooSmallError(
+            f"covering cycle needs length {len(eng.cover)} > n_max = {n_max}")
+
+    budget = [EXHAUSTIVE_BUDGET]
+    n = n_max
+    while n >= 2:
+        if eng.constructive_possible(n):
+            n -= 1  # witness constructible on demand
+            continue
+        cyc, _ = eng.exhaustive_witness(n, budget)
+        if cyc is None:
+            break
+        n -= 1
+    N0 = n + 1
+
+    if N0 <= n_max - 1:
+        return ("certificate", N0)
+
+    if is_primitive(matrix):
+        raise HorizonTooSmallError(
+            f"no two consecutive witnessed periods up to n_max = {n_max}")
+
+    budget = [EXHAUSTIVE_BUDGET]
+    first_unknown = None
+    for k in range(2, n_max + 1):
+        cyc, exhaustive = eng.exhaustive_witness(k, budget)
+        if cyc is None and exhaustive:
+            return ("refutation", k, True)
+        if cyc is None and first_unknown is None:
+            first_unknown = k
+    return ("refutation", first_unknown or n_max, False)
+
+
+def outcome(flow, matrix, epsilon, n_max):
+    try:
+        return flow(matrix, epsilon, n_max)
+    except HorizonTooSmallError:
+        return "horizon too small"
+
+
+def verdict(result):
+    if isinstance(result, DensePeriodsCertificate):
+        return ("certificate", result.N0)
+    if isinstance(result, DensePeriodsRefutation):
+        return ("refutation", result.blocking_n, result.exhaustive)
+    return result
+
+
+def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):
+    for n in lengths:
+        for word in admissible_words(matrix, n):
+            if matrix.rows[word[-1]][word[0]] and \
+                    scanner_contains_all_words(matrix, word, m):
+                return False
+    return True
+
+
+STRUCTURAL = "block graph not strongly connected: no closed walk covers every m-word"
+
+
+def test_structural_refutation_matches_scan_and_hunt_on_all_small_matrices():
+    # every essential matrix on at most 3 states; epsilon = 1 (m = 0) keeps
+    # the old flow, since there every cycle is dense
+    structural = 0
+    for size in (1, 2, 3):
+        for bits in product((0, 1), repeat=size * size):
+            try:
+                matrix = TransitionMatrix([bits[i * size:(i + 1) * size]
+                                           for i in range(size)])
+            except NonEssentialMatrixError:
+                continue
+            reducible = not is_irreducible(matrix)
+            if reducible:
+                assert no_dense_cyclic_word(matrix, 1)  # hence none for m >= 1
+            for epsilon in (1.0, 0.5, 0.25, 0.125):
+                result = outcome(dense_periods_certificate, matrix, epsilon, 16)
+                assert verdict(result) == outcome(scan_and_hunt, matrix, epsilon, 16)
+                proven = getattr(result, "reason", None) == STRUCTURAL
+                assert proven == (reducible and epsilon < 1)
+                structural += proven
+    assert structural == 3 * 124  # the reducible essential matrices on <= 3 states
+
+
+def block_reducible(rng, size):
+    """Essential, reducible: two essential diagonal blocks, a random block
+    above them, and the states shuffled."""
+    k = rng.randint(1, size - 1)
+    top, bottom = random_essential(rng, k, 0.5), random_essential(rng, size - k, 0.5)
+    rows = [list(r) + [int(rng.random() < 0.5) for _ in range(size - k)]
+            for r in top.rows] + [[0] * k + list(r) for r in bottom.rows]
+    order = list(range(size))
+    rng.shuffle(order)
+    return TransitionMatrix([[rows[a][b] for b in order] for a in order])
+
+
+@given(st.integers(4, 6), st.integers(0, 10**9))
+def test_structural_refutation_matches_scan_and_hunt_on_reducible(size, seed):
+    matrix = block_reducible(random.Random(seed), size)
+    assert not is_irreducible(matrix)
+    for epsilon in (0.5, 0.25, 0.125):
+        result = dense_periods_certificate(matrix, epsilon, 40)
+        assert verdict(result) == ("refutation", 2, True) == \
+            scan_and_hunt(matrix, epsilon, 40)
+        assert result.reason == STRUCTURAL
+    assert no_dense_cyclic_word(matrix, 1, range(2, 7))
+
+
+def test_each_refutation_path_states_its_reason():
+    two_loops = TransitionMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    structural = dense_periods_certificate(two_loops, 0.5, 30)
+    assert (structural.blocking_n, structural.exhaustive) == (2, True)
+    assert structural.reason == STRUCTURAL
+    # PARITY's block graph is strongly connected: Fix(sigma^3) is empty
+    exhaustive = dense_periods_certificate(PARITY, 0.5, 20)
+    assert (exhaustive.blocking_n, exhaustive.exhaustive) == (3, True)
+    assert exhaustive.reason == "exhaustive search found no dense cycle"
+    # at n_max = 2 only the period-2 witness 01 exists: no suffix, no exclusion
+    inconclusive = dense_periods_certificate(PARITY, 0.5, 2)
+    assert (inconclusive.blocking_n, inconclusive.exhaustive) == (2, False)
+    assert inconclusive.reason == "no witnessed suffix and no exhaustive exclusion"
 
 
 # -- covering walk -------------------------------------------------------------

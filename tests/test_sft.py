@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symshadow.dense_periods import _BlockGraph
 from symshadow.sft import (NonEssentialMatrixError,
                            ReducibleMatrixError, TransitionMatrix,
                            class_period, count_periodic_points,
                            cyclic_decomposition, enumerate_cycles, is_irreducible,
                            is_primitive, perron_data, return_time_set,
-                           topological_entropy, _bfs_distances, _primitive_period,
-                           _step_layers)
+                           topological_entropy, _bfs_distances, _int_mat_mul,
+                           _int_mat_pow, _primitive_period, _step_layers)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -250,6 +251,55 @@ def test_count_matches_brute_enumeration(size, n, seed):
 def test_count_huge_power_is_exact():
     # 2^200 has no float representation; exact integers required
     assert count_periodic_points(FULL2, 200) == 2 ** 200
+
+
+def identity(size):
+    return [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+def times(x, a):
+    """The plain product x a."""
+    size = len(a)
+    return [[sum(x[i][k] * a[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)]
+
+
+@given(st.integers(1, 6), st.integers(0, 10**9))
+def test_int_mat_pow_matches_repeated_product(size, seed):
+    rng = random.Random(seed)
+    a = [[rng.randint(0, 1) for _ in range(size)] for _ in range(size)]
+    power = identity(size)
+    for n in range(71):
+        assert _int_mat_pow([row[:] for row in a], n) == power
+        power = times(power, a)
+
+
+def test_int_mat_pow_zero_is_the_identity():
+    # the block graph at m = 2 counts its nodes as the entries of A^0
+    for matrix in (FULL2, GOLDEN, PARITY, WHEEL):
+        assert _int_mat_pow([list(r) for r in matrix.rows], 0) == identity(matrix.size)
+        assert len(_BlockGraph(matrix, 2).nodes) == matrix.size
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_float_products_are_bitwise_the_textbook_sum(size):
+    # lyapunov_exponents_periodic chains 2x2 float products through _int_mat_mul;
+    # at size 3 a change of the addition order would show in the last bits
+    rng = random.Random(2014)
+    chain = want = [[float(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(200):
+        a = [[rng.uniform(-3.0, 3.0) for _ in range(size)] for _ in range(size)]
+        chain = _int_mat_mul(a, chain)
+        expected = []
+        for row in a:
+            expected.append([])
+            for j in range(size):
+                acc = 0
+                for k in range(size):
+                    acc += row[k] * want[k][j]
+                expected[-1].append(acc)
+        want = expected
+        assert [[x.hex() for x in r] for r in chain] == [[x.hex() for x in r] for r in want]
 
 
 # -- cycle enumeration --------------------------------------------------------
