@@ -9,8 +9,7 @@ import argparse
 import time
 from dataclasses import dataclass
 
-from symshadow.measures import (LebesgueTorus, fourier_family, periodic_measure,
-                                weak_star_distance)
+from symshadow.measures import LebesgueTorus, fourier_family, rational_orbit_distances
 from symshadow.systems import cat_map
 
 
@@ -25,14 +24,10 @@ class ScanConfig:
 def run(config: ScanConfig):
     system = cat_map()
     family = fourier_family(config.mode_bound)
-    lebesgue = LebesgueTorus()
     start = time.time()
-    ranked = []
-    for (i, j, q), orbit in system.rational_orbits(config.max_period,
-                                                    config.max_denominator):
-        d = weak_star_distance(periodic_measure(orbit), lebesgue, family)
-        ranked.append((d, len(orbit), q, (i, j)))
-    ranked.sort()
+    ranked = sorted((d, len(orbit), q, (i, j)) for (i, j, q), orbit, d in
+                    rational_orbit_distances(LebesgueTorus(), system, family,
+                                             config.max_period, config.max_denominator))
     print(f"{len(ranked)} orbits of period <= {config.max_period} with "
           f"denominator <= {config.max_denominator} in {time.time() - start:.1f}s")
     print(f"{'distance':>10} {'period':>7} {'q':>4}  start")

@@ -321,19 +321,19 @@ def _exact_row_minima(system, queries: Sequence, points: Sequence, matrix
 
     The torus matrix repeats ``torus_distance`` operation for operation,
     so its row minima are returned as they are.  A horseshoe entry is
-    ``np.hypot`` against the metric's ``math.hypot`` and may differ in
-    the last bit, so the exact minimum of a row lies among the entries at
-    most (1 + 1e-9) times the row's smallest, plus 1e-300 for subnormal
-    results; only those entries, each a distinct pair, are recomputed
-    with ``system.distance``.  A row whose smallest entry is 0 returns
-    0.0 as is: ``np.hypot`` does not underflow, so it is 0 only on equal
-    coordinates.
+    ``np.hypot``, within an ulp of the exact value as ``math.hypot`` is, so
+    the two differ by a factor of at most 1 + 2^-51 and the exact minimum
+    of a row lies within (1 + 2^-51)^2 of the row's smallest entry: inside
+    the band 1 + 2^-49 (room for the bound's own rounding), plus 1e-300 for
+    subnormal results.  Only the entries in the band, each a distinct pair,
+    are recomputed with ``system.distance``.  A row whose smallest entry is
+    0 returns 0.0: ``np.hypot`` does not underflow, so that is equality.
     """
     mins = matrix.min(axis=1)
     if system.kind == "toral":
         return mins.tolist()
     out = np.where(mins > 0.0, math.inf, 0.0).tolist()
-    bound = np.where(mins > 0.0, mins * (1.0 + 1e-9) + 1e-300, -1.0)
+    bound = np.where(mins > 0.0, mins * (1.0 + 2.0 ** -49) + 1e-300, -1.0)
     rows, cols = np.nonzero(matrix <= bound[:, None])
     for i, j in zip(rows.tolist(), cols.tolist()):
         d = system.distance(queries[i], points[j])

@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .dense_periods import admissible_words
-from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap,
+from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap, _primitive_period,
                   count_periodic_points, enumerate_cycles, is_primitive, perron_data)
 from .shiftspace import ShiftPoint
 from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
@@ -359,7 +363,6 @@ class ApproximationResult:
     distance: float
     within_epsilon: bool
     description: str
-    trace: list = field(default_factory=list)
 
 
 def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[int, ...], float]]:
@@ -377,59 +380,95 @@ def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[in
     return [(word, weight) for word, weight in orbits.values()]
 
 
+def _cyclic_word_distance(target, word: tuple[int, ...], family: TestFamily) -> float:
+    """weak_star_distance(target, cycle_measure(matrix, word), family) bit for bit
+    for a primitive cyclic word of length n: a cylinder's integral adds 1 / n,
+    the measure's float weight, once per rotation whose window starts with it."""
+    if not all(isinstance(obs, CylinderObservable) for obs in family.observables):
+        raise TypeError("cyclic words integrate cylinder observables only")
+    n, total = len(word), 0.0
+    lengths = {len(obs.word) for obs in family.observables}
+    windows = word * (max(lengths, default=0) // n + 2)
+    counts = Counter(windows[i:i + k] for k in lengths for i in range(n))
+    for weight, a, obs in zip(family.weights, target.integrals(family), family.observables):
+        total += weight * abs(a - sum([1 / n] * counts[obs.word]))
+    return total
+
+
+def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
+                             max_period: int, max_denominator: int) -> Iterator[tuple]:
+    """((i, j, q), orbit, d) for the integer orbits of ``system.rational_orbits``,
+    d the weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
+    zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to sum_r c_r
+    zeta_q^r / n over its residue counts c_r, counted for <= 32 orbits at a time.
+    Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
+    halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s."""
+    if not all(isinstance(obs, FourierMode) for obs in family.observables):
+        raise TypeError("torus orbits integrate Fourier modes only")
+    modes = np.array([obs.k for obs in family.observables], dtype=int).reshape(-1, 2).T
+    target_integrals = np.array(target.integrals(family), dtype=complex)
+    for (q, _), group in groupby(enumerate(system.rational_orbits(max_period, max_denominator)),
+                                 key=lambda item: (item[1][0][2], item[0] // 32)):
+        starts, orbits = zip(*(item for _, item in group))
+        counts = np.zeros((len(orbits), modes.shape[1], q))
+        owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
+        residues = np.array([p for orbit in orbits for p in orbit]) @ modes % q
+        np.add.at(counts, (owner[:, None], np.arange(modes.shape[1]), residues), 1.0)
+        mirror, zeta = counts[..., -np.arange(q) % q], np.exp(2j * np.pi * np.arange(q) / q)
+        integrals = (np.einsum("...r,r", counts + mirror, zeta.real)
+                     + 1j * np.einsum("...r,r", counts - mirror, zeta.imag)) / counts.sum(-1) / 2
+        d = (np.array(family.weights) * np.abs(target_integrals - integrals)).sum(-1)
+        yield from zip(starts, orbits, d.tolist())
+
+
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
                             max_period: int = 12, max_denominator: int = 64,
                             block_reps: int = 40,
                             prefer: str = "distance") -> ApproximationResult:
-    """Best periodic measure within the search horizon.
+    """Best periodic measure within the search horizon, scored from integers.
 
     Shift systems scan enumerated short cycles plus block concatenations
-    matching the cylinder frequencies of a finite-support target; toral
-    systems scan rational orbits by denominator.  ``prefer`` picks the
-    winner among candidates: smallest distance (default, ties to the
-    smaller period) or the shortest orbit already within epsilon
-    ("shortest_within", falling back to smallest distance when none is).
+    matching the cylinder frequencies of a finite-support target, each on
+    its cyclic word; toral systems scan rational orbits on their residues
+    mod q.  ``prefer`` picks the winner: smallest distance (default, ties to
+    the smaller period, then the description, as for mirrored orbits) or the
+    shortest orbit within epsilon ("shortest_within", else smallest distance).
+    Only the winner's measure is built.
     """
-    candidates: list[tuple[str, FiniteSupportMeasure]] = []
     if isinstance(system, SftSystem):
-        matrix = system.matrix
+        matrix, words = system.matrix, []
         for n in range(1, max_period + 1):
             if count_periodic_points(matrix, n) > 2048:
                 break
-            for cyc in enumerate_cycles(matrix, n).cycles:
-                if cyc.primitive_period == n:
-                    candidates.append((str(cyc), cycle_measure(matrix, cyc.states)))
-        if isinstance(target, FiniteSupportMeasure):
-            parts = _orbit_cycles_of_target(target)
-            total = sum(w for _, w in parts)
-            if parts and total > 0:
-                for reps in range(1, block_reps + 1):
-                    word: tuple[int, ...] = ()
-                    for cyc_word, w in parts:
-                        count = max(1, round(reps * (w / total)))
-                        word = word + cyc_word * count
-                    if matrix.is_admissible_cycle(word):
-                        candidates.append((f"blocks x{reps}", cycle_measure(matrix, word)))
+            words += [(str(cyc), cyc.states) for cyc in enumerate_cycles(matrix, n).cycles
+                      if cyc.primitive_period == n]
+        parts = _orbit_cycles_of_target(target) \
+            if isinstance(target, FiniteSupportMeasure) else []
+        total = sum(w for _, w in parts)
+        for reps in range(1, block_reps + 1) if total > 0 else ():
+            word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
+            if matrix.is_admissible_cycle(word):
+                words.append((f"blocks x{reps}", word))
+        scored = [(_cyclic_word_distance(target, word[:n], family), n, desc, word)
+                  for desc, word in words for n in [_primitive_period(word)]]
     elif isinstance(system, ToralAutomorphism):
-        for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator):
-            candidates.append((f"orbit({i}/{q},{j}/{q})", periodic_measure(orbit)))
+        orbits = rational_orbit_distances(target, system, family, max_period, max_denominator)
+        scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})", (q, orbit))
+                  for (i, j, q), orbit, d in orbits]
     else:
         raise TypeError(f"unsupported system {system!r}")
 
-    if not candidates:
+    if not scored:
         raise ValueError("no periodic candidates within the horizon")
-    scored = []
-    for desc, mu in candidates:
-        d = weak_star_distance(target, mu, family)
-        scored.append((d, len(mu.atoms), desc, mu))
-    if prefer == "shortest_within":
-        within = [s for s in scored if s[0] <= epsilon]
-        pick = min(within, key=lambda s: (s[1], s[0], s[2])) if within \
-            else min(scored, key=lambda s: (s[0], s[1], s[2]))
+    within = [s for s in scored if s[0] <= epsilon] if prefer == "shortest_within" else []
+    pick = min(within or scored, key=lambda s: (s[1], s[0], s[2]) if within else s[:3])
+    if isinstance(system, SftSystem):
+        mu = cycle_measure(matrix, pick[3])
     else:
-        pick = min(scored, key=lambda s: (s[0], s[1], s[2]))
-    d, _, desc, mu = pick
-    return ApproximationResult(mu, d, d <= epsilon, desc)
+        q, orbit = pick[3]
+        mu = periodic_measure([(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
+    d = weak_star_distance(target, mu, family)
+    return ApproximationResult(mu, d, d <= epsilon, pick[2])
 
 
 # -- the mixing-subshift pipeline ------------------------------------------
@@ -505,17 +544,11 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
     if cycle is None:
         step1 = approximate_by_periodic(target, SftSystem(matrix), epsilon / 2.0, family,
                                         prefer="shortest_within")
-        if not isinstance(step1.measure, FiniteSupportMeasure):
-            raise ValueError("periodic step did not produce a finite-support measure")
-        parts = _orbit_cycles_of_target(step1.measure)
-        if len(parts) != 1:
-            raise ValueError("periodic step did not produce a single orbit")
-        cycle = parts[0][0]
+        cycle = _orbit_cycles_of_target(step1.measure)[0][0]
         mu_p = step1.measure
     else:
         cycle = tuple(cycle)
         mu_p = cycle_measure(matrix, cycle)
-    dist_p = weak_star_distance(target, mu_p, family)
 
     q, center = sft_homoclinic_splice(matrix, cycle)
     excursion = ((cycle[0],) + center) if len(cycle) > 1 else center

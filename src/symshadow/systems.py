@@ -268,13 +268,12 @@ class ToralAutomorphism:
         """Periodic orbits of period <= max_period through the points
         (i/q, j/q) with gcd(i, j, q) = 1, by increasing q, then i, then j.
 
-        Yields ((i, j, q), orbit) with orbit[0] = (i/q, j/q).  A start
-        point is skipped once an earlier scan has visited it.  The scan
-        walks the integer pairs (u, v) for (u/q, v/q) mod q: a start point
-        has exact order q in the torus group and A is invertible mod q, so
-        no two lattices share an orbit and each q keeps its own table of
-        visited points.
-        """
+        Yields ((i, j, q), orbit), the orbit as integer pairs (u, v) for the
+        points (u/q, v/q) and orbit[0] = (i, j): callers build Fractions only
+        for the orbits they keep.  A start point has exact order q and A is
+        invertible mod q, so no two lattices share an orbit, each q keeps its
+        own table of visited points, and a walk that meets one elsewhere than
+        at its start is on a longer orbit."""
         (a, b), (c, d) = self.matrix
         for q in range(1, max_denominator + 1):
             seen = bytearray(q * q)
@@ -282,15 +281,13 @@ class ToralAutomorphism:
                 for j in range(q):
                     if math.gcd(i, j, q) != 1 or seen[i * q + j]:
                         continue
-                    orbit = [(i, j)]
-                    seen[i * q + j] = 1
-                    u, v = (a * i + b * j) % q, (c * i + d * j) % q
-                    while (u != i or v != j) and len(orbit) <= max_period:
+                    orbit, u, v = [], i, j
+                    while not seen[u * q + v] and len(orbit) <= max_period:
                         orbit.append((u, v))
                         seen[u * q + v] = 1
                         u, v = (a * u + b * v) % q, (c * u + d * v) % q
-                    if u == i and v == j and len(orbit) <= max_period:
-                        yield (i, j, q), [(Fraction(x, q), Fraction(y, q)) for x, y in orbit]
+                    if (u, v) == (i, j) and len(orbit) <= max_period:
+                        yield (i, j, q), orbit
 
     # -- homoclinic orbit along the eigenlines ------------------------
 

@@ -231,6 +231,20 @@ def point_sets(draw, system):
 float_systems = st.sampled_from([CAT, HORSESHOE])
 
 
+@given(st.tuples(coordinates, coordinates), st.tuples(coordinates, coordinates),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_horseshoe_matrix_entries_stay_inside_the_recompute_band(a, b, dx, dy):
+    # _exact_row_minima recomputes entries up to (1 + 2^-49) times a row's
+    # smallest, plus 1e-300, taking np.hypot and math.hypot to differ by a
+    # factor of at most 1 + 2^-51 (plus 1e-300 below the normals): a row's
+    # exact minimum is then within (1 + 2^-51)^2 of its smallest entry
+    assert (1.0 + 2.0 ** -51) ** 2 * (1.0 + 2.0 ** -52) < 1.0 + 2.0 ** -49
+    for x, y in (b, (nudge(a[0], dx), nudge(a[1], dy)), (1.0 - a[0], a[1])):
+        entry = float(HORSESHOE.distance_matrix([a], [(x, y)])[0, 0])
+        low, high = sorted((entry, HORSESHOE.distance(a, (x, y))))
+        assert high <= low * (1.0 + 2.0 ** -51) + 1e-300
+
+
 @given(st.data(), float_systems)
 def test_min_distances_equal_the_pairwise_scan(data, system):
     queries = data.draw(point_sets(system))

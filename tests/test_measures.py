@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from symshadow.measures import TestFamily as Family
 from symshadow.measures import (BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
-                                MarkovMeasure, approximate_by_periodic,
+                                MarkovMeasure, _cyclic_word_distance,
+                                _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
                                 fourier_family, integrate, parry_measure,
-                                periodic_measure, weak_star_distance)
-from symshadow.sft import (TransitionMatrix, enumerate_cycles, is_primitive,
-                           topological_entropy)
+                                periodic_measure, rational_orbit_distances,
+                                weak_star_distance)
+from symshadow.sft import (TransitionMatrix, count_periodic_points, enumerate_cycles,
+                           is_primitive, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import SftSystem, cat_map
 
@@ -437,6 +439,117 @@ def test_approximate_lebesgue_on_torus():
                                   max_denominator=20)
     assert res.within_epsilon
     assert len(res.measure.atoms) <= 30
+
+
+def reference_candidates(target, system, max_period=12, max_denominator=64, block_reps=40):
+    """The scan with one full measure per candidate: [(description, word or
+    integer orbit, measure)]."""
+    candidates = []
+    if isinstance(system, SftSystem):
+        matrix = system.matrix
+        for n in range(1, max_period + 1):
+            if count_periodic_points(matrix, n) > 2048:
+                break
+            for cyc in enumerate_cycles(matrix, n).cycles:
+                if cyc.primitive_period == n:
+                    candidates.append((str(cyc), cyc.states, cycle_measure(matrix, cyc.states)))
+        parts = _orbit_cycles_of_target(target) \
+            if isinstance(target, FiniteSupportMeasure) else []
+        total = sum(w for _, w in parts)
+        for reps in range(1, block_reps + 1) if parts and total > 0 else ():
+            word = ()
+            for cyc_word, w in parts:
+                word = word + cyc_word * max(1, round(reps * (w / total)))
+            if matrix.is_admissible_cycle(word):
+                candidates.append((f"blocks x{reps}", word, cycle_measure(matrix, word)))
+    else:
+        for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator):
+            points = [(Fraction(u, q), Fraction(v, q)) for u, v in orbit]
+            candidates.append((f"orbit({i}/{q},{j}/{q})", orbit, periodic_measure(points)))
+    return candidates
+
+
+def reference_pick(target, candidates, epsilon, family, prefer="distance"):
+    """The winner among full-measure candidates: (distance, period,
+    description, measure), picked as ``approximate_by_periodic`` picks."""
+    scored = [(weak_star_distance(target, mu, family), len(mu.atoms), desc, mu)
+              for desc, _, mu in candidates]
+    within = [s for s in scored if s[0] <= epsilon] if prefer == "shortest_within" else []
+    if within:
+        return min(within, key=lambda s: (s[1], s[0], s[2]))
+    return min(scored, key=lambda s: (s[0], s[1], s[2]))
+
+
+def assert_same_result(res, reference):
+    d, _, desc, mu = reference
+    assert (res.description, res.distance.hex()) == (desc, d.hex())
+    assert res.measure.atoms == mu.atoms
+
+
+def periodic_mix(matrix, parts):
+    atoms = []
+    for cycle, weight in parts:
+        atoms += [(p, weight * w) for p, w in cycle_measure(matrix, cycle).atoms]
+    return FiniteSupportMeasure(atoms)
+
+
+@pytest.mark.parametrize("matrix", [FULL2, GOLDEN], ids=["full2", "golden"])
+def test_cyclic_word_distances_equal_the_full_measure_scan_bit_for_bit(matrix):
+    system = SftSystem(matrix)
+    targets = [parry_measure(matrix), BernoulliProduct([0.3, 0.7]),
+               periodic_mix(matrix, [((0,), Fraction(2, 5)), ((0, 0, 1), Fraction(3, 5))]),
+               periodic_mix(matrix, [((0, 1), Fraction(1, 3)), ((0,), Fraction(2, 3))])]
+    cycles = [(c.states, cycle_measure(matrix, c.states)) for n in range(1, 13)
+              for c in enumerate_cycles(matrix, n).cycles if c.primitive_period == n]
+    for target in targets:
+        candidates = reference_candidates(target, system)
+        blocks = [(word, mu) for desc, word, mu in candidates if desc.startswith("blocks")]
+        assert blocks or not isinstance(target, FiniteSupportMeasure)
+        for depth in range(1, 5):
+            family = cylinder_family(matrix, depth)
+            for word, mu in cycles + blocks:
+                d = _cyclic_word_distance(target, word[:len(mu.atoms)], family)
+                assert d.hex() == weak_star_distance(target, mu, family).hex()
+            for prefer in ("distance", "shortest_within"):
+                for epsilon in (0.02, 0.1):
+                    res = approximate_by_periodic(target, system, epsilon, family,
+                                                  prefer=prefer)
+                    assert_same_result(res, reference_pick(target, candidates, epsilon,
+                                                           family, prefer))
+                    assert res.distance == weak_star_distance(target, res.measure, family)
+
+
+TORUS_HORIZONS = [(6, 12), (12, 20), (20, 33), (30, 40)]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_torus_orbit_distances_match_the_full_measure_scan(bound):
+    cat = cat_map()
+    family = fourier_family(bound)
+    orbit_target = periodic_measure(cat.orbit_of((Fraction(1, 5), Fraction(2, 5))))
+    for max_period, max_denominator in TORUS_HORIZONS:
+        horizon = {"max_period": max_period, "max_denominator": max_denominator}
+        for target in (LebesgueTorus(), orbit_target):
+            reference = reference_candidates(target, cat, **horizon)
+            scored = list(rational_orbit_distances(target, cat, family, **horizon))
+            assert [(start, orbit) for start, orbit, _ in scored] \
+                == list(cat.rational_orbits(**horizon))
+            score_at = {}
+            for ((i, j, q), orbit, d), (_, _, mu) in zip(scored, reference):
+                assert abs(d - weak_star_distance(target, mu, family)) <= 1e-15
+                score_at.update(((u, v, q), d) for u, v in orbit)
+            if isinstance(target, LebesgueTorus):
+                # an orbit and its mirror under x -> -x score bit for bit alike,
+                # as orbit(1/15,3/15) and orbit(1/15,6/15), which the full
+                # measures put 3.6e-17 apart at bound 3
+                for (i, j, q), _, d in scored:
+                    assert score_at[(-i % q, -j % q, q)].hex() == d.hex()
+            for prefer in ("distance", "shortest_within"):
+                res = approximate_by_periodic(target, cat, 0.05, family, prefer=prefer,
+                                              **horizon)
+                assert_same_result(res, reference_pick(target, reference, 0.05, family,
+                                                       prefer))
+                assert res.distance == weak_star_distance(target, res.measure, family)
 
 
 # -- the pipeline -----------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominato
                 orbit = CAT.orbit_of((Fraction(i, q), Fraction(j, q)))
                 if len(orbit) <= max_period:
                     expected.add(frozenset(orbit))
-    found = list(CAT.rational_orbits(max_period, max_denominator))
+    found = fraction_orbits(CAT, max_period, max_denominator)
     for (i, j, q), orbit in found:
         assert orbit[0] == (Fraction(i, q), Fraction(j, q))
         assert math.gcd(math.gcd(i, j), q) == 1
@@ -61,6 +61,12 @@ def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominato
     assert {frozenset(orbit) for _, orbit in found} == expected
     starts = [(q, i, j) for (i, j, q), _ in found]
     assert starts == sorted(starts)
+
+
+def fraction_orbits(system, max_period, max_denominator):
+    """``rational_orbits`` with each integer pair (u, v) read as (u/q, v/q)."""
+    return [((i, j, q), [(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
+            for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator)]
 
 
 def fraction_orbit_scan(system, max_period, max_denominator):
@@ -90,7 +96,9 @@ def fraction_orbit_scan(system, max_period, max_denominator):
                          ids=["cat", "det_minus_one"])
 @pytest.mark.parametrize("max_period, max_denominator", [(1, 5), (3, 8), (6, 12), (10, 15)])
 def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denominator):
-    found = list(system.rational_orbits(max_period, max_denominator))
+    assert all(type(x) is int and 0 <= x < q for (_, _, q), orbit
+               in system.rational_orbits(max_period, max_denominator) for p in orbit for x in p)
+    found = fraction_orbits(system, max_period, max_denominator)
     expected = list(fraction_orbit_scan(system, max_period, max_denominator))
     assert found == expected
     assert [tuple(map(repr, p)) for _, orbit in found for p in orbit] == \
