@@ -1,52 +1,54 @@
 """Certificates that every large period carries an epsilon-dense periodic point.
 
-For a subshift X_A and epsilon = 2^-m, a period-n witness is an
-admissible cyclic word of length n whose bi-infinite repetition visits
-every admissible m-cylinder, i.e. contains every admissible m-word as a
-cyclic factor.  A certificate exhibits such a witness for every n in
-[N0, n_max]; a refutation names a period n at which exhaustive search
-(or an exact fixed-point count of zero) or a structural proof rules every
-witness out.
+For a subshift X_A and epsilon = 2^-m in (0, 1), a period-n witness is an
+admissible cyclic word of length n that contains every admissible m-word
+as a cyclic factor.  Verdicts are exact: a certificate's N0 is the least
+n >= 2 with a witness at every period n >= N0, and a refutation's
+blocking_n is the least n >= 2 without one.
 
-Witness construction is splice-and-pad: walk the (m-1)-block graph along
-a deterministic closed walk covering every m-word edge, then append a
-return walk at the base block to stretch the cycle to the exact target
-length.  Exhaustive search over Fix(sigma^n) is the fallback oracle for
-periods the construction cannot reach.  The structural proof: for m >= 1
-a block graph that is not strongly connected has no closed walk covering
-every m-word, so no period has a witness.  ``exhaustive`` means the
-exclusion is proven; a failure without proof is flagged inconclusive.
-
-The return-time gaps of a primitive matrix die out, so exactly the
-primitive matrices are certified; a certificate together with a first
-hitting time yields per-cylinder-pair mixing thresholds (see
-:func:`verify_mixing_from_certificate`).
+Cyclic n-words are the closed n-step walks of the (m-1)-block graph,
+whose edges are the admissible m-words (the graph of A at m = 1).  For
+m >= 2 a walk is dense iff it uses every edge, so by Euler's theorem the
+dense periods are E + |x| for the integer flows x >= 0 that balance the
+E edges; at m = 1 a walk is dense iff it visits every symbol.  Without
+strong connectivity there is no dense walk.  A dense walk passes every
+node, so a shortest cycle (length c, the girth) splices into it, and the
+least dense period in each residue class mod c fixes the class: with a
+loop (c = 1) it is the directed Chinese postman length L* of a min-cost
+flow (Edmonds & Johnson, Math. Programming 5, 1973), N0 = max(2, L*);
+without one a search over (unmet demand, residue) finds them; at m = 1 a
+breadth-first search over (visited symbols, symbol, residue), exponential
+in the number of symbols (n = #symbols asks for a Hamiltonian cycle).
+MAX_BLOCK_NODES bounds the block nodes and both searches.  A witness is a
+Hierholzer circuit, least successor first, of the least dense walk of its
+class stretched by girth cycles.  Exactly the primitive matrices are certified;
+a certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .sft import (SymbolicCycle, TransitionMatrix, count_periodic_points,
-                  enumerate_cycles, is_primitive, restrict, return_time_set,
+from .sft import (SymbolicCycle, TransitionMatrix, restrict, return_time_set,
                   strongly_connected_component, _bfs_distances, _int_mat_pow,
                   _least_walk, _merge_overlap, _step_layers)
+from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
-EXHAUSTIVE_CAP = 4096
-EXHAUSTIVE_BUDGET = 60_000  # total enumerated cycles per certificate call
-PAD_VARIANTS = 8
-MAX_BLOCK_NODES = 2048  # block graph size limit: its node list and n_max + 1 pad sets
+MAX_BLOCK_NODES = 2048  # bound on block nodes, 2^#symbols at m = 1 and residue search states
 
 
 class HorizonTooSmallError(ValueError):
-    """n_max cannot fit a single covering cycle; no verdict possible."""
+    """The exact N0 exceeds n_max, so the window [N0, n_max] is empty."""
 
 
 class BlockGraphTooLargeError(ValueError):
-    """The scale epsilon = 2^-m needs more than MAX_BLOCK_NODES (m-1)-blocks."""
+    """The scale epsilon = 2^-m needs a search larger than MAX_BLOCK_NODES."""
 
 
 class CertificateTooCoarseError(ValueError):
@@ -54,32 +56,22 @@ class CertificateTooCoarseError(ValueError):
 
 
 class WitnessMap(Mapping):
-    """Mapping n -> witness cycle for n in [N0, n_max].
+    """Mapping n -> witness cycle for n in [N0, n_max], each built on access."""
 
-    Witness words are deterministic but constructed on access: a
-    certificate verdict over a long horizon does not pay for materializing
-    every word (serialization and scans still can).
-    """
-
-    def __init__(self, N0: int, n_max: int, build: Callable[[int], SymbolicCycle],
-                 cache: dict[int, SymbolicCycle]):
-        self._N0 = N0
-        self._n_max = n_max
+    def __init__(self, N0: int, n_max: int, build: Callable[[int], SymbolicCycle]):
+        self._periods = range(N0, n_max + 1)
         self._build = build
-        self._cache = cache
 
     def __getitem__(self, n: int) -> SymbolicCycle:
-        if not self._N0 <= n <= self._n_max:
+        if n not in self._periods:
             raise KeyError(n)
-        if n not in self._cache:
-            self._cache[n] = self._build(n)
-        return self._cache[n]
+        return self._build(n)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self._N0, self._n_max + 1))
+        return iter(self._periods)
 
     def __len__(self) -> int:
-        return self._n_max - self._N0 + 1
+        return len(self._periods)
 
 
 @dataclass
@@ -112,7 +104,7 @@ class DensePeriodsCertificate:
 class DensePeriodsRefutation:
     epsilon: float
     blocking_n: int
-    exhaustive: bool
+    exhaustive: bool  # always true: every refutation is a proof
     n_max: int
     reason: str = ""
 
@@ -133,218 +125,225 @@ def admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, .
     return words
 
 
-def cyclic_factors(word: Sequence[int], length: int) -> set[tuple[int, ...]]:
-    w = tuple(word)
-    if length == 0:
-        return {()}
-    reps = -(-(length + len(w)) // len(w))
-    tiled = w * reps
-    return {tiled[i:i + length] for i in range(len(w))}
-
-
 def is_dense_cycle(matrix: TransitionMatrix, word: Sequence[int], m: int) -> bool:
     """Does the cyclic word contain every admissible m-word as a factor?"""
-    return set(admissible_words(matrix, m)) <= cyclic_factors(word, m)
+    tiled = tuple(word) * (m // len(word) + 2)
+    return set(admissible_words(matrix, m)) <= {tiled[i:i + m] for i in range(len(word))}
 
 
-# -- block graph and covering walk ---------------------------------------
+# -- block graph and least dense walks --------------------------------------
 
 
 class _BlockGraph:
-    """Graph whose closed length-n walks are the admissible cyclic n-words:
-    nodes are admissible (m-1)-words (symbols for m <= 1), and the walk
-    must cover all nodes (m = 1) or all edges (m >= 2) to be dense."""
+    """Graph whose closed n-step walks spell the admissible cyclic n-words:
+    nodes are the admissible (m-1)-words (symbols for m <= 2) in
+    lexicographic order, with sorted successor lists."""
 
     def __init__(self, matrix: TransitionMatrix, m: int):
         self.matrix = matrix
         self.m = m
-        if m <= 1:
-            self.nodes = [(s,) for s in range(matrix.size)]
-        else:
-            # the admissible (m-1)-words are counted by the entries of A^(m-2)
-            count = sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], m - 2)))
-            if count > MAX_BLOCK_NODES:
-                raise BlockGraphTooLargeError(
-                    f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
-            self.nodes = admissible_words(matrix, m - 1)
+        k = max(m - 1, 1)
+        # the admissible k-words are counted by the entries of A^(k-1)
+        count = sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], k - 1)))
+        if count > MAX_BLOCK_NODES:
+            raise BlockGraphTooLargeError(
+                f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
+        self.nodes = admissible_words(matrix, k)
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        self.succ: list[list[int]] = [[] for _ in self.nodes]
-        self.pred: list[list[int]] = [[] for _ in self.nodes]
-        for i, v in enumerate(self.nodes):
-            for t in matrix.succ[v[-1]]:
-                w = v[1:] + (t,) if m >= 2 else (t,)
-                j = self.index.get(w)
-                if j is not None:
-                    self.succ[i].append(j)
-                    self.pred[j].append(i)
-        self.cover_edges = m >= 2
+        self.succ = [[self.index[v[1:] + (t,)] for t in matrix.succ[v[-1]]]
+                     for v in self.nodes]
+        self.pred = [[self.index[(s,) + v[:-1]] for s in matrix.pred[v[0]]]
+                     for v in self.nodes]
 
-    def walk_to_word(self, walk: list[int]) -> tuple[int, ...]:
-        """Closed walk (node indices, length n, base not repeated) to the
-        cyclic word of length n."""
-        return tuple(self.nodes[i][0] for i in walk)
+    def walk_edges(self, s: int, t: int, steps: int) -> list[tuple[int, int]]:
+        """Edges of the least walk of exactly ``steps`` steps from s to t."""
+        walk = [s] + _least_walk(self.succ, _step_layers(self.pred, t, steps), s, steps)
+        return list(zip(walk, walk[1:]))
 
 
-def _covering_walk(graph: _BlockGraph) -> list[int] | None:
-    """Deterministic closed walk from the lex-least node covering all
-    required edges (m >= 2) or all nodes (m = 1); None when the graph is
-    not strongly connected.  Returned as node sequence of length n (walk
-    steps), base node implicit at both ends.  Greedy: the least shortest
-    walk to the least node with an uncovered edge in the first exact-step
-    layer that holds one, then that node's least uncovered edge."""
-    succ, pred = graph.succ, graph.pred
-    home = _bfs_distances(pred, [0])  # steps from each node back to the base
-    if min(_bfs_distances(succ, [0])) < 0 or min(home) < 0:
-        return None
-    walk = [0]
-
-    def go_to(target: int, steps: int) -> None:
-        walk.extend(_least_walk(succ, _step_layers(pred, target, steps), walk[-1], steps))
-
-    if graph.cover_edges:
-        uncovered = [set(out) for out in succ]
-        left = sum(map(len, uncovered))
-        while left:
-            layer, d, walked = {walk[-1]}, 0, len(walk)
-            while not (hits := [u for u in layer if uncovered[u]]):
-                layer, d = {v for u in layer for v in succ[u]}, d + 1
-            u = min(hits)
-            go_to(u, d)
-            walk.append(min(uncovered[u]))
-            for a, b in zip(walk[walked - 1:], walk[walked:]):
-                left -= b in uncovered[a]
-                uncovered[a].discard(b)
-    else:
-        for target in range(len(succ)):
-            if target not in walk:
-                go_to(target, _bfs_distances(succ, [walk[-1]])[target])
-    go_to(0, home[walk[-1]])
-    return walk[1:]  # length = number of steps; closed at base
+def _least_costs(start, moves: Callable) -> dict:
+    """Dijkstra: moves(state) yields (cost, next state, label); returns
+    state -> (least cost from start, previous state, label of that move)."""
+    best = {start: (0, None, None)}
+    heap = [(0, start)]
+    while heap:
+        cost, state = heapq.heappop(heap)
+        if cost > best[state][0]:
+            continue
+        for step, nxt, label in moves(state):
+            if nxt not in best or cost + step < best[nxt][0]:
+                best[nxt] = (cost + step, state, label)
+                heapq.heappush(heap, (cost + step, nxt))
+    return best
 
 
-# -- the engine -----------------------------------------------------------
+def _labels(best: dict, state) -> list:
+    """Labels of the moves on the least path to ``state``, last move first."""
+    out = []
+    while best[state][1] is not None:
+        out.append(best[state][2])
+        state = best[state][1]
+    return out
 
 
-@dataclass
-class _Engine:
-    matrix: TransitionMatrix
-    epsilon: float
-    n_max: int
-    m: int = field(init=False)
+def _tours(graph: _BlockGraph, best: dict, ends: list) -> list[Counter | None]:
+    """Per end state: the edges of the walks (s, t, steps) labelling its
+    least path, or None if it is unreachable."""
+    return [Counter(e for s, t, d in _labels(best, end) for e in graph.walk_edges(s, t, d))
+            if end in best else None for end in ends]
 
-    def __post_init__(self):
-        self.m = word_radius(self.epsilon)
-        self.graph = _BlockGraph(self.matrix, self.m)
-        self.m_words = set(admissible_words(self.matrix, self.m))
-        self.cover = _covering_walk(self.graph)
-        # pads[t] = block nodes with a walk of exactly t steps to the base node 0,
-        # so a closed walk at the base stretches the cover by any t with 0 in pads[t]
-        self.pads = (_step_layers(self.graph.pred, 0, self.n_max)
-                     if self.cover is not None else None)
 
-    def constructive_witness(self, n: int) -> SymbolicCycle | None:
-        if not self.constructive_possible(n):
-            return None
-        cycles = []
-        for variant in range(PAD_VARIANTS):
-            pad = _least_walk(self.graph.succ, self.pads, 0, n - len(self.cover), variant)
-            cycles.append(SymbolicCycle.from_word(
-                self.matrix, self.graph.walk_to_word(self.cover + pad)))
-            if cycles[-1].primitive_period == n:
-                return cycles[-1]
-        return cycles[0]  # flagged by caller
+def _residue_graph(succ: Sequence[Sequence[int]], c: int) -> list[list[int]]:
+    """The graph times Z/c: node v * c + r steps to w * c + r + 1 (mod c)."""
+    return [[w * c + (r + 1) % c for w in out] for out in succ for r in range(c)]
 
-    def exhaustive_witness(self, n: int, budget: list[int]
-                           ) -> tuple[SymbolicCycle | None, bool]:
-        """(witness or None, verdict_is_exhaustive); an exhausted budget or
-        an over-cap period count yields a non-exhaustive None."""
-        count = count_periodic_points(self.matrix, n)
-        if count > EXHAUSTIVE_CAP or count > budget[0]:
-            return None, False
-        budget[0] -= count
-        # at most count cycles, so the enumeration is never truncated
-        dense = [c for c in enumerate_cycles(self.matrix, n).cycles
-                 if self.m_words <= cyclic_factors(c.states, self.m)]
-        primitive = (c for c in dense if c.primitive_period == n)
-        return next(primitive, dense[0] if dense else None), True
 
-    def constructive_possible(self, n: int) -> bool:
-        return (self.cover is not None and len(self.cover) <= n <= self.n_max
-                and 0 in self.pads[n - len(self.cover)])
+def _cycle_walks(graph: _BlockGraph, c: int) -> list[tuple[int, int]]:
+    """(d, b) per residue class mod c of the cycle lengths of A: d is the
+    least length in the class, and b the block node starting the least
+    cyclic word of length d, so b has a closed d-step walk."""
+    matrix, k = graph.matrix, len(graph.nodes[0])
+    steps = _residue_graph(matrix.succ, c)
+    best: list = [None] * c
+    for s in range(matrix.size):
+        dist = _bfs_distances(steps, steps[s * c])  # the first step out of s is taken
+        for r, d in enumerate(dist[s * c:s * c + c]):
+            if d >= 0 and (best[r] is None or d + 1 < best[r][0]):
+                best[r] = (d + 1, s)
+    walks = []
+    for d, s in filter(None, best):
+        word = (s,) + tuple(_least_walk(matrix.succ, _step_layers(matrix.pred, s, d), s, d))
+        walks.append((d, graph.index[(word[:-1] * k)[:k]]))
+    return walks
+
+
+def _postman_flow(graph: _BlockGraph, excess: list[int]) -> Counter:
+    """Least integer flow x >= 0 on the block edges sending excess[v] more
+    units out of v than into it: successive shortest paths from a super
+    source (Dijkstra on reduced costs), along each tree path to a deficit."""
+    top = len(graph.succ)
+    excess, pot, x = list(excess), [0] * (top + 1), Counter()
+
+    def moves(u):
+        if u == top:
+            return [(pot[top] - pot[s], s, s) for s, e in enumerate(excess) if e > 0]
+        return ([(1 + pot[u] - pot[v], v, ((u, v), 1)) for v in graph.succ[u]]
+                + [(pot[u] - pot[w] - 1, w, ((w, u), -1)) for w in graph.pred[u] if x[w, u]])
+
+    while any(e > 0 for e in excess):
+        best = _least_costs(top, moves)
+        pot = [p + best[v][0] for v, p in enumerate(pot)]  # tree arcs now cost 0
+        for t in [v for v, e in enumerate(excess) if e < 0]:
+            *arcs, s = _labels(best, t)
+            amount = min([excess[s], -excess[t]] + [x[e] for e, sign in arcs if sign < 0])
+            for e, sign in arcs:
+                x[e] += sign * amount
+            excess[s] -= amount
+            excess[t] += amount
+    return x
+
+
+def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> list[Counter | None]:
+    """Per residue r mod c: a least flow x as in :func:`_postman_flow` with
+    |x| = r (mod c), or None.  A flow is a walk per unit plus closed walks,
+    so a search over (unmet deficits, residue) sends the units in a fixed
+    order, each along a least walk of some residue, and adds closed walks."""
+    units = [v for v, e in enumerate(excess) for _ in range(e)]
+    sinks = [v for v, e in enumerate(excess) if e < 0]
+    if c * math.prod(1 - excess[t] for t in sinks) > MAX_BLOCK_NODES:
+        raise BlockGraphTooLargeError(f"residue search over {len(sinks)} deficit nodes "
+                                      f"needs more than {MAX_BLOCK_NODES} states")
+    steps = _residue_graph(graph.succ, c)
+    reach = {s: _bfs_distances(steps, [s * c]) for s in set(units)}
+    loops = [(d, b) for d, b in _cycle_walks(graph, c) if d % c]
+
+    def moves(state):
+        unmet, r = state
+        for d, b in loops:
+            yield d, (unmet, (r + d) % c), (b, b, d)
+        if any(unmet):
+            s = units[len(units) - sum(unmet)]
+            for j, t in enumerate(sinks):
+                if unmet[j]:
+                    left = unmet[:j] + (unmet[j] - 1,) + unmet[j + 1:]
+                    for d in reach[s][t * c:t * c + c]:
+                        if d >= 0:
+                            yield d, (left, (r + d) % c), (s, t, d)
+
+    best = _least_costs((tuple(-excess[t] for t in sinks), 0), moves)
+    return _tours(graph, best, [((0,) * len(sinks), r) for r in range(c)])
+
+
+def _least_tours(graph: _BlockGraph, c: int) -> list[Counter | None]:
+    """The edge multisets of least dense closed walks, one per residue class
+    mod c of their lengths (None for a class without one)."""
+    if graph.m == 1:  # least closed walks from node 0 through every node
+        size = len(graph.succ)
+        if 2 ** size > MAX_BLOCK_NODES:
+            raise BlockGraphTooLargeError(
+                f"m = 1 needs 2^{size} visited-symbol sets > {MAX_BLOCK_NODES}")
+        best = _least_costs((1, 0, 0), lambda state: (
+            (1, (state[0] | 1 << v, v, (state[2] + 1) % c), (state[1], v, 1))
+            for v in graph.succ[state[1]]))
+        return _tours(graph, best, [((1 << size) - 1, 0, r) for r in range(c)])
+    ones = Counter((u, v) for u, out in enumerate(graph.succ) for v in out)
+    excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
+    flows = [_postman_flow(graph, excess)] if c == 1 else _residue_flows(graph, excess, c)
+    return [x if x is None else ones + x for x in flows]
+
+
+def _euler_circuit(edges: Counter) -> list[int]:
+    """Hierholzer's closed walk through every edge of a connected balanced
+    multigraph, from node 0, least successor first (the final 0 left off)."""
+    out: dict[int, list[int]] = {}
+    for (u, v), k in sorted(edges.items(), reverse=True):
+        out.setdefault(u, []).extend([v] * k)
+    stack, circuit = [0], []
+    while stack:
+        if out.get(stack[-1]):
+            stack.append(out[stack[-1]].pop())
+        else:
+            circuit.append(stack.pop())
+    return circuit[:0:-1]
 
 
 def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: int
                               ) -> DensePeriodsCertificate | DensePeriodsRefutation:
-    """Certify or refute that every period n in some window [N0, n_max]
-    admits an epsilon-dense point of Fix(sigma^n).
-
-    Periods are scanned over [2, n_max].  The certificate reports the
-    smallest N0 found whose whole suffix [N0, n_max] is witnessed: the
-    splice-and-pad construction settles most periods, and an exhaustive
-    search (budgeted, deterministic) extends the suffix downward until a
-    period genuinely fails or becomes too expensive to enumerate.  The
-    suffix must contain at least two consecutive witnessed periods: dense
-    cycles of coprime lengths force a primitive matrix, which in turn
-    guarantees witnesses beyond the horizon, so a lone witnessed period at
-    n_max is no certificate.  A refutation reports the smallest period
-    excluded by proof: n = 2 at once when the block graph is not strongly
-    connected (no period has a dense cycle), else the first period that
-    exhaustive search excludes.  A primitive matrix without a witnessed
-    suffix (for one, a covering cycle longer than n_max) raises
-    :class:`HorizonTooSmallError` instead.
-    """
+    """Exact verdict (see the module docstring); a certificate builds its
+    witnesses for n in [N0, n_max] on access.  Raises ``ValueError`` unless
+    0 < epsilon < 1 and n_max >= 2, :class:`HorizonTooSmallError` if
+    N0 > n_max, and :class:`BlockGraphTooLargeError`."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    eng = _Engine(matrix, epsilon, n_max)
-    if eng.cover is None and eng.m >= 1:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
+    graph = _BlockGraph(matrix, word_radius(epsilon))
+    if min(_bfs_distances(graph.succ, [0]) + _bfs_distances(graph.pred, [0])) < 0:
         # every block node has an in- and an out-edge (A is essential), so no
-        # closed walk covers them all; at m = 0 every cycle is dense
-        return DensePeriodsRefutation(eng.epsilon, 2, True, n_max, reason=(
+        # closed walk covers them all
+        return DensePeriodsRefutation(epsilon, 2, True, n_max, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
-    if eng.cover is not None and len(eng.cover) > n_max and is_primitive(matrix):
-        raise HorizonTooSmallError(
-            f"covering cycle needs length {len(eng.cover)} > n_max = {n_max}")
+    [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
+    tours = {sum(t.values()) % c: t for t in _least_tours(graph, c) if t is not None}
+    least = {r: sum(t.values()) for r, t in tours.items()}
+    if len(least) < c:
+        n = next(n for n in range(2, c + 2) if n < least.get(n % c, math.inf))
+        return DensePeriodsRefutation(epsilon, n, True, n_max, reason=(
+            f"dense cycle lengths miss a residue class mod {c}; {n} is the least excluded"))
+    N0 = max(2, max(least.values()) - c + 1)
+    if N0 > n_max:
+        raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")
+    stretch = graph.walk_edges(b, b, c)
 
-    budget = [EXHAUSTIVE_BUDGET]
-    cache: dict[int, SymbolicCycle] = {}
-    n = n_max
-    while n >= 2:
-        if not eng.constructive_possible(n):  # else constructible on demand
-            cyc, _ = eng.exhaustive_witness(n, budget)
-            if cyc is None:
-                break
-            cache[n] = cyc
-        n -= 1
-    N0 = n + 1
+    def build(n: int) -> SymbolicCycle:
+        edges = tours[n % c].copy()
+        for e in stretch:
+            edges[e] += (n - least[n % c]) // c
+        return SymbolicCycle.from_word(
+            matrix, tuple(graph.nodes[v][0] for v in _euler_circuit(edges)))
 
-    if N0 <= n_max - 1:
-        def build(k: int, _eng=eng) -> SymbolicCycle:
-            cyc = _eng.constructive_witness(k)
-            if cyc is None:
-                raise RuntimeError(f"witness for period {k} vanished; engine bug")
-            return cyc
-        return DensePeriodsCertificate(
-            epsilon=eng.epsilon, word_length=eng.m, N0=N0, n_max=n_max,
-            witnesses=WitnessMap(N0, n_max, build, cache))
-
-    # no witnessed suffix: a primitive matrix has witnesses at every large
-    # period, so only a longer horizon can show them
-    if is_primitive(matrix):
-        raise HorizonTooSmallError(
-            f"no two consecutive witnessed periods up to n_max = {n_max}")
-
-    # hunt for the smallest exhaustively excluded period
-    budget = [EXHAUSTIVE_BUDGET]
-    first_unknown = None
-    for k in range(2, n_max + 1):
-        cyc, exhaustive = eng.exhaustive_witness(k, budget)
-        if cyc is None and exhaustive:
-            return DensePeriodsRefutation(eng.epsilon, k, True, n_max,
-                                          reason="exhaustive search found no dense cycle")
-        if cyc is None and first_unknown is None:
-            first_unknown = k
-    return DensePeriodsRefutation(eng.epsilon, first_unknown or n_max, False, n_max,
-                                  reason="no witnessed suffix and no exhaustive exclusion")
+    return DensePeriodsCertificate(epsilon=epsilon, word_length=graph.m, N0=N0,
+                                   n_max=n_max, witnesses=WitnessMap(N0, n_max, build))
 
 
 def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle,
@@ -366,7 +365,7 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
 
     return DensePeriodsCertificate(
         epsilon=result.epsilon, word_length=result.word_length, N0=result.N0,
-        n_max=result.n_max, witnesses=WitnessMap(result.N0, result.n_max, build, {}),
+        n_max=result.n_max, witnesses=WitnessMap(result.N0, result.n_max, build),
         component=order)
 
 

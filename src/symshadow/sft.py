@@ -205,20 +205,17 @@ def _step_layers(adjacency: Sequence[Sequence[int]], start: int, steps: int
 
 
 def _least_walk(succ: Sequence[Sequence[int]], ending_layers: list[set[int]], start: int,
-                steps: int, variant: int = 0) -> list[int] | None:
+                steps: int) -> list[int] | None:
     """Least walk of exactly ``steps`` steps from ``start`` to the target
     whose backward ``_step_layers`` are ``ending_layers``, as the nodes
     after ``start``; None if there is none.  Each step takes the smallest
-    successor that can still reach the target in the steps that remain;
-    ``variant`` instead takes the variant-th smallest (capped at the
-    largest) on the first step."""
+    successor that can still reach the target in the steps that remain."""
     if steps >= len(ending_layers) or start not in ending_layers[steps]:
         return None
     walk = []
     cur = start
     for r in range(steps - 1, -1, -1):
-        options = sorted(v for v in succ[cur] if v in ending_layers[r])
-        cur = options[min(variant, len(options) - 1)] if r == steps - 1 else options[0]
+        cur = min(v for v in succ[cur] if v in ending_layers[r])
         walk.append(cur)
     return walk
 

@@ -85,6 +85,14 @@ def test_lpp_horizon_too_small_exit_3(files, tmp_path):
                  "--out", files["out"]]) == 3
 
 
+def test_lpp_epsilon_one_exit_2(files, capsys):
+    # at epsilon = 1 every cycle is dense: there is no verdict to give
+    assert main(["lpp", files["golden"], "--epsilon", "1", "--n-max", "30",
+                 "--out", files["out"]]) == 2
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_lpp_block_graph_too_large_exit_3(files, capsys):
     # epsilon = 1e-6 is m = 20: 2^19 block nodes, refused before the graph is built
     assert main(["lpp", str(DATA / "full_2_shift.json"), "--epsilon", "1e-6",

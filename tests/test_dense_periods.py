@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -10,8 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow.dense_periods import (EXHAUSTIVE_BUDGET, MAX_BLOCK_NODES,
-                                     BlockGraphTooLargeError,
+from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
@@ -20,10 +21,10 @@ from symshadow.dense_periods import (EXHAUSTIVE_BUDGET, MAX_BLOCK_NODES,
                                      homoclinic_restricted_certificate,
                                      is_dense_cycle,
                                      verify_mixing_from_certificate, _BlockGraph,
-                                     _ball_word, _covering_walk, _Engine)
+                                     _ball_word)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
                            TransitionMatrix, count_periodic_points,
-                           is_irreducible, is_primitive, _bfs_distances)
+                           is_irreducible, is_primitive)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -98,19 +99,20 @@ def test_horizon_too_small_error():
 
 
 def test_primitive_matrix_with_a_cover_of_exactly_n_max_is_never_refuted():
-    # the covering walk is 80 long: at n_max = 80 only n = 80 is constructible,
-    # and a lone witnessed period once drew an "exhaustive" refutation at n = 2
+    # every period from N0 = 77 on is dense: at n_max = 77 only n = 77 is in
+    # the window, which is still a certificate, never a refutation
     matrix = TransitionMatrix([[1, 1, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 0, 1],
                                [1, 1, 1, 0, 1], [0, 1, 0, 1, 1]])
     assert is_primitive(matrix)
-    with pytest.raises(HorizonTooSmallError):
-        dense_periods_certificate(matrix, 1 / 8, 80)
-    cert = dense_periods_certificate(matrix, 1 / 8, 81)
-    assert isinstance(cert, DensePeriodsCertificate) and cert.N0 == 80
+    with pytest.raises(HorizonTooSmallError, match="N0 = 77 > n_max = 76"):
+        dense_periods_certificate(matrix, 1 / 8, 76)
+    cert = dense_periods_certificate(matrix, 1 / 8, 77)
+    assert isinstance(cert, DensePeriodsCertificate) and cert.N0 == 77
+    assert list(cert.witnesses) == [77]
     [report] = verify_mixing_from_certificate(matrix, cert, [((2, 0), (2,))])
     assert report.verified_all
     # a coarser certificate whose internal fine certificate hits the same horizon
-    coarse = dense_periods_certificate(matrix, 1 / 4, 80)
+    coarse = dense_periods_certificate(matrix, 1 / 4, 76)
     with pytest.raises(HorizonTooSmallError):
         verify_mixing_from_certificate(matrix, coarse, [((2, 0), (2,))])
 
@@ -158,7 +160,7 @@ def test_certificates_are_pinned():
                 result = "horizon too small"
             digest.update(json.dumps(result, sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "c61f3794592fe8db364e1c061d32d3e73d10b1d04aa348745d335996cbfc929c"
+        "f4a05168f08abc993ddd32243208c5d28b8933d0c7ed74ffdc30006d8db4d5ab"
 
 
 def test_block_graph_size_guard():
@@ -174,61 +176,172 @@ def test_block_graph_size_guard():
         _BlockGraph(GOLDEN, 17)
 
 
-# -- structural refutation -----------------------------------------------------
+def test_search_size_guards():
+    # m = 1 visits every symbol: 2^11 visited sets fit, 2^12 do not
+    for size, fits in ((11, True), (12, False)):
+        cycle = TransitionMatrix([[int(j in (i, (i + 1) % size)) for j in range(size)]
+                                  for i in range(size)])
+        if fits:
+            assert dense_periods_certificate(cycle, 0.5, 100).N0 == size
+        else:
+            with pytest.raises(BlockGraphTooLargeError, match="2\\^12 visited"):
+                dense_periods_certificate(cycle, 0.5, 100)
+    # a loop-free block graph: the residue search table is the girth 2 times
+    # the product of (deficit + 1) over the deficit nodes
+    star = TransitionMatrix([[0] + [1] * 5] + [[1, 0, 0, 0, 0, 0]] * 5)
+    assert isinstance(dense_periods_certificate(star, 0.25, 100), DensePeriodsRefutation)
+    # at m = 3 the five 2-words x0 each lack 4 in-edges: 2 * 5^5 states
+    with pytest.raises(BlockGraphTooLargeError, match="residue search over 5 deficit"):
+        dense_periods_certificate(star, 0.125, 100)
 
 
-def scan_and_hunt(matrix, epsilon, n_max):
-    """Oracle: the verdict flow without the structural refutation (the
-    downward scan, then the upward hunt for an exhaustive exclusion).
-    Returns ("certificate", N0) or ("refutation", blocking_n, exhaustive)."""
-    eng = _Engine(matrix, epsilon, n_max)
-    if eng.cover is not None and len(eng.cover) > n_max and is_primitive(matrix):
-        raise HorizonTooSmallError(
-            f"covering cycle needs length {len(eng.cover)} > n_max = {n_max}")
-
-    budget = [EXHAUSTIVE_BUDGET]
-    n = n_max
-    while n >= 2:
-        if eng.constructive_possible(n):
-            n -= 1  # witness constructible on demand
-            continue
-        cyc, _ = eng.exhaustive_witness(n, budget)
-        if cyc is None:
-            break
-        n -= 1
-    N0 = n + 1
-
-    if N0 <= n_max - 1:
-        return ("certificate", N0)
-
-    if is_primitive(matrix):
-        raise HorizonTooSmallError(
-            f"no two consecutive witnessed periods up to n_max = {n_max}")
-
-    budget = [EXHAUSTIVE_BUDGET]
-    first_unknown = None
-    for k in range(2, n_max + 1):
-        cyc, exhaustive = eng.exhaustive_witness(k, budget)
-        if cyc is None and exhaustive:
-            return ("refutation", k, True)
-        if cyc is None and first_unknown is None:
-            first_unknown = k
-    return ("refutation", first_unknown or n_max, False)
+def test_epsilon_one_is_rejected():
+    # at epsilon = 1 (m = 0) every cycle is dense, so there is nothing to certify
+    for rows in ([[1, 1], [0, 1]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+        for epsilon in (1.0, 1.5):
+            with pytest.raises(ValueError, match="epsilon must lie in"):
+                dense_periods_certificate(TransitionMatrix(rows), epsilon, 30)
 
 
-def outcome(flow, matrix, epsilon, n_max):
-    try:
-        return flow(matrix, epsilon, n_max)
-    except HorizonTooSmallError:
-        return "horizon too small"
+# -- exactness against an independent walk search --------------------------------
 
 
-def verdict(result):
+def brute_words(rows, length):
+    return [w for w in product(range(len(rows)), repeat=length)
+            if all(rows[a][b] for a, b in zip(w, w[1:]))]
+
+
+def dense_lengths(rows, m, top):
+    """Oracle: the n in [1, top] with an admissible cyclic n-word containing
+    every m-word, by a search over closed walks from the least node of the
+    graph of (m-1)-words (symbols at m = 1).  The state after each step is
+    the last node and the set of m-words (symbols at m = 1) covered; the
+    states are memoized per step, so memory stays at one step's states,
+    and a state with more uncovered m-words than steps left is dropped."""
+    k = max(m - 1, 1)
+    targets = {w: i for i, w in enumerate(brute_words(rows, m))}
+    full = (1 << len(targets)) - 1
+    start = brute_words(rows, k)[0]
+    states, lengths = {(start, 0)}, set()
+    for n in range(1, top + 1):
+        states = {((node + (t,))[-k:], covered | 1 << targets[(node + (t,))[-m:]])
+                  for node, covered in states for t in range(len(rows)) if rows[node[-1]][t]}
+        states = {(node, covered) for node, covered in states
+                  if len(targets) - bin(covered).count("1") <= top - n}
+        if (start, full) in states:
+            lengths.add(n)
+    return lengths
+
+
+def girth(rows):
+    a = np.array(rows, dtype=np.int64)
+    return next(k for k in range(1, len(rows) + 1)
+                if np.trace(np.linalg.matrix_power(a, k)) > 0)
+
+
+STRUCTURAL = "block graph not strongly connected: no closed walk covers every m-word"
+
+
+def check_against_walk_search(rows, m):
+    """Every N0 and blocking_n is exact: N0 - 1 is excluded, N0 ... N0 + c
+    are dense (c the girth: the dense lengths are closed under adding it);
+    a refutation excludes blocking_n and no 2 <= n < blocking_n.  Returns
+    False for a block graph over 16 edges, whose search is too large."""
+    if m >= 2 and len(brute_words(rows, m)) > 16:
+        return False
+    matrix = TransitionMatrix(rows)
+    result = dense_periods_certificate(matrix, 2.0 ** -m, 400)
     if isinstance(result, DensePeriodsCertificate):
-        return ("certificate", result.N0)
-    if isinstance(result, DensePeriodsRefutation):
-        return ("refutation", result.blocking_n, result.exhaustive)
-    return result
+        c = girth(rows)
+        dense = dense_lengths(rows, m, result.N0 + c)
+        assert result.N0 == 2 or result.N0 - 1 not in dense
+        assert set(range(result.N0, result.N0 + c + 1)) <= dense
+        for n in range(result.N0, min(result.N0 + c, 400) + 1):
+            witness = result.witnesses[n]
+            assert len(witness.states) == n and matrix.is_admissible_cycle(witness.states)
+            assert scanner_contains_all_words(matrix, witness.states, m)
+        assert is_primitive(matrix)
+    else:
+        assert result.exhaustive is True and not is_primitive(matrix)
+        dense = dense_lengths(rows, m, result.blocking_n)
+        assert result.blocking_n not in dense
+        assert set(range(2, result.blocking_n)) <= dense
+        assert (result.reason == STRUCTURAL) == (not is_irreducible(matrix))
+    return True
+
+
+def test_verdicts_match_walk_search_on_all_small_matrices():
+    checked = 0
+    for size in (1, 2, 3):
+        for bits in product((0, 1), repeat=size * size):
+            rows = [bits[i * size:(i + 1) * size] for i in range(size)]
+            try:
+                TransitionMatrix(rows)
+            except NonEssentialMatrixError:
+                continue
+            checked += sum(check_against_walk_search(rows, m) for m in (1, 2, 3))
+    assert checked == 791  # of 3 * 273 (matrix, m) pairs; 28 have over 16 edges
+
+
+@given(st.integers(4, 5), st.sampled_from([0.3, 0.4, 0.55]), st.integers(0, 10**9))
+def test_verdicts_match_walk_search_on_random_matrices(size, density, seed):
+    matrix = random_essential(random.Random(seed), size, density)
+    for m in (1, 2, 3):
+        check_against_walk_search([list(r) for r in matrix.rows], m)
+
+
+def postman_length(rows, m):
+    """Oracle for a loop: E plus the least total of shortest-path lengths
+    over the pairings of surplus units (in-degree above out-degree) with
+    deficit units of the graph of (m-1)-words, by a DP over the sets of
+    deficit units taken; None past 14 units."""
+    edges = brute_words(rows, m)
+    out, balance = {}, {}
+    for w in edges:
+        out.setdefault(w[:-1], []).append(w[1:])
+        balance[w[1:]] = balance.get(w[1:], 0) + 1
+        balance[w[:-1]] = balance.get(w[:-1], 0) - 1
+    units = [v for v, b in sorted(balance.items()) for _ in range(b)]
+    sinks = [v for v, b in sorted(balance.items()) for _ in range(-b)]
+    if len(units) > 14:
+        return None
+    dist = {}
+    for s in set(units):
+        dist[s], queue = {s: 0}, deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in out[u]:
+                if v not in dist[s]:
+                    dist[s][v] = dist[s][u] + 1
+                    queue.append(v)
+    least = [0] + [math.inf] * ((1 << len(sinks)) - 1)
+    for taken in sorted(range(1 << len(sinks)), key=lambda b: bin(b).count("1"))[:-1]:
+        s = units[bin(taken).count("1")]  # the units go out in a fixed order
+        for j, t in enumerate(sinks):
+            if not taken >> j & 1:
+                more = taken | 1 << j
+                least[more] = min(least[more], least[taken] + dist[s][t])
+    return len(edges) + least[-1]
+
+
+def test_postman_length_matches_assignment_oracle():
+    rng = random.Random(1973)
+    cases = [(GOLDEN, m) for m in range(2, 10)]
+    while len(cases) < 120:
+        matrix = random_essential(rng, rng.randint(2, 5), rng.choice([0.4, 0.55, 0.7]))
+        if is_primitive(matrix) and any(matrix.rows[i][i] for i in range(matrix.size)):
+            cases += [(matrix, m) for m in (2, 3, 4, 5)]
+    checked = 0
+    for matrix, m in cases:
+        try:
+            cert = dense_periods_certificate(matrix, 2.0 ** -m, 10**6)
+        except BlockGraphTooLargeError:
+            continue
+        length = postman_length([list(r) for r in matrix.rows], m)
+        if length is not None:
+            assert cert.N0 == max(2, length)
+            checked += 1
+    assert checked > 90
 
 
 def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):
@@ -238,32 +351,6 @@ def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):
                     scanner_contains_all_words(matrix, word, m):
                 return False
     return True
-
-
-STRUCTURAL = "block graph not strongly connected: no closed walk covers every m-word"
-
-
-def test_structural_refutation_matches_scan_and_hunt_on_all_small_matrices():
-    # every essential matrix on at most 3 states; epsilon = 1 (m = 0) keeps
-    # the old flow, since there every cycle is dense
-    structural = 0
-    for size in (1, 2, 3):
-        for bits in product((0, 1), repeat=size * size):
-            try:
-                matrix = TransitionMatrix([bits[i * size:(i + 1) * size]
-                                           for i in range(size)])
-            except NonEssentialMatrixError:
-                continue
-            reducible = not is_irreducible(matrix)
-            if reducible:
-                assert no_dense_cyclic_word(matrix, 1)  # hence none for m >= 1
-            for epsilon in (1.0, 0.5, 0.25, 0.125):
-                result = outcome(dense_periods_certificate, matrix, epsilon, 16)
-                assert verdict(result) == outcome(scan_and_hunt, matrix, epsilon, 16)
-                proven = getattr(result, "reason", None) == STRUCTURAL
-                assert proven == (reducible and epsilon < 1)
-                structural += proven
-    assert structural == 3 * 124  # the reducible essential matrices on <= 3 states
 
 
 def block_reducible(rng, size):
@@ -279,13 +366,12 @@ def block_reducible(rng, size):
 
 
 @given(st.integers(4, 6), st.integers(0, 10**9))
-def test_structural_refutation_matches_scan_and_hunt_on_reducible(size, seed):
+def test_structural_refutation_on_reducible(size, seed):
     matrix = block_reducible(random.Random(seed), size)
     assert not is_irreducible(matrix)
     for epsilon in (0.5, 0.25, 0.125):
         result = dense_periods_certificate(matrix, epsilon, 40)
-        assert verdict(result) == ("refutation", 2, True) == \
-            scan_and_hunt(matrix, epsilon, 40)
+        assert (result.blocking_n, result.exhaustive) == (2, True)
         assert result.reason == STRUCTURAL
     assert no_dense_cyclic_word(matrix, 1, range(2, 7))
 
@@ -295,75 +381,13 @@ def test_each_refutation_path_states_its_reason():
     structural = dense_periods_certificate(two_loops, 0.5, 30)
     assert (structural.blocking_n, structural.exhaustive) == (2, True)
     assert structural.reason == STRUCTURAL
-    # PARITY's block graph is strongly connected: Fix(sigma^3) is empty
-    exhaustive = dense_periods_certificate(PARITY, 0.5, 20)
-    assert (exhaustive.blocking_n, exhaustive.exhaustive) == (3, True)
-    assert exhaustive.reason == "exhaustive search found no dense cycle"
-    # at n_max = 2 only the period-2 witness 01 exists: no suffix, no exclusion
-    inconclusive = dense_periods_certificate(PARITY, 0.5, 2)
-    assert (inconclusive.blocking_n, inconclusive.exhaustive) == (2, False)
-    assert inconclusive.reason == "no witnessed suffix and no exhaustive exclusion"
-
-
-# -- covering walk -------------------------------------------------------------
-
-
-def all_pairs_covering_walk(graph):
-    """The greedy covering walk from an all-pairs BFS table: head for the
-    uncovered edge (u, v) least by (dist[cur][u], u, v), stepping to the
-    least successor one step closer."""
-    succ = graph.succ
-    dist = [_bfs_distances(succ, [s]) for s in range(len(succ))]
-    base = 0
-    if min(dist[base]) < 0 or any(row[base] < 0 for row in dist):
-        return None
-
-    walk = [base]
-
-    def go_to(target):
-        cur = walk[-1]
-        while cur != target:
-            cur = min(v for v in succ[cur] if dist[v][target] == dist[cur][target] - 1)
-            walk.append(cur)
-
-    if graph.cover_edges:
-        uncovered = {(i, j) for i in range(len(succ)) for j in succ[i]}
-        while uncovered:
-            cur, walked = walk[-1], len(walk)
-            u, v = min(uncovered, key=lambda e: (dist[cur][e[0]], e[0], e[1]))
-            go_to(u)
-            walk.append(v)
-            uncovered.difference_update(zip(walk[walked - 1:], walk[walked:]))
-    else:
-        for target in range(len(succ)):
-            if target not in walk:
-                go_to(target)
-    go_to(base)
-    return walk[1:]
-
-
-def test_covering_walk_matches_all_pairs_greedy():
-    rng = random.Random(1992)
-    graphs = [_BlockGraph(FULL2, m) for m in range(1, 9)]
-    graphs += [_BlockGraph(GOLDEN, m) for m in range(1, 11)]
-    graphs += [_BlockGraph(random_essential(rng, rng.randint(1, 6),
-                                            rng.choice([0.35, 0.5, 0.65])),
-                           rng.randint(1, 5)) for _ in range(150)]
-    closed = 0
-    for graph in graphs:
-        walk = _covering_walk(graph)
-        assert walk == all_pairs_covering_walk(graph)
-        if walk is None:
-            continue
-        closed += 1
-        steps = list(zip([0] + walk, walk))  # empty for a one-node cover at m = 1
-        assert (walk or [0])[-1] == 0 and all(b in graph.succ[a] for a, b in steps)
-        if graph.cover_edges:
-            assert set(steps) == {(i, j) for i in range(len(graph.nodes))
-                                  for j in graph.succ[i]}
-        else:
-            assert set([0] + walk) == set(range(len(graph.nodes)))
-    assert closed > 100
+    # PARITY's block graph is strongly connected, but every dense cycle has
+    # even length; the exclusion holds whatever n_max is
+    for n_max in (20, 2):
+        residue = dense_periods_certificate(PARITY, 0.5, n_max)
+        assert (residue.blocking_n, residue.exhaustive) == (3, True)
+        assert residue.reason == "dense cycle lengths miss a residue class mod 2; " \
+            "3 is the least excluded"
 
 
 # -- component restriction ----------------------------------------------------
