@@ -144,7 +144,8 @@ class _BlockGraph:
         self.m = m
         k = max(m - 1, 1)
         # the admissible k-words are counted by the entries of A^(k-1)
-        count = sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], k - 1)))
+        count = (matrix.size if k == 1 else
+                 sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], k - 1))))
         if count > MAX_BLOCK_NODES:
             raise BlockGraphTooLargeError(
                 f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
@@ -323,7 +324,11 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
         # closed walk covers them all
         return DensePeriodsRefutation(epsilon, 2, True, n_max, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
-    [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
+    loops = [s for s in range(matrix.size) if matrix.rows[s][s]]
+    if loops:  # girth 1: the least looped symbol spells a girth cycle
+        c, b = 1, graph.index[(loops[0],) * len(graph.nodes[0])]
+    else:
+        [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
     tours = {sum(t.values()) % c: t for t in _least_tours(graph, c) if t is not None}
     least = {r: sum(t.values()) for r, t in tours.items()}
     if len(least) < c:

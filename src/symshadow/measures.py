@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -380,19 +378,39 @@ def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[in
     return [(word, weight) for word, weight in orbits.values()]
 
 
-def _cyclic_word_distance(target, word: tuple[int, ...], family: TestFamily) -> float:
+def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
+                           family: TestFamily) -> list[float]:
     """weak_star_distance(target, cycle_measure(matrix, word), family) bit for bit
-    for a primitive cyclic word of length n: a cylinder's integral adds 1 / n,
-    the measure's float weight, once per rotation whose window starts with it."""
+    for each primitive cyclic word of length n: a cylinder's integral adds 1 / n,
+    the measure's float weight, once per rotation whose window starts with it.
+    The rotations of all words walk a trie of the family's words together, and
+    the discrepancies add up one observable at a time, in the float operations
+    of weak_star_distance."""
+    if not words:
+        return []
     if not all(isinstance(obs, CylinderObservable) for obs in family.observables):
         raise TypeError("cyclic words integrate cylinder observables only")
-    n, total = len(word), 0.0
-    lengths = {len(obs.word) for obs in family.observables}
-    windows = word * (max(lengths, default=0) // n + 2)
-    counts = Counter(windows[i:i + k] for k in lengths for i in range(n))
-    for weight, a, obs in zip(family.weights, target.integrals(family), family.observables):
-        total += weight * abs(a - sum([1 / n] * counts[obs.word]))
-    return total
+    node = {w: i for i, w in enumerate(dict.fromkeys(
+        [()] + [o.word[:k] for o in family.observables for k in range(1, len(o.word) + 1)]))}
+    # child[v, s] is the node of v + (s,); node len(node) holds the windows off the trie
+    child = np.full((len(node) + 1, 1 + max(s for w in [*words, *node] for s in w)), len(node))
+    for w in list(node)[1:]:
+        child[node[w[:-1]], w[-1]] = node[w]
+    n = np.array([len(w) for w in words])
+    owner, first = np.repeat(np.arange(len(n)), n), np.repeat(n.cumsum() - n, n)
+    flat, rotation, at = np.concatenate(words), np.arange(n.sum()) - first, np.zeros_like(owner)
+    counts = np.zeros(len(n) * len(child), dtype=int)
+    for k in range(max(map(len, node)) + 1):  # one bincount per window length k
+        counts += np.bincount(owner * len(child) + at, minlength=len(counts))
+        at = child[at, flat[first + (rotation + k) % n[owner]]]
+    counts = counts.reshape(len(n), -1)[:, [node[o.word] for o in family.observables]]
+    table = np.zeros((n.max() + 1, n.max() + 1))  # table[n, c] = sum([1 / n] * c)
+    for m in set(n.tolist()):
+        table[m, :m + 1] = [sum([1 / m] * c) for c in range(m + 1)]
+    total = np.zeros(len(n))
+    for weight, a, b in zip(family.weights, target.integrals(family), table[n, counts.T]):
+        total += weight * np.abs(a - b)
+    return total.tolist()
 
 
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
@@ -400,25 +418,24 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
     """((i, j, q), orbit, d) for the integer orbits of ``system.rational_orbits``,
     d the weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
     zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to sum_r c_r
-    zeta_q^r / n over its residue counts c_r, counted for <= 32 orbits at a time.
+    zeta_q^r / n over its residue counts c_r, counted for all orbits of a q at once.
     Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
     halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s."""
     if not all(isinstance(obs, FourierMode) for obs in family.observables):
         raise TypeError("torus orbits integrate Fourier modes only")
     modes = np.array([obs.k for obs in family.observables], dtype=int).reshape(-1, 2).T
     target_integrals = np.array(target.integrals(family), dtype=complex)
-    for (q, _), group in groupby(enumerate(system.rational_orbits(max_period, max_denominator)),
-                                 key=lambda item: (item[1][0][2], item[0] // 32)):
-        starts, orbits = zip(*(item for _, item in group))
-        counts = np.zeros((len(orbits), modes.shape[1], q))
-        owner = np.repeat(np.arange(len(orbits)), [len(orbit) for orbit in orbits])
-        residues = np.array([p for orbit in orbits for p in orbit]) @ modes % q
-        np.add.at(counts, (owner[:, None], np.arange(modes.shape[1]), residues), 1.0)
+    for q, points, orbits in system.rational_orbit_lattices(max_period, max_denominator):
+        owner = np.repeat(np.arange(len(orbits)), [len(orbit) for _, orbit in orbits])
+        cells = (owner[:, None] * modes.shape[1] + np.arange(modes.shape[1])) * q
+        counts = np.bincount((cells + points @ modes % q).ravel(),
+                             minlength=len(orbits) * modes.shape[1] * q)
+        counts = counts.reshape(len(orbits), -1, q).astype(float)
         mirror, zeta = counts[..., -np.arange(q) % q], np.exp(2j * np.pi * np.arange(q) / q)
         integrals = (np.einsum("...r,r", counts + mirror, zeta.real)
                      + 1j * np.einsum("...r,r", counts - mirror, zeta.imag)) / counts.sum(-1) / 2
         d = (np.array(family.weights) * np.abs(target_integrals - integrals)).sum(-1)
-        yield from zip(starts, orbits, d.tolist())
+        yield from ((start, orbit, dist) for (start, orbit), dist in zip(orbits, d.tolist()))
 
 
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
@@ -449,8 +466,9 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
             word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
             if matrix.is_admissible_cycle(word):
                 words.append((f"blocks x{reps}", word))
-        scored = [(_cyclic_word_distance(target, word[:n], family), n, desc, word)
-                  for desc, word in words for n in [_primitive_period(word)]]
+        candidates = [(desc, word, _primitive_period(word)) for desc, word in words]
+        distances = _cyclic_word_distances(target, [w[:n] for _, w, n in candidates], family)
+        scored = [(d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates)]
     elif isinstance(system, ToralAutomorphism):
         orbits = rational_orbit_distances(target, system, family, max_period, max_denominator)
         scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})", (q, orbit))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -99,6 +100,10 @@ def _coordinate_differences(queries: Sequence, points: Sequence, k: int) -> np.n
     """|x_k - y_k| for x in queries (rows) and y in points (columns)."""
     d = np.subtract.outer(_coordinate(queries, k), _coordinate(points, k))
     return np.abs(d, out=d)
+
+
+# lattice points per chunk of the rational orbit walk (a larger q goes alone)
+_CHUNK_POINTS = 1 << 20
 
 
 class ToralAutomorphism:
@@ -270,24 +275,48 @@ class ToralAutomorphism:
 
         Yields ((i, j, q), orbit), the orbit as integer pairs (u, v) for the
         points (u/q, v/q) and orbit[0] = (i, j): callers build Fractions only
-        for the orbits they keep.  A start point has exact order q and A is
-        invertible mod q, so no two lattices share an orbit, each q keeps its
-        own table of visited points, and a walk that meets one elsewhere than
-        at its start is on a longer orbit."""
+        for the orbits they keep.  A view over :meth:`rational_orbit_lattices`."""
+        for _, _, orbits in self.rational_orbit_lattices(max_period, max_denominator):
+            yield from orbits
+
+    def rational_orbit_lattices(self, max_period: int, max_denominator: int
+                                ) -> Iterator[tuple[int, np.ndarray, list]]:
+        """(q, points, orbits) per q: the ``rational_orbits`` of that q and
+        their (u, v) pairs stacked in one integer array.  One array walk covers
+        several q, in chunks of at most ``_CHUNK_POINTS`` lattice points (a
+        larger q goes alone): max_period steps of the index map (u, v) -> A(u, v)
+        mod q give each point of exact order q its period and the least point
+        (i, j) of its orbit, from which a short orbit is walked once."""
         (a, b), (c, d) = self.matrix
+        chunks: list[list[int]] = []
         for q in range(1, max_denominator + 1):
-            seen = bytearray(q * q)
-            for i in range(q):
-                for j in range(q):
-                    if math.gcd(i, j, q) != 1 or seen[i * q + j]:
-                        continue
-                    orbit, u, v = [], i, j
-                    while not seen[u * q + v] and len(orbit) <= max_period:
-                        orbit.append((u, v))
-                        seen[u * q + v] = 1
-                        u, v = (a * u + b * v) % q, (c * u + d * v) % q
-                    if (u, v) == (i, j) and len(orbit) <= max_period:
-                        yield (i, j, q), orbit
+            if not chunks or sum(p * p for p in chunks[-1]) + q * q > _CHUNK_POINTS:
+                chunks.append([])
+            chunks[-1].append(q)
+        for qs in map(np.array, chunks):
+            sizes = qs * qs
+            offset, modulus = np.repeat(sizes.cumsum() - sizes, sizes), np.repeat(qs, sizes)
+            u, v = divmod(np.arange(sizes.sum()) - offset, modulus)
+            image = offset + (a * u + b * v) % modulus * modulus + (c * u + d * v) % modulus
+            index = np.flatnonzero(np.gcd(np.gcd(u, v), modulus) == 1)
+            period, least, walk = np.zeros_like(index), index.copy(), index
+            for step in range(1, max_period + 1):
+                walk = image[walk]
+                np.minimum(least, walk, out=least)
+                period[(period == 0) & (walk == index)] = step
+            keep = (period > 0) & (least == index)
+            starts, period = index[keep], period[keep]
+            first, walk, flat = period.cumsum() - period, starts, np.empty(period.sum(), int)
+            for k in range(max_period):  # the short orbits flat, one entry per point
+                flat[first[period > k] + k] = walk[period > k]
+                walk = image[walk]
+            points = np.stack([u[flat], v[flat]], axis=1)
+            pairs = list(zip(*points.T.tolist()))
+            for q, group in groupby(zip(modulus[starts].tolist(), first.tolist(),
+                                        period.tolist()), key=lambda t: t[0]):
+                spans = [(f, f + n) for _, f, n in group]
+                yield q, points[spans[0][0]:spans[-1][1]], [(pairs[f] + (q,), pairs[f:e])
+                                                           for f, e in spans]
 
     # -- homoclinic orbit along the eigenlines ------------------------
 

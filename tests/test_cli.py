@@ -184,6 +184,14 @@ def test_approx_measure_target_must_fit_the_system_exit_2(files, capsys, target,
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("horizon", [["--max-period", "0"], ["--max-denominator", "0"]])
+def test_approx_measure_empty_torus_horizon_exit_2(files, capsys, horizon):
+    assert main(["approx-measure", files["lebesgue"], files["cat"], "--epsilon", "0.1",
+                 "--mode", "periodic", *horizon, "--out", files["out"]]) == 2
+    assert "no periodic candidates within the horizon" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_approx_measure_depth_below_one_exit_2(files, capsys, depth):
     # depth 0 made an empty test family: every distance 0.0, always "within epsilon"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from symshadow.measures import TestFamily as Family
 from symshadow.measures import (BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
-                                MarkovMeasure, _cyclic_word_distance,
+                                MarkovMeasure, _cyclic_word_distances,
                                 _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
@@ -493,23 +493,30 @@ def periodic_mix(matrix, parts):
     return FiniteSupportMeasure(atoms)
 
 
+def assert_cyclic_scores_bit_for_bit(target, matrix, words, family):
+    """Each batched score against the weak-* distance of the word's full
+    cycle measure."""
+    scores = _cyclic_word_distances(target, words, family)
+    assert [d.hex() for d in scores] == \
+        [weak_star_distance(target, cycle_measure(matrix, word), family).hex() for word in words]
+
+
 @pytest.mark.parametrize("matrix", [FULL2, GOLDEN], ids=["full2", "golden"])
 def test_cyclic_word_distances_equal_the_full_measure_scan_bit_for_bit(matrix):
     system = SftSystem(matrix)
     targets = [parry_measure(matrix), BernoulliProduct([0.3, 0.7]),
                periodic_mix(matrix, [((0,), Fraction(2, 5)), ((0, 0, 1), Fraction(3, 5))]),
                periodic_mix(matrix, [((0, 1), Fraction(1, 3)), ((0,), Fraction(2, 3))])]
-    cycles = [(c.states, cycle_measure(matrix, c.states)) for n in range(1, 13)
+    cycles = [c.states for n in range(1, 13)
               for c in enumerate_cycles(matrix, n).cycles if c.primitive_period == n]
     for target in targets:
         candidates = reference_candidates(target, system)
-        blocks = [(word, mu) for desc, word, mu in candidates if desc.startswith("blocks")]
+        blocks = [word[:len(mu.atoms)] for desc, word, mu in candidates
+                  if desc.startswith("blocks")]
         assert blocks or not isinstance(target, FiniteSupportMeasure)
         for depth in range(1, 5):
             family = cylinder_family(matrix, depth)
-            for word, mu in cycles + blocks:
-                d = _cyclic_word_distance(target, word[:len(mu.atoms)], family)
-                assert d.hex() == weak_star_distance(target, mu, family).hex()
+            assert_cyclic_scores_bit_for_bit(target, matrix, cycles + blocks, family)
             for prefer in ("distance", "shortest_within"):
                 for epsilon in (0.02, 0.1):
                     res = approximate_by_periodic(target, system, epsilon, family,
@@ -517,6 +524,31 @@ def test_cyclic_word_distances_equal_the_full_measure_scan_bit_for_bit(matrix):
                     assert_same_result(res, reference_pick(target, candidates, epsilon,
                                                            family, prefer))
                     assert res.distance == weak_star_distance(target, res.measure, family)
+
+
+def test_cyclic_word_distances_at_the_edges_bit_for_bit():
+    target = periodic_mix(FULL2, [((0, 1), Fraction(1, 3)), ((0,), Fraction(2, 3))])
+    assert _cyclic_word_distances(target, [], FAM3) == []
+    # one candidate; period-1 words; words shorter than the depth wrap more than once
+    for words in ([(0, 1, 1)], [(0,), (1,)], [(0, 1), (1,), (0, 0, 1)]):
+        for depth in (1, 3, 5, 7):
+            assert_cyclic_scores_bit_for_bit(target, FULL2, words,
+                                             cylinder_family(FULL2, depth))
+    # symbols the family never mentions
+    full3 = TransitionMatrix.full_shift(3)
+    words = [(2,), (0, 2), (1, 2, 2), (0, 1, 2), (0, 0, 1)]
+    for depth in (1, 2, 3):
+        assert_cyclic_scores_bit_for_bit(BernoulliProduct([0.2, 0.3, 0.5]), full3, words,
+                                         cylinder_family(FULL2, depth))
+    # the empty cylinder integrates to sum([1 / n] * n), as the full measure sums it
+    empty = Family((CylinderObservable(()), CylinderObservable((0,)), CylinderObservable(())),
+                   (0.5, 0.25, 0.125), "with the empty cylinder")
+    words = [c.states for n in range(1, 11) for c in enumerate_cycles(FULL2, n).cycles
+             if c.primitive_period == n]
+    assert_cyclic_scores_bit_for_bit(target, FULL2, words, empty)
+    assert_cyclic_scores_bit_for_bit(parry_measure(FULL2), FULL2, words, empty)
+    with pytest.raises(TypeError):
+        _cyclic_word_distances(target, [(0, 1)], fourier_family(1))
 
 
 TORUS_HORIZONS = [(6, 12), (12, 20), (20, 33), (30, 40)]

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symshadow import systems
 from symshadow.homoclinic import compute_excursion_parameters
+from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_family
 from symshadow.sft import TransitionMatrix
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
@@ -92,17 +94,43 @@ def fraction_orbit_scan(system, max_period, max_denominator):
                     yield (i, j, q), orbit
 
 
-@pytest.mark.parametrize("system", [CAT, ToralAutomorphism([[1, 1], [1, 0]])],
-                         ids=["cat", "det_minus_one"])
-@pytest.mark.parametrize("max_period, max_denominator", [(1, 5), (3, 8), (6, 12), (10, 15)])
+@pytest.mark.parametrize("system", [CAT, ToralAutomorphism([[1, 1], [1, 0]]),
+                                    ToralAutomorphism([[-2, 1], [1, -1]])],
+                         ids=["cat", "det_minus_one", "negative_entries"])
+@pytest.mark.parametrize("max_period, max_denominator",
+                         [(0, 0), (0, 1), (1, 0), (1, 1), (1, 5), (3, 8), (6, 12), (10, 15)])
 def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denominator):
-    assert all(type(x) is int and 0 <= x < q for (_, _, q), orbit
-               in system.rational_orbits(max_period, max_denominator) for p in orbit for x in p)
+    assert all(type(x) is int and 0 <= x < q for (i, j, q), orbit
+               in system.rational_orbits(max_period, max_denominator)
+               for p in [(i, j), *orbit] for x in p)
     found = fraction_orbits(system, max_period, max_denominator)
     expected = list(fraction_orbit_scan(system, max_period, max_denominator))
     assert found == expected
     assert [tuple(map(repr, p)) for _, orbit in found for p in orbit] == \
         [tuple(map(repr, p)) for _, orbit in expected for p in orbit]
+
+
+def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
+    one_chunk = list(CAT.rational_orbits(12, 20))
+    lattices = [(q, points.tolist(), orbits) for q, points, orbits
+                in CAT.rational_orbit_lattices(12, 20)]
+    # chunks of at most 40 points: q <= 4 share chunks, every larger q goes alone
+    monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
+    assert list(CAT.rational_orbits(12, 20)) == one_chunk
+    assert [(q, points.tolist(), orbits) for q, points, orbits
+            in CAT.rational_orbit_lattices(12, 20)] == lattices
+    assert all(points == [list(p) for _, orbit in orbits for p in orbit]
+               for _, points, orbits in lattices)
+    assert fraction_orbits(CAT, 12, 20) == list(fraction_orbit_scan(CAT, 12, 20))
+
+
+@pytest.mark.parametrize("max_period, max_denominator", [(0, 0), (0, 1), (1, 0)])
+def test_an_empty_torus_horizon_has_no_periodic_candidates(max_period, max_denominator):
+    family = fourier_family(2)
+    assert list(CAT.rational_orbits(max_period, max_denominator)) == []
+    with pytest.raises(ValueError, match="no periodic candidates within the horizon"):
+        approximate_by_periodic(LebesgueTorus(), CAT, 0.05, family,
+                                max_period=max_period, max_denominator=max_denominator)
 
 
 @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[3, 2], [1, 1]],
