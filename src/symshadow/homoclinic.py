@@ -21,7 +21,7 @@ tau*l*tau margin for the all-the-way-around case, every n >= N0 =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Any, Sequence
 
@@ -113,20 +113,33 @@ class ExcursionParameters:
     N0: int        # (L + tau*l) * tau, valid for every residue of n mod tau
 
 
-@dataclass
+@dataclass(frozen=True)
 class PseudoOrbit:
-    """Cyclic point sequence with per-step defect d(f(x_i), x_{i+1}).
+    """Cyclic point sequence of ``system``; its period n = len(points), defect
+    max_i d(f(x_i), x_{i+1 mod n}) and exact period (no smaller cyclic
+    period) are read off the points once, at construction.
 
     ``jump_indices`` are the steps i at which the construction jumped;
     every other step is an exact application of the map.
     """
 
-    points: list
-    period: int
-    defect: float
+    system: Any
+    points: tuple
     jump_indices: tuple[int, ...] = ()
-    system: Any = None
-    exact_period: bool = True
+    period: int = field(init=False)
+    defect: float = field(init=False)
+    exact_period: bool = field(init=False)
+
+    def __post_init__(self):
+        system, pts = self.system, tuple(self.points)
+        if not pts:
+            raise ValueError("empty pseudo-orbit: the point sequence is empty")
+        defect = max(system.distance(system.apply(x), y)
+                     for x, y in zip(pts, pts[1:] + pts[:1]))
+        for name, value in (("points", pts), ("jump_indices", tuple(self.jump_indices)),
+                            ("period", len(pts)), ("defect", defect),
+                            ("exact_period", cyclic_period(system, pts) == len(pts))):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {"points": [encode_point(p) for p in self.points],
@@ -207,33 +220,25 @@ def build_periodic_pseudo_orbit(datum: HomoclinicDatum, params: ExcursionParamet
     tau, l = datum.tau, params.l
     if n < params.N0:
         raise ValueError(f"n = {n} below the admissible threshold N0 = {params.N0}")
-    r = n % tau
-    if r == 0:
-        r = tau
+    r = n % tau or tau
     string_len = l * tau + 1
     a_tau = n - r * string_len
     if a_tau < 0 or a_tau % tau != 0:
         raise ValueError(f"length n = {n} does not decompose with tau = {tau}, l = {l}")
 
     x_index = params.x_index
-    points = []
-    jump_indices = []
+    points, jump_indices = [], []
     for j in range(r):
         start = x_index - (l + r - j) * tau - 1
         points.extend(datum.q_point(start + t) for t in range(string_len))
         jump_indices.append(len(points) - 1)
-    for t in range(a_tau):
-        points.append(datum.q_point(x_index + t))
+    points.extend(datum.q_point(x_index + t) for t in range(a_tau))
     assert len(points) == n
     if a_tau > 0:
         jump_indices.append(n - 1)  # closure out of the near-p block
     # when a_tau = 0 the final excursion jump, already recorded, is the closure
 
-    po = PseudoOrbit(points=points, period=n, defect=0.0,
-                     jump_indices=tuple(jump_indices), system=datum.system)
-    report = verify_pseudo_orbit(po, datum.delta)
-    po.defect = report["max_defect"]
-    po.exact_period = report["exact_period_ok"]
+    po = PseudoOrbit(datum.system, points, jump_indices)
     if po.defect > datum.delta:
         raise ValueError(f"constructed pseudo-orbit has defect {po.defect} > "
                          f"delta = {datum.delta}; datum tolerances inconsistent")
@@ -242,17 +247,11 @@ def build_periodic_pseudo_orbit(datum: HomoclinicDatum, params: ExcursionParamet
 
 def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
                         ) -> dict:
-    """Recompute the defect step by step, test for a smaller cyclic period,
-    and (when a reference point set is supplied) measure the Hausdorff
-    distance to it."""
-    system, n, pts = po.system, po.period, po.points
-    max_defect = max(system.distance(system.apply(pts[i]), pts[(i + 1) % n])
-                     for i in range(n))
-    report = {
-        "max_defect": max_defect,
-        "within_delta": max_defect <= delta,
-        "exact_period_ok": cyclic_period(system, pts) == n,
-    }
+    """The defect against delta and the exact period, as the pseudo-orbit
+    read them off its points, and the Hausdorff distance to ``reference``."""
+    system, pts = po.system, po.points
+    report = {"max_defect": po.defect, "within_delta": po.defect <= delta,
+              "exact_period_ok": po.exact_period}
     if reference:
         ref = list(reference)
         if isinstance(pts[0], ShiftPoint):
@@ -348,5 +347,5 @@ def cyclic_period(system, points: Sequence) -> int:
     if isinstance(points[0], ShiftPoint):
         return _primitive_period(tuple(points))
     n = len(points)
-    return next(p for p in range(1, n + 1) if n % p == 0 and all(
-        system.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n)))
+    return next((p for p in range(1, n) if n % p == 0 and all(
+        system.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n))), n)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homoclinic import PseudoOrbit, cyclic_period, encode_point, min_distances
-from .sft import enumerate_cycles, count_periodic_points
+from .homoclinic import PseudoOrbit, encode_point, min_distances
+from .sft import _primitive_period, enumerate_cycles, count_periodic_points
 from .shiftspace import ShiftPoint, longest_common_prefixes, word_radius
 from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
 
@@ -103,7 +103,7 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
     shadow_distance = max(system.distance(p, q) for p, q in zip(points, po.points))
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,
                          shadow_distance=shadow_distance,
-                         primitive_period=cyclic_period(system, points))
+                         primitive_period=_primitive_period(word))
 
 
 # -- exact periodic-orbit enumeration ------------------------------------

@@ -155,8 +155,7 @@ def test_verify_repeated_true_orbit(symbolic_datum):
     system = symbolic_datum.system
     n = 12
     p0 = ShiftPoint.from_cycle((0, 1))
-    po = PseudoOrbit(points=[p0.shift(i) for i in range(n)], period=n,
-                     defect=0.0, system=system)
+    po = PseudoOrbit(system, [p0.shift(i) for i in range(n)])
     report = verify_pseudo_orbit(po, DELTA_SYM,
                                  reference=[p0, p0.shift(1)])
     assert report["max_defect"] == 0.0
@@ -167,13 +166,14 @@ def test_verify_repeated_true_orbit(symbolic_datum):
 def test_verify_detects_artificial_jump(cat_datum):
     params = compute_excursion_parameters(cat_datum)
     po = build_periodic_pseudo_orbit(cat_datum, params, params.N0)
-    worst = PseudoOrbit(points=list(po.points), period=po.period, defect=0.0,
-                        system=cat_datum.system)
-    x, y = worst.points[3]
-    worst.points[3] = ((x + 2 * DELTA_CAT) % 1.0, y)
+    points = list(po.points)
+    x, y = points[3]
+    points[3] = ((x + 2 * DELTA_CAT) % 1.0, y)
+    worst = PseudoOrbit(cat_datum.system, points)
     report = verify_pseudo_orbit(worst, DELTA_CAT)
     assert report["max_defect"] > DELTA_CAT
     assert not report["within_delta"]
+    assert verify_pseudo_orbit(po, DELTA_CAT)["within_delta"]
 
 
 def test_hausdorff_stays_near_reference(cat_datum):
@@ -257,7 +257,7 @@ def test_min_distances_equal_the_pairwise_scan(data, system):
 def test_hausdorff_from_one_matrix_is_the_larger_oracle_direction(data, system):
     points = data.draw(point_sets(system))
     reference = data.draw(point_sets(system))
-    po = PseudoOrbit(points=points, period=len(points), defect=0.0, system=system)
+    po = PseudoOrbit(system, points)
     report = verify_pseudo_orbit(po, 1.0, reference=reference)
     assert report["hausdorff_to_reference"] == max(pairwise_min(system, points, reference)
                                                    + pairwise_min(system, reference, points))
@@ -305,7 +305,7 @@ def test_duplicate_heavy_sets_match_the_pairwise_scan(data, system):
     points = data.draw(duplicate_heavy_sets(system))
     assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
     assert min_distances(system, points, queries) == pairwise_min(system, points, queries)
-    po = PseudoOrbit(points=queries, period=len(queries), defect=0.0, system=system)
+    po = PseudoOrbit(system, queries)
     report = verify_pseudo_orbit(po, 1.0, reference=points)
     assert report["hausdorff_to_reference"] == max(pairwise_min(system, queries, points)
                                                    + pairwise_min(system, points, queries))
@@ -441,3 +441,80 @@ def test_empty_queries_and_empty_point_sets():
     assert nearest_distances([], shift_points) == []
     with pytest.raises(ValueError, match="empty point set"):
         nearest_distances(shift_points, [])
+
+
+# -- pseudo-orbits read their period, defect and exact period off their points --
+
+
+def step_defect(system, points) -> float:
+    """Oracle: the largest step d(f(x_i), x_{i+1 mod n}), one step at a time."""
+    n = len(points)
+    return max(system.distance(system.apply(points[i]), points[(i + 1) % n])
+               for i in range(n))
+
+
+def exact_period_by_rotation(system, points) -> bool:
+    """Oracle: no proper divisor p of n rotates the sequence onto itself,
+    equality for shift points and a 1e-12 threshold for float points."""
+    n = len(points)
+
+    def same(a, b):
+        return a == b if isinstance(a, ShiftPoint) else system.distance(a, b) <= 1e-12
+
+    return not any(n % p == 0 and all(same(points[i], points[(i + p) % n])
+                                      for i in range(n)) for p in range(1, n))
+
+
+def test_built_pseudo_orbits_match_the_step_and_rotation_oracles(symbolic_datum, cat_datum):
+    horseshoe = horseshoe_homoclinic_datum(HORSESHOE, (0, 1), 0.05,
+                                           forward_length=160, backward_length=80)
+    for datum in (cat_datum, symbolic_datum, horseshoe):
+        params = compute_excursion_parameters(datum)
+        for n in range(params.N0, params.N0 + 11):
+            po = build_periodic_pseudo_orbit(datum, params, n)
+            assert po.period == len(po.points) == n
+            assert po.defect == step_defect(datum.system, po.points)
+            assert po.exact_period == exact_period_by_rotation(datum.system, po.points)
+            report = verify_pseudo_orbit(po, datum.delta)
+            assert (report["max_defect"], report["exact_period_ok"]) \
+                == (po.defect, po.exact_period)
+
+
+def test_hand_built_pseudo_orbits_match_the_oracles():
+    cycle = [ShiftPoint.from_cycle((0, 1, 1)).shift(i) for i in range(3)]
+    near_cycle = [(0.2003, 0.3998), (0.7999, 0.6002)]
+    for system, points in ((SftSystem(FULL2), cycle * 4), (SftSystem(FULL2), cycle[:2]),
+                           (CAT, near_cycle * 3), (CAT, near_cycle),
+                           (HORSESHOE, [(0.1, 0.05), (0.3, 0.15), (0.9, 0.3)])):
+        po = PseudoOrbit(system, points)
+        assert isinstance(po.points, tuple) and po.period == len(points)
+        assert po.defect == step_defect(system, points)
+        assert po.exact_period == exact_period_by_rotation(system, points)
+
+
+def test_pseudo_orbit_values_cannot_be_set_apart_from_its_points():
+    po = PseudoOrbit(CAT, [(0.2, 0.4), (0.8, 0.6)])
+    for name, value in (("defect", 1.0), ("period", 3), ("exact_period", False),
+                        ("points", ((0.0, 0.0),))):
+        with pytest.raises(AttributeError):
+            setattr(po, name, value)
+    assert (po.period, po.exact_period) == (2, True) and po.defect <= 1e-12
+
+
+def test_empty_pseudo_orbit_is_rejected():
+    for system in (CAT, HORSESHOE, SftSystem(FULL2)):
+        with pytest.raises(ValueError, match="point sequence is empty"):
+            PseudoOrbit(system, [])
+
+
+def test_cyclic_period_skips_the_trivial_period(monkeypatch):
+    system = cat_map()
+    points = [(k / 10, 0.3) for k in range(7)]  # prime length, no smaller period
+    calls = counting_distance(system, monkeypatch)
+    assert homoclinic.cyclic_period(system, points) == 7
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for sequence, period in ((points[:3] * 2, 3), ([(0.5, 0.5)] * 6, 1),
+                             (points[:6], 6), (points[:1], 1)):
+        assert homoclinic.cyclic_period(system, sequence) == period
+        assert exact_period_by_rotation(system, sequence) == (period == len(sequence))

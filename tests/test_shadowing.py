@@ -45,8 +45,8 @@ def cyclic_solve_oracle(system, points):
 
 
 def test_shadow_true_orbit_is_fixed_point_of_solver():
-    po = PseudoOrbit(points=[(0.2, 0.4), (0.8, 0.6)], period=2, defect=0.0,
-                     system=CAT)
+    po = PseudoOrbit(CAT, [(0.2, 0.4), (0.8, 0.6)])
+    assert po.defect <= 1e-12
     orbit = shadow_periodic(CAT, po, tol=1e-12)
     assert orbit.shadow_distance <= 1e-12
     assert orbit.residual <= 1e-12
@@ -59,7 +59,8 @@ def test_shadow_perturbed_orbit_matches_dense_oracle():
     pts = [((x + (rng.random() - 0.5) * 2e-3) % 1.0,
             (y + (rng.random() - 0.5) * 2e-3) % 1.0) for x, y in base]
     defect = max(CAT.distance(CAT.apply(pts[i]), pts[(i + 1) % 2]) for i in range(2))
-    po = PseudoOrbit(points=pts, period=2, defect=defect, system=CAT)
+    po = PseudoOrbit(CAT, pts)
+    assert po.defect == defect
     orbit = shadow_periodic(CAT, po, tol=1e-12)
     oracle = cyclic_solve_oracle(CAT, pts)
     for mine, ref in zip(orbit.points, oracle):
@@ -160,11 +161,30 @@ def test_repeated_lifts_and_itineraries_give_the_smaller_primitive_period():
         n = 4 * len(points)
         defect = max(system.distance(system.apply(x), y)
                      for x, y in zip(points, points[1:] + points[:1]))
-        shadow = shadow_periodic(system, PseudoOrbit(points=points * 4, period=n,
-                                                     defect=defect, system=system))
+        po = PseudoOrbit(system, points * 4)
+        assert (po.period, po.defect) == (n, defect)
+        shadow = shadow_periodic(system, po)
         assert (shadow.period, shadow.primitive_period) == (n, p)
         assert shadow.points == orbit
     assert CAT.shadowing_orbit(near_two_cycle)[0] == [(0.2, 0.4), (0.8, 0.6)]
+
+
+def test_symbolic_primitive_period_is_the_smallest_rotation_of_the_orbit():
+    system = SftSystem(FULL2)
+    datum = sft_homoclinic_datum(system, (0, 1), 2.0 ** -3,
+                                 forward_length=200, backward_length=80)
+    params = compute_excursion_parameters(datum)
+    base = ShiftPoint.from_cycle((0, 1, 1))
+    pseudo_orbits = [PseudoOrbit(system, [base.shift(i) for i in range(12)])]
+    pseudo_orbits += [build_periodic_pseudo_orbit(datum, params, n)
+                      for n in range(params.N0, params.N0 + 4)]
+    for po in pseudo_orbits:
+        orbit = shadow_periodic(system, po)
+        pts, n = orbit.points, po.period
+        assert orbit.primitive_period == next(
+            p for p in range(1, n + 1)
+            if n % p == 0 and all(pts[i] == pts[(i + p) % n] for i in range(n)))
+    assert shadow_periodic(system, pseudo_orbits[0]).primitive_period == 3
 
 
 def test_symbolic_shadow_is_word_gluing():
@@ -285,7 +305,7 @@ def test_symbolic_density_caps_the_forward_window():
 
 def test_shadowing_bound_guard():
     # a pseudo-orbit with a huge defect violates the chart precondition
-    po = PseudoOrbit(points=[(0.1, 0.1), (0.9, 0.8)], period=2, defect=0.4,
-                     system=CAT)
+    po = PseudoOrbit(CAT, [(0.1, 0.1), (0.9, 0.8)])
+    assert po.defect >= 0.4
     with pytest.raises(ShadowingError):
         shadow_periodic(CAT, po)
