@@ -28,7 +28,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .sft import _primitive_period
-from .shiftspace import ShiftPoint, nearest_distances
+from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 
 
 class InsufficientSegmentError(ValueError):
@@ -255,14 +255,14 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
     if reference:
         ref = list(reference)
         if isinstance(pts[0], ShiftPoint):
-            there, back = nearest_distances(pts, ref), nearest_distances(ref, pts)
+            report["hausdorff_to_reference"] = hausdorff_distance(pts, ref)
         else:
             # every distinct point has the minimum of all its copies
             pts, ref = _distinct(pts)[0], _distinct(ref)[0]
             matrix = system.distance_matrix(pts, ref)
             there = _exact_row_minima(system, pts, ref, matrix)
             back = _exact_row_minima(system, ref, pts, matrix.T)
-        report["hausdorff_to_reference"] = max(there + back)
+            report["hausdorff_to_reference"] = max(there + back)
     return report
 
 

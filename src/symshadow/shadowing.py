@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .homoclinic import PseudoOrbit, encode_point, min_distances
 from .sft import _primitive_period, enumerate_cycles, count_periodic_points
-from .shiftspace import ShiftPoint, longest_common_prefixes, word_radius
+from .shiftspace import ShiftPoint, cycle_distances, forward_distances, word_radius
 from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
 
 
@@ -100,7 +100,7 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
         raise ShadowingError("glued word inadmissible; defect accounting broken")
     base = ShiftPoint.from_cycle(word)
     points = [base.shift(i) for i in range(po.period)]
-    shadow_distance = max(system.distance(p, q) for p, q in zip(points, po.points))
+    shadow_distance = max(cycle_distances(word, po.points))
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,
                          shadow_distance=shadow_distance,
                          primitive_period=_primitive_period(word))
@@ -169,10 +169,9 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
     if net_points is None:
         net_points = net(system, epsilon / 2.0)
     if isinstance(system, SftSystem):
-        cap = max(word_radius(epsilon) + 8, 16)
-        common = longest_common_prefixes([y.text(0, cap) for y in net_points],
-                                         [x.text(0, cap) for x in orbit_points])
-        distances = [2.0 ** (-m) for m in common]
+        # any two shift points are within 1, so a larger epsilon reads as 1
+        cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)
+        distances = forward_distances(net_points, orbit_points, cap)
     else:
         distances = min_distances(system, net_points, orbit_points)
     worst = max(distances, default=-1.0)

@@ -12,15 +12,23 @@ sequences agree on all coordinates i with |i| < k (d = 0 for equal
 points).  Closed epsilon-balls are centered cylinders.  The distance is
 exact at every radius, with no coordinate cap: distinct points always get
 a positive distance, the smallest positive float where 2^(-k) underflows.
+
+Comparisons run on cached integer keys, WIDTH = 32 bits per symbol (the
+UTF-32 code unit of chr(symbol)), first symbol most significant: keys of
+one size compare as their symbol sequences do, and two of them share
+size - ceil(bitlength(a ^ b) / WIDTH) leading symbols.  Point-set queries
+make one merged sort of both key sets, where a key shares its longest
+prefix with a set at that set's nearest key before or after it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Sequence
 
 from .sft import TransitionMatrix, Word, _primitive_period
+
+WIDTH = 32  # bits per symbol in a key
 
 
 class ShiftPoint:
@@ -35,7 +43,7 @@ class ShiftPoint:
     and periodic points anchored at coordinate 0.  Symbols are ints >= 0.
     """
 
-    __slots__ = ("left", "center", "right", "pos", "_key")
+    __slots__ = ("left", "center", "right", "pos", "_key", "_forward")
 
     def __init__(self, left: Sequence[int], center: Sequence[int],
                  right: Sequence[int], pos: int = 0):
@@ -118,24 +126,31 @@ class ShiftPoint:
         return (max(-self.pos, self.pos + len(self.center), 0)
                 + len(self.left) + len(self.right))
 
-    def key(self, radius: int) -> str:
-        """Interleaved x_0, x_1, x_-1, ..., x_radius, x_-radius (or a longer
-        key built before).  Keys of points with agreement radius k first
-        differ at index 2k-1 or 2k, below 2 * radius + 1 if radius >= e(x) + e(y)."""
-        key = getattr(self, "_key", "")  # built lazily
-        if len(key) <= 2 * radius:
-            radius = max(radius, len(key))  # grow at least twofold
-            chars = [""] * (2 * radius + 1)
-            chars[0::2] = self.text(-radius, 1)[::-1]
-            chars[1::2] = self.text(1, radius + 1)
-            self._key = key = "".join(chars)
-        return key
+    def key(self, radius: int) -> int:
+        """Interleaved x_0, x_1, x_-1, ..., x_radius, x_-radius: 2 * radius + 1
+        symbols.  Keys of points with agreement radius k first differ at
+        symbol 2k-1 or 2k, below 2 * radius + 1 if radius >= e(x) + e(y)."""
+        built, key = getattr(self, "_key", (-1, 0))  # built lazily
+        if built < radius:
+            built = max(radius, 2 * built)  # grow at least twofold
+            key = _digits(_interleave(self.text(-built, 1)[::-1], self.text(1, built + 1)))
+            self._key = built, key
+        return key >> (2 * WIDTH * (built - radius))
+
+    def forward_key(self, length: int) -> int:
+        """x_0, ..., x_{length-1}: ``length`` symbols."""
+        built, key = getattr(self, "_forward", (-1, 0))  # built lazily
+        if built < length:
+            built = max(length, 2 * built)  # grow at least twofold
+            key = _digits(self.text(0, built))
+            self._forward = built, key
+        return key >> (WIDTH * (built - length))
 
     def agreement_radius(self, other: "ShiftPoint") -> int | float:
         """Largest k with x_i = y_i for all |i| < k; math.inf for x = y."""
         radius = self.extent() + other.extent()
-        m = _common_prefix(self.key(radius), other.key(radius))
-        return math.inf if m > 2 * radius else (m + 1) // 2
+        bits = (self.key(radius) ^ other.key(radius)).bit_length()
+        return (_common_prefix(bits, 2 * radius + 1) + 1) // 2 if bits else math.inf
 
     def distance(self, other: "ShiftPoint") -> float:
         return 0.0 if self == other else _radius_distance(self.agreement_radius(other))
@@ -172,41 +187,116 @@ def _radius_distance(k: int) -> float:
     return max(2.0 ** -k, math.ulp(0.0))
 
 
-def _common_prefix(a: str, b: str) -> int:
-    lo, hi = 0, min(len(a), len(b)) + 1
-    while hi - lo > 1:  # a[:lo] == b[:lo]; a[:hi] != b[:hi] or hi is past the end
-        mid = (lo + hi) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _key_distance(bits: int, radius: int) -> float:
+    """The distance of two points whose keys at ``radius`` XOR to ``bits`` bits."""
+    return _radius_distance((_common_prefix(bits, 2 * radius + 1) + 1) // 2) if bits else 0.0
 
 
-def longest_common_prefixes(queries: Sequence[str], keys: Sequence[str]) -> list[int]:
-    """For each query, its longest common prefix with any of ``keys``: in
-    sorted order that is the prefix shared with one of its two neighbours."""
-    index = sorted(keys)
-    out = []
-    for q in queries:
-        i = bisect_left(index, q)
-        out.append(max(_common_prefix(q, k) for k in index[max(i - 1, 0):i + 1]))
-    return out
+def _common_prefix(bits: int, size: int) -> int:
+    """The number of leading symbols shared by two keys of ``size`` symbols
+    whose XOR is ``bits`` bits long."""
+    return size - -(-bits // WIDTH)
+
+
+def _digits(text: str) -> int:
+    """The symbols chr(s) of ``text`` as a key, the first most significant."""
+    return int.from_bytes(text.encode("utf-32-be", "surrogatepass"), "big")
+
+
+def _interleave(back, forward) -> str:
+    """back[0], forward[0], back[1], forward[1], ..., back[-1]."""
+    chars = [""] * (len(back) + len(forward))
+    chars[0::2] = back
+    chars[1::2] = forward
+    return "".join(chars)
+
+
+def _nearest_bits(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For each key of xs the least bit length of its XOR with a key of ys,
+    and for each key of ys the least with a key of xs, from one merged sort
+    of keys of one size.  The XOR of two keys is as long as the longest XOR
+    of sorted neighbours between them, so the least is reached at the other
+    set's nearest key before or after: an ascending and a descending sweep
+    carry, for each set, the longest neighbour XOR since its latest key."""
+    keys = [*xs, *ys]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranked = [keys[i] for i in order]
+    gaps = [(a ^ b).bit_length() for a, b in zip(ranked, ranked[1:])]
+    n = len(xs)
+    best = [math.inf] * len(keys)
+    for sweep, steps in ((order, [0, *gaps]), (order[::-1], [0, *gaps[::-1]])):
+        since_x = since_y = math.inf  # no key of the set seen yet
+        for i, gap in zip(sweep, steps):
+            if since_x < gap:
+                since_x = gap
+            if since_y < gap:
+                since_y = gap
+            if i < n:
+                if since_y < best[i]:
+                    best[i] = since_y
+                since_x = 0
+            else:
+                if since_x < best[i]:
+                    best[i] = since_x
+                since_y = 0
+    return best[:n], best[n:]
+
+
+def _key_radius(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> int:
+    """A key radius past which no x in xs and y in ys can first differ."""
+    if not xs or not ys:
+        raise ValueError("distance to an empty point set")
+    return max(x.extent() for x in xs) + max(y.extent() for y in ys)
 
 
 def nearest_distances(queries: Sequence[ShiftPoint],
                       points: Sequence[ShiftPoint]) -> list[float]:
     """d(x, points) = min over y in points of d(x, y), exactly, for each
-    query x, from a sorted index of interleaved keys.  No queries give
-    []; queries against an empty point set raise ValueError."""
+    query x.  No queries give []; queries against an empty point set raise
+    ValueError."""
+    if not queries:
+        return []
+    radius = _key_radius(queries, points)
+    there = _nearest_bits([x.key(radius) for x in queries], [y.key(radius) for y in points])[0]
+    return [_key_distance(bits, radius) for bits in there]
+
+
+def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
+    """max(max_x d(x, ys), max_y d(y, xs)), exactly, from one merged sort of
+    both key sets; an empty set raises ValueError."""
+    radius = _key_radius(xs, ys)
+    there, back = _nearest_bits([x.key(radius) for x in xs], [y.key(radius) for y in ys])
+    return _key_distance(max(there + back), radius)
+
+
+def forward_distances(queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint],
+                      length: int) -> list[float]:
+    """For each query y, 2^-m with m the longest common prefix of
+    y_0..y_{length-1} with x_0..x_{length-1} for some x in points.  No
+    queries give []; queries against an empty point set raise ValueError."""
     if not queries:
         return []
     if not points:
         raise ValueError("distance to an empty point set")
-    radius = max(y.extent() for y in points) + max(x.extent() for x in queries)
-    common = longest_common_prefixes([x.key(radius) for x in queries],
-                                     [y.key(radius) for y in points])
-    return [0.0 if m > 2 * radius else _radius_distance((m + 1) // 2) for m in common]
+    there = _nearest_bits([y.forward_key(length) for y in queries],
+                          [x.forward_key(length) for x in points])[0]
+    return [2.0 ** -_common_prefix(bits, length) for bits in there]
+
+
+def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:
+    """d(sigma^i x, points[i]) for each i, exactly, with x the periodic point
+    x_j = word[j mod len(word)]: the key of sigma^i x is cut from
+    repetitions of the cyclic word, with no point built."""
+    n = len(word)
+    radius = max(y.extent() for y in points) + 2 * n  # e(sigma^i x) <= 2n
+    text = "".join(map(chr, word)) * (radius // n + 2)  # text[t] = x_t
+    back = text[:1] + text[:0:-1]  # back[t] = x_-t
+    out = []
+    for i, y in enumerate(points):
+        k = i % n  # sigma^i x = sigma^k x
+        key = _digits(_interleave(back[n - k:n - k + radius + 1], text[k + 1:k + radius + 1]))
+        out.append(_key_distance((key ^ y.key(radius)).bit_length(), radius))
+    return out
 
 
 def cylinder_contains(point: ShiftPoint, word: Word, anchor: int = 0) -> bool:

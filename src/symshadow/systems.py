@@ -615,7 +615,8 @@ def net(system, spacing: float) -> list:
                 raise ValueError("spacing too fine for a horseshoe net at desk scale")
         return [(row["x"], row["y"]) for row in system.coding_table(m)]
     if isinstance(system, SftSystem):
-        words = admissible_words(system.matrix, max(1, word_radius(spacing)))
+        # any two shift points are within 1, so a coarser spacing reads as 1
+        words = admissible_words(system.matrix, max(1, word_radius(min(spacing, 1.0))))
         return [sft_point_through_word(system.matrix, w) for w in words]
     raise TypeError(f"unknown system {system!r}")
 

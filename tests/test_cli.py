@@ -271,6 +271,24 @@ def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("system, argv, sha256", [
+    ("full_2_shift.json", ["01", "--delta", "0.125", "--dump-orbits"],
+     "825507ddd7d4fa27eaffc9bc701ec6b02287cfd7900b71584c9f27482271629f"),
+    ("golden_mean.json", ["0", "--delta", "0.125"],
+     "b0228f9cc363f5b12a6a68f304ca2d0752f6e8efd4832a3b0655de69e48d7f1f"),
+], ids=["full_2_shift", "golden_mean"])
+def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, argv, sha256):
+    # every shadow distance, dense_at_3eps flag (through the Hausdorff
+    # distance) and dumped orbit of the shift-space pipeline
+    config = json.loads((DATA / system).read_text())
+    if "kind" not in config:  # a bare transition matrix
+        config = {"kind": "sft", "matrix": config}
+    path, out = tmp_path / system, tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["pseudo-shadow", str(path), *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256
+
+
 # -- --config files ----------------------------------------------------------------
 
 

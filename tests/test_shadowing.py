@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters)
 from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import (ShadowingError, density_check,
+from symshadow.shadowing import (DensityReport, ShadowingError, density_check,
                                  enumerate_periodic_orbits, shadow_periodic)
 from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map, net,
@@ -301,6 +301,28 @@ def test_symbolic_density_caps_the_forward_window():
         report = density_check(SftSystem(FULL2), [zero], epsilon, net_points=[far])
         assert report.worst_distance == 2.0 ** -cap
         assert report.worst_distance == proximity_loop_density([zero], epsilon, [far])[1]
+
+
+def test_symbolic_density_accepts_epsilon_beyond_one():
+    # any two shift points are within 1, so every epsilon >= 1 is dense,
+    # with the reports of epsilon = 1; the smooth systems take such values too
+    system = SftSystem(FULL2)
+    zero = ShiftPoint.from_cycle((0,))
+    net_points = [ShiftPoint.from_cycle((1,)), ShiftPoint((0,), (1,), (0,), pos=3)]
+    at_one = density_check(system, [zero], 1.0, net_points=net_points)
+    assert at_one == DensityReport(True, 1.0, None)
+    for epsilon in (1.5, 3.0, 1e9):
+        assert density_check(system, [zero], epsilon, net_points=net_points) == at_one
+        assert density_check(system, [zero], epsilon).dense
+    assert density_check(CAT, [(0.0, 0.0)], 3.0).dense
+
+
+def test_density_check_without_orbit_points_raises():
+    shift_net = [ShiftPoint.from_cycle((0, 1))]
+    for system, net_points in ((SftSystem(FULL2), shift_net), (SftSystem(FULL2), None),
+                               (CAT, [(0.5, 0.5)]), (CAT, None)):
+        with pytest.raises(ValueError, match="distance to an empty point set"):
+            density_check(system, [], 0.5, net_points=net_points)
 
 
 def test_shadowing_bound_guard():

@@ -7,13 +7,14 @@ raw presentations coordinate by coordinate.
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symshadow.homoclinic import cyclic_period
+from symshadow.homoclinic import PseudoOrbit, cyclic_period, verify_pseudo_orbit
 from symshadow.sft import TransitionMatrix
-from symshadow.shiftspace import (ShiftPoint, cylinder_contains, nearest_distances,
-                                  word_radius)
+from symshadow.shadowing import density_check
+from symshadow.shiftspace import (WIDTH, ShiftPoint, cycle_distances, cylinder_contains,
+                                  hausdorff_distance, nearest_distances, word_radius)
 from symshadow.systems import SftSystem
 
 
@@ -223,3 +224,135 @@ def test_cyclic_period_is_exact_on_shift_points():
     system = SftSystem(TransitionMatrix.full_shift(2))
     assert cyclic_period(system, [p, q, p, q]) == 2
     assert cyclic_period(system, [p, ShiftPoint((0, 0), (), (0,), pos=3)]) == 1
+
+
+# -- integer keys: wide symbols, first differences beyond radius 1000 -----------
+
+# the smallest and largest symbols chr() accepts, the one-byte edge and a surrogate
+WIDE = (0, 255, 256, 0xD800, 0x10FFFF)
+wide_words = st.lists(st.sampled_from(WIDE), min_size=1, max_size=3).map(tuple)
+offsets = st.one_of(st.integers(-6, 6), st.integers(1000, 1100), st.integers(-1100, -1000))
+
+
+@st.composite
+def far_sets(draw):
+    """Points over one periodic tail whose centers sit near 0 or beyond
+    radius 1000, so that pairs first differ there, with the tail's periodic
+    point and points of random wide tails beside them."""
+    tail = draw(wide_words)
+    points = [ShiftPoint(tail, center, tail, pos=k) for center, k in
+              draw(st.lists(st.tuples(wide_words, offsets), min_size=1, max_size=5))]
+    points += [ShiftPoint(left, center, right, pos=k) for left, center, right, k in
+               draw(st.lists(st.tuples(wide_words, wide_words, wide_words, offsets),
+                             max_size=2))]
+    if draw(st.booleans()):
+        points.append(ShiftPoint.from_cycle(tail, draw(st.integers(0, 2))))
+    return draw(st.permutations(points))
+
+
+def raw_of(x):
+    return (x.left, x.center, x.right, x.pos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_sets(), far_sets())
+def test_distance_on_wide_far_points_matches_the_coordinate_loop(xs, ys):
+    for x in xs:
+        for y in ys:
+            raw, other = raw_of(x), raw_of(y)
+            if oracle_equal(raw, other):
+                assert x.distance(y) == 0.0 and x == y
+            else:
+                r = oracle_radius(raw, other, raw_span(raw, other))
+                assert x.agreement_radius(y) == r
+                assert x.distance(y) == max(2.0 ** -r, math.ulp(0.0))
+
+
+@given(wide_words, wide_words, wide_words, offsets, st.integers(0, 40), st.integers(0, 40))
+def test_keys_hold_the_interleaved_coordinates(left, center, right, k, radius, longer):
+    x = ShiftPoint(left, center, right, pos=k)
+    raw = (left, center, right, k)
+    coords = [raw_coordinate(raw, 0)]
+    for i in range(1, radius + 1):
+        coords += [raw_coordinate(raw, i), raw_coordinate(raw, -i)]
+    expected = 0
+    for c in coords:
+        expected = (expected << WIDTH) | c
+    # a key cut from a longer key built before is the key built afresh
+    x.key(radius + longer)
+    assert x.key(radius) == ShiftPoint(left, center, right, pos=k).key(radius) == expected
+    forward = 0
+    for i in range(radius):
+        forward = (forward << WIDTH) | raw_coordinate(raw, i)
+    x.forward_key(radius + longer)
+    assert x.forward_key(radius) == forward
+
+
+@given(far_sets(), far_sets())
+def test_point_set_distances_on_wide_far_points_match_the_pairwise_scan(xs, ys):
+    there = [min(x.distance(y) for y in ys) for x in xs]
+    back = [min(y.distance(x) for x in xs) for y in ys]
+    assert nearest_distances(xs, ys) == there
+    assert nearest_distances(ys, xs) == back
+    assert hausdorff_distance(xs, ys) == hausdorff_distance(ys, xs) == max(there + back)
+    po = PseudoOrbit(SftSystem(TransitionMatrix.full_shift(2)), xs)
+    report = verify_pseudo_orbit(po, 1.0, reference=ys)
+    assert report["hausdorff_to_reference"] == max(there + back)
+
+
+@given(st.data())
+def test_cycle_distances_match_the_pairwise_scan(data):
+    points = data.draw(far_sets())
+    n = len(points)
+    # any cyclic word of length n, or a repeated one (primitive period < n)
+    word = data.draw(st.one_of(
+        st.lists(st.sampled_from(WIDE), min_size=n, max_size=n).map(tuple),
+        wide_words.map(lambda unit: (unit * n)[:n])))
+    shifts = [ShiftPoint.from_cycle(word).shift(i) for i in range(n)]
+    for i in data.draw(st.sets(st.integers(0, n - 1))):
+        points[i] = shifts[i]
+    assert cycle_distances(word, points) == [x.distance(y) for x, y in zip(shifts, points)]
+
+
+def forward_window_density(orbit, epsilon, net_points):
+    """The coordinate-by-coordinate forward-window loop on raw presentations."""
+    cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)
+    worst, witness = -1.0, None
+    for y in net_points:
+        best = 0
+        for x in orbit:
+            lcp = 0
+            while lcp < cap and raw_coordinate(raw_of(x), lcp) == raw_coordinate(raw_of(y), lcp):
+                lcp += 1
+            best = max(best, lcp)
+        if 2.0 ** -best > worst:
+            worst, witness = 2.0 ** -best, y
+    return worst <= epsilon, worst, None if worst <= epsilon else witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_sets(), far_sets(),
+       st.sampled_from([4.0, 1.0, 0.5, 2.0 ** -20, 2.0 ** -1000, math.ulp(0.0)]))
+def test_symbolic_density_on_wide_far_points_matches_the_window_loop(orbit, net_points,
+                                                                     epsilon):
+    # at the finest epsilons the window reaches past radius 1000
+    report = density_check(SftSystem(TransitionMatrix.full_shift(2)), orbit, epsilon,
+                           net_points=net_points)
+    dense, worst, witness = forward_window_density(orbit, epsilon, net_points)
+    assert (report.dense, report.worst_distance) == (dense, worst)
+    assert report.witness is witness
+
+
+def test_point_set_queries_far_out_and_on_empty_sets():
+    top = ShiftPoint.from_cycle((0x10FFFF,))
+    near, far = (ShiftPoint((0x10FFFF,), (0,), (0x10FFFF,), pos=k) for k in (1000, 1500))
+    assert cycle_distances((0x10FFFF,), [near]) == [2.0 ** -1000]
+    assert cycle_distances((0x10FFFF,), [far]) == [math.ulp(0.0)]
+    # points past one period of the word follow its phases around again
+    assert cycle_distances((0x10FFFF,), [top, near, far]) == [0.0, 2.0 ** -1000, math.ulp(0.0)]
+    assert hausdorff_distance([top, far], [near]) == 2.0 ** -1000
+    assert nearest_distances([top, far], [near]) == [2.0 ** -1000, 2.0 ** -1000]
+    assert nearest_distances([top, near], [far.shift(1)]) == [math.ulp(0.0), 2.0 ** -1000]
+    for xs, ys in (([top], []), ([], [top])):
+        with pytest.raises(ValueError, match="empty point set"):
+            hausdorff_distance(xs, ys)
