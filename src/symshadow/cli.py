@@ -82,11 +82,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_matrix(path: str) -> TransitionMatrix:
-    data = _load_json(path)
-    rows = data.get("matrix", {}).get("rows") if "matrix" in data else data.get("rows")
-    if rows is None:
-        raise ValueError(f"{path}: expected a matrix object with 'rows'")
-    return TransitionMatrix(rows)
+    system = parse_system(_load_json(path))
+    if not isinstance(system, SftSystem):
+        raise ValueError(f"{path}: expected a transition matrix or an sft system")
+    return system.matrix
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -326,9 +325,7 @@ def cmd_perturb_smoke(args) -> int:
     }, seed=args.seed)
 
     def certificate_for(h: Horseshoe):
-        m_geo = 1
-        while max(h.mu_s ** m_geo, h.mu_u ** (-m_geo)) > args.epsilon:
-            m_geo += 1
+        m_geo = h.word_length(args.epsilon)
         result = dense_periods_certificate(h.coding_matrix, 2.0 ** (-m_geo), args.n_max)
         if isinstance(result, DensePeriodsRefutation):
             raise ShadowingError("horseshoe coding shift refuted; impossible")

@@ -34,9 +34,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .sft import (SymbolicCycle, TransitionMatrix, restrict, return_time_set,
-                  strongly_connected_component, _bfs_distances, _int_mat_pow,
-                  _least_walk, _merge_overlap, _step_layers)
+from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
+                  return_time_set, strongly_connected_component, _bfs_distances,
+                  _int_mat_pow, _least_walk, _merge_overlap, _step_layers)
 from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
@@ -114,15 +114,6 @@ class DensePeriodsRefutation:
 
 
 # -- density test ---------------------------------------------------------
-
-
-def admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    words = [(s,) for s in range(matrix.size)]
-    for _ in range(length - 1):
-        words = [w + (t,) for w in words for t in matrix.succ[w[-1]]]
-    return words
 
 
 def is_dense_cycle(matrix: TransitionMatrix, word: Sequence[int], m: int) -> bool:

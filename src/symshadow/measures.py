@@ -32,14 +32,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dense_periods import admissible_words
 from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap, _primitive_period,
-                  count_periodic_points, enumerate_cycles, is_primitive, perron_data)
+                  admissible_words, count_periodic_points, enumerate_cycles, is_primitive,
+                  perron_data)
 from .shiftspace import ShiftPoint
 from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
+BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
 TWO_PI_I = 2j * math.pi
 
 
@@ -440,7 +441,6 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
 
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
                             max_period: int = 12, max_denominator: int = 64,
-                            block_reps: int = 40,
                             prefer: str = "distance") -> ApproximationResult:
     """Best periodic measure within the search horizon, scored from integers.
 
@@ -462,7 +462,7 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
         parts = _orbit_cycles_of_target(target) \
             if isinstance(target, FiniteSupportMeasure) else []
         total = sum(w for _, w in parts)
-        for reps in range(1, block_reps + 1) if total > 0 else ():
+        for reps in range(1, BLOCK_REPS + 1) if total > 0 else ():
             word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
             if matrix.is_admissible_cycle(word):
                 words.append((f"blocks x{reps}", word))

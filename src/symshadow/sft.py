@@ -5,7 +5,8 @@ space X_A of bi-infinite admissible symbol sequences.  This module covers
 the combinatorial layer: irreducibility, primitivity, the class period
 (gcd of cycle lengths) and the cyclic class decomposition, exact periodic
 point counts, cycle enumeration up to rotation, topological entropy via
-the Perron root, and return-time sets of cylinder pairs.
+the Perron root, return-time sets of cylinder pairs, and the graph core the
+other modules walk on: admissible words, BFS levels and least walks.
 
 All arithmetic on matrix powers is exact (Python integers); only the
 Perron eigenvalue computation uses floating point.
@@ -90,12 +91,16 @@ class TransitionMatrix:
         return cls([[1, 1], [1, 0]])
 
     @classmethod
-    def from_json(cls, text: str) -> "TransitionMatrix":
-        data = json.loads(text)
+    def from_dict(cls, data: dict) -> "TransitionMatrix":
+        """From {"rows": ..., "size": ...}; ``size`` is optional and checked."""
         rows = data["rows"]
         if "size" in data and data["size"] != len(rows):
             raise ValueError("declared size does not match rows")
         return cls(rows)
+
+    @classmethod
+    def from_json(cls, text: str) -> "TransitionMatrix":
+        return cls.from_dict(json.loads(text))
 
     def to_json(self) -> str:
         return json.dumps({"rows": [list(r) for r in self.rows], "size": self.size},
@@ -158,6 +163,16 @@ class CycleEnumeration:
     truncated: bool
 
 
+def admissible_words(matrix: TransitionMatrix, length: int) -> list[Word]:
+    """Every admissible word of ``length`` symbols, in lexicographic order."""
+    if length == 0:
+        return [()]
+    words = [(s,) for s in range(matrix.size)]
+    for _ in range(length - 1):
+        words = [w + (t,) for w in words for t in matrix.succ[w[-1]]]
+    return words
+
+
 def _primitive_period(word: Word) -> int:
     n = len(word)
     for p in range(1, n + 1):
@@ -218,6 +233,20 @@ def _least_walk(succ: Sequence[Sequence[int]], ending_layers: list[set[int]], st
         cur = min(v for v in succ[cur] if v in ending_layers[r])
         walk.append(cur)
     return walk
+
+
+def _next_walk(succ: Sequence[Sequence[int]], ending_layers: list[set[int]], start: int,
+               walk: list[int]) -> list[int] | None:
+    """Lexicographic successor of a ``_least_walk`` result among the walks of
+    its length, or None: the latest step that has a larger successor still
+    reaching the target takes the least such, and the rest is least."""
+    for i in range(len(walk) - 1, -1, -1):
+        left = len(walk) - 1 - i
+        prev = walk[i - 1] if i else start
+        v = next((v for v in succ[prev] if v > walk[i] and v in ending_layers[left]), None)
+        if v is not None:
+            return walk[:i] + [v] + _least_walk(succ, ending_layers, v, left)
+    return None
 
 
 # -- core predicates ---------------------------------------------------

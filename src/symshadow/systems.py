@@ -13,12 +13,13 @@ Three kinds of system share one small interface (``apply``,
 * :class:`SftSystem` -- a subshift of finite type presented as a dynamical
   system on exact :class:`~symshadow.shiftspace.ShiftPoint` sequences.
 
-Homoclinic orbits for toral systems are never produced by naive forward
+Shift-space words (homoclinic splice centers, net connectors, coding-table
+words) are least walks and admissible words of the :mod:`symshadow.sft`
+graph core.  Toral homoclinic orbits are never produced by naive forward
 iteration (which would amplify floating-point error along the unstable
-direction); instead each orbit point is evaluated from the eigenline
+direction); each orbit point is evaluated from the eigenline
 parametrization f^k(q) = f^k(p) + t lam_s^k v_s (k >= 0) and
-f^k(q) = f^{k+1}(p) + s lam_u^k v_u (k < 0), which is stable on both
-tails.
+f^k(q) = f^{k+1}(p) + s lam_u^k v_u (k < 0), stable on both tails.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dense_periods import admissible_words
 from .homoclinic import HomoclinicDatum, homoclinic_datum
-from .sft import TransitionMatrix, _int_mat_mul, _int_mat_pow, _primitive_period
+from .sft import (TransitionMatrix, admissible_words, _bfs_distances, _int_mat_mul,
+                  _int_mat_pow, _least_walk, _next_walk, _primitive_period, _step_layers)
 from .shiftspace import ShiftPoint, word_radius
 
 
@@ -464,19 +465,26 @@ class Horseshoe:
             cur = self.apply(cur)
         return out
 
+    def word_length(self, scale: float) -> int:
+        """Least m >= 1 with max(mu_s^m, mu_u^-m) <= scale: the word length
+        whose cylinders have images of diameter at most ``scale``."""
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        m = 1
+        while max(self.mu_s ** m, self.mu_u ** (-m)) > scale:
+            m += 1
+        return m
+
     def coding_table(self, depth: int) -> list[dict]:
         """word <-> point table: one row per (backward, forward) word pair
-        of length ``depth`` (full 2-shift: all pairs admissible)."""
+        of length ``depth``, both in lexicographic order."""
+        words = admissible_words(self.coding_matrix, depth)
         rows = []
-        for b in range(2 ** depth):
-            for f in range(2 ** depth):
-                back = tuple((b >> i) & 1 for i in range(depth))
-                fwd = tuple((f >> (depth - 1 - i)) & 1 for i in range(depth))
-                pt = ShiftPoint((0,), back[::-1] + fwd, (0,), pos=-depth)
-                x, y = self.code_point(pt)
-                rows.append({"backward": "".join(map(str, back[::-1])),
-                             "forward": "".join(map(str, fwd)),
-                             "x": x, "y": y})
+        for back in words:
+            for fwd in words:
+                x, y = self.code_point(ShiftPoint((0,), back + fwd, (0,), pos=-depth))
+                rows.append({"backward": "".join(map(str, back)),
+                             "forward": "".join(map(str, fwd)), "x": x, "y": y})
         return rows
 
     def to_config(self) -> dict:
@@ -540,24 +548,6 @@ class SftSystem:
         return {"kind": "sft", "matrix": {"rows": [list(r) for r in self.matrix.rows],
                                           "size": self.matrix.size}}
 
-    def shortest_connector(self, a: int, b: int) -> tuple[int, ...]:
-        """Shortest (possibly empty) word w with a -> w -> b admissible."""
-        if self.matrix.admits(a, b):
-            return ()
-        # BFS over states, tracking the interior word
-        frontier = {a: ()}
-        for _ in range(self.matrix.size + 1):
-            nxt: dict[int, tuple[int, ...]] = {}
-            for state, word in sorted(frontier.items()):
-                for t in self.matrix.succ[state]:
-                    cand = word + (t,)
-                    if self.matrix.admits(t, b):
-                        return cand
-                    if t not in nxt:
-                        nxt[t] = cand
-            frontier = nxt
-        raise ValueError(f"no admissible connector from {a} to {b}")
-
 
 # -- dispatching helpers ------------------------------------------------
 
@@ -608,11 +598,9 @@ def net(system, spacing: float) -> list:
         k = math.ceil(1.0 / spacing)
         return [(i / k, j / k) for i in range(k) for j in range(k)]
     if isinstance(system, Horseshoe):
-        m = 1
-        while max(system.mu_s ** m, system.mu_u ** (-m)) > spacing / 2.0:
-            m += 1
-            if m > 7:
-                raise ValueError("spacing too fine for a horseshoe net at desk scale")
+        m = system.word_length(spacing / 2.0)
+        if m > 7:
+            raise ValueError("spacing too fine for a horseshoe net at desk scale")
         return [(row["x"], row["y"]) for row in system.coding_table(m)]
     if isinstance(system, SftSystem):
         # any two shift points are within 1, so a coarser spacing reads as 1
@@ -623,11 +611,15 @@ def net(system, spacing: float) -> list:
 
 def sft_point_through_word(matrix: TransitionMatrix, word: Sequence[int]) -> ShiftPoint:
     """A canonical admissible point carrying ``word`` at positions 0..|w|-1:
-    the word is closed into a cycle by a shortest connector and repeated."""
+    the word is closed into a cycle by the least of the shortest walks from
+    its last symbol back to its first, and repeated."""
     word = matrix.require_word(word)
-    connector = SftSystem(matrix).shortest_connector(word[-1], word[0])
-    cycle = word + connector
-    return ShiftPoint.from_cycle(cycle)
+    a, b = word[-1], word[0]
+    steps = _bfs_distances(matrix.succ, matrix.succ[a])[b] + 1
+    if steps == 0:
+        raise ValueError(f"no admissible connector from {a} to {b}")
+    walk = _least_walk(matrix.succ, _step_layers(matrix.pred, b, steps), a, steps)
+    return ShiftPoint.from_cycle(word + tuple(walk[:-1]))
 
 
 # -- homoclinic data ----------------------------------------------------
@@ -638,37 +630,23 @@ def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
     """Transverse-homoclinic analogue for a shift: a point whose backward
     tail is the cycle advanced by one phase and whose forward tail is the
     cycle itself, with the shortest admissible center insertion c (length
-    a multiple of the period, possibly empty).  Returns (q, c)."""
+    a multiple of the period up to period * (size + 2), possibly empty):
+    the least closed walk at w[0] of that length, or its successor where the
+    least puts q on the p-orbit (at most one of a length does).  Returns (q, c)."""
     w = tuple(cycle)
     tau = len(w)
     if not matrix.is_admissible_cycle(w):
         raise ValueError(f"cycle {w} not admissible")
     rho = w[1:] + w[:1]  # advanced phase for the backward tail
-    max_len = tau * (matrix.size + 2)
-    length = 0 if tau > 1 else tau
-    while length <= max_len:
-        for c in _center_candidates(matrix, w, length):
-            q = ShiftPoint(rho, c, w, pos=0)
-            if q.is_admissible(matrix) and q.period() is None:  # q is off the p-orbit
-                return q, c
-        length += tau if tau > 1 else 1
+    for length in range(0, tau * (matrix.size + 2) + 1, tau):
+        layers = _step_layers(matrix.pred, w[0], length + 1)
+        walk = _least_walk(matrix.succ, layers, w[0], length + 1)
+        if walk is not None and ShiftPoint(rho, walk[:-1], w).period() is not None:
+            walk = _next_walk(matrix.succ, layers, w[0], walk)
+        if walk is not None:
+            c = tuple(walk[:-1])
+            return ShiftPoint(rho, c, w), c
     raise ValueError(f"no homoclinic splice found for cycle {w}")
-
-
-def _center_candidates(matrix: TransitionMatrix, w, length: int):
-    if length == 0:
-        yield ()
-        return
-    # lexicographic admissible words of the given length, seam-compatible
-    def rec(prefix):
-        if len(prefix) == length:
-            yield prefix
-            return
-        prev = prefix[-1] if prefix else w[0]  # left tail ends with w[0]
-        for t in matrix.succ[prev]:
-            yield from rec(prefix + (t,))
-
-    yield from rec(())
 
 
 def toral_homoclinic_datum(system: ToralAutomorphism, p, delta: float,
@@ -729,15 +707,18 @@ def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 120,
 
 
 def parse_system(config: dict):
-    """System from its JSON configuration {"kind": ..., ...}."""
+    """System from its JSON configuration {"kind": ..., ...}; a bare
+    transition matrix {"rows": ..., "size": ...} is an sft system."""
     kind = config.get("kind")
+    if kind is None and "rows" in config:
+        kind, config = "sft", {"matrix": config}
     if kind == "toral":
         return ToralAutomorphism(config["matrix"])
     if kind == "horseshoe":
         rates = config["rates"]
         return Horseshoe(rates[0], rates[1])
     if kind == "sft":
-        return SftSystem(TransitionMatrix(config["matrix"]["rows"]))
+        return SftSystem(TransitionMatrix.from_dict(config["matrix"]))
     raise ValueError(f"unknown system kind {kind!r}")
 
 

@@ -202,6 +202,32 @@ def test_approx_measure_depth_below_one_exit_2(files, capsys, depth):
     assert not Path(files["out"]).exists()
 
 
+def test_matrix_commands_read_matrix_and_sft_files_only(files, tmp_path, capsys):
+    # a toral file ended analyze in an AttributeError traceback
+    assert main(["analyze", str(DATA / "cat_map.json"), "--out", files["out"]]) == 2
+    assert "expected a transition matrix or an sft system" in capsys.readouterr().err
+    resized = tmp_path / "resized.json"
+    resized.write_text(json.dumps({"size": 3, "rows": [[1, 1], [1, 0]]}))
+    assert main(["analyze", str(resized), "--out", files["out"]]) == 2
+    assert "declared size does not match rows" in capsys.readouterr().err
+    assert main(["analyze", files["full2"], "--out", files["out"]]) == 0
+
+
+def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
+    target = tmp_path / "golden_mix.json"
+    target.write_text(json.dumps({"kind": "periodic_mix", "components": [
+        {"cycle": "0", "weight": 0.5}, {"cycle": "01", "weight": 0.5}]}))
+    wrapped = tmp_path / "wrapped.json"
+    wrapped.write_text(json.dumps({"kind": "sft", "matrix": {"rows": [[1, 1], [1, 0]]}}))
+    reports = []
+    for system in (files["golden"], str(wrapped)):
+        out = tmp_path / Path(system).stem
+        assert main(["approx-measure", str(target), system, "--epsilon", "0.1",
+                     "--mode", "periodic", "--out", str(out)]) == 0
+        reports.append((out / "approx_measure.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("argv, sha256", [
     (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
       "--mode", "bernoulli"],
@@ -233,6 +259,13 @@ def test_perturb_smoke(files):
                  "--out", files["out"]]) == 0
     zero = read_report(files, "perturb_smoke.json")
     assert zero["before"] == zero["after"]
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-0.1"])
+def test_perturb_smoke_non_positive_epsilon_exit_2(files, epsilon, capsys):
+    assert main(["perturb-smoke", files["horseshoe"], "--magnitude", "0.033",
+                 "--epsilon", epsilon, "--out", files["out"]]) == 2
+    assert "scale must be positive" in capsys.readouterr().err
 
 
 def test_coding_table(files):
@@ -271,20 +304,23 @@ def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
     assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("system, argv, sha256", [
-    ("full_2_shift.json", ["01", "--delta", "0.125", "--dump-orbits"],
+@pytest.mark.parametrize("system, wrap, argv, sha256", [
+    ("full_2_shift.json", False, ["01", "--delta", "0.125", "--dump-orbits"],
      "825507ddd7d4fa27eaffc9bc701ec6b02287cfd7900b71584c9f27482271629f"),
-    ("golden_mean.json", ["0", "--delta", "0.125"],
+    ("golden_mean.json", True, ["0", "--delta", "0.125"],
      "b0228f9cc363f5b12a6a68f304ca2d0752f6e8efd4832a3b0655de69e48d7f1f"),
-], ids=["full_2_shift", "golden_mean"])
-def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, argv, sha256):
+    ("golden_mean.json", False, ["0", "--delta", "0.125"],
+     "b0228f9cc363f5b12a6a68f304ca2d0752f6e8efd4832a3b0655de69e48d7f1f"),
+], ids=["full_2_shift", "golden_mean", "golden_mean_bare"])
+def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, wrap, argv, sha256):
     # every shadow distance, dense_at_3eps flag (through the Hausdorff
-    # distance) and dumped orbit of the shift-space pipeline
-    config = json.loads((DATA / system).read_text())
-    if "kind" not in config:  # a bare transition matrix
-        config = {"kind": "sft", "matrix": config}
-    path, out = tmp_path / system, tmp_path / "out"
-    path.write_text(json.dumps(config))
+    # distance) and dumped orbit of the shift-space pipeline; a bare
+    # transition matrix and its {"kind": "sft"} wrapping are one system
+    path, out = DATA / system, tmp_path / "out"
+    if wrap:
+        path = tmp_path / system
+        path.write_text(json.dumps({"kind": "sft",
+                                    "matrix": json.loads((DATA / system).read_text())}))
     assert main(["pseudo-shadow", str(path), *argv, "--out", str(out)]) == 0
     assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256
 

@@ -16,14 +16,14 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
-                                     HorizonTooSmallError, admissible_words,
+                                     HorizonTooSmallError,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
                                      is_dense_cycle,
                                      verify_mixing_from_certificate, _BlockGraph,
                                      _ball_word)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
-                           TransitionMatrix, count_periodic_points,
+                           TransitionMatrix, admissible_words, count_periodic_points,
                            is_irreducible, is_primitive)
 
 FULL2 = TransitionMatrix.full_shift(2)

@@ -1,7 +1,11 @@
 """Concrete system backends: evaluation, splittings, homoclinic oracles,
 Lyapunov exponents, nets, coding."""
 
+import itertools
+import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symshadow import systems
+from symshadow.cli import main
 from symshadow.homoclinic import compute_excursion_parameters
 from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_family
-from symshadow.sft import TransitionMatrix
+from symshadow.sft import TransitionMatrix, admissible_words
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                differential, homoclinic_point,
@@ -277,6 +282,99 @@ def test_splice_fixed_point_needs_excursion():
     assert q.centered_word(3) == "000.100"
 
 
+class BudgetExceeded(Exception):
+    pass
+
+
+def seam_scan(matrix, cycle, budget):
+    """The splice by brute force: every admissible word of each candidate
+    length in lexicographic order, the first whose point is admissible and
+    off the p-orbit; BudgetExceeded after ``budget`` candidates."""
+    w = tuple(cycle)
+    tau = len(w)
+    rho = w[1:] + w[:1]
+
+    def words(prefix, length):
+        if len(prefix) == length:
+            yield prefix
+            return
+        for t in matrix.succ[prefix[-1] if prefix else w[0]]:
+            yield from words(prefix + (t,), length)
+
+    tried = 0
+    length = 0 if tau > 1 else tau
+    while length <= tau * (matrix.size + 2):
+        for c in words((), length):
+            tried += 1
+            if tried > budget:
+                raise BudgetExceeded
+            q = ShiftPoint(rho, c, w, pos=0)
+            if q.is_admissible(matrix) and q.period() is None:
+                return q, c
+        length += tau if tau > 1 else 1
+    raise ValueError(f"no homoclinic splice found for cycle {w}")
+
+
+def random_essential(rng, size, density):
+    while True:
+        rows = [[int(rng.random() < density) for _ in range(size)] for _ in range(size)]
+        if all(map(any, rows)) and all(map(any, zip(*rows))):
+            return TransitionMatrix(rows)
+
+
+def assert_splice_is_the_seam_scan(matrix, cycle):
+    try:
+        expected = seam_scan(matrix, cycle, 20_000)
+    except BudgetExceeded:
+        return
+    except ValueError:
+        with pytest.raises(ValueError, match="no homoclinic splice"):
+            sft_homoclinic_splice(matrix, cycle)
+        return
+    assert sft_homoclinic_splice(matrix, cycle) == expected
+
+
+@given(st.integers(1, 5), st.sampled_from([0.25, 0.4, 0.6]), st.integers(1, 3),
+       st.integers(0, 10**9))
+def test_splice_is_the_first_center_of_the_seam_scan(size, density, tau, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, density)
+    cycles = [w for w in itertools.product(range(size), repeat=tau)
+              if matrix.is_admissible_cycle(w)]
+    for cycle in rng.sample(cycles, min(3, len(cycles))):
+        assert_splice_is_the_seam_scan(matrix, cycle)
+
+
+@pytest.mark.parametrize("rows, cycle", [
+    ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], (3, 3, 3)),  # reducible
+    ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], (1,)),
+    ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]], (3, 3, 3)),
+    ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]], (2, 3)),
+    ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], (0, 1)),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (0, 1)),
+    ([[1, 1], [1, 0]], (0, 0)),
+    ([[1]], (0, 0, 0)),
+], ids=["reducible_sink_loop", "reducible_middle_loop", "chain_end_loop_repeated",
+        "cycles_sharing_a_state", "period_two_star", "triangle", "golden_repeated_zero",
+        "one_symbol"])
+def test_splice_matches_the_seam_scan_on_reducible_and_repeated_cycles(rows, cycle):
+    assert_splice_is_the_seam_scan(TransitionMatrix(rows), cycle)
+
+
+def test_period_two_star_splice_raises_at_once(tmp_path):
+    # every closed walk at 0 alternates 0 and a leaf, so every center puts q
+    # on the orbit of 01; the brute-force scan tries 6^(k/2) words per length k
+    star = [[0] + [1] * 6] + [[1] + [0] * 6] * 6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no homoclinic splice"):
+        sft_homoclinic_splice(TransitionMatrix(star), (0, 1))
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"rows": star}))
+    assert main(["pseudo-shadow", str(path), "01", "--delta", "0.125",
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 # -- Lyapunov exponents --------------------------------------------------------
 
 
@@ -323,6 +421,45 @@ def test_net_examples():
     assert windows == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+def word_bfs_connector(matrix, a, b):
+    """Breadth-first search over connector words in lexicographic order: the
+    first word w with a -> w -> b admissible."""
+    level = [()]
+    for _ in range(matrix.size):
+        for word in level:
+            if matrix.admits(word[-1] if word else a, b):
+                return word
+        level = [w + (t,) for w in level for t in matrix.succ[w[-1] if w else a]]
+    raise ValueError(f"no admissible connector from {a} to {b}")
+
+
+@given(st.integers(1, 5), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 10**9))
+def test_point_through_word_closes_with_the_least_shortest_connector(size, density, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, density)
+    for length in (1, 2, 3):
+        words = admissible_words(matrix, length)
+        for word in rng.sample(words, min(2, len(words))):
+            try:
+                connector = word_bfs_connector(matrix, word[-1], word[0])
+            except ValueError:
+                with pytest.raises(ValueError, match="no admissible connector"):
+                    systems.sft_point_through_word(matrix, word)
+                continue
+            expected = ShiftPoint.from_cycle(word + connector)
+            assert systems.sft_point_through_word(matrix, word) == expected
+
+
+def test_point_through_word_takes_the_least_first_step():
+    # 0 reaches 9 in four steps through 1, 6, 7 and through 2, 5, 8; the
+    # connector is the lexicographically least of them
+    succ = {0: [1, 2], 1: [6], 2: [5], 3: [0], 4: [0], 5: [8], 6: [7], 7: [9], 8: [9],
+            9: [0, 3, 4]}
+    matrix = TransitionMatrix([[int(v in succ[u]) for v in range(10)] for u in range(10)])
+    point = systems.sft_point_through_word(matrix, (9, 0))
+    assert point == ShiftPoint.from_cycle((9, 0, 1, 6, 7))
+
+
 def test_toral_lattice_pushforward_is_permutation():
     q = 7
     lattice = {(Fraction(i, q), Fraction(j, q)) for i in range(q) for j in range(q)}
@@ -348,6 +485,40 @@ def test_coding_conjugates_shift_and_map():
         assert hs.distance(hs.apply(geometric), hs.code_point(q.shift(k + 1))) < 1e-12
 
 
+def bit_loop_table(hs, depth):
+    rows = []
+    for b in range(2 ** depth):
+        for f in range(2 ** depth):
+            back = tuple((b >> i) & 1 for i in range(depth))
+            fwd = tuple((f >> (depth - 1 - i)) & 1 for i in range(depth))
+            x, y = hs.code_point(ShiftPoint((0,), back[::-1] + fwd, (0,), pos=-depth))
+            rows.append({"backward": "".join(map(str, back[::-1])),
+                         "forward": "".join(map(str, fwd)), "x": x, "y": y})
+    return rows
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_coding_table_is_the_bit_loop_table(depth):
+    hs = Horseshoe(1 / 3, 3.0)
+    assert hs.coding_table(depth) == bit_loop_table(hs, depth)
+
+
+def test_word_length_is_the_least_contracting_length():
+    for hs in (Horseshoe(1 / 3, 3.0), Horseshoe(0.3, 2.5), Horseshoe(0.45, 2.1)):
+        for scale in (2.0, 1.0, 0.3, 0.05, 1e-3, 1e-9):
+            m = hs.word_length(scale)
+            assert m >= 1 and max(hs.mu_s ** m, hs.mu_u ** -m) <= scale
+            assert m == 1 or max(hs.mu_s ** (m - 1), hs.mu_u ** (1 - m)) > scale
+    hs = Horseshoe(0.25, 4.0)  # exact powers: the guard admits m = 7, not 8
+    assert hs.word_length(4.0 ** -7) == 7
+    assert len(net(hs, 2 * 4.0 ** -7)) == 4 ** 7
+    with pytest.raises(ValueError, match="spacing too fine"):
+        net(hs, 2 * 4.0 ** -8)
+    for scale in (0.0, -0.1):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            hs.word_length(scale)
+
+
 def test_itinerary_round_trip():
     hs = Horseshoe(1 / 3, 3.0)
     point = ShiftPoint((1, 0), (0, 0, 1), (0, 1), pos=-1)
@@ -364,3 +535,15 @@ def test_parse_system_round_trip():
         assert parse_system(system.to_config()).to_config() == system.to_config()
     with pytest.raises(ValueError):
         parse_system({"kind": "unknown"})
+
+
+def test_parse_system_reads_a_bare_matrix_as_a_shift():
+    wrapped = parse_system({"kind": "sft", "matrix": {"rows": [[1, 1], [1, 0]]}})
+    for bare in ({"rows": [[1, 1], [1, 0]]}, {"size": 2, "rows": [[1, 1], [1, 0]]}):
+        assert parse_system(bare).to_config() == wrapped.to_config()
+    for config in ({"size": 3, "rows": [[1, 1], [1, 0]]},
+                   {"kind": "sft", "matrix": {"size": 3, "rows": [[1, 1], [1, 0]]}}):
+        with pytest.raises(ValueError, match="declared size"):
+            parse_system(config)
+    with pytest.raises(ValueError, match="unknown system kind"):
+        parse_system({"matrix": [[2, 1], [1, 1]]})
