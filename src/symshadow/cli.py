@@ -76,9 +76,12 @@ class ExperimentConfig:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _load_matrix(path: str) -> TransitionMatrix:
@@ -240,15 +243,23 @@ def _load_target(path: str, system):
             raise ValueError("lebesgue target needs a toral system")
         return LebesgueTorus(), "lebesgue"
     if kind == "bernoulli":
-        if matrix is None or not isinstance(data["p"], list) or len(data["p"]) != matrix.size:
+        probs = data["p"]
+        if matrix is None or not isinstance(probs, list) or len(probs) != matrix.size \
+                or not all(isinstance(x, (int, float)) for x in probs):
             raise ValueError("bernoulli target needs an sft system and one "
                              "probability per symbol")
-        return BernoulliProduct(data["p"]), f"bernoulli({data['p']})"
+        return BernoulliProduct(probs), f"bernoulli({probs})"
     if kind == "periodic_mix":
         if matrix is None:
             raise ValueError("periodic_mix target needs an sft system")
+        components = data["components"]
+        if not isinstance(components, list) or not all(
+                isinstance(c, dict) and isinstance(c.get("cycle"), str)
+                and isinstance(c.get("weight"), (str, int, float)) for c in components):
+            raise ValueError('periodic_mix components must be a list of '
+                             '{"cycle": "<digits>", "weight": ...} objects')
         atoms = []
-        for comp in data["components"]:
+        for comp in components:
             mu = cycle_measure(matrix, _parse_word(comp["cycle"]))
             w = Fraction(comp["weight"]) if isinstance(comp["weight"], str) \
                 else Fraction(comp["weight"]).limit_denominator(10**9)
@@ -450,8 +461,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
     config = _load_json(path) if path else {}
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: expected a JSON object of option values")
     args = build_parser({str(k).replace("-", "_"): v for k, v in config.items()}
                         ).parse_args(argv)
     if args.unknown_config:

@@ -20,12 +20,9 @@ tau*l*tau margin for the all-the-way-around case, every n >= N0 =
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import prod
 from typing import Any, Sequence
-
-import numpy as np
 
 from .sft import _primitive_period
 from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
@@ -79,23 +76,16 @@ class HomoclinicDatum:
     def validate(self) -> None:
         """Both tails must enter the delta/2-ball of the right phase point
         and carry at least tau points near translates of O(p)."""
-        half = self.delta / 2.0
-        tau = self.tau
-        # forward tail follows O(p): f^{k}(q) near f^{k mod tau}(p) at the far end
-        far = self.k_fwd
-        for r in range(tau):
-            k = far - r
-            target = self.p_orbit[k % tau]
-            if self.system.distance(self.q_point(k), target) > half:
-                raise ValueError("forward tail of homoclinic segment not within "
-                                 "delta/2 of the p-orbit")
-        # backward tail follows O(f(p)): f^{-k}(q) near f^{1-k}(p)
-        for r in range(tau):
-            k = -self.k_back + r
-            target = self.p_orbit[(k + 1) % tau]
-            if self.system.distance(self.q_point(k), target) > half:
-                raise ValueError("backward tail of homoclinic segment not within "
-                                 "delta/2 of the f(p)-orbit")
+        tau, half = self.tau, self.delta / 2.0
+        # the forward tail follows O(p): f^k(q) near f^(k mod tau)(p) at the far end;
+        # the backward tail follows O(f(p)): f^k(q) near f^(k+1)(p) at the near end
+        for tail, orbit, ks, phase in (
+                ("forward", "p", range(self.k_fwd - tau + 1, self.k_fwd + 1), 0),
+                ("backward", "f(p)", range(-self.k_back, tau - self.k_back), 1)):
+            near = [self.p_orbit[(k + phase) % tau] for k in ks]
+            if self.system.distances([self.q_point(k) for k in ks], near).max() > half:
+                raise ValueError(f"{tail} tail of homoclinic segment not within "
+                                 f"delta/2 of the {orbit}-orbit")
 
 
 @dataclass(frozen=True)
@@ -134,16 +124,21 @@ class PseudoOrbit:
         system, pts = self.system, tuple(self.points)
         if not pts:
             raise ValueError("empty pseudo-orbit: the point sequence is empty")
-        defect = max(system.distance(system.apply(x), y)
-                     for x, y in zip(pts, pts[1:] + pts[:1]))
         for name, value in (("points", pts), ("jump_indices", tuple(self.jump_indices)),
-                            ("period", len(pts)), ("defect", defect),
+                            ("period", len(pts)), ("defect", cyclic_defect(system, pts)),
                             ("exact_period", cyclic_period(system, pts) == len(pts))):
             object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {"points": [encode_point(p) for p in self.points],
                 "n": self.period, "defect": self.defect}
+
+
+def cyclic_defect(system, points: Sequence) -> float:
+    """max_i d(f(x_i), x_{i+1 mod n}) over the cyclic sequence ``points``."""
+    points = tuple(points)
+    return float(system.distances([system.apply(x) for x in points],
+                                  points[1:] + points[:1]).max())
 
 
 def encode_point(p):
@@ -258,11 +253,9 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
             report["hausdorff_to_reference"] = hausdorff_distance(pts, ref)
         else:
             # every distinct point has the minimum of all its copies
-            pts, ref = _distinct(pts)[0], _distinct(ref)[0]
-            matrix = system.distance_matrix(pts, ref)
-            there = _exact_row_minima(system, pts, ref, matrix)
-            back = _exact_row_minima(system, ref, pts, matrix.T)
-            report["hausdorff_to_reference"] = max(there + back)
+            matrix = system.distance_matrix(_distinct(pts)[0], _distinct(ref)[0])
+            report["hausdorff_to_reference"] = float(max(matrix.min(axis=1).max(),
+                                                         matrix.min(axis=0).max()))
     return report
 
 
@@ -271,19 +264,13 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
-    """min over y in points of d(x, y) for each query x, exactly.
+    """min over y in points of d(x, y) for each query x.
 
-    Shift spaces answer from a sorted key index.  The float systems work
-    over distinct points: exactly equal points, queries and points alike,
-    are collapsed first (a Fraction with its equal float, 0.0 with -0.0;
-    the metric sees only their float differences, so copies share every
-    distance).  ``system.distance_matrix`` is built over the distinct
-    queries and points, in blocks of queries that bound its memory, and
-    each query takes the row minimum of its distinct equal, which is
-    ``min(system.distance(x, y) for y in points)`` bit for bit (see
-    :func:`_exact_row_minima`).  This takes horseshoe coordinates to be
-    floats; the torus converts its coordinates to floats, as its metric
-    does.
+    Shift spaces answer from a sorted key index.  The float systems take
+    the row minima of ``system.distance_matrix``, whose entries are
+    ``system.distance`` bit for bit, over the distinct queries and points
+    (equal points, such as a Fraction and its equal float, share every
+    distance) and in blocks of queries that bound its memory.
 
     No queries give []; queries against an empty point set raise
     ValueError.
@@ -299,9 +286,7 @@ def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
     rows = max(1, _BLOCK_ENTRIES // len(points))
     mins: list[float] = []
     for start in range(0, len(queries), rows):
-        block = queries[start:start + rows]
-        mins += _exact_row_minima(system, block, points,
-                                  system.distance_matrix(block, points))
+        mins += system.distance_matrix(queries[start:start + rows], points).min(axis=1).tolist()
     return [mins[i] for i in inverse]
 
 
@@ -311,34 +296,6 @@ def _distinct(points: Sequence) -> tuple[list, list[int]]:
     index: dict = {}
     inverse = [index.setdefault(tuple(p), len(index)) for p in points]
     return list(index), inverse
-
-
-def _exact_row_minima(system, queries: Sequence, points: Sequence, matrix
-                      ) -> list[float]:
-    """Exact row minima of ``matrix``, whose entry [i, j] is
-    d(queries[i], points[j]), over distinct queries and distinct points.
-
-    The torus matrix repeats ``torus_distance`` operation for operation,
-    so its row minima are returned as they are.  A horseshoe entry is
-    ``np.hypot``, within an ulp of the exact value as ``math.hypot`` is, so
-    the two differ by a factor of at most 1 + 2^-51 and the exact minimum
-    of a row lies within (1 + 2^-51)^2 of the row's smallest entry: inside
-    the band 1 + 2^-49 (room for the bound's own rounding), plus 1e-300 for
-    subnormal results.  Only the entries in the band, each a distinct pair,
-    are recomputed with ``system.distance``.  A row whose smallest entry is
-    0 returns 0.0: ``np.hypot`` does not underflow, so that is equality.
-    """
-    mins = matrix.min(axis=1)
-    if system.kind == "toral":
-        return mins.tolist()
-    out = np.where(mins > 0.0, math.inf, 0.0).tolist()
-    bound = np.where(mins > 0.0, mins * (1.0 + 2.0 ** -49) + 1e-300, -1.0)
-    rows, cols = np.nonzero(matrix <= bound[:, None])
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        d = system.distance(queries[i], points[j])
-        if d < out[i]:
-            out[i] = d
-    return out
 
 
 def cyclic_period(system, points: Sequence) -> int:

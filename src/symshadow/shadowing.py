@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homoclinic import PseudoOrbit, encode_point, min_distances
+from .homoclinic import PseudoOrbit, cyclic_defect, encode_point, min_distances
 from .sft import _primitive_period, enumerate_cycles, count_periodic_points
 from .shiftspace import ShiftPoint, cycle_distances, forward_distances, word_radius
 from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
@@ -76,12 +76,11 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
             f"{system.chart_radius}; pseudo-orbit too coarse to shadow")
 
     points, primitive_period = system.shadowing_orbit(po.points)
-    residual = max(system.distance(system.apply(p), q)
-                   for p, q in zip(points, points[1:] + points[:1]))
+    residual = cyclic_defect(system, points)
     if residual > tol:
         raise ShadowingError(f"closed-form orbit misses tol {tol}; residual {residual:.3g}")
 
-    shadow_distance = max(system.distance(p, q) for p, q in zip(points, po.points))
+    shadow_distance = float(system.distances(points, po.points).max())
     if shadow_distance > C * delta:
         raise ShadowingBoundViolatedError(
             f"shadowing bound violated: distance {shadow_distance:.3g} > "

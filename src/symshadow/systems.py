@@ -1,7 +1,7 @@
 """Concrete hyperbolic system backends.
 
 Three kinds of system share one small interface (``apply``,
-``apply_inverse``, ``distance``):
+``apply_inverse``, ``distance`` and its elementwise form ``distances``):
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -83,31 +83,52 @@ def _wrap_point(p):
     return (_wrap(p[0]), _wrap(p[1]))
 
 
+def _torus_metric(dx, dy):
+    """The torus distance of float coordinate differences, elementwise over
+    arrays or on one pair of floats: each |d| mod 1 is folded to
+    min(d, 1 - d), then the Euclidean norm."""
+    dx, dy = np.abs(dx) % 1.0, np.abs(dy) % 1.0
+    dx, dy = np.minimum(dx, 1.0 - dx), np.minimum(dy, 1.0 - dy)
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def torus_distance(a, b) -> float:
     """Euclidean distance on the 2-torus (wrap-aware per coordinate)."""
-    total = 0.0
-    for x, y in zip(a, b):
-        d = abs(float(x) - float(y)) % 1.0
-        d = min(d, 1.0 - d)
-        total += d * d
-    return math.sqrt(total)
+    return float(_torus_metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
 
 
-def _coordinate(points: Sequence, k: int) -> np.ndarray:
-    return np.fromiter((float(p[k]) for p in points), np.float64, len(points))
+def _coordinates(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y coordinates of planar points, as float arrays."""
+    xy = np.fromiter((float(c) for p in points for c in p), np.float64, 2 * len(points))
+    return xy[0::2], xy[1::2]
 
 
-def _coordinate_differences(queries: Sequence, points: Sequence, k: int) -> np.ndarray:
-    """|x_k - y_k| for x in queries (rows) and y in points (columns)."""
-    d = np.subtract.outer(_coordinate(queries, k), _coordinate(points, k))
-    return np.abs(d, out=d)
+class _PlanarMetric:
+    """``distance``, the elementwise ``distances`` and ``distance_matrix`` of
+    a planar system, all one formula ``_metric`` over float coordinate
+    differences, so the three agree bit for bit.  Each system binds
+    ``distance`` in its own class as well, where per-class wrappers (the
+    bench tracer's) find it."""
+
+    def distance(self, a, b) -> float:
+        return float(self._metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
+
+    def distances(self, xs: Sequence, ys: Sequence) -> np.ndarray:
+        """d(xs[i], ys[i]) for each i."""
+        (x0, x1), (y0, y1) = _coordinates(xs), _coordinates(ys)
+        return self._metric(x0 - y0, x1 - y1)
+
+    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
+        """d(x, y) for x in queries (rows) and y in points (columns)."""
+        (x0, x1), (y0, y1) = _coordinates(queries), _coordinates(points)
+        return self._metric(np.subtract.outer(x0, y0), np.subtract.outer(x1, y1))
 
 
 # lattice points per chunk of the rational orbit walk (a larger q goes alone)
 _CHUNK_POINTS = 1 << 20
 
 
-class ToralAutomorphism:
+class ToralAutomorphism(_PlanarMetric):
     """x -> A x mod 1 for an integer matrix with |det| = 1 and no
     eigenvalue on the unit circle.
 
@@ -116,8 +137,9 @@ class ToralAutomorphism:
     distinct eigenvalues).
     """
 
-    kind = "toral"
     chart_radius = 0.25
+    _metric = staticmethod(_torus_metric)
+    distance = _PlanarMetric.distance
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         m = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -170,21 +192,6 @@ class ToralAutomorphism:
 
     def differential(self, p=None):
         return self.matrix
-
-    def distance(self, a, b) -> float:
-        return torus_distance(a, b)
-
-    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
-        """d(x, y) for x in queries (rows) and y in points (columns), equal
-        to ``distance`` bit for bit: the same float operations in the same
-        order."""
-        dx, dy = (_coordinate_differences(queries, points, k) for k in range(2))
-        for d in (dx, dy):
-            np.remainder(d, 1.0, out=d)
-            # min(d, 1 - d) is d up to 1/2 and the exact 1 - d above it
-            np.subtract(1.0, d, out=d, where=d > 0.5)
-            np.multiply(d, d, out=d)
-        return np.sqrt(np.add(dx, dy, out=dx), out=dx)
 
     def splitting(self) -> HyperbolicSplitting:
         return HyperbolicSplitting(self.lam_s, self.lam_u, self.v_s, self.v_u)
@@ -367,7 +374,7 @@ class ToralAutomorphism:
         return {"kind": "toral", "matrix": [list(r) for r in self.matrix]}
 
 
-class Horseshoe:
+class Horseshoe(_PlanarMetric):
     """Two-branch affine horseshoe model on the unit square.
 
     Branch c in {0, 1} acts on the horizontal strip H_c (height 1/mu_u,
@@ -379,8 +386,9 @@ class Horseshoe:
     the forward itinerary.
     """
 
-    kind = "horseshoe"
     chart_radius = 0.2
+    _metric = staticmethod(np.hypot)
+    distance = _PlanarMetric.distance
 
     def __init__(self, contraction: float, expansion: float):
         if not 0.0 < contraction < 0.5:
@@ -417,16 +425,6 @@ class Horseshoe:
 
     def differential(self, p=None):
         return ((self.mu_s, 0.0), (0.0, self.mu_u))
-
-    def distance(self, a, b) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1])
-
-    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
-        """d(x, y) for x in queries (rows) and y in points (columns).
-        ``np.hypot`` may differ from ``math.hypot`` in the last bit, but it
-        never underflows: an entry is 0 only for equal coordinates."""
-        dx = _coordinate_differences(queries, points, 0)
-        return np.hypot(dx, _coordinate_differences(queries, points, 1), out=dx)
 
     def splitting(self) -> HyperbolicSplitting:
         return HyperbolicSplitting(self.mu_s, self.mu_u, (1.0, 0.0), (0.0, 1.0))
@@ -529,7 +527,6 @@ class SftSystem:
     """A subshift of finite type as a dynamical system on exact
     eventually-periodic shift points."""
 
-    kind = "sft"
     chart_radius = 0.25
 
     def __init__(self, matrix: TransitionMatrix):
@@ -543,6 +540,10 @@ class SftSystem:
 
     def distance(self, a: ShiftPoint, b: ShiftPoint) -> float:
         return a.distance(b)
+
+    def distances(self, xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> np.ndarray:
+        """d(xs[i], ys[i]) for each i."""
+        return np.array([x.distance(y) for x, y in zip(xs, ys)], np.float64)
 
     def to_config(self) -> dict:
         return {"kind": "sft", "matrix": {"rows": [list(r) for r in self.matrix.rows],
@@ -709,14 +710,24 @@ def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 120,
 def parse_system(config: dict):
     """System from its JSON configuration {"kind": ..., ...}; a bare
     transition matrix {"rows": ..., "size": ...} is an sft system."""
+    if not isinstance(config, dict):
+        raise ValueError(f"a system is a JSON object, got {config!r}")
     kind = config.get("kind")
     if kind is None and "rows" in config:
         kind, config = "sft", {"matrix": config}
     if kind == "toral":
-        return ToralAutomorphism(config["matrix"])
+        matrix = config["matrix"]
+        if not (isinstance(matrix, list)
+                and all(isinstance(r, list) and all(isinstance(v, int) for v in r)
+                        for r in matrix)):
+            raise ValueError(f"toral matrix must be a list of integer rows, got {matrix!r}")
+        return ToralAutomorphism(matrix)
     if kind == "horseshoe":
         rates = config["rates"]
-        return Horseshoe(rates[0], rates[1])
+        if not (isinstance(rates, list) and len(rates) == 2
+                and all(isinstance(r, (int, float)) for r in rates)):
+            raise ValueError(f"horseshoe rates must be [contraction, expansion], got {rates!r}")
+        return Horseshoe(*rates)
     if kind == "sft":
         return SftSystem(TransitionMatrix.from_dict(config["matrix"]))
     raise ValueError(f"unknown system kind {kind!r}")

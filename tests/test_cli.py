@@ -213,6 +213,33 @@ def test_matrix_commands_read_matrix_and_sft_files_only(files, tmp_path, capsys)
     assert main(["analyze", files["full2"], "--out", files["out"]]) == 0
 
 
+@pytest.mark.parametrize("role, payload", [
+    ("system", [[1, 1], [1, 0]]),
+    ("target", [[1, 1], [1, 0]]),
+    ("system", {"rows": 5}),
+    ("system", {"kind": "sft", "matrix": [[1, 1], [1, 0]]}),
+    ("system", {"kind": "horseshoe", "rates": 0.3}),
+    ("system", {"kind": "horseshoe", "rates": [0.3]}),
+    ("system", {"kind": "toral", "matrix": 5}),
+    ("target", {"kind": "periodic_mix", "components": 5}),
+], ids=["array_system", "array_target", "rows_5", "sft_matrix_array", "rates_0.3",
+        "rates_[0.3]", "toral_matrix_5", "components_5"])
+def test_malformed_files_exit_2(files, capsys, role, payload):
+    # each of these ended in a traceback (exit 1) where the file is read
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(payload))
+    approx = ["approx-measure", "--epsilon", "0.1", "--mode", "periodic"]
+    if role == "target":
+        runs = [approx + [str(path), files["full2"]]]
+    else:
+        runs = [["analyze", str(path)], ["pseudo-shadow", str(path), "0"],
+                approx + [files["mix"], str(path)]]
+    for argv in runs:
+        assert main(argv + ["--out", files["out"]]) == 2
+        assert "invalid input: " in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
     target = tmp_path / "golden_mix.json"
     target.write_text(json.dumps({"kind": "periodic_mix", "components": [

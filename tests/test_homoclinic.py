@@ -233,15 +233,12 @@ float_systems = st.sampled_from([CAT, HORSESHOE])
 
 @given(st.tuples(coordinates, coordinates), st.tuples(coordinates, coordinates),
        st.integers(-3, 3), st.integers(-3, 3))
-def test_horseshoe_matrix_entries_stay_inside_the_recompute_band(a, b, dx, dy):
-    # _exact_row_minima recomputes entries up to (1 + 2^-49) times a row's
-    # smallest, plus 1e-300, taking np.hypot and math.hypot to differ by a
-    # factor of at most 1 + 2^-51 (plus 1e-300 below the normals): a row's
-    # exact minimum is then within (1 + 2^-51)^2 of its smallest entry
-    assert (1.0 + 2.0 ** -51) ** 2 * (1.0 + 2.0 ** -52) < 1.0 + 2.0 ** -49
+def test_horseshoe_metric_is_within_an_ulp_factor_of_math_hypot(a, b, dx, dy):
+    # metric accuracy: np.hypot, the horseshoe's one formula, and math.hypot
+    # are each within an ulp of the exact distance, so they differ by a
+    # factor of at most 1 + 2^-51 (plus 1e-300 below the normals)
     for x, y in (b, (nudge(a[0], dx), nudge(a[1], dy)), (1.0 - a[0], a[1])):
-        entry = float(HORSESHOE.distance_matrix([a], [(x, y)])[0, 0])
-        low, high = sorted((entry, HORSESHOE.distance(a, (x, y))))
+        low, high = sorted((HORSESHOE.distance(a, (x, y)), math.hypot(a[0] - x, a[1] - y)))
         assert high <= low * (1.0 + 2.0 ** -51) + 1e-300
 
 
@@ -348,46 +345,35 @@ def counting_distance(system, monkeypatch) -> list:
 
 
 def test_torus_minima_make_no_distance_calls(monkeypatch):
-    datum = toral_homoclinic_datum(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
-                                   DELTA_CAT, forward_length=220, backward_length=80)
-    params = compute_excursion_parameters(datum)
-    po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
-    reference = list(datum.segment) + list(datum.p_orbit)
+    # the torus and the horseshoe alike: min_distances and the Hausdorff
+    # distance of verify_pseudo_orbit read the distance matrix alone
+    cat = toral_homoclinic_datum(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
+                                 DELTA_CAT, forward_length=220, backward_length=80)
+    horseshoe = horseshoe_homoclinic_datum(Horseshoe(1 / 3, 3.0), (0, 1), 0.05,
+                                           forward_length=160, backward_length=80)
     rng = random.Random(3)
     grid = [(rng.random(), rng.random()) for _ in range(50)] * 3
-    cases = [(po.points, reference), (reference, po.points), (grid, po.points)]
-    expected = [pairwise_min(datum.system, queries, points) for queries, points in cases]
-    assert min(expected[-1]) > 0.0
-    calls = counting_distance(datum.system, monkeypatch)
-    assert [min_distances(datum.system, *case) for case in cases] == expected
-    assert calls == []
-
-
-def test_horseshoe_recomputes_each_distinct_near_minimal_pair_once(monkeypatch):
-    system = Horseshoe(1 / 3, 3.0)
-    datum = horseshoe_homoclinic_datum(system, (0, 1), 0.05,
-                                       forward_length=160, backward_length=80)
-    params = compute_excursion_parameters(datum)
-    po = build_periodic_pseudo_orbit(datum, params, params.N0 + 101)
-    reference = list(datum.segment) + list(datum.p_orbit)
-    # the forward tail repeats the p-cycle, so both sets hold exact repeats
-    assert len(set(po.points)) < len(po.points) and len(set(reference)) < len(reference)
-    for queries, points in ((po.points, reference), (reference, po.points)):
-        expected = pairwise_min(system, queries, points)
-        near = {(x, y) for x, m in zip(queries, expected) if m > 0.0 for y in points
-                if system.distance(x, y) <= m * (1.0 + 1e-8) + 1e-300}
-        calls = counting_distance(system, monkeypatch)
-        assert min_distances(system, queries, points) == expected
-        assert len(calls) == len(set(calls)) and set(calls) <= near
+    for datum, extra in ((cat, 5), (horseshoe, 101)):
+        params = compute_excursion_parameters(datum)
+        po = build_periodic_pseudo_orbit(datum, params, params.N0 + extra)
+        reference = list(datum.segment) + list(datum.p_orbit)
+        # the forward tail repeats the p-cycle, so both sets hold exact repeats
+        assert len(set(po.points)) < len(po.points) and len(set(reference)) < len(reference)
+        cases = [(po.points, reference), (reference, po.points), (grid, po.points)]
+        expected = [pairwise_min(datum.system, queries, points) for queries, points in cases]
+        assert min(expected[-1]) > 0.0
+        calls = counting_distance(datum.system, monkeypatch)
+        assert [min_distances(datum.system, *case) for case in cases] == expected
+        report = verify_pseudo_orbit(po, datum.delta, reference=reference)
+        assert report["hausdorff_to_reference"] == max(expected[0] + expected[1])
+        assert calls == []
         monkeypatch.undo()
 
 
 @pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
 def test_min_distances_on_many_rows_with_near_ties(system, monkeypatch):
-    # numpy's hypot and math.hypot disagree in the last bit on about 0.5% of
-    # pairs, and each point has a neighbour one ulp away, so the rows carry
-    # near ties whose order the matrix may get wrong; small blocks of
-    # queries exercise the blocked scan
+    # each point has a neighbour one ulp away, so the rows carry near ties;
+    # small blocks of queries exercise the blocked scan
     monkeypatch.setattr(homoclinic, "_BLOCK_ENTRIES", 1000)
     rng = random.Random(7)
     points = [(rng.random(), rng.random() / 3.0) for _ in range(12)]
@@ -407,13 +393,13 @@ def test_min_distances_edge_cases():
         == [1e-170]
     assert min_distances(HORSESHOE, [(0.25, 0.1)] * 3, [(0.3, 0.2), (0.25, 0.1)]) \
         == [0.0] * 3
-    # a near tie that np.hypot orders the other way round from math.hypot
-    # (glibc's hypot): the larger matrix entry holds the exact minimum
+    # a near tie that np.hypot and math.hypot (glibc's hypot) order the two
+    # ways round: the minimum is the pairwise one under the one formula
     query = (0.32059447113252204, 0.39924651546101675)
     near, nearer = (0.17146304860013686, 0.2472971453318724), \
         (0.17146304860013684, 0.24729714533187241)
     assert min_distances(HORSESHOE, [query], [near, nearer]) \
-        == [HORSESHOE.distance(query, nearer)] == [0.2129055947343247]
+        == pairwise_min(HORSESHOE, [query], [near, nearer])
     assert min_distances(CAT, CAT_P_ORBIT, [(0.2, 0.4)]) == pairwise_min(
         CAT, CAT_P_ORBIT, [(0.2, 0.4)])
 

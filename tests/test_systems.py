@@ -175,14 +175,51 @@ torus_coordinates = st.one_of(
     st.floats(-3.0, 3.0).map(Fraction))
 
 
+def torus_distance_by_ops(a, b) -> float:
+    """Oracle: the torus metric one coordinate at a time, in Python floats."""
+    total = 0.0
+    for x, y in zip(a, b):
+        d = abs(float(x) - float(y)) % 1.0
+        d = min(d, 1.0 - d)
+        total += d * d
+    return math.sqrt(total)
+
+
 @given(st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6),
        st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6))
 def test_torus_distance_matrix_is_the_metric_bit_for_bit(queries, points):
-    # the distance minima return the torus matrix's row minima without
-    # recomputing them, which rests on this equality
     matrix = CAT.distance_matrix(queries, points).tolist()
     assert [[d.hex() for d in row] for row in matrix] == \
-        [[torus_distance(x, y).hex() for y in points] for x in queries]
+        [[torus_distance_by_ops(x, y).hex() for y in points] for x in queries]
+
+
+def nudge(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+HORSESHOE = Horseshoe(1 / 3, 3.0)
+SUBNORMAL = (5e-324, -5e-324, 2.0 ** -1022 - 5e-324, 1e-310)
+planar_coordinates = st.one_of(
+    torus_coordinates, st.sampled_from(SUBNORMAL),
+    st.builds(lambda c, k: nudge(float(c), k), torus_coordinates, st.integers(-3, 3)))
+
+
+@pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
+@given(data=st.data())
+def test_distance_forms_are_one_formula_bit_for_bit(system, data):
+    # seam, nudged and subnormal coordinates: distance, the elementwise
+    # distances and distance_matrix read one formula, so they agree exactly
+    pairs = st.tuples(planar_coordinates, planar_coordinates)
+    xs = data.draw(st.lists(pairs, min_size=1, max_size=6))
+    ys = data.draw(st.lists(pairs, min_size=len(xs), max_size=len(xs)))
+    pairwise = [[system.distance(x, y).hex() for y in ys] for x in xs]
+    assert [[d.hex() for d in row] for row in system.distance_matrix(xs, ys).tolist()] \
+        == pairwise
+    assert [d.hex() for d in system.distances(xs, ys).tolist()] \
+        == [pairwise[i][i] for i in range(len(xs))]
+    assert all(type(system.distance(x, y)) is float for x, y in zip(xs, ys))
 
 
 def test_inverse_round_trip():
