@@ -16,7 +16,7 @@ from symshadow.homoclinic import (build_periodic_pseudo_orbit,
                                   compute_excursion_parameters,
                                   verify_pseudo_orbit)
 from symshadow.shadowing import density_check, shadow_periodic
-from symshadow.systems import ToralAutomorphism, toral_homoclinic_datum
+from symshadow.systems import ToralAutomorphism, homoclinic_point
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ def run(config: ExperimentConfig) -> bool:
     split = system.splitting()
     print(f"system: toral {config.matrix}, lam_u = {split.lam_u:.6f}, "
           f"C = {split.shadowing_constant:.4f}")
-    datum = toral_homoclinic_datum(system, config.point, config.delta,
-                                   forward_length=4 * config.lengths_beyond_threshold + 120,
-                                   backward_length=120)
+    datum = homoclinic_point(system, config.point, config.delta,
+                             forward_length=4 * config.lengths_beyond_threshold + 120,
+                             backward_length=120)
     params = compute_excursion_parameters(datum)
     print(f"excursion parameters: N = {params.N}, l = {params.l}, L = {params.L}, "
           f"N0 = {params.N0} (product bound {params.N0_product})")

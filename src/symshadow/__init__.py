@@ -24,8 +24,7 @@ from .dense_periods import (DensePeriodsCertificate, DensePeriodsRefutation,
 from .homoclinic import (ExcursionParameters, HomoclinicDatum,
                          InsufficientSegmentError, PseudoOrbit,
                          build_periodic_pseudo_orbit,
-                         compute_excursion_parameters, homoclinic_datum,
-                         verify_pseudo_orbit)
+                         compute_excursion_parameters, verify_pseudo_orbit)
 from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
                         density_check, enumerate_periodic_orbits,
                         shadow_periodic)

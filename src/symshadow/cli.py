@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,6 +232,14 @@ def cmd_pseudo_shadow(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(value) -> bool:
+    """Is ``value`` a number, finite as a float (not NaN, infinite or too large)?"""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _load_target(path: str, system):
     """The target measure and its report id, checked against the system: a
     lebesgue target needs a toral system, a bernoulli target an sft system
@@ -245,9 +254,9 @@ def _load_target(path: str, system):
     if kind == "bernoulli":
         probs = data["p"]
         if matrix is None or not isinstance(probs, list) or len(probs) != matrix.size \
-                or not all(isinstance(x, (int, float)) for x in probs):
+                or not all(_finite_number(x) for x in probs):
             raise ValueError("bernoulli target needs an sft system and one "
-                             "probability per symbol")
+                             "finite probability per symbol")
         return BernoulliProduct(probs), f"bernoulli({probs})"
     if kind == "periodic_mix":
         if matrix is None:
@@ -255,9 +264,10 @@ def _load_target(path: str, system):
         components = data["components"]
         if not isinstance(components, list) or not all(
                 isinstance(c, dict) and isinstance(c.get("cycle"), str)
-                and isinstance(c.get("weight"), (str, int, float)) for c in components):
-            raise ValueError('periodic_mix components must be a list of '
-                             '{"cycle": "<digits>", "weight": ...} objects')
+                and (isinstance(c.get("weight"), str) or _finite_number(c.get("weight")))
+                for c in components):
+            raise ValueError('periodic_mix components must be a list of {"cycle": '
+                             '"<digits>", "weight": <string or finite number>} objects')
         atoms = []
         for comp in components:
             mu = cycle_measure(matrix, _parse_word(comp["cycle"]))
@@ -465,6 +475,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                         ).parse_args(argv)
     if args.unknown_config:
         raise ValueError(f"{path}: unknown option(s) {', '.join(args.unknown_config)}")
+    for key, value in sorted(vars(args).items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"option {key}: {value} is not a finite number")
     return args
 
 

@@ -16,6 +16,9 @@ period tau rather than n, so the phase must be walked all the way around.
 With L the product of the partial excursion budgets r*l and an extra
 tau*l*tau margin for the all-the-way-around case, every n >= N0 =
 (L + tau*l) * tau decomposes with a nonnegative number of near-p loops.
+
+The geometry is the system's: its map, its elementwise ``distances``, and
+its point-set queries ``cyclic_period`` and ``hausdorff``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 from typing import Any, Sequence
-
-from .sft import _primitive_period
-from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 
 
 class InsufficientSegmentError(ValueError):
@@ -40,42 +40,26 @@ class InsufficientSegmentError(ValueError):
 @dataclass(frozen=True)
 class HomoclinicDatum:
     """Periodic point p with period tau, a homoclinic orbit segment, and
-    the pseudo-orbit tolerance delta.
+    the pseudo-orbit tolerance delta; tau is read off the p-orbit, and the
+    tails are checked once, at construction.
 
     ``segment[k + k_back]`` holds f^k(q) for k in [-k_back, k_fwd]; the
     backward tail tracks the orbit of f(p) (one phase ahead), the forward
-    tail the orbit of p.
+    tail the orbit of p.  Both tails must enter the delta/2-ball of the
+    right phase point and carry at least tau points near translates of O(p).
     """
 
     system: Any
     p_orbit: tuple  # (f^0(p), ..., f^{tau-1}(p))
-    tau: int
     segment: tuple
     k_back: int
     delta: float
+    tau: int = field(init=False)
 
-    def q_point(self, k: int):
-        """f^k(q); raises when the stored segment does not reach k."""
-        idx = k + self.k_back
-        if not 0 <= idx < len(self.segment):
-            need_back = max(0, -(k + self.k_back))
-            need_fwd = max(0, k - (len(self.segment) - 1 - self.k_back))
-            raise InsufficientSegmentError(
-                f"segment covers q-orbit indices [{-self.k_back}, "
-                f"{len(self.segment) - 1 - self.k_back}], needed {k}",
-                extend_backward=need_back, extend_forward=need_fwd)
-        return self.segment[idx]
-
-    @property
-    def k_fwd(self) -> int:
-        return len(self.segment) - 1 - self.k_back
-
-    def in_p_ball(self, point, radius: float) -> bool:
-        return self.system.distance(point, self.p_orbit[0]) <= radius
-
-    def validate(self) -> None:
-        """Both tails must enter the delta/2-ball of the right phase point
-        and carry at least tau points near translates of O(p)."""
+    def __post_init__(self):
+        for name, value in (("p_orbit", tuple(self.p_orbit)), ("segment", tuple(self.segment)),
+                            ("delta", float(self.delta)), ("tau", len(self.p_orbit))):
+            object.__setattr__(self, name, value)
         tau, half = self.tau, self.delta / 2.0
         # the forward tail follows O(p): f^k(q) near f^(k mod tau)(p) at the far end;
         # the backward tail follows O(f(p)): f^k(q) near f^(k+1)(p) at the near end
@@ -86,6 +70,22 @@ class HomoclinicDatum:
             if self.system.distances([self.q_point(k) for k in ks], near).max() > half:
                 raise ValueError(f"{tail} tail of homoclinic segment not within "
                                  f"delta/2 of the {orbit}-orbit")
+
+    def q_point(self, k: int):
+        """f^k(q); raises when the stored segment does not reach k."""
+        idx = k + self.k_back
+        if not 0 <= idx < len(self.segment):
+            raise InsufficientSegmentError(
+                f"segment covers q-orbit indices [{-self.k_back}, {self.k_fwd}], needed {k}",
+                extend_backward=max(0, -idx), extend_forward=max(0, k - self.k_fwd))
+        return self.segment[idx]
+
+    @property
+    def k_fwd(self) -> int:
+        return len(self.segment) - 1 - self.k_back
+
+    def in_p_ball(self, point, radius: float) -> bool:
+        return self.system.distance(point, self.p_orbit[0]) <= radius
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class PseudoOrbit:
             raise ValueError("empty pseudo-orbit: the point sequence is empty")
         for name, value in (("points", pts), ("jump_indices", tuple(self.jump_indices)),
                             ("period", len(pts)), ("defect", cyclic_defect(system, pts)),
-                            ("exact_period", cyclic_period(system, pts) == len(pts))):
+                            ("exact_period", system.cyclic_period(pts) == len(pts))):
             object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
@@ -147,14 +147,6 @@ def encode_point(p):
     if hasattr(p, "centered_word"):
         return p.centered_word(12)
     return [f"{float(c):.15g}" for c in p]
-
-
-def homoclinic_datum(system, p_orbit: Sequence, segment: Sequence, k_back: int,
-                     delta: float) -> HomoclinicDatum:
-    datum = HomoclinicDatum(system, tuple(p_orbit), len(p_orbit), tuple(segment),
-                            k_back, float(delta))
-    datum.validate()
-    return datum
 
 
 def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
@@ -244,65 +236,8 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
                         ) -> dict:
     """The defect against delta and the exact period, as the pseudo-orbit
     read them off its points, and the Hausdorff distance to ``reference``."""
-    system, pts = po.system, po.points
     report = {"max_defect": po.defect, "within_delta": po.defect <= delta,
               "exact_period_ok": po.exact_period}
     if reference:
-        ref = list(reference)
-        if isinstance(pts[0], ShiftPoint):
-            report["hausdorff_to_reference"] = hausdorff_distance(pts, ref)
-        else:
-            # every distinct point has the minimum of all its copies
-            matrix = system.distance_matrix(_distinct(pts)[0], _distinct(ref)[0])
-            report["hausdorff_to_reference"] = float(max(matrix.min(axis=1).max(),
-                                                         matrix.min(axis=0).max()))
+        report["hausdorff_to_reference"] = po.system.hausdorff(po.points, list(reference))
     return report
-
-
-# float entries per distance-matrix block of min_distances (8 MB)
-_BLOCK_ENTRIES = 1 << 20
-
-
-def min_distances(system, queries: Sequence, points: Sequence) -> list[float]:
-    """min over y in points of d(x, y) for each query x.
-
-    Shift spaces answer from a sorted key index.  The float systems take
-    the row minima of ``system.distance_matrix``, whose entries are
-    ``system.distance`` bit for bit, over the distinct queries and points
-    (equal points, such as a Fraction and its equal float, share every
-    distance) and in blocks of queries that bound its memory.
-
-    No queries give []; queries against an empty point set raise
-    ValueError.
-    """
-    if not queries:
-        return []
-    if not points:
-        raise ValueError("distance to an empty point set")
-    if isinstance(queries[0], ShiftPoint):
-        return nearest_distances(queries, points)
-    queries, inverse = _distinct(queries)
-    points = _distinct(points)[0]
-    rows = max(1, _BLOCK_ENTRIES // len(points))
-    mins: list[float] = []
-    for start in range(0, len(queries), rows):
-        mins += system.distance_matrix(queries[start:start + rows], points).min(axis=1).tolist()
-    return [mins[i] for i in inverse]
-
-
-def _distinct(points: Sequence) -> tuple[list, list[int]]:
-    """The distinct points in first-seen order, and for each point the
-    index of its equal among them."""
-    index: dict = {}
-    inverse = [index.setdefault(tuple(p), len(index)) for p in points]
-    return list(index), inverse
-
-
-def cyclic_period(system, points: Sequence) -> int:
-    """Smallest p dividing n with points[i] = points[i + p mod n] for all i:
-    exact equality of shift points, a 1e-12 threshold for float points."""
-    if isinstance(points[0], ShiftPoint):
-        return _primitive_period(tuple(points))
-    n = len(points)
-    return next((p for p in range(1, n) if n % p == 0 and all(
-        system.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n))), n)

@@ -290,7 +290,8 @@ class BernoulliProduct(_Measure):
 
     def __init__(self, probabilities: Sequence[float]):
         p = tuple(float(x) for x in probabilities)
-        if any(x <= 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
+        # written so that NaN, for which every comparison is false, fails both
+        if not all(x > 0 for x in p) or not abs(sum(p) - 1.0) <= 1e-12:
             raise ValueError("probabilities must be positive and sum to 1")
         self.p = p
 
@@ -453,20 +454,19 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     Only the winner's measure is built.
     """
     if isinstance(system, SftSystem):
-        matrix, words = system.matrix, []
+        matrix, candidates = system.matrix, []
         for n in range(1, max_period + 1):
             if count_periodic_points(matrix, n) > 2048:
                 break
-            words += [(str(cyc), cyc.states) for cyc in enumerate_cycles(matrix, n).cycles
-                      if cyc.primitive_period == n]
+            candidates += [(str(cyc), cyc.states, n) for cyc in enumerate_cycles(matrix, n).cycles
+                           if cyc.primitive_period == n]
         parts = _orbit_cycles_of_target(target) \
             if isinstance(target, FiniteSupportMeasure) else []
         total = sum(w for _, w in parts)
         for reps in range(1, BLOCK_REPS + 1) if total > 0 else ():
             word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
             if matrix.is_admissible_cycle(word):
-                words.append((f"blocks x{reps}", word))
-        candidates = [(desc, word, _primitive_period(word)) for desc, word in words]
+                candidates.append((f"blocks x{reps}", word, _primitive_period(word)))
         distances = _cyclic_word_distances(target, [w[:n] for _, w, n in candidates], family)
         scored = [(d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates)]
     elif isinstance(system, ToralAutomorphism):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .homoclinic import PseudoOrbit, cyclic_defect, encode_point, min_distances
+from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
 from .sft import _primitive_period, enumerate_cycles, count_periodic_points
 from .shiftspace import ShiftPoint, cycle_distances, forward_distances, word_radius
 from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
@@ -172,7 +172,7 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
         cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)
         distances = forward_distances(net_points, orbit_points, cap)
     else:
-        distances = min_distances(system, net_points, orbit_points)
+        distances = system.nearest(net_points, orbit_points)
     worst = max(distances, default=-1.0)
     return DensityReport(dense=worst <= epsilon, worst_distance=worst,
                          witness=None if worst <= epsilon

@@ -1,7 +1,8 @@
 """Concrete hyperbolic system backends.
 
 Three kinds of system share one small interface (``apply``,
-``apply_inverse``, ``distance`` and its elementwise form ``distances``):
+``apply_inverse``, ``distance`` and its elementwise form ``distances``,
+and the point-set queries ``nearest``, ``hausdorff`` and ``cyclic_period``):
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -27,15 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .homoclinic import HomoclinicDatum, homoclinic_datum
+from .homoclinic import HomoclinicDatum
 from .sft import (TransitionMatrix, admissible_words, _bfs_distances, _int_mat_mul,
                   _int_mat_pow, _least_walk, _next_walk, _primitive_period, _step_layers)
-from .shiftspace import ShiftPoint, word_radius
+from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances, word_radius
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,24 @@ def _coordinates(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return xy[0::2], xy[1::2]
 
 
+# float entries per distance-matrix block of _PlanarMetric.nearest (8 MB)
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _distinct(points: Sequence) -> tuple[list, list[int]]:
+    """The distinct points in first-seen order, and for each point the
+    index of its equal among them."""
+    index: dict = {}
+    inverse = [index.setdefault(tuple(p), len(index)) for p in points]
+    return list(index), inverse
+
+
 class _PlanarMetric:
     """``distance``, the elementwise ``distances`` and ``distance_matrix`` of
     a planar system, all one formula ``_metric`` over float coordinate
-    differences, so the three agree bit for bit.  Each system binds
-    ``distance`` in its own class as well, where per-class wrappers (the
-    bench tracer's) find it."""
+    differences, so the three agree bit for bit, and the point-set queries
+    read off them.  Each system binds ``distance`` in its own class as well,
+    where per-class wrappers (the bench tracer's) find it."""
 
     def distance(self, a, b) -> float:
         return float(self._metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
@@ -122,6 +136,36 @@ class _PlanarMetric:
         """d(x, y) for x in queries (rows) and y in points (columns)."""
         (x0, x1), (y0, y1) = _coordinates(queries), _coordinates(points)
         return self._metric(np.subtract.outer(x0, y0), np.subtract.outer(x1, y1))
+
+    def nearest(self, queries: Sequence, points: Sequence) -> list[float]:
+        """min over y in points of d(x, y) for each query x: the row minima
+        of ``distance_matrix`` over the distinct queries and points (equal
+        points, such as a Fraction and its equal float, share every
+        distance), in blocks of queries that bound its memory.  No queries
+        give []; queries against an empty point set raise ValueError."""
+        if not queries:
+            return []
+        if not points:
+            raise ValueError("distance to an empty point set")
+        queries, inverse = _distinct(queries)
+        points = _distinct(points)[0]
+        rows = max(1, _BLOCK_ENTRIES // len(points))
+        mins: list[float] = []
+        for start in range(0, len(queries), rows):
+            mins += self.distance_matrix(queries[start:start + rows], points).min(axis=1).tolist()
+        return [mins[i] for i in inverse]
+
+    def hausdorff(self, xs: Sequence, ys: Sequence) -> float:
+        """max(max_x d(x, ys), max_y d(y, xs)) from one distance matrix of the
+        distinct points (every distinct point has the minimum of its copies)."""
+        matrix = self.distance_matrix(_distinct(xs)[0], _distinct(ys)[0])
+        return float(max(matrix.min(axis=1).max(), matrix.min(axis=0).max()))
+
+    def cyclic_period(self, points: Sequence) -> int:
+        """Smallest p dividing n with d(points[i], points[i + p mod n]) <= 1e-12 for all i."""
+        n = len(points)
+        return next((p for p in range(1, n) if n % p == 0 and all(
+            self.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n))), n)
 
 
 # lattice points per chunk of the rational orbit walk (a larger q goes alone)
@@ -138,6 +182,7 @@ class ToralAutomorphism(_PlanarMetric):
     """
 
     chart_radius = 0.25
+    deck_range = 3  # homoclinic_intersection searches deck translates with |m_i| <= 3
     _metric = staticmethod(_torus_metric)
     distance = _PlanarMetric.distance
 
@@ -328,8 +373,7 @@ class ToralAutomorphism(_PlanarMetric):
 
     # -- homoclinic orbit along the eigenlines ------------------------
 
-    def homoclinic_intersection(self, p_orbit: Sequence, translate_range: int = 3
-                                ) -> tuple[float, float]:
+    def homoclinic_intersection(self, p_orbit: Sequence) -> tuple[float, float]:
         """Coefficients (t, s) with p + t v_s = f(p) + m + s v_u for the
         deck translate m minimizing max(|t|, |s|) over nonzero solutions:
         q = p + t v_s lies on the stable segment of p and the unstable
@@ -340,8 +384,8 @@ class ToralAutomorphism(_PlanarMetric):
         rhs0 = (float(fp[0]) - float(p[0]), float(fp[1]) - float(p[1]))
         det = self.v_s[0] * (-self.v_u[1]) - self.v_s[1] * (-self.v_u[0])
         best = None
-        for m1 in range(-translate_range, translate_range + 1):
-            for m2 in range(-translate_range, translate_range + 1):
+        for m1 in range(-self.deck_range, self.deck_range + 1):
+            for m2 in range(-self.deck_range, self.deck_range + 1):
                 r = (rhs0[0] + m1, rhs0[1] + m2)
                 t = (r[0] * (-self.v_u[1]) - r[1] * (-self.v_u[0])) / det
                 s = (self.v_s[0] * r[1] - self.v_s[1] * r[0]) / det
@@ -352,7 +396,7 @@ class ToralAutomorphism(_PlanarMetric):
                     best = (score, t, s)
         if best is None:
             raise ValueError(f"no transverse homoclinic intersection among deck "
-                             f"translates up to {translate_range}")
+                             f"translates up to {self.deck_range}")
         return best[1], best[2]
 
     def homoclinic_orbit_point(self, p_orbit: Sequence, t: float, s: float, k: int):
@@ -545,6 +589,11 @@ class SftSystem:
         """d(xs[i], ys[i]) for each i."""
         return np.array([x.distance(y) for x, y in zip(xs, ys)], np.float64)
 
+    # exact point-set queries on the integer keys of shift points
+    nearest = staticmethod(nearest_distances)
+    hausdorff = staticmethod(hausdorff_distance)
+    cyclic_period = staticmethod(_primitive_period)
+
     def to_config(self) -> dict:
         return {"kind": "sft", "matrix": {"rows": [list(r) for r in self.matrix.rows],
                                           "size": self.matrix.size}}
@@ -650,61 +699,32 @@ def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
     raise ValueError(f"no homoclinic splice found for cycle {w}")
 
 
-def toral_homoclinic_datum(system: ToralAutomorphism, p, delta: float,
-                           forward_length: int, backward_length: int
-                           ) -> HomoclinicDatum:
-    """Homoclinic datum of a rational periodic point of a toral
-    automorphism, with the orbit segment generated from the eigenline
-    parametrization (stable on both tails)."""
-    p_orbit = system.orbit_of(p)
-    t, s = system.homoclinic_intersection(p_orbit)
-    segment = [system.homoclinic_orbit_point(p_orbit, t, s, k)
-               for k in range(-backward_length, forward_length + 1)]
-    return homoclinic_datum(system, p_orbit, segment, backward_length, delta)
-
-
-def sft_homoclinic_datum(system: SftSystem, cycle: Sequence[int], delta: float,
-                         forward_length: int, backward_length: int
-                         ) -> HomoclinicDatum:
-    """Homoclinic datum of a periodic cycle of a shift system, built from
-    the exact spliced point."""
-    q, _ = sft_homoclinic_splice(system.matrix, cycle)
-    w = tuple(cycle)
-    p_orbit = tuple(ShiftPoint.from_cycle(w, phase) for phase in range(len(w)))
-    segment = [q.shift(k) for k in range(-backward_length, forward_length + 1)]
-    return homoclinic_datum(system, p_orbit, segment, backward_length, delta)
-
-
-def horseshoe_homoclinic_datum(system: Horseshoe, cycle: Sequence[int], delta: float,
-                               forward_length: int, backward_length: int
-                               ) -> HomoclinicDatum:
-    """Homoclinic datum on the horseshoe: the symbolic splice pushed
-    through the coding map (exact geometric stable/unstable tails)."""
-    q, _ = sft_homoclinic_splice(system.coding_matrix, cycle)
-    w = tuple(cycle)
-    p_orbit = tuple(system.code_point(ShiftPoint.from_cycle(w, phase))
-                    for phase in range(len(w)))
-    segment = [system.code_point(q.shift(k))
-               for k in range(-backward_length, forward_length + 1)]
-    return homoclinic_datum(system, p_orbit, segment, backward_length, delta)
-
-
 def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 120,
                      backward_length: int = 60) -> HomoclinicDatum:
     """Homoclinic datum for a periodic point of any supported system.
 
     The phase convention is fixed: the backward tail of q follows the
     orbit of f(p), the forward tail the orbit of p (a phase shift of one).
-    ``p`` is a rational point for toral systems and a symbolic cycle for
-    shift and horseshoe systems.
+    ``p`` is a rational point for toral systems, whose q-orbit comes from the
+    eigenline parametrization (stable on both tails), and a symbolic cycle
+    for shift and horseshoe systems, whose q is the exact splice (pushed
+    through the coding map on the horseshoe).
     """
     if isinstance(system, ToralAutomorphism):
-        return toral_homoclinic_datum(system, p, delta, forward_length, backward_length)
-    if isinstance(system, SftSystem):
-        return sft_homoclinic_datum(system, p, delta, forward_length, backward_length)
-    if isinstance(system, Horseshoe):
-        return horseshoe_homoclinic_datum(system, p, delta, forward_length, backward_length)
-    raise TypeError(f"unknown system {system!r}")
+        p_orbit = system.orbit_of(p)
+        q_point = partial(system.homoclinic_orbit_point, p_orbit,
+                          *system.homoclinic_intersection(p_orbit))
+    elif isinstance(system, (SftSystem, Horseshoe)):
+        horseshoe = isinstance(system, Horseshoe)
+        code = system.code_point if horseshoe else (lambda x: x)
+        w = tuple(p)
+        q, _ = sft_homoclinic_splice(system.coding_matrix if horseshoe else system.matrix, w)
+        p_orbit = [code(ShiftPoint.from_cycle(w, phase)) for phase in range(len(w))]
+        q_point = lambda k: code(q.shift(k))
+    else:
+        raise TypeError(f"unknown system {system!r}")
+    segment = [q_point(k) for k in range(-backward_length, forward_length + 1)]
+    return HomoclinicDatum(system, p_orbit, segment, backward_length, delta)
 
 
 def parse_system(config: dict):

@@ -29,8 +29,7 @@ from symshadow.sft import (TransitionMatrix, class_period, cyclic_decomposition,
 from symshadow.shadowing import (density_check, enumerate_periodic_orbits,
                                  shadow_periodic)
 from symshadow.shiftspace import ShiftPoint
-from symshadow.systems import (SftSystem, cat_map, sft_homoclinic_datum,
-                               toral_homoclinic_datum)
+from symshadow.systems import SftSystem, cat_map, homoclinic_point
 
 CAT = cat_map()
 FULL2 = TransitionMatrix.full_shift(2)
@@ -107,10 +106,10 @@ def _exact_period_by_rotation(system, points) -> bool:
 def test_criterion_2_construction_exact_periods():
     start = time.time()
     sft_system = SftSystem(FULL2)
-    symbolic = sft_homoclinic_datum(sft_system, (0, 1), 2.0 ** -3,
-                                    forward_length=260, backward_length=100)
-    toral = toral_homoclinic_datum(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
-                                   forward_length=260, backward_length=100)
+    symbolic = homoclinic_point(sft_system, (0, 1), 2.0 ** -3,
+                                forward_length=260, backward_length=100)
+    toral = homoclinic_point(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
+                             forward_length=260, backward_length=100)
     for datum in (symbolic, toral):
         params = compute_excursion_parameters(datum)
         for n in range(params.N0, params.N0 + 51):
@@ -125,8 +124,8 @@ def test_criterion_2_construction_exact_periods():
 
 def test_criterion_3_shadowing_composition():
     start = time.time()
-    datum = toral_homoclinic_datum(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
-                                   forward_length=260, backward_length=100)
+    datum = homoclinic_point(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
+                             forward_length=260, backward_length=100)
     params = compute_excursion_parameters(datum)
     C = CAT.splitting().shadowing_constant
     reference = list(datum.segment) + list(datum.p_orbit)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -222,21 +223,51 @@ def test_matrix_commands_read_matrix_and_sft_files_only(files, tmp_path, capsys)
     ("system", {"kind": "horseshoe", "rates": [0.3]}),
     ("system", {"kind": "toral", "matrix": 5}),
     ("target", {"kind": "periodic_mix", "components": 5}),
+    ("target", {"kind": "periodic_mix", "components": [{"cycle": "0", "weight": math.inf}]}),
+    ("target", {"kind": "periodic_mix", "components": [{"cycle": "0", "weight": math.nan}]}),
+    ("target", {"kind": "bernoulli", "p": [math.nan, 1]}),
+    ("target", {"kind": "bernoulli", "p": [0.5, -math.inf]}),
 ], ids=["array_system", "array_target", "rows_5", "sft_matrix_array", "rates_0.3",
-        "rates_[0.3]", "toral_matrix_5", "components_5"])
+        "rates_[0.3]", "toral_matrix_5", "components_5", "weight_Infinity", "weight_NaN",
+        "p_NaN", "p_-Infinity"])
 def test_malformed_files_exit_2(files, capsys, role, payload):
-    # each of these ended in a traceback (exit 1) where the file is read
+    # each of these ended in a traceback (exit 1) where the file is read, or,
+    # for the non-finite numbers (which Python's json reads), in a NaN report
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(payload))
-    approx = ["approx-measure", "--epsilon", "0.1", "--mode", "periodic"]
+    approx = ["approx-measure", "--epsilon", "0.1", "--mode"]
     if role == "target":
-        runs = [approx + [str(path), files["full2"]]]
+        runs = [approx + [mode, str(path), files["full2"]] for mode in ("periodic", "bernoulli")]
     else:
         runs = [["analyze", str(path)], ["pseudo-shadow", str(path), "0"],
-                approx + [files["mix"], str(path)]]
+                approx + ["periodic", files["mix"], str(path)]]
     for argv in runs:
         assert main(argv + ["--out", files["out"]]) == 2
         assert "invalid input: " in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["pseudo-shadow", "cat", "1/5,2/5", "--delta", "0.01", "--tol", "nan"], None),
+    (["pseudo-shadow", "cat", "1/5,2/5", "--delta", "nan"], None),
+    (["pseudo-shadow", "cat", "1/5,2/5", "--delta", "inf"], None),
+    (["pseudo-shadow", "cat", "1/5,2/5"], {"delta": math.nan}),
+    (["approx-measure", "lebesgue", "cat", "--epsilon", "nan", "--mode", "periodic"], None),
+    (["approx-measure", "lebesgue", "cat", "--mode", "periodic"], {"epsilon": math.inf}),
+    (["lpp", "golden", "--epsilon=-inf", "--n-max", "30"], None),
+    (["perturb-smoke", "horseshoe", "--magnitude", "nan"], None),
+], ids=["tol_nan", "delta_nan", "delta_inf", "config_delta_NaN", "epsilon_nan",
+        "config_epsilon_Infinity", "lpp_epsilon_-inf", "magnitude_nan"])
+def test_non_finite_options_exit_2(files, capsys, argv, config):
+    # NaN slipped through every comparison: reports held NaN, or the run exited 3
+    argv = [files.get(a, a) for a in argv]
+    if config is not None:
+        path = files["tmp"] / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv + ["--out", files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: " in err and "not a finite number" in err
     assert not Path(files["out"]).exists()
 
 

@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow import homoclinic
+from symshadow import systems
 from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
                                   build_periodic_pseudo_orbit,
-                                  compute_excursion_parameters, min_distances,
-                                  verify_pseudo_orbit)
+                                  compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
 from symshadow.shiftspace import ShiftPoint, nearest_distances
-from symshadow.systems import (Horseshoe, SftSystem, cat_map,
-                               horseshoe_homoclinic_datum, sft_homoclinic_datum,
-                               toral_homoclinic_datum)
+from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point
 
 FULL2 = TransitionMatrix.full_shift(2)
 DELTA_SYM = 2.0 ** -3
@@ -29,15 +26,15 @@ DELTA_CAT = 1e-2
 @pytest.fixture(scope="module")
 def symbolic_datum():
     system = SftSystem(FULL2)
-    return sft_homoclinic_datum(system, (0, 1), DELTA_SYM,
-                                forward_length=200, backward_length=80)
+    return homoclinic_point(system, (0, 1), DELTA_SYM,
+                            forward_length=200, backward_length=80)
 
 
 @pytest.fixture(scope="module")
 def cat_datum():
-    return toral_homoclinic_datum(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
-                                  DELTA_CAT, forward_length=220,
-                                  backward_length=80)
+    return homoclinic_point(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
+                            DELTA_CAT, forward_length=220,
+                            backward_length=80)
 
 
 def scan_for_anchor_and_return(datum):
@@ -78,8 +75,8 @@ def test_cat_parameters_match_direct_scan(cat_datum):
 def test_fixed_point_empty_product_branch():
     # tau = 1: k_r is the empty product, so L = 1 and N0 = (1 + l)
     system = SftSystem(FULL2)
-    datum = sft_homoclinic_datum(system, (0,), DELTA_SYM,
-                                 forward_length=120, backward_length=60)
+    datum = homoclinic_point(system, (0,), DELTA_SYM,
+                             forward_length=120, backward_length=60)
     params = compute_excursion_parameters(datum)
     assert datum.tau == 1
     assert params.k_r == ()
@@ -135,8 +132,8 @@ def test_below_threshold_rejected(cat_datum):
 
 def test_insufficient_segment_reports_extension():
     system = SftSystem(FULL2)
-    datum = sft_homoclinic_datum(system, (0, 1), DELTA_SYM,
-                                 forward_length=40, backward_length=20)
+    datum = homoclinic_point(system, (0, 1), DELTA_SYM,
+                             forward_length=40, backward_length=20)
     params = compute_excursion_parameters(datum)
     raised = None
     for n in range(params.N0, params.N0 + 80):
@@ -246,8 +243,8 @@ def test_horseshoe_metric_is_within_an_ulp_factor_of_math_hypot(a, b, dx, dy):
 def test_min_distances_equal_the_pairwise_scan(data, system):
     queries = data.draw(point_sets(system))
     points = data.draw(point_sets(system))
-    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
-    assert min_distances(system, points, queries) == pairwise_min(system, points, queries)
+    assert system.nearest(queries, points) == pairwise_min(system, queries, points)
+    assert system.nearest(points, queries) == pairwise_min(system, points, queries)
 
 
 @given(st.data(), float_systems)
@@ -300,8 +297,8 @@ def duplicate_heavy_sets(draw, system):
 def test_duplicate_heavy_sets_match_the_pairwise_scan(data, system):
     queries = data.draw(duplicate_heavy_sets(system))
     points = data.draw(duplicate_heavy_sets(system))
-    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
-    assert min_distances(system, points, queries) == pairwise_min(system, points, queries)
+    assert system.nearest(queries, points) == pairwise_min(system, queries, points)
+    assert system.nearest(points, queries) == pairwise_min(system, points, queries)
     po = PseudoOrbit(system, queries)
     report = verify_pseudo_orbit(po, 1.0, reference=points)
     assert report["hausdorff_to_reference"] == max(pairwise_min(system, queries, points)
@@ -321,14 +318,14 @@ def test_mixed_equal_coordinates_collapse_to_one_point():
     # a Fraction with its equal float, and 0.0 with -0.0, are one point
     queries = [(Fraction(1, 4), 0.0), (0.25, -0.0), (0.25, Fraction(0)), (0.5, 0.5)]
     points = [(-0.0, Fraction(3, 8)), (0.0, 0.375), (Fraction(1, 5), 0.0)] * 5
-    assert homoclinic._distinct(queries) == ([(Fraction(1, 4), 0.0), (0.5, 0.5)],
-                                             [0, 0, 0, 1])
-    assert min_distances(CAT, queries, points) == pairwise_min(CAT, queries, points)
+    assert systems._distinct(queries) == ([(Fraction(1, 4), 0.0), (0.5, 0.5)],
+                                          [0, 0, 0, 1])
+    assert CAT.nearest(queries, points) == pairwise_min(CAT, queries, points)
     # the horseshoe takes float coordinates, where 0.0 and -0.0 are one point
     queries = [(0.25, 0.0), (-0.0, 0.1), (0.25, -0.0), (0.0, 0.1)]
     points = [(0.0, 0.2), (-0.0, 0.2), (0.3, -0.0)] * 5
-    assert homoclinic._distinct(queries)[1] == [0, 1, 0, 1]
-    assert min_distances(HORSESHOE, queries, points) \
+    assert systems._distinct(queries)[1] == [0, 1, 0, 1]
+    assert HORSESHOE.nearest(queries, points) \
         == pairwise_min(HORSESHOE, queries, points)
 
 
@@ -345,12 +342,12 @@ def counting_distance(system, monkeypatch) -> list:
 
 
 def test_torus_minima_make_no_distance_calls(monkeypatch):
-    # the torus and the horseshoe alike: min_distances and the Hausdorff
+    # the torus and the horseshoe alike: nearest and the Hausdorff
     # distance of verify_pseudo_orbit read the distance matrix alone
-    cat = toral_homoclinic_datum(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
-                                 DELTA_CAT, forward_length=220, backward_length=80)
-    horseshoe = horseshoe_homoclinic_datum(Horseshoe(1 / 3, 3.0), (0, 1), 0.05,
-                                           forward_length=160, backward_length=80)
+    cat = homoclinic_point(cat_map(), (Fraction(1, 5), Fraction(2, 5)),
+                           DELTA_CAT, forward_length=220, backward_length=80)
+    horseshoe = homoclinic_point(Horseshoe(1 / 3, 3.0), (0, 1), 0.05,
+                                 forward_length=160, backward_length=80)
     rng = random.Random(3)
     grid = [(rng.random(), rng.random()) for _ in range(50)] * 3
     for datum, extra in ((cat, 5), (horseshoe, 101)):
@@ -363,7 +360,7 @@ def test_torus_minima_make_no_distance_calls(monkeypatch):
         expected = [pairwise_min(datum.system, queries, points) for queries, points in cases]
         assert min(expected[-1]) > 0.0
         calls = counting_distance(datum.system, monkeypatch)
-        assert [min_distances(datum.system, *case) for case in cases] == expected
+        assert [datum.system.nearest(*case) for case in cases] == expected
         report = verify_pseudo_orbit(po, datum.delta, reference=reference)
         assert report["hausdorff_to_reference"] == max(expected[0] + expected[1])
         assert calls == []
@@ -374,45 +371,45 @@ def test_torus_minima_make_no_distance_calls(monkeypatch):
 def test_min_distances_on_many_rows_with_near_ties(system, monkeypatch):
     # each point has a neighbour one ulp away, so the rows carry near ties;
     # small blocks of queries exercise the blocked scan
-    monkeypatch.setattr(homoclinic, "_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(systems, "_BLOCK_ENTRIES", 1000)
     rng = random.Random(7)
     points = [(rng.random(), rng.random() / 3.0) for _ in range(12)]
     points += [(nudge(x, 1), y) for x, y in points]
     queries = [(rng.random(), rng.random()) for _ in range(3000)]
-    assert min_distances(system, queries, points) == pairwise_min(system, queries, points)
+    assert system.nearest(queries, points) == pairwise_min(system, queries, points)
 
 
 def test_min_distances_edge_cases():
     # across the torus seam 0.0 and 1 - 2^-53 are 2^-53 apart
-    assert min_distances(CAT, [(0.0, 0.0)], [(1.0 - 2.0 ** -53, 0.0), (0.5, 0.5)]) \
+    assert CAT.nearest([(0.0, 0.0)], [(1.0 - 2.0 ** -53, 0.0), (0.5, 0.5)]) \
         == [2.0 ** -53]
     # the torus metric squares its differences, so 1e-170 reads as 0 there ...
-    assert min_distances(CAT, [(0.0, 0.0)], [(1e-170, 0.0)]) == [0.0]
+    assert CAT.nearest([(0.0, 0.0)], [(1e-170, 0.0)]) == [0.0]
     # ... but the horseshoe's hypot does not underflow: no 0 for distinct points
-    assert min_distances(HORSESHOE, [(0.0, 0.0)], [(2e-170, 0.0), (1e-170, 0.0)]) \
+    assert HORSESHOE.nearest([(0.0, 0.0)], [(2e-170, 0.0), (1e-170, 0.0)]) \
         == [1e-170]
-    assert min_distances(HORSESHOE, [(0.25, 0.1)] * 3, [(0.3, 0.2), (0.25, 0.1)]) \
+    assert HORSESHOE.nearest([(0.25, 0.1)] * 3, [(0.3, 0.2), (0.25, 0.1)]) \
         == [0.0] * 3
     # a near tie that np.hypot and math.hypot (glibc's hypot) order the two
     # ways round: the minimum is the pairwise one under the one formula
     query = (0.32059447113252204, 0.39924651546101675)
     near, nearer = (0.17146304860013686, 0.2472971453318724), \
         (0.17146304860013684, 0.24729714533187241)
-    assert min_distances(HORSESHOE, [query], [near, nearer]) \
+    assert HORSESHOE.nearest([query], [near, nearer]) \
         == pairwise_min(HORSESHOE, [query], [near, nearer])
-    assert min_distances(CAT, CAT_P_ORBIT, [(0.2, 0.4)]) == pairwise_min(
+    assert CAT.nearest(CAT_P_ORBIT, [(0.2, 0.4)]) == pairwise_min(
         CAT, CAT_P_ORBIT, [(0.2, 0.4)])
 
 
 def test_min_distances_on_homoclinic_data(cat_datum):
-    horseshoe = horseshoe_homoclinic_datum(HORSESHOE, (0, 1), 0.05,
-                                           forward_length=160, backward_length=80)
+    horseshoe = homoclinic_point(HORSESHOE, (0, 1), 0.05,
+                                 forward_length=160, backward_length=80)
     for datum in (cat_datum, horseshoe):
         params = compute_excursion_parameters(datum)
         po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
         reference = list(datum.segment) + list(datum.p_orbit)
         for queries, points in ((po.points, reference), (reference, po.points)):
-            assert min_distances(datum.system, queries, points) \
+            assert datum.system.nearest(queries, points) \
                 == pairwise_min(datum.system, queries, points)
 
 
@@ -420,10 +417,10 @@ def test_empty_queries_and_empty_point_sets():
     shift_points = [ShiftPoint.from_cycle((0, 1))]
     for system, points in ((CAT, [(0.0, 0.0)]), (HORSESHOE, [(0.0, 0.0)]),
                            (SftSystem(FULL2), shift_points)):
-        assert min_distances(system, [], points) == []
-        assert min_distances(system, [], []) == []
+        assert system.nearest([], points) == []
+        assert system.nearest([], []) == []
         with pytest.raises(ValueError, match="empty point set"):
-            min_distances(system, points, [])
+            system.nearest(points, [])
     assert nearest_distances([], shift_points) == []
     with pytest.raises(ValueError, match="empty point set"):
         nearest_distances(shift_points, [])
@@ -452,8 +449,8 @@ def exact_period_by_rotation(system, points) -> bool:
 
 
 def test_built_pseudo_orbits_match_the_step_and_rotation_oracles(symbolic_datum, cat_datum):
-    horseshoe = horseshoe_homoclinic_datum(HORSESHOE, (0, 1), 0.05,
-                                           forward_length=160, backward_length=80)
+    horseshoe = homoclinic_point(HORSESHOE, (0, 1), 0.05,
+                                 forward_length=160, backward_length=80)
     for datum in (cat_datum, symbolic_datum, horseshoe):
         params = compute_excursion_parameters(datum)
         for n in range(params.N0, params.N0 + 11):
@@ -497,10 +494,10 @@ def test_cyclic_period_skips_the_trivial_period(monkeypatch):
     system = cat_map()
     points = [(k / 10, 0.3) for k in range(7)]  # prime length, no smaller period
     calls = counting_distance(system, monkeypatch)
-    assert homoclinic.cyclic_period(system, points) == 7
+    assert system.cyclic_period(points) == 7
     assert len(calls) == 1
     monkeypatch.undo()
     for sequence, period in ((points[:3] * 2, 3), ([(0.5, 0.5)] * 6, 1),
                              (points[:6], 6), (points[:1], 1)):
-        assert homoclinic.cyclic_period(system, sequence) == period
+        assert system.cyclic_period(sequence) == period
         assert exact_period_by_rotation(system, sequence) == (period == len(sequence))

@@ -175,6 +175,13 @@ def test_empty_cylinder_is_the_total_mass():
     assert integrate(BernoulliProduct((0.3, 0.7)), empty) == 1.0
 
 
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.5],
+                               [0.0, 1.0], [0.3, 0.3]])
+def test_bernoulli_probabilities_must_be_positive_and_sum_to_one(p):
+    with pytest.raises(ValueError, match="positive and sum to 1"):
+        BernoulliProduct(p)
+
+
 def test_markov_cylinder_mass_is_chain_product():
     mu = parry_measure(GOLDEN)
     word = (0, 0, 1, 0)

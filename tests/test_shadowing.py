@@ -16,8 +16,8 @@ from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import (DensityReport, ShadowingError, density_check,
                                  enumerate_periodic_orbits, shadow_periodic)
 from symshadow.shiftspace import ShiftPoint, word_radius
-from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map, net,
-                               sft_homoclinic_datum, toral_homoclinic_datum)
+from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
+                               homoclinic_point, net)
 
 CAT = cat_map()
 GOLDEN_TORUS = ToralAutomorphism([[1, 1], [1, 0]])  # det -1
@@ -71,8 +71,8 @@ def test_shadow_perturbed_orbit_matches_dense_oracle():
 
 
 def test_shadow_long_pseudo_orbit_against_oracle():
-    datum = toral_homoclinic_datum(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
-                                   forward_length=200, backward_length=80)
+    datum = homoclinic_point(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
+                             forward_length=200, backward_length=80)
     params = compute_excursion_parameters(datum)
     po = build_periodic_pseudo_orbit(datum, params, params.N0 + 3)
     orbit = shadow_periodic(CAT, po, tol=1e-12)
@@ -171,8 +171,8 @@ def test_repeated_lifts_and_itineraries_give_the_smaller_primitive_period():
 
 def test_symbolic_primitive_period_is_the_smallest_rotation_of_the_orbit():
     system = SftSystem(FULL2)
-    datum = sft_homoclinic_datum(system, (0, 1), 2.0 ** -3,
-                                 forward_length=200, backward_length=80)
+    datum = homoclinic_point(system, (0, 1), 2.0 ** -3,
+                             forward_length=200, backward_length=80)
     params = compute_excursion_parameters(datum)
     base = ShiftPoint.from_cycle((0, 1, 1))
     pseudo_orbits = [PseudoOrbit(system, [base.shift(i) for i in range(12)])]
@@ -189,8 +189,8 @@ def test_symbolic_primitive_period_is_the_smallest_rotation_of_the_orbit():
 
 def test_symbolic_shadow_is_word_gluing():
     system = SftSystem(FULL2)
-    datum = sft_homoclinic_datum(system, (0, 1), 2.0 ** -3,
-                                 forward_length=200, backward_length=80)
+    datum = homoclinic_point(system, (0, 1), 2.0 ** -3,
+                             forward_length=200, backward_length=80)
     params = compute_excursion_parameters(datum)
     po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
     orbit = shadow_periodic(system, po)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symshadow.homoclinic import PseudoOrbit, cyclic_period, verify_pseudo_orbit
+from symshadow.homoclinic import PseudoOrbit, verify_pseudo_orbit
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
 from symshadow.shiftspace import (WIDTH, ShiftPoint, cycle_distances, cylinder_contains,
@@ -222,8 +222,8 @@ def test_cyclic_period_is_exact_on_shift_points():
     p = ShiftPoint.from_cycle((0,))
     q = ShiftPoint((0,), (1,), (0,), pos=50)
     system = SftSystem(TransitionMatrix.full_shift(2))
-    assert cyclic_period(system, [p, q, p, q]) == 2
-    assert cyclic_period(system, [p, ShiftPoint((0, 0), (), (0,), pos=3)]) == 1
+    assert system.cyclic_period([p, q, p, q]) == 2
+    assert system.cyclic_period([p, ShiftPoint((0, 0), (), (0,), pos=3)]) == 1
 
 
 # -- integer keys: wide symbols, first differences beyond radius 1000 -----------

@@ -1,6 +1,7 @@
 """Concrete system backends: evaluation, splittings, homoclinic oracles,
 Lyapunov exponents, nets, coding."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from symshadow import systems
 from symshadow.cli import main
-from symshadow.homoclinic import compute_excursion_parameters
+from symshadow.homoclinic import HomoclinicDatum, compute_excursion_parameters
 from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_family
-from symshadow.sft import TransitionMatrix, admissible_words
-from symshadow.shiftspace import ShiftPoint
+from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
+from symshadow.shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                differential, homoclinic_point,
                                lyapunov_exponents_periodic, net, parse_system,
@@ -284,16 +285,102 @@ def test_cat_period_two_homoclinic_phase():
     assert torus_distance(datum.q_point(far), p_orbit[far % 2]) < 1e-9
     back = -datum.k_back
     assert torus_distance(datum.q_point(back), p_orbit[(back + 1) % 2]) < 1e-9
-    datum.validate()
+    dataclasses.replace(datum)  # rebuilt from its fields, the datum checks its tails again
 
 
 def test_homoclinic_datum_invariants_down_to_1e_3():
     for point in ((Fraction(0), Fraction(0)), (Fraction(1, 5), Fraction(2, 5))):
         datum = homoclinic_point(CAT, point, delta=1e-3,
                                  forward_length=160, backward_length=100)
-        datum.validate()
+        dataclasses.replace(datum)  # rebuilt from its fields, the datum checks its tails again
         params = compute_excursion_parameters(datum)
         assert params.N0 >= 1
+
+
+def toral_builder(system, p, forward_length, backward_length):
+    """Oracle: the toral p-orbit and segment from the eigenline parametrization."""
+    p_orbit = system.orbit_of(p)
+    t, s = system.homoclinic_intersection(p_orbit)
+    segment = [system.homoclinic_orbit_point(p_orbit, t, s, k)
+               for k in range(-backward_length, forward_length + 1)]
+    return tuple(p_orbit), tuple(segment)
+
+
+def sft_builder(system, cycle, forward_length, backward_length):
+    """Oracle: the shift p-orbit and segment from the exact spliced point."""
+    q, _ = sft_homoclinic_splice(system.matrix, cycle)
+    w = tuple(cycle)
+    p_orbit = tuple(ShiftPoint.from_cycle(w, phase) for phase in range(len(w)))
+    segment = [q.shift(k) for k in range(-backward_length, forward_length + 1)]
+    return p_orbit, tuple(segment)
+
+
+def horseshoe_builder(system, cycle, forward_length, backward_length):
+    """Oracle: the symbolic splice pushed through the coding map."""
+    q, _ = sft_homoclinic_splice(system.coding_matrix, cycle)
+    w = tuple(cycle)
+    p_orbit = tuple(system.code_point(ShiftPoint.from_cycle(w, phase))
+                    for phase in range(len(w)))
+    segment = [system.code_point(q.shift(k))
+               for k in range(-backward_length, forward_length + 1)]
+    return p_orbit, tuple(segment)
+
+
+GOLDEN = TransitionMatrix.golden_mean()
+HORSESHOE = Horseshoe(1 / 3, 3.0)
+
+
+@pytest.mark.parametrize("system, anchor, builder", [
+    (CAT, (Fraction(0), Fraction(0)), toral_builder),
+    (CAT, (Fraction(1, 5), Fraction(2, 5)), toral_builder),
+    (SftSystem(FULL2), (0,), sft_builder),
+    (SftSystem(FULL2), (0, 1), sft_builder),
+    (SftSystem(GOLDEN), (0,), sft_builder),
+    (SftSystem(GOLDEN), (0, 1), sft_builder),
+    (HORSESHOE, (0,), horseshoe_builder),
+    (HORSESHOE, (0, 1), horseshoe_builder),
+    (HORSESHOE, (0, 0, 1), horseshoe_builder),
+], ids=["cat_0,0", "cat_1/5,2/5", "full2_0", "full2_01", "golden_0", "golden_01",
+        "horseshoe_0", "horseshoe_01", "horseshoe_001"])
+def test_homoclinic_point_matches_the_per_system_builders(system, anchor, builder):
+    datum = homoclinic_point(system, anchor, delta=1e-2, forward_length=120,
+                             backward_length=60)
+    assert (datum.p_orbit, datum.segment) == builder(system, anchor, 120, 60)
+    assert (datum.tau, datum.k_back, datum.k_fwd) == (len(datum.p_orbit), 60, 120)
+
+
+@pytest.mark.parametrize("system, anchor, delta", [
+    (CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2),
+    (SftSystem(FULL2), (0, 1), 2.0 ** -3),
+    (HORSESHOE, (0, 1), 0.05),
+], ids=["cat", "full2", "horseshoe"])
+def test_a_datum_whose_tail_misses_half_delta_raises_at_construction(system, anchor, delta):
+    datum = homoclinic_point(system, anchor, delta=delta, forward_length=120,
+                             backward_length=60)
+    p_orbit, segment, k_back = datum.p_orbit, datum.segment, datum.k_back
+    assert HomoclinicDatum(system, list(p_orbit), list(segment), k_back, delta) == datum
+    # the segment cut to f^k(q) for |k| <= 1 leaves q's own excursion at both ends
+    with pytest.raises(ValueError, match="forward tail"):
+        HomoclinicDatum(system, p_orbit, segment[:k_back + 2], k_back, delta)
+    with pytest.raises(ValueError, match="backward tail"):
+        HomoclinicDatum(system, p_orbit, segment[k_back - 1:], 1, delta)
+
+
+def test_shift_point_set_queries_are_the_shiftspace_functions():
+    system = SftSystem(FULL2)
+    rng = random.Random(5)
+
+    def word(low):
+        return tuple(rng.randrange(2) for _ in range(rng.randint(low, 4)))
+
+    points = [ShiftPoint(word(1), word(0), word(1), pos=rng.randint(-6, 6)) for _ in range(40)]
+    for xs, ys in ((points[:25], points[25:]), (points[:3], points), (points[5:6], points[:1])):
+        assert system.nearest(xs, ys) == nearest_distances(xs, ys)
+        assert system.hausdorff(xs, ys) == hausdorff_distance(xs, ys)
+    cycle = [ShiftPoint.from_cycle((0, 1, 1)).shift(i) for i in range(3)]
+    for sequence in (points[:6], cycle * 4, cycle[:2] * 3, points[:1] * 5,
+                     points[:2] * 2 + points[:1]):
+        assert system.cyclic_period(sequence) == _primitive_period(tuple(sequence))
 
 
 def test_orbit_segment_steps_are_exact_under_the_map():
