@@ -28,10 +28,9 @@ from .homoclinic import (ExcursionParameters, HomoclinicDatum,
 from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
                         density_check, enumerate_periodic_orbits,
                         shadow_periodic)
-from .systems import (Horseshoe, HyperbolicSplitting, LyapunovReport,
-                      SftSystem, ToralAutomorphism, cat_map, differential,
-                      homoclinic_point, lyapunov_exponents_periodic,
-                      net, parse_system, torus_distance)
+from .systems import (Horseshoe, HyperbolicSplitting, SftSystem,
+                      ToralAutomorphism, cat_map, homoclinic_point,
+                      parse_system, torus_distance)
 from .measures import (ApproximationResult, BernoulliApproximation,
                        BernoulliProduct, CylinderObservable,
                        FiniteSupportMeasure, FourierMode, LebesgueTorus,

@@ -60,6 +60,11 @@ class PreconditionError(RuntimeError):
     """Horizon or precondition failures mapped to exit code 3."""
 
 
+# coding-table depths above this are refused: the table has 4^depth rows,
+# and depth 9 already peaks near 400 MB and writes 35 MB of JSON
+MAX_CODING_DEPTH = 9
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved parameters of one command run; embedded verbatim in
@@ -103,7 +108,10 @@ def _parse_rational_point(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x,y', got {text!r}")
-    return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    try:
+        return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"point coordinates must be rationals, got {text!r}") from exc
 
 
 def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
@@ -175,13 +183,13 @@ def cmd_pseudo_shadow(args) -> int:
         anchor = _parse_rational_point(args.point_or_cycle)
     else:
         anchor = _parse_word(args.point_or_cycle)
-    n_to_hint = args.n_to if args.n_to else 0
+    n_to_hint = 0 if args.n_to is None else args.n_to
     datum = homoclinic_point(system, anchor, delta=args.delta,
                              forward_length=max(160, 3 * (n_to_hint + 40)),
                              backward_length=max(80, n_to_hint // 2 + 40))
     params = compute_excursion_parameters(datum)
-    n_from = args.n_from if args.n_from else params.N0
-    n_to = args.n_to if args.n_to else n_from + 30
+    n_from = params.N0 if args.n_from is None else args.n_from
+    n_to = n_from + 30 if args.n_to is None else args.n_to
     if n_from < params.N0:
         raise PreconditionError(f"n range starts below N0 = {params.N0}")
     if n_to < n_from:
@@ -366,6 +374,9 @@ def cmd_coding_table(args) -> int:
         raise ValueError("coding-table runs on horseshoe systems")
     if args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
+    if args.depth > MAX_CODING_DEPTH:
+        raise PreconditionError(f"--depth {args.depth} exceeds {MAX_CODING_DEPTH}: "
+                                f"the table would have 4^{args.depth} rows")
     config = ExperimentConfig("coding-table", {
         "system": system.to_config(), "depth": args.depth}, seed=args.seed)
     report = {"table": system.coding_table(args.depth)}

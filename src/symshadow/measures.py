@@ -417,7 +417,7 @@ def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
 
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
                              max_period: int, max_denominator: int) -> Iterator[tuple]:
-    """((i, j, q), orbit, d) for the integer orbits of ``system.rational_orbits``,
+    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``,
     d the weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
     zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to sum_r c_r
     zeta_q^r / n over its residue counts c_r, counted for all orbits of a q at once.

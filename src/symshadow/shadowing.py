@@ -12,6 +12,11 @@ admissible whenever the defect is below 1/2, and the resulting periodic
 sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.
 
+The system supplies the geometry: ``splitting`` and ``shadowing_orbit``,
+``periodic_orbits`` for the exact enumeration, ``net`` and ``nearest`` for
+density.  Only two branches read the system kind: the symbolic shadow takes
+its distances off the glued word, and shift density uses forward windows.
+
 Residual bounds are floating point, not interval-arithmetic proofs.
 """
 
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
-from .sft import _primitive_period, enumerate_cycles, count_periodic_points
+from .sft import _primitive_period
 from .shiftspace import ShiftPoint, cycle_distances, forward_distances, word_radius
-from .systems import Horseshoe, SftSystem, ToralAutomorphism, net
+from .systems import SftSystem
 
 
 class ShadowingError(RuntimeError):
@@ -111,37 +116,11 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
 def enumerate_periodic_orbits(system, n: int, cap: int = 100_000) -> list[PeriodicOrbit]:
     """All fixed points of f^n, one entry per fixed point (so the list
     length is the exact fixed-point count), each carrying its primitive
-    orbit.
-
-    Toral systems are solved exactly on the rational lattice; shift and
-    horseshoe systems enumerate admissible cyclic words.
+    orbit from ``system.periodic_orbits``: exact lattice orbits on the
+    torus, admissible cyclic words on shift and horseshoe systems.
     """
-    if isinstance(system, ToralAutomorphism):
-        points = system.periodic_lattice_points(n, cap=cap)
-        rotated: dict = {}  # point -> its orbit from there, walked once per orbit
-        for p in points:
-            if p not in rotated:
-                orbit = system.orbit_of(p, cap=n + 1)
-                rotated.update((q, orbit[i:] + orbit[:i]) for i, q in enumerate(orbit))
-        return [PeriodicOrbit(points=rotated[p], period=len(rotated[p]), residual=0.0)
-                for p in points]
-    if isinstance(system, (SftSystem, Horseshoe)):
-        matrix = system.matrix if isinstance(system, SftSystem) else system.coding_matrix
-        if count_periodic_points(matrix, n) > cap:
-            raise ValueError(f"more than {cap} fixed points at period {n}")
-        out = []
-        words = []
-        for cyc in enumerate_cycles(matrix, n, limit=cap).cycles:
-            pp = cyc.primitive_period
-            for r in range(pp):
-                words.append((cyc.states[r:] + cyc.states[:r], pp))
-        for word, pp in sorted(words):
-            pts = [ShiftPoint.from_cycle(word).shift(i) for i in range(pp)]
-            if isinstance(system, Horseshoe):
-                pts = [system.code_point(p) for p in pts]
-            out.append(PeriodicOrbit(points=pts, period=pp, residual=0.0))
-        return out
-    raise TypeError(f"unknown system {system!r}")
+    return [PeriodicOrbit(points=points, period=len(points), residual=0.0)
+            for points in system.periodic_orbits(n, cap)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +145,7 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
     certificate witnesses.
     """
     if net_points is None:
-        net_points = net(system, epsilon / 2.0)
+        net_points = system.net(epsilon / 2.0)
     if isinstance(system, SftSystem):
         # any two shift points are within 1, so a larger epsilon reads as 1
         cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)

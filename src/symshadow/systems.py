@@ -1,8 +1,11 @@
 """Concrete hyperbolic system backends.
 
-Three kinds of system share one small interface (``apply``,
-``apply_inverse``, ``distance`` and its elementwise form ``distances``,
-and the point-set queries ``nearest``, ``hausdorff`` and ``cyclic_period``):
+Three kinds of system share one interface: the map ``apply`` and
+``apply_inverse``; the metric ``distance`` and its elementwise form
+``distances``; the point-set queries ``nearest``, ``hausdorff`` and
+``cyclic_period``; and the orbit constructions ``periodic_orbits``,
+``homoclinic_orbit`` and ``net``.  The planar two add ``differential`` and
+``lyapunov_exponents``.
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -14,8 +17,9 @@ and the point-set queries ``nearest``, ``hausdorff`` and ``cyclic_period``):
 * :class:`SftSystem` -- a subshift of finite type presented as a dynamical
   system on exact :class:`~symshadow.shiftspace.ShiftPoint` sequences.
 
-Shift-space words (homoclinic splice centers, net connectors, coding-table
-words) are least walks and admissible words of the :mod:`symshadow.sft`
+The horseshoe and the shift share one coded-shift implementation of the
+periodic and homoclinic orbits (the shift codes itself).  Shift-space
+words are least walks and admissible words of the :mod:`symshadow.sft`
 graph core.  Toral homoclinic orbits are never produced by naive forward
 iteration (which would amplify floating-point error along the unstable
 direction); each orbit point is evaluated from the eigenline
@@ -30,13 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .homoclinic import HomoclinicDatum
-from .sft import (TransitionMatrix, admissible_words, _bfs_distances, _int_mat_mul,
-                  _int_mat_pow, _least_walk, _next_walk, _primitive_period, _step_layers)
+from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
+                  _bfs_distances, _int_mat_mul, _int_mat_pow, _least_walk, _next_walk,
+                  _primitive_period, _step_layers)
 from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances, word_radius
 
 
@@ -105,7 +110,7 @@ def _coordinates(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return xy[0::2], xy[1::2]
 
 
-# float entries per distance-matrix block of _PlanarMetric.nearest (8 MB)
+# float entries per distance-matrix block of _PlanarSystem.nearest (8 MB)
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -117,12 +122,13 @@ def _distinct(points: Sequence) -> tuple[list, list[int]]:
     return list(index), inverse
 
 
-class _PlanarMetric:
-    """``distance``, the elementwise ``distances`` and ``distance_matrix`` of
-    a planar system, all one formula ``_metric`` over float coordinate
-    differences, so the three agree bit for bit, and the point-set queries
-    read off them.  Each system binds ``distance`` in its own class as well,
-    where per-class wrappers (the bench tracer's) find it."""
+class _PlanarSystem:
+    """The shared base of the planar systems: ``distance``, the elementwise
+    ``distances`` and ``distance_matrix``, all one formula ``_metric`` over
+    float coordinate differences, so the three agree bit for bit, the
+    point-set queries read off them, and the Lyapunov exponents of the
+    system's ``differential``.  Each system binds ``distance`` in its own
+    class as well, where per-class wrappers (the bench tracer's) find it."""
 
     def distance(self, a, b) -> float:
         return float(self._metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
@@ -167,12 +173,55 @@ class _PlanarMetric:
         return next((p for p in range(1, n) if n % p == 0 and all(
             self.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n))), n)
 
+    def lyapunov_exponents(self, orbit_points: Sequence) -> tuple[float, ...]:
+        """(1/tau) log of the eigenvalue moduli of the derivative cocycle over
+        one period of the orbit, sorted descending."""
+        tau = len(orbit_points)
+        prod = [[1.0, 0.0], [0.0, 1.0]]
+        for p in orbit_points:
+            prod = _int_mat_mul([[float(v) for v in row] for row in self.differential(p)], prod)
+        tr = prod[0][0] + prod[1][1]
+        det = prod[0][0] * prod[1][1] - prod[0][1] * prod[1][0]
+        disc = tr * tr - 4.0 * det
+        if disc >= 0:
+            roots = ((tr + math.sqrt(disc)) / 2.0, (tr - math.sqrt(disc)) / 2.0)
+            moduli = sorted((abs(roots[0]), abs(roots[1])), reverse=True)
+        else:
+            modulus = math.sqrt(abs(det))  # complex pair: |root|^2 = det
+            moduli = [modulus, modulus]
+        return tuple(math.log(m) / tau if m > 0 else float("-inf") for m in moduli)
+
+
+class _CodedShift:
+    """Orbit constructions of a system coded by a shift of finite type: they
+    run on the words of ``coding_matrix`` and push each shift point through
+    ``code_point`` (the identity on a shift space)."""
+
+    def periodic_orbits(self, n: int, cap: int) -> list[list]:
+        """The orbit from each fixed point of f^n, by its cyclic word in
+        lexicographic order; ValueError past cap fixed points."""
+        if count_periodic_points(self.coding_matrix, n) > cap:
+            raise ValueError(f"more than {cap} fixed points at period {n}")
+        words = sorted((cyc.states[r:] + cyc.states[:r], cyc.primitive_period)
+                       for cyc in enumerate_cycles(self.coding_matrix, n, limit=cap).cycles
+                       for r in range(cyc.primitive_period))
+        return [[self.code_point(ShiftPoint.from_cycle(word).shift(i)) for i in range(pp)]
+                for word, pp in words]
+
+    def homoclinic_orbit(self, cycle: Sequence[int]) -> tuple[list, Callable]:
+        """The orbit of the periodic point of ``cycle`` and k -> f^k(q) for
+        its exact splice q (:func:`sft_homoclinic_splice`)."""
+        w = tuple(cycle)
+        q, _ = sft_homoclinic_splice(self.coding_matrix, w)
+        p_orbit = [self.code_point(ShiftPoint.from_cycle(w, phase)) for phase in range(len(w))]
+        return p_orbit, lambda k: self.code_point(q.shift(k))
+
 
 # lattice points per chunk of the rational orbit walk (a larger q goes alone)
 _CHUNK_POINTS = 1 << 20
 
 
-class ToralAutomorphism(_PlanarMetric):
+class ToralAutomorphism(_PlanarSystem):
     """x -> A x mod 1 for an integer matrix with |det| = 1 and no
     eigenvalue on the unit circle.
 
@@ -184,7 +233,7 @@ class ToralAutomorphism(_PlanarMetric):
     chart_radius = 0.25
     deck_range = 3  # homoclinic_intersection searches deck translates with |m_i| <= 3
     _metric = staticmethod(_torus_metric)
-    distance = _PlanarMetric.distance
+    distance = _PlanarSystem.distance
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
         m = tuple(tuple(int(v) for v in row) for row in matrix)
@@ -299,6 +348,17 @@ class ToralAutomorphism(_PlanarMetric):
                 raise ValueError(f"{start} / {modulus} not periodic within {cap} iterates")
             walk.append((u, v))
 
+    def periodic_orbits(self, n: int, cap: int) -> list[list]:
+        """The orbit from each fixed point of A^n, in the order of
+        :meth:`periodic_lattice_points`."""
+        points = self.periodic_lattice_points(n, cap=cap)
+        rotated: dict = {}  # point -> its orbit from there, walked once per orbit
+        for p in points:
+            if p not in rotated:
+                orbit = self.orbit_of(p, cap=n + 1)
+                rotated.update((q, orbit[i:] + orbit[:i]) for i, q in enumerate(orbit))
+        return [rotated[p] for p in points]
+
     def shadowing_orbit(self, points: Sequence) -> tuple[list, int]:
         """The periodic orbit shadowing the cyclic pseudo-orbit ``points``
         (defect below 1/4), as floats, and its exact primitive period.
@@ -321,25 +381,18 @@ class ToralAutomorphism(_PlanarMetric):
         walk = self._lattice_walk(start, D, n)
         return [(u / D, v / D) for u, v in walk] * (n // len(walk)), len(walk)
 
-    def rational_orbits(self, max_period: int, max_denominator: int
-                        ) -> Iterator[tuple[tuple[int, int, int], list]]:
-        """Periodic orbits of period <= max_period through the points
-        (i/q, j/q) with gcd(i, j, q) = 1, by increasing q, then i, then j.
-
-        Yields ((i, j, q), orbit), the orbit as integer pairs (u, v) for the
-        points (u/q, v/q) and orbit[0] = (i, j): callers build Fractions only
-        for the orbits they keep.  A view over :meth:`rational_orbit_lattices`."""
-        for _, _, orbits in self.rational_orbit_lattices(max_period, max_denominator):
-            yield from orbits
-
     def rational_orbit_lattices(self, max_period: int, max_denominator: int
                                 ) -> Iterator[tuple[int, np.ndarray, list]]:
-        """(q, points, orbits) per q: the ``rational_orbits`` of that q and
-        their (u, v) pairs stacked in one integer array.  One array walk covers
-        several q, in chunks of at most ``_CHUNK_POINTS`` lattice points (a
-        larger q goes alone): max_period steps of the index map (u, v) -> A(u, v)
-        mod q give each point of exact order q its period and the least point
-        (i, j) of its orbit, from which a short orbit is walked once."""
+        """(q, points, orbits) per q, q ascending: ``orbits`` lists
+        ((i, j, q), orbit) for the orbits of period <= max_period through the
+        (i/q, j/q) with gcd(i, j, q) = 1, by (i, j), each orbit the integer
+        pairs (u, v) of its points (u/q, v/q) from (i, j); ``points`` stacks
+        those pairs in one integer array.  Callers build Fractions only for the
+        orbits they keep.  One array walk covers several q, in chunks of at
+        most ``_CHUNK_POINTS`` lattice points (a larger q goes alone):
+        max_period steps of the index map (u, v) -> A(u, v) mod q give each
+        point of exact order q its period and the least point (i, j) of its
+        orbit, from which a short orbit is walked once."""
         (a, b), (c, d) = self.matrix
         chunks: list[list[int]] = []
         for q in range(1, max_denominator + 1):
@@ -414,11 +467,24 @@ class ToralAutomorphism(_PlanarMetric):
         return _wrap_point((float(base[0]) + coef * direction[0],
                             float(base[1]) + coef * direction[1]))
 
+    def homoclinic_orbit(self, p) -> tuple[list, Callable]:
+        """The orbit of the rational point p and k -> f^k(q) along the eigenlines."""
+        p_orbit = self.orbit_of(p)
+        return p_orbit, partial(self.homoclinic_orbit_point, p_orbit,
+                                *self.homoclinic_intersection(p_orbit))
+
+    def net(self, spacing: float) -> list:
+        """The k x k grid, k = ceil(1 / spacing)."""
+        if spacing <= 0:
+            raise ValueError("spacing must be positive")
+        k = math.ceil(1.0 / spacing)
+        return [(i / k, j / k) for i in range(k) for j in range(k)]
+
     def to_config(self) -> dict:
         return {"kind": "toral", "matrix": [list(r) for r in self.matrix]}
 
 
-class Horseshoe(_PlanarMetric):
+class Horseshoe(_PlanarSystem, _CodedShift):
     """Two-branch affine horseshoe model on the unit square.
 
     Branch c in {0, 1} acts on the horizontal strip H_c (height 1/mu_u,
@@ -432,7 +498,7 @@ class Horseshoe(_PlanarMetric):
 
     chart_radius = 0.2
     _metric = staticmethod(np.hypot)
-    distance = _PlanarMetric.distance
+    distance = _PlanarSystem.distance
 
     def __init__(self, contraction: float, expansion: float):
         if not 0.0 < contraction < 0.5:
@@ -529,6 +595,13 @@ class Horseshoe(_PlanarMetric):
                              "forward": "".join(map(str, fwd)), "x": x, "y": y})
         return rows
 
+    def net(self, spacing: float) -> list:
+        """The coding-table points at the word length of spacing / 2."""
+        m = self.word_length(spacing / 2.0)
+        if m > 7:
+            raise ValueError("spacing too fine for a horseshoe net at desk scale")
+        return [(row["x"], row["y"]) for row in self.coding_table(m)]
+
     def to_config(self) -> dict:
         return {"kind": "horseshoe", "rates": [self.mu_s, self.mu_u]}
 
@@ -567,14 +640,15 @@ def _tail_sum(point: ShiftPoint, start: int, step: int, ratio: float) -> float:
     return total
 
 
-class SftSystem:
+class SftSystem(_CodedShift):
     """A subshift of finite type as a dynamical system on exact
-    eventually-periodic shift points."""
-
-    chart_radius = 0.25
+    eventually-periodic shift points; it is its own coding."""
 
     def __init__(self, matrix: TransitionMatrix):
-        self.matrix = matrix
+        self.matrix = self.coding_matrix = matrix
+
+    def code_point(self, point: ShiftPoint) -> ShiftPoint:
+        return point
 
     def apply(self, p: ShiftPoint) -> ShiftPoint:
         return p.shift(1)
@@ -594,69 +668,18 @@ class SftSystem:
     hausdorff = staticmethod(hausdorff_distance)
     cyclic_period = staticmethod(_primitive_period)
 
+    def net(self, spacing: float) -> list[ShiftPoint]:
+        """One point through each admissible word of length word_radius(spacing)."""
+        # any two shift points are within 1, so a coarser spacing reads as 1
+        words = admissible_words(self.matrix, max(1, word_radius(min(spacing, 1.0))))
+        return [sft_point_through_word(self.matrix, w) for w in words]
+
     def to_config(self) -> dict:
         return {"kind": "sft", "matrix": {"rows": [list(r) for r in self.matrix.rows],
                                           "size": self.matrix.size}}
 
 
-# -- dispatching helpers ------------------------------------------------
-
-
-def differential(system, x):
-    """Derivative of the map at x (constant for these linear/affine
-    systems); shift systems carry no differentiable structure."""
-    if isinstance(system, SftSystem):
-        raise TypeError("shift systems have no differential")
-    return system.differential(x)
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    exponents: tuple[float, ...]
-    defined: bool
-    note: str = ""
-
-
-def lyapunov_exponents_periodic(system, orbit_points: Sequence) -> LyapunovReport:
-    """(1/tau) log of the eigenvalue moduli of the derivative cocycle over
-    one period of the orbit, sorted descending."""
-    if isinstance(system, SftSystem):
-        return LyapunovReport((), False, "shift systems carry no differentiable structure")
-    tau = len(orbit_points)
-    prod = [[1.0, 0.0], [0.0, 1.0]]
-    for p in orbit_points:
-        prod = _int_mat_mul([[float(v) for v in row] for row in system.differential(p)], prod)
-    tr = prod[0][0] + prod[1][1]
-    det = prod[0][0] * prod[1][1] - prod[0][1] * prod[1][0]
-    disc = tr * tr - 4.0 * det
-    if disc >= 0:
-        roots = ((tr + math.sqrt(disc)) / 2.0, (tr - math.sqrt(disc)) / 2.0)
-        moduli = sorted((abs(roots[0]), abs(roots[1])), reverse=True)
-    else:
-        modulus = math.sqrt(abs(det))  # complex pair: |root|^2 = det
-        moduli = [modulus, modulus]
-    exps = tuple(math.log(m) / tau if m > 0 else float("-inf") for m in moduli)
-    return LyapunovReport(exps, True)
-
-
-def net(system, spacing: float) -> list:
-    """A spacing-dense finite point set: a grid on the torus or the unit
-    square, one representative per admissible m-word on a shift space."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    if isinstance(system, ToralAutomorphism):
-        k = math.ceil(1.0 / spacing)
-        return [(i / k, j / k) for i in range(k) for j in range(k)]
-    if isinstance(system, Horseshoe):
-        m = system.word_length(spacing / 2.0)
-        if m > 7:
-            raise ValueError("spacing too fine for a horseshoe net at desk scale")
-        return [(row["x"], row["y"]) for row in system.coding_table(m)]
-    if isinstance(system, SftSystem):
-        # any two shift points are within 1, so a coarser spacing reads as 1
-        words = admissible_words(system.matrix, max(1, word_radius(min(spacing, 1.0))))
-        return [sft_point_through_word(system.matrix, w) for w in words]
-    raise TypeError(f"unknown system {system!r}")
+# -- shift-space words ----------------------------------------------------
 
 
 def sft_point_through_word(matrix: TransitionMatrix, word: Sequence[int]) -> ShiftPoint:
@@ -670,9 +693,6 @@ def sft_point_through_word(matrix: TransitionMatrix, word: Sequence[int]) -> Shi
         raise ValueError(f"no admissible connector from {a} to {b}")
     walk = _least_walk(matrix.succ, _step_layers(matrix.pred, b, steps), a, steps)
     return ShiftPoint.from_cycle(word + tuple(walk[:-1]))
-
-
-# -- homoclinic data ----------------------------------------------------
 
 
 def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
@@ -699,30 +719,19 @@ def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
     raise ValueError(f"no homoclinic splice found for cycle {w}")
 
 
+# -- homoclinic data ----------------------------------------------------
+
+
 def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 120,
                      backward_length: int = 60) -> HomoclinicDatum:
     """Homoclinic datum for a periodic point of any supported system.
 
     The phase convention is fixed: the backward tail of q follows the
     orbit of f(p), the forward tail the orbit of p (a phase shift of one).
-    ``p`` is a rational point for toral systems, whose q-orbit comes from the
-    eigenline parametrization (stable on both tails), and a symbolic cycle
-    for shift and horseshoe systems, whose q is the exact splice (pushed
-    through the coding map on the horseshoe).
+    ``p`` is what ``system.homoclinic_orbit`` takes: a rational point on
+    the torus, a cycle word on shift and horseshoe systems.
     """
-    if isinstance(system, ToralAutomorphism):
-        p_orbit = system.orbit_of(p)
-        q_point = partial(system.homoclinic_orbit_point, p_orbit,
-                          *system.homoclinic_intersection(p_orbit))
-    elif isinstance(system, (SftSystem, Horseshoe)):
-        horseshoe = isinstance(system, Horseshoe)
-        code = system.code_point if horseshoe else (lambda x: x)
-        w = tuple(p)
-        q, _ = sft_homoclinic_splice(system.coding_matrix if horseshoe else system.matrix, w)
-        p_orbit = [code(ShiftPoint.from_cycle(w, phase)) for phase in range(len(w))]
-        q_point = lambda k: code(q.shift(k))
-    else:
-        raise TypeError(f"unknown system {system!r}")
+    p_orbit, q_point = system.homoclinic_orbit(p)
     segment = [q_point(k) for k in range(-backward_length, forward_length + 1)]
     return HomoclinicDatum(system, p_orbit, segment, backward_length, delta)
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from symshadow.cli import main
+from symshadow.cli import MAX_CODING_DEPTH, main
+from symshadow.systems import Horseshoe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -115,6 +116,23 @@ def test_pseudo_shadow_cat_table(files):
 def test_pseudo_shadow_below_threshold_exit_3(files):
     assert main(["pseudo-shadow", files["cat"], "1/5,2/5", "--delta", "0.01",
                  "--n-from", "3", "--out", files["out"]]) == 3
+
+
+@pytest.mark.parametrize("bound", ["--n-from", "--n-to"])
+def test_pseudo_shadow_zero_length_bounds_exit_3(files, bound, capsys):
+    # 0 is a given bound, not a missing one: below N0, or an empty range
+    assert main(["pseudo-shadow", files["full2"], "01", "--delta", "0.125",
+                 bound, "0", "--out", files["out"]]) == 3
+    assert ("below N0" if bound == "--n-from" else "empty length range") \
+        in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_pseudo_shadow_zero_denominator_exit_2(files, capsys):
+    assert main(["pseudo-shadow", files["cat"], "1/0,1/2", "--delta", "0.01",
+                 "--out", files["out"]]) == 2
+    assert "invalid input: point coordinates must be rationals" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
 
 
 def test_pseudo_shadow_symbolic(files):
@@ -337,6 +355,18 @@ def test_coding_table_negative_depth_exit_2(files, capsys):
     assert main(["coding-table", files["horseshoe"], "--depth", "-2",
                  "--out", files["out"]]) == 2
     assert "--depth must be >= 0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_coding_table_explosive_depth_exit_3(files, capsys, monkeypatch):
+    def no_rows(self, depth):
+        raise AssertionError("coding table built")
+
+    monkeypatch.setattr(Horseshoe, "coding_table", no_rows)
+    assert main(["coding-table", files["horseshoe"], "--depth", str(MAX_CODING_DEPTH + 1),
+                 "--out", files["out"]]) == 3
+    assert f"--depth {MAX_CODING_DEPTH + 1} exceeds {MAX_CODING_DEPTH}" \
+        in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 

@@ -470,9 +470,10 @@ def reference_candidates(target, system, max_period=12, max_denominator=64, bloc
             if matrix.is_admissible_cycle(word):
                 candidates.append((f"blocks x{reps}", word, cycle_measure(matrix, word)))
     else:
-        for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator):
-            points = [(Fraction(u, q), Fraction(v, q)) for u, v in orbit]
-            candidates.append((f"orbit({i}/{q},{j}/{q})", orbit, periodic_measure(points)))
+        for _, _, orbits in system.rational_orbit_lattices(max_period, max_denominator):
+            for (i, j, q), orbit in orbits:
+                points = [(Fraction(u, q), Fraction(v, q)) for u, v in orbit]
+                candidates.append((f"orbit({i}/{q},{j}/{q})", orbit, periodic_measure(points)))
     return candidates
 
 
@@ -572,7 +573,8 @@ def test_torus_orbit_distances_match_the_full_measure_scan(bound):
             reference = reference_candidates(target, cat, **horizon)
             scored = list(rational_orbit_distances(target, cat, family, **horizon))
             assert [(start, orbit) for start, orbit, _ in scored] \
-                == list(cat.rational_orbits(**horizon))
+                == [entry for _, _, orbits in cat.rational_orbit_lattices(**horizon)
+                    for entry in orbits]
             score_at = {}
             for ((i, j, q), orbit, d), (_, _, mu) in zip(scored, reference):
                 assert abs(d - weak_star_distance(target, mu, family)) <= 1e-15

@@ -283,7 +283,7 @@ def test_int_mat_pow_zero_is_the_identity():
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_float_products_are_bitwise_the_textbook_sum(size):
-    # lyapunov_exponents_periodic chains 2x2 float products through _int_mat_mul;
+    # lyapunov_exponents chains 2x2 float products through _int_mat_mul;
     # at size 3 a change of the addition order would show in the last bits
     rng = random.Random(2014)
     chain = want = [[float(i == j) for j in range(size)] for i in range(size)]

@@ -17,7 +17,7 @@ from symshadow.shadowing import (DensityReport, ShadowingError, density_check,
                                  enumerate_periodic_orbits, shadow_periodic)
 from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
-                               homoclinic_point, net)
+                               homoclinic_point)
 
 CAT = cat_map()
 GOLDEN_TORUS = ToralAutomorphism([[1, 1], [1, 0]])  # det -1
@@ -218,6 +218,13 @@ def test_enumerate_orbit_entries_are_true_orbits():
         pts = orbit.points
         for i in range(len(pts)):
             assert CAT.apply(pts[i]) == pts[(i + 1) % len(pts)]
+    for n in range(1, 7):  # the horseshoe's coded orbits, in floating point
+        for orbit in enumerate_periodic_orbits(HORSESHOE, n):
+            pts = orbit.points
+            assert orbit.period == len(pts) and n % len(pts) == 0
+            for i in range(len(pts)):
+                assert HORSESHOE.distance(HORSESHOE.apply(pts[i]), pts[(i + 1) % len(pts)]) \
+                    <= 1e-12
 
 
 def test_torus_entries_are_the_orbits_of_the_sorted_fixed_points():
@@ -231,19 +238,21 @@ def test_torus_entries_are_the_orbits_of_the_sorted_fixed_points():
 
 def test_enumerate_sft_matches_trace():
     from symshadow.sft import count_periodic_points
-    system = SftSystem(TransitionMatrix.golden_mean())
-    for n in range(1, 8):
-        orbits = enumerate_periodic_orbits(system, n)
-        assert len(orbits) == count_periodic_points(system.matrix, n)
+    for system in (SftSystem(TransitionMatrix.golden_mean()), HORSESHOE):
+        for n in range(1, 8):
+            orbits = enumerate_periodic_orbits(system, n)
+            assert len(orbits) == count_periodic_points(system.coding_matrix, n)
+    assert [len(enumerate_periodic_orbits(HORSESHOE, n)) for n in range(1, 7)] == \
+        [2, 4, 8, 16, 32, 64]
 
 
 def test_density_check_examples():
     level2 = [tuple(float(c) for c in orbit.points[0])
               for orbit in enumerate_periodic_orbits(CAT, 2)]
-    report = density_check(CAT, level2, 0.6, net_points=net(CAT, 0.25))
+    report = density_check(CAT, level2, 0.6, net_points=CAT.net(0.25))
     assert report.dense
 
-    lonely = density_check(CAT, [(0.0, 0.0)], 0.1, net_points=net(CAT, 0.05))
+    lonely = density_check(CAT, [(0.0, 0.0)], 0.1, net_points=CAT.net(0.05))
     assert not lonely.dense
     assert lonely.witness is not None
     assert CAT.distance(lonely.witness, (0.5, 0.5)) <= 0.25

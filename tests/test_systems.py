@@ -20,9 +20,8 @@ from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_f
 from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
 from symshadow.shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
-                               differential, homoclinic_point,
-                               lyapunov_exponents_periodic, net, parse_system,
-                               sft_homoclinic_splice, torus_distance)
+                               homoclinic_point, parse_system, sft_homoclinic_splice,
+                               torus_distance)
 
 CAT = cat_map()
 FULL2 = TransitionMatrix.full_shift(2)
@@ -71,10 +70,16 @@ def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominato
     assert starts == sorted(starts)
 
 
+def lattice_orbits(system, max_period, max_denominator):
+    """The ((i, j, q), orbit) entries of ``rational_orbit_lattices`` over all q."""
+    return [entry for _, _, orbits in system.rational_orbit_lattices(max_period, max_denominator)
+            for entry in orbits]
+
+
 def fraction_orbits(system, max_period, max_denominator):
-    """``rational_orbits`` with each integer pair (u, v) read as (u/q, v/q)."""
+    """``lattice_orbits`` with each integer pair (u, v) read as (u/q, v/q)."""
     return [((i, j, q), [(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
-            for (i, j, q), orbit in system.rational_orbits(max_period, max_denominator)]
+            for (i, j, q), orbit in lattice_orbits(system, max_period, max_denominator)]
 
 
 def fraction_orbit_scan(system, max_period, max_denominator):
@@ -107,7 +112,7 @@ def fraction_orbit_scan(system, max_period, max_denominator):
                          [(0, 0), (0, 1), (1, 0), (1, 1), (1, 5), (3, 8), (6, 12), (10, 15)])
 def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denominator):
     assert all(type(x) is int and 0 <= x < q for (i, j, q), orbit
-               in system.rational_orbits(max_period, max_denominator)
+               in lattice_orbits(system, max_period, max_denominator)
                for p in [(i, j), *orbit] for x in p)
     found = fraction_orbits(system, max_period, max_denominator)
     expected = list(fraction_orbit_scan(system, max_period, max_denominator))
@@ -117,12 +122,12 @@ def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denomin
 
 
 def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
-    one_chunk = list(CAT.rational_orbits(12, 20))
+    one_chunk = lattice_orbits(CAT, 12, 20)
     lattices = [(q, points.tolist(), orbits) for q, points, orbits
                 in CAT.rational_orbit_lattices(12, 20)]
     # chunks of at most 40 points: q <= 4 share chunks, every larger q goes alone
     monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
-    assert list(CAT.rational_orbits(12, 20)) == one_chunk
+    assert lattice_orbits(CAT, 12, 20) == one_chunk
     assert [(q, points.tolist(), orbits) for q, points, orbits
             in CAT.rational_orbit_lattices(12, 20)] == lattices
     assert all(points == [list(p) for _, orbit in orbits for p in orbit]
@@ -133,7 +138,7 @@ def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
 @pytest.mark.parametrize("max_period, max_denominator", [(0, 0), (0, 1), (1, 0)])
 def test_an_empty_torus_horizon_has_no_periodic_candidates(max_period, max_denominator):
     family = fourier_family(2)
-    assert list(CAT.rational_orbits(max_period, max_denominator)) == []
+    assert lattice_orbits(CAT, max_period, max_denominator) == []
     with pytest.raises(ValueError, match="no periodic candidates within the horizon"):
         approximate_by_periodic(LebesgueTorus(), CAT, 0.05, family,
                                 max_period=max_period, max_denominator=max_denominator)
@@ -252,9 +257,10 @@ def test_splitting_and_shadowing_constant():
 
 
 def test_differential_dispatch():
-    assert differential(CAT, (0.3, 0.3)) == ((2, 1), (1, 1))
-    with pytest.raises(TypeError):
-        differential(SftSystem(FULL2), ShiftPoint.from_cycle((0,)))
+    # the planar systems carry a differential; a shift system has none
+    assert CAT.differential((0.3, 0.3)) == ((2, 1), (1, 1))
+    assert Horseshoe(1 / 3, 3.0).differential((0.1, 0.1)) == ((1 / 3, 0.0), (0.0, 3.0))
+    assert not hasattr(SftSystem(FULL2), "differential")
 
 
 # -- homoclinic oracles ------------------------------------------------------
@@ -504,45 +510,45 @@ def test_period_two_star_splice_raises_at_once(tmp_path):
 
 def test_cat_lyapunov_exponents():
     orbit = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(4, 5), Fraction(3, 5))]
-    report = lyapunov_exponents_periodic(CAT, orbit)
-    assert report.defined
-    assert abs(report.exponents[0] - math.log(LAM)) < 1e-10
-    assert abs(report.exponents[1] + math.log(LAM)) < 1e-10
+    exponents = CAT.lyapunov_exponents(orbit)
+    assert abs(exponents[0] - math.log(LAM)) < 1e-10
+    assert abs(exponents[1] + math.log(LAM)) < 1e-10
 
 
 def test_horseshoe_lyapunov_exponents():
     hs = Horseshoe(1 / 3, 3.0)
     p = hs.code_point(ShiftPoint.from_cycle((0,)))
-    report = lyapunov_exponents_periodic(hs, [p])
-    assert abs(report.exponents[0] - math.log(3)) < 1e-12
-    assert abs(report.exponents[1] - math.log(1 / 3)) < 1e-12
+    exponents = hs.lyapunov_exponents([p])
+    assert abs(exponents[0] - math.log(3)) < 1e-12
+    assert abs(exponents[1] - math.log(1 / 3)) < 1e-12
 
 
-def test_sft_lyapunov_flagged_undefined():
-    report = lyapunov_exponents_periodic(SftSystem(FULL2),
-                                         [ShiftPoint.from_cycle((0,))])
-    assert not report.defined and report.exponents == ()
+def test_sft_has_no_lyapunov_exponents():
+    assert not hasattr(SftSystem(FULL2), "lyapunov_exponents")
 
 
 def test_exponents_bounded_away_from_zero():
     hs = Horseshoe(0.4, 2.5)
     p = hs.code_point(ShiftPoint.from_cycle((0, 1)))
     orbit = [p, hs.apply(p)]
-    report = lyapunov_exponents_periodic(hs, orbit)
     bound = math.log(min(1 / 0.4, 2.5))
-    assert all(abs(e) >= bound - 1e-12 for e in report.exponents)
+    assert all(abs(e) >= bound - 1e-12 for e in hs.lyapunov_exponents(orbit))
 
 
 # -- nets -----------------------------------------------------------------------
 
 
 def test_net_examples():
-    assert len(net(CAT, 0.5)) == 4
-    assert len(net(CAT, 0.25)) == 16
-    reps = net(SftSystem(FULL2), 2.0 ** -2)
+    assert len(CAT.net(0.5)) == 4
+    assert len(CAT.net(0.25)) == 16
+    reps = SftSystem(FULL2).net(2.0 ** -2)
     assert len(reps) == 4  # one per admissible 2-word
     windows = {r.window(0, 2) for r in reps}
     assert windows == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    for system in (CAT, HORSESHOE, SftSystem(FULL2)):
+        for spacing in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                system.net(spacing)
 
 
 def word_bfs_connector(matrix, a, b):
@@ -635,9 +641,9 @@ def test_word_length_is_the_least_contracting_length():
             assert m == 1 or max(hs.mu_s ** (m - 1), hs.mu_u ** (1 - m)) > scale
     hs = Horseshoe(0.25, 4.0)  # exact powers: the guard admits m = 7, not 8
     assert hs.word_length(4.0 ** -7) == 7
-    assert len(net(hs, 2 * 4.0 ** -7)) == 4 ** 7
+    assert len(hs.net(2 * 4.0 ** -7)) == 4 ** 7
     with pytest.raises(ValueError, match="spacing too fine"):
-        net(hs, 2 * 4.0 ** -8)
+        hs.net(2 * 4.0 ** -8)
     for scale in (0.0, -0.1):
         with pytest.raises(ValueError, match="scale must be positive"):
             hs.word_length(scale)
