@@ -64,6 +64,11 @@ class PreconditionError(RuntimeError):
 # and depth 9 already peaks near 400 MB and writes 35 MB of JSON
 MAX_CODING_DEPTH = 9
 
+# pseudo-shadow lengths above this are refused before the homoclinic segment,
+# sized from --n-to, is built: the symbolic run grows near n^2.7, about 5 s at
+# n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
+MAX_SHADOW_LENGTH = 512
+
 
 @dataclass
 class ExperimentConfig:
@@ -183,6 +188,10 @@ def cmd_pseudo_shadow(args) -> int:
         anchor = _parse_rational_point(args.point_or_cycle)
     else:
         anchor = _parse_word(args.point_or_cycle)
+    for flag, bound in (("--n-from", args.n_from), ("--n-to", args.n_to)):
+        if bound is not None and bound > MAX_SHADOW_LENGTH:
+            raise PreconditionError(f"{flag} {bound} exceeds {MAX_SHADOW_LENGTH}: the "
+                                    "segment and the orbits grow with the length")
     n_to_hint = 0 if args.n_to is None else args.n_to
     datum = homoclinic_point(system, anchor, delta=args.delta,
                              forward_length=max(160, 3 * (n_to_hint + 40)),

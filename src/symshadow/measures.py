@@ -19,7 +19,10 @@ measure first by a periodic measure mu_p, then by the maximal-entropy
 splice of the cycle p: blocks {p-loop repeated m times, excursion word},
 with an excursion never following an excursion, so that typical points
 spend long stretches tracking the p-orbit.  As m grows the Parry measure
-converges to mu_p monotonically at desk scale.
+converges to mu_p monotonically at desk scale.  Each m is scored from the
+renewal closed form of that Parry measure, primitive exactly when the block
+lengths are coprime; only the best m builds it from ``perron_data``,
+cross-checked against the closed form.
 """
 
 from __future__ import annotations
@@ -32,15 +35,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .sft import (SymbolicCycle, TransitionMatrix, _merge_overlap, _primitive_period,
-                  admissible_words, count_periodic_points, enumerate_cycles, is_primitive,
-                  perron_data)
+from .sft import (ConvergenceError, SymbolicCycle, TransitionMatrix, _merge_overlap,
+                  _primitive_period, admissible_words, is_primitive, perron_data)
 from .shiftspace import ShiftPoint
 from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
+BLOCK_STATE_CAP = 64  # letter states of a block subshift, m |p| + |excursion|
+RENEWAL_TOL = 1e-12  # Parry integrals of the chosen block subshift vs its renewal masses
 TWO_PI_I = 2j * math.pi
 
 
@@ -315,8 +319,12 @@ def integrate(measure, observable):
 def weak_star_distance(mu, nu, family: TestFamily) -> float:
     """sum_j 2^-j |int phi_j d mu - int phi_j d nu|, read off the integral
     vectors each measure keeps per family."""
+    return _weighted_gap(family.weights, mu.integrals(family), nu.integrals(family))
+
+
+def _weighted_gap(weights: Sequence[float], xs: Sequence, ys: Sequence) -> float:
     total = 0.0
-    for w, a, b in zip(family.weights, mu.integrals(family), nu.integrals(family)):
+    for w, a, b in zip(weights, xs, ys):
         total += w * abs(a - b)
     return total
 
@@ -445,7 +453,8 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
                             prefer: str = "distance") -> ApproximationResult:
     """Best periodic measure within the search horizon, scored from integers.
 
-    Shift systems scan enumerated short cycles plus block concatenations
+    Shift systems scan the matrix's primitive cycles, listed once per
+    matrix (``TransitionMatrix.primitive_cycles``), plus block concatenations
     matching the cylinder frequencies of a finite-support target, each on
     its cyclic word; toral systems scan rational orbits on their residues
     mod q.  ``prefer`` picks the winner: smallest distance (default, ties to
@@ -454,12 +463,8 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     Only the winner's measure is built.
     """
     if isinstance(system, SftSystem):
-        matrix, candidates = system.matrix, []
-        for n in range(1, max_period + 1):
-            if count_periodic_points(matrix, n) > 2048:
-                break
-            candidates += [(str(cyc), cyc.states, n) for cyc in enumerate_cycles(matrix, n).cycles
-                           if cyc.primitive_period == n]
+        matrix = system.matrix
+        candidates = matrix.primitive_cycles(max_period)
         parts = _orbit_cycles_of_target(target) \
             if isinstance(target, FiniteSupportMeasure) else []
         total = sum(w for _, w in parts)
@@ -544,6 +549,47 @@ class BernoulliApproximation:
     scan: list[tuple[int, float]]
 
 
+def renewal_cylinders(loop: Sequence[int], excursion: Sequence[int], depth: int
+                      ) -> tuple[float, dict[tuple[int, ...], float]]:
+    """Perron root of the block subshift {loop, excursion} and the masses of its
+    words of length 0..depth under its Parry measure, in closed form.
+
+    Its points concatenate the tiles L = loop and EL = excursion + loop, and its
+    Parry measure (Trans. AMS 112, 1964) is the stationary renewal process that
+    picks tile T with probability x^|T|, x = 1/lambda in (0, 1) solving x^a +
+    x^(a+b) = 1 for a = |L|, b = |E|.  A word's mass sums, over (tile, offset),
+    the tile's match with the word's head times the probability that fresh tiles
+    continue with the rest, over the mean tile length a + b x^(a+b).  Words
+    outside the language are absent."""
+    loop, exc = tuple(loop), tuple(excursion)
+    a, b = len(loop), len(exc)
+    x = 1.0  # Newton from above on the convex increasing x^a + x^(a+b) - 1
+    for _ in range(100):
+        step = (x ** a + x ** (a + b) - 1.0) / (a * x ** (a - 1) + (a + b) * x ** (a + b - 1))
+        if not x - step < x:
+            break
+        x -= step
+    else:
+        raise ConvergenceError(f"renewal root for tiles of {a} and {a + b} letters")
+    tiles = ((loop, x ** a), (exc + loop, x ** (a + b)))
+    # runs[k]: (first k letters on fresh tiles, their probability)
+    runs = [[((), 1.0)]]
+    for k in range(1, depth):
+        runs.append([(t[:k] + w, p * q) for t, p in tiles for w, q in runs[max(0, k - len(t))]])
+    windows: dict = {}  # window of depth letters from position 0 -> its weight
+    for t, p in tiles:
+        for o in range(len(t)):
+            head = t[o:o + depth]
+            for w, q in runs[depth - len(head)]:
+                windows[head + w] = windows.get(head + w, 0.0) + p * q
+    mean = a + b * tiles[1][1]
+    masses: dict = {}
+    for window, p in windows.items():
+        for k in range(depth + 1):
+            masses[window[:k]] = masses.get(window[:k], 0.0) + p
+    return 1.0 / x, {w: p / mean for w, p in masses.items()}
+
+
 def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
                             family: TestFamily, cycle: Sequence[int] | None = None,
                             m_max: int = 16) -> BernoulliApproximation:
@@ -551,14 +597,20 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
 
     Steps: (1) pick a periodic measure mu_p within epsilon/2 of the target
     (searched unless a cycle is supplied); (2) take the homoclinic splice
-    of the cycle and its minimal excursion word; (3) for each m, build the
-    block subshift {p-loop repeated m times, excursion} and its Parry
-    measure; (4) return the best m, whose distance to mu_p decreases in m,
-    so the total distance lands within epsilon when step (1) met
-    epsilon/2.
+    of the cycle and its minimal excursion word; (3) for each m, score the
+    Parry measure of the block subshift {p-loop repeated m times, excursion}
+    from its renewal closed form (:func:`renewal_cylinders`), skipping the m
+    whose block lengths a = m |p| and b = |excursion| have gcd(a, b) > 1, the
+    class period of the tile lengths a and a + b; (4) return the best m, whose
+    distance to mu_p decreases in m, so the total distance lands within
+    epsilon when step (1) met epsilon/2.  Only the best m builds its letter
+    presentation and :func:`parry_measure` from ``perron_data``, whose
+    integrals must match the renewal masses to ``RENEWAL_TOL``.
     """
     if not is_primitive(matrix):
         raise ValueError("ambient shift must be primitive (mixing)")
+    if not all(isinstance(obs, CylinderObservable) for obs in family.observables):
+        raise TypeError("block subshift measures integrate cylinder observables only")
     if cycle is None:
         step1 = approximate_by_periodic(target, SftSystem(matrix), epsilon / 2.0, family,
                                         prefer="shortest_within")
@@ -570,25 +622,32 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
 
     q, center = sft_homoclinic_splice(matrix, cycle)
     excursion = ((cycle[0],) + center) if len(cycle) > 1 else center
-    tau = len(cycle)
+    tau, b = len(cycle), len(excursion)
+    depth = max((len(obs.word) for obs in family.observables), default=0)
 
     best = None
     scan: list[tuple[int, float]] = []
     for m in range(1, m_max + 1):
-        if m * tau + len(excursion) > 64:
+        if m * tau + b > BLOCK_STATE_CAP:
             break
-        sub = block_subshift(matrix, cycle, m, excursion)
-        if not is_primitive(sub.matrix):
+        if math.gcd(m * tau, b) != 1:
             continue
-        nu = parry_measure(sub.matrix, labels=sub.labels)
-        d_p = weak_star_distance(nu, mu_p, family)
+        _, masses = renewal_cylinders(cycle * m, excursion, depth)
+        renewal = [masses.get(obs.word, 0.0) for obs in family.observables]
+        d_p = _weighted_gap(family.weights, renewal, mu_p.integrals(family))
         scan.append((m, d_p))
         if best is None or d_p < best[0] - 1e-15:
-            d_t = weak_star_distance(nu, target, family)
-            best = (d_p, m, sub, nu, d_t)
+            best = (d_p, m, renewal,
+                    _weighted_gap(family.weights, renewal, target.integrals(family)))
     if best is None:
-        raise ValueError("no primitive block subshift fits the 64-state cap")
-    d_p, m, sub, nu, d_t = best
+        raise ValueError(f"no primitive block subshift fits the {BLOCK_STATE_CAP}-state cap")
+    d_p, m, renewal, d_t = best
+    sub = block_subshift(matrix, cycle, m, excursion)
+    nu = parry_measure(sub.matrix, labels=sub.labels)
+    drift = max((abs(x - y) for x, y in zip(nu.integrals(family), renewal)), default=0.0)
+    if not drift <= RENEWAL_TOL:
+        raise ConvergenceError(f"Parry integrals of m = {m} drift {drift:.2e} "
+                               "from their renewal masses")
     return BernoulliApproximation(
         subshift=sub, measure=nu, periodic_measure=mu_p, cycle=tuple(cycle),
         distance_to_target=d_t, distance_to_periodic=d_p,

@@ -26,6 +26,7 @@ MAX_SYMBOLS = 64
 PERRON_TOL = 1e-13  # certified relative spread of the Collatz-Wielandt bracket
 PERRON_FLOOR = 2.0 ** -52  # eig seed floor: its accuracy on a unit-norm vector
 MAX_POWER_STEPS = 500_000
+MAX_LISTED_POINTS = 2048  # primitive_cycles ends before a period with more periodic points
 
 Word = tuple[int, ...]
 
@@ -50,7 +51,7 @@ class TransitionMatrix:
     operation may assume each symbol occurs in some bi-infinite sequence.
     """
 
-    __slots__ = ("size", "rows", "succ", "pred")
+    __slots__ = ("size", "rows", "succ", "pred", "_cycles")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(v) for v in r) for r in rows)
@@ -131,6 +132,25 @@ class TransitionMatrix:
         if not self.is_admissible_word(word):
             raise ValueError(f"inadmissible word {word}")
         return word
+
+    # -- cycles ----------------------------------------------------------
+
+    def primitive_cycles(self, max_period: int) -> list[tuple[str, Word, int]]:
+        """(text, word, n) of each primitive cycle of length n <= max_period, by n
+        and then as :func:`enumerate_cycles` lists them, ending before the first
+        n with more than ``MAX_LISTED_POINTS`` periodic points.  The list is
+        built once per instance and extended when a larger max_period is asked."""
+        cycles, ends, cut = getattr(self, "_cycles", ([], [0], None))  # built lazily
+        while cut is None and len(ends) <= max_period:
+            n = len(ends)  # ends[n] = number of listed cycles of length <= n
+            if count_periodic_points(self, n) > MAX_LISTED_POINTS:
+                cut = n
+                break
+            cycles += [(str(c), c.states, n) for c in enumerate_cycles(self, n).cycles
+                       if c.primitive_period == n]
+            ends.append(len(cycles))
+        self._cycles = cycles, ends, cut
+        return cycles[:ends[min(max_period, len(ends) - 1)]]
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from symshadow.cli import MAX_CODING_DEPTH, main
+import symshadow.cli
+from symshadow.cli import MAX_CODING_DEPTH, MAX_SHADOW_LENGTH, main
 from symshadow.systems import Horseshoe
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -125,6 +127,25 @@ def test_pseudo_shadow_zero_length_bounds_exit_3(files, bound, capsys):
                  bound, "0", "--out", files["out"]]) == 3
     assert ("below N0" if bound == "--n-from" else "empty length range") \
         in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("bound", ["--n-from", "--n-to"])
+def test_pseudo_shadow_overlong_bounds_exit_3_before_the_segment(files, bound, capsys,
+                                                                monkeypatch):
+    # the segment is sized from --n-to; 10^8 used to grow until the process died
+    def no_segment(*args, **kwargs):
+        raise AssertionError("homoclinic segment built")
+
+    monkeypatch.setattr(symshadow.cli, "homoclinic_point", no_segment)
+    argv = ["pseudo-shadow", str(DATA / "full_2_shift.json"), "01", "--delta", "0.125",
+            "--n-from", "40", "--n-to", "100000000", "--out", files["out"]]
+    if bound == "--n-from":
+        argv[argv.index("--n-from") + 1:argv.index("--n-to") + 2] = ["100000000"]
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"{bound} 100000000 exceeds {MAX_SHADOW_LENGTH}" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 
@@ -307,7 +328,7 @@ def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
 @pytest.mark.parametrize("argv, sha256", [
     (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
       "--mode", "bernoulli"],
-     "b1e7f97034cfa1786ad4d9274b79e27f6020462b957ac343df01fa603cbab3b8"),
+     "409f609bf7ba6bdbb9958f57d96ca0b7f723dd211a04010557059230f5898251"),
     (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
       "--mode", "periodic", "--max-period", "30"],
      "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),
@@ -318,6 +339,21 @@ def test_readme_approx_measure_reports_are_pinned(tmp_path, argv, sha256):
     assert main(["approx-measure", str(DATA / argv[0]), str(DATA / argv[1]), *argv[2:],
                  "--out", str(out)]) == 0
     assert hashlib.sha256((out / "approx_measure.json").read_bytes()).hexdigest() == sha256
+
+
+def test_readme_bernoulli_report_without_its_distances_is_pinned(tmp_path):
+    # the chosen cycle, m, block subshift and its Parry measure byte for byte,
+    # as the per-m Parry scan wrote them; only the scan and distance floats,
+    # now read off the renewal closed form, may move in their last bits
+    out = tmp_path / "out"
+    assert main(["approx-measure", str(DATA / "target_half_mix.json"),
+                 str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", "bernoulli",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "approx_measure.json").read_text())
+    kept = {key: report[key] for key in ("cycle", "m", "excursion", "block_states",
+                                         "measure", "within_epsilon")}
+    assert hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest() == \
+        "a7281c464eb21d598cc65f2c24c214ec286064f037d05a04ad55fd85e20bde57"
 
 
 def test_perturb_smoke(files):

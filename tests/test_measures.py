@@ -6,6 +6,7 @@ import gc
 import math
 import random
 import weakref
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,11 @@ from symshadow.measures import (BernoulliProduct, CylinderObservable,
                                 correlation, cycle_measure, cylinder_family,
                                 fourier_family, integrate, parry_measure,
                                 periodic_measure, rational_orbit_distances,
-                                weak_star_distance)
-from symshadow.sft import (TransitionMatrix, count_periodic_points, enumerate_cycles,
-                           is_primitive, topological_entropy)
+                                renewal_cylinders, weak_star_distance)
+from symshadow.sft import (ConvergenceError, TransitionMatrix, count_periodic_points,
+                           enumerate_cycles, is_primitive, perron_data, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
-from symshadow.systems import SftSystem, cat_map
+from symshadow.systems import SftSystem, cat_map, sft_homoclinic_splice
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -634,3 +635,91 @@ def test_pipeline_rejects_non_primitive_support():
     with pytest.raises(ValueError):
         bernoulli_approximation(mixed_target(), TransitionMatrix([[0, 1], [1, 0]]),
                                 0.3, FAM3)
+
+
+def exact_renewal_root(a, b):
+    """lambda with lambda^-a + lambda^-(a+b) = 1 to 60 digits, by Newton's
+    method on x = 1/lambda in decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(1)
+        for _ in range(200):
+            x -= (x ** a + x ** (a + b) - 1) / (a * x ** (a - 1) + (a + b) * x ** (a + b - 1))
+        return 1 / x
+
+
+def oracle_block_scan(target, matrix, epsilon, family, cycle, parry_by_m):
+    """The per-m scan the renewal closed form replaced, over the Parry measures
+    of the primitive block subshifts in increasing m: (m, scan, distance to
+    mu_p, distance to the target, within epsilon) of the best m."""
+    mu_p = cycle_measure(matrix, cycle)
+    best, scan = None, []
+    for m, nu in parry_by_m.items():
+        d_p = weak_star_distance(nu, mu_p, family)
+        scan.append((m, d_p))
+        if best is None or d_p < best[0] - 1e-15:
+            best = (d_p, m, weak_star_distance(nu, target, family))
+    d_p, m, d_t = best
+    return m, scan, d_p, d_t, d_p <= epsilon / 2 and d_t <= epsilon
+
+
+@pytest.mark.parametrize("matrix", [FULL2, GOLDEN, WHEEL], ids=["full2", "golden", "wheel"])
+def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
+    # every primitive cycle up to length 4 and every m under the 64-state cap
+    target = parry_measure(matrix)
+    families = [cylinder_family(matrix, depth) for depth in range(1, 5)]
+    words = [()] + [obs.word for obs in families[-1].observables]
+    verdicts = set()
+    for n in range(1, 5):
+        for cycle in (c.states for c in enumerate_cycles(matrix, n).cycles
+                      if c.primitive_period == n):
+            center = sft_homoclinic_splice(matrix, cycle)[1]
+            excursion = (cycle[0],) + center if n > 1 else center
+            parry_by_m = {}
+            for m in range(1, 65):
+                if m * n + len(excursion) > 64:
+                    break
+                sub = block_subshift(matrix, cycle, m, excursion)
+                if not is_primitive(sub.matrix):
+                    continue
+                nu = parry_by_m[m] = parry_measure(sub.matrix, labels=sub.labels)
+                parry = {w: nu.cylinder_mass(w) for w in words}
+                root = exact_renewal_root(m * n, len(excursion))
+                for depth in range(1, 5):
+                    lam, masses = renewal_cylinders(cycle * m, excursion, depth)
+                    # perron_data's midpoint of its bracket, certified to 1e-13,
+                    # sits up to 3.6e-15 from the 60-digit root on these cases
+                    assert abs(Decimal(lam) - root) <= Decimal(2e-16) * root
+                    assert abs(lam - perron_data(sub.matrix)[0]) <= 4e-15 * lam
+                    assert set(masses) <= {w for w in words if len(w) <= depth}
+                    for w in words:
+                        if len(w) <= depth:
+                            assert abs(masses.get(w, 0.0) - parry[w]) <= 1e-14
+            assert parry_by_m
+            for family, epsilon in zip(families, (0.05, 0.3, 0.05, 0.3)):
+                m, scan, d_p, d_t, within = oracle_block_scan(target, matrix, epsilon,
+                                                              family, cycle, parry_by_m)
+                ba = bernoulli_approximation(target, matrix, epsilon, family, cycle=cycle,
+                                             m_max=64)
+                assert (ba.cycle, ba.m, [k for k, _ in ba.scan], ba.within_epsilon) == \
+                    (cycle, m, [k for k, _ in scan], within)
+                assert all(abs(a - b) <= 1e-14 for (_, a), (_, b) in zip(ba.scan, scan))
+                assert abs(ba.distance_to_periodic - d_p) <= 1e-14
+                assert abs(ba.distance_to_target - d_t) <= 1e-14
+                assert ba.measure.to_json_dict() == parry_by_m[m].to_json_dict()
+                verdicts.add(within)
+    assert verdicts == {True, False}
+
+
+def test_renewal_cross_check_raises_on_drifted_parry_integrals(monkeypatch):
+    import symshadow.measures as measures
+    original = measures.parry_measure
+
+    def drifted(matrix, labels=None):
+        nu = original(matrix, labels)
+        nu.cylinder_mass = lambda word: MarkovMeasure.cylinder_mass(nu, word) + 1e-9
+        return nu
+
+    monkeypatch.setattr(measures, "parry_measure", drifted)
+    with pytest.raises(ConvergenceError):
+        bernoulli_approximation(cycle_measure(FULL2, (0, 1)), FULL2, 0.2, FAM3, cycle=(0, 1))

@@ -158,20 +158,64 @@ def test_primitive_iff_class_period_one_thousand_samples():
         checked += 1
 
 
-def test_primitivity_of_block_subshifts_matches_wielandt():
-    # the block presentations the measure pipeline builds, up to 36 states
+def block_subshift_cases():
+    """The block presentations the measure pipeline builds, up to 36 states:
+    (cycle, excursion, m, block matrix)."""
     from symshadow.measures import block_subshift
     from symshadow.systems import sft_homoclinic_splice
     cases = [(matrix, cycle, (cycle[0],) + sft_homoclinic_splice(matrix, cycle)[1])
              for matrix, cycle in ((FULL2, (0, 1)), (GOLDEN, (0, 1)), (FULL2, (0, 0, 0, 1, 1)))]
     cases.append((FULL2, (0, 1), (0, 1, 1, 0)))  # even block lengths: class period 2
+    return [(cycle, excursion, m, block_subshift(matrix, cycle, m, excursion).matrix)
+            for matrix, cycle, excursion in cases for m in range(1, 8)]
+
+
+def test_primitivity_of_block_subshifts_matches_wielandt():
     verdicts = set()
-    for matrix, cycle, excursion in cases:
-        for m in range(1, 8):
-            sub = block_subshift(matrix, cycle, m, excursion).matrix
-            assert is_primitive(sub) == wielandt_primitive(sub)
-            verdicts.add(is_primitive(sub))
+    for _, _, _, sub in block_subshift_cases():
+        assert is_primitive(sub) == wielandt_primitive(sub)
+        verdicts.add(is_primitive(sub))
     assert verdicts == {True, False}
+
+
+def test_block_subshifts_are_primitive_exactly_when_the_block_lengths_are_coprime():
+    # the tiles loop and excursion + loop have lengths a = m |p| and a + b
+    verdicts = set()
+    for cycle, excursion, m, sub in block_subshift_cases():
+        coprime = math.gcd(m * len(cycle), len(excursion)) == 1
+        assert coprime == wielandt_primitive(sub)
+        verdicts.add(coprime)
+    assert verdicts == {True, False}
+
+
+def fresh_cycle_list(matrix, max_period):
+    """The per-request scan the cached list replaced."""
+    out = []
+    for n in range(1, max_period + 1):
+        if count_periodic_points(matrix, n) > 2048:
+            break
+        out += [(str(c), c.states, n) for c in enumerate_cycles(matrix, n).cycles
+                if c.primitive_period == n]
+    return out
+
+
+@pytest.mark.parametrize("rows, longest", [(FULL2.rows, 11), (GOLDEN.rows, 14)],
+                         ids=["full2", "golden"])
+def test_cached_cycle_list_equals_a_fresh_scan_in_any_order(rows, longest):
+    fresh = {k: fresh_cycle_list(TransitionMatrix(rows), k) for k in range(1, 15)}
+    for order in (range(1, 15), range(14, 0, -1)):
+        matrix = TransitionMatrix(rows)
+        for k in order:
+            assert matrix.primitive_cycles(k) == fresh[k]
+            assert max(n for _, _, n in fresh[k]) == min(k, longest)
+    # the full shift stops before its 4096 points of period 12, the golden mean
+    # (322 points) reaches the measure scan's max_period 12
+    assert max(n for _, _, n in TransitionMatrix(rows).primitive_cycles(12)) == min(12, longest)
+    # equal but distinct matrices hold equal lists, each its own
+    a, b = TransitionMatrix(rows), TransitionMatrix(rows)
+    a.primitive_cycles(14)
+    assert a == b and a is not b and b.primitive_cycles(14) == a.primitive_cycles(14)
+    assert b.primitive_cycles(3) == fresh[3] and a.primitive_cycles(0) == []
 
 
 @given(st.integers(2, 5), st.integers(0, 10**9))
