@@ -19,10 +19,12 @@ flow (Edmonds & Johnson, Math. Programming 5, 1973), N0 = max(2, L*);
 without one a search over (unmet demand, residue) finds them; at m = 1 a
 breadth-first search over (visited symbols, symbol, residue), exponential
 in the number of symbols (n = #symbols asks for a Hamiltonian cycle).
-MAX_BLOCK_NODES bounds the block nodes and both searches.  A witness is a
-Hierholzer circuit, least successor first, of the least dense walk of its
-class stretched by girth cycles.  Exactly the primitive matrices are certified;
-a certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
+MAX_BLOCK_NODES bounds the block nodes and both searches.  The verdict
+reads only the sizes E + |x|: the edges of a witness (every edge once, x
+once more, and girth cycles to stretch it) are counted out only when it is
+read, and walked as a Hierholzer circuit, least successor first.  Exactly
+the primitive matrices are certified; a certificate yields mixing
+thresholds (:func:`verify_mixing_from_certificate`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
@@ -83,12 +86,6 @@ class DensePeriodsCertificate:
     witnesses: Mapping
     component: tuple[int, ...] | None = None
 
-    def nonprimitive_periods(self) -> frozenset[int]:
-        """Witnessed periods whose cycle is a repetition of a shorter one
-        (still a fixed point of sigma^n, flagged rather than rejected)."""
-        return frozenset(n for n, w in self.witnesses.items()
-                         if w.primitive_period != n)
-
     def to_json_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
@@ -113,15 +110,6 @@ class DensePeriodsRefutation:
                 "exhaustive": self.exhaustive}
 
 
-# -- density test ---------------------------------------------------------
-
-
-def is_dense_cycle(matrix: TransitionMatrix, word: Sequence[int], m: int) -> bool:
-    """Does the cyclic word contain every admissible m-word as a factor?"""
-    tiled = tuple(word) * (m // len(word) + 2)
-    return set(admissible_words(matrix, m)) <= {tiled[i:i + m] for i in range(len(word))}
-
-
 # -- block graph and least dense walks --------------------------------------
 
 
@@ -141,11 +129,16 @@ class _BlockGraph:
             raise BlockGraphTooLargeError(
                 f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
         self.nodes = admissible_words(matrix, k)
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        self.succ = [[self.index[v[1:] + (t,)] for t in matrix.succ[v[-1]]]
-                     for v in self.nodes]
-        self.pred = [[self.index[(s,) + v[:-1]] for s in matrix.pred[v[0]]]
-                     for v in self.nodes]
+        self.succ, self.pred = matrix.succ, matrix.pred
+        for _ in range(k - 1):  # the (j+1)-words are the edges of the j-word graph in
+            # lexicographic order, and edge u -> v steps to the edges out of v
+            first = list(accumulate(map(len, self.succ), initial=0))
+            self.succ = [range(first[v], first[v + 1]) for out in self.succ for v in out]
+        if k > 1:
+            self.pred = [[] for _ in self.succ]
+            for u, out in enumerate(self.succ):
+                for v in out:
+                    self.pred[v].append(u)
 
     def walk_edges(self, s: int, t: int, steps: int) -> list[tuple[int, int]]:
         """Edges of the least walk of exactly ``steps`` steps from s to t."""
@@ -205,34 +198,51 @@ def _cycle_walks(graph: _BlockGraph, c: int) -> list[tuple[int, int]]:
     walks = []
     for d, s in filter(None, best):
         word = (s,) + tuple(_least_walk(matrix.succ, _step_layers(matrix.pred, s, d), s, d))
-        walks.append((d, graph.index[(word[:-1] * k)[:k]]))
+        walks.append((d, graph.nodes.index((word[:-1] * k)[:k])))
     return walks
 
 
 def _postman_flow(graph: _BlockGraph, excess: list[int]) -> Counter:
-    """Least integer flow x >= 0 on the block edges sending excess[v] more
-    units out of v than into it: successive shortest paths from a super
-    source (Dijkstra on reduced costs), along each tree path to a deficit."""
-    top = len(graph.succ)
-    excess, pot, x = list(excess), [0] * (top + 1), Counter()
-
-    def moves(u):
-        if u == top:
-            return [(pot[top] - pot[s], s, s) for s, e in enumerate(excess) if e > 0]
-        return ([(1 + pot[u] - pot[v], v, ((u, v), 1)) for v in graph.succ[u]]
-                + [(pot[u] - pot[w] - 1, w, ((w, u), -1)) for w in graph.pred[u] if x[w, u]])
-
+    """Least integer flow x >= 0 on the (strongly connected) block edges
+    sending excess[v] more units out of v than into it: successive shortest
+    paths from a super source (Dijkstra on reduced costs, each node's edges
+    before its residual backward edges), along each tree path to a deficit."""
+    size = len(graph.succ)
+    excess, pot = list(excess), [0] * size
+    into: list[dict[int, int]] = [{} for _ in range(size)]  # into[v][u] = x(u, v)
     while any(e > 0 for e in excess):
-        best = _least_costs(top, moves)
-        pot = [p + best[v][0] for v, p in enumerate(pot)]  # tree arcs now cost 0
+        # the super source steps to each s with excess at cost -pot[s]; prev -1
+        dist = [-p if e > 0 else math.inf for p, e in zip(pot, excess)]
+        heap = [(d, s) for s, d in enumerate(dist) if d < math.inf]
+        prev, forward = [-1] * size, [True] * size
+        heapq.heapify(heap)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v in graph.succ[u]:
+                if d + 1 + pot[u] - pot[v] < dist[v]:
+                    dist[v], prev[v], forward[v] = d + 1 + pot[u] - pot[v], u, True
+                    heapq.heappush(heap, (dist[v], v))
+            for w in sorted(into[u]):
+                if into[u][w] and d + pot[u] - pot[w] - 1 < dist[w]:
+                    dist[w], prev[w], forward[w] = d + pot[u] - pot[w] - 1, u, False
+                    heapq.heappush(heap, (dist[w], w))
+        pot = [p + d for p, d in zip(pot, dist)]  # tree edges now cost 0
         for t in [v for v, e in enumerate(excess) if e < 0]:
-            *arcs, s = _labels(best, t)
-            amount = min([excess[s], -excess[t]] + [x[e] for e, sign in arcs if sign < 0])
-            for e, sign in arcs:
-                x[e] += sign * amount
+            path, s = [], t
+            while prev[s] >= 0:
+                path.append((prev[s], s))
+                s = prev[s]
+            amount = min([excess[s], -excess[t]] + [into[u][v] for u, v in path if not forward[v]])
+            for u, v in path:
+                if forward[v]:
+                    into[v][u] = into[v].get(u, 0) + amount
+                else:
+                    into[u][v] -= amount
             excess[s] -= amount
             excess[t] += amount
-    return x
+    return Counter({(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k})
 
 
 def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> list[Counter | None]:
@@ -266,9 +276,10 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> list[Counte
     return _tours(graph, best, [((0,) * len(sinks), r) for r in range(c)])
 
 
-def _least_tours(graph: _BlockGraph, c: int) -> list[Counter | None]:
-    """The edge multisets of least dense closed walks, one per residue class
-    mod c of their lengths (None for a class without one)."""
+def _least_flows(graph: _BlockGraph, c: int) -> list[Counter | None]:
+    """Per residue class mod c of their lengths, the flow x of a least dense
+    closed walk, None for a class without one: the walk is every block edge
+    once plus x at m >= 2, and x itself at m = 1."""
     if graph.m == 1:  # least closed walks from node 0 through every node
         size = len(graph.succ)
         if 2 ** size > MAX_BLOCK_NODES:
@@ -278,10 +289,8 @@ def _least_tours(graph: _BlockGraph, c: int) -> list[Counter | None]:
             (1, (state[0] | 1 << v, v, (state[2] + 1) % c), (state[1], v, 1))
             for v in graph.succ[state[1]]))
         return _tours(graph, best, [((1 << size) - 1, 0, r) for r in range(c)])
-    ones = Counter((u, v) for u, out in enumerate(graph.succ) for v in out)
     excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
-    flows = [_postman_flow(graph, excess)] if c == 1 else _residue_flows(graph, excess, c)
-    return [x if x is None else ones + x for x in flows]
+    return [_postman_flow(graph, excess)] if c == 1 else _residue_flows(graph, excess, c)
 
 
 def _euler_circuit(edges: Counter) -> list[int]:
@@ -317,11 +326,12 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
             "block graph not strongly connected: no closed walk covers every m-word"))
     loops = [s for s in range(matrix.size) if matrix.rows[s][s]]
     if loops:  # girth 1: the least looped symbol spells a girth cycle
-        c, b = 1, graph.index[(loops[0],) * len(graph.nodes[0])]
+        c, b = 1, graph.nodes.index((loops[0],) * len(graph.nodes[0]))
     else:
         [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
-    tours = {sum(t.values()) % c: t for t in _least_tours(graph, c) if t is not None}
-    least = {r: sum(t.values()) for r, t in tours.items()}
+    E = sum(map(len, graph.succ)) if graph.m > 1 else 0
+    flows = {(E + sum(x.values())) % c: x for x in _least_flows(graph, c) if x is not None}
+    least = {r: E + sum(x.values()) for r, x in flows.items()}
     if len(least) < c:
         n = next(n for n in range(2, c + 2) if n < least.get(n % c, math.inf))
         return DensePeriodsRefutation(epsilon, n, True, n_max, reason=(
@@ -329,12 +339,17 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     N0 = max(2, max(least.values()) - c + 1)
     if N0 > n_max:
         raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")
-    stretch = graph.walk_edges(b, b, c)
+    tours: dict = {}  # r -> the edges of class r's least dense walk, and of a girth cycle at b
 
     def build(n: int) -> SymbolicCycle:
-        edges = tours[n % c].copy()
+        r = n % c
+        if r not in tours:  # at m >= 2 the walk takes each block edge once more than x
+            ones = Counter((u, v) for u, out in enumerate(graph.succ) for v in out if E)
+            tours[r] = ones + flows[r], graph.walk_edges(b, b, c)
+        edges, stretch = tours[r]
+        edges = edges.copy()
         for e in stretch:
-            edges[e] += (n - least[n % c]) // c
+            edges[e] += (n - least[r]) // c
         return SymbolicCycle.from_word(
             matrix, tuple(graph.nodes[v][0] for v in _euler_circuit(edges)))
 

@@ -181,15 +181,6 @@ class FiniteSupportMeasure(_Measure):
                 raise TypeError(f"{obs!r} does not fit the atoms of this measure")
         return [integral(obs) for obs in family.observables]
 
-    def is_invariant_under(self, system, tol: float = 1e-9) -> bool:
-        """Pushforward permutes the atoms with matching weights."""
-        for p, w in self.atoms:
-            image = system.apply(p)
-            match = [w2 for p2, w2 in self.atoms if system.distance(image, p2) <= tol]
-            if not match or abs(float(match[0]) - float(w)) > 1e-12:
-                return False
-        return True
-
     def to_json_dict(self) -> dict:
         def enc(p):
             if isinstance(p, ShiftPoint):
@@ -388,6 +379,21 @@ def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[in
     return [(word, weight) for word, weight in orbits.values()]
 
 
+def _block_words(matrix: TransitionMatrix, parts: list[tuple[tuple[int, ...], float]]
+                 ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(N, word) for N <= BLOCK_REPS: each part's cycle repeated its rounded
+    share of N times, in order, where that is an admissible cyclic word.
+    Once each cycle is an admissible word only the joins can fail: between
+    parts, back to the first, and inside a cycle repeated more than once."""
+    total, rows, cycles = sum(w for _, w in parts), matrix.rows, [c for c, _ in parts]
+    joins = all(map(matrix.is_admissible_word, cycles)) and all(
+        rows[a[-1]][b[0]] for a, b in zip(cycles, cycles[1:] + cycles[:1]))
+    for reps in range(1, BLOCK_REPS + 1) if total > 0 and joins else ():
+        counts = [max(1, round(reps * (w / total))) for _, w in parts]
+        if all(k == 1 or rows[c[-1]][c[0]] for c, k in zip(cycles, counts)):
+            yield reps, sum((c * k for c, k in zip(cycles, counts)), ())
+
+
 def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
                            family: TestFamily) -> list[float]:
     """weak_star_distance(target, cycle_measure(matrix, word), family) bit for bit
@@ -465,13 +471,9 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     if isinstance(system, SftSystem):
         matrix = system.matrix
         candidates = matrix.primitive_cycles(max_period)
-        parts = _orbit_cycles_of_target(target) \
-            if isinstance(target, FiniteSupportMeasure) else []
-        total = sum(w for _, w in parts)
-        for reps in range(1, BLOCK_REPS + 1) if total > 0 else ():
-            word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
-            if matrix.is_admissible_cycle(word):
-                candidates.append((f"blocks x{reps}", word, _primitive_period(word)))
+        if isinstance(target, FiniteSupportMeasure):
+            candidates += [(f"blocks x{reps}", word, _primitive_period(word))
+                           for reps, word in _block_words(matrix, _orbit_cycles_of_target(target))]
         distances = _cyclic_word_distances(target, [w[:n] for _, w, n in candidates], family)
         scored = [(d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates)]
     elif isinstance(system, ToralAutomorphism):

@@ -14,7 +14,6 @@ Perron eigenvalue computation uses floating point.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -103,14 +102,6 @@ class TransitionMatrix:
         if "size" in data and data["size"] != len(rows):
             raise ValueError("declared size does not match rows")
         return cls(rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransitionMatrix":
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": [list(r) for r in self.rows], "size": self.size},
-                          sort_keys=True)
 
     # -- admissibility -------------------------------------------------
 

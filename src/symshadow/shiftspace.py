@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .sft import TransitionMatrix, Word, _primitive_period
+from .sft import Word, _primitive_period
 
 WIDTH = 32  # bits per symbol in a key
 
@@ -165,9 +165,6 @@ class ShiftPoint:
     def __hash__(self) -> int:
         return hash((self.left, self.center, self.right, self.pos))
 
-    def is_admissible(self, matrix: TransitionMatrix) -> bool:
-        return matrix.is_admissible_word(self.window(-self.extent() - 1, self.extent() + 2))
-
     def centered_word(self, radius: int) -> str:
         """Coordinates -radius..radius-1 with a dot before coordinate 0."""
         return ".".join("".join(map(str, self.window(lo, lo + radius)))
@@ -297,11 +294,6 @@ def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[f
         key = _digits(_interleave(back[n - k:n - k + radius + 1], text[k + 1:k + radius + 1]))
         out.append(_key_distance((key ^ y.key(radius)).bit_length(), radius))
     return out
-
-
-def cylinder_contains(point: ShiftPoint, word: Word, anchor: int = 0) -> bool:
-    """Does the point carry ``word`` at positions anchor..anchor+len-1?"""
-    return point.window(anchor, anchor + len(word)) == tuple(word)
 
 
 def word_radius(epsilon: float) -> int:

@@ -4,8 +4,9 @@ import hashlib
 import json
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      HorizonTooSmallError,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
-                                     is_dense_cycle,
                                      verify_mixing_from_certificate, _BlockGraph,
-                                     _ball_word)
+                                     _ball_word, _labels, _least_costs, _postman_flow)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
                            TransitionMatrix, admissible_words, count_periodic_points,
                            is_irreducible, is_primitive)
@@ -40,6 +40,18 @@ def scanner_contains_all_words(matrix, cycle_word, m):
         if "".join(map(str, word)) not in doubled:
             return False
     return True
+
+
+def is_dense_cycle(matrix, word, m):
+    """Does the cyclic word contain every admissible m-word as a factor?"""
+    tiled = tuple(word) * (m // len(word) + 2)
+    return set(admissible_words(matrix, m)) <= {tiled[i:i + m] for i in range(len(word))}
+
+
+def nonprimitive_periods(cert):
+    """Witnessed periods whose cycle is a repetition of a shorter one
+    (still a fixed point of sigma^n, flagged rather than rejected)."""
+    return frozenset(n for n, w in cert.witnesses.items() if w.primitive_period != n)
 
 
 def random_essential(rng, size, density):
@@ -82,7 +94,7 @@ def test_golden_mean_certificate_all_two_words():
 
 def test_witnesses_prefer_exact_primitive_period():
     cert = dense_periods_certificate(FULL2, 0.5, 40)
-    flagged = cert.nonprimitive_periods()
+    flagged = nonprimitive_periods(cert)
     for n in cert.witnesses:
         if n not in flagged:
             assert cert.witnesses[n].primitive_period == n
@@ -174,6 +186,34 @@ def test_block_graph_size_guard():
     assert len(_BlockGraph(GOLDEN, 16).nodes) == 1597
     with pytest.raises(BlockGraphTooLargeError, match="2584 block nodes"):
         _BlockGraph(GOLDEN, 17)
+
+
+def tuple_dict_block_graph(matrix, m):
+    """Oracle: the block graph's nodes, successor and predecessor lists by
+    a dict from each (m-1)-word to its node, one lookup per edge."""
+    nodes = admissible_words(matrix, max(m - 1, 1))
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = [[index[v[1:] + (t,)] for t in matrix.succ[v[-1]]] for v in nodes]
+    pred = [[index[(s,) + v[:-1]] for s in matrix.pred[v[0]]] for v in nodes]
+    return nodes, succ, pred
+
+
+def test_block_graph_matches_the_tuple_dict_construction():
+    rng = random.Random(2048)
+    checked = 0
+    for _ in range(60):
+        matrix = random_essential(rng, rng.randint(2, 6), rng.choice([0.3, 0.5, 0.7]))
+        for m in (1, 2, 3, 4, 5, 6):
+            try:
+                graph = _BlockGraph(matrix, m)
+            except BlockGraphTooLargeError:
+                continue
+            nodes, succ, pred = tuple_dict_block_graph(matrix, m)
+            assert graph.nodes == nodes
+            assert [list(out) for out in graph.succ] == succ
+            assert [list(into) for into in graph.pred] == pred
+            checked += m >= 3
+    assert checked > 150
 
 
 def test_search_size_guards():
@@ -342,6 +382,65 @@ def test_postman_length_matches_assignment_oracle():
             assert cert.N0 == max(2, length)
             checked += 1
     assert checked > 90
+
+
+def least_costs_postman_flow(graph, excess):
+    """Oracle: the successive-shortest-path flow of ``_postman_flow`` on the
+    generic Dijkstra ``_least_costs``, whose moves are rebuilt per node."""
+    top = len(graph.succ)
+    excess, pot, x = list(excess), [0] * (top + 1), Counter()
+
+    def moves(u):
+        if u == top:
+            return [(pot[top] - pot[s], s, s) for s, e in enumerate(excess) if e > 0]
+        return ([(1 + pot[u] - pot[v], v, ((u, v), 1)) for v in graph.succ[u]]
+                + [(pot[u] - pot[w] - 1, w, ((w, u), -1)) for w in graph.pred[u] if x[w, u]])
+
+    while any(e > 0 for e in excess):
+        best = _least_costs(top, moves)
+        pot = [p + best[v][0] for v, p in enumerate(pot)]
+        for t in [v for v, e in enumerate(excess) if e < 0]:
+            *arcs, s = _labels(best, t)
+            amount = min([excess[s], -excess[t]] + [x[e] for e, sign in arcs if sign < 0])
+            for e, sign in arcs:
+                x[e] += sign * amount
+            excess[s] -= amount
+            excess[t] += amount
+    return x
+
+
+def verdict_and_ends(matrix, epsilon, n_max):
+    """The certificate's N0 and its witnesses at N0 and n_max, or the
+    refutation's report."""
+    result = dense_periods_certificate(matrix, epsilon, n_max)
+    if isinstance(result, DensePeriodsRefutation):
+        return result.to_json_dict()
+    return result.N0, result.witnesses[result.N0].states, result.witnesses[n_max].states
+
+
+@given(st.integers(2, 6), st.integers(0, 10**9))
+def test_postman_flow_matches_the_least_costs_oracle(size, seed):
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.3, 0.45, 0.6]))
+    for m in (2, 3):
+        try:
+            graph = _BlockGraph(matrix, m)
+        except BlockGraphTooLargeError:
+            continue
+        excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
+        if all(len(_least_costs(0, lambda u: ((1, v, None) for v in out[u])))
+               == len(out) for out in (graph.succ, graph.pred)):  # strongly connected
+            assert _postman_flow(graph, excess) == least_costs_postman_flow(graph, excess)
+        try:
+            fast = verdict_and_ends(matrix, 2.0 ** -m, 150)
+        except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
+            fast = type(exc)
+        with mock.patch("symshadow.dense_periods._postman_flow", least_costs_postman_flow):
+            try:
+                slow = verdict_and_ends(matrix, 2.0 ** -m, 150)
+            except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
+                slow = type(exc)
+        assert fast == slow
 
 
 def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):

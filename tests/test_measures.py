@@ -8,6 +8,7 @@ import random
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symshadow.measures import TestFamily as Family
-from symshadow.measures import (BernoulliProduct, CylinderObservable,
+from symshadow.cli import _load_target
+from symshadow.measures import (BLOCK_REPS, BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
-                                MarkovMeasure, _cyclic_word_distances,
+                                MarkovMeasure, _block_words, _cyclic_word_distances,
                                 _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
@@ -70,13 +72,23 @@ def test_cycle_measure_masses_match_string_counts():
             brute_cycle_frequency((0, 0, 1, 1), obs.word), abs=1e-12)
 
 
+def is_invariant_under(mu, system, tol=1e-9):
+    """Pushforward permutes the atoms with matching weights."""
+    for p, w in mu.atoms:
+        image = system.apply(p)
+        match = [w2 for p2, w2 in mu.atoms if system.distance(image, p2) <= tol]
+        if not match or abs(float(match[0]) - float(w)) > 1e-12:
+            return False
+    return True
+
+
 def test_periodic_measure_invariance():
     system = SftSystem(FULL2)
     mu = cycle_measure(FULL2, (0, 1, 1))
-    assert mu.is_invariant_under(system)
+    assert is_invariant_under(mu, system)
     lopsided = FiniteSupportMeasure([(ShiftPoint.from_cycle((0, 1)), Fraction(1, 3)),
                                      (ShiftPoint.from_cycle((0, 1), 1), Fraction(2, 3))])
-    assert not lopsided.is_invariant_under(system)
+    assert not is_invariant_under(lopsided, system)
 
 
 def test_orbit_cycles_of_target_groups_rotation_classes():
@@ -439,6 +451,38 @@ def test_approximate_mixed_target_with_blocks():
                             FAM3)
     assert k6 < k3
     assert res.distance <= k3 + 1e-15
+
+
+def letter_by_letter_block_words(matrix, parts):
+    """Oracle: every "blocks xN" word, each checked letter by letter."""
+    total = sum(w for _, w in parts)
+    out = []
+    for reps in range(1, BLOCK_REPS + 1) if total > 0 else ():
+        word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
+        if matrix.is_admissible_cycle(word):
+            out.append((reps, word))
+    return out
+
+
+def test_block_words_match_the_letter_by_letter_check():
+    data = Path(__file__).resolve().parent.parent / "data"
+    readme, _ = _load_target(str(data / "target_half_mix.json"), SftSystem(FULL2))
+    parts = _orbit_cycles_of_target(readme)
+    assert list(_block_words(FULL2, parts)) == letter_by_letter_block_words(FULL2, parts) != []
+    # a join between parts fails; a cycle fails inside itself; "1" may not repeat;
+    # every join holds
+    for parts in ([((0, 1), 0.5), ((1, 0), 0.5)], [((1, 1), 0.5), ((0,), 0.5)],
+                  [((1,), 0.2), ((0,), 0.8)], [((0, 1), 0.3), ((0,), 0.7)]):
+        assert list(_block_words(GOLDEN, parts)) == letter_by_letter_block_words(GOLDEN, parts)
+    # "1" appears once while 0.2 N rounds to 1
+    assert [reps for reps, _ in _block_words(GOLDEN, [((1,), 0.2), ((0,), 0.8)])] == \
+        list(range(1, 8))
+    rng = random.Random(57)
+    for _ in range(300):
+        matrix = rng.choice([FULL2, GOLDEN, WHEEL])
+        parts = [(tuple(rng.randrange(matrix.size) for _ in range(rng.randint(1, 4))),
+                  rng.choice([0.1, 0.25, 0.5, 1.0])) for _ in range(rng.randint(1, 3))]
+        assert list(_block_words(matrix, parts)) == letter_by_letter_block_words(matrix, parts)
 
 
 def test_approximate_lebesgue_on_torus():

@@ -1,5 +1,6 @@
 """Core subshift machinery against independent brute-force oracles."""
 
+import json
 import math
 import random
 from itertools import product
@@ -106,7 +107,8 @@ def test_rejects_oversized_and_malformed():
 
 
 def test_json_round_trip():
-    again = TransitionMatrix.from_json(GOLDEN.to_json())
+    again = TransitionMatrix.from_dict(json.loads(json.dumps(
+        {"rows": [list(r) for r in GOLDEN.rows], "size": GOLDEN.size})))
     assert again == GOLDEN
 
 

@@ -13,9 +13,20 @@ from hypothesis import strategies as st
 from symshadow.homoclinic import PseudoOrbit, verify_pseudo_orbit
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import (WIDTH, ShiftPoint, cycle_distances, cylinder_contains,
-                                  hausdorff_distance, nearest_distances, word_radius)
+from symshadow.shiftspace import (WIDTH, ShiftPoint, cycle_distances, hausdorff_distance,
+                                  nearest_distances, word_radius)
 from symshadow.systems import SftSystem
+
+
+def point_is_admissible(point, matrix):
+    """Every transition of the point, read over its tails' extent and one
+    more symbol each side, is allowed by the matrix."""
+    return matrix.is_admissible_word(point.window(-point.extent() - 1, point.extent() + 2))
+
+
+def cylinder_contains(point, word, anchor=0):
+    """Does the point carry ``word`` at positions anchor..anchor+len-1?"""
+    return point.window(anchor, anchor + len(word)) == tuple(word)
 
 
 def test_cycle_point_coordinates():
@@ -62,9 +73,9 @@ def test_cylinder_contains_and_admissibility():
     q = ShiftPoint((0,), (0, 1), (0,), pos=0)
     assert cylinder_contains(q, (0, 1))
     assert not cylinder_contains(q, (1, 1))
-    assert q.is_admissible(gm)
+    assert point_is_admissible(q, gm)
     bad = ShiftPoint((0,), (1, 1), (0,), pos=0)
-    assert not bad.is_admissible(gm)
+    assert not point_is_admissible(bad, gm)
 
 
 def test_centered_word():

@@ -28,6 +28,12 @@ FULL2 = TransitionMatrix.full_shift(2)
 LAM = (3 + math.sqrt(5)) / 2
 
 
+def point_is_admissible(point, matrix):
+    """Every transition of the point, read over its tails' extent and one
+    more symbol each side, is allowed by the matrix."""
+    return matrix.is_admissible_word(point.window(-point.extent() - 1, point.extent() + 2))
+
+
 def test_evaluate_examples():
     assert CAT.apply((0.2, 0.4)) == (0.8, 0.6000000000000001)
     assert CAT.apply((0.0, 0.0)) == (0.0, 0.0)
@@ -403,7 +409,7 @@ def test_full_shift_splice_example():
     assert q.centered_word(4) == "1010.0101"
     golden = TransitionMatrix.golden_mean()
     q2, center2 = sft_homoclinic_splice(golden, (0, 1))
-    assert q2.is_admissible(golden)
+    assert point_is_admissible(q2, golden)
 
 
 def test_splice_fixed_point_needs_excursion():
@@ -439,7 +445,7 @@ def seam_scan(matrix, cycle, budget):
             if tried > budget:
                 raise BudgetExceeded
             q = ShiftPoint(rho, c, w, pos=0)
-            if q.is_admissible(matrix) and q.period() is None:
+            if point_is_admissible(q, matrix) and q.period() is None:
                 return q, c
         length += tau if tau > 1 else 1
     raise ValueError(f"no homoclinic splice found for cycle {w}")
