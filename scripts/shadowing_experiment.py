@@ -34,11 +34,13 @@ def run(config: ExperimentConfig) -> bool:
     print(f"system: toral {config.matrix}, lam_u = {split.lam_u:.6f}, "
           f"C = {split.shadowing_constant:.4f}")
     datum = homoclinic_point(system, config.point, config.delta,
-                             forward_length=4 * config.lengths_beyond_threshold + 120,
-                             backward_length=120)
+                             forward_length=160, backward_length=120)
     params = compute_excursion_parameters(datum)
-    print(f"excursion parameters: N = {params.N}, l = {params.l}, L = {params.L}, "
-          f"N0 = {params.N0} (product bound {params.N0_product})")
+    print(f"excursion parameters: N = {params.N}, l = {params.l}, N0 = {params.N0}")
+    last = params.N0 + config.lengths_beyond_threshold
+    if datum.k_fwd < params.x_index + last:  # the near-p block runs forward from x
+        datum = homoclinic_point(system, config.point, config.delta,
+                                 forward_length=params.x_index + last, backward_length=120)
     reference = list(datum.segment) + list(datum.p_orbit)
     bound = split.shadowing_constant * config.delta
 
@@ -46,7 +48,7 @@ def run(config: ExperimentConfig) -> bool:
           f"{'< C*delta':>9} {'3eps-dense':>10}")
     ok = True
     start = time.time()
-    for n in range(params.N0, params.N0 + config.lengths_beyond_threshold + 1):
+    for n in range(params.N0, last + 1):
         po = build_periodic_pseudo_orbit(datum, params, n)
         orbit = shadow_periodic(system, po, tol=config.tol)
         check = verify_pseudo_orbit(po, config.delta, reference=reference)

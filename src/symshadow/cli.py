@@ -64,9 +64,9 @@ class PreconditionError(RuntimeError):
 # and depth 9 already peaks near 400 MB and writes 35 MB of JSON
 MAX_CODING_DEPTH = 9
 
-# pseudo-shadow lengths above this are refused before the homoclinic segment,
-# sized from --n-to, is built: the symbolic run grows near n^2.7, about 5 s at
-# n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
+# pseudo-shadow lengths above this are refused before the homoclinic segment is sized
+# from N0 and --n-to (a defaulted N0 + 30 too): the symbolic run grows near n^2.7, about
+# 5 s at n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
 MAX_SHADOW_LENGTH = 512
 
 
@@ -192,10 +192,8 @@ def cmd_pseudo_shadow(args) -> int:
         if bound is not None and bound > MAX_SHADOW_LENGTH:
             raise PreconditionError(f"{flag} {bound} exceeds {MAX_SHADOW_LENGTH}: the "
                                     "segment and the orbits grow with the length")
-    n_to_hint = 0 if args.n_to is None else args.n_to
     datum = homoclinic_point(system, anchor, delta=args.delta,
-                             forward_length=max(160, 3 * (n_to_hint + 40)),
-                             backward_length=max(80, n_to_hint // 2 + 40))
+                             forward_length=160, backward_length=80)
     params = compute_excursion_parameters(datum)
     n_from = params.N0 if args.n_from is None else args.n_from
     n_to = n_from + 30 if args.n_to is None else args.n_to
@@ -204,6 +202,14 @@ def cmd_pseudo_shadow(args) -> int:
     if n_to < n_from:
         raise PreconditionError(f"empty length range [{n_from}, {n_to}] "
                                 f"(N0 = {params.N0})")
+    if n_to > MAX_SHADOW_LENGTH:  # a defaulted range [N0, N0 + 30] can reach past it
+        raise PreconditionError(f"length range [{n_from}, {n_to}] (N0 = {params.N0}) exceeds "
+                                f"{MAX_SHADOW_LENGTH}: the orbits grow with the length")
+    if datum.k_fwd < params.x_index + n_to:
+        # a length-n pseudo-orbit reads f^k(q) up to k = x_index + n - 1; the
+        # points do not depend on the segment's length, so the parameters stand
+        datum = homoclinic_point(system, anchor, delta=args.delta,
+                                 forward_length=params.x_index + n_to, backward_length=80)
     config = ExperimentConfig("pseudo-shadow", {
         "system": system.to_config(), "anchor": str(args.point_or_cycle),
         "delta": args.delta, "n_from": n_from, "n_to": n_to, "tol": args.tol,
@@ -232,10 +238,9 @@ def cmd_pseudo_shadow(args) -> int:
             "dense_at_3eps": dens.dense,
         })
     report = {
-        "excursion": {"N": params.N, "l": params.l, "L": params.L,
-                      "N0": params.N0, "N0_product": params.N0_product},
-        "shadowing_constant": getattr(system.splitting(), "shadowing_constant", None)
-        if not isinstance(system, SftSystem) else None,
+        "excursion": {"N": params.N, "l": params.l, "N0": params.N0},
+        "shadowing_constant": None if isinstance(system, SftSystem)
+        else system.splitting().shadowing_constant,
         "rows": rows,
         "all_pass": all(r["defect"] <= args.delta and r["residual"] <= args.tol
                         and r["exact_period"] and r["dense_at_3eps"] for r in rows),

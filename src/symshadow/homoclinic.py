@@ -10,12 +10,15 @@ shifting the phase along the p-orbit by one) followed by a block of
 iterates near the p-orbit, with jumps of size < delta only where two
 points sit in the same delta/2-ball.
 
-The excursion count r is n mod tau, except that lengths divisible by tau
-use tau excursions: a pseudo-orbit made of whole p-loops alone would have
-period tau rather than n, so the phase must be walked all the way around.
-With L the product of the partial excursion budgets r*l and an extra
-tau*l*tau margin for the all-the-way-around case, every n >= N0 =
-(L + tau*l) * tau decomposes with a nonnegative number of near-p loops.
+The excursion count r is n mod tau, taken in 1..tau: lengths divisible
+by tau use tau excursions, since a pseudo-orbit made of whole p-loops
+alone would have period tau rather than n, so the phase must be walked
+all the way around.  Each string has l*tau + 1 = 1 (mod tau) points, so
+the remainder n - r*(l*tau + 1) is a multiple of tau, and it is >= 0
+exactly when n >= r*(l*tau + 1).  The least n of class r that is
+>= l*tau^2 + 1 is l*tau^2 + r >= r*(l*tau + 1), so every n >= N0 =
+l*tau^2 + 1 is built; n = l*tau^2 lies in class tau and would need
+n >= l*tau^2 + tau, so N0 is exact.
 
 The geometry is the system's: its map, its elementwise ``distances``, and
 its point-set queries ``cyclic_period`` and ``hausdorff``.
@@ -24,7 +27,6 @@ its point-set queries ``cyclic_period`` and ``hausdorff``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import Any, Sequence
 
 
@@ -91,16 +93,12 @@ class HomoclinicDatum:
 @dataclass(frozen=True)
 class ExcursionParameters:
     """Anchor x = f^{N tau}(q) deep in the forward tail, the first backward
-    return index l, the per-remainder excursion budgets k_r = r*l, their
-    product L, and the resulting admissible-length threshold N0."""
+    return index l, and the least length N0 from which every period is built."""
 
     N: int
     l: int
-    k_r: tuple[int, ...]
-    L: int
     x_index: int   # = N * tau, index of x in the q-orbit
-    N0_product: int  # L * tau
-    N0: int        # (L + tau*l) * tau, valid for every residue of n mod tau
+    N0: int        # l * tau^2 + 1
 
 
 @dataclass(frozen=True)
@@ -188,10 +186,7 @@ def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
             "(-l tau - 1)-index; extend the backward segment",
             extend_backward=(cand + 2) * tau + 1)
 
-    k_r = tuple(r * l for r in range(1, tau))
-    L = prod(k_r) if k_r else 1
-    return ExcursionParameters(N=N, l=l, k_r=k_r, L=L, x_index=N * tau,
-                               N0_product=L * tau, N0=(L + tau * l) * tau)
+    return ExcursionParameters(N=N, l=l, x_index=x_index, N0=l * tau * tau + 1)
 
 
 def build_periodic_pseudo_orbit(datum: HomoclinicDatum, params: ExcursionParameters,
@@ -210,8 +205,6 @@ def build_periodic_pseudo_orbit(datum: HomoclinicDatum, params: ExcursionParamet
     r = n % tau or tau
     string_len = l * tau + 1
     a_tau = n - r * string_len
-    if a_tau < 0 or a_tau % tau != 0:
-        raise ValueError(f"length n = {n} does not decompose with tau = {tau}, l = {l}")
 
     x_index = params.x_index
     points, jump_indices = [], []
@@ -239,5 +232,5 @@ def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
     report = {"max_defect": po.defect, "within_delta": po.defect <= delta,
               "exact_period_ok": po.exact_period}
     if reference:
-        report["hausdorff_to_reference"] = po.system.hausdorff(po.points, list(reference))
+        report["hausdorff_to_reference"] = po.system.hausdorff(po.points, reference)
     return report

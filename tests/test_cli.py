@@ -10,7 +10,7 @@ import pytest
 
 import symshadow.cli
 from symshadow.cli import MAX_CODING_DEPTH, MAX_SHADOW_LENGTH, main
-from symshadow.systems import Horseshoe
+from symshadow.systems import Horseshoe, homoclinic_point
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -115,6 +115,21 @@ def test_pseudo_shadow_cat_table(files):
     assert (Path(files["out"]) / "pseudo_shadow.csv").exists()
 
 
+@pytest.mark.parametrize("point, bounds", [
+    ("1/2,0", []), ("1/3,0", []), ("1/2,0", ["--n-from", "190", "--n-to", "192"]),
+], ids=["tau3", "tau4", "tau3-past-the-default-segment"])
+def test_pseudo_shadow_segment_is_sized_from_n0(files, point, bounds):
+    # tau = 3 and 4: the default range starts at N0 = l*tau^2 + 1; a range
+    # past the default 160-step forward segment rebuilds it to reach n_to
+    assert main(["pseudo-shadow", files["cat"], point, "--delta", "0.01", *bounds,
+                 "--out", files["out"]]) == 0
+    report = read_report(files, "pseudo_shadow.json")
+    assert report["all_pass"] is True
+    n0 = report["excursion"]["N0"]
+    assert [row["n"] for row in report["rows"]] \
+        == (list(range(190, 193)) if bounds else list(range(n0, n0 + 31)))
+
+
 def test_pseudo_shadow_below_threshold_exit_3(files):
     assert main(["pseudo-shadow", files["cat"], "1/5,2/5", "--delta", "0.01",
                  "--n-from", "3", "--out", files["out"]]) == 3
@@ -133,7 +148,7 @@ def test_pseudo_shadow_zero_length_bounds_exit_3(files, bound, capsys):
 @pytest.mark.parametrize("bound", ["--n-from", "--n-to"])
 def test_pseudo_shadow_overlong_bounds_exit_3_before_the_segment(files, bound, capsys,
                                                                 monkeypatch):
-    # the segment is sized from --n-to; 10^8 used to grow until the process died
+    # the segment is sized from N0 and --n-to; 10^8 used to grow until the process died
     def no_segment(*args, **kwargs):
         raise AssertionError("homoclinic segment built")
 
@@ -146,6 +161,27 @@ def test_pseudo_shadow_overlong_bounds_exit_3_before_the_segment(files, bound, c
     assert main(argv) == 3
     assert time.perf_counter() - start < 1.0
     assert f"{bound} 100000000 exceeds {MAX_SHADOW_LENGTH}" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_rebuild(files, capsys,
+                                                                          monkeypatch):
+    # tau = 8: N0 = 577 is read off the default segment, and the defaulted range
+    # [577, 607] is refused before the segment is rebuilt to reach it
+    built = []
+
+    def default_segment_only(*args, **kwargs):
+        built.append(kwargs["forward_length"])
+        return homoclinic_point(*args, **kwargs)
+
+    monkeypatch.setattr(symshadow.cli, "homoclinic_point", default_segment_only)
+    start = time.perf_counter()
+    assert main(["pseudo-shadow", files["full2"], "00000001", "--delta", "0.125",
+                 "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert built == [160]
+    assert f"length range [577, 607] (N0 = 577) exceeds {MAX_SHADOW_LENGTH}" \
+        in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 
@@ -417,9 +453,9 @@ def test_reports_are_byte_identical_across_reruns(files, tmp_path):
 
 @pytest.mark.parametrize("argv, sha256", [
     (["cat_map.json", "1/5,2/5", "--delta", "0.01"],
-     "07a4f9c5bddfe22e34c9968dc6e748d807a585743cb8797f4aecf4d8d4fef280"),
+     "6a6111995c131caf7acaf60c9c032f6f804c75b4f2b5fe021d2b0072e475d682"),
     (["horseshoe.json", "01", "--delta", "0.05"],
-     "d6d558f2ee2621c1eb530fb4a7ed6b5464f49fc62d93da8b7d70492751fa1358"),
+     "dffddc5bb87e95bfa04032aa3db3a212aca432ebb820889fc90bf27a3d63db6d"),
 ], ids=["cat_map", "horseshoe"])
 def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
     # a change in the last bit of a float distance or defect changes the digest
@@ -430,11 +466,11 @@ def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
 
 @pytest.mark.parametrize("system, wrap, argv, sha256", [
     ("full_2_shift.json", False, ["01", "--delta", "0.125", "--dump-orbits"],
-     "825507ddd7d4fa27eaffc9bc701ec6b02287cfd7900b71584c9f27482271629f"),
+     "aace18207b306b47a6374d4ec0df97b0904629503e7f35fc4f8ca80d103c934b"),
     ("golden_mean.json", True, ["0", "--delta", "0.125"],
-     "b0228f9cc363f5b12a6a68f304ca2d0752f6e8efd4832a3b0655de69e48d7f1f"),
+     "9e7d695414cb30374a5f189bbfdf2ed2c63bf5e576c731fd91c16c65cfba1175"),
     ("golden_mean.json", False, ["0", "--delta", "0.125"],
-     "b0228f9cc363f5b12a6a68f304ca2d0752f6e8efd4832a3b0655de69e48d7f1f"),
+     "9e7d695414cb30374a5f189bbfdf2ed2c63bf5e576c731fd91c16c65cfba1175"),
 ], ids=["full_2_shift", "golden_mean", "golden_mean_bare"])
 def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, wrap, argv, sha256):
     # every shadow distance, dense_at_3eps flag (through the Hausdorff

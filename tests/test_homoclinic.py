@@ -1,6 +1,7 @@
 """Pseudo-orbit construction from homoclinic data: exact periods, defects
 bounded by delta, jumps only at the designated seams."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,8 @@ from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point
 FULL2 = TransitionMatrix.full_shift(2)
 DELTA_SYM = 2.0 ** -3
 DELTA_CAT = 1e-2
+CAT = cat_map()
+HORSESHOE = Horseshoe(1 / 3, 3.0)
 
 
 @pytest.fixture(scope="module")
@@ -55,37 +58,79 @@ def scan_for_anchor_and_return(datum):
     return N, l
 
 
+def product_bound(tau: int, l: int) -> int:
+    """The large-periods budget of the paper's proof, (prod_{r<tau} r*l + tau*l)*tau,
+    which N0 = l*tau^2 + 1 never exceeds."""
+    return (math.prod(r * l for r in range(1, tau)) + tau * l) * tau
+
+
 def test_symbolic_parameters_match_direct_scan(symbolic_datum):
     params = compute_excursion_parameters(symbolic_datum)
     N, l = scan_for_anchor_and_return(symbolic_datum)
     assert (params.N, params.l) == (N, l)
-    assert params.k_r == (l,)          # tau = 2: single partial budget
-    assert params.L == l
-    assert params.N0_product == 2 * l
-    assert params.N0 == (l + 2 * l) * 2
+    assert params.N0 == l * 4 + 1      # tau = 2
+    assert params.N0 < product_bound(2, l) == (l + 2 * l) * 2
 
 
 def test_cat_parameters_match_direct_scan(cat_datum):
     params = compute_excursion_parameters(cat_datum)
     N, l = scan_for_anchor_and_return(cat_datum)
     assert (params.N, params.l) == (N, l)
-    assert params.N0 == (params.L + 2 * params.l) * 2
+    assert params.N0 == l * 4 + 1
 
 
 def test_fixed_point_empty_product_branch():
-    # tau = 1: k_r is the empty product, so L = 1 and N0 = (1 + l)
+    # tau = 1: the proof's budget is the empty product, (1 + l) * 1, and
+    # coincides with N0 = l + 1
     system = SftSystem(FULL2)
     datum = homoclinic_point(system, (0,), DELTA_SYM,
                              forward_length=120, backward_length=60)
     params = compute_excursion_parameters(datum)
     assert datum.tau == 1
-    assert params.k_r == ()
-    assert params.L == 1
-    assert params.N0_product == 1
-    assert params.N0 == 1 + params.l
+    assert params.N0 == 1 + params.l == product_bound(1, params.l)
     po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
     assert po.period == params.N0 + 5 and po.exact_period
     assert po.defect <= DELTA_SYM
+
+
+GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
+THRESHOLD_ANCHORS = [
+    *(pytest.param(CAT, tuple(Fraction(c) for c in text.split(",")), DELTA_CAT,
+                   id=f"cat-{text}") for text in ("1/5,2/5", "1/2,0", "1/3,0", "0,0")),
+    *(pytest.param(system, tuple(int(c) for c in word), delta, id=f"{name}-{word}")
+      for name, system, delta, words in (
+          ("horseshoe", HORSESHOE, 0.05, ("0", "01", "001", "0111")),
+          ("full2", SftSystem(FULL2), DELTA_SYM, ("0", "01", "00111")),
+          ("golden", SftSystem(GOLDEN), DELTA_SYM, ("0", "01", "010")))
+      for word in words),
+]
+
+
+@pytest.mark.parametrize("system, anchor, delta", THRESHOLD_ANCHORS)
+def test_threshold_is_exact_on_anchors(system, anchor, delta):
+    # N0 = l*tau^2 + 1: every n in [N0, N0 + 3 tau] is built with exact period
+    # n, and N0 - 1 = l*tau^2, of class tau, would need l*tau^2 + tau
+    datum = homoclinic_point(system, anchor, delta, forward_length=160, backward_length=80)
+    params = compute_excursion_parameters(datum)
+    tau, l = datum.tau, params.l
+    assert (params.N, l) == scan_for_anchor_and_return(datum)
+    assert params.N0 == l * tau * tau + 1 <= product_bound(tau, l)
+    last = params.N0 + 3 * tau
+    if datum.k_fwd < params.x_index + last:
+        datum = homoclinic_point(system, anchor, delta, forward_length=params.x_index + last,
+                                 backward_length=80)
+    for n in range(params.N0, last + 1):
+        po = build_periodic_pseudo_orbit(datum, params, n)
+        assert po.period == n and po.exact_period, f"period collapsed at n = {n}"
+        assert po.defect <= delta
+    with pytest.raises(ValueError, match="below the admissible threshold"):
+        build_periodic_pseudo_orbit(datum, params, params.N0 - 1)
+    # exactness: l*tau^2 has r = tau excursions, one near-p loop too many, so
+    # even with the guard lowered to it the builder cannot write it
+    assert (params.N0 - 1) - tau * (l * tau + 1) == -tau
+    with pytest.raises(AssertionError):
+        build_periodic_pseudo_orbit(datum, dataclasses.replace(params, N0=params.N0 - 1),
+                                    params.N0 - 1)
 
 
 def test_symbolic_construction_exact_periods(symbolic_datum):
@@ -185,8 +230,6 @@ def test_hausdorff_stays_near_reference(cat_datum):
 
 # -- float point-to-set distances against the pairwise scan --------------------
 
-CAT = cat_map()
-HORSESHOE = Horseshoe(1 / 3, 3.0)
 CAT_P_ORBIT = CAT.orbit_of((Fraction(1, 5), Fraction(2, 5)))
 
 
