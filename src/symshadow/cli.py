@@ -69,6 +69,11 @@ MAX_CODING_DEPTH = 9
 # 5 s at n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
 MAX_SHADOW_LENGTH = 512
 
+# approx-measure cylinder families with more words than this are refused: on the
+# full 2-shift depth 16 has 131,070 words and peaks near 1 GB, depth 17 near 2 GB
+# (periodic 2.2 s and 4.5 s, bernoulli 17 s and 38 s, 2-core x86_64)
+MAX_CYLINDERS = 1 << 17
+
 
 @dataclass
 class ExperimentConfig:
@@ -192,8 +197,7 @@ def cmd_pseudo_shadow(args) -> int:
         if bound is not None and bound > MAX_SHADOW_LENGTH:
             raise PreconditionError(f"{flag} {bound} exceeds {MAX_SHADOW_LENGTH}: the "
                                     "segment and the orbits grow with the length")
-    datum = homoclinic_point(system, anchor, delta=args.delta,
-                             forward_length=160, backward_length=80)
+    datum = homoclinic_point(system, anchor, delta=args.delta)
     params = compute_excursion_parameters(datum)
     n_from = params.N0 if args.n_from is None else args.n_from
     n_to = n_from + 30 if args.n_to is None else args.n_to
@@ -205,17 +209,13 @@ def cmd_pseudo_shadow(args) -> int:
     if n_to > MAX_SHADOW_LENGTH:  # a defaulted range [N0, N0 + 30] can reach past it
         raise PreconditionError(f"length range [{n_from}, {n_to}] (N0 = {params.N0}) exceeds "
                                 f"{MAX_SHADOW_LENGTH}: the orbits grow with the length")
-    if datum.k_fwd < params.x_index + n_to:
-        # a length-n pseudo-orbit reads f^k(q) up to k = x_index + n - 1; the
-        # points do not depend on the segment's length, so the parameters stand
-        datum = homoclinic_point(system, anchor, delta=args.delta,
-                                 forward_length=params.x_index + n_to, backward_length=80)
+    datum = datum.covering(params, n_to)
     config = ExperimentConfig("pseudo-shadow", {
         "system": system.to_config(), "anchor": str(args.point_or_cycle),
         "delta": args.delta, "n_from": n_from, "n_to": n_to, "tol": args.tol,
     }, seed=args.seed)
 
-    reference = list(datum.segment) + list(datum.p_orbit)
+    reference = datum.reference
     rows = []
     dumps = []
     for n in range(n_from, n_to + 1):
@@ -301,6 +301,20 @@ def _load_target(path: str, system):
     raise ValueError(f"unknown target kind {kind!r}")
 
 
+def _cylinder_family(matrix: TransitionMatrix, depth: int):
+    """cylinder_family(matrix, depth), refused past MAX_CYLINDERS words: the
+    k-words ending at each symbol (the column sums of A^(k-1)) are counted
+    before any word is listed."""
+    ends, count = [1] * matrix.size, 0
+    for _ in range(depth):
+        count += sum(ends)
+        if count > MAX_CYLINDERS:
+            raise PreconditionError(f"--depth {depth} needs more than {MAX_CYLINDERS} "
+                                    "cylinder words")
+        ends = [sum(ends[i] for i in matrix.pred[j]) for j in range(matrix.size)]
+    return cylinder_family(matrix, depth)
+
+
 def cmd_approx_measure(args) -> int:
     system = parse_system(_load_json(args.system))
     matrix = system.matrix if isinstance(system, SftSystem) else None
@@ -315,7 +329,7 @@ def cmd_approx_measure(args) -> int:
 
     csv_rows: list = []
     if args.mode == "periodic":
-        family = (cylinder_family(matrix, args.depth) if matrix is not None
+        family = (_cylinder_family(matrix, args.depth) if matrix is not None
                   else fourier_family(args.depth))
         res = approximate_by_periodic(target, system, args.epsilon, family,
                                       max_period=args.max_period,
@@ -331,7 +345,7 @@ def cmd_approx_measure(args) -> int:
             raise ValueError("bernoulli mode needs an sft system")
         if not is_primitive(matrix):
             raise ValueError("bernoulli mode requires a primitive (mixing) support")
-        family = cylinder_family(matrix, args.depth)
+        family = _cylinder_family(matrix, args.depth)
         ba = bernoulli_approximation(target, matrix, args.epsilon, family,
                                      cycle=_parse_word(args.cycle) if args.cycle else None)
         report = {

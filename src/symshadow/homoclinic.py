@@ -26,17 +26,12 @@ its point-set queries ``cyclic_period`` and ``hausdorff``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
 
 class InsufficientSegmentError(ValueError):
-    """Homoclinic orbit segment too short; carries the needed extension."""
-
-    def __init__(self, message: str, extend_backward: int = 0, extend_forward: int = 0):
-        super().__init__(message)
-        self.extend_backward = extend_backward
-        self.extend_forward = extend_forward
+    """Homoclinic orbit segment too short for the point asked of it."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +44,7 @@ class HomoclinicDatum:
     backward tail tracks the orbit of f(p) (one phase ahead), the forward
     tail the orbit of p.  Both tails must enter the delta/2-ball of the
     right phase point and carry at least tau points near translates of O(p).
+    ``orbit`` is k -> f^k(q), from which :meth:`covering` extends the segment.
     """
 
     system: Any
@@ -56,6 +52,7 @@ class HomoclinicDatum:
     segment: tuple
     k_back: int
     delta: float
+    orbit: Callable = field(compare=False)
     tau: int = field(init=False)
 
     def __post_init__(self):
@@ -78,13 +75,28 @@ class HomoclinicDatum:
         idx = k + self.k_back
         if not 0 <= idx < len(self.segment):
             raise InsufficientSegmentError(
-                f"segment covers q-orbit indices [{-self.k_back}, {self.k_fwd}], needed {k}",
-                extend_backward=max(0, -idx), extend_forward=max(0, k - self.k_fwd))
+                f"segment covers q-orbit indices [{-self.k_back}, {self.k_fwd}], needed {k}")
         return self.segment[idx]
 
     @property
     def k_fwd(self) -> int:
         return len(self.segment) - 1 - self.k_back
+
+    @property
+    def reference(self) -> tuple:
+        """The segment and the p-orbit: the set O(q) u O(p) a pseudo-orbit stays near."""
+        return self.segment + self.p_orbit
+
+    def covering(self, params: "ExcursionParameters", n: int) -> "HomoclinicDatum":
+        """This datum, if its segment reaches f^(x_index + n)(q), past the last
+        point a pseudo-orbit of length <= n reads; otherwise the datum with the
+        missing forward points evaluated and appended, its tails checked again.
+        The points do not depend on the segment's length, so ``params`` stand."""
+        last = params.x_index + n
+        if last <= self.k_fwd:
+            return self
+        return replace(self, segment=self.segment + tuple(
+            self.orbit(k) for k in range(self.k_fwd + 1, last + 1)))
 
     def in_p_ball(self, point, radius: float) -> bool:
         return self.system.distance(point, self.p_orbit[0]) <= radius
@@ -128,7 +140,7 @@ class PseudoOrbit:
             object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
-        return {"points": [encode_point(p) for p in self.points],
+        return {"points": [encode_point(p, 12) for p in self.points],
                 "n": self.period, "defect": self.defect}
 
 
@@ -139,11 +151,11 @@ def cyclic_defect(system, points: Sequence) -> float:
                                   points[1:] + points[:1]).max())
 
 
-def encode_point(p):
-    """Symbolic points as centered words, planar points as decimal pairs
-    with 15 significant digits."""
+def encode_point(p, radius: int):
+    """Symbolic points as centered words of ``radius`` symbols a side,
+    planar points as decimal pairs with 15 significant digits."""
     if hasattr(p, "centered_word"):
-        return p.centered_word(12)
+        return p.centered_word(radius)
     return [f"{float(c):.15g}" for c in p]
 
 
@@ -170,7 +182,7 @@ def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
     if N is None:
         raise InsufficientSegmentError(
             "no anchor x = f^(N tau)(q) with tau+1 backward tau-multiples near p; "
-            "extend the forward segment", extend_forward=2 * tau * tau + 2 * tau)
+            "extend the forward segment")
 
     x_index = N * tau
     l = None
@@ -183,8 +195,7 @@ def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
     if l is None:
         raise InsufficientSegmentError(
             "backward tail never re-enters the delta/2-ball of p at a "
-            "(-l tau - 1)-index; extend the backward segment",
-            extend_backward=(cand + 2) * tau + 1)
+            "(-l tau - 1)-index; extend the backward segment")
 
     return ExcursionParameters(N=N, l=l, x_index=x_index, N0=l * tau * tau + 1)
 

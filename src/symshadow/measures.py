@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .homoclinic import encode_point
 from .sft import (ConvergenceError, SymbolicCycle, TransitionMatrix, _merge_overlap,
                   _primitive_period, admissible_words, is_primitive, perron_data)
 from .shiftspace import ShiftPoint
@@ -182,11 +183,8 @@ class FiniteSupportMeasure(_Measure):
         return [integral(obs) for obs in family.observables]
 
     def to_json_dict(self) -> dict:
-        def enc(p):
-            if isinstance(p, ShiftPoint):
-                return p.centered_word(8)
-            return [f"{float(c):.15g}" for c in p]
-        return {"atoms": [{"point": enc(p), "weight": float(w)} for p, w in self.atoms]}
+        return {"atoms": [{"point": encode_point(p, 8), "weight": float(w)}
+                          for p, w in self.atoms]}
 
 
 def periodic_measure(orbit_points: Sequence) -> FiniteSupportMeasure:

@@ -56,7 +56,7 @@ class PeriodicOrbit:
             self.primitive_period = self.period
 
     def to_json_dict(self) -> dict:
-        return {"points": [encode_point(p) for p in self.points],
+        return {"points": [encode_point(p, 12) for p in self.points],
                 "n": self.period, "primitive_period": self.primitive_period,
                 "residual": self.residual, "shadow_distance": self.shadow_distance}
 

@@ -722,18 +722,19 @@ def sft_homoclinic_splice(matrix: TransitionMatrix, cycle: Sequence[int]
 # -- homoclinic data ----------------------------------------------------
 
 
-def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 120,
-                     backward_length: int = 60) -> HomoclinicDatum:
-    """Homoclinic datum for a periodic point of any supported system.
+def homoclinic_point(system, p, delta: float = 1e-2, forward_length: int = 160,
+                     backward_length: int = 80) -> HomoclinicDatum:
+    """Homoclinic datum for a periodic point of any supported system, its
+    segment f^k(q) for k in [-backward_length, forward_length].
 
     The phase convention is fixed: the backward tail of q follows the
     orbit of f(p), the forward tail the orbit of p (a phase shift of one).
     ``p`` is what ``system.homoclinic_orbit`` takes: a rational point on
     the torus, a cycle word on shift and horseshoe systems.
     """
-    p_orbit, q_point = system.homoclinic_orbit(p)
-    segment = [q_point(k) for k in range(-backward_length, forward_length + 1)]
-    return HomoclinicDatum(system, p_orbit, segment, backward_length, delta)
+    p_orbit, orbit = system.homoclinic_orbit(p)
+    segment = [orbit(k) for k in range(-backward_length, forward_length + 1)]
+    return HomoclinicDatum(system, p_orbit, segment, backward_length, delta, orbit)
 
 
 def parse_system(config: dict):

@@ -128,7 +128,7 @@ def test_criterion_3_shadowing_composition():
                              forward_length=260, backward_length=100)
     params = compute_excursion_parameters(datum)
     C = CAT.splitting().shadowing_constant
-    reference = list(datum.segment) + list(datum.p_orbit)
+    reference = datum.reference
     for n in range(params.N0, params.N0 + 51):
         po = build_periodic_pseudo_orbit(datum, params, n)
         orbit = shadow_periodic(CAT, po, tol=1e-12)

@@ -3,16 +3,31 @@
 import hashlib
 import json
 import math
+import shlex
 import time
 from pathlib import Path
 
 import pytest
 
 import symshadow.cli
-from symshadow.cli import MAX_CODING_DEPTH, MAX_SHADOW_LENGTH, main
-from symshadow.systems import Horseshoe, homoclinic_point
+from symshadow.cli import (MAX_CODING_DEPTH, MAX_CYLINDERS, MAX_SHADOW_LENGTH,
+                           PreconditionError, main)
+from symshadow.measures import cylinder_family
+from symshadow.sft import TransitionMatrix
+from symshadow.systems import Horseshoe, SftSystem
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the symshadow commands in README's "Command line"
+    block, with backslash continuations joined and comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [words for words in commands if words]
 
 
 @pytest.fixture
@@ -164,22 +179,23 @@ def test_pseudo_shadow_overlong_bounds_exit_3_before_the_segment(files, bound, c
     assert not Path(files["out"]).exists()
 
 
-def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_rebuild(files, capsys,
-                                                                          monkeypatch):
-    # tau = 8: N0 = 577 is read off the default segment, and the defaulted range
-    # [577, 607] is refused before the segment is rebuilt to reach it
-    built = []
+def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_extension(files, capsys,
+                                                                            monkeypatch):
+    # tau = 8: N0 = 577 is read off the default segment, f^k(q) for k <= 160, and
+    # the defaulted range [577, 607] is refused before the segment is extended
+    evaluated = []
+    homoclinic_orbit = SftSystem.homoclinic_orbit
 
-    def default_segment_only(*args, **kwargs):
-        built.append(kwargs["forward_length"])
-        return homoclinic_point(*args, **kwargs)
+    def recorded(self, cycle):
+        p_orbit, orbit = homoclinic_orbit(self, cycle)
+        return p_orbit, lambda k: evaluated.append(k) or orbit(k)
 
-    monkeypatch.setattr(symshadow.cli, "homoclinic_point", default_segment_only)
+    monkeypatch.setattr(SftSystem, "homoclinic_orbit", recorded)
     start = time.perf_counter()
     assert main(["pseudo-shadow", files["full2"], "00000001", "--delta", "0.125",
                  "--out", files["out"]]) == 3
     assert time.perf_counter() - start < 1.0
-    assert built == [160]
+    assert max(evaluated) == 160
     assert f"length range [577, 607] (N0 = 577) exceeds {MAX_SHADOW_LENGTH}" \
         in capsys.readouterr().err
     assert not Path(files["out"]).exists()
@@ -440,6 +456,50 @@ def test_coding_table_explosive_depth_exit_3(files, capsys, monkeypatch):
     assert f"--depth {MAX_CODING_DEPTH + 1} exceeds {MAX_CODING_DEPTH}" \
         in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("mode", ["periodic", "bernoulli"])
+@pytest.mark.parametrize("depth", [18, 22])
+def test_approx_measure_explosive_depth_exit_3(files, capsys, monkeypatch, mode, depth):
+    # depth 16 lists 131,070 cylinder words on the full 2-shift; depth 18 used to
+    # end in a MemoryError, depth 22 in a MemoryError while listing the words
+    def no_family(matrix, depth):
+        raise AssertionError("cylinder family built")
+
+    monkeypatch.setattr(symshadow.cli, "cylinder_family", no_family)
+    start = time.perf_counter()
+    assert main(["approx-measure", str(DATA / "target_half_mix.json"),
+                 str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", mode,
+                 "--depth", str(depth), "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"--depth {depth} needs more than {MAX_CYLINDERS} cylinder words" \
+        in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_cylinder_bound_counts_the_words_it_would_list(monkeypatch):
+    # the full 2-shift has 2^17 - 2 words up to depth 16 and 2^18 - 2 up to 17;
+    # on the golden mean the bound falls where the listed family outgrows it
+    monkeypatch.setattr(symshadow.cli, "cylinder_family", lambda matrix, depth: depth)
+    full2, golden = TransitionMatrix.full_shift(2), TransitionMatrix.golden_mean()
+    assert symshadow.cli._cylinder_family(full2, 16) == 16
+    with pytest.raises(PreconditionError):
+        symshadow.cli._cylinder_family(full2, 17)
+    depth = 1
+    while len(cylinder_family(golden, depth + 1)) <= MAX_CYLINDERS:
+        depth += 1
+    assert symshadow.cli._cylinder_family(golden, depth) == depth
+    with pytest.raises(PreconditionError):
+        symshadow.cli._cylinder_family(golden, depth + 1)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "_".join(argv[1:]))
+def test_readme_commands_exit_0(argv, tmp_path, monkeypatch):
+    # every README command runs as written, so the README cannot drift from the CLI
+    assert argv[0] == "symshadow"
+    monkeypatch.chdir(ROOT)
+    assert main([*argv[1:], "--out", str(tmp_path)]) == 0
+    assert any(tmp_path.iterdir())
 
 
 def test_reports_are_byte_identical_across_reruns(files, tmp_path):

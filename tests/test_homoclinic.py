@@ -110,15 +110,13 @@ THRESHOLD_ANCHORS = [
 def test_threshold_is_exact_on_anchors(system, anchor, delta):
     # N0 = l*tau^2 + 1: every n in [N0, N0 + 3 tau] is built with exact period
     # n, and N0 - 1 = l*tau^2, of class tau, would need l*tau^2 + tau
-    datum = homoclinic_point(system, anchor, delta, forward_length=160, backward_length=80)
+    datum = homoclinic_point(system, anchor, delta)
     params = compute_excursion_parameters(datum)
     tau, l = datum.tau, params.l
     assert (params.N, l) == scan_for_anchor_and_return(datum)
     assert params.N0 == l * tau * tau + 1 <= product_bound(tau, l)
     last = params.N0 + 3 * tau
-    if datum.k_fwd < params.x_index + last:
-        datum = homoclinic_point(system, anchor, delta, forward_length=params.x_index + last,
-                                 backward_length=80)
+    datum = datum.covering(params, last)
     for n in range(params.N0, last + 1):
         po = build_periodic_pseudo_orbit(datum, params, n)
         assert po.period == n and po.exact_period, f"period collapsed at n = {n}"
@@ -175,7 +173,7 @@ def test_below_threshold_rejected(cat_datum):
         build_periodic_pseudo_orbit(cat_datum, params, params.N0 - 1)
 
 
-def test_insufficient_segment_reports_extension():
+def test_short_segment_raises_insufficient_segment():
     system = SftSystem(FULL2)
     datum = homoclinic_point(system, (0, 1), DELTA_SYM,
                              forward_length=40, backward_length=20)
@@ -188,7 +186,27 @@ def test_insufficient_segment_reports_extension():
             raised = err
             break
     assert raised is not None, "short segment never ran out"
-    assert raised.extend_forward > 0 or raised.extend_backward > 0
+
+
+@pytest.mark.parametrize("system, anchor, delta", [
+    (CAT, (Fraction(1, 5), Fraction(2, 5)), DELTA_CAT),
+    (HORSESHOE, (0, 1), 0.05),
+    (SftSystem(FULL2), (0, 1), DELTA_SYM),
+    (SftSystem(TransitionMatrix.golden_mean()), (0, 1), DELTA_SYM),
+], ids=["cat-1/5,2/5", "horseshoe-01", "full2-01", "golden-01"])
+def test_covering_extends_the_segment_to_a_fresh_build(system, anchor, delta):
+    datum = homoclinic_point(system, anchor, delta)
+    params = compute_excursion_parameters(datum)
+    # a segment that already reaches x_index + n is the datum itself
+    assert datum.covering(params, datum.k_fwd - params.x_index) is datum
+    for n in (params.N0 + 200, params.N0 + 371):  # the second extends the first
+        datum, last = datum.covering(params, n), params.x_index + n
+        fresh = homoclinic_point(system, anchor, delta, forward_length=last)
+        assert datum.k_fwd == last
+        assert (datum.segment, datum.k_back) == (fresh.segment, fresh.k_back)
+        assert datum == fresh and datum.reference == fresh.reference
+        assert compute_excursion_parameters(datum) == params
+        assert datum.covering(params, n) is datum
 
 
 def test_verify_repeated_true_orbit(symbolic_datum):
@@ -220,7 +238,7 @@ def test_verify_detects_artificial_jump(cat_datum):
 
 def test_hausdorff_stays_near_reference(cat_datum):
     params = compute_excursion_parameters(cat_datum)
-    reference = list(cat_datum.segment) + list(cat_datum.p_orbit)
+    reference = cat_datum.reference
     po = build_periodic_pseudo_orbit(cat_datum, params, params.N0 + 9)
     report = verify_pseudo_orbit(po, DELTA_CAT, reference=reference)
     # pseudo-orbit points are segment points, so one side is 0; the other
@@ -396,7 +414,7 @@ def test_torus_minima_make_no_distance_calls(monkeypatch):
     for datum, extra in ((cat, 5), (horseshoe, 101)):
         params = compute_excursion_parameters(datum)
         po = build_periodic_pseudo_orbit(datum, params, params.N0 + extra)
-        reference = list(datum.segment) + list(datum.p_orbit)
+        reference = datum.reference
         # the forward tail repeats the p-cycle, so both sets hold exact repeats
         assert len(set(po.points)) < len(po.points) and len(set(reference)) < len(reference)
         cases = [(po.points, reference), (reference, po.points), (grid, po.points)]
@@ -450,7 +468,7 @@ def test_min_distances_on_homoclinic_data(cat_datum):
     for datum in (cat_datum, horseshoe):
         params = compute_excursion_parameters(datum)
         po = build_periodic_pseudo_orbit(datum, params, params.N0 + 5)
-        reference = list(datum.segment) + list(datum.p_orbit)
+        reference = datum.reference
         for queries, points in ((po.points, reference), (reference, po.points)):
             assert datum.system.nearest(queries, points) \
                 == pairwise_min(datum.system, queries, points)

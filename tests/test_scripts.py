@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("argv", [
     ["primitivity_survey.py", "--exhaustive-max-size", "2", "--random-samples", "5"],
-    ["shadowing_experiment.py", "--lengths", "3"],
     ["measure_pipeline.py", "--depth", "1", "--csv", "{tmp}/scan.csv"],
     ["equidistribution_scan.py", "--max-period", "6", "--max-denominator", "8"],
 ], ids=lambda argv: argv[0])

@@ -369,13 +369,13 @@ def test_homoclinic_point_matches_the_per_system_builders(system, anchor, builde
 def test_a_datum_whose_tail_misses_half_delta_raises_at_construction(system, anchor, delta):
     datum = homoclinic_point(system, anchor, delta=delta, forward_length=120,
                              backward_length=60)
-    p_orbit, segment, k_back = datum.p_orbit, datum.segment, datum.k_back
-    assert HomoclinicDatum(system, list(p_orbit), list(segment), k_back, delta) == datum
+    p_orbit, segment, k_back, orbit = datum.p_orbit, datum.segment, datum.k_back, datum.orbit
+    assert HomoclinicDatum(system, list(p_orbit), list(segment), k_back, delta, orbit) == datum
     # the segment cut to f^k(q) for |k| <= 1 leaves q's own excursion at both ends
     with pytest.raises(ValueError, match="forward tail"):
-        HomoclinicDatum(system, p_orbit, segment[:k_back + 2], k_back, delta)
+        HomoclinicDatum(system, p_orbit, segment[:k_back + 2], k_back, delta, orbit)
     with pytest.raises(ValueError, match="backward tail"):
-        HomoclinicDatum(system, p_orbit, segment[k_back - 1:], 1, delta)
+        HomoclinicDatum(system, p_orbit, segment[k_back - 1:], 1, delta, orbit)
 
 
 def test_shift_point_set_queries_are_the_shiftspace_functions():
