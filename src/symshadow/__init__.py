@@ -26,16 +26,13 @@ from .homoclinic import (ExcursionParameters, HomoclinicDatum,
                          build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
 from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
-                        density_check, enumerate_periodic_orbits,
-                        shadow_periodic)
+                        density_check, shadow_periodic)
 from .systems import (Horseshoe, HyperbolicSplitting, SftSystem,
-                      ToralAutomorphism, cat_map, homoclinic_point,
-                      parse_system, torus_distance)
+                      ToralAutomorphism, cat_map, homoclinic_point, parse_system)
 from .measures import (ApproximationResult, BernoulliApproximation,
                        BernoulliProduct, CylinderObservable,
                        FiniteSupportMeasure, FourierMode, LebesgueTorus,
                        MarkovMeasure, TestFamily, approximate_by_periodic,
                        bernoulli_approximation, block_subshift, correlation,
                        cycle_measure, cylinder_family, fourier_family,
-                       integrate, parry_measure, periodic_measure,
-                       weak_star_distance)
+                       parry_measure, periodic_measure, weak_star_distance)

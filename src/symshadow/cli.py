@@ -41,7 +41,7 @@ from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
 from .measures import (BernoulliProduct, FiniteSupportMeasure, LebesgueTorus,
                        approximate_by_periodic, bernoulli_approximation,
-                       cycle_measure, cylinder_family, fourier_family)
+                       cycle_measure, cylinder_family, fourier_family, weak_star_distance)
 from .sft import (ConvergenceError, NonEssentialMatrixError, ReducibleMatrixError,
                   SymbolicCycle, TransitionMatrix, class_period,
                   count_periodic_points, cyclic_decomposition, is_irreducible,
@@ -73,6 +73,11 @@ MAX_SHADOW_LENGTH = 512
 # full 2-shift depth 16 has 131,070 words and peaks near 1 GB, depth 17 near 2 GB
 # (periodic 2.2 s and 4.5 s, bernoulli 17 s and 38 s, 2-core x86_64)
 MAX_CYLINDERS = 1 << 17
+
+# lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])
+# are refused: golden mean, epsilon 1/4, n_max 8000 lists 32M symbols in 10.5 s,
+# peaks near 520 MB and writes 32 MB of JSON; n_max 30,000 ran out of memory
+MAX_WITNESS_SYMBOLS = 1 << 25
 
 
 @dataclass
@@ -125,22 +130,19 @@ def _parse_rational_point(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
-          fmt: str = "json", csv_rows: list | None = None,
-          csv_header: list | None = None) -> None:
+          fmt: str = "json", table: list | None = None) -> None:
+    """Write the JSON report and, given a table (header row first), its CSV
+    trace; echo the one ``fmt`` names to stdout."""
     report = {"config": config.as_dict(), **report}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     (out / f"{name}.json").write_text(text)
-    if csv_rows is not None:
+    if table is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if csv_header:
-            writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(table)
         (out / f"{name}.csv").write_text(buf.getvalue())
-    if fmt == "json":
-        sys.stdout.write(text)
+    sys.stdout.write(buf.getvalue() if fmt == "csv" else text)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -157,7 +159,7 @@ def cmd_analyze(args) -> int:
         "size": matrix.size,
         "irreducible": irreducible,
         "primitive": is_primitive(matrix),
-        "periodic_counts": {str(n): count_periodic_points(matrix, n)
+        "periodic_counts": {str(n): _printable(count_periodic_points(matrix, n))
                             for n in range(1, args.max_period + 1)},
     }
     if irreducible:
@@ -165,8 +167,18 @@ def cmd_analyze(args) -> int:
         report["class_period"] = decomp.class_period
         report["classes"] = [sorted(c) for c in decomp.classes]
         report["entropy"] = topological_entropy(matrix)
-    _emit(report, config, args.out, "analyze", args.format)
+    _emit(report, config, args.out, "analyze")
     return EXIT_OK
+
+
+def _printable(count: int) -> int:
+    """count, refused past the int-to-str digit limit (0 for none); each
+    count is checked, as those of a periodic matrix need not grow."""
+    limit = sys.get_int_max_str_digits()  # counts of at most 3 limit bits are below 10^limit
+    if limit and count.bit_length() > 3 * limit and count >= 10 ** limit:
+        raise PreconditionError(f"a periodic-point count of {count.bit_length()} bits "
+                                f"has more than {limit} digits")
+    return count
 
 
 def cmd_lpp(args) -> int:
@@ -182,8 +194,13 @@ def cmd_lpp(args) -> int:
     else:
         result = dense_periods_certificate(matrix, args.epsilon, args.n_max)
     verdict = "certificate" if isinstance(result, DensePeriodsCertificate) else "refutation"
+    if verdict == "certificate":  # witnesses are built as the report lists them
+        symbols = (result.N0 + args.n_max) * (args.n_max - result.N0 + 1) // 2
+        if symbols > MAX_WITNESS_SYMBOLS:
+            raise PreconditionError(f"--n-max {args.n_max} lists {symbols} witness symbols "
+                                    f"(N0 = {result.N0}), more than {MAX_WITNESS_SYMBOLS}")
     report = {"verdict": verdict, **result.to_json_dict()}
-    _emit(report, config, args.out, "lpp", args.format)
+    _emit(report, config, args.out, "lpp")
     return EXIT_OK
 
 
@@ -247,10 +264,9 @@ def cmd_pseudo_shadow(args) -> int:
     }
     if args.dump_orbits:
         report["orbits"] = dumps
+    columns = ["n", "defect", "residual", "shadow_distance", "dense_at_3eps"]
     _emit(report, config, args.out, "pseudo_shadow", args.format,
-          csv_rows=[[r["n"], r["defect"], r["residual"], r["shadow_distance"],
-                     r["dense_at_3eps"]] for r in rows],
-          csv_header=["n", "defect", "residual", "shadow_distance", "dense_at_3eps"])
+          [columns] + [[r[c] for c in columns] for r in rows])
     return EXIT_OK
 
 
@@ -327,7 +343,7 @@ def cmd_approx_measure(args) -> int:
         "max_denominator": args.max_denominator,
     }, seed=args.seed)
 
-    csv_rows: list = []
+    table: list = [["target", "method", "parameter", "distance"]]
     if args.mode == "periodic":
         family = (_cylinder_family(matrix, args.depth) if matrix is not None
                   else fourier_family(args.depth))
@@ -339,7 +355,7 @@ def cmd_approx_measure(args) -> int:
             "best": res.measure.to_json_dict(), "method": res.description,
             "distance": res.distance, "within_epsilon": res.within_epsilon,
         }
-        csv_rows.append([target_id, "periodic", res.description, res.distance])
+        table.append([target_id, "periodic", res.description, res.distance])
     else:
         if matrix is None:
             raise ValueError("bernoulli mode needs an sft system")
@@ -359,9 +375,10 @@ def cmd_approx_measure(args) -> int:
             "within_epsilon": ba.within_epsilon,
             "scan": [[m, d] for m, d in ba.scan],
         }
-        csv_rows.extend([target_id, "bernoulli", f"m={m}", d] for m, d in ba.scan)
-    _emit(report, config, args.out, "approx_measure", args.format,
-          csv_rows=csv_rows, csv_header=["target", "method", "parameter", "distance"])
+        table.append([target_id, "periodic", report["cycle"],
+                      weak_star_distance(ba.periodic_measure, target, family)])
+        table.extend([target_id, "bernoulli", f"m={m}", d] for m, d in ba.scan)
+    _emit(report, config, args.out, "approx_measure", args.format, table)
     return EXIT_OK
 
 
@@ -392,7 +409,7 @@ def cmd_perturb_smoke(args) -> int:
     after = certificate_for(perturbed)
     report = {"before": before, "after": after,
               "same_N0": before["N0"] == after["N0"]}
-    _emit(report, config, args.out, "perturb_smoke", args.format)
+    _emit(report, config, args.out, "perturb_smoke")
     return EXIT_OK
 
 
@@ -408,7 +425,7 @@ def cmd_coding_table(args) -> int:
     config = ExperimentConfig("coding-table", {
         "system": system.to_config(), "depth": args.depth}, seed=args.seed)
     report = {"table": system.coding_table(args.depth)}
-    _emit(report, config, args.out, "coding_table", args.format)
+    _emit(report, config, args.out, "coding_table")
     return EXIT_OK
 
 
@@ -424,12 +441,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trace: bool = False):
+        if trace:
+            p.add_argument("--format", choices=["json", "csv"], default="json",
+                           help="echo the JSON report or the CSV trace to stdout")
         p.add_argument("--config", default=None,
                        help="JSON file of option values (explicit flags win)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="recorded in reports")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         options = {a.dest: a for a in p._actions
                    if a.option_strings and a.dest not in ("config", "help")}
         for key in config.keys() & options.keys():
@@ -462,7 +481,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--dump-orbits", action="store_true",
                    help="include full orbit serializations in the report")
-    common(p)
+    common(p, trace=True)
     p.set_defaults(func=cmd_pseudo_shadow)
 
     p = sub.add_parser("approx-measure", help="approximate a target measure")
@@ -475,7 +494,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--max-period", type=int, default=12)
     p.add_argument("--max-denominator", type=int, default=40)
     p.add_argument("--cycle", default=None, help="bernoulli mode: fix the base cycle")
-    common(p)
+    common(p, trace=True)
     p.set_defaults(func=cmd_approx_measure)
 
     p = sub.add_parser("perturb-smoke", help="horseshoe rate-perturbation smoke test")

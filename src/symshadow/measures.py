@@ -36,15 +36,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .homoclinic import encode_point
-from .sft import (ConvergenceError, SymbolicCycle, TransitionMatrix, _merge_overlap,
-                  _primitive_period, admissible_words, is_primitive, perron_data)
+from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix,
+                  _merge_overlap, _primitive_period, admissible_words, is_primitive,
+                  perron_data)
 from .shiftspace import ShiftPoint
-from .systems import SftSystem, ToralAutomorphism, sft_homoclinic_splice
+from .systems import _BLOCK_ENTRIES, SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
-BLOCK_STATE_CAP = 64  # letter states of a block subshift, m |p| + |excursion|
 RENEWAL_TOL = 1e-12  # Parry integrals of the chosen block subshift vs its renewal masses
 TWO_PI_I = 2j * math.pi
 
@@ -300,11 +300,6 @@ class BernoulliProduct(_Measure):
         return {"reference": "bernoulli", "p": list(self.p)}
 
 
-def integrate(measure, observable):
-    """Integral of an observable against any supported measure."""
-    return measure.integrate(observable)
-
-
 def weak_star_distance(mu, nu, family: TestFamily) -> float:
     """sum_j 2^-j |int phi_j d mu - int phi_j d nu|, read off the integral
     vectors each measure keeps per family."""
@@ -432,24 +427,34 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
     """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``,
     d the weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
     zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to sum_r c_r
-    zeta_q^r / n over its residue counts c_r, counted for all orbits of a q at once.
+    zeta_q^r / n over its residue counts c_r, counted for a block of a q's orbits at
+    once: at most ``_BLOCK_ENTRIES`` residues and counts, or one orbit that needs
+    more; a score reads its own orbit's counts only, so blocking keeps its bits.
     Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
     halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s."""
     if not all(isinstance(obs, FourierMode) for obs in family.observables):
         raise TypeError("torus orbits integrate Fourier modes only")
     modes = np.array([obs.k for obs in family.observables], dtype=int).reshape(-1, 2).T
+    width = modes.shape[1]
     target_integrals = np.array(target.integrals(family), dtype=complex)
     for q, points, orbits in system.rational_orbit_lattices(max_period, max_denominator):
-        owner = np.repeat(np.arange(len(orbits)), [len(orbit) for _, orbit in orbits])
-        cells = (owner[:, None] * modes.shape[1] + np.arange(modes.shape[1])) * q
-        counts = np.bincount((cells + points @ modes % q).ravel(),
-                             minlength=len(orbits) * modes.shape[1] * q)
-        counts = counts.reshape(len(orbits), -1, q).astype(float)
-        mirror, zeta = counts[..., -np.arange(q) % q], np.exp(2j * np.pi * np.arange(q) / q)
-        integrals = (np.einsum("...r,r", counts + mirror, zeta.real)
-                     + 1j * np.einsum("...r,r", counts - mirror, zeta.imag)) / counts.sum(-1) / 2
-        d = (np.array(family.weights) * np.abs(target_integrals - integrals)).sum(-1)
-        yield from ((start, orbit, dist) for (start, orbit), dist in zip(orbits, d.tolist()))
+        bounds = np.cumsum([0] + [len(orbit) for _, orbit in orbits])
+        step = max(1, _BLOCK_ENTRIES // ((max_period + q) * width))  # orbits per block
+        reflect, zeta = -np.arange(q) % q, np.exp(2j * np.pi * np.arange(q) / q)
+        for lo in range(0, len(orbits), step):
+            hi = min(lo + step, len(orbits))
+            owner = np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1]))
+            cells = (owner[:, None] * width + np.arange(width)) * q
+            counts = np.bincount((cells + points[bounds[lo]:bounds[hi]] @ modes % q).ravel(),
+                                 minlength=(hi - lo) * width * q)
+            counts = counts.reshape(hi - lo, width, q).astype(float)
+            mirror = counts[..., reflect]
+            integrals = (np.einsum("...r,r", counts + mirror, zeta.real)
+                         + 1j * np.einsum("...r,r", counts - mirror, zeta.imag)
+                         ) / counts.sum(-1) / 2
+            d = (np.array(family.weights) * np.abs(target_integrals - integrals)).sum(-1)
+            yield from ((start, orbit, dist)
+                        for (start, orbit), dist in zip(orbits[lo:hi], d.tolist()))
 
 
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
@@ -500,40 +505,32 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
 @dataclass
 class BlockSubshift:
     """Letter-level presentation of the block language {loop = p^m,
-    excursion}: chain states for each letter of each block, block-to-block
-    moves at the seams, and no excursion following an excursion."""
+    excursion}, no excursion following an excursion: one state per letter
+    of loop + excursion, labelled by that letter."""
 
     matrix: TransitionMatrix
     labels: tuple[int, ...]
-    loop_word: tuple[int, ...]
     excursion_word: tuple[int, ...]
-    loops_per_block: int
 
 
 def block_subshift(matrix: TransitionMatrix, cycle: Sequence[int], m: int,
                    excursion: Sequence[int]) -> BlockSubshift:
-    loop = tuple(cycle) * m
-    exc = tuple(excursion)
-    blocks = [loop, exc]
-    allowed = {(0, 0), (0, 1), (1, 0)}  # excursion cannot follow excursion
-    states = [(b, off) for b, blk in enumerate(blocks) for off in range(len(blk))]
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
+    """The n + 1 moves of the n letter states: i -> i + 1, the loop's end to
+    its start and the excursion's end to the loop's start, each one checked
+    against the ambient matrix, so the points concatenate the tiles loop and
+    excursion + loop."""
+    if m < 1 or not cycle or not excursion:
+        raise ValueError("a block subshift needs m >= 1 and non-empty words")
+    labels = tuple(cycle) * m + tuple(excursion)
+    n, a = len(labels), m * len(cycle)
+    moves = [(i, i + 1) for i in range(n - 1)] + [(a - 1, 0), (n - 1, 0)]
     rows = [[0] * n for _ in range(n)]
-    for b, blk in enumerate(blocks):
-        for off in range(len(blk) - 1):
-            rows[index[(b, off)]][index[(b, off + 1)]] = 1
-        for b2 in range(len(blocks)):
-            if (b, b2) in allowed:
-                rows[index[(b, len(blk) - 1)]][index[(b2, 0)]] = 1
-    labels = tuple(blocks[b][off] for b, off in states)
+    for i, j in moves:
+        rows[i][j] = 1
     sub = TransitionMatrix(rows)
-    # every letter move must be admissible in the ambient shift
-    for i, (b, off) in enumerate(states):
-        for j in range(n):
-            if rows[i][j] and not matrix.admits(labels[i], labels[j]):
-                raise ValueError("block seams violate ambient admissibility")
-    return BlockSubshift(sub, labels, loop, exc, m)
+    if not all(matrix.admits(labels[i], labels[j]) for i, j in moves):
+        raise ValueError("block seams violate ambient admissibility")
+    return BlockSubshift(sub, labels, tuple(excursion))
 
 
 @dataclass
@@ -628,7 +625,7 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
     best = None
     scan: list[tuple[int, float]] = []
     for m in range(1, m_max + 1):
-        if m * tau + b > BLOCK_STATE_CAP:
+        if m * tau + b > MAX_SYMBOLS:
             break
         if math.gcd(m * tau, b) != 1:
             continue
@@ -640,7 +637,7 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
             best = (d_p, m, renewal,
                     _weighted_gap(family.weights, renewal, target.integrals(family)))
     if best is None:
-        raise ValueError(f"no primitive block subshift fits the {BLOCK_STATE_CAP}-state cap")
+        raise ValueError(f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
     d_p, m, renewal, d_t = best
     sub = block_subshift(matrix, cycle, m, excursion)
     nu = parry_measure(sub.matrix, labels=sub.labels)

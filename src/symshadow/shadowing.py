@@ -13,9 +13,9 @@ sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.
 
 The system supplies the geometry: ``splitting`` and ``shadowing_orbit``,
-``periodic_orbits`` for the exact enumeration, ``net`` and ``nearest`` for
-density.  Only two branches read the system kind: the symbolic shadow takes
-its distances off the glued word, and shift density uses forward windows.
+``net`` and ``nearest`` for density.  Only two branches read the system
+kind: the symbolic shadow takes its distances off the glued word, and shift
+density uses forward windows.
 
 Residual bounds are floating point, not interval-arithmetic proofs.
 """
@@ -47,13 +47,8 @@ class PeriodicOrbit:
     points: list
     period: int
     residual: float
-    shadow_distance: float = 0.0
-    primitive_period: int | None = None
-    shadowing_constant: float | None = None
-
-    def __post_init__(self):
-        if self.primitive_period is None:
-            self.primitive_period = self.period
+    shadow_distance: float
+    primitive_period: int
 
     def to_json_dict(self) -> dict:
         return {"points": [encode_point(p, 12) for p in self.points],
@@ -92,7 +87,7 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
             f"C * delta = {C * delta:.3g}")
     return PeriodicOrbit(points=points, period=po.period, residual=residual,
                          shadow_distance=shadow_distance,
-                         primitive_period=primitive_period, shadowing_constant=C)
+                         primitive_period=primitive_period)
 
 
 def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
@@ -108,19 +103,6 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,
                          shadow_distance=shadow_distance,
                          primitive_period=_primitive_period(word))
-
-
-# -- exact periodic-orbit enumeration ------------------------------------
-
-
-def enumerate_periodic_orbits(system, n: int, cap: int = 100_000) -> list[PeriodicOrbit]:
-    """All fixed points of f^n, one entry per fixed point (so the list
-    length is the exact fixed-point count), each carrying its primitive
-    orbit from ``system.periodic_orbits``: exact lattice orbits on the
-    torus, admissible cyclic words on shift and horseshoe systems.
-    """
-    return [PeriodicOrbit(points=points, period=len(points), residual=0.0)
-            for points in system.periodic_orbits(n, cap)]
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,6 @@ class ShiftPoint:
                 and self.center == other.center and self.right == other.right
                 and self.left == other.left)
 
-    equals = __eq__  # exact equality of the bi-infinite sequences
-
     def __hash__(self) -> int:
         return hash((self.left, self.center, self.right, self.pos))
 

@@ -99,11 +99,6 @@ def _torus_metric(dx, dy):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def torus_distance(a, b) -> float:
-    """Euclidean distance on the 2-torus (wrap-aware per coordinate)."""
-    return float(_torus_metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
-
-
 def _coordinates(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The x and the y coordinates of planar points, as float arrays."""
     xy = np.fromiter((float(c) for p in points for c in p), np.float64, 2 * len(points))
@@ -560,18 +555,6 @@ class Horseshoe(_PlanarSystem, _CodedShift):
         x = (1.0 - self.mu_s) * _tail_sum(itinerary, -1, -1, self.mu_s)
         y = (1.0 - 1.0 / self.mu_u) * _tail_sum(itinerary, 0, +1, 1.0 / self.mu_u)
         return (x, y)
-
-    def itinerary(self, p, radius: int) -> list[int]:
-        """Strip indices of f^k(p) for k in [-radius, radius)."""
-        back = p
-        for _ in range(radius):
-            back = self.apply_inverse(back)
-        out = []
-        cur = back
-        for _ in range(2 * radius):
-            out.append(self.branch_of(cur))
-            cur = self.apply(cur)
-        return out
 
     def word_length(self, scale: float) -> int:
         """Least m >= 1 with max(mu_s^m, mu_u^-m) <= scale: the word length

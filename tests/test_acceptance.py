@@ -26,8 +26,7 @@ from symshadow.measures import (CylinderObservable, FiniteSupportMeasure,
                                 parry_measure)
 from symshadow.sft import (TransitionMatrix, class_period, cyclic_decomposition,
                            is_irreducible, is_primitive, return_time_set)
-from symshadow.shadowing import (density_check, enumerate_periodic_orbits,
-                                 shadow_periodic)
+from symshadow.shadowing import density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import SftSystem, cat_map, homoclinic_point
 
@@ -54,6 +53,15 @@ def essential_bits_4(bits: int) -> bool:
 def test_criterion_1_lpp_iff_primitivity():
     start = time.time()
     checked = 0
+    worst_n0: dict[int, int] = {}
+
+    def check(matrix):
+        verdict = dense_periods_certificate(matrix, 0.25, 100)
+        certified = isinstance(verdict, DensePeriodsCertificate)
+        assert certified == is_primitive(matrix)
+        if certified:
+            worst_n0[matrix.size] = max(worst_n0.get(matrix.size, 0), verdict.N0)
+
     # exhaustive over all essential matrices with at most 4 states
     for size in (1, 2, 3):
         for bits in range(1 << (size * size)):
@@ -63,17 +71,13 @@ def test_criterion_1_lpp_iff_primitivity():
                 continue
             if not all(any(rows[i][j] for i in range(size)) for j in range(size)):
                 continue
-            matrix = TransitionMatrix(rows)
-            verdict = dense_periods_certificate(matrix, 0.25, 100)
-            assert isinstance(verdict, DensePeriodsCertificate) == is_primitive(matrix)
+            check(TransitionMatrix(rows))
             checked += 1
     for bits in range(1 << 16):
         if not essential_bits_4(bits):
             continue
         rows = [[(bits >> (4 * i + j)) & 1 for j in range(4)] for i in range(4)]
-        matrix = TransitionMatrix(rows)
-        verdict = dense_periods_certificate(matrix, 0.25, 100)
-        assert isinstance(verdict, DensePeriodsCertificate) == is_primitive(matrix)
+        check(TransitionMatrix(rows))
         checked += 1
     # 500 random essential matrices on 5 or 6 states
     rng = random.Random(20260808)
@@ -86,12 +90,11 @@ def test_criterion_1_lpp_iff_primitivity():
             if all(any(r) for r in rows) and \
                     all(any(rows[i][j] for i in range(size)) for j in range(size)):
                 break
-        matrix = TransitionMatrix(rows)
-        verdict = dense_periods_certificate(matrix, 0.25, 100)
-        assert isinstance(verdict, DensePeriodsCertificate) == is_primitive(matrix)
+        check(TransitionMatrix(rows))
         checked += 1
-    report(1, f"dense-period certificates match primitivity on {checked} matrices",
-           start, 120.0)
+    worst = ", ".join(f"{size}: {n0}" for size, n0 in sorted(worst_n0.items()))
+    report(1, f"dense-period certificates match primitivity on {checked} matrices "
+              f"(worst N0 by size {worst})", start, 120.0)
 
 
 def _exact_period_by_rotation(system, points) -> bool:
@@ -161,7 +164,7 @@ def test_criterion_4_fixed_point_counts():
         )
         det_minus_identity = abs((power[0][0] - 1) * (power[1][1] - 1)
                                  - power[0][1] * power[1][0])
-        count = len(enumerate_periodic_orbits(CAT, n))
+        count = len(CAT.periodic_orbits(n, 100_000))
         assert count == det_minus_identity == expected_sequence[n - 1]
         # second independent route: trace recurrence t_{k+1} = 3 t_k - t_{k-1}
         if n >= 2:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 
 import symshadow.cli
 from symshadow.cli import (MAX_CODING_DEPTH, MAX_CYLINDERS, MAX_SHADOW_LENGTH,
-                           PreconditionError, main)
+                           MAX_WITNESS_SYMBOLS, PreconditionError, main)
+from symshadow.dense_periods import WitnessMap
 from symshadow.measures import cylinder_family
 from symshadow.sft import TransitionMatrix
 from symshadow.systems import Horseshoe, SftSystem
@@ -83,6 +85,33 @@ def test_analyze_invalid_input_exit_2(files, capsys):
                  "--out", files["out"]]) == 2
 
 
+@pytest.mark.parametrize("rows, max_period", [
+    ([[1, 1], [1, 1]], None),  # 2^n: the last count is the first past the limit
+    ([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]], 2129),  # 0 at odd n
+], ids=["full2", "period2"])
+def test_analyze_counts_past_the_digit_limit_exit_3(files, capsys, rows, max_period):
+    # a count past sys.get_int_max_str_digits used to exit 2 while writing the
+    # report; 640 digits, the least limit Python allows, keeps the counts short
+    path = files["tmp"] / "matrix.json"
+    path.write_text(json.dumps({"rows": rows}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        last = max(n for n in range(2200) if 2 ** n < 10 ** 640)  # 2^2126
+        if max_period is None:
+            assert main(["analyze", str(path), "--max-period", str(last),
+                         "--out", files["out"]]) == 0
+            assert len(str(read_report(files, "analyze.json")["periodic_counts"][str(last)])) \
+                == 640
+            max_period = last + 1
+        assert main(["analyze", str(path), "--max-period", str(max_period),
+                     "--out", str(files["tmp"] / "refused")]) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "has more than 640 digits" in capsys.readouterr().err
+    assert not (files["tmp"] / "refused").exists()
+
+
 def test_lpp_certificate_and_refutation(files):
     assert main(["lpp", files["golden"], "--epsilon", "0.25", "--n-max", "30",
                  "--out", files["out"]]) == 0
@@ -118,6 +147,33 @@ def test_lpp_block_graph_too_large_exit_3(files, capsys):
                  "--n-max", "100", "--out", files["out"]]) == 3
     assert "524288 block nodes > 2048" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("cycle", [[], ["--cycle", "01"]], ids=["plain", "cycle"])
+def test_lpp_past_the_witness_budget_exit_3_before_any_witness(files, capsys, monkeypatch,
+                                                                cycle):
+    # n_max 30,000 lists 450M witness symbols; it used to end in a MemoryError
+    def no_witness(self, n):
+        raise AssertionError("witness built")
+
+    monkeypatch.setattr(WitnessMap, "__getitem__", no_witness)
+    start = time.perf_counter()
+    assert main(["lpp", files["golden"], "--epsilon", "0.25", "--n-max", "30000", *cycle,
+                 "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert f"lists 450014997 witness symbols (N0 = 3), more than {MAX_WITNESS_SYMBOLS}" \
+        in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_witness_budget_counts_the_symbols_the_report_lists(files, monkeypatch):
+    # golden mean at epsilon 1/4: N0 = 3, one witness of each length 3..n_max
+    monkeypatch.setattr(symshadow.cli, "MAX_WITNESS_SYMBOLS", sum(range(3, 101)))
+    argv = ["lpp", files["golden"], "--epsilon", "0.25", "--out", files["out"]]
+    assert main(argv + ["--n-max", "100"]) == 0
+    witnesses = read_report(files, "lpp.json")["witnesses"].values()
+    assert sum(map(len, witnesses)) == sum(range(3, 101))
+    assert main(argv + ["--n-max", "101"]) == 3
 
 
 def test_pseudo_shadow_cat_table(files):
@@ -237,6 +293,41 @@ def test_approx_measure_bernoulli_mode(files):
     assert all(b[1] <= a[1] + 1e-12 for a, b in zip(scan, scan[1:]))
     csv_text = (Path(files["out"]) / "approx_measure.csv").read_text()
     assert csv_text.splitlines()[0] == "target,method,parameter,distance"
+
+
+def test_bernoulli_csv_trace_starts_with_the_periodic_step(tmp_path):
+    # the README run: d(mu_p, target) for the cycle 000111, then one row per scanned m
+    assert main(["approx-measure", str(DATA / "target_half_mix.json"),
+                 str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", "bernoulli",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "approx_measure.csv").read_text().splitlines()
+    assert lines[1] == "periodic_mix,periodic,000111,0.0426025390625"
+    scan = json.loads((tmp_path / "approx_measure.json").read_text())["scan"]
+    assert lines[2:] == [f"periodic_mix,bernoulli,m={m},{d!r}" for m, d in scan]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["pseudo-shadow", "cat_map.json", "1/5,2/5", "--delta", "0.01", "--n-to", "35"],
+     "pseudo_shadow"),
+    (["approx-measure", "target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
+      "--mode", "bernoulli"], "approx_measure"),
+], ids=["pseudo_shadow", "approx_measure"])
+def test_format_csv_echoes_the_csv_trace(tmp_path, capsys, argv, name):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / f"{name}.csv").read_text()
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (tmp_path / f"{name}.json").read_text()
+
+
+def test_format_is_refused_where_no_csv_trace_is_written(files):
+    for argv in (["analyze", files["golden"]],
+                 ["lpp", files["golden"], "--epsilon", "0.25", "--n-max", "30"],
+                 ["perturb-smoke", files["horseshoe"], "--magnitude", "0.033"],
+                 ["coding-table", files["horseshoe"]]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "json", "--out", files["out"]])
+        assert exc.value.code == 2
 
 
 def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symshadow import measures
 from symshadow.measures import TestFamily as Family
 from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, BernoulliProduct, CylinderObservable,
@@ -23,7 +24,7 @@ from symshadow.measures import (BLOCK_REPS, BernoulliProduct, CylinderObservable
                                 _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
-                                fourier_family, integrate, parry_measure,
+                                fourier_family, parry_measure,
                                 periodic_measure, rational_orbit_distances,
                                 renewal_cylinders, weak_star_distance)
 from symshadow.sft import (ConvergenceError, TransitionMatrix, count_periodic_points,
@@ -68,7 +69,7 @@ def test_periodic_measure_examples():
 def test_cycle_measure_masses_match_string_counts():
     mu = cycle_measure(FULL2, (0, 0, 1, 1))
     for obs in FAM3.observables:
-        assert integrate(mu, obs) == pytest.approx(
+        assert mu.integrate(obs) == pytest.approx(
             brute_cycle_frequency((0, 0, 1, 1), obs.word), abs=1e-12)
 
 
@@ -172,20 +173,20 @@ def test_parry_maximizes_entropy_spot_check():
 
 
 def test_integrate_examples():
-    assert integrate(LebesgueTorus(), FourierMode((1, 0))) == 0.0
+    assert LebesgueTorus().integrate(FourierMode((1, 0))) == 0.0
     origin = FiniteSupportMeasure([((0.0, 0.0), Fraction(1))])
-    assert integrate(origin, FourierMode((3, -2))) == pytest.approx(1.0)
+    assert origin.integrate(FourierMode((3, -2))) == pytest.approx(1.0)
     mu = parry_measure(GOLDEN)
-    assert integrate(mu, CylinderObservable((0, 0))) == pytest.approx(
+    assert mu.integrate(CylinderObservable((0, 0))) == pytest.approx(
         mu.pi[0] * mu.P[0][0], abs=1e-14)
 
 
 def test_empty_cylinder_is_the_total_mass():
     empty = CylinderObservable(())
     mu = parry_measure(GOLDEN)
-    assert integrate(mu, empty) == sum(mu.pi) == pytest.approx(1.0, abs=1e-12)
-    assert integrate(cycle_measure(FULL2, (0, 0, 1)), empty) == pytest.approx(1.0, abs=1e-15)
-    assert integrate(BernoulliProduct((0.3, 0.7)), empty) == 1.0
+    assert mu.integrate(empty) == sum(mu.pi) == pytest.approx(1.0, abs=1e-12)
+    assert cycle_measure(FULL2, (0, 0, 1)).integrate(empty) == pytest.approx(1.0, abs=1e-15)
+    assert BernoulliProduct((0.3, 0.7)).integrate(empty) == 1.0
 
 
 @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.5],
@@ -205,14 +206,14 @@ def test_markov_cylinder_mass_is_chain_product():
 
 def test_unsupported_observable_raises():
     with pytest.raises(TypeError):
-        integrate(parry_measure(FULL2), FourierMode((1, 1)))
+        parry_measure(FULL2).integrate(FourierMode((1, 1)))
     with pytest.raises(TypeError):
-        integrate(LebesgueTorus(), CylinderObservable((0,)))
+        LebesgueTorus().integrate(CylinderObservable((0,)))
     # a cylinder against torus atoms, a Fourier mode against shift-point atoms
     with pytest.raises(TypeError):
-        integrate(cat_map_orbit_measure(), CylinderObservable((0,)))
+        cat_map_orbit_measure().integrate(CylinderObservable((0,)))
     with pytest.raises(TypeError):
-        integrate(cycle_measure(FULL2, (0, 1)), FourierMode((1, 0)))
+        cycle_measure(FULL2, (0, 1)).integrate(FourierMode((1, 0)))
     with pytest.raises(TypeError):
         weak_star_distance(cat_map_orbit_measure(), cycle_measure(FULL2, (0, 1)), FAM3)
     with pytest.raises(TypeError):
@@ -298,7 +299,7 @@ def assert_bitwise_oracle(mu, nu, family):
     assert weak_star_distance(mu, nu, family).hex() == oracle_weak_star(mu, nu, family).hex()
     for obs in family.observables:
         for measure in (mu, nu):
-            got, want = complex(integrate(measure, obs)), complex(oracle_integrate(measure, obs))
+            got, want = complex(measure.integrate(obs)), complex(oracle_integrate(measure, obs))
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
@@ -638,6 +639,21 @@ def test_torus_orbit_distances_match_the_full_measure_scan(bound):
                 assert res.distance == weak_star_distance(target, res.measure, family)
 
 
+@pytest.mark.parametrize("budget", [1, 3000])
+def test_torus_orbit_scores_do_not_depend_on_the_block_budget(monkeypatch, budget):
+    # one orbit per block, and a few per block, score bit for bit as one block per q
+    cat, family = cat_map(), fourier_family(4)
+    orbit_target = periodic_measure(cat.orbit_of((Fraction(1, 5), Fraction(2, 5))))
+
+    def scores(target):
+        return [(start, d.hex()) for start, _, d in
+                rational_orbit_distances(target, cat, family, 20, 33)]
+
+    whole = [scores(LebesgueTorus()), scores(orbit_target)]
+    monkeypatch.setattr(measures, "_BLOCK_ENTRIES", budget)
+    assert [scores(LebesgueTorus()), scores(orbit_target)] == whole
+
+
 # -- the pipeline -----------------------------------------------------------------------
 
 
@@ -648,6 +664,73 @@ def test_block_subshift_structure():
     assert is_primitive(sub.matrix)
     # excursion state (last) cannot return to itself in one step
     assert sub.matrix.rows[4][4] == 0
+    for m, cycle, excursion in ((0, (0, 1), (0,)), (1, (), (0,)), (1, (0, 1), ())):
+        with pytest.raises(ValueError, match="non-empty"):
+            block_subshift(FULL2, cycle, m, excursion)
+
+
+def block_subshift_by_table(matrix, cycle, m, excursion):
+    """Oracle: a (block, offset) state table, every block seam allowed except
+    excursion -> excursion, and all n^2 state pairs checked against the
+    ambient matrix.  Returns (rows, labels)."""
+    blocks = [tuple(cycle) * m, tuple(excursion)]
+    states = [(b, off) for b, blk in enumerate(blocks) for off in range(len(blk))]
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    rows = [[0] * n for _ in range(n)]
+    for b, blk in enumerate(blocks):
+        for off in range(len(blk) - 1):
+            rows[index[(b, off)]][index[(b, off + 1)]] = 1
+        for b2 in (0, 1) if b == 0 else (0,):
+            rows[index[(b, len(blk) - 1)]][index[(b2, 0)]] = 1
+    labels = tuple(blocks[b][off] for b, off in states)
+    TransitionMatrix(rows)  # the same symbol cap and checks
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] and not matrix.admits(labels[i], labels[j]):
+                raise ValueError("block seams violate ambient admissibility")
+    return tuple(map(tuple, rows)), labels
+
+
+def block_subshift_triples():
+    """(matrix, cycle, m, excursion): the spliced block subshifts of the sft and
+    Perron tests, past the symbol cap too, and seeded random words, most of them
+    inadmissible somewhere."""
+    out = []
+    for matrix, cycles in ((FULL2, [(0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1), (0, 0, 0, 1, 1)]),
+                           (GOLDEN, [(0,), (0, 1), (0, 0, 1)])):
+        for cycle in cycles:
+            center = sft_homoclinic_splice(matrix, cycle)[1]
+            excursion = (cycle[0],) + center if len(cycle) > 1 else center
+            out += [(matrix, cycle, m, excursion) for m in range(1, 18)]
+    out += [(FULL2, (0, 1), m, (0, 1, 1, 0)) for m in range(1, 8)]
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        matrix = TransitionMatrix([[1] * size] + [[int(rng.random() < 0.6 or i == j)
+                                                   for j in range(size)]
+                                                  for i in range(1, size)])
+        word = [tuple(rng.randrange(size) for _ in range(rng.randint(1, 6))) for _ in "ce"]
+        out.append((matrix, word[0], rng.randint(1, 12), word[1]))
+    return out
+
+
+def test_block_subshift_equals_the_state_table_oracle():
+    outcomes = set()
+    for matrix, cycle, m, excursion in block_subshift_triples():
+        try:
+            want = block_subshift_by_table(matrix, cycle, m, excursion)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                block_subshift(matrix, cycle, m, excursion)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split()[0])
+            continue
+        sub = block_subshift(matrix, cycle, m, excursion)
+        assert (sub.matrix.rows, sub.labels) == want
+        assert sub.excursion_word == tuple(excursion)
+        outcomes.add("built")
+    assert outcomes == {"built", "block", "at"}  # built, inadmissible, past the cap
 
 
 def test_pipeline_on_its_own_cycle_monotone():

@@ -1,6 +1,8 @@
-"""Smoke runs of the experiment scripts in scripts/ with small arguments."""
+"""Runs of the experiment scripts that README's "Experiment scripts" block lists,
+as written there, so the README and scripts/ cannot drift apart."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,19 +12,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["primitivity_survey.py", "--exhaustive-max-size", "2", "--random-samples", "5"],
-    ["measure_pipeline.py", "--depth", "1", "--csv", "{tmp}/scan.csv"],
-    ["equidistribution_scan.py", "--max-period", "6", "--max-denominator", "8"],
-], ids=lambda argv: argv[0])
-def test_script_exits_zero(tmp_path, argv):
+def readme_scripts() -> list[list[str]]:
+    """The argument lists of the commands in README's "Experiment scripts"
+    block, comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Experiment scripts", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [words for words in commands if words]
+
+
+def test_readme_lists_every_script():
+    listed = {Path(argv[1]).name for argv in readme_scripts()}
+    assert listed == {path.name for path in (ROOT / "scripts").glob("*.py")}
+
+
+@pytest.mark.parametrize("argv", readme_scripts(), ids=lambda argv: Path(argv[1]).name)
+def test_script_exits_zero(argv):
+    assert argv[0] == "python" and argv[1].startswith("scripts/")
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = [arg.format(tmp=tmp_path) for arg in argv]
-    result = subprocess.run([sys.executable, str(ROOT / "scripts" / args[0]), *args[1:]],
-                            cwd=tmp_path, env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = subprocess.run([sys.executable, *argv[1:]], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
-    if "--csv" in args:
-        assert (tmp_path / "scan.csv").exists()

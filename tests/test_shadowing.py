@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters)
 from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import (DensityReport, ShadowingError, density_check,
-                                 enumerate_periodic_orbits, shadow_periodic)
+from symshadow.shadowing import DensityReport, ShadowingError, density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                homoclinic_point)
@@ -23,6 +22,7 @@ CAT = cat_map()
 GOLDEN_TORUS = ToralAutomorphism([[1, 1], [1, 0]])  # det -1
 HORSESHOE = Horseshoe(1 / 3, 3.0)
 FULL2 = TransitionMatrix.full_shift(2)
+CAP = 100_000  # fixed points per period in the enumeration tests
 
 
 def cyclic_solve_oracle(system, points):
@@ -206,22 +206,20 @@ def test_symbolic_shadow_is_word_gluing():
 
 
 def test_enumerate_cat_fixed_points_small():
-    assert [len(enumerate_periodic_orbits(CAT, n)) for n in (1, 2, 3)] == [1, 5, 16]
-    pts2 = {orbit.points[0] for orbit in enumerate_periodic_orbits(CAT, 2)}
+    assert [len(CAT.periodic_orbits(n, CAP)) for n in (1, 2, 3)] == [1, 5, 16]
+    pts2 = {orbit[0] for orbit in CAT.periodic_orbits(2, CAP)}
     assert (Fraction(0), Fraction(0)) in pts2
     assert (Fraction(1, 5), Fraction(2, 5)) in pts2
     assert all(p[0].denominator in (1, 5) for p in pts2)
 
 
 def test_enumerate_orbit_entries_are_true_orbits():
-    for orbit in enumerate_periodic_orbits(CAT, 3):
-        pts = orbit.points
+    for pts in CAT.periodic_orbits(3, CAP):
         for i in range(len(pts)):
             assert CAT.apply(pts[i]) == pts[(i + 1) % len(pts)]
     for n in range(1, 7):  # the horseshoe's coded orbits, in floating point
-        for orbit in enumerate_periodic_orbits(HORSESHOE, n):
-            pts = orbit.points
-            assert orbit.period == len(pts) and n % len(pts) == 0
+        for pts in HORSESHOE.periodic_orbits(n, CAP):
+            assert n % len(pts) == 0
             for i in range(len(pts)):
                 assert HORSESHOE.distance(HORSESHOE.apply(pts[i]), pts[(i + 1) % len(pts)]) \
                     <= 1e-12
@@ -230,25 +228,22 @@ def test_enumerate_orbit_entries_are_true_orbits():
 def test_torus_entries_are_the_orbits_of_the_sorted_fixed_points():
     for system, n_max in ((CAT, 6), (ToralAutomorphism([[3, 2], [1, 1]]), 5)):
         for n in range(1, n_max + 1):
-            orbits = enumerate_periodic_orbits(system, n)
-            assert [o.points for o in orbits] == \
+            assert system.periodic_orbits(n, CAP) == \
                 [system.orbit_of(p) for p in system.periodic_lattice_points(n)]
-            assert all(o.period == len(o.points) for o in orbits)
 
 
 def test_enumerate_sft_matches_trace():
     from symshadow.sft import count_periodic_points
     for system in (SftSystem(TransitionMatrix.golden_mean()), HORSESHOE):
         for n in range(1, 8):
-            orbits = enumerate_periodic_orbits(system, n)
+            orbits = system.periodic_orbits(n, CAP)
             assert len(orbits) == count_periodic_points(system.coding_matrix, n)
-    assert [len(enumerate_periodic_orbits(HORSESHOE, n)) for n in range(1, 7)] == \
+    assert [len(HORSESHOE.periodic_orbits(n, CAP)) for n in range(1, 7)] == \
         [2, 4, 8, 16, 32, 64]
 
 
 def test_density_check_examples():
-    level2 = [tuple(float(c) for c in orbit.points[0])
-              for orbit in enumerate_periodic_orbits(CAT, 2)]
+    level2 = [tuple(float(c) for c in orbit[0]) for orbit in CAT.periodic_orbits(2, CAP)]
     report = density_check(CAT, level2, 0.6, net_points=CAT.net(0.25))
     assert report.dense
 

@@ -20,8 +20,7 @@ from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_f
 from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
 from symshadow.shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
-                               homoclinic_point, parse_system, sft_homoclinic_splice,
-                               torus_distance)
+                               homoclinic_point, parse_system, sft_homoclinic_splice)
 
 CAT = cat_map()
 FULL2 = TransitionMatrix.full_shift(2)
@@ -238,7 +237,7 @@ def test_inverse_round_trip():
     x = (0.123, 0.789)
     y = CAT.apply(x)
     back = CAT.apply_inverse(y)
-    assert torus_distance(back, x) < 1e-12
+    assert CAT.distance(back, x) < 1e-12
 
 
 def test_rejects_non_hyperbolic_matrices():
@@ -277,14 +276,14 @@ def test_cat_fixed_point_homoclinic_tails():
                              forward_length=120, backward_length=80)
     assert datum.tau == 1
     q = datum.q_point(0)
-    assert torus_distance(q, (0.0, 0.0)) > 1e-6  # genuinely off the orbit
+    assert CAT.distance(q, (0.0, 0.0)) > 1e-6  # genuinely off the orbit
     # forward tail contracts into the fixed point at rate lam_s
-    d1 = torus_distance(datum.q_point(30), (0.0, 0.0))
-    d2 = torus_distance(datum.q_point(31), (0.0, 0.0))
+    d1 = CAT.distance(datum.q_point(30), (0.0, 0.0))
+    d2 = CAT.distance(datum.q_point(31), (0.0, 0.0))
     assert d1 < 1e-6 and d2 < d1
     # backward tail contracts as well
-    b1 = torus_distance(datum.q_point(-30), (0.0, 0.0))
-    b2 = torus_distance(datum.q_point(-31), (0.0, 0.0))
+    b1 = CAT.distance(datum.q_point(-30), (0.0, 0.0))
+    b2 = CAT.distance(datum.q_point(-31), (0.0, 0.0))
     assert b1 < 1e-6 and b2 < b1
 
 
@@ -294,9 +293,9 @@ def test_cat_period_two_homoclinic_phase():
     p_orbit = datum.p_orbit
     far = datum.k_fwd
     # forward tail: f^k(q) -> f^{k mod 2}(p); backward: f^{-k}(q) -> f^{1-k}(p)
-    assert torus_distance(datum.q_point(far), p_orbit[far % 2]) < 1e-9
+    assert CAT.distance(datum.q_point(far), p_orbit[far % 2]) < 1e-9
     back = -datum.k_back
-    assert torus_distance(datum.q_point(back), p_orbit[(back + 1) % 2]) < 1e-9
+    assert CAT.distance(datum.q_point(back), p_orbit[(back + 1) % 2]) < 1e-9
     dataclasses.replace(datum)  # rebuilt from its fields, the datum checks its tails again
 
 
@@ -400,7 +399,7 @@ def test_orbit_segment_steps_are_exact_under_the_map():
                              forward_length=120, backward_length=60)
     for k in range(-50, 50):
         stepped = CAT.apply(datum.q_point(k))
-        assert torus_distance(stepped, datum.q_point(k + 1)) < 1e-12
+        assert CAT.distance(stepped, datum.q_point(k + 1)) < 1e-12
 
 
 def test_full_shift_splice_example():
@@ -656,10 +655,16 @@ def test_word_length_is_the_least_contracting_length():
 
 
 def test_itinerary_round_trip():
+    # independent route: the strips that f^k of the coded point visits
     hs = Horseshoe(1 / 3, 3.0)
     point = ShiftPoint((1, 0), (0, 0, 1), (0, 1), pos=-1)
-    coded = hs.code_point(point)
-    word = hs.itinerary(coded, 4)
+    cur = hs.code_point(point)
+    for _ in range(4):
+        cur = hs.apply_inverse(cur)
+    word = []
+    for _ in range(8):
+        word.append(hs.branch_of(cur))
+        cur = hs.apply(cur)
     assert word == [point[i] for i in range(-4, 4)]
 
 
