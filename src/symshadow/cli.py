@@ -74,6 +74,12 @@ MAX_SHADOW_LENGTH = 512
 # (periodic 2.2 s and 4.5 s, bernoulli 17 s and 38 s, 2-core x86_64)
 MAX_CYLINDERS = 1 << 17
 
+# approx-measure Fourier families with more modes than this are refused: the torus
+# family at --depth d has 2d(d+1) modes, and the cat map at --max-period 30 runs
+# depth 90 (16,380 modes) in 5 s, depth 128 (33,024) in 11 s near 106 MB and
+# depth 181 (65,884) in 23 s near 177 MB (2-core x86_64); depth 127 is the last kept
+MAX_MODES = 1 << 15
+
 # lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])
 # are refused: golden mean, epsilon 1/4, n_max 8000 lists 32M symbols in 10.5 s,
 # peaks near 520 MB and writes 32 MB of JSON; n_max 30,000 ran out of memory
@@ -331,6 +337,13 @@ def _cylinder_family(matrix: TransitionMatrix, depth: int):
     return cylinder_family(matrix, depth)
 
 
+def _fourier_family(depth: int):
+    """fourier_family(depth), refused past MAX_MODES modes before any is listed."""
+    if 2 * depth * (depth + 1) > MAX_MODES:
+        raise PreconditionError(f"--depth {depth} needs more than {MAX_MODES} Fourier modes")
+    return fourier_family(depth)
+
+
 def cmd_approx_measure(args) -> int:
     system = parse_system(_load_json(args.system))
     matrix = system.matrix if isinstance(system, SftSystem) else None
@@ -346,7 +359,7 @@ def cmd_approx_measure(args) -> int:
     table: list = [["target", "method", "parameter", "distance"]]
     if args.mode == "periodic":
         family = (_cylinder_family(matrix, args.depth) if matrix is not None
-                  else fourier_family(args.depth))
+                  else _fourier_family(args.depth))
         res = approximate_by_periodic(target, system, args.epsilon, family,
                                       max_period=args.max_period,
                                       max_denominator=args.max_denominator)

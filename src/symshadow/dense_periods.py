@@ -371,8 +371,9 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
         return result
 
     def build(n: int) -> SymbolicCycle:
+        # order is injective and maps each edge of sub to an edge of matrix
         w = result.witnesses[n]
-        return SymbolicCycle.from_word(matrix, tuple(order[s] for s in w.states))
+        return SymbolicCycle(tuple(order[s] for s in w.states), w.period, w.primitive_period)
 
     return DensePeriodsCertificate(
         epsilon=result.epsilon, word_length=result.word_length, N0=result.N0,

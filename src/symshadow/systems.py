@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -80,87 +80,90 @@ class HyperbolicSplitting:
         return 2.0 / self.basis_angle_sin * per_coord
 
 
-def _wrap(value):
-    if isinstance(value, Fraction):
-        return value - value.__floor__()
-    return value - math.floor(value)
-
-
 def _wrap_point(p):
-    return (_wrap(p[0]), _wrap(p[1]))
+    return (p[0] - math.floor(p[0]), p[1] - math.floor(p[1]))
 
 
 def _torus_metric(dx, dy):
-    """The torus distance of float coordinate differences, elementwise over
-    arrays or on one pair of floats: each |d| mod 1 is folded to
-    min(d, 1 - d), then the Euclidean norm."""
-    dx, dy = np.abs(dx) % 1.0, np.abs(dy) % 1.0
+    """The squared torus distance of float coordinate differences, elementwise
+    over arrays or on one pair of floats: each a = |d| is folded to a - floor(a),
+    the bits of a mod 1 (Sterbenz: floor(a) is 0 or in [a/2, a]), then to
+    min(a, 1 - a).  The distance is its sqrt, and set queries take one sqrt
+    per reduced minimum or maximum: a correctly rounded sqrt is monotone."""
+    dx, dy = np.abs(dx), np.abs(dy)
+    dx, dy = dx - np.floor(dx), dy - np.floor(dy)
     dx, dy = np.minimum(dx, 1.0 - dx), np.minimum(dy, 1.0 - dy)
-    return np.sqrt(dx * dx + dy * dy)
+    return dx * dx + dy * dy
 
 
-def _coordinates(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y coordinates of planar points, as float arrays."""
-    xy = np.fromiter((float(c) for p in points for c in p), np.float64, 2 * len(points))
-    return xy[0::2], xy[1::2]
+def _coordinates(points: Sequence) -> np.ndarray:
+    """Planar points as an (n, 2) float array, in one conversion."""
+    return np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points)).reshape(-1, 2)
 
 
 # float entries per distance-matrix block of _PlanarSystem.nearest (8 MB)
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _distinct(points: Sequence) -> tuple[list, list[int]]:
-    """The distinct points in first-seen order, and for each point the
-    index of its equal among them."""
-    index: dict = {}
-    inverse = [index.setdefault(tuple(p), len(index)) for p in points]
-    return list(index), inverse
+def _distinct(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float coordinate pairs of points (-0.0 read as 0.0, so a
+    Fraction and its equal float, or 0.0 and -0.0, are one), sorted, and for
+    each point the row of its equal among them."""
+    xy = _coordinates(points) + 0.0  # -0.0 + 0.0 is 0.0
+    pairs, inverse = np.unique(xy.view(np.complex128).ravel(), return_inverse=True,
+                               equal_nan=False)
+    return pairs.view(np.float64).reshape(-1, 2), inverse
 
 
 class _PlanarSystem:
     """The shared base of the planar systems: ``distance``, the elementwise
-    ``distances`` and ``distance_matrix``, all one formula ``_metric`` over
-    float coordinate differences, so the three agree bit for bit, the
-    point-set queries read off them, and the Lyapunov exponents of the
-    system's ``differential``.  Each system binds ``distance`` in its own
-    class as well, where per-class wrappers (the bench tracer's) find it."""
+    ``distances`` and ``distance_matrix``, all one formula ``_root(_gauge)``
+    over float coordinate differences, so the three agree bit for bit; the
+    point-set queries, which reduce gauges and take the monotone ``_root`` of
+    each result; and the Lyapunov exponents of the system's ``differential``.
+    Each system binds ``distance`` in its own class as well, where per-class
+    wrappers (the bench tracer's) find it."""
 
     def distance(self, a, b) -> float:
-        return float(self._metric(float(a[0]) - float(b[0]), float(a[1]) - float(b[1])))
+        return float(self._root(self._gauge(float(a[0]) - float(b[0]),
+                                            float(a[1]) - float(b[1]))))
 
     def distances(self, xs: Sequence, ys: Sequence) -> np.ndarray:
         """d(xs[i], ys[i]) for each i."""
-        (x0, x1), (y0, y1) = _coordinates(xs), _coordinates(ys)
-        return self._metric(x0 - y0, x1 - y1)
+        d = _coordinates(xs) - _coordinates(ys)
+        return self._root(self._gauge(d[:, 0], d[:, 1]))
 
     def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
         """d(x, y) for x in queries (rows) and y in points (columns)."""
-        (x0, x1), (y0, y1) = _coordinates(queries), _coordinates(points)
-        return self._metric(np.subtract.outer(x0, y0), np.subtract.outer(x1, y1))
+        return self._root(self._gauges(_coordinates(queries), _coordinates(points)))
+
+    def _gauges(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The gauge matrix of two (n, 2) coordinate arrays."""
+        return self._gauge(np.subtract.outer(queries[:, 0], points[:, 0]),
+                           np.subtract.outer(queries[:, 1], points[:, 1]))
 
     def nearest(self, queries: Sequence, points: Sequence) -> list[float]:
-        """min over y in points of d(x, y) for each query x: the row minima
-        of ``distance_matrix`` over the distinct queries and points (equal
-        points, such as a Fraction and its equal float, share every
-        distance), in blocks of queries that bound its memory.  No queries
-        give []; queries against an empty point set raise ValueError."""
+        """min over y in points of d(x, y) for each query x: the root of the
+        least gauge in each row of the matrix of the distinct queries and
+        points (equal points share every distance), in blocks of queries
+        that bound its memory.  No queries give []; queries against an empty
+        point set raise ValueError."""
         if not queries:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
-        queries, inverse = _distinct(queries)
-        points = _distinct(points)[0]
+        (queries, inverse), points = _distinct(queries), _distinct(points)[0]
         rows = max(1, _BLOCK_ENTRIES // len(points))
-        mins: list[float] = []
-        for start in range(0, len(queries), rows):
-            mins += self.distance_matrix(queries[start:start + rows], points).min(axis=1).tolist()
-        return [mins[i] for i in inverse]
+        mins = np.concatenate([self._gauges(queries[start:start + rows], points).min(axis=1)
+                               for start in range(0, len(queries), rows)])
+        return self._root(mins)[inverse].tolist()
 
     def hausdorff(self, xs: Sequence, ys: Sequence) -> float:
-        """max(max_x d(x, ys), max_y d(y, xs)) from one distance matrix of the
-        distinct points (every distinct point has the minimum of its copies)."""
-        matrix = self.distance_matrix(_distinct(xs)[0], _distinct(ys)[0])
-        return float(max(matrix.min(axis=1).max(), matrix.min(axis=0).max()))
+        """max(max_x d(x, ys), max_y d(y, xs)): the root of the largest row
+        or column minimum of one gauge matrix of the distinct points (every
+        distinct point has the minimum of its copies)."""
+        matrix = self._gauges(_distinct(xs)[0], _distinct(ys)[0])
+        return float(self._root(max(matrix.min(axis=1).max(), matrix.min(axis=0).max())))
 
     def cyclic_period(self, points: Sequence) -> int:
         """Smallest p dividing n with d(points[i], points[i + p mod n]) <= 1e-12 for all i."""
@@ -227,7 +230,7 @@ class ToralAutomorphism(_PlanarSystem):
 
     chart_radius = 0.25
     deck_range = 3  # homoclinic_intersection searches deck translates with |m_i| <= 3
-    _metric = staticmethod(_torus_metric)
+    _gauge, _root = staticmethod(_torus_metric), staticmethod(np.sqrt)
     distance = _PlanarSystem.distance
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
@@ -273,7 +276,8 @@ class ToralAutomorphism(_PlanarSystem):
 
     def apply(self, p):
         (a, b), (c, d) = self.matrix
-        return _wrap_point((a * p[0] + b * p[1], c * p[0] + d * p[1]))
+        x, y = a * p[0] + b * p[1], c * p[0] + d * p[1]
+        return (x - math.floor(x), y - math.floor(y))
 
     def apply_inverse(self, p):
         (a, b), (c, d) = self.inverse_matrix
@@ -492,7 +496,7 @@ class Horseshoe(_PlanarSystem, _CodedShift):
     """
 
     chart_radius = 0.2
-    _metric = staticmethod(np.hypot)
+    _gauge, _root = staticmethod(np.hypot), staticmethod(np.positive)  # hypot is the distance
     distance = _PlanarSystem.distance
 
     def __init__(self, contraction: float, expansion: float):

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import symshadow.cli
-from symshadow.cli import (MAX_CODING_DEPTH, MAX_CYLINDERS, MAX_SHADOW_LENGTH,
+from symshadow.cli import (MAX_CODING_DEPTH, MAX_CYLINDERS, MAX_MODES, MAX_SHADOW_LENGTH,
                            MAX_WITNESS_SYMBOLS, PreconditionError, main)
 from symshadow.dense_periods import WitnessMap
-from symshadow.measures import cylinder_family
+from symshadow.measures import cylinder_family, fourier_family
 from symshadow.sft import TransitionMatrix
 from symshadow.systems import Horseshoe, SftSystem
 
@@ -475,7 +475,10 @@ def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
     (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
       "--mode", "periodic", "--max-period", "30"],
      "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),
-], ids=["bernoulli", "periodic_torus"])
+    (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
+      "--mode", "periodic", "--max-period", "30", "--depth", "3"],
+     "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),
+], ids=["bernoulli", "periodic_torus", "periodic_torus_depth_3"])
 def test_readme_approx_measure_reports_are_pinned(tmp_path, argv, sha256):
     # the README runs; a change in the last bit of a distance, P or pi changes the digest
     out = tmp_path / "out"
@@ -582,6 +585,34 @@ def test_cylinder_bound_counts_the_words_it_would_list(monkeypatch):
     assert symshadow.cli._cylinder_family(golden, depth) == depth
     with pytest.raises(PreconditionError):
         symshadow.cli._cylinder_family(golden, depth + 1)
+
+
+@pytest.mark.parametrize("depth", [128, 300])
+def test_torus_approx_measure_explosive_depth_exit_3(files, capsys, monkeypatch, depth):
+    # depth 300 used to run 29 s near 325 MB; no Fourier mode is listed now
+    def no_family(depth):
+        raise AssertionError("fourier family built")
+
+    monkeypatch.setattr(symshadow.cli, "fourier_family", no_family)
+    start = time.perf_counter()
+    assert main(["approx-measure", str(DATA / "target_lebesgue.json"),
+                 str(DATA / "cat_map.json"), "--epsilon", "0.05", "--mode", "periodic",
+                 "--depth", str(depth), "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"--depth {depth} needs more than {MAX_MODES} Fourier modes" in err
+    assert "Traceback" not in err
+    assert not Path(files["out"]).exists()
+
+
+def test_mode_bound_counts_the_modes_it_would_list(monkeypatch):
+    # the family at depth d has 2d(d+1) modes: 127 is the last depth kept
+    assert len(fourier_family(4)) == 2 * 4 * 5
+    assert 2 * 127 * 128 <= MAX_MODES < 2 * 128 * 129
+    monkeypatch.setattr(symshadow.cli, "fourier_family", lambda depth: depth)
+    assert symshadow.cli._fourier_family(127) == 127
+    with pytest.raises(PreconditionError):
+        symshadow.cli._fourier_family(128)
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "_".join(argv[1:]))

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter, deque
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,8 +25,9 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      _ball_word, _labels, _least_costs, _postman_flow)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
                            TransitionMatrix, admissible_words, count_periodic_points,
-                           is_irreducible, is_primitive)
+                           enumerate_cycles, is_irreducible, is_primitive)
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
 PARITY = TransitionMatrix([[0, 1], [1, 0]])
@@ -515,6 +517,51 @@ def test_homoclinic_restriction_golden_mean():
     p = SymbolicCycle.from_word(GOLDEN, (0, 1))
     cert = homoclinic_restricted_certificate(GOLDEN, p, 0.25, 40)
     assert isinstance(cert, DensePeriodsCertificate)
+
+
+def assert_restricted_witnesses_are_from_word(matrix, cycle, epsilon, n_max):
+    """Every witness of the restricted certificate, read at each n, is the
+    cycle ``SymbolicCycle.from_word`` builds on the ambient matrix, inside
+    the cycle's component.  Returns whether a certificate was given."""
+    cert = homoclinic_restricted_certificate(matrix, cycle, epsilon, n_max)
+    if isinstance(cert, DensePeriodsRefutation):
+        return False
+    for n in range(cert.N0, cert.n_max + 1):
+        w = cert.witnesses[n]
+        assert w == SymbolicCycle.from_word(matrix, w.states) and w.period == n
+        assert set(w.states) <= set(cert.component)
+    return True
+
+
+def test_restricted_witnesses_match_from_word_on_the_golden_mean_file():
+    golden = TransitionMatrix.from_dict(json.loads((DATA / "golden_mean.json").read_text()))
+    assert assert_restricted_witnesses_are_from_word(
+        golden, SymbolicCycle.from_word(golden, (0, 1)), 0.25, 300)
+
+
+def test_restricted_witnesses_match_from_word_on_reducible_matrices():
+    # two irreducible blocks, the first reaching the second, with the
+    # symbols shuffled so the component's relabelling is not the identity
+    rng, certified = random.Random(11), 0
+    for _ in range(40):
+        a, b = rng.randint(1, 3), rng.randint(2, 3)
+        blocks = []
+        for size in (a, b):
+            block = random_essential(rng, size, 0.6)
+            while not is_irreducible(block):
+                block = random_essential(rng, size, 0.6)
+            blocks.append(block.rows)
+        rows = [list(r) + [rng.randint(0, 1) for _ in range(b)] for r in blocks[0]]
+        rows += [[0] * a + list(r) for r in blocks[1]]
+        perm = rng.sample(range(a + b), a + b)
+        matrix = TransitionMatrix([[rows[perm[i]][perm[j]] for j in range(a + b)]
+                                   for i in range(a + b)])
+        start = perm.index(a + rng.randrange(b))  # a symbol of the second block
+        cycle = next(c for n in range(1, b + 1)
+                     for c in enumerate_cycles(matrix, n).cycles if start in c.states)
+        certified += assert_restricted_witnesses_are_from_word(
+            matrix, cycle, rng.choice([0.5, 0.25]), 40)
+    assert certified >= 30
 
 
 # -- mixing verification --------------------------------------------------------

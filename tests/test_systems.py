@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -202,6 +203,23 @@ def test_torus_distance_matrix_is_the_metric_bit_for_bit(queries, points):
     matrix = CAT.distance_matrix(queries, points).tolist()
     assert [[d.hex() for d in row] for row in matrix] == \
         [[torus_distance_by_ops(x, y).hex() for y in points] for x in queries]
+
+
+FOLD_EDGES = (0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53, 2.0 ** 52 + 0.5, 2.0 ** 53, 1e300,
+              math.inf, -math.inf, math.nan, -math.nan)
+
+
+@given(st.lists(st.one_of(st.sampled_from(FOLD_EDGES), st.floats()), min_size=1))
+def test_floor_fold_is_mod_one_bit_for_bit(ds):
+    # the torus metric folds a = |d| as a - floor(a): the bits of a % 1.0, in
+    # numpy over arrays and one float at a time, and of Python's float %
+    a = np.abs(np.array(ds, np.float64))
+    with np.errstate(invalid="ignore"):  # inf folds to nan either way
+        folded = [v.hex() for v in (a - np.floor(a)).tolist()]
+        assert folded == [v.hex() for v in (a % 1.0).tolist()]
+        assert folded == [float(np.float64(v) - np.floor(np.float64(v))).hex()
+                          for v in a.tolist()]
+    assert folded == [(v % 1.0).hex() for v in a.tolist()]
 
 
 def nudge(value: float, steps: int) -> float:
