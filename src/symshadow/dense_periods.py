@@ -20,11 +20,12 @@ without one a search over (unmet demand, residue) finds them; at m = 1 a
 breadth-first search over (visited symbols, symbol, residue), exponential
 in the number of symbols (n = #symbols asks for a Hamiltonian cycle).
 MAX_BLOCK_NODES bounds the block nodes and both searches.  The verdict
-reads only the sizes E + |x|: the edges of a witness (every edge once, x
-once more, and girth cycles to stretch it) are counted out only when it is
-read, and walked as a Hierholzer circuit, least successor first.  Exactly
-the primitive matrices are certified; a certificate yields mixing
-thresholds (:func:`verify_mixing_from_certificate`).
+reads only the sizes E + |x|, a flow's total or a search's least cost: the
+edges of a witness (every edge once, x once more, and girth cycles to
+stretch it) are counted out, from the flow or the least walks labelling a
+search's path, only when it is read, and walked as a Hierholzer circuit,
+least successor first.  Exactly the primitive matrices are certified; a
+certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
 """
 
 from __future__ import annotations
@@ -171,13 +172,6 @@ def _labels(best: dict, state) -> list:
     return out
 
 
-def _tours(graph: _BlockGraph, best: dict, ends: list) -> list[Counter | None]:
-    """Per end state: the edges of the walks (s, t, steps) labelling its
-    least path, or None if it is unreachable."""
-    return [Counter(e for s, t, d in _labels(best, end) for e in graph.walk_edges(s, t, d))
-            if end in best else None for end in ends]
-
-
 def _residue_graph(succ: Sequence[Sequence[int]], c: int) -> list[list[int]]:
     """The graph times Z/c: node v * c + r steps to w * c + r + 1 (mod c)."""
     return [[w * c + (r + 1) % c for w in out] for out in succ for r in range(c)]
@@ -202,54 +196,73 @@ def _cycle_walks(graph: _BlockGraph, c: int) -> list[tuple[int, int]]:
     return walks
 
 
-def _postman_flow(graph: _BlockGraph, excess: list[int]) -> Counter:
+def _postman_flow(graph: _BlockGraph, excess: list[int]) -> list[dict[int, int]]:
     """Least integer flow x >= 0 on the (strongly connected) block edges
-    sending excess[v] more units out of v than into it: successive shortest
-    paths from a super source (Dijkstra on reduced costs, each node's edges
-    before its residual backward edges), along each tree path to a deficit."""
-    size = len(graph.succ)
+    sending excess[v] more units out of v than into it, as into[v][u] =
+    x(u, v) > 0: successive shortest paths from a super source (Dijkstra on
+    reduced costs, popping in (dist, node) order), along each tree path to a
+    deficit.  The tree does not depend on the order in which a node relaxes
+    its edges: they reach distinct nodes, except an edge u -> w next to a
+    backward edge u -> w, which costs 2 less."""
+    succ, size = graph.succ, len(graph.succ)
     excess, pot = list(excess), [0] * size
-    into: list[dict[int, int]] = [{} for _ in range(size)]  # into[v][u] = x(u, v)
-    while any(e > 0 for e in excess):
+    into: list[dict[int, int]] = [{} for _ in range(size)]
+    sources = [s for s, e in enumerate(excess) if e > 0]
+    sinks = [t for t, e in enumerate(excess) if e < 0]
+    unsent = sum(excess[s] for s in sources)
+    while unsent:
         # the super source steps to each s with excess at cost -pot[s]; prev -1
-        dist = [-p if e > 0 else math.inf for p, e in zip(pot, excess)]
-        heap = [(d, s) for s, d in enumerate(dist) if d < math.inf]
-        prev, forward = [-1] * size, [True] * size
+        dist, prev, forward = [math.inf] * size, [-1] * size, [True] * size
+        heap = []
+        for s in sources:
+            if excess[s]:
+                dist[s] = -pot[s]
+                heap.append((-pot[s], s))
         heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for v in graph.succ[u]:
-                if d + 1 + pot[u] - pot[v] < dist[v]:
-                    dist[v], prev[v], forward[v] = d + 1 + pot[u] - pot[v], u, True
+            base = d + pot[u]  # an edge u -> v costs base + 1 - pot[v] reduced
+            for v in succ[u]:
+                if base + 1 - pot[v] < dist[v]:
+                    dist[v], prev[v], forward[v] = base + 1 - pot[v], u, True
                     heapq.heappush(heap, (dist[v], v))
-            for w in sorted(into[u]):
-                if into[u][w] and d + pot[u] - pot[w] - 1 < dist[w]:
-                    dist[w], prev[w], forward[w] = d + pot[u] - pot[w] - 1, u, False
+            for w in into[u]:  # the residual backward edges u -> w
+                if base - 1 - pot[w] < dist[w]:
+                    dist[w], prev[w], forward[w] = base - 1 - pot[w], u, False
                     heapq.heappush(heap, (dist[w], w))
         pot = [p + d for p, d in zip(pot, dist)]  # tree edges now cost 0
-        for t in [v for v, e in enumerate(excess) if e < 0]:
+        for t in sinks:
+            if not excess[t]:
+                continue
             path, s = [], t
             while prev[s] >= 0:
                 path.append((prev[s], s))
                 s = prev[s]
-            amount = min([excess[s], -excess[t]] + [into[u][v] for u, v in path if not forward[v]])
+            amount = min([excess[s], -excess[t]]
+                         + [into[u].get(v, 0) for u, v in path if not forward[v]])
+            if not amount:  # s is spent, or a backward edge on the path saturated
+                continue
             for u, v in path:
                 if forward[v]:
                     into[v][u] = into[v].get(u, 0) + amount
-                else:
+                elif into[u][v] > amount:
                     into[u][v] -= amount
+                else:  # x(v, u) drops to 0
+                    del into[u][v]
             excess[s] -= amount
             excess[t] += amount
-    return Counter({(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k})
+            unsent -= amount
+    return into
 
 
-def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> list[Counter | None]:
-    """Per residue r mod c: a least flow x as in :func:`_postman_flow` with
-    |x| = r (mod c), or None.  A flow is a walk per unit plus closed walks,
-    so a search over (unmet deficits, residue) sends the units in a fixed
-    order, each along a least walk of some residue, and adds closed walks."""
+def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict, list]:
+    """The least-cost table of a search for a least flow x as in
+    :func:`_postman_flow` with |x| = r (mod c), and its end state per r.  A
+    flow is a walk per unit plus closed walks, so the search over (unmet
+    deficits, residue) sends the units in a fixed order, each along a least
+    walk of some residue, and adds closed walks."""
     units = [v for v, e in enumerate(excess) for _ in range(e)]
     sinks = [v for v, e in enumerate(excess) if e < 0]
     if c * math.prod(1 - excess[t] for t in sinks) > MAX_BLOCK_NODES:
@@ -273,13 +286,13 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> list[Counte
                             yield d, (left, (r + d) % c), (s, t, d)
 
     best = _least_costs((tuple(-excess[t] for t in sinks), 0), moves)
-    return _tours(graph, best, [((0,) * len(sinks), r) for r in range(c)])
+    return best, [((0,) * len(sinks), r) for r in range(c)]
 
 
-def _least_flows(graph: _BlockGraph, c: int) -> list[Counter | None]:
-    """Per residue class mod c of their lengths, the flow x of a least dense
-    closed walk, None for a class without one: the walk is every block edge
-    once plus x at m >= 2, and x itself at m = 1."""
+def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Counter]]:
+    """Per residue r mod c, the size |x| = r (mod c) of the flow x of a least
+    dense closed walk (None for a class without one), and r -> the edges of
+    x: the walk is every block edge once plus x at m >= 2, x at m = 1."""
     if graph.m == 1:  # least closed walks from node 0 through every node
         size = len(graph.succ)
         if 2 ** size > MAX_BLOCK_NODES:
@@ -288,9 +301,16 @@ def _least_flows(graph: _BlockGraph, c: int) -> list[Counter | None]:
         best = _least_costs((1, 0, 0), lambda state: (
             (1, (state[0] | 1 << v, v, (state[2] + 1) % c), (state[1], v, 1))
             for v in graph.succ[state[1]]))
-        return _tours(graph, best, [((1 << size) - 1, 0, r) for r in range(c)])
-    excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
-    return [_postman_flow(graph, excess)] if c == 1 else _residue_flows(graph, excess, c)
+        ends = [((1 << size) - 1, 0, r) for r in range(c)]
+    else:
+        excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
+        if c == 1:
+            into = _postman_flow(graph, excess)
+            return [sum(map(sum, map(dict.values, into)))], lambda r: Counter(
+                {(u, v): k for v, flow in enumerate(into) for u, k in flow.items()})
+        best, ends = _residue_flows(graph, excess, c)
+    return [best[end][0] if end in best else None for end in ends], lambda r: Counter(
+        e for s, t, d in _labels(best, ends[r]) for e in graph.walk_edges(s, t, d))
 
 
 def _euler_circuit(edges: Counter) -> list[int]:
@@ -330,8 +350,8 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     else:
         [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
     E = sum(map(len, graph.succ)) if graph.m > 1 else 0
-    flows = {(E + sum(x.values())) % c: x for x in _least_flows(graph, c) if x is not None}
-    least = {r: E + sum(x.values()) for r, x in flows.items()}
+    sizes, flow = _least_flows(graph, c)
+    least = {(E + x) % c: E + x for x in sizes if x is not None}
     if len(least) < c:
         n = next(n for n in range(2, c + 2) if n < least.get(n % c, math.inf))
         return DensePeriodsRefutation(epsilon, n, True, n_max, reason=(
@@ -345,7 +365,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
         r = n % c
         if r not in tours:  # at m >= 2 the walk takes each block edge once more than x
             ones = Counter((u, v) for u, out in enumerate(graph.succ) for v in out if E)
-            tours[r] = ones + flows[r], graph.walk_edges(b, b, c)
+            tours[r] = ones + flow((r - E) % c), graph.walk_edges(b, b, c)
         edges, stretch = tours[r]
         edges = edges.copy()
         for e in stretch:

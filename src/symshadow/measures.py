@@ -31,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -328,7 +329,7 @@ def parry_measure(matrix: TransitionMatrix, labels: Sequence[int] | None = None
     n = matrix.size
     P = [[matrix.rows[i][j] * v[j] / (lam * v[i]) for j in range(n)] for i in range(n)]
     # normalize rows exactly to kill the last float drift
-    P = [[x / sum(row) for x in row] for row in P]
+    P = [[x / total for x in row] for row, total in zip(P, map(sum, P))]
     uv = [a * b for a, b in zip(u, v)]
     total = sum(uv)
     pi = [x / total for x in uv]
@@ -402,12 +403,13 @@ def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
     node = {w: i for i, w in enumerate(dict.fromkeys(
         [()] + [o.word[:k] for o in family.observables for k in range(1, len(o.word) + 1)]))}
     # child[v, s] is the node of v + (s,); node len(node) holds the windows off the trie
-    child = np.full((len(node) + 1, 1 + max(s for w in [*words, *node] for s in w)), len(node))
+    flat = np.concatenate(words)
+    child = np.full((len(node) + 1, 1 + max([flat.max(), *chain.from_iterable(node)])), len(node))
     for w in list(node)[1:]:
         child[node[w[:-1]], w[-1]] = node[w]
     n = np.array([len(w) for w in words])
     owner, first = np.repeat(np.arange(len(n)), n), np.repeat(n.cumsum() - n, n)
-    flat, rotation, at = np.concatenate(words), np.arange(n.sum()) - first, np.zeros_like(owner)
+    rotation, at = np.arange(n.sum()) - first, np.zeros_like(owner)
     counts = np.zeros(len(n) * len(child), dtype=int)
     for k in range(max(map(len, node)) + 1):  # one bincount per window length k
         counts += np.bincount(owner * len(child) + at, minlength=len(counts))

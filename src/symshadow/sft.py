@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,19 +54,20 @@ class TransitionMatrix:
     __slots__ = ("size", "rows", "succ", "pred", "_cycles")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if n == 0 or set(map(len, rows)) != {n}:
             raise ValueError("transition matrix must be square and non-empty")
         if n > MAX_SYMBOLS:
             raise ValueError(f"at most {MAX_SYMBOLS} symbols supported, got {n}")
-        if any(v not in (0, 1) for r in rows for v in r):
+        if not set(chain.from_iterable(rows)) <= {0, 1}:
             raise ValueError("entries must be 0 or 1")
         self.size = n
         self.rows = rows
-        self.succ = tuple(tuple(j for j in range(n) if rows[i][j]) for i in range(n))
-        self.pred = tuple(tuple(i for i in range(n) if rows[i][j]) for j in range(n))
-        if any(not s for s in self.succ) or any(not p for p in self.pred):
+        symbols = range(n)
+        self.succ = tuple([tuple(compress(symbols, r)) for r in rows])
+        self.pred = tuple([tuple(compress(symbols, col)) for col in zip(*rows)])
+        if not all(self.succ) or not all(self.pred):
             raise NonEssentialMatrixError(
                 "non-essential matrix: every symbol needs an outgoing and an incoming edge"
             )

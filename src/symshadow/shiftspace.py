@@ -43,7 +43,7 @@ class ShiftPoint:
     and periodic points anchored at coordinate 0.  Symbols are ints >= 0.
     """
 
-    __slots__ = ("left", "center", "right", "pos", "_key", "_forward")
+    __slots__ = ("left", "center", "right", "pos", "extent", "_key", "_forward")
 
     def __init__(self, left: Sequence[int], center: Sequence[int],
                  right: Sequence[int], pos: int = 0):
@@ -68,14 +68,20 @@ class ShiftPoint:
             k = -pos % len(right)
             left = right = right[k:] + right[:k]
             pos = 0
-        self.left, self.center, self.right, self.pos = left, center[s:c], right, pos + s
+        self._fill(left, center[s:c], right, pos + s)
 
     @classmethod
     def _canonical(cls, left, center, right, pos) -> "ShiftPoint":
         """A point from a presentation that is canonical already."""
         point = cls.__new__(cls)
-        point.left, point.center, point.right, point.pos = left, center, right, pos
+        point._fill(left, center, right, pos)
         return point
+
+    def _fill(self, left, center, right, pos: int) -> None:
+        self.left, self.center, self.right, self.pos = left, center, right, pos
+        # e(x): both rays are periodic beyond |i| = max(-pos, end), so by Fine
+        # and Wilf distinct points differ at some |i| < e(x) + e(y)
+        self.extent = max(-pos, pos + len(center), 0) + len(left) + len(right)
 
     @classmethod
     def from_cycle(cls, word: Sequence[int], phase: int = 0) -> "ShiftPoint":
@@ -120,12 +126,6 @@ class ShiftPoint:
         rotated = self.right[k:] + self.right[:k]
         return ShiftPoint._canonical(rotated, (), rotated, 0)
 
-    def extent(self) -> int:
-        """e(x): both rays are periodic beyond |i| = max(-pos, end), so by
-        Fine and Wilf distinct points differ at some |i| < e(x) + e(y)."""
-        return (max(-self.pos, self.pos + len(self.center), 0)
-                + len(self.left) + len(self.right))
-
     def key(self, radius: int) -> int:
         """Interleaved x_0, x_1, x_-1, ..., x_radius, x_-radius: 2 * radius + 1
         symbols.  Keys of points with agreement radius k first differ at
@@ -148,7 +148,7 @@ class ShiftPoint:
 
     def agreement_radius(self, other: "ShiftPoint") -> int | float:
         """Largest k with x_i = y_i for all |i| < k; math.inf for x = y."""
-        radius = self.extent() + other.extent()
+        radius = self.extent + other.extent
         bits = (self.key(radius) ^ other.key(radius)).bit_length()
         return (_common_prefix(bits, 2 * radius + 1) + 1) // 2 if bits else math.inf
 
@@ -241,7 +241,7 @@ def _key_radius(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> int:
     """A key radius past which no x in xs and y in ys can first differ."""
     if not xs or not ys:
         raise ValueError("distance to an empty point set")
-    return max(x.extent() for x in xs) + max(y.extent() for y in ys)
+    return max(x.extent for x in xs) + max(y.extent for y in ys)
 
 
 def nearest_distances(queries: Sequence[ShiftPoint],
@@ -283,7 +283,7 @@ def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[f
     x_j = word[j mod len(word)]: the key of sigma^i x is cut from
     repetitions of the cyclic word, with no point built."""
     n = len(word)
-    radius = max(y.extent() for y in points) + 2 * n  # e(sigma^i x) <= 2n
+    radius = max(y.extent for y in points) + 2 * n  # e(sigma^i x) <= 2n
     text = "".join(map(chr, word)) * (radius // n + 2)  # text[t] = x_t
     back = text[:1] + text[:0:-1]  # back[t] = x_-t
     out = []

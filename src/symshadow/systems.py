@@ -608,23 +608,20 @@ def _cyclic_affine_orbit(rate: float, codes: Sequence[int]) -> list[float]:
 def _tail_sum(point: ShiftPoint, start: int, step: int, ratio: float) -> float:
     """sum_{j>=0} point[start + j*step] * ratio^j for an eventually
     periodic point, using the closed form for the periodic tail."""
-    # resolve the pre-periodic part explicitly, then sum the periodic tail
+    # the j pre-periodic symbols from start, then one period of the tail; a
+    # symbol 0 adds +0.0, which leaves a sum of terms >= 0 as it is
     if step > 0:
-        period = len(point.right)
-        tail_from = max(start, point.pos + len(point.center))
+        period, j = len(point.right), max(point.pos + len(point.center) - start, 0)
+        symbols = point.window(start, start + j + period)
     else:
-        period = len(point.left)
-        tail_from = min(start, point.pos - 1)
+        period, j = len(point.left), max(start - point.pos + 1, 0)
+        symbols = point.window(start - j - period + 1, start + 1)[::-1]
     total = 0.0
-    j = 0
-    idx = start
-    while (idx - tail_from) * step < 0:
-        total += point[idx] * ratio ** j
-        j += 1
-        idx += step
-    block = sum(point[idx + i * step] * ratio ** i for i in range(period))
-    total += ratio ** j * block / (1.0 - ratio ** period)
-    return total
+    for i, s in enumerate(symbols[:j]):
+        if s:
+            total += s * ratio ** i
+    block = sum(s * ratio ** i for i, s in enumerate(symbols[j:]) if s)
+    return total + ratio ** j * block / (1.0 - ratio ** period)
 
 
 class SftSystem(_CodedShift):

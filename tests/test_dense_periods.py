@@ -1,6 +1,7 @@
 """Dense-period certificates, refutations, and mixing thresholds."""
 
 import hashlib
+import heapq
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      _ball_word, _labels, _least_costs, _postman_flow)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
                            TransitionMatrix, admissible_words, count_periodic_points,
-                           enumerate_cycles, is_irreducible, is_primitive)
+                           enumerate_cycles, is_irreducible, is_primitive, _bfs_distances)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FULL2 = TransitionMatrix.full_shift(2)
@@ -411,6 +412,52 @@ def least_costs_postman_flow(graph, excess):
     return x
 
 
+def counter_postman_flow(graph, excess):
+    """Oracle: ``_postman_flow`` as a Counter of edges, written plainly:
+    per round the sources and deficits are listed again, each node scans
+    its whole into-dict, and a saturated backward edge stays at zero."""
+    size = len(graph.succ)
+    excess, pot = list(excess), [0] * size
+    into = [{} for _ in range(size)]  # into[v][u] = x(u, v)
+    while any(e > 0 for e in excess):
+        dist = [-p if e > 0 else math.inf for p, e in zip(pot, excess)]
+        heap = [(d, s) for s, d in enumerate(dist) if d < math.inf]
+        prev, forward = [-1] * size, [True] * size
+        heapq.heapify(heap)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v in graph.succ[u]:
+                if d + 1 + pot[u] - pot[v] < dist[v]:
+                    dist[v], prev[v], forward[v] = d + 1 + pot[u] - pot[v], u, True
+                    heapq.heappush(heap, (dist[v], v))
+            for w in sorted(into[u]):
+                if into[u][w] and d + pot[u] - pot[w] - 1 < dist[w]:
+                    dist[w], prev[w], forward[w] = d + pot[u] - pot[w] - 1, u, False
+                    heapq.heappush(heap, (dist[w], w))
+        pot = [p + d for p, d in zip(pot, dist)]
+        for t in [v for v, e in enumerate(excess) if e < 0]:
+            path, s = [], t
+            while prev[s] >= 0:
+                path.append((prev[s], s))
+                s = prev[s]
+            amount = min([excess[s], -excess[t]] + [into[u][v] for u, v in path if not forward[v]])
+            for u, v in path:
+                if forward[v]:
+                    into[v][u] = into[v].get(u, 0) + amount
+                else:
+                    into[u][v] -= amount
+            excess[s] -= amount
+            excess[t] += amount
+    return Counter({(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k})
+
+
+def edge_flow(into):
+    """The flow into[v][u] = x(u, v) of ``_postman_flow`` as {(u, v): x} > 0."""
+    return {(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k}
+
+
 def verdict_and_ends(matrix, epsilon, n_max):
     """The certificate's N0 and its witnesses at N0 and n_max, or the
     refutation's report."""
@@ -432,17 +479,58 @@ def test_postman_flow_matches_the_least_costs_oracle(size, seed):
         excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
         if all(len(_least_costs(0, lambda u: ((1, v, None) for v in out[u])))
                == len(out) for out in (graph.succ, graph.pred)):  # strongly connected
-            assert _postman_flow(graph, excess) == least_costs_postman_flow(graph, excess)
+            oracle = least_costs_postman_flow(graph, excess)
+            assert edge_flow(_postman_flow(graph, excess)) == {e: k for e, k in oracle.items() if k}
         try:
             fast = verdict_and_ends(matrix, 2.0 ** -m, 150)
         except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
             fast = type(exc)
-        with mock.patch("symshadow.dense_periods._postman_flow", least_costs_postman_flow):
+
+        def slow_flow(graph, excess):
+            into = [{} for _ in graph.succ]
+            for (u, v), k in least_costs_postman_flow(graph, excess).items():
+                if k:
+                    into[v][u] = k
+            return into
+
+        with mock.patch("symshadow.dense_periods._postman_flow", slow_flow):
             try:
                 slow = verdict_and_ends(matrix, 2.0 ** -m, 150)
             except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
                 slow = type(exc)
         assert fast == slow
+
+
+@given(st.integers(2, 7), st.integers(0, 10**9))
+def test_postman_flow_matches_the_counter_kernel(size, seed):
+    """The kernel lists its sources and deficits once, scans backward edges
+    unsorted and deletes saturated ones: the same flow, edge for edge, as
+    the plain kernel, with no zero entries."""
+    rng = random.Random(seed)
+    matrix = random_essential(rng, size, rng.choice([0.3, 0.45, 0.6, 0.8]))
+    for m in (2, 3, 4):
+        try:
+            graph = _BlockGraph(matrix, m)
+        except BlockGraphTooLargeError:
+            continue
+        if min(_bfs_distances(graph.succ, [0]) + _bfs_distances(graph.pred, [0])) < 0:
+            continue
+        excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
+        into = _postman_flow(graph, excess)
+        assert all(k > 0 for flow in into for k in flow.values())
+        assert edge_flow(into) == counter_postman_flow(graph, excess)
+
+
+def test_loop_free_certificate_walks_edges_only_when_a_witness_is_read():
+    matrix = TransitionMatrix([[0, 1, 0], [1, 0, 1], [1, 0, 0]])  # cycles 01 and 012, no loop
+    with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
+                           side_effect=_BlockGraph.walk_edges) as walk_edges:
+        cert = dense_periods_certificate(matrix, 0.25, 40)
+        assert isinstance(cert, DensePeriodsCertificate)
+        assert walk_edges.call_count == 0
+        witness = cert.witnesses[cert.N0]
+        assert walk_edges.call_count > 0
+    assert len(witness.states) == cert.N0 and is_dense_cycle(matrix, witness.states, 2)
 
 
 def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):

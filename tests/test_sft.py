@@ -106,6 +106,65 @@ def test_rejects_oversized_and_malformed():
         TransitionMatrix([[1] * 65 for _ in range(65)])
 
 
+def entrywise_matrix_fields(rows):
+    """Oracle: a TransitionMatrix's rows, successors and predecessors built
+    entry by entry, after the same checks in the same order."""
+    rows = tuple(tuple(int(v) for v in r) for r in rows)
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("transition matrix must be square and non-empty")
+    if n > 64:
+        raise ValueError(f"at most 64 symbols supported, got {n}")
+    if any(v not in (0, 1) for r in rows for v in r):
+        raise ValueError("entries must be 0 or 1")
+    succ = tuple(tuple(j for j in range(n) if rows[i][j]) for i in range(n))
+    pred = tuple(tuple(i for i in range(n) if rows[i][j]) for j in range(n))
+    if any(not s for s in succ) or any(not p for p in pred):
+        raise NonEssentialMatrixError(
+            "non-essential matrix: every symbol needs an outgoing and an incoming edge")
+    return rows, succ, pred
+
+
+@st.composite
+def matrix_like_rows(draw):
+    """Square or ragged rows of 0/1 entries, dense, sparse, or with bools,
+    floats and out-of-range ints mixed in; or 64 or 65 states, one entry
+    perhaps 2."""
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.sampled_from([64, 65]))
+        rows = [[1] * n for _ in range(n)]
+        rows[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from([0, 1, 2]))
+        return rows
+    entry = draw(st.sampled_from([
+        st.sampled_from([0, 1]), st.sampled_from([0, 0, 0, 1]),
+        st.one_of(st.sampled_from([0, 1]), st.sampled_from([2, -1, 0.5, 1.0, True, False]))]))
+    n = draw(st.integers(0, 6))
+    lengths = st.integers(max(n - 1, 0), n + 1) if draw(st.integers(0, 4)) == 0 else st.just(n)
+    return [draw(st.lists(entry, min_size=k, max_size=k))
+            for k in [draw(lengths) for _ in range(n)]]
+
+
+def matrix_fields(rows):
+    matrix = TransitionMatrix(rows)
+    return matrix.rows, matrix.succ, matrix.pred
+
+
+def construction_outcome(build, rows):
+    """The rows, their entry types, successors and predecessors that
+    ``build`` makes of ``rows``, or the type and message it raises."""
+    try:
+        rows, succ, pred = build(rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows, [type(v) for r in rows for v in r], succ, pred
+
+
+@given(matrix_like_rows())
+def test_construction_matches_the_entrywise_oracle(rows):
+    assert construction_outcome(matrix_fields, rows) \
+        == construction_outcome(entrywise_matrix_fields, rows)
+
+
 def test_json_round_trip():
     again = TransitionMatrix.from_dict(json.loads(json.dumps(
         {"rows": [list(r) for r in GOLDEN.rows], "size": GOLDEN.size})))

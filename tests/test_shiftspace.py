@@ -21,7 +21,7 @@ from symshadow.systems import SftSystem
 def point_is_admissible(point, matrix):
     """Every transition of the point, read over its tails' extent and one
     more symbol each side, is allowed by the matrix."""
-    return matrix.is_admissible_word(point.window(-point.extent() - 1, point.extent() + 2))
+    return matrix.is_admissible_word(point.window(-point.extent - 1, point.extent + 2))
 
 
 def cylinder_contains(point, word, anchor=0):

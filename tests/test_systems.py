@@ -8,6 +8,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ LAM = (3 + math.sqrt(5)) / 2
 def point_is_admissible(point, matrix):
     """Every transition of the point, read over its tails' extent and one
     more symbol each side, is allowed by the matrix."""
-    return matrix.is_admissible_word(point.window(-point.extent() - 1, point.extent() + 2))
+    return matrix.is_admissible_word(point.window(-point.extent - 1, point.extent + 2))
 
 
 def test_evaluate_examples():
@@ -670,6 +671,41 @@ def test_word_length_is_the_least_contracting_length():
     for scale in (0.0, -0.1):
         with pytest.raises(ValueError, match="scale must be positive"):
             hs.word_length(scale)
+
+
+def indexwise_tail_sum(point, start, step, ratio):
+    """Oracle: ``systems._tail_sum`` reading one coordinate at a time."""
+    if step > 0:
+        period = len(point.right)
+        tail_from = max(start, point.pos + len(point.center))
+    else:
+        period = len(point.left)
+        tail_from = min(start, point.pos - 1)
+    total = 0.0
+    j = 0
+    idx = start
+    while (idx - tail_from) * step < 0:
+        total += point[idx] * ratio ** j
+        j += 1
+        idx += step
+    block = sum(point[idx + i * step] * ratio ** i for i in range(period))
+    total += ratio ** j * block / (1.0 - ratio ** period)
+    return total
+
+
+binary_words = st.lists(st.integers(0, 1), min_size=1, max_size=16)
+
+
+@given(binary_words, st.lists(st.integers(0, 1), max_size=16), binary_words,
+       st.one_of(st.integers(-15, 15), st.integers(-3000, 3000)),
+       st.sampled_from([(1 / 3, 3.0), (0.25, 4.0), (0.3, 2.5), (0.45, 2.1)]))
+def test_code_point_matches_the_indexwise_tail_sum(left, center, right, pos, rates):
+    hs = Horseshoe(*rates)
+    point = ShiftPoint(left, center, right, pos)
+    fast = hs.code_point(point)
+    with mock.patch.object(systems, "_tail_sum", indexwise_tail_sum):
+        slow = hs.code_point(point)
+    assert list(map(float.hex, fast)) == list(map(float.hex, slow))
 
 
 def test_itinerary_round_trip():
