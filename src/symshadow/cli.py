@@ -69,16 +69,12 @@ MAX_CODING_DEPTH = 9
 # 5 s at n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
 MAX_SHADOW_LENGTH = 512
 
-# approx-measure cylinder families with more words than this are refused: on the
-# full 2-shift depth 16 has 131,070 words and peaks near 1 GB, depth 17 near 2 GB
-# (periodic 2.2 s and 4.5 s, bernoulli 17 s and 38 s, 2-core x86_64)
-MAX_CYLINDERS = 1 << 17
-
-# approx-measure Fourier families with more modes than this are refused: the torus
-# family at --depth d has 2d(d+1) modes, and the cat map at --max-period 30 runs
-# depth 90 (16,380 modes) in 5 s, depth 128 (33,024) in 11 s near 106 MB and
-# depth 181 (65,884) in 23 s near 177 MB (2-core x86_64); depth 127 is the last kept
-MAX_MODES = 1 << 15
+# torus approx-measure requests walking more lattice steps than this are refused: each
+# of the sum of q^2 lattice points over q <= --max-denominator takes --max-period steps,
+# and each step costs about 1,024 more for its fixed array passes.  The cat map at
+# --max-period 30 walks Q = 376 (the last kept) in 5 s near 300 MB; Q = 400 took 5 s
+# near 340 MB, Q = 500 9.5 s near 490 MB, and Q = 100,000 ran past 60 s (2-core x86_64)
+MAX_LATTICE_STEPS = 1 << 29
 
 # lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])
 # are refused: golden mean, epsilon 1/4, n_max 8000 lists 32M symbols in 10.5 s,
@@ -129,10 +125,14 @@ def _parse_rational_point(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x,y', got {text!r}")
+    return tuple(_fraction(part, "point coordinates") for part in parts)
+
+
+def _fraction(text: str, what: str) -> Fraction:
     try:
-        return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        return Fraction(text)  # spaces around the number are allowed
     except ZeroDivisionError as exc:
-        raise ValueError(f"point coordinates must be rationals, got {text!r}") from exc
+        raise ValueError(f"{what} must be rationals, got {text!r}") from exc
 
 
 def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
@@ -140,9 +140,9 @@ def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
     """Write the JSON report and, given a table (header row first), its CSV
     trace; echo the one ``fmt`` names to stdout."""
     report = {"config": config.as_dict(), **report}
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     (out / f"{name}.json").write_text(text)
     if table is not None:
         buf = io.StringIO()
@@ -315,33 +315,13 @@ def _load_target(path: str, system):
         atoms = []
         for comp in components:
             mu = cycle_measure(matrix, _parse_word(comp["cycle"]))
-            w = Fraction(comp["weight"]) if isinstance(comp["weight"], str) \
+            w = _fraction(comp["weight"], "periodic_mix weights") \
+                if isinstance(comp["weight"], str) \
                 else Fraction(comp["weight"]).limit_denominator(10**9)
             for p, wp in mu.atoms:
                 atoms.append((p, w * wp))
         return FiniteSupportMeasure(atoms), "periodic_mix"
     raise ValueError(f"unknown target kind {kind!r}")
-
-
-def _cylinder_family(matrix: TransitionMatrix, depth: int):
-    """cylinder_family(matrix, depth), refused past MAX_CYLINDERS words: the
-    k-words ending at each symbol (the column sums of A^(k-1)) are counted
-    before any word is listed."""
-    ends, count = [1] * matrix.size, 0
-    for _ in range(depth):
-        count += sum(ends)
-        if count > MAX_CYLINDERS:
-            raise PreconditionError(f"--depth {depth} needs more than {MAX_CYLINDERS} "
-                                    "cylinder words")
-        ends = [sum(ends[i] for i in matrix.pred[j]) for j in range(matrix.size)]
-    return cylinder_family(matrix, depth)
-
-
-def _fourier_family(depth: int):
-    """fourier_family(depth), refused past MAX_MODES modes before any is listed."""
-    if 2 * depth * (depth + 1) > MAX_MODES:
-        raise PreconditionError(f"--depth {depth} needs more than {MAX_MODES} Fourier modes")
-    return fourier_family(depth)
 
 
 def cmd_approx_measure(args) -> int:
@@ -358,8 +338,13 @@ def cmd_approx_measure(args) -> int:
 
     table: list = [["target", "method", "parameter", "distance"]]
     if args.mode == "periodic":
-        family = (_cylinder_family(matrix, args.depth) if matrix is not None
-                  else _fourier_family(args.depth))
+        q = args.max_denominator  # the torus walk is counted before any lattice is listed
+        steps = args.max_period * (q * (q + 1) * (2 * q + 1) // 6 + 1024)
+        if matrix is None and steps > MAX_LATTICE_STEPS:
+            raise PreconditionError(f"--max-period {args.max_period} and --max-denominator {q} "
+                                    f"walk {steps} lattice steps, more than {MAX_LATTICE_STEPS}")
+        family = (cylinder_family(matrix, args.depth) if matrix is not None
+                  else fourier_family(args.depth))
         res = approximate_by_periodic(target, system, args.epsilon, family,
                                       max_period=args.max_period,
                                       max_denominator=args.max_denominator)
@@ -374,7 +359,7 @@ def cmd_approx_measure(args) -> int:
             raise ValueError("bernoulli mode needs an sft system")
         if not is_primitive(matrix):
             raise ValueError("bernoulli mode requires a primitive (mixing) support")
-        family = _cylinder_family(matrix, args.depth)
+        family = cylinder_family(matrix, args.depth)
         ba = bernoulli_approximation(target, matrix, args.epsilon, family,
                                      cycle=_parse_word(args.cycle) if args.cycle else None)
         report = {

@@ -10,8 +10,8 @@ references (Lebesgue on the torus, Bernoulli products).
 Weak-* proximity is metrized at finite depth by a fixed weighted test
 family: cylinder indicators up to a depth for shift spaces, Fourier modes
 up to a frequency bound for the torus, with weights 2^-j in a canonical
-deterministic order.  All integrals are exact sums or transfer-matrix
-products; no sampling.
+deterministic order, cut where 2^-j underflows to 0.0.  All integrals are
+exact sums or transfer-matrix products; no sampling.
 
 The pipeline :func:`bernoulli_approximation` approximates a target
 measure first by a periodic measure mu_p, then by the maximal-entropy
@@ -31,8 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,9 @@ NORMALIZATION_TOL = 1e-14
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
 RENEWAL_TOL = 1e-12  # Parry integrals of the chosen block subshift vs its renewal masses
 TWO_PI_I = 2j * math.pi
+# observables a test family keeps: 2.0 ** -FAMILY_SIZE is the least positive float
+# and 2.0 ** -(FAMILY_SIZE + 1) is 0.0
+FAMILY_SIZE = 1074
 
 
 # -- observables ----------------------------------------------------------
@@ -86,30 +89,29 @@ class TestFamily:
         return len(self.observables)
 
 
+def _weighed(observables: Iterable, description: str) -> TestFamily:
+    """The first ``FAMILY_SIZE`` observables, the j-th weighted 2^-j: every
+    later weight is 0.0, so a later observable cannot move a distance."""
+    obs = tuple(islice(observables, FAMILY_SIZE))
+    return TestFamily(obs, tuple(2.0 ** -(j + 1) for j in range(len(obs))), description)
+
+
 def cylinder_family(matrix: TransitionMatrix, depth: int) -> TestFamily:
-    """All admissible words of length 1..depth, ordered by length then
-    lexicographically."""
-    obs = tuple(CylinderObservable(w) for length in range(1, depth + 1)
-                for w in sorted(admissible_words(matrix, length)))
-    weights = tuple(2.0 ** (-(j + 1)) for j in range(len(obs)))
-    return TestFamily(obs, weights, f"cylinders depth {depth}")
+    """Admissible words of length 1..depth, ordered by length then
+    lexicographically, listed one length at a time up to ``FAMILY_SIZE``."""
+    words = chain.from_iterable(admissible_words(matrix, n) for n in range(1, depth + 1))
+    return _weighed(map(CylinderObservable, words), f"cylinders depth {depth}")
 
 
 def fourier_family(max_frequency: int) -> TestFamily:
     """Fourier modes with 0 < |k|_inf <= max_frequency, one representative
     per conjugate pair +-k (real measures give conjugate integrals), in
-    order of increasing |k|^2 then lexicographic."""
-    ks = []
-    for k1 in range(-max_frequency, max_frequency + 1):
-        for k2 in range(-max_frequency, max_frequency + 1):
-            if (k1, k2) == (0, 0):
-                continue
-            if k1 > 0 or (k1 == 0 and k2 > 0):
-                ks.append((k1, k2))
-    ks.sort(key=lambda k: (k[0] * k[0] + k[1] * k[1], k[0], k[1]))
-    obs = tuple(FourierMode(k) for k in ks)
-    weights = tuple(2.0 ** (-(j + 1)) for j in range(len(obs)))
-    return TestFamily(obs, weights, f"fourier modes |k| <= {max_frequency}")
+    order of increasing |k|^2 then lexicographic, up to ``FAMILY_SIZE``:
+    those have |k|^2 <= 685, so a box of |k|_inf <= 32 holds them."""
+    box = min(max_frequency, 32)
+    ks = sorted(((k1, k2) for k1 in range(box + 1) for k2 in range(-box, box + 1)
+                 if k1 > 0 or k2 > 0), key=lambda k: (k[0] * k[0] + k[1] * k[1], k[0], k[1]))
+    return _weighed(map(FourierMode, ks), f"fourier modes |k| <= {max_frequency}")
 
 
 # -- measures -------------------------------------------------------------

@@ -30,6 +30,7 @@ f^k(q) = f^{k+1}(p) + s lam_u^k v_u (k < 0), stable on both tails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -502,8 +503,8 @@ class Horseshoe(_PlanarSystem, _CodedShift):
     def __init__(self, contraction: float, expansion: float):
         if not 0.0 < contraction < 0.5:
             raise ValueError("contraction rate must lie in (0, 1/2)")
-        if not expansion > 2.0:
-            raise ValueError("expansion rate must exceed 2")
+        if not 2.0 < expansion <= sys.float_info.max:  # finite as a float
+            raise ValueError("expansion rate must be a finite number above 2")
         self.mu_s = float(contraction)
         self.mu_u = float(expansion)
         self.coding_matrix = TransitionMatrix.full_shift(2)

@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 import symshadow.cli
-from symshadow.cli import (MAX_CODING_DEPTH, MAX_CYLINDERS, MAX_MODES, MAX_SHADOW_LENGTH,
-                           MAX_WITNESS_SYMBOLS, PreconditionError, main)
+from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_SHADOW_LENGTH,
+                           MAX_WITNESS_SYMBOLS, main)
 from symshadow.dense_periods import WitnessMap
-from symshadow.measures import cylinder_family, fourier_family
+from symshadow.measures import FAMILY_SIZE, cylinder_family, fourier_family
 from symshadow.sft import TransitionMatrix
-from symshadow.systems import Horseshoe, SftSystem
+from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -264,6 +264,27 @@ def test_pseudo_shadow_zero_denominator_exit_2(files, capsys):
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("argv", [["pseudo-shadow", "01", "--delta", "0.05"],
+                                  ["coding-table"], ["perturb-smoke", "--magnitude", "0.01"]],
+                         ids=["pseudo-shadow", "coding-table", "perturb-smoke"])
+def test_infinite_horseshoe_rate_exit_2(files, capsys, argv):
+    # an infinite expansion rate passed the "> 2" check: pseudo-shadow wrote a
+    # report with NaN defects and residuals and Infinity in its config
+    path = files["tmp"] / "wide.json"
+    path.write_text('{"kind": "horseshoe", "rates": [0.3, Infinity]}')
+    assert main([argv[0], str(path), *argv[1:], "--out", files["out"]]) == 2
+    assert "expansion rate must be a finite number above 2" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_non_finite_report_exit_2_and_is_not_written(files, capsys, monkeypatch):
+    # reports are strict JSON: a NaN that reaches one stops the run before any file
+    monkeypatch.setattr(symshadow.cli, "topological_entropy", lambda matrix: math.nan)
+    assert main(["analyze", files["golden"], "--out", files["out"]]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_pseudo_shadow_symbolic(files):
     code = main(["pseudo-shadow", files["full2"], "01", "--delta", "0.125",
                  "--out", files["out"]])
@@ -409,9 +430,12 @@ def test_matrix_commands_read_matrix_and_sft_files_only(files, tmp_path, capsys)
     ("target", {"kind": "periodic_mix", "components": [{"cycle": "0", "weight": math.nan}]}),
     ("target", {"kind": "bernoulli", "p": [math.nan, 1]}),
     ("target", {"kind": "bernoulli", "p": [0.5, -math.inf]}),
+    ("target", {"kind": "periodic_mix", "components": [{"cycle": "0", "weight": "1/0"}]}),
+    ("system", {"kind": "horseshoe", "rates": [0.3, math.inf]}),
+    ("system", {"kind": "horseshoe", "rates": [0.3, 10 ** 400]}),
 ], ids=["array_system", "array_target", "rows_5", "sft_matrix_array", "rates_0.3",
         "rates_[0.3]", "toral_matrix_5", "components_5", "weight_Infinity", "weight_NaN",
-        "p_NaN", "p_-Infinity"])
+        "p_NaN", "p_-Infinity", "weight_1/0", "rates_Infinity", "rates_10^400"])
 def test_malformed_files_exit_2(files, capsys, role, payload):
     # each of these ended in a traceback (exit 1) where the file is read, or,
     # for the non-finite numbers (which Python's json reads), in a NaN report
@@ -552,76 +576,75 @@ def test_coding_table_explosive_depth_exit_3(files, capsys, monkeypatch):
     assert not Path(files["out"]).exists()
 
 
-@pytest.mark.parametrize("mode", ["periodic", "bernoulli"])
-@pytest.mark.parametrize("depth", [18, 22])
-def test_approx_measure_explosive_depth_exit_3(files, capsys, monkeypatch, mode, depth):
-    # depth 16 lists 131,070 cylinder words on the full 2-shift; depth 18 used to
-    # end in a MemoryError, depth 22 in a MemoryError while listing the words
-    def no_family(matrix, depth):
-        raise AssertionError("cylinder family built")
+@pytest.mark.parametrize("target, system, mode", [
+    ("target_half_mix.json", "full_2_shift.json", "periodic"),
+    ("target_half_mix.json", "full_2_shift.json", "bernoulli"),
+    ("target_lebesgue.json", "cat_map.json", "periodic"),
+], ids=["periodic", "bernoulli", "torus"])
+def test_approx_measure_huge_depth_reads_the_filled_family(tmp_path, target, system, mode):
+    # a family ends at FAMILY_SIZE observables, where its weights underflow, so
+    # --depth 10^9 runs at once (depth 16 on the full 2-shift took 18 s near 1 GB
+    # in bernoulli mode, and the torus 23 s at depth 181) and reports the distance
+    # of the least depth whose family has FAMILY_SIZE observables
+    def run(depth):
+        out = tmp_path / str(depth)
+        assert main(["approx-measure", str(DATA / target), str(DATA / system),
+                     "--epsilon", "0.05", "--mode", mode, "--depth", str(depth),
+                     "--out", str(out)]) == 0
+        return json.loads((out / "approx_measure.json").read_text())
 
-    monkeypatch.setattr(symshadow.cli, "cylinder_family", no_family)
+    if system == "cat_map.json":
+        build = fourier_family
+    else:
+        build = lambda depth: cylinder_family(TransitionMatrix.full_shift(2), depth)
+    filled = next(depth for depth in range(1, 100) if len(build(depth)) == FAMILY_SIZE)
     start = time.perf_counter()
-    assert main(["approx-measure", str(DATA / "target_half_mix.json"),
-                 str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", mode,
-                 "--depth", str(depth), "--out", files["out"]]) == 3
-    assert time.perf_counter() - start < 1.0
-    assert f"--depth {depth} needs more than {MAX_CYLINDERS} cylinder words" \
-        in capsys.readouterr().err
+    report = run(10 ** 9)
+    assert time.perf_counter() - start < 2.0
+    keys = (["distance", "method"] if mode == "periodic" else
+            ["distance_to_target", "distance_to_periodic", "scan", "m", "measure"])
+    assert {k: report[k] for k in keys} == {k: run(filled)[k] for k in keys}
+
+
+def test_torus_lattice_walk_exit_3(files, capsys, monkeypatch):
+    # --max-denominator Q walks sum(q^2, q <= Q) lattice points, --max-period steps
+    # each: Q = 100,000 at --max-period 30 ran past a minute; Q = 376 is the last kept
+    def no_walk(*args):
+        raise AssertionError("lattice walked")
+
+    monkeypatch.setattr(ToralAutomorphism, "rational_orbit_lattices", no_walk)
+    for q in (377, 100_000):
+        steps = 30 * (q * (q + 1) * (2 * q + 1) // 6 + 1024)
+        assert steps > MAX_LATTICE_STEPS >= 30 * (376 * 377 * 753 // 6 + 1024)
+        start = time.perf_counter()
+        assert main(["approx-measure", files["lebesgue"], files["cat"], "--epsilon", "0.05",
+                     "--mode", "periodic", "--max-period", "30", "--max-denominator", str(q),
+                     "--out", files["out"]]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert f"walk {steps} lattice steps, more than {MAX_LATTICE_STEPS}" \
+            in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 
-def test_cylinder_bound_counts_the_words_it_would_list(monkeypatch):
-    # the full 2-shift has 2^17 - 2 words up to depth 16 and 2^18 - 2 up to 17;
-    # on the golden mean the bound falls where the listed family outgrows it
-    monkeypatch.setattr(symshadow.cli, "cylinder_family", lambda matrix, depth: depth)
-    full2, golden = TransitionMatrix.full_shift(2), TransitionMatrix.golden_mean()
-    assert symshadow.cli._cylinder_family(full2, 16) == 16
-    with pytest.raises(PreconditionError):
-        symshadow.cli._cylinder_family(full2, 17)
-    depth = 1
-    while len(cylinder_family(golden, depth + 1)) <= MAX_CYLINDERS:
-        depth += 1
-    assert symshadow.cli._cylinder_family(golden, depth) == depth
-    with pytest.raises(PreconditionError):
-        symshadow.cli._cylinder_family(golden, depth + 1)
+def strict_json(text: str):
+    """json.loads refusing NaN, Infinity and -Infinity, which strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
 
-
-@pytest.mark.parametrize("depth", [128, 300])
-def test_torus_approx_measure_explosive_depth_exit_3(files, capsys, monkeypatch, depth):
-    # depth 300 used to run 29 s near 325 MB; no Fourier mode is listed now
-    def no_family(depth):
-        raise AssertionError("fourier family built")
-
-    monkeypatch.setattr(symshadow.cli, "fourier_family", no_family)
-    start = time.perf_counter()
-    assert main(["approx-measure", str(DATA / "target_lebesgue.json"),
-                 str(DATA / "cat_map.json"), "--epsilon", "0.05", "--mode", "periodic",
-                 "--depth", str(depth), "--out", files["out"]]) == 3
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert f"--depth {depth} needs more than {MAX_MODES} Fourier modes" in err
-    assert "Traceback" not in err
-    assert not Path(files["out"]).exists()
-
-
-def test_mode_bound_counts_the_modes_it_would_list(monkeypatch):
-    # the family at depth d has 2d(d+1) modes: 127 is the last depth kept
-    assert len(fourier_family(4)) == 2 * 4 * 5
-    assert 2 * 127 * 128 <= MAX_MODES < 2 * 128 * 129
-    monkeypatch.setattr(symshadow.cli, "fourier_family", lambda depth: depth)
-    assert symshadow.cli._fourier_family(127) == 127
-    with pytest.raises(PreconditionError):
-        symshadow.cli._fourier_family(128)
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "_".join(argv[1:]))
 def test_readme_commands_exit_0(argv, tmp_path, monkeypatch):
-    # every README command runs as written, so the README cannot drift from the CLI
+    # every README command runs as written, so the README cannot drift from the CLI,
+    # and each report it writes is strict JSON, without NaN or Infinity
     assert argv[0] == "symshadow"
     monkeypatch.chdir(ROOT)
     assert main([*argv[1:], "--out", str(tmp_path)]) == 0
-    assert any(tmp_path.iterdir())
+    reports = list(tmp_path.glob("*.json"))
+    assert reports
+    for report in reports:
+        strict_json(report.read_text())
 
 
 def test_reports_are_byte_identical_across_reruns(files, tmp_path):

@@ -8,6 +8,7 @@ import random
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from symshadow import measures
 from symshadow.measures import TestFamily as Family
 from symshadow.cli import _load_target
-from symshadow.measures import (BLOCK_REPS, BernoulliProduct, CylinderObservable,
+from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
                                 MarkovMeasure, _block_words, _cyclic_word_distances,
                                 _orbit_cycles_of_target, approximate_by_periodic,
@@ -27,8 +28,8 @@ from symshadow.measures import (BLOCK_REPS, BernoulliProduct, CylinderObservable
                                 fourier_family, parry_measure,
                                 periodic_measure, rational_orbit_distances,
                                 renewal_cylinders, weak_star_distance)
-from symshadow.sft import (ConvergenceError, TransitionMatrix, count_periodic_points,
-                           enumerate_cycles, is_primitive, perron_data, topological_entropy)
+from symshadow.sft import (ConvergenceError, TransitionMatrix, admissible_words,
+                           count_periodic_points, enumerate_cycles, is_primitive, perron_data, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import SftSystem, cat_map, sft_homoclinic_splice
 
@@ -51,6 +52,99 @@ def mixed_target():
     d0 = ShiftPoint.from_cycle((0,))
     d1 = ShiftPoint.from_cycle((1,))
     return FiniteSupportMeasure([(d0, Fraction(1, 2)), (d1, Fraction(1, 2))])
+
+
+# -- test families -----------------------------------------------------------
+#
+# The families as they were before they stopped at FAMILY_SIZE observables:
+# every observable up to the depth or bound, weighted 2^-j, so 0.0 past that size.
+
+
+def uncut_cylinder_family(matrix, depth):
+    obs = tuple(CylinderObservable(w) for length in range(1, depth + 1)
+                for w in sorted(admissible_words(matrix, length)))
+    return Family(obs, tuple(2.0 ** (-(j + 1)) for j in range(len(obs))),
+                  f"cylinders depth {depth}")
+
+
+def uncut_fourier_family(max_frequency):
+    ks = []
+    for k1 in range(-max_frequency, max_frequency + 1):
+        for k2 in range(-max_frequency, max_frequency + 1):
+            if (k1, k2) != (0, 0) and (k1 > 0 or (k1 == 0 and k2 > 0)):
+                ks.append((k1, k2))
+    ks.sort(key=lambda k: (k[0] * k[0] + k[1] * k[1], k[0], k[1]))
+    obs = tuple(FourierMode(k) for k in ks)
+    return Family(obs, tuple(2.0 ** (-(j + 1)) for j in range(len(obs))),
+                  f"fourier modes |k| <= {max_frequency}")
+
+
+def assert_cut(family, uncut, description):
+    assert family.observables == uncut.observables[:FAMILY_SIZE]
+    assert family.weights == uncut.weights[:FAMILY_SIZE]
+    assert set(uncut.weights[FAMILY_SIZE:]) <= {0.0}
+    assert family.description == description
+
+
+def test_family_size_is_where_the_weights_underflow():
+    assert 2.0 ** -FAMILY_SIZE > 0 == 2.0 ** -(FAMILY_SIZE + 1)
+
+
+LOW_ENTROPY = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])  # lambda ~ 1.3247
+
+
+@pytest.mark.parametrize("matrix", [FULL2, TransitionMatrix.full_shift(3), GOLDEN, LOW_ENTROPY],
+                         ids=["full2", "full3", "golden", "low_entropy"])
+def test_cylinder_family_is_the_uncut_family_cut(matrix):
+    # words come by length, so past the least depth whose uncut family has
+    # FAMILY_SIZE words, a deeper uncut family starts with the same words
+    filled = next(d for d in range(1, 100) if len(uncut_cylinder_family(matrix, d)) >= FAMILY_SIZE)
+    for depth in [*range(1, 31), 10 ** 9]:
+        assert_cut(cylinder_family(matrix, depth),
+                   uncut_cylinder_family(matrix, min(depth, filled)), f"cylinders depth {depth}")
+    assert len(cylinder_family(matrix, filled)) == FAMILY_SIZE
+
+
+def test_fourier_family_is_the_uncut_family_cut():
+    # modes come by |k|^2, and the first FAMILY_SIZE have |k|^2 <= 685 < 181^2, so a
+    # bound past 181 starts with the modes of bound 181
+    for bound in [*range(1, 41), 60, 127, 181, 10 ** 6]:
+        assert_cut(fourier_family(bound), uncut_fourier_family(min(bound, 181)),
+                   f"fourier modes |k| <= {bound}")
+    assert fourier_family(10 ** 6).observables[-1] == FourierMode((3, 26))
+
+
+@pytest.mark.parametrize("target, system, families, depths, horizon", [
+    (mixed_target(), SftSystem(FULL2), (partial(cylinder_family, FULL2),
+                                        partial(uncut_cylinder_family, FULL2)), (11, 12), {}),
+    (BernoulliProduct([0.3, 0.7]), SftSystem(FULL2), (partial(cylinder_family, FULL2),
+                                                      partial(uncut_cylinder_family, FULL2)),
+     (11,), {}),
+    (LebesgueTorus(), cat_map(), (fourier_family, uncut_fourier_family), (30, 40),
+     {"max_period": 30, "max_denominator": 40}),
+], ids=["half_mix", "bernoulli", "torus"])
+def test_periodic_scores_past_the_cut_equal_the_uncut_family(target, system, families, depths,
+                                                             horizon):
+    # the weights past FAMILY_SIZE are 0.0, so each dropped term added +0.0
+    for depth in depths:
+        got, want = (approximate_by_periodic(target, system, 0.1, build(depth), **horizon)
+                     for build in families)
+        assert (got.distance.hex(), got.description) == (want.distance.hex(), want.description)
+
+
+def test_bernoulli_past_the_cut_keeps_its_choices():
+    # the renewal masses come at the family's longest word (10 on the full 2-shift),
+    # not at depth 11, so only the last bits of the distances may move
+    got, want = (bernoulli_approximation(mixed_target(), FULL2, 0.1, family)
+                 for family in (cylinder_family(FULL2, 11), uncut_cylinder_family(FULL2, 11)))
+    assert (got.m, got.cycle, got.subshift, got.within_epsilon) == \
+        (want.m, want.cycle, want.subshift, want.within_epsilon)
+    assert got.measure.to_json_dict() == want.measure.to_json_dict()
+    pairs = [(got.distance_to_target, want.distance_to_target),
+             (got.distance_to_periodic, want.distance_to_periodic)]
+    pairs += [(a, b) for (m, a), (n, b) in zip(got.scan, want.scan, strict=True) if m == n]
+    assert len(pairs) == 2 + len(want.scan)
+    assert all(a == pytest.approx(b, rel=1e-13, abs=0) for a, b in pairs)
 
 
 # -- finite-support measures -------------------------------------------------
