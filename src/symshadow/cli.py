@@ -70,10 +70,10 @@ MAX_CODING_DEPTH = 9
 MAX_SHADOW_LENGTH = 512
 
 # torus approx-measure requests walking more lattice steps than this are refused: each
-# of the sum of q^2 lattice points over q <= --max-denominator takes --max-period steps,
-# and each step costs about 1,024 more for its fixed array passes.  The cat map at
-# --max-period 30 walks Q = 376 (the last kept) in 5 s near 300 MB; Q = 400 took 5 s
-# near 340 MB, Q = 500 9.5 s near 490 MB, and Q = 100,000 ran past 60 s (2-core x86_64)
+# of the sum of q^2 lattice points over q <= --max-denominator takes up to --max-period
+# steps, and each step costs about 1,024 more for its fixed array passes.  The cat map at
+# --max-period 30 walks Q = 376 (the last kept) in 4.4 s near 190 MB; Q = 400 took 4.4 s
+# near 185 MB, Q = 500 8.4 s near 200 MB, and Q = 100,000 ran past 60 s (2-core x86_64)
 MAX_LATTICE_STEPS = 1 << 29
 
 # lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])

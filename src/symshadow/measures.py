@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from .homoclinic import encode_point
 from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix,
                   _merge_overlap, _primitive_period, admissible_words, is_primitive,
-                  perron_data)
+                  longer_words, perron_data)
 from .shiftspace import ShiftPoint
 from .systems import _BLOCK_ENTRIES, SftSystem, ToralAutomorphism, sft_homoclinic_splice
 
@@ -99,7 +99,9 @@ def _weighed(observables: Iterable, description: str) -> TestFamily:
 def cylinder_family(matrix: TransitionMatrix, depth: int) -> TestFamily:
     """Admissible words of length 1..depth, ordered by length then
     lexicographically, listed one length at a time up to ``FAMILY_SIZE``."""
-    words = chain.from_iterable(admissible_words(matrix, n) for n in range(1, depth + 1))
+    # each length extended from the one before, as far as the family reads
+    lengths = accumulate(repeat(matrix), longer_words, initial=admissible_words(matrix, 1))
+    words = chain.from_iterable(islice(lengths, depth))
     return _weighed(map(CylinderObservable, words), f"cylinders depth {depth}")
 
 
@@ -482,25 +484,41 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
             candidates += [(f"blocks x{reps}", word, _primitive_period(word))
                            for reps, word in _block_words(matrix, _orbit_cycles_of_target(target))]
         distances = _cyclic_word_distances(target, [w[:n] for _, w, n in candidates], family)
-        scored = [(d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates)]
+        scored = ((d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates))
+        describe = str
     elif isinstance(system, ToralAutomorphism):
         orbits = rational_orbit_distances(target, system, family, max_period, max_denominator)
-        scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})", (q, orbit))
-                  for (i, j, q), orbit, d in orbits]
+        scored = ((d, len(orbit), start, (start[2], orbit)) for start, orbit, d in orbits)
+        describe = lambda start: "orbit({0}/{2},{1}/{2})".format(*start)
     else:
         raise TypeError(f"unsupported system {system!r}")
 
-    if not scored:
+    # the least (d, n, description) and the least (n, d, description) within
+    # epsilon, taken as the candidates stream; a name is described on a tie only
+    best = within = None
+    for s in scored:
+        best = _lesser(best, s[:2], s, describe)
+        if prefer == "shortest_within" and s[0] <= epsilon:
+            within = _lesser(within, s[1::-1], s, describe)
+    if best is None:
         raise ValueError("no periodic candidates within the horizon")
-    within = [s for s in scored if s[0] <= epsilon] if prefer == "shortest_within" else []
-    pick = min(within or scored, key=lambda s: (s[1], s[0], s[2]) if within else s[:3])
+    pick = (within or best)[1]
     if isinstance(system, SftSystem):
         mu = cycle_measure(matrix, pick[3])
     else:
         q, orbit = pick[3]
         mu = periodic_measure([(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
     d = weak_star_distance(target, mu, family)
-    return ApproximationResult(mu, d, d <= epsilon, pick[2])
+    return ApproximationResult(mu, d, d <= epsilon, describe(pick[2]))
+
+
+def _lesser(held, rank, s, describe):
+    """(rank, s) if s ranks below the held (rank, candidate), ties broken by
+    describe(name); else the held pair."""
+    if held is None or rank < held[0] or (
+            rank == held[0] and describe(s[2]) < describe(held[1][2])):
+        return rank, s
+    return held
 
 
 # -- the mixing-subshift pipeline ------------------------------------------

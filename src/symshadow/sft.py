@@ -187,8 +187,14 @@ def admissible_words(matrix: TransitionMatrix, length: int) -> list[Word]:
         return [()]
     words = [(s,) for s in range(matrix.size)]
     for _ in range(length - 1):
-        words = [w + (t,) for w in words for t in matrix.succ[w[-1]]]
+        words = longer_words(words, matrix)
     return words
+
+
+def longer_words(words: list[Word], matrix: TransitionMatrix) -> list[Word]:
+    """The admissible words one symbol longer than ``words``, in lexicographic
+    order, given every admissible word of one length >= 1 in that order."""
+    return [w + (t,) for w in words for t in matrix.succ[w[-1]]]
 
 
 def _primitive_period(word: Word) -> int:

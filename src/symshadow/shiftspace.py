@@ -16,9 +16,14 @@ a positive distance, the smallest positive float where 2^(-k) underflows.
 Comparisons run on cached integer keys, WIDTH = 32 bits per symbol (the
 UTF-32 code unit of chr(symbol)), first symbol most significant: keys of
 one size compare as their symbol sequences do, and two of them share
-size - ceil(bitlength(a ^ b) / WIDTH) leading symbols.  Point-set queries
-make one merged sort of both key sets, where a key shares its longest
-prefix with a set at that set's nearest key before or after it.
+size - ceil(bitlength(a ^ b) / WIDTH) leading symbols.  Keys are cut by
+rungs: radius 16, doubled while an answer is open, and last
+e(x) + e(y), past which distinct points differ.  At radius R a nonzero XOR
+fixes the agreement radius k <= R, while a zero one only bounds d by
+2^-(R+1), so only the pairs that agree that far take the next rung, and
+the last rung decides equality.  Point-set queries make one merged sort of
+the distinct keys of both sets, where a key shares its longest prefix with
+a set at that set's nearest key before or after it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Sequence
 from .sft import Word, _primitive_period
 
 WIDTH = 32  # bits per symbol in a key
+_FIRST_RADIUS = 16  # the first key radius of every query
 
 
 class ShiftPoint:
@@ -148,9 +154,11 @@ class ShiftPoint:
 
     def agreement_radius(self, other: "ShiftPoint") -> int | float:
         """Largest k with x_i = y_i for all |i| < k; math.inf for x = y."""
-        radius = self.extent + other.extent
-        bits = (self.key(radius) ^ other.key(radius)).bit_length()
-        return (_common_prefix(bits, 2 * radius + 1) + 1) // 2 if bits else math.inf
+        for radius in _rungs(lambda: self.extent + other.extent):
+            bits = (self.key(radius) ^ other.key(radius)).bit_length()
+            if bits:
+                return (_common_prefix(bits, 2 * radius + 1) + 1) // 2
+        return math.inf
 
     def distance(self, other: "ShiftPoint") -> float:
         return 0.0 if self == other else _radius_distance(self.agreement_radius(other))
@@ -206,41 +214,59 @@ def _interleave(back, forward) -> str:
     return "".join(chars)
 
 
-def _nearest_bits(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[int], list[int]]:
+def _rungs(last, radius: int = _FIRST_RADIUS):
+    """Key radii: ``radius``, doubled while below last(), then last() itself;
+    last is called only when a second rung is asked for."""
+    yield radius
+    last = last()
+    while radius < last:
+        radius = min(2 * radius, last)
+        yield radius
+
+
+def _ladder(count: int, bits_at, last, distance=_key_distance, first: int = _FIRST_RADIUS
+            ) -> list[float]:
+    """distance(bits, radius) for each of ``count`` entries, where
+    bits_at(radius, entries) gives their XOR bit lengths at a rung: an entry
+    is settled by a nonzero one, and only the zero ones take the next rung,
+    up to the last."""
+    out, todo = [0.0] * count, range(count)
+    for radius in _rungs(last, first):
+        bits = bits_at(radius, todo)
+        read = {b: distance(b, radius) for b in set(bits)}  # one float per distinct answer
+        for i, b in zip(todo, bits):
+            out[i] = read[b]
+        todo = [i for i, b in zip(todo, bits) if not b]
+        if not todo:
+            break
+    return out
+
+
+def _nearest_bits(xs: Sequence[int], ys: Sequence[int]) -> tuple[dict, dict]:
     """For each key of xs the least bit length of its XOR with a key of ys,
-    and for each key of ys the least with a key of xs, from one merged sort
-    of keys of one size.  The XOR of two keys is as long as the longest XOR
-    of sorted neighbours between them, so the least is reached at the other
-    set's nearest key before or after: an ascending and a descending sweep
-    carry, for each set, the longest neighbour XOR since its latest key."""
-    keys = [*xs, *ys]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranked = [keys[i] for i in order]
+    and for each key of ys the least with a key of xs, as dicts keyed by the
+    keys, from one sort of the distinct keys of one size.  The XOR of two
+    keys is as long as the longest XOR of sorted neighbours between them, so
+    the least is reached at the other set's nearest key before or after: a
+    sweep each way carries the longest neighbour XOR since its latest key."""
+    there, back = dict.fromkeys(xs, math.inf), dict.fromkeys(ys, math.inf)
+    ranked = sorted(there.keys() | back.keys())
     gaps = [(a ^ b).bit_length() for a, b in zip(ranked, ranked[1:])]
-    n = len(xs)
-    best = [math.inf] * len(keys)
-    for sweep, steps in ((order, [0, *gaps]), (order[::-1], [0, *gaps[::-1]])):
-        since_x = since_y = math.inf  # no key of the set seen yet
-        for i, gap in zip(sweep, steps):
-            if since_x < gap:
-                since_x = gap
-            if since_y < gap:
-                since_y = gap
-            if i < n:
-                if since_y < best[i]:
-                    best[i] = since_y
-                since_x = 0
-            else:
-                if since_x < best[i]:
-                    best[i] = since_x
-                since_y = 0
-    return best[:n], best[n:]
+    for best, other in ((there, back), (back, there)):
+        for sweep, steps in ((ranked, [0, *gaps]), (ranked[::-1], [0, *gaps[::-1]])):
+            since = math.inf  # no key of the other set seen yet
+            for key, gap in zip(sweep, steps):
+                if key in other:
+                    since = 0
+                elif since < gap:
+                    since = gap
+                if since < best.get(key, -1):
+                    best[key] = since
+    return there, back
 
 
 def _key_radius(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> int:
     """A key radius past which no x in xs and y in ys can first differ."""
-    if not xs or not ys:
-        raise ValueError("distance to an empty point set")
     return max(x.extent for x in xs) + max(y.extent for y in ys)
 
 
@@ -249,49 +275,66 @@ def nearest_distances(queries: Sequence[ShiftPoint],
     """d(x, points) = min over y in points of d(x, y), exactly, for each
     query x.  No queries give []; queries against an empty point set raise
     ValueError."""
-    if not queries:
-        return []
-    radius = _key_radius(queries, points)
-    there = _nearest_bits([x.key(radius) for x in queries], [y.key(radius) for y in points])[0]
-    return [_key_distance(bits, radius) for bits in there]
+    return _nearest_ladder(queries, points, ShiftPoint.key, lambda: _key_radius(queries, points))
 
 
 def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
     """max(max_x d(x, ys), max_y d(y, xs)), exactly, from one merged sort of
-    both key sets; an empty set raises ValueError."""
-    radius = _key_radius(xs, ys)
-    there, back = _nearest_bits([x.key(radius) for x in xs], [y.key(radius) for y in ys])
-    return _key_distance(max(there + back), radius)
+    both key sets per rung: the first nonzero largest least XOR settles it;
+    an empty set raises ValueError."""
+    if not xs or not ys:
+        raise ValueError("distance to an empty point set")
+    for radius in _rungs(lambda: _key_radius(xs, ys)):
+        there, back = _nearest_bits([x.key(radius) for x in xs], [y.key(radius) for y in ys])
+        bits = max(*there.values(), *back.values())
+        if bits:
+            break
+    return _key_distance(bits, radius)
 
 
 def forward_distances(queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint],
                       length: int) -> list[float]:
     """For each query y, 2^-m with m the longest common prefix of
-    y_0..y_{length-1} with x_0..x_{length-1} for some x in points.  No
-    queries give []; queries against an empty point set raise ValueError."""
+    y_0..y_{length-1} with x_0..x_{length-1} for some x in points, read by
+    rungs of prefix length up to ``length``.  No queries give []; queries
+    against an empty point set raise ValueError."""
+    return _nearest_ladder(queries, points, ShiftPoint.forward_key, lambda: length,
+                           lambda bits, size: 2.0 ** -_common_prefix(bits, size),
+                           min(_FIRST_RADIUS, length))
+
+
+def _nearest_ladder(queries, points, cut, last, distance=_key_distance, first=_FIRST_RADIUS):
+    """``_ladder`` over the queries, each against its nearest point by the
+    keys cut(point, radius)."""
     if not queries:
         return []
     if not points:
         raise ValueError("distance to an empty point set")
-    there = _nearest_bits([y.forward_key(length) for y in queries],
-                          [x.forward_key(length) for x in points])[0]
-    return [2.0 ** -_common_prefix(bits, length) for bits in there]
+
+    def bits_at(radius, todo):
+        keys = [cut(queries[i], radius) for i in todo]
+        there = _nearest_bits(keys, [cut(y, radius) for y in points])[0]
+        return [there[key] for key in keys]
+    return _ladder(len(queries), bits_at, last, distance, first)
 
 
 def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:
     """d(sigma^i x, points[i]) for each i, exactly, with x the periodic point
     x_j = word[j mod len(word)]: the key of sigma^i x is cut from
     repetitions of the cyclic word, with no point built."""
-    n = len(word)
-    radius = max(y.extent for y in points) + 2 * n  # e(sigma^i x) <= 2n
-    text = "".join(map(chr, word)) * (radius // n + 2)  # text[t] = x_t
-    back = text[:1] + text[:0:-1]  # back[t] = x_-t
-    out = []
-    for i, y in enumerate(points):
-        k = i % n  # sigma^i x = sigma^k x
-        key = _digits(_interleave(back[n - k:n - k + radius + 1], text[k + 1:k + radius + 1]))
-        out.append(_key_distance((key ^ y.key(radius)).bit_length(), radius))
-    return out
+    n, unit = len(word), "".join(map(chr, word))
+
+    def bits_at(radius, todo):
+        text = unit * (radius // n + 2)  # text[t] = x_t
+        back = text[:1] + text[:0:-1]  # back[t] = x_-t
+        bits = []
+        for i in todo:
+            k = i % n  # sigma^i x = sigma^k x
+            key = _digits(_interleave(back[n - k:n - k + radius + 1], text[k + 1:k + radius + 1]))
+            bits.append((key ^ points[i].key(radius)).bit_length())
+        return bits
+    # e(sigma^i x) <= 2n
+    return _ladder(len(points), bits_at, lambda: max(y.extent for y in points) + 2 * n)
 
 
 def word_radius(epsilon: float) -> int:

@@ -390,9 +390,10 @@ class ToralAutomorphism(_PlanarSystem):
         those pairs in one integer array.  Callers build Fractions only for the
         orbits they keep.  One array walk covers several q, in chunks of at
         most ``_CHUNK_POINTS`` lattice points (a larger q goes alone):
-        max_period steps of the index map (u, v) -> A(u, v) mod q give each
-        point of exact order q its period and the least point (i, j) of its
-        orbit, from which a short orbit is walked once."""
+        up to max_period steps of the index map (u, v) -> A(u, v) mod q, ending
+        once every point has closed its orbit, give each point of exact order
+        q its period and the least point (i, j) of its orbit, from which a
+        short orbit is walked once."""
         (a, b), (c, d) = self.matrix
         chunks: list[list[int]] = []
         for q in range(1, max_denominator + 1):
@@ -406,14 +407,19 @@ class ToralAutomorphism(_PlanarSystem):
             image = offset + (a * u + b * v) % modulus * modulus + (c * u + d * v) % modulus
             index = np.flatnonzero(np.gcd(np.gcd(u, v), modulus) == 1)
             period, least, walk = np.zeros_like(index), index.copy(), index
+            unclosed = len(index)
             for step in range(1, max_period + 1):
+                if not unclosed:  # every orbit walked round, so each least is final
+                    break
                 walk = image[walk]
                 np.minimum(least, walk, out=least)
-                period[(period == 0) & (walk == index)] = step
+                closing = (period == 0) & (walk == index)
+                period[closing] = step
+                unclosed -= np.count_nonzero(closing)
             keep = (period > 0) & (least == index)
             starts, period = index[keep], period[keep]
             first, walk, flat = period.cumsum() - period, starts, np.empty(period.sum(), int)
-            for k in range(max_period):  # the short orbits flat, one entry per point
+            for k in range(period.max(initial=0)):  # the short orbits flat, one entry per point
                 flat[first[period > k] + k] = walk[period > k]
                 walk = image[walk]
             points = np.stack([u[flat], v[flat]], axis=1)

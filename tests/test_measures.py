@@ -5,6 +5,8 @@ import cmath
 import gc
 import math
 import random
+import time
+import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -103,6 +105,17 @@ def test_cylinder_family_is_the_uncut_family_cut(matrix):
         assert_cut(cylinder_family(matrix, depth),
                    uncut_cylinder_family(matrix, min(depth, filled)), f"cylinders depth {depth}")
     assert len(cylinder_family(matrix, filled)) == FAMILY_SIZE
+
+
+def test_cylinder_family_on_one_symbol_extends_each_length_from_the_last():
+    # the one word of each length: rebuilt from length 1 for every length, the
+    # first FAMILY_SIZE lengths would copy about 2e8 tuple entries
+    start = time.perf_counter()
+    family = cylinder_family(TransitionMatrix([[1]]), 2000)
+    elapsed = time.perf_counter() - start
+    assert family.observables == tuple(CylinderObservable((0,) * n)
+                                       for n in range(1, FAMILY_SIZE + 1))
+    assert elapsed < 0.1
 
 
 def test_fourier_family_is_the_uncut_family_cut():
@@ -731,6 +744,39 @@ def test_torus_orbit_distances_match_the_full_measure_scan(bound):
                 assert_same_result(res, reference_pick(target, reference, 0.05, family,
                                                        prefer))
                 assert res.distance == weak_star_distance(target, res.measure, family)
+
+
+def test_the_torus_scan_takes_its_minimum_as_the_orbits_stream(monkeypatch):
+    # a stream of scored one-point orbits where (d, n) ties often, so the
+    # descriptions break them; listing it would hold every candidate
+    count = 100_000
+
+    def stream(target, system, family, max_period, max_denominator):
+        for t in range(count):  # distinct starts: 7919 is a unit mod 400^2
+            q, (i, j) = 400, divmod(t * 7919 % 160_000, 400)
+            yield (i, j, q), [(i, j)] * (2 if t % 3 else 1), (0.125, 0.25, 0.0625)[t % 3] + t % 5
+
+    def listed(epsilon, prefer):
+        scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})")
+                  for (i, j, q), orbit, d in stream(*[None] * 5)]
+        within = [s for s in scored if s[0] <= epsilon] if prefer == "shortest_within" else []
+        return min(within, key=lambda s: (s[1], s[0], s[2])) if within else min(scored)
+
+    monkeypatch.setattr(measures, "rational_orbit_distances", stream)
+    family = fourier_family(1)
+    for prefer, epsilon in (("distance", 0.2), ("shortest_within", 0.2),
+                            ("shortest_within", 0.1), ("shortest_within", 0.01)):
+        res = approximate_by_periodic(LebesgueTorus(), cat_map(), epsilon, family,
+                                      prefer=prefer)
+        assert res.description == listed(epsilon, prefer)[2]
+    tracemalloc.start()
+    try:
+        approximate_by_periodic(LebesgueTorus(), cat_map(), 0.2, family,
+                                prefer="shortest_within")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # listing the candidates takes tens of MB
 
 
 @pytest.mark.parametrize("budget", [1, 3000])

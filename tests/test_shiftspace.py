@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symshadow.homoclinic import PseudoOrbit, verify_pseudo_orbit
+from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
+                                  compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import (WIDTH, ShiftPoint, cycle_distances, hausdorff_distance,
-                                  nearest_distances, word_radius)
-from symshadow.systems import SftSystem
+from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, cycle_distances,
+                                  hausdorff_distance, nearest_distances, word_radius)
+from symshadow.systems import SftSystem, homoclinic_point
 
 
 def point_is_admissible(point, matrix):
@@ -367,3 +368,100 @@ def test_point_set_queries_far_out_and_on_empty_sets():
     for xs, ys in (([top], []), ([], [top])):
         with pytest.raises(ValueError, match="empty point set"):
             hausdorff_distance(xs, ys)
+
+
+# -- keys cut by rungs: agreement past the first rung, equal points, duplicates --
+
+
+def brute_radius(x, y):
+    """Largest k with x_i = y_i for all |i| < k, read symbol by symbol over
+    |i| < e(x) + e(y), past which distinct points cannot first differ;
+    math.inf when they agree there."""
+    for k in range(x.extent + y.extent):
+        if x[k] != y[k] or x[-k] != y[-k]:
+            return k
+    return math.inf
+
+
+def brute_distance(x, y):
+    k = brute_radius(x, y)
+    return 0.0 if k == math.inf else max(2.0 ** -k, math.ulp(0.0))
+
+
+three = st.integers(0, 2)
+short_words = st.lists(three, max_size=4).map(tuple)
+
+
+@st.composite
+def cored_points(draw, core):
+    """A point carrying ``core`` across coordinate 0, with random tails and
+    random words either side of the core."""
+    before, after = draw(short_words), draw(short_words)
+    pos = -len(before) - len(core) // 2 + draw(st.integers(-2, 2))
+    return ShiftPoint(draw(short_words.filter(bool)), before + core + after,
+                      draw(short_words.filter(bool)), pos)
+
+
+@st.composite
+def cored_sets(draw, core):
+    """Points sharing ``core``, with duplicates: a point twice, a point and a
+    presentation of it with longer tails, and the core's periodic point."""
+    points = draw(st.lists(cored_points(core), min_size=1, max_size=4))
+    x = draw(st.sampled_from(points))
+    points += draw(st.sampled_from([[], [x], [ShiftPoint(x.left * 2, x.center, x.right * 3,
+                                                          x.pos)]]))
+    if draw(st.booleans()):
+        points.append(ShiftPoint.from_cycle(core, draw(st.integers(0, len(core) - 1))))
+    return draw(st.permutations(points))
+
+
+# cores longer than 2 * _FIRST_RADIUS: points agree past the first rung, and
+# past the second on the longest
+cores = st.lists(three, min_size=2 * _FIRST_RADIUS + 1, max_size=5 * _FIRST_RADIUS).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_query_matches_the_brute_radius_at_every_rung(data):
+    core = data.draw(cores)
+    xs, ys = data.draw(cored_sets(core)), data.draw(cored_sets(core))
+    for x in xs:
+        for y in ys:
+            k = brute_radius(x, y)
+            assert x.agreement_radius(y) == y.agreement_radius(x) == k
+            assert x.distance(y) == brute_distance(x, y)
+    there = [min(brute_distance(x, y) for y in ys) for x in xs]
+    back = [min(brute_distance(y, x) for x in xs) for y in ys]
+    assert nearest_distances(xs, ys) == there
+    assert nearest_distances(ys, xs) == back
+    assert hausdorff_distance(xs, ys) == hausdorff_distance(ys, xs) == max(there + back)
+    # the orbit of the core's periodic point against the points, some of them its own
+    shifts = [ShiftPoint.from_cycle(core).shift(i) for i in range(len(xs))]
+    points = [shifts[i] if data.draw(st.booleans()) else x for i, x in enumerate(xs)]
+    assert cycle_distances(core, points) == [brute_distance(s, y)
+                                             for s, y in zip(shifts, points)]
+
+
+def test_deep_agreement_and_equal_points_reach_the_last_rung():
+    core = (0, 1, 2) * 30  # agreement radius 44 or more: three rungs
+    x, y = (ShiftPoint((0,), core + tail, (1,), pos=-45) for tail in ((0,), (2,)))
+    assert x.agreement_radius(y) == brute_radius(x, y) == 45
+    twin = ShiftPoint((0, 0), core + (0,), (1, 1), pos=-45)
+    assert twin == x and x.agreement_radius(twin) == math.inf
+    assert nearest_distances([x, y, x], [twin, twin]) == [0.0, 2.0 ** -45, 0.0]
+    assert hausdorff_distance([x, x], [twin]) == 0.0
+    assert hausdorff_distance([x, y], [twin, twin]) == 2.0 ** -45
+
+
+def test_a_coarse_hausdorff_distance_cuts_reference_keys_at_the_first_rung():
+    datum = homoclinic_point(SftSystem(TransitionMatrix.full_shift(2)), (0, 1), 2.0 ** -3)
+    params = compute_excursion_parameters(datum)
+    po = build_periodic_pseudo_orbit(datum, params, params.N0)
+    # fresh copies: building the datum may have cut keys of its own points
+    reference = [ShiftPoint(y.left, y.center, y.right, y.pos)
+                 for y in [*datum.segment, *datum.p_orbit]]
+    d = hausdorff_distance(po.points, reference)
+    assert 2.0 ** -_FIRST_RADIUS < d <= datum.delta
+    assert d == max(max(min(brute_distance(x, y) for y in reference) for x in po.points),
+                    max(min(brute_distance(y, x) for x in po.points) for y in reference))
+    assert max(y._key[0] for y in reference) == _FIRST_RADIUS

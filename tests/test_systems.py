@@ -142,6 +142,30 @@ def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
     assert fraction_orbits(CAT, 12, 20) == list(fraction_orbit_scan(CAT, 12, 20))
 
 
+def test_the_orbit_walk_ends_once_every_orbit_has_closed():
+    # the cat map is the square of the Fibonacci matrix, whose period mod q is
+    # at most 6q, so at q <= 40 every orbit closes within 120 steps
+    def lattices(max_period):
+        return [(q, points.tolist(), orbits) for q, points, orbits
+                in CAT.rational_orbit_lattices(max_period, 40)]
+
+    def best_time(max_period):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            lattices(max_period)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert lattices(120) == lattices(2000) == lattices(20000)
+    family = fourier_family(3)
+    for max_period in (120, 20000):
+        res = approximate_by_periodic(LebesgueTorus(), CAT, 0.05, family, max_period, 40)
+        assert (res.description, res.distance) == ("orbit(0/25,3/25)", 0.00048317675951971213)
+    # the walk stopped taking steps: 20,000 costs about what 120 does
+    assert best_time(20000) < 3 * best_time(120) + 0.02
+
+
 @pytest.mark.parametrize("max_period, max_denominator", [(0, 0), (0, 1), (1, 0)])
 def test_an_empty_torus_horizon_has_no_periodic_candidates(max_period, max_denominator):
     family = fourier_family(2)
