@@ -2,36 +2,26 @@
 """Which short cat-map orbits equidistribute?
 
 Scans all rational periodic orbits up to a period and denominator bound
-and ranks them by weak-* distance to Lebesgue over low Fourier modes.
+and ranks them by weak-* distance to Lebesgue over the Fourier modes
+of bound 3.
 """
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from symshadow.measures import LebesgueTorus, fourier_family, rational_orbit_distances
 from symshadow.systems import cat_map
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    max_period: int = 30
-    max_denominator: int = 40
-    mode_bound: int = 3
-    top: int = 10
-
-
-def run(config: ScanConfig):
-    system = cat_map()
-    family = fourier_family(config.mode_bound)
+def run(args):
     start = time.time()
     ranked = sorted((d, len(orbit), q, (i, j)) for (i, j, q), orbit, d in
-                    rational_orbit_distances(LebesgueTorus(), system, family,
-                                             config.max_period, config.max_denominator))
-    print(f"{len(ranked)} orbits of period <= {config.max_period} with "
-          f"denominator <= {config.max_denominator} in {time.time() - start:.1f}s")
+                    rational_orbit_distances(LebesgueTorus(), cat_map(), fourier_family(3),
+                                             args.max_period, args.max_denominator))
+    print(f"{len(ranked)} orbits of period <= {args.max_period} with "
+          f"denominator <= {args.max_denominator} in {time.time() - start:.1f}s")
     print(f"{'distance':>10} {'period':>7} {'q':>4}  start")
-    for d, period, q, start_pt in ranked[:config.top]:
+    for d, period, q, start_pt in ranked[:args.top]:
         print(f"{d:>10.5f} {period:>7} {q:>4}  ({start_pt[0]}/{q}, {start_pt[1]}/{q})")
 
 
@@ -40,9 +30,7 @@ def main():
     parser.add_argument("--max-period", type=int, default=30)
     parser.add_argument("--max-denominator", type=int, default=40)
     parser.add_argument("--top", type=int, default=10)
-    args = parser.parse_args()
-    run(ScanConfig(max_period=args.max_period,
-                   max_denominator=args.max_denominator, top=args.top))
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,8 +69,9 @@ MAX_CODING_DEPTH = 9
 MAX_SHADOW_LENGTH = 512
 
 # torus approx-measure requests walking more lattice steps than this are refused: each
-# of the sum of q^2 lattice points over q <= --max-denominator takes up to --max-period
-# steps, and each step costs about 1,024 more for its fixed array passes.  The cat map at
+# of the sum of q^2 lattice points over q <= Q = --max-denominator takes up to
+# min(--max-period, Q^2) steps, as an orbit of points of exact order q has fewer than q^2
+# points, and each step costs about 1,024 more for its fixed array passes.  The cat map at
 # --max-period 30 walks Q = 376 (the last kept) in 4.4 s near 190 MB; Q = 400 took 4.4 s
 # near 185 MB, Q = 500 8.4 s near 200 MB, and Q = 100,000 ran past 60 s (2-core x86_64)
 MAX_LATTICE_STEPS = 1 << 29
@@ -80,21 +80,6 @@ MAX_LATTICE_STEPS = 1 << 29
 # are refused: golden mean, epsilon 1/4, n_max 8000 lists 32M symbols in 10.5 s,
 # peaks near 520 MB and writes 32 MB of JSON; n_max 30,000 ran out of memory
 MAX_WITNESS_SYMBOLS = 1 << 25
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved parameters of one command run; embedded verbatim in
-    every report so no default stays hidden."""
-
-    command: str
-    parameters: dict
-    seed: int = 0
-    version: str = __version__
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "parameters": self.parameters,
-                "seed": self.seed, "version": self.version}
 
 
 def _load_json(path: str) -> dict:
@@ -135,20 +120,23 @@ def _fraction(text: str, what: str) -> Fraction:
         raise ValueError(f"{what} must be rationals, got {text!r}") from exc
 
 
-def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
-          fmt: str = "json", table: list | None = None) -> None:
-    """Write the JSON report and, given a table (header row first), its CSV
-    trace; echo the one ``fmt`` names to stdout."""
-    report = {"config": config.as_dict(), **report}
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    out = Path(out_dir)
+def _emit(args, parameters: dict, report: dict, table: list | None = None) -> None:
+    """Write the JSON report, headed by the fully resolved parameters so no
+    default stays hidden, into --out as <command>.json, and given a table
+    (header row first) its CSV trace; echo the one --format names to stdout."""
+    config = {"command": args.command, "parameters": parameters,
+              "seed": args.seed, "version": __version__}
+    text = json.dumps({"config": config, **report}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+    name = args.command.replace("-", "_")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{name}.json").write_text(text)
     if table is not None:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(table)
         (out / f"{name}.csv").write_text(buf.getvalue())
-    sys.stdout.write(buf.getvalue() if fmt == "csv" else text)
+    sys.stdout.write(buf.getvalue() if getattr(args, "format", "json") == "csv" else text)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -156,10 +144,7 @@ def _emit(report: dict, config: ExperimentConfig, out_dir: str, name: str,
 
 def cmd_analyze(args) -> int:
     matrix = _load_matrix(args.matrix)
-    config = ExperimentConfig("analyze", {
-        "matrix": [list(r) for r in matrix.rows],
-        "max_period": args.max_period,
-    }, seed=args.seed)
+    parameters = {"matrix": [list(r) for r in matrix.rows], "max_period": args.max_period}
     irreducible = is_irreducible(matrix)
     report: dict = {
         "size": matrix.size,
@@ -173,7 +158,7 @@ def cmd_analyze(args) -> int:
         report["class_period"] = decomp.class_period
         report["classes"] = [sorted(c) for c in decomp.classes]
         report["entropy"] = topological_entropy(matrix)
-    _emit(report, config, args.out, "analyze")
+    _emit(args, parameters, report)
     return EXIT_OK
 
 
@@ -189,11 +174,8 @@ def _printable(count: int) -> int:
 
 def cmd_lpp(args) -> int:
     matrix = _load_matrix(args.matrix)
-    config = ExperimentConfig("lpp", {
-        "matrix": [list(r) for r in matrix.rows],
-        "epsilon": args.epsilon, "n_max": args.n_max,
-        "cycle": args.cycle,
-    }, seed=args.seed)
+    parameters = {"matrix": [list(r) for r in matrix.rows], "epsilon": args.epsilon,
+                  "n_max": args.n_max, "cycle": args.cycle}
     if args.cycle:
         cyc = SymbolicCycle.from_word(matrix, _parse_word(args.cycle))
         result = homoclinic_restricted_certificate(matrix, cyc, args.epsilon, args.n_max)
@@ -206,7 +188,7 @@ def cmd_lpp(args) -> int:
             raise PreconditionError(f"--n-max {args.n_max} lists {symbols} witness symbols "
                                     f"(N0 = {result.N0}), more than {MAX_WITNESS_SYMBOLS}")
     report = {"verdict": verdict, **result.to_json_dict()}
-    _emit(report, config, args.out, "lpp")
+    _emit(args, parameters, report)
     return EXIT_OK
 
 
@@ -233,10 +215,8 @@ def cmd_pseudo_shadow(args) -> int:
         raise PreconditionError(f"length range [{n_from}, {n_to}] (N0 = {params.N0}) exceeds "
                                 f"{MAX_SHADOW_LENGTH}: the orbits grow with the length")
     datum = datum.covering(params, n_to)
-    config = ExperimentConfig("pseudo-shadow", {
-        "system": system.to_config(), "anchor": str(args.point_or_cycle),
-        "delta": args.delta, "n_from": n_from, "n_to": n_to, "tol": args.tol,
-    }, seed=args.seed)
+    parameters = {"system": system.to_config(), "anchor": str(args.point_or_cycle),
+                  "delta": args.delta, "n_from": n_from, "n_to": n_to, "tol": args.tol}
 
     reference = datum.reference
     rows = []
@@ -271,8 +251,7 @@ def cmd_pseudo_shadow(args) -> int:
     if args.dump_orbits:
         report["orbits"] = dumps
     columns = ["n", "defect", "residual", "shadow_distance", "dense_at_3eps"]
-    _emit(report, config, args.out, "pseudo_shadow", args.format,
-          [columns] + [[r[c] for c in columns] for r in rows])
+    _emit(args, parameters, report, [columns] + [[r[c] for c in columns] for r in rows])
     return EXIT_OK
 
 
@@ -330,16 +309,14 @@ def cmd_approx_measure(args) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
     target, target_id = _load_target(args.target, system)
-    config = ExperimentConfig("approx-measure", {
-        "system": system.to_config(), "target": target_id, "epsilon": args.epsilon,
-        "mode": args.mode, "depth": args.depth, "max_period": args.max_period,
-        "max_denominator": args.max_denominator,
-    }, seed=args.seed)
+    parameters = {"system": system.to_config(), "target": target_id, "epsilon": args.epsilon,
+                  "mode": args.mode, "depth": args.depth, "max_period": args.max_period,
+                  "max_denominator": args.max_denominator}
 
     table: list = [["target", "method", "parameter", "distance"]]
     if args.mode == "periodic":
         q = args.max_denominator  # the torus walk is counted before any lattice is listed
-        steps = args.max_period * (q * (q + 1) * (2 * q + 1) // 6 + 1024)
+        steps = min(args.max_period, q * q) * (q * (q + 1) * (2 * q + 1) // 6 + 1024)
         if matrix is None and steps > MAX_LATTICE_STEPS:
             raise PreconditionError(f"--max-period {args.max_period} and --max-denominator {q} "
                                     f"walk {steps} lattice steps, more than {MAX_LATTICE_STEPS}")
@@ -376,7 +353,7 @@ def cmd_approx_measure(args) -> int:
         table.append([target_id, "periodic", report["cycle"],
                       weak_star_distance(ba.periodic_measure, target, family)])
         table.extend([target_id, "bernoulli", f"m={m}", d] for m, d in ba.scan)
-    _emit(report, config, args.out, "approx_measure", args.format, table)
+    _emit(args, parameters, report, table)
     return EXIT_OK
 
 
@@ -391,10 +368,8 @@ def cmd_perturb_smoke(args) -> int:
         raise ValueError(f"magnitude {mag} exceeds the hyperbolicity margin: "
                          f"perturbed rates ({new_c:.4g}, {new_e:.4g})")
     perturbed = Horseshoe(new_c, new_e)
-    config = ExperimentConfig("perturb-smoke", {
-        "system": system.to_config(), "magnitude": mag, "epsilon": args.epsilon,
-        "n_max": args.n_max,
-    }, seed=args.seed)
+    parameters = {"system": system.to_config(), "magnitude": mag, "epsilon": args.epsilon,
+                  "n_max": args.n_max}
 
     def certificate_for(h: Horseshoe):
         m_geo = h.word_length(args.epsilon)
@@ -407,7 +382,7 @@ def cmd_perturb_smoke(args) -> int:
     after = certificate_for(perturbed)
     report = {"before": before, "after": after,
               "same_N0": before["N0"] == after["N0"]}
-    _emit(report, config, args.out, "perturb_smoke")
+    _emit(args, parameters, report)
     return EXIT_OK
 
 
@@ -420,10 +395,8 @@ def cmd_coding_table(args) -> int:
     if args.depth > MAX_CODING_DEPTH:
         raise PreconditionError(f"--depth {args.depth} exceeds {MAX_CODING_DEPTH}: "
                                 f"the table would have 4^{args.depth} rows")
-    config = ExperimentConfig("coding-table", {
-        "system": system.to_config(), "depth": args.depth}, seed=args.seed)
-    report = {"table": system.coding_table(args.depth)}
-    _emit(report, config, args.out, "coding_table")
+    _emit(args, {"system": system.to_config(), "depth": args.depth},
+          {"table": system.coding_table(args.depth)})
     return EXIT_OK
 
 

@@ -21,14 +21,16 @@ rungs: radius 16, doubled while an answer is open, and last
 e(x) + e(y), past which distinct points differ.  At radius R a nonzero XOR
 fixes the agreement radius k <= R, while a zero one only bounds d by
 2^-(R+1), so only the pairs that agree that far take the next rung, and
-the last rung decides equality.  Point-set queries make one merged sort of
-the distinct keys of both sets, where a key shares its longest prefix with
-a set at that set's nearest key before or after it.
+the last rung decides equality.  Point-set queries sort the distinct keys
+of the set they measure against once and bisect each distinct query key
+not among them into them, since a key shares its longest prefix with a
+sorted set at its neighbour before or after.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Sequence
 
 from .sft import Word, _primitive_period
@@ -242,27 +244,23 @@ def _ladder(count: int, bits_at, last, distance=_key_distance, first: int = _FIR
     return out
 
 
-def _nearest_bits(xs: Sequence[int], ys: Sequence[int]) -> tuple[dict, dict]:
-    """For each key of xs the least bit length of its XOR with a key of ys,
-    and for each key of ys the least with a key of xs, as dicts keyed by the
-    keys, from one sort of the distinct keys of one size.  The XOR of two
-    keys is as long as the longest XOR of sorted neighbours between them, so
-    the least is reached at the other set's nearest key before or after: a
-    sweep each way carries the longest neighbour XOR since its latest key."""
-    there, back = dict.fromkeys(xs, math.inf), dict.fromkeys(ys, math.inf)
-    ranked = sorted(there.keys() | back.keys())
-    gaps = [(a ^ b).bit_length() for a, b in zip(ranked, ranked[1:])]
-    for best, other in ((there, back), (back, there)):
-        for sweep, steps in ((ranked, [0, *gaps]), (ranked[::-1], [0, *gaps[::-1]])):
-            since = math.inf  # no key of the other set seen yet
-            for key, gap in zip(sweep, steps):
-                if key in other:
-                    since = 0
-                elif since < gap:
-                    since = gap
-                if since < best.get(key, -1):
-                    best[key] = since
-    return there, back
+def _least_bits(keys: Sequence[int], others: Sequence[int]) -> dict:
+    """For each key of ``keys`` the least bit length of its XOR with a key of
+    ``others`` (keys of one size, others not empty), as a dict keyed by the
+    keys.  A key among the others reads 0 from one hash, as most query keys
+    do; any other shares its longest prefix with the sorted others at its
+    neighbour before or after, so it is bisected into them, sorted once."""
+    distinct = set(others)
+    ranked = sorted(distinct)
+    ranked = [ranked[0], *ranked, ranked[-1]]  # a neighbour either side of every key
+    least = {}
+    for key in set(keys):
+        if key in distinct:
+            least[key] = 0
+        else:
+            i = bisect_left(ranked, key, 1, len(ranked) - 1)
+            least[key] = min((key ^ ranked[i - 1]).bit_length(), (key ^ ranked[i]).bit_length())
+    return least
 
 
 def _key_radius(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> int:
@@ -279,14 +277,14 @@ def nearest_distances(queries: Sequence[ShiftPoint],
 
 
 def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
-    """max(max_x d(x, ys), max_y d(y, xs)), exactly, from one merged sort of
-    both key sets per rung: the first nonzero largest least XOR settles it;
-    an empty set raises ValueError."""
+    """max(max_x d(x, ys), max_y d(y, xs)), exactly, from the least XOR of
+    each side at each rung: the first nonzero largest one settles it; an
+    empty set raises ValueError."""
     if not xs or not ys:
         raise ValueError("distance to an empty point set")
     for radius in _rungs(lambda: _key_radius(xs, ys)):
-        there, back = _nearest_bits([x.key(radius) for x in xs], [y.key(radius) for y in ys])
-        bits = max(*there.values(), *back.values())
+        xk, yk = [x.key(radius) for x in xs], [y.key(radius) for y in ys]
+        bits = max(*_least_bits(xk, yk).values(), *_least_bits(yk, xk).values())
         if bits:
             break
     return _key_distance(bits, radius)
@@ -313,8 +311,8 @@ def _nearest_ladder(queries, points, cut, last, distance=_key_distance, first=_F
 
     def bits_at(radius, todo):
         keys = [cut(queries[i], radius) for i in todo]
-        there = _nearest_bits(keys, [cut(y, radius) for y in points])[0]
-        return [there[key] for key in keys]
+        least = _least_bits(keys, [cut(y, radius) for y in points])
+        return [least[key] for key in keys]
     return _ladder(len(queries), bits_at, last, distance, first)
 
 

@@ -14,9 +14,10 @@ import symshadow.cli
 from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_SHADOW_LENGTH,
                            MAX_WITNESS_SYMBOLS, main)
 from symshadow.dense_periods import WitnessMap
-from symshadow.measures import FAMILY_SIZE, cylinder_family, fourier_family
+from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
+                                cylinder_family, fourier_family)
 from symshadow.sft import TransitionMatrix
-from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism
+from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism, cat_map
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -624,6 +625,20 @@ def test_torus_lattice_walk_exit_3(files, capsys, monkeypatch):
         assert f"walk {steps} lattice steps, more than {MAX_LATTICE_STEPS}" \
             in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+def test_torus_lattice_walk_is_counted_at_most_q_squared_steps(files, capsys):
+    # an orbit of points of exact order q has fewer than q^2 points, so Q = 40 walks
+    # at most 40^2 steps whatever --max-period says: 37,062,400 lattice steps
+    assert min(100_000, 40 * 40) * (40 * 41 * 81 // 6 + 1024) == 37_062_400 < MAX_LATTICE_STEPS
+    assert main(["approx-measure", files["lebesgue"], files["cat"], "--epsilon", "0.05",
+                 "--mode", "periodic", "--max-period", "100000", "--max-denominator", "40",
+                 "--out", files["out"]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    res = approximate_by_periodic(LebesgueTorus(), cat_map(), 0.05, fourier_family(3),
+                                  max_period=100_000, max_denominator=40)
+    assert report["method"] == res.description == "orbit(0/25,3/25)"
+    assert report["distance"] == res.distance == 0.00048317675951971213
 
 
 def strict_json(text: str):

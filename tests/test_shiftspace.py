@@ -14,8 +14,9 @@ from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, cycle_distances,
-                                  hausdorff_distance, nearest_distances, word_radius)
+from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _digits, _least_bits,
+                                  cycle_distances, hausdorff_distance, nearest_distances,
+                                  word_radius)
 from symshadow.systems import SftSystem, homoclinic_point
 
 
@@ -440,6 +441,38 @@ def test_every_query_matches_the_brute_radius_at_every_rung(data):
     points = [shifts[i] if data.draw(st.booleans()) else x for i, x in enumerate(xs)]
     assert cycle_distances(core, points) == [brute_distance(s, y)
                                              for s, y in zip(shifts, points)]
+
+
+@st.composite
+def key_sets(draw):
+    """Query keys and other keys of one width, each a shared word cut at a
+    random length and finished with random symbols: long shared prefixes,
+    leading zero symbols, repeated keys and query keys among the others."""
+    size = draw(st.integers(1, 10))
+    symbols = st.integers(0, 4)
+    word = draw(st.lists(symbols, min_size=size, max_size=size))
+
+    def keys(min_size, max_size):
+        out = []
+        for _ in range(draw(st.integers(min_size, max_size))):
+            cut = draw(st.integers(0, size))
+            tail = draw(st.lists(symbols, min_size=size - cut, max_size=size - cut))
+            out.append(_digits("".join(map(chr, word[:cut] + tail))))
+        return out + draw(st.lists(st.sampled_from(out), max_size=2))  # repeats
+    others = keys(1, 6)
+    queries = keys(1, 6) + draw(st.lists(st.sampled_from(others), max_size=2))
+    return draw(st.permutations(queries)), draw(st.permutations(others))
+
+
+@given(key_sets())
+def test_least_bits_match_the_brute_minimum(sets):
+    keys, others = sets
+    assert _least_bits(keys, others) == {key: min((key ^ other).bit_length() for other in others)
+                                         for key in keys}
+    # one-element sets either side
+    assert _least_bits(keys[:1], others) == {keys[0]: min((keys[0] ^ o).bit_length()
+                                                          for o in others)}
+    assert _least_bits(keys, others[:1]) == {key: (key ^ others[0]).bit_length() for key in keys}
 
 
 def test_deep_agreement_and_equal_points_reach_the_last_rung():
