@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,8 @@ from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix
                   _merge_overlap, _primitive_period, admissible_words, is_primitive,
                   longer_words, perron_data)
 from .shiftspace import ShiftPoint
-from .systems import _BLOCK_ENTRIES, SftSystem, ToralAutomorphism, sft_homoclinic_splice
+from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphism,
+                      sft_homoclinic_splice)
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
@@ -51,6 +52,13 @@ TWO_PI_I = 2j * math.pi
 # observables a test family keeps: 2.0 ** -FAMILY_SIZE is the least positive float
 # and 2.0 ** -(FAMILY_SIZE + 1) is 0.0
 FAMILY_SIZE = 1074
+# modes of a Fourier family whose weighted gaps bound a torus orbit's score from
+# below: the weights fall as 2^-j, so the two heaviest carry 3/4 of the weight
+HEAVY_MODES = 2
+# the bound and the score each add a few thousand float terms w_j |t_j - I_j| <= 2 w_j,
+# so for weights summing to <= 1 they part by < 1e-12: a bound past max(within, U)
+# by this absolute slack is a score past it too
+BOUND_SLACK = 1e-9
 
 
 # -- observables ----------------------------------------------------------
@@ -429,26 +437,38 @@ def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
 
 
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
-                             max_period: int, max_denominator: int) -> Iterator[tuple]:
-    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``,
-    d the weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
-    zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to sum_r c_r
-    zeta_q^r / n over its residue counts c_r, counted for a block of a q's orbits at
-    once: at most ``_BLOCK_ENTRIES`` residues and counts, or one orbit that needs
-    more; a score reads its own orbit's counts only, so blocking keeps its bits.
+                             max_period: int, max_denominator: int,
+                             within: float = math.inf) -> Iterator[tuple]:
+    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``
+    whose score d can be <= max(within, d*), d* the least score of the horizon;
+    ``within=inf`` lists them all.  d is the weak-* distance from the target up to
+    rounding: (u/q, v/q) has e(k.x) = zeta_q^r, r = (k0 u + k1 v) mod q, so an
+    n-point orbit integrates to sum_r c_r zeta_q^r / n over its residue counts c_r,
+    counted for a block of a q's orbits at once: at most ``_BLOCK_ENTRIES`` residues
+    and counts, or one orbit that needs more; a score reads its own orbit's counts
+    only, so blocking, and which orbits share a block, keeps its bits.
     Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
-    halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s."""
+    halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s.
+
+    Below ``within=inf`` the orbits are first bounded, a group of lattices at a
+    time: every term of a score is >= 0, so the terms of its ``HEAVY_MODES``
+    heaviest modes are a lower bound b on it (``_heavy_mode_bounds``).  The orbit
+    of least b is scored; the least such score U so far is >= d*, and an orbit
+    with b > max(within, U) + ``BOUND_SLACK`` scores above both within and d*, so
+    it is dropped unscored.  The survivors are scored as above, so each yielded d
+    keeps the bits it has in the full listing."""
     if not all(isinstance(obs, FourierMode) for obs in family.observables):
         raise TypeError("torus orbits integrate Fourier modes only")
     modes = np.array([obs.k for obs in family.observables], dtype=int).reshape(-1, 2).T
-    width = modes.shape[1]
+    width, weights = modes.shape[1], np.array(family.weights)
     target_integrals = np.array(target.integrals(family), dtype=complex)
-    for q, points, orbits in system.rational_orbit_lattices(max_period, max_denominator):
-        bounds = np.cumsum([0] + [len(orbit) for _, orbit in orbits])
+
+    def scores(q, points, lengths):
+        bounds = np.cumsum([0] + lengths)
         step = max(1, _BLOCK_ENTRIES // ((max_period + q) * width))  # orbits per block
         reflect, zeta = -np.arange(q) % q, np.exp(2j * np.pi * np.arange(q) / q)
-        for lo in range(0, len(orbits), step):
-            hi = min(lo + step, len(orbits))
+        for lo in range(0, len(lengths), step):
+            hi = min(lo + step, len(lengths))
             owner = np.repeat(np.arange(hi - lo), np.diff(bounds[lo:hi + 1]))
             cells = (owner[:, None] * width + np.arange(width)) * q
             counts = np.bincount((cells + points[bounds[lo]:bounds[hi]] @ modes % q).ravel(),
@@ -458,9 +478,45 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
             integrals = (np.einsum("...r,r", counts + mirror, zeta.real)
                          + 1j * np.einsum("...r,r", counts - mirror, zeta.imag)
                          ) / counts.sum(-1) / 2
-            d = (np.array(family.weights) * np.abs(target_integrals - integrals)).sum(-1)
-            yield from ((start, orbit, dist)
-                        for (start, orbit), dist in zip(orbits[lo:hi], d.tolist()))
+            yield from (weights * np.abs(target_integrals - integrals)).sum(-1).tolist()
+
+    def survivors(lattices):
+        least = math.inf  # the least score so far of a group's orbit of least bound
+        # a group's q hold about one walk chunk of lattice points (sum q^2 ~ q^3 / 3)
+        chunk = lambda lattice: lattice[0] ** 3 // 3 // _CHUNK_POINTS
+        for group in (list(group) for _, group in groupby(lattices, key=chunk)):
+            bound = _heavy_mode_bounds(target, family, group)
+            q, orbit = [(q, orbit) for q, _, orbits in group
+                        for _, orbit in orbits][bound.argmin()]
+            least = min(least, next(scores(q, np.array(orbit), [len(orbit)])))
+            keep = bound <= max(least, within) + BOUND_SLACK
+            for q, points, orbits in group:
+                kept, keep = keep[:len(orbits)], keep[len(orbits):]
+                if kept.any():
+                    yield (q, points[np.repeat(kept, [len(orbit) for _, orbit in orbits])],
+                           list(compress(orbits, kept)))
+
+    lattices = system.rational_orbit_lattices(max_period, max_denominator)
+    for q, points, orbits in lattices if within == math.inf else survivors(lattices):
+        yield from ((start, orbit, d) for (start, orbit), d
+                    in zip(orbits, scores(q, points, [len(orbit) for _, orbit in orbits])))
+
+
+def _heavy_mode_bounds(target, family: TestFamily, lattices: Sequence[tuple]) -> np.ndarray:
+    """sum_j w_j |t_j - I_j| over the ``HEAVY_MODES`` heaviest modes j of the family
+    for each orbit of the (q, points, orbits) lattices, a lower bound on its score
+    up to rounding: I_j is the mean of cos + i sin of 2 pi r / q over the orbit's
+    points (u, v), r = k_j.(u, v) mod q, for all orbits at once."""
+    weights = np.array(family.weights)
+    heavy = np.argsort(-weights, kind="stable")[:HEAVY_MODES]
+    modes = np.array([family.observables[j].k for j in heavy], dtype=int).reshape(-1, 2).T
+    lengths = np.array([len(orbit) for _, _, orbits in lattices for _, orbit in orbits])
+    qs = np.repeat([q for q, _, _ in lattices], [len(points) for _, points, _ in lattices])
+    residues = np.concatenate([points for _, points, _ in lattices]) @ modes % qs[:, None]
+    angles, first = 2 * np.pi * residues / qs[:, None], lengths.cumsum() - lengths
+    integrals = (np.add.reduceat(np.cos(angles), first)
+                 + 1j * np.add.reduceat(np.sin(angles), first)) / lengths[:, None]
+    return np.abs(np.array(target.integrals(family))[heavy] - integrals) @ weights[heavy]
 
 
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
@@ -475,7 +531,10 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     mod q.  ``prefer`` picks the winner: smallest distance (default, ties to
     the smaller period, then the description, as for mirrored orbits) or the
     shortest orbit within epsilon ("shortest_within", else smallest distance).
-    Only the winner's measure is built.
+    So a torus orbit that scores above epsilon and above the least score
+    cannot win, and ``rational_orbit_distances`` drops it unscored where its
+    heavy-mode bound shows that (within = epsilon under "shortest_within",
+    0 under "distance").  Only the winner's measure is built.
     """
     if isinstance(system, SftSystem):
         matrix = system.matrix
@@ -487,7 +546,8 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
         scored = ((d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates))
         describe = str
     elif isinstance(system, ToralAutomorphism):
-        orbits = rational_orbit_distances(target, system, family, max_period, max_denominator)
+        orbits = rational_orbit_distances(target, system, family, max_period, max_denominator,
+                                          epsilon if prefer == "shortest_within" else 0.0)
         scored = ((d, len(orbit), start, (start[2], orbit)) for start, orbit, d in orbits)
         describe = lambda start: "orbit({0}/{2},{1}/{2})".format(*start)
     else:

@@ -751,7 +751,7 @@ def test_the_torus_scan_takes_its_minimum_as_the_orbits_stream(monkeypatch):
     # descriptions break them; listing it would hold every candidate
     count = 100_000
 
-    def stream(target, system, family, max_period, max_denominator):
+    def stream(target, system, family, max_period, max_denominator, within=math.inf):
         for t in range(count):  # distinct starts: 7919 is a unit mod 400^2
             q, (i, j) = 400, divmod(t * 7919 % 160_000, 400)
             yield (i, j, q), [(i, j)] * (2 if t % 3 else 1), (0.125, 0.25, 0.0625)[t % 3] + t % 5
@@ -792,6 +792,85 @@ def test_torus_orbit_scores_do_not_depend_on_the_block_budget(monkeypatch, budge
     whole = [scores(LebesgueTorus()), scores(orbit_target)]
     monkeypatch.setattr(measures, "_BLOCK_ENTRIES", budget)
     assert [scores(LebesgueTorus()), scores(orbit_target)] == whole
+
+
+BENCH_HORIZONS = [(24, 28), (25, 28), (29, 33), (30, 33)]
+CAT = cat_map()
+TORUS_TARGETS = {
+    "lebesgue": LebesgueTorus(),
+    "orbit": periodic_measure(CAT.orbit_of((Fraction(1, 5), Fraction(2, 5)))),
+    # not an orbit: its integrals have nonzero imaginary parts
+    "point": FiniteSupportMeasure([((Fraction(1, 7), Fraction(3, 7)), Fraction(1))]),
+}
+BOUND_FAMILIES = [fourier_family(bound) for bound in (1, 2, 3, 4)] + [
+    Family(fourier_family(2).observables, (1 / 12,) * 12, "twelve modes, equal weights"),
+    Family((FourierMode((1, 2)),), (0.5,), "one mode"),
+]
+
+
+@pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)
+def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
+    lattices = list(CAT.rational_orbit_lattices(*horizon))
+    for name, target in TORUS_TARGETS.items():
+        reference = reference_candidates(target, CAT, *horizon)
+        for family in BOUND_FAMILIES:
+            full = list(rational_orbit_distances(target, CAT, family, *horizon))
+            score = {start: d for start, _, d in full}
+            least = min(score.values())
+            bounds = measures._heavy_mode_bounds(target, family, lattices)
+            assert len(bounds) == len(full)
+            assert all(b <= d + measures.BOUND_SLACK for b, (_, _, d) in zip(bounds, full))
+            for within in (0.0, 0.01, 0.05, 0.3):
+                kept = list(rational_orbit_distances(target, CAT, family, *horizon, within))
+                # every kept score is the full scan's, and every orbit that can win is kept
+                assert all(score[start].hex() == d.hex() for start, _, d in kept)
+                kept_starts = {start for start, _, _ in kept}
+                assert {s for s, d in score.items() if d <= max(within, least)} <= kept_starts
+                if name == "lebesgue":  # a mirror pair is kept or dropped together
+                    kept_points = {(u, v, q) for (_, _, q), orbit, _ in kept for u, v in orbit}
+                    assert all(((-i % q, -j % q, q) in kept_points) == ((i, j, q) in kept_points)
+                               for i, j, q in score)
+            scanned = [(d, len(orbit), "orbit({0}/{2},{1}/{2})".format(*start))
+                       for start, orbit, d in full]
+            for prefer in ("distance", "shortest_within"):
+                for epsilon in (0.01, 0.05, 0.3):
+                    res = approximate_by_periodic(target, CAT, epsilon, family, *horizon,
+                                                  prefer=prefer)
+                    within = [s for s in scanned if s[0] <= epsilon]
+                    pick = (min(within, key=lambda s: (s[1], s[0], s[2]))
+                            if prefer == "shortest_within" and within else min(scanned))
+                    assert res.description == pick[2]
+                    # the scan's scores and the full measures' distances part in their
+                    # last bits, so a near tie of the two can fall either way (127 of
+                    # these 864 requests, without the bound too); the distances agree
+                    d, n, _, _ = reference_pick(target, reference, epsilon, family, prefer)
+                    assert abs(res.distance - d) <= 1e-15
+                    assert len(res.measure.atoms) == n or prefer == "distance"
+
+
+def test_the_bounded_torus_scan_at_the_edges(monkeypatch):
+    family = fourier_family(3)
+    for horizon in ((0, 0), (0, 1), (1, 0)):  # no orbits: nothing is bounded
+        assert list(rational_orbit_distances(LebesgueTorus(), CAT, family, *horizon, 0.0)) == []
+    # one orbit, the fixed point at the origin, is kept whatever within says
+    assert [(start, orbit) for _, _, orbits in CAT.rational_orbit_lattices(1, 1)
+            for start, orbit in orbits] == [((0, 0, 1), [(0, 0)])]
+    for within in (0.0, 0.5, math.inf):
+        assert [(start, d.hex()) for start, _, d in
+                rational_orbit_distances(LebesgueTorus(), CAT, family, 1, 1, within)] \
+            == [((0, 0, 1), weak_star_distance(LebesgueTorus(), periodic_measure(
+                [(Fraction(0), Fraction(0))]), family).hex())]
+    # in blocks of one orbit, and bounded one lattice per group, survivors score bit
+    # for bit as in the full scan, and the least score is still among them
+    target = TORUS_TARGETS["orbit"]
+    full = {start: d.hex() for start, _, d in
+            rational_orbit_distances(target, CAT, family, 30, 33)}
+    monkeypatch.setattr(measures, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(measures, "_CHUNK_POINTS", 1)
+    kept = {start: d.hex() for start, _, d in
+            rational_orbit_distances(target, CAT, family, 30, 33, 0.0)}
+    assert kept.items() <= full.items()
+    assert min(full.values(), key=float.fromhex) in kept.values()
 
 
 # -- the pipeline -----------------------------------------------------------------------
