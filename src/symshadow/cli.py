@@ -72,8 +72,9 @@ MAX_SHADOW_LENGTH = 512
 # of the sum of q^2 lattice points over q <= Q = --max-denominator takes up to
 # min(--max-period, Q^2) steps, as an orbit of points of exact order q has fewer than q^2
 # points, and each step costs about 1,024 more for its fixed array passes.  The cat map at
-# --max-period 30 walks Q = 376 (the last kept) in 4.4 s near 190 MB; Q = 400 took 4.4 s
-# near 185 MB, Q = 500 8.4 s near 200 MB, and Q = 100,000 ran past 60 s (2-core x86_64)
+# --max-period 30 runs Q = 376 (the last kept) in 1.6 s near 147 MB; in the library
+# Q = 400 takes 2.0 s and Q = 500 3.9 s, both near 148 MB, and Q = 100,000 ran past 60 s
+# (2-core x86_64)
 MAX_LATTICE_STEPS = 1 << 29
 
 # lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])
@@ -308,6 +309,8 @@ def cmd_approx_measure(args) -> int:
     matrix = system.matrix if isinstance(system, SftSystem) else None
     if args.depth < 1:
         raise ValueError(f"--depth must be >= 1, got {args.depth}")
+    if args.epsilon <= 0:  # a radius, as in lpp and perturb-smoke
+        raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
     target, target_id = _load_target(args.target, system)
     parameters = {"system": system.to_config(), "target": target_id, "epsilon": args.epsilon,
                   "mode": args.mode, "depth": args.depth, "max_period": args.max_period,

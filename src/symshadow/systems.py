@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -220,6 +220,15 @@ class _CodedShift:
 _CHUNK_POINTS = 1 << 20
 
 
+def _orbit_entries(q: int, points: np.ndarray, lengths: np.ndarray) -> list:
+    """((i, j, q), orbit) for each orbit of ``ToralAutomorphism.rational_orbit_spans``
+    whose span of the integer ``points`` the ``lengths`` cut: orbit lists the
+    pairs (u, v) of the span, (i, j) its first."""
+    pairs = list(zip(*points.T.tolist()))
+    ends = np.cumsum(lengths).tolist()
+    return [(pairs[e - n] + (q,), pairs[e - n:e]) for e, n in zip(ends, lengths.tolist())]
+
+
 class ToralAutomorphism(_PlanarSystem):
     """x -> A x mod 1 for an integer matrix with |det| = 1 and no
     eigenvalue on the unit circle.
@@ -381,19 +390,18 @@ class ToralAutomorphism(_PlanarSystem):
         walk = self._lattice_walk(start, D, n)
         return [(u / D, v / D) for u, v in walk] * (n // len(walk)), len(walk)
 
-    def rational_orbit_lattices(self, max_period: int, max_denominator: int
-                                ) -> Iterator[tuple[int, np.ndarray, list]]:
-        """(q, points, orbits) per q, q ascending: ``orbits`` lists
-        ((i, j, q), orbit) for the orbits of period <= max_period through the
-        (i/q, j/q) with gcd(i, j, q) = 1, by (i, j), each orbit the integer
-        pairs (u, v) of its points (u/q, v/q) from (i, j); ``points`` stacks
-        those pairs in one integer array.  Callers build Fractions only for the
-        orbits they keep.  One array walk covers several q, in chunks of at
-        most ``_CHUNK_POINTS`` lattice points (a larger q goes alone):
-        up to max_period steps of the index map (u, v) -> A(u, v) mod q, ending
-        once every point has closed its orbit, give each point of exact order
-        q its period and the least point (i, j) of its orbit, from which a
-        short orbit is walked once."""
+    def rational_orbit_spans(self, max_period: int, max_denominator: int
+                             ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(q, points, lengths) per q, q ascending, for the orbits of period
+        <= max_period through the (i/q, j/q) with gcd(i, j, q) = 1, by (i, j):
+        ``points`` stacks the integer pairs (u, v) of their points (u/q, v/q),
+        each orbit from its least point (i, j), and ``lengths`` holds their
+        periods, so an orbit is a span of ``points``.  One array walk covers
+        several q, in chunks of at most ``_CHUNK_POINTS`` lattice points (a
+        larger q goes alone): up to max_period steps of the index map
+        (u, v) -> A(u, v) mod q, ending once every point has closed its orbit,
+        give each point of exact order q its period and the least point (i, j)
+        of its orbit, from which a short orbit is walked once."""
         (a, b), (c, d) = self.matrix
         chunks: list[list[int]] = []
         for q in range(1, max_denominator + 1):
@@ -418,17 +426,25 @@ class ToralAutomorphism(_PlanarSystem):
                 unclosed -= np.count_nonzero(closing)
             keep = (period > 0) & (least == index)
             starts, period = index[keep], period[keep]
-            first, walk, flat = period.cumsum() - period, starts, np.empty(period.sum(), int)
+            ends, walk, flat = period.cumsum(), starts, np.empty(period.sum(), int)
+            first = ends - period
             for k in range(period.max(initial=0)):  # the short orbits flat, one entry per point
                 flat[first[period > k] + k] = walk[period > k]
                 walk = image[walk]
-            points = np.stack([u[flat], v[flat]], axis=1)
-            pairs = list(zip(*points.T.tolist()))
-            for q, group in groupby(zip(modulus[starts].tolist(), first.tolist(),
-                                        period.tolist()), key=lambda t: t[0]):
-                spans = [(f, f + n) for _, f, n in group]
-                yield q, points[spans[0][0]:spans[-1][1]], [(pairs[f] + (q,), pairs[f:e])
-                                                           for f, e in spans]
+            points, moduli = np.stack([u[flat], v[flat]], axis=1), modulus[starts]
+            runs = np.flatnonzero(np.diff(moduli, prepend=0)).tolist()  # each q's first orbit
+            for lo, hi in zip(runs, runs[1:] + [len(starts)]):
+                yield int(moduli[lo]), points[first[lo]:ends[hi - 1]], period[lo:hi]
+
+    def rational_orbit_lattices(self, max_period: int, max_denominator: int
+                                ) -> Iterator[tuple[int, np.ndarray, list]]:
+        """(q, points, orbits) per (q, points, lengths) of
+        :meth:`rational_orbit_spans`: ``orbits`` lists ((i, j, q), orbit) for
+        its orbits (``_orbit_entries``), each orbit the integer pairs (u, v) of
+        its points (u/q, v/q) from (i, j).  Callers build Fractions only for
+        the orbits they keep."""
+        for q, points, lengths in self.rational_orbit_spans(max_period, max_denominator):
+            yield q, points, _orbit_entries(q, points, lengths)
 
     # -- homoclinic orbit along the eigenlines ------------------------
 

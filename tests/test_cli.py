@@ -407,6 +407,17 @@ def test_approx_measure_depth_below_one_exit_2(files, capsys, depth):
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1"])
+def test_approx_measure_epsilon_not_positive_exit_2(files, capsys, epsilon):
+    # both modes ran and reported "within_epsilon": false
+    for target, system, mode in (("mix", "full2", "periodic"), ("lebesgue", "cat", "periodic"),
+                                 ("mix", "full2", "bernoulli")):
+        assert main(["approx-measure", files[target], files[system], "--epsilon", epsilon,
+                     "--mode", mode, "--out", files["out"]]) == 2
+        assert "--epsilon must be > 0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_matrix_commands_read_matrix_and_sft_files_only(files, tmp_path, capsys):
     # a toral file ended analyze in an AttributeError traceback
     assert main(["analyze", str(DATA / "cat_map.json"), "--out", files["out"]]) == 2
@@ -613,7 +624,7 @@ def test_torus_lattice_walk_exit_3(files, capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("lattice walked")
 
-    monkeypatch.setattr(ToralAutomorphism, "rational_orbit_lattices", no_walk)
+    monkeypatch.setattr(ToralAutomorphism, "rational_orbit_spans", no_walk)
     for q in (377, 100_000):
         steps = 30 * (q * (q + 1) * (2 * q + 1) // 6 + 1024)
         assert steps > MAX_LATTICE_STEPS >= 30 * (376 * 377 * 753 // 6 + 1024)

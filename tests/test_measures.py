@@ -23,17 +23,18 @@ from symshadow.measures import TestFamily as Family
 from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
-                                MarkovMeasure, _block_words, _cyclic_word_distances,
+                                MarkovMeasure, _atom_sums, _block_words,
+                                _cyclic_word_distances,
                                 _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
                                 fourier_family, parry_measure,
                                 periodic_measure, rational_orbit_distances,
                                 renewal_cylinders, weak_star_distance)
-from symshadow.sft import (ConvergenceError, TransitionMatrix, admissible_words,
-                           count_periodic_points, enumerate_cycles, is_primitive, perron_data, topological_entropy)
+from symshadow.sft import (ConvergenceError, TransitionMatrix, _primitive_period,
+                           admissible_words, count_periodic_points, enumerate_cycles, is_primitive, perron_data, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
-from symshadow.systems import SftSystem, cat_map, sft_homoclinic_splice
+from symshadow.systems import SftSystem, _orbit_entries, cat_map, sft_homoclinic_splice
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -712,6 +713,37 @@ def test_cyclic_word_distances_at_the_edges_bit_for_bit():
         _cyclic_word_distances(target, [(0, 1)], fourier_family(1))
 
 
+def test_atom_sums_are_the_sums_of_the_atom_weights():
+    for n in range(1, 1025):
+        assert _atom_sums(n) == [sum([1 / n] * c) for c in range(n + 1)]
+
+
+def test_cyclic_word_distances_of_long_words_bit_for_bit():
+    # "blocks xN" words of two long cycles, and one long primitive word: 100 to 1,000
+    # symbols, so a cylinder's integral adds 1 / n up to hundreds of times
+    rng = random.Random(32)
+
+    def tiles(length):  # "10", "100" and "1000" in a random order: golden-mean cycles
+        word = ()
+        while len(word) < length:
+            word += rng.choice([(1, 0), (1, 0, 0), (1, 0, 0, 0)])
+        return word
+
+    for matrix in (FULL2, GOLDEN):
+        cycles = [tiles(19), tiles(27)]
+        target = periodic_mix(matrix, [(cycles[0], Fraction(2, 5)), (cycles[1], Fraction(3, 5))])
+        blocks = [word[:_primitive_period(word)] for _, word
+                  in _block_words(matrix, _orbit_cycles_of_target(target))]
+        long_word = tiles(997)
+        words = [w for w in blocks if 100 <= len(w) <= 1000] + [long_word]
+        assert len(words) >= 20 and max(map(len, words)) >= 990
+        assert _primitive_period(long_word) == len(long_word)
+        for family_target in (target, parry_measure(matrix)):
+            for depth in (1, 3, 6):
+                assert_cyclic_scores_bit_for_bit(family_target, matrix, words,
+                                                 cylinder_family(matrix, depth))
+
+
 TORUS_HORIZONS = [(6, 12), (12, 20), (20, 33), (30, 40)]
 
 
@@ -810,14 +842,14 @@ BOUND_FAMILIES = [fourier_family(bound) for bound in (1, 2, 3, 4)] + [
 
 @pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)
 def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
-    lattices = list(CAT.rational_orbit_lattices(*horizon))
+    spans = list(CAT.rational_orbit_spans(*horizon))
     for name, target in TORUS_TARGETS.items():
         reference = reference_candidates(target, CAT, *horizon)
         for family in BOUND_FAMILIES:
             full = list(rational_orbit_distances(target, CAT, family, *horizon))
             score = {start: d for start, _, d in full}
             least = min(score.values())
-            bounds = measures._heavy_mode_bounds(target, family, lattices)
+            bounds = measures._heavy_mode_bounds(target, family, spans)
             assert len(bounds) == len(full)
             assert all(b <= d + measures.BOUND_SLACK for b, (_, _, d) in zip(bounds, full))
             for within in (0.0, 0.01, 0.05, 0.3):
@@ -846,6 +878,30 @@ def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
                     d, n, _, _ = reference_pick(target, reference, epsilon, family, prefer)
                     assert abs(res.distance - d) <= 1e-15
                     assert len(res.measure.atoms) == n or prefer == "distance"
+
+
+@pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)
+def test_the_bounded_torus_scan_builds_entries_only_for_the_orbits_it_yields(monkeypatch,
+                                                                              horizon):
+    built = []
+
+    def counted(q, points, lengths):
+        entries = _orbit_entries(q, points, lengths)
+        built.extend(entries)
+        return entries
+
+    monkeypatch.setattr(measures, "_orbit_entries", counted)
+    for target in TORUS_TARGETS.values():
+        for family in (fourier_family(1), fourier_family(3)):
+            full = {start: (start, orbit, d.hex()) for start, orbit, d
+                    in rational_orbit_distances(target, CAT, family, *horizon)}
+            for within in (0.0, 0.05):
+                built.clear()
+                kept = [(start, orbit, d.hex()) for start, orbit, d
+                        in rational_orbit_distances(target, CAT, family, *horizon, within)]
+                assert 0 < len(kept) < len(full)
+                assert kept == [full[start] for start, _, _ in kept]
+                assert built == [(start, orbit) for start, orbit, _ in kept]
 
 
 def test_the_bounded_torus_scan_at_the_edges(monkeypatch):
