@@ -140,11 +140,19 @@ def _emit(args, parameters: dict, report: dict, table: list | None = None) -> No
     sys.stdout.write(buf.getvalue() if getattr(args, "format", "json") == "csv" else text)
 
 
+def _refuse_below_one(args, *names: str) -> None:
+    """ValueError naming the first option of ``names`` whose value is below 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(args, name)}")
+
+
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
     matrix = _load_matrix(args.matrix)
+    _refuse_below_one(args, "max_period")
     parameters = {"matrix": [list(r) for r in matrix.rows], "max_period": args.max_period}
     irreducible = is_irreducible(matrix)
     report: dict = {
@@ -307,8 +315,7 @@ def _load_target(path: str, system):
 def cmd_approx_measure(args) -> int:
     system = parse_system(_load_json(args.system))
     matrix = system.matrix if isinstance(system, SftSystem) else None
-    if args.depth < 1:
-        raise ValueError(f"--depth must be >= 1, got {args.depth}")
+    _refuse_below_one(args, "depth", "max_period", "max_denominator")
     if args.epsilon <= 0:  # a radius, as in lpp and perturb-smoke
         raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
     target, target_id = _load_target(args.target, system)

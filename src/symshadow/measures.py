@@ -449,13 +449,15 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
     """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``
     whose score d can be <= max(within, d*), d* the least score of the horizon;
     ``within=inf`` lists them all.  The scan reads the integer form of the walk
-    (``rational_orbit_spans``) and builds the ((i, j, q), orbit) entries of the
-    orbits it yields only.  d is the weak-* distance from the target up to
-    rounding: (u/q, v/q) has e(k.x) = zeta_q^r, r = (k0 u + k1 v) mod q, so an
-    n-point orbit integrates to sum_r c_r zeta_q^r / n over its residue counts c_r,
-    counted for a block of a q's orbits at once: at most ``_BLOCK_ENTRIES`` residues
-    and counts, or one orbit that needs more; a score reads its own orbit's counts
-    only, so blocking, and which orbits share a block, keeps its bits.
+    (``rational_orbit_spans``: read-only arrays, kept on the system for a horizon
+    of max_denominator <= 146, so a later scan of it does not walk again) and
+    builds the ((i, j, q), orbit) entries of the orbits it yields only.  d is the
+    weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
+    zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to
+    sum_r c_r zeta_q^r / n over its residue counts c_r, counted for a block of a
+    q's orbits at once: at most ``_BLOCK_ENTRIES`` residues and counts, or one
+    orbit that needs more; a score reads its own orbit's counts only, so
+    blocking, and which orbits share a block, keeps its bits.
     Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
     halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s.
 
@@ -519,16 +521,21 @@ def _heavy_mode_bounds(target, family: TestFamily, spans: Sequence[tuple]) -> np
     """sum_j w_j |t_j - I_j| over the ``HEAVY_MODES`` heaviest modes j of the family
     for each orbit of the (q, points, lengths) spans, a lower bound on its score
     up to rounding: I_j is the mean of cos + i sin of 2 pi r / q over the orbit's
-    points (u, v), r = k_j.(u, v) mod q, for all orbits at once."""
+    points (u, v), r = k_j.(u, v) mod q, for all orbits at once.  cos and sin are
+    taken once per span's q and r < q, 2 pi r / q as a point's angle is, and read
+    at each point's residue, so the sums are those of the per-point values."""
     weights = np.array(family.weights)
     heavy = np.argsort(-weights, kind="stable")[:HEAVY_MODES]
     modes = np.array([family.observables[j].k for j in heavy], dtype=int).reshape(-1, 2).T
     lengths = np.concatenate([lengths for _, _, lengths in spans])
-    qs = np.repeat([q for q, _, _ in spans], [len(points) for _, points, _ in spans])
-    residues = np.concatenate([points for _, points, _ in spans]) @ modes % qs[:, None]
-    angles, first = 2 * np.pi * residues / qs[:, None], lengths.cumsum() - lengths
-    integrals = (np.add.reduceat(np.cos(angles), first)
-                 + 1j * np.add.reduceat(np.sin(angles), first)) / lengths[:, None]
+    qs, repeat = [q for q, _, _ in spans], [len(points) for _, points, _ in spans]
+    angles = np.concatenate([2 * np.pi * np.arange(q) / q for q in qs])
+    base = np.repeat(np.cumsum(qs) - qs, repeat)[:, None]  # a point's q's first angle
+    residues = np.concatenate([points for _, points, _ in spans]) @ modes
+    residues = residues % np.repeat(qs, repeat)[:, None] + base
+    first = lengths.cumsum() - lengths
+    integrals = (np.add.reduceat(np.cos(angles)[residues], first)
+                 + 1j * np.add.reduceat(np.sin(angles)[residues], first)) / lengths[:, None]
     return np.abs(np.array(target.integrals(family))[heavy] - integrals) @ weights[heavy]
 
 

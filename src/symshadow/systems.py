@@ -270,6 +270,7 @@ class ToralAutomorphism(_PlanarSystem):
         inv_det = det  # inverse of a unimodular 2x2: adj / det, det = +-1
         self.inverse_matrix = ((m[1][1] * inv_det, -m[0][1] * inv_det),
                                (-m[1][0] * inv_det, m[0][0] * inv_det))
+        self._kept_spans: dict = {}  # (max_period, max_denominator) -> rational_orbit_spans
 
     def _unit_eigenvector(self, lam: float) -> tuple[float, float]:
         (a, b), (c, d) = self.matrix
@@ -396,45 +397,63 @@ class ToralAutomorphism(_PlanarSystem):
         <= max_period through the (i/q, j/q) with gcd(i, j, q) = 1, by (i, j):
         ``points`` stacks the integer pairs (u, v) of their points (u/q, v/q),
         each orbit from its least point (i, j), and ``lengths`` holds their
-        periods, so an orbit is a span of ``points``.  One array walk covers
-        several q, in chunks of at most ``_CHUNK_POINTS`` lattice points (a
-        larger q goes alone): up to max_period steps of the index map
+        periods, so an orbit is a span of ``points``; both arrays are read-only.
+        One array walk covers several q, in chunks of at most ``_CHUNK_POINTS``
+        lattice points (a larger q goes alone; ``_walk_spans``).  The orbits mod
+        q depend on the matrix and q alone, so a horizon that fits one chunk
+        (sum of q^2 <= ``_CHUNK_POINTS``: max_denominator <= 146) is walked once
+        per system, its spans kept by (max_period, max_denominator) and handed
+        out again unwalked; a larger one streams, each chunk's walk freed before
+        the next, and keeps nothing."""
+        key = (max_period, max_denominator)
+        if key not in self._kept_spans:
+            chunks: list[list[int]] = []
+            for q in range(1, max_denominator + 1):
+                if not chunks or sum(p * p for p in chunks[-1]) + q * q > _CHUNK_POINTS:
+                    chunks.append([])
+                chunks[-1].append(q)
+            spans = chain.from_iterable(self._walk_spans(np.array(qs), max_period)
+                                        for qs in chunks)
+            if len(chunks) > 1:
+                return spans
+            self._kept_spans[key] = list(spans)
+        return iter(self._kept_spans[key])
+
+    def _walk_spans(self, qs: np.ndarray, max_period: int
+                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The (q, points, lengths) of :meth:`rational_orbit_spans` for the
+        chunk of denominators qs: up to max_period steps of the index map
         (u, v) -> A(u, v) mod q, ending once every point has closed its orbit,
         give each point of exact order q its period and the least point (i, j)
         of its orbit, from which a short orbit is walked once."""
         (a, b), (c, d) = self.matrix
-        chunks: list[list[int]] = []
-        for q in range(1, max_denominator + 1):
-            if not chunks or sum(p * p for p in chunks[-1]) + q * q > _CHUNK_POINTS:
-                chunks.append([])
-            chunks[-1].append(q)
-        for qs in map(np.array, chunks):
-            sizes = qs * qs
-            offset, modulus = np.repeat(sizes.cumsum() - sizes, sizes), np.repeat(qs, sizes)
-            u, v = divmod(np.arange(sizes.sum()) - offset, modulus)
-            image = offset + (a * u + b * v) % modulus * modulus + (c * u + d * v) % modulus
-            index = np.flatnonzero(np.gcd(np.gcd(u, v), modulus) == 1)
-            period, least, walk = np.zeros_like(index), index.copy(), index
-            unclosed = len(index)
-            for step in range(1, max_period + 1):
-                if not unclosed:  # every orbit walked round, so each least is final
-                    break
-                walk = image[walk]
-                np.minimum(least, walk, out=least)
-                closing = (period == 0) & (walk == index)
-                period[closing] = step
-                unclosed -= np.count_nonzero(closing)
-            keep = (period > 0) & (least == index)
-            starts, period = index[keep], period[keep]
-            ends, walk, flat = period.cumsum(), starts, np.empty(period.sum(), int)
-            first = ends - period
-            for k in range(period.max(initial=0)):  # the short orbits flat, one entry per point
-                flat[first[period > k] + k] = walk[period > k]
-                walk = image[walk]
-            points, moduli = np.stack([u[flat], v[flat]], axis=1), modulus[starts]
-            runs = np.flatnonzero(np.diff(moduli, prepend=0)).tolist()  # each q's first orbit
-            for lo, hi in zip(runs, runs[1:] + [len(starts)]):
-                yield int(moduli[lo]), points[first[lo]:ends[hi - 1]], period[lo:hi]
+        sizes = qs * qs
+        offset, modulus = np.repeat(sizes.cumsum() - sizes, sizes), np.repeat(qs, sizes)
+        u, v = divmod(np.arange(sizes.sum()) - offset, modulus)
+        image = offset + (a * u + b * v) % modulus * modulus + (c * u + d * v) % modulus
+        index = np.flatnonzero(np.gcd(np.gcd(u, v), modulus) == 1)
+        period, least, walk = np.zeros_like(index), index.copy(), index
+        unclosed = len(index)
+        for step in range(1, max_period + 1):
+            if not unclosed:  # every orbit walked round, so each least is final
+                break
+            walk = image[walk]
+            np.minimum(least, walk, out=least)
+            closing = (period == 0) & (walk == index)
+            period[closing] = step
+            unclosed -= np.count_nonzero(closing)
+        keep = (period > 0) & (least == index)
+        starts, period = index[keep], period[keep]
+        ends, walk, flat = period.cumsum(), starts, np.empty(period.sum(), int)
+        first = ends - period
+        for k in range(period.max(initial=0)):  # the short orbits flat, one entry per point
+            flat[first[period > k] + k] = walk[period > k]
+            walk = image[walk]
+        points, moduli = np.stack([u[flat], v[flat]], axis=1), modulus[starts]
+        points.flags.writeable = period.flags.writeable = False
+        runs = np.flatnonzero(np.diff(moduli, prepend=0)).tolist()  # each q's first orbit
+        for lo, hi in zip(runs, runs[1:] + [len(starts)]):
+            yield int(moduli[lo]), points[first[lo]:ends[hi - 1]], period[lo:hi]
 
     def rational_orbit_lattices(self, max_period: int, max_denominator: int
                                 ) -> Iterator[tuple[int, np.ndarray, list]]:

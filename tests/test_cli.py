@@ -391,9 +391,28 @@ def test_approx_measure_target_must_fit_the_system_exit_2(files, capsys, target,
 
 @pytest.mark.parametrize("horizon", [["--max-period", "0"], ["--max-denominator", "0"]])
 def test_approx_measure_empty_torus_horizon_exit_2(files, capsys, horizon):
+    # refused before the scan, which had found "no periodic candidates within the horizon"
     assert main(["approx-measure", files["lebesgue"], files["cat"], "--epsilon", "0.1",
                  "--mode", "periodic", *horizon, "--out", files["out"]]) == 2
-    assert "no periodic candidates within the horizon" in capsys.readouterr().err
+    assert f"invalid input: {horizon[0]} must be >= 1, got 0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, option", [("analyze", "--max-period"),
+                                             ("approx-measure", "--max-period"),
+                                             ("approx-measure", "--max-denominator")])
+def test_horizon_below_one_exit_2(files, capsys, command, option, value):
+    # approx-measure --max-period 0 on the full shift ran, reporting "max_period": 0
+    # and a "blocks x39" method; analyze --max-period 0 reported no periodic counts
+    runs = ([[files["golden"]]] if command == "analyze" else
+            [[files[target], files[system], "--epsilon", "0.1", "--mode", mode]
+             for target, system, mode in (("mix", "full2", "periodic"),
+                                          ("mix", "full2", "bernoulli"),
+                                          ("lebesgue", "cat", "periodic"))])
+    for argv in runs:
+        assert main([command, *argv, option, value, "--out", files["out"]]) == 2
+        assert f"invalid input: {option} must be >= 1, got {value}" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 

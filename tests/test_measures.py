@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow import measures
+from symshadow import measures, systems
 from symshadow.measures import TestFamily as Family
 from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
@@ -34,7 +34,8 @@ from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, Cylin
 from symshadow.sft import (ConvergenceError, TransitionMatrix, _primitive_period,
                            admissible_words, count_periodic_points, enumerate_cycles, is_primitive, perron_data, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
-from symshadow.systems import SftSystem, _orbit_entries, cat_map, sft_homoclinic_splice
+from symshadow.systems import (SftSystem, ToralAutomorphism, _orbit_entries, cat_map,
+                               sft_homoclinic_splice)
 
 FULL2 = TransitionMatrix.full_shift(2)
 GOLDEN = TransitionMatrix.golden_mean()
@@ -878,6 +879,36 @@ def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
                     d, n, _, _ = reference_pick(target, reference, epsilon, family, prefer)
                     assert abs(res.distance - d) <= 1e-15
                     assert len(res.measure.atoms) == n or prefer == "distance"
+
+
+def per_point_bounds(target, family, spans):
+    """``_heavy_mode_bounds`` with cos and sin taken at every orbit point."""
+    weights = np.array(family.weights)
+    heavy = np.argsort(-weights, kind="stable")[:measures.HEAVY_MODES]
+    modes = np.array([family.observables[j].k for j in heavy], dtype=int).reshape(-1, 2).T
+    lengths = np.concatenate([lengths for _, _, lengths in spans])
+    qs = np.repeat([q for q, _, _ in spans], [len(points) for _, points, _ in spans])
+    residues = np.concatenate([points for _, points, _ in spans]) @ modes % qs[:, None]
+    angles, first = 2 * np.pi * residues / qs[:, None], lengths.cumsum() - lengths
+    integrals = (np.add.reduceat(np.cos(angles), first)
+                 + 1j * np.add.reduceat(np.sin(angles), first)) / lengths[:, None]
+    return np.abs(np.array(target.integrals(family))[heavy] - integrals) @ weights[heavy]
+
+
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[-2, 1], [1, -1]]])
+def test_the_heavy_mode_bound_tables_keep_the_per_point_bits(monkeypatch, matrix):
+    families = [fourier_family(bound) for bound in (1, 3, 5)]
+    for chunk_points in (1 << 20, 40):  # 40: every q > 4 a chunk of its own
+        monkeypatch.setattr(systems, "_CHUNK_POINTS", chunk_points)
+        system = ToralAutomorphism(matrix)
+        for horizon in [(6, 12), (12, 20), (24, 28), (30, 33)]:
+            spans = list(system.rational_orbit_spans(*horizon))
+            for family in families:
+                for target in TORUS_TARGETS.values():
+                    # all the horizon's q at once, one q at a time, and every other q
+                    for group in (spans, spans[-1:], spans[::2]):
+                        assert measures._heavy_mode_bounds(target, family, group).tobytes() \
+                            == per_point_bounds(target, family, group).tobytes()
 
 
 @pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)

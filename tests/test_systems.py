@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from symshadow import systems
 from symshadow.cli import main
 from symshadow.homoclinic import HomoclinicDatum, compute_excursion_parameters
-from symshadow.measures import LebesgueTorus, approximate_by_periodic, fourier_family
+from symshadow.measures import (LebesgueTorus, approximate_by_periodic, fourier_family,
+                                periodic_measure)
 from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
 from symshadow.shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
@@ -132,14 +133,103 @@ def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
     one_chunk = lattice_orbits(CAT, 12, 20)
     lattices = [(q, points.tolist(), orbits) for q, points, orbits
                 in CAT.rational_orbit_lattices(12, 20)]
-    # chunks of at most 40 points: q <= 4 share chunks, every larger q goes alone
+    # chunks of at most 40 points: q <= 4 share chunks, every larger q goes alone;
+    # a new system, as CAT keeps the one-chunk walk of (12, 20)
     monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
-    assert lattice_orbits(CAT, 12, 20) == one_chunk
+    cat = cat_map()
+    assert lattice_orbits(cat, 12, 20) == one_chunk
     assert [(q, points.tolist(), orbits) for q, points, orbits
-            in CAT.rational_orbit_lattices(12, 20)] == lattices
+            in cat.rational_orbit_lattices(12, 20)] == lattices
     assert all(points == [list(p) for _, orbit in orbits for p in orbit]
                for _, points, orbits in lattices)
-    assert fraction_orbits(CAT, 12, 20) == list(fraction_orbit_scan(CAT, 12, 20))
+    assert fraction_orbits(cat, 12, 20) == list(fraction_orbit_scan(cat, 12, 20))
+
+
+def span_lists(spans):
+    """(q, points, lengths) spans with their arrays as lists, for exact comparison."""
+    return [(q, points.tolist(), lengths.tolist()) for q, points, lengths in spans]
+
+
+KEPT_HORIZONS = [(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60)]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_kept_spans_equal_a_fresh_walk(monkeypatch, order):
+    cat = cat_map()
+    kept = {horizon: span_lists(cat.rational_orbit_spans(*horizon))
+            for horizon in KEPT_HORIZONS[::order]}
+    assert cat._kept_spans.keys() == set(KEPT_HORIZONS)
+
+    def no_walk(*args):
+        raise AssertionError("lattice walked")
+
+    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", no_walk)
+    for horizon in KEPT_HORIZONS:  # handed out again unwalked, the same arrays each time
+        again = list(cat.rational_orbit_spans(*horizon))
+        assert span_lists(again) == kept[horizon]
+        assert all(span[1] is other[1] and span[2] is other[2]
+                   for span, other in zip(again, cat.rational_orbit_spans(*horizon)))
+    monkeypatch.undo()
+    for horizon in KEPT_HORIZONS:
+        assert span_lists(cat_map().rational_orbit_spans(*horizon)) == kept[horizon]
+
+
+def test_kept_spans_are_read_only():
+    cat = cat_map()
+    for spans in (list(cat.rational_orbit_spans(12, 20)), list(cat.rational_orbit_spans(12, 20))):
+        for _, points, lengths in spans:
+            with pytest.raises(ValueError, match="read-only"):
+                points[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                lengths[0] = 1
+
+
+def test_only_a_one_chunk_horizon_is_kept(monkeypatch):
+    fresh = span_lists(cat_map().rational_orbit_spans(12, 20))
+    walks = []
+
+    def counted(self, qs, max_period):
+        walks.append(qs.tolist())
+        return walk(self, qs, max_period)
+
+    walk = ToralAutomorphism._walk_spans
+    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", counted)
+    monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)  # sum(q^2, q <= 4) = 30 fits
+    cat = cat_map()
+    for _ in range(2):  # the multi-chunk horizon streams, walked again on every call
+        walks.clear()
+        spans = cat.rational_orbit_spans(12, 20)
+        assert walks == []  # nothing walked before the spans are read
+        assert span_lists(spans) == fresh
+        assert walks == [[1, 2, 3, 4]] + [[q] for q in range(5, 21)]
+    assert cat._kept_spans == {}
+    walks.clear()
+    for _ in range(2):
+        assert span_lists(cat.rational_orbit_spans(12, 4)) == fresh[:4]
+    assert walks == [[1, 2, 3, 4]] and list(cat._kept_spans) == [(12, 4)]
+    # at the real chunk size, sum(q^2, q <= 146) = 1,048,061 <= 2^20 is the last kept
+    monkeypatch.setattr(systems, "_CHUNK_POINTS", 1 << 20)
+    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", lambda self, qs, p: iter(()))
+    for q in (146, 147):
+        list(cat.rational_orbit_spans(30, q))
+    assert list(cat._kept_spans) == [(12, 4), (30, 146)]
+
+
+def test_a_reused_system_approximates_as_fresh_ones():
+    family = fourier_family(3)
+    targets = [LebesgueTorus(), periodic_measure(CAT.orbit_of((Fraction(1, 5), Fraction(2, 5))))]
+    cat = cat_map()
+
+    def result(system, target, horizon, prefer):
+        res = approximate_by_periodic(target, system, 0.05, family, *horizon, prefer=prefer)
+        return res.description, res.distance.hex(), res.within_epsilon, res.measure.atoms
+
+    for _ in range(2):
+        for horizon in [(24, 28), (25, 28), (29, 33), (30, 33)]:
+            for target in targets:
+                for prefer in ("distance", "shortest_within"):
+                    assert result(cat, target, horizon, prefer) == \
+                        result(cat_map(), target, horizon, prefer)
 
 
 def test_the_orbit_walk_ends_once_every_orbit_has_closed():
@@ -149,11 +239,12 @@ def test_the_orbit_walk_ends_once_every_orbit_has_closed():
         return [(q, points.tolist(), orbits) for q, points, orbits
                 in CAT.rational_orbit_lattices(max_period, 40)]
 
-    def best_time(max_period):
+    def best_time(max_period):  # on new systems, which walk the horizon
         times = []
         for _ in range(3):
+            cat = cat_map()
             start = time.perf_counter()
-            lattices(max_period)
+            list(cat.rational_orbit_lattices(max_period, 40))
             times.append(time.perf_counter() - start)
         return min(times)
 
