@@ -38,8 +38,8 @@ from .dense_periods import (BlockGraphTooLargeError, DensePeriodsCertificate,
                             dense_periods_certificate, homoclinic_restricted_certificate)
 from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
-from .measures import (BernoulliProduct, FiniteSupportMeasure, LebesgueTorus,
-                       approximate_by_periodic, bernoulli_approximation,
+from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSupportMeasure,
+                       LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
                        cycle_measure, cylinder_family, fourier_family, weak_star_distance)
 from .sft import (ConvergenceError, NonEssentialMatrixError, ReducibleMatrixError,
                   SymbolicCycle, TransitionMatrix, class_period,
@@ -531,7 +531,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (PreconditionError, InsufficientSegmentError, HorizonTooSmallError,
-            BlockGraphTooLargeError) as exc:
+            BlockGraphTooLargeError, BlockSubshiftTooLargeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ShadowingError, ConvergenceError) as exc:

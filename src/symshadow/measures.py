@@ -31,7 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +60,11 @@ HEAVY_MODES = 2
 # so for weights summing to <= 1 they part by < 1e-12: a bound past max(within, U)
 # by this absolute slack is a score past it too
 BOUND_SLACK = 1e-9
+
+
+class BlockSubshiftTooLargeError(ValueError):
+    """Every primitive block subshift of a Bernoulli scan has more than
+    ``MAX_SYMBOLS`` letter states."""
 
 
 # -- observables ----------------------------------------------------------
@@ -95,6 +101,19 @@ class TestFamily:
 
     def __len__(self) -> int:
         return len(self.observables)
+
+    def cycle_integrals(self, matrix: TransitionMatrix, cycles: Sequence[tuple]) -> np.ndarray:
+        """``_cyclic_word_integrals`` of the (text, word, n) listing ``cycles`` of
+        ``matrix.primitive_cycles``, computed once per (matrix, number of listed
+        cycles) and kept, read-only, for the family's lifetime: the listing is a
+        prefix of one list per matrix, so its length names it."""
+        kept = self.__dict__.setdefault("_cycle_integrals", {})
+        key = (matrix, len(cycles))
+        if key not in kept:
+            table = _cyclic_word_integrals([w[:n] for _, w, n in cycles], self)
+            table.flags.writeable = False
+            kept[key] = table
+        return kept[key]
 
 
 def _weighed(observables: Iterable, description: str) -> TestFamily:
@@ -149,11 +168,12 @@ class FiniteSupportMeasure(_Measure):
 
     def __init__(self, atoms: Sequence[tuple]):
         atoms = [(p, w) for p, w in atoms]
-        if not atoms or any(w <= 0 for _, w in atoms):
+        # written so that NaN, for which every comparison is false, fails both
+        if not atoms or not all(w > 0 for _, w in atoms):
             raise ValueError("atoms must be non-empty with positive weights")
         self._weights = [float(w) for _, w in atoms]
         total = math.fsum(self._weights)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         self.atoms = atoms
 
@@ -223,22 +243,25 @@ class MarkovMeasure(_Measure):
                  pi: Sequence[float], labels: Sequence[int] | None = None):
         n = support.size
         self.support = support
-        self.P = tuple(tuple(float(x) for x in row) for row in P)
+        self.P = tuple(tuple(map(float, row)) for row in P)
         self.pi = tuple(float(x) for x in pi)
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.P) != n or len(self.pi) != n or len(self.labels) != n:
             raise ValueError("dimension mismatch")
-        for i in range(n):
-            if abs(sum(self.P[i]) - 1.0) > STOCHASTIC_TOL:
+        for i, row in enumerate(self.P):
+            if not abs(sum(row) - 1.0) <= STOCHASTIC_TOL:  # NaN fails it too
                 raise ValueError(f"row {i} not stochastic")
-            for j in range(n):
-                if self.P[i][j] < 0 or (self.P[i][j] > 0 and not support.rows[i][j]):
-                    raise ValueError("transition off the support")
-        if any(p <= 0 for p in self.pi) or abs(sum(self.pi) - 1.0) > 1e-12:
+            # every entry off the support is zero, so sums over the support's
+            # edges below add what sums over the whole row add
+            if any(compress(row, map(not_, support.rows[i]))):
+                raise ValueError("transition off the support")
+            if any(row[j] < 0 for j in support.succ[i]):
+                raise ValueError("negative transition probability")
+        if not all(p > 0 for p in self.pi) or not abs(sum(self.pi) - 1.0) <= 1e-12:
             raise ValueError("stationary vector must be positive, sum 1")
-        drift = max(abs(sum(self.pi[i] * self.P[i][j] for i in range(n)) - self.pi[j])
-                    for j in range(n))
-        if drift > 1e-10:
+        drift = max(abs(sum(self.pi[i] * self.P[i][j] for i in pred) - self.pi[j])
+                    for j, pred in enumerate(support.pred))
+        if not drift <= 1e-10:
             raise ValueError(f"pi not stationary (drift {drift:.2e})")
 
     def cylinder_mass(self, word: Sequence) -> float:
@@ -267,10 +290,10 @@ class MarkovMeasure(_Measure):
 
     def entropy(self) -> float:
         h = 0.0
-        for i, row in enumerate(self.P):
-            for p in row:
-                if p > 0:
-                    h -= self.pi[i] * p * math.log(p)
+        for i, (row, succ) in enumerate(zip(self.P, self.support.succ)):
+            for j in succ:
+                if row[j] > 0:
+                    h -= self.pi[i] * row[j] * math.log(row[j])
         return h
 
     def to_json_dict(self) -> dict:
@@ -338,10 +361,12 @@ def parry_measure(matrix: TransitionMatrix, labels: Sequence[int] | None = None
     if not is_primitive(matrix):
         raise ValueError("Parry measure requires a primitive (mixing) support")
     lam, v, u = perron_data(matrix)
-    n = matrix.size
-    P = [[matrix.rows[i][j] * v[j] / (lam * v[i]) for j in range(n)] for i in range(n)]
-    # normalize rows exactly to kill the last float drift
-    P = [[x / total for x in row] for row, total in zip(P, map(sum, P))]
+    P = [[0.0] * matrix.size for _ in range(matrix.size)]  # filled on the edges only
+    for i, succ in enumerate(matrix.succ):
+        row = [v[j] / (lam * v[i]) for j in succ]
+        total = sum(row)  # normalize rows exactly to kill the last float drift
+        for j, x in zip(succ, row):
+            P[i][j] = x / total
     uv = [a * b for a, b in zip(u, v)]
     total = sum(uv)
     pi = [x / total for x in uv]
@@ -400,18 +425,18 @@ def _block_words(matrix: TransitionMatrix, parts: list[tuple[tuple[int, ...], fl
             yield reps, sum((c * k for c, k in zip(cycles, counts)), ())
 
 
-def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
-                           family: TestFamily) -> list[float]:
-    """weak_star_distance(target, cycle_measure(matrix, word), family) bit for bit
-    for each primitive cyclic word of length n: a cylinder's integral adds 1 / n,
-    the measure's float weight, once per rotation whose window starts with it.
-    The rotations of all words walk a trie of the family's words together, and
-    the discrepancies add up one observable at a time, in the float operations
-    of weak_star_distance."""
-    if not words:
-        return []
+def _cyclic_word_integrals(words: Sequence[tuple[int, ...]], family: TestFamily
+                           ) -> np.ndarray:
+    """(observables x words) table of each cylinder's integral under the cycle
+    measure of each primitive cyclic word of length n: it adds 1 / n, the
+    measure's float weight, once per rotation whose window starts with the
+    cylinder, so the entry for c such rotations is sum([1 / n] * c).  The
+    rotations of all words walk a trie of the family's words together.  The
+    table does not depend on any target."""
     if not all(isinstance(obs, CylinderObservable) for obs in family.observables):
         raise TypeError("cyclic words integrate cylinder observables only")
+    if not words:
+        return np.zeros((len(family), 0))
     node = {w: i for i, w in enumerate(dict.fromkeys(
         [()] + [o.word[:k] for o in family.observables for k in range(1, len(o.word) + 1)]))}
     n = np.array([len(w) for w in words])
@@ -430,10 +455,17 @@ def _cyclic_word_distances(target, words: Sequence[tuple[int, ...]],
     table = np.zeros((n.max() + 1, n.max() + 1))  # table[n, c] = sum([1 / n] * c)
     for m in set(n.tolist()):
         table[m, :m + 1] = _atom_sums(m)
-    total = np.zeros(len(n))
-    for weight, a, b in zip(family.weights, target.integrals(family), table[n, counts.T]):
+    return table[n, counts.T]
+
+
+def _gaps(target, family: TestFamily, integrals: np.ndarray) -> np.ndarray:
+    """The weighted gaps of the target to each column of an (observables x
+    candidates) integral table, added one observable at a time in the float
+    operations of weak_star_distance, so each is that distance bit for bit."""
+    total = np.zeros(integrals.shape[1])
+    for weight, a, b in zip(family.weights, target.integrals(family), integrals):
         total += weight * np.abs(a - b)
-    return total.tolist()
+    return total
 
 
 def _atom_sums(n: int) -> list[float]:
@@ -547,11 +579,16 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     Shift systems scan the matrix's primitive cycles, listed once per
     matrix (``TransitionMatrix.primitive_cycles``), plus block concatenations
     matching the cylinder frequencies of a finite-support target, each on
-    its cyclic word; toral systems scan rational orbits on their residues
-    mod q.  ``prefer`` picks the winner: smallest distance (default, ties to
-    the smaller period, then the description) or the shortest orbit within
-    epsilon ("shortest_within", else smallest distance).  The tie rule
-    settles bit-equal scores only.  Shift scores are the weak-* distances bit
+    its cyclic word; the listed cycles' integrals do not depend on the target
+    and are kept per family (``TestFamily.cycle_integrals``), so a request
+    counts the cylinders of its block words only.  Toral systems scan
+    rational orbits on their residues mod q.  ``prefer`` picks the winner:
+    smallest distance (default, ties to the smaller period, then the
+    description) or the shortest orbit within epsilon ("shortest_within",
+    else smallest distance).  The tie rule settles bit-equal scores only;
+    shift candidates that cannot win on (distance, period) are dropped in
+    numpy first (``_contenders``), so it compares the descriptions of the
+    rest.  Shift scores are the weak-* distances bit
     for bit; torus scores are them up to rounding, so an orbit and its mirror
     score alike, but orbits whose exact distances tie can score a few 1e-17
     apart, and rounding picks among them.  At (30, 40)
@@ -565,12 +602,17 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     """
     if isinstance(system, SftSystem):
         matrix = system.matrix
-        candidates = matrix.primitive_cycles(max_period)
-        if isinstance(target, FiniteSupportMeasure):
-            candidates += [(f"blocks x{reps}", word, _primitive_period(word))
-                           for reps, word in _block_words(matrix, _orbit_cycles_of_target(target))]
-        distances = _cyclic_word_distances(target, [w[:n] for _, w, n in candidates], family)
-        scored = ((d, n, desc, w) for d, (desc, w, n) in zip(distances, candidates))
+        cycles = matrix.primitive_cycles(max_period)
+        blocks = [(f"blocks x{reps}", word, _primitive_period(word)) for reps, word
+                  in _block_words(matrix, _orbit_cycles_of_target(target))
+                  ] if isinstance(target, FiniteSupportMeasure) else []
+        integrals = np.hstack([family.cycle_integrals(matrix, cycles),
+                               _cyclic_word_integrals([w[:n] for _, w, n in blocks], family)])
+        candidates = cycles + blocks
+        distances = _gaps(target, family, integrals)
+        periods = np.array([n for _, _, n in candidates], dtype=float)
+        scored = ((distances[k], periods[k], *candidates[k][:2]) for k
+                  in _contenders(distances, periods, epsilon, prefer).tolist())
         describe = str
     elif isinstance(system, ToralAutomorphism):
         orbits = rational_orbit_distances(target, system, family, max_period, max_denominator,
@@ -597,6 +639,20 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
         mu = periodic_measure([(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
     d = weak_star_distance(target, mu, family)
     return ApproximationResult(mu, d, d <= epsilon, describe(pick[2]))
+
+
+def _contenders(distances: np.ndarray, periods: np.ndarray, epsilon: float,
+                prefer: str) -> np.ndarray:
+    """Indices of the candidates that can win: those of least distance, then
+    least period, or, under "shortest_within" when some distance is <= epsilon,
+    those within epsilon of least period, then least distance.  Only their
+    descriptions are left to compare."""
+    rows, keys = np.ones(len(distances), dtype=bool), (distances, periods)
+    if prefer == "shortest_within" and (distances <= epsilon).any():
+        rows, keys = distances <= epsilon, (periods, distances)
+    for key in keys:
+        rows &= key == key[rows].min(initial=math.inf)
+    return np.flatnonzero(rows)
 
 
 def _lesser(held, rank, s, describe):
@@ -746,7 +802,8 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
             best = (d_p, m, renewal,
                     _weighted_gap(family.weights, renewal, target.integrals(family)))
     if best is None:
-        raise ValueError(f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
+        raise BlockSubshiftTooLargeError(
+            f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
     d_p, m, renewal, d_t = best
     sub = block_subshift(matrix, cycle, m, excursion)
     nu = parry_measure(sub.matrix, labels=sub.labels)

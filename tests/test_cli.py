@@ -364,6 +364,16 @@ def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):
                  "--out", files["out"]]) == 2
 
 
+def test_approx_measure_bernoulli_past_the_state_cap_exit_3(files, capsys):
+    # a valid 64-symbol cycle: its least block subshift, m = 1 with the excursion,
+    # already has more than 64 letter states
+    assert main(["approx-measure", str(DATA / "target_half_mix.json"),
+                 str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", "bernoulli",
+                 "--cycle", "0" * 63 + "1", "--out", files["out"]]) == 3
+    assert "no primitive block subshift fits the 64-state cap" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 @pytest.mark.parametrize("target, system, mode", [
     ("lebesgue", "full2", "periodic"),
     ("lebesgue", "horseshoe", "periodic"),

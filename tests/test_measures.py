@@ -24,7 +24,7 @@ from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
                                 MarkovMeasure, _atom_sums, _block_words,
-                                _cyclic_word_distances,
+                                _cyclic_word_integrals, _gaps,
                                 _orbit_cycles_of_target, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
@@ -218,6 +218,9 @@ def test_normalization_enforced():
         FiniteSupportMeasure([((0.0, 0.0), 0.5)])
     with pytest.raises(ValueError):
         FiniteSupportMeasure([((0.0, 0.0), -1.0), ((0.1, 0.1), 2.0)])
+    for weights in ([math.nan], [0.5, math.nan], [math.inf]):
+        with pytest.raises(ValueError):
+            FiniteSupportMeasure([((0.1 * i, 0.0), w) for i, w in enumerate(weights)])
 
 
 def test_normalization_tolerance_on_fraction_weights():
@@ -263,6 +266,29 @@ def test_parry_entropy_equals_topological():
 def test_parry_rejects_non_primitive():
     with pytest.raises(ValueError):
         parry_measure(TransitionMatrix([[0, 1], [1, 0]]))
+
+
+GOLDEN_CHAIN = ([[0.5, 0.5], [1.0, 0.0]], [2 / 3, 1 / 3])  # stationary on the golden mean
+
+
+@pytest.mark.parametrize("P, pi, message", [
+    ([[0.5, 0.5], [0.9, 0.1]], GOLDEN_CHAIN[1], "transition off the support"),
+    ([[1.5, -0.5], [1.0, 0.0]], [2 / 3, 1 / 3], "negative transition probability"),
+    ([[0.5, 0.6], [1.0, 0.0]], GOLDEN_CHAIN[1], "row 0 not stochastic"),
+    ([[math.nan, 0.5], [1.0, 0.0]], GOLDEN_CHAIN[1], "row 0 not stochastic"),
+    ([[0.5, 0.5], [1.0, 0.0]], [0.6, 0.4], "pi not stationary"),
+    ([[0.5, 0.5], [1.0, 0.0]], [math.nan, 1 / 3], "must be positive, sum 1"),
+], ids=["off-support", "negative", "not-stochastic", "nan-row", "not-stationary", "nan-pi"])
+def test_markov_measure_rejects(P, pi, message):
+    with pytest.raises(ValueError, match=message):
+        MarkovMeasure(GOLDEN, P, pi)
+
+
+def test_parry_measure_fills_only_the_edges():
+    for matrix in (FULL2, GOLDEN, WHEEL):
+        mu = parry_measure(matrix)
+        assert all((p > 0) == bool(a) for row, arow in zip(mu.P, matrix.rows)
+                   for p, a in zip(row, arow))
 
 
 def test_parry_maximizes_entropy_spot_check():
@@ -656,10 +682,16 @@ def periodic_mix(matrix, parts):
     return FiniteSupportMeasure(atoms)
 
 
+def cyclic_word_distances(target, words, family):
+    """The scan's score of each primitive cyclic word: the target's gaps to the
+    words' integral table."""
+    return _gaps(target, family, _cyclic_word_integrals(words, family)).tolist()
+
+
 def assert_cyclic_scores_bit_for_bit(target, matrix, words, family):
     """Each batched score against the weak-* distance of the word's full
     cycle measure."""
-    scores = _cyclic_word_distances(target, words, family)
+    scores = cyclic_word_distances(target, words, family)
     assert [d.hex() for d in scores] == \
         [weak_star_distance(target, cycle_measure(matrix, word), family).hex() for word in words]
 
@@ -691,7 +723,7 @@ def test_cyclic_word_distances_equal_the_full_measure_scan_bit_for_bit(matrix):
 
 def test_cyclic_word_distances_at_the_edges_bit_for_bit():
     target = periodic_mix(FULL2, [((0, 1), Fraction(1, 3)), ((0,), Fraction(2, 3))])
-    assert _cyclic_word_distances(target, [], FAM3) == []
+    assert cyclic_word_distances(target, [], FAM3) == []
     # one candidate; period-1 words; words shorter than the depth wrap more than once
     for words in ([(0, 1, 1)], [(0,), (1,)], [(0, 1), (1,), (0, 0, 1)]):
         for depth in (1, 3, 5, 7):
@@ -711,7 +743,7 @@ def test_cyclic_word_distances_at_the_edges_bit_for_bit():
     assert_cyclic_scores_bit_for_bit(target, FULL2, words, empty)
     assert_cyclic_scores_bit_for_bit(parry_measure(FULL2), FULL2, words, empty)
     with pytest.raises(TypeError):
-        _cyclic_word_distances(target, [(0, 1)], fourier_family(1))
+        cyclic_word_distances(target, [(0, 1)], fourier_family(1))
 
 
 def test_atom_sums_are_the_sums_of_the_atom_weights():
@@ -743,6 +775,108 @@ def test_cyclic_word_distances_of_long_words_bit_for_bit():
             for depth in (1, 3, 6):
                 assert_cyclic_scores_bit_for_bit(family_target, matrix, words,
                                                  cylinder_family(matrix, depth))
+
+
+def shift_result(res):
+    return res.description, res.distance.hex(), res.within_epsilon, res.measure.atoms
+
+
+def counted_kernel(monkeypatch):
+    """Record the number of words of each ``_cyclic_word_integrals`` run that
+    has words to count."""
+    runs, kernel = [], measures._cyclic_word_integrals
+
+    def counted(words, family):
+        if words:
+            runs.append(len(words))
+        return kernel(words, family)
+
+    monkeypatch.setattr(measures, "_cyclic_word_integrals", counted)
+    return runs
+
+
+@pytest.mark.parametrize("matrix", [FULL2, GOLDEN], ids=["full2", "golden"])
+def test_a_warm_family_approximates_as_a_fresh_one(matrix):
+    system = SftSystem(matrix)
+    targets = [parry_measure(matrix), BernoulliProduct([0.3, 0.7]),
+               periodic_mix(matrix, [((0,), Fraction(2, 5)), ((0, 0, 1), Fraction(3, 5))])]
+    for depth in range(1, 5):
+        warm = cylinder_family(matrix, depth)
+        for _ in range(2):
+            for max_period in (6, 8):
+                for target in targets:
+                    reference = reference_candidates(target, system, max_period)
+                    for prefer in ("distance", "shortest_within"):
+                        for epsilon in (0.02, 0.1):
+                            res = approximate_by_periodic(target, system, epsilon, warm,
+                                                          max_period, prefer=prefer)
+                            fresh = approximate_by_periodic(
+                                target, system, epsilon, cylinder_family(matrix, depth),
+                                max_period, prefer=prefer)
+                            assert shift_result(res) == shift_result(fresh)
+                            assert_same_result(res, reference_pick(target, reference, epsilon,
+                                                                   warm, prefer))
+        # one table per listing: 6 and 8 list different numbers of cycles
+        assert len(warm._cycle_integrals) == 2
+        assert all(not table.flags.writeable for table in warm._cycle_integrals.values())
+
+
+def test_the_cycle_table_is_counted_once_per_matrix_family_and_listing(monkeypatch):
+    runs = counted_kernel(monkeypatch)
+    family, target = cylinder_family(FULL2, 3), BernoulliProduct([0.4, 0.6])
+    listed = len(FULL2.primitive_cycles(8))
+    for prefer in ("distance", "shortest_within", "distance"):
+        approximate_by_periodic(target, SftSystem(FULL2), 0.1, family, 8, prefer=prefer)
+    assert runs == [listed]
+    # a finite-support target counts its "blocks xN" words on every request
+    mix = periodic_mix(FULL2, [((0,), Fraction(1, 3)), ((0, 1), Fraction(2, 3))])
+    blocks = len(list(_block_words(FULL2, _orbit_cycles_of_target(mix))))
+    for _ in range(2):
+        approximate_by_periodic(mix, SftSystem(FULL2), 0.1, family, 8)
+    assert runs == [listed, blocks, blocks]
+    # a new listing is a new table; an equal matrix shares the kept one
+    approximate_by_periodic(target, SftSystem(TransitionMatrix.full_shift(2)), 0.1, family, 6)
+    assert runs[3:] == [len(FULL2.primitive_cycles(6))]
+    assert list(family._cycle_integrals) == [(FULL2, listed), (FULL2, runs[3])]
+
+
+@pytest.mark.parametrize("matrix", [FULL2, GOLDEN], ids=["full2", "golden"])
+def test_a_max_period_past_the_listing_cut_reuses_the_table(monkeypatch, matrix):
+    # the listing ends before 2^12 (full 2-shift) and L_16 = 2207 (golden mean)
+    # periodic points, so every max_period from the cut on lists the same cycles
+    cut = {FULL2: 11, GOLDEN: 15}[matrix]
+    assert len(matrix.primitive_cycles(cut - 1)) < len(matrix.primitive_cycles(cut)) \
+        == len(matrix.primitive_cycles(cut + 30))
+    runs, family = counted_kernel(monkeypatch), cylinder_family(matrix, 3)
+    target = BernoulliProduct([0.45, 0.55])
+    results = [shift_result(approximate_by_periodic(target, SftSystem(matrix), 0.1, family,
+                                                    max_period))
+               for max_period in (cut, cut + 1, cut + 30)]
+    assert results[0] == results[1] == results[2]
+    assert runs == [len(matrix.primitive_cycles(cut))]
+
+
+def test_one_family_on_two_matrices_keeps_two_tables():
+    full3, family = TransitionMatrix.full_shift(3), cylinder_family(FULL2, 2)
+    target = BernoulliProduct([0.2, 0.3, 0.5])
+    for _ in range(2):
+        for matrix in (full3, FULL2):
+            res = approximate_by_periodic(target, SftSystem(matrix), 0.1, family, 5)
+            fresh = approximate_by_periodic(target, SftSystem(matrix), 0.1,
+                                            cylinder_family(FULL2, 2), 5)
+            assert shift_result(res) == shift_result(fresh)
+            assert res.distance == weak_star_distance(target, res.measure, family)
+    assert list(family._cycle_integrals) == [(full3, len(full3.primitive_cycles(5))),
+                                             (FULL2, len(FULL2.primitive_cycles(5)))]
+
+
+def test_a_non_cylinder_family_keeps_no_cycle_table():
+    mixed = Family((CylinderObservable((0,)), FourierMode((1, 0))), (0.5, 0.25), "mixed")
+    for family in (fourier_family(1), mixed):
+        with pytest.raises(TypeError):
+            approximate_by_periodic(BernoulliProduct([0.5, 0.5]), SftSystem(FULL2), 0.1,
+                                    family, 6)
+        assert "_cycle_integrals" not in vars(family) or not family._cycle_integrals
 
 
 TORUS_HORIZONS = [(6, 12), (12, 20), (20, 33), (30, 40)]

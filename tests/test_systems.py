@@ -150,7 +150,9 @@ def span_lists(spans):
     return [(q, points.tolist(), lengths.tolist()) for q, points, lengths in spans]
 
 
-KEPT_HORIZONS = [(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60)]
+KEPT_HORIZONS = [(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60), (300, 20)]
+# the cat map closes every orbit mod q <= 20 by step 30, so (300, 20) is kept as (30, 20)
+KEPT_KEYS = {(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60), (30, 20)}
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
@@ -158,7 +160,7 @@ def test_kept_spans_equal_a_fresh_walk(monkeypatch, order):
     cat = cat_map()
     kept = {horizon: span_lists(cat.rational_orbit_spans(*horizon))
             for horizon in KEPT_HORIZONS[::order]}
-    assert cat._kept_spans.keys() == set(KEPT_HORIZONS)
+    assert cat._kept_spans.keys() == KEPT_KEYS
 
     def no_walk(*args):
         raise AssertionError("lattice walked")
@@ -206,13 +208,42 @@ def test_only_a_one_chunk_horizon_is_kept(monkeypatch):
     walks.clear()
     for _ in range(2):
         assert span_lists(cat.rational_orbit_spans(12, 4)) == fresh[:4]
-    assert walks == [[1, 2, 3, 4]] and list(cat._kept_spans) == [(12, 4)]
+    # every orbit mod q <= 4 closes by step 4, so the walk is kept as (4, 4)
+    assert walks == [[1, 2, 3, 4]] and list(cat._kept_spans) == [(4, 4)]
     # at the real chunk size, sum(q^2, q <= 146) = 1,048,061 <= 2^20 is the last kept
     monkeypatch.setattr(systems, "_CHUNK_POINTS", 1 << 20)
-    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", lambda self, qs, p: iter(()))
+    def unwalked(self, qs, max_period):  # no orbits, so none closed
+        yield from ()
+        return math.inf
+
+    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", unwalked)
     for q in (146, 147):
         list(cat.rational_orbit_spans(30, q))
-    assert list(cat._kept_spans) == [(12, 4), (30, 146)]
+    assert list(cat._kept_spans) == [(4, 4), (30, 146)]
+
+
+def test_a_closed_walk_is_handed_to_every_longer_max_period(monkeypatch):
+    walks = []
+
+    def counted(self, qs, max_period):
+        walks.append(max_period)
+        return walk(self, qs, max_period)
+
+    walk = ToralAutomorphism._walk_spans
+    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", counted)
+    cat = cat_map()
+    # every orbit mod q <= 146 closes by step 250: 438 takes the spans of 300
+    spans = span_lists(cat.rational_orbit_spans(300, 146))
+    assert span_lists(cat.rational_orbit_spans(438, 146)) == spans
+    assert walks == [300] and list(cat._kept_spans) == [(250, 146)]
+    list(cat.rational_orbit_spans(30, 146))  # shorter than the closing step: walked
+    assert walks == [300, 30] and list(cat._kept_spans) == [(250, 146), (30, 146)]
+    assert span_lists(cat.rational_orbit_spans(250, 146)) == spans and walks == [300, 30]
+    # below the real chunk size, so every horizon walks: the same spans, fresh
+    monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
+    for max_period in (30, 31, 300):
+        assert span_lists(cat_map().rational_orbit_spans(max_period, 20)) == \
+            span_lists(cat.rational_orbit_spans(300, 20))
 
 
 def test_a_reused_system_approximates_as_fresh_ones():
