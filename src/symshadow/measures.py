@@ -43,7 +43,7 @@ from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix
                   longer_words, perron_data)
 from .shiftspace import ShiftPoint
 from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphism,
-                      _orbit_entries, sft_homoclinic_splice)
+                      sft_homoclinic_splice)
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
@@ -475,10 +475,19 @@ def _atom_sums(n: int) -> list[float]:
     return list(accumulate(repeat(1 / n, n), initial=0.0))
 
 
+def _orbit_entries(q: int, points: np.ndarray, lengths: np.ndarray) -> list:
+    """((i, j, q), orbit) for each orbit of ``ToralAutomorphism.rational_orbit_spans``
+    whose span of the integer ``points`` the ``lengths`` cut: orbit lists the
+    pairs (u, v) of the span, (i, j) its first."""
+    pairs = list(zip(*points.T.tolist()))
+    ends = np.cumsum(lengths).tolist()
+    return [(pairs[e - n] + (q,), pairs[e - n:e]) for e, n in zip(ends, lengths.tolist())]
+
+
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
                              max_period: int, max_denominator: int,
                              within: float = math.inf) -> Iterator[tuple]:
-    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_lattices``
+    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_spans``
     whose score d can be <= max(within, d*), d* the least score of the horizon;
     ``within=inf`` lists them all.  The scan reads the integer form of the walk
     (``rational_orbit_spans``: read-only arrays, kept on the system for a horizon
@@ -585,20 +594,20 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     rational orbits on their residues mod q.  ``prefer`` picks the winner:
     smallest distance (default, ties to the smaller period, then the
     description) or the shortest orbit within epsilon ("shortest_within",
-    else smallest distance).  The tie rule settles bit-equal scores only;
-    shift candidates that cannot win on (distance, period) are dropped in
-    numpy first (``_contenders``), so it compares the descriptions of the
-    rest.  Shift scores are the weak-* distances bit
-    for bit; torus scores are them up to rounding, so an orbit and its mirror
-    score alike, but orbits whose exact distances tie can score a few 1e-17
-    apart, and rounding picks among them.  At (30, 40)
-    over ``fourier_family(1)``, 68 orbits lie at distance 0 from Lebesgue
-    in 12 distinct scores, and the period-30 orbit(1/40,11/40), scoring
-    2.3e-17, wins over the period-10 orbit(0/5,1/5), scoring 4.2e-17.  A torus orbit that
-    scores above epsilon and above the least score cannot win, so
-    ``rational_orbit_distances`` drops it unscored where its heavy-mode bound
-    shows that (within = epsilon under "shortest_within", 0 under
-    "distance").  Only the winner's measure is built.
+    else smallest distance).  The candidates that cannot win on (distance,
+    period) are dropped in numpy (``_contenders``), and the least description
+    among the rest wins, so the tie rule settles bit-equal scores only.
+    Shift scores are the weak-* distances bit for bit; torus scores are them
+    up to rounding, so an orbit and its mirror score alike, but orbits whose
+    exact distances tie can score a few 1e-17 apart, and rounding picks among
+    them.  At (30, 40) over ``fourier_family(1)``, 68 orbits lie at distance 0
+    from Lebesgue in 12 distinct scores, and the period-30 orbit(1/40,11/40),
+    scoring 2.3e-17, wins over the period-10 orbit(0/5,1/5), scoring 4.2e-17.
+    A torus orbit that scores above epsilon and above the least score cannot
+    win, so ``rational_orbit_distances`` drops it unscored where its
+    heavy-mode bound shows that (within = epsilon under "shortest_within", 0
+    under "distance"); the survivors' starts, scores and periods are
+    collected.  Only the winner's measure is built.
     """
     if isinstance(system, SftSystem):
         matrix = system.matrix
@@ -609,36 +618,36 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
         integrals = np.hstack([family.cycle_integrals(matrix, cycles),
                                _cyclic_word_integrals([w[:n] for _, w, n in blocks], family)])
         candidates = cycles + blocks
+        names = [name for name, _, _ in candidates]
         distances = _gaps(target, family, integrals)
-        periods = np.array([n for _, _, n in candidates], dtype=float)
-        scored = ((distances[k], periods[k], *candidates[k][:2]) for k
-                  in _contenders(distances, periods, epsilon, prefer).tolist())
+        periods = [n for _, _, n in candidates]
         describe = str
     elif isinstance(system, ToralAutomorphism):
-        orbits = rational_orbit_distances(target, system, family, max_period, max_denominator,
-                                          epsilon if prefer == "shortest_within" else 0.0)
-        scored = ((d, len(orbit), start, (start[2], orbit)) for start, orbit, d in orbits)
+        # starts, scores and periods, not orbits: a loose "shortest_within" scan
+        # can keep ~10^5 survivors
+        names, distances, periods = [], [], []
+        for start, orbit, d in rational_orbit_distances(
+                target, system, family, max_period, max_denominator,
+                epsilon if prefer == "shortest_within" else 0.0):
+            names.append(start)
+            distances.append(d)
+            periods.append(len(orbit))
         describe = lambda start: "orbit({0}/{2},{1}/{2})".format(*start)
     else:
         raise TypeError(f"unsupported system {system!r}")
 
-    # the least (d, n, description) and the least (n, d, description) within
-    # epsilon, taken as the candidates stream; a name is described on a tie only
-    best = within = None
-    for s in scored:
-        best = _lesser(best, s[:2], s, describe)
-        if prefer == "shortest_within" and s[0] <= epsilon:
-            within = _lesser(within, s[1::-1], s, describe)
-    if best is None:
+    contenders = _contenders(np.array(distances), np.array(periods, dtype=float), epsilon,
+                             prefer).tolist()
+    if not contenders:
         raise ValueError("no periodic candidates within the horizon")
-    pick = (within or best)[1]
+    k = min(contenders, key=lambda c: describe(names[c]))
     if isinstance(system, SftSystem):
-        mu = cycle_measure(matrix, pick[3])
-    else:
-        q, orbit = pick[3]
-        mu = periodic_measure([(Fraction(u, q), Fraction(v, q)) for u, v in orbit])
+        mu = cycle_measure(matrix, candidates[k][1])
+    else:  # walked again from its start: the scan's points in the scan's order
+        i, j, q = names[k]
+        mu = periodic_measure(system.orbit_of((Fraction(i, q), Fraction(j, q)), max_period))
     d = weak_star_distance(target, mu, family)
-    return ApproximationResult(mu, d, d <= epsilon, describe(pick[2]))
+    return ApproximationResult(mu, d, d <= epsilon, describe(names[k]))
 
 
 def _contenders(distances: np.ndarray, periods: np.ndarray, epsilon: float,
@@ -653,15 +662,6 @@ def _contenders(distances: np.ndarray, periods: np.ndarray, epsilon: float,
     for key in keys:
         rows &= key == key[rows].min(initial=math.inf)
     return np.flatnonzero(rows)
-
-
-def _lesser(held, rank, s, describe):
-    """(rank, s) if s ranks below the held (rank, candidate), ties broken by
-    describe(name); else the held pair."""
-    if held is None or rank < held[0] or (
-            rank == held[0] and describe(s[2]) < describe(held[1][2])):
-        return rank, s
-    return held
 
 
 # -- the mixing-subshift pipeline ------------------------------------------

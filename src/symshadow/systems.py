@@ -4,8 +4,7 @@ Three kinds of system share one interface: the map ``apply`` and
 ``apply_inverse``; the metric ``distance`` and its elementwise form
 ``distances``; the point-set queries ``nearest``, ``hausdorff`` and
 ``cyclic_period``; and the orbit constructions ``periodic_orbits``,
-``homoclinic_orbit`` and ``net``.  The planar two add ``differential`` and
-``lyapunov_exponents``.
+``homoclinic_orbit`` and ``net``.  The planar two add ``differential``.
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -41,7 +40,7 @@ import numpy as np
 
 from .homoclinic import HomoclinicDatum
 from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
-                  _bfs_distances, _int_mat_mul, _int_mat_pow, _least_walk, _next_walk,
+                  _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
                   _primitive_period, _step_layers)
 from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances, word_radius
 
@@ -121,7 +120,7 @@ class _PlanarSystem:
     ``distances`` and ``distance_matrix``, all one formula ``_root(_gauge)``
     over float coordinate differences, so the three agree bit for bit; the
     point-set queries, which reduce gauges and take the monotone ``_root`` of
-    each result; and the Lyapunov exponents of the system's ``differential``.
+    each result.
     Each system binds ``distance`` in its own class as well, where per-class
     wrappers (the bench tracer's) find it."""
 
@@ -172,24 +171,6 @@ class _PlanarSystem:
         return next((p for p in range(1, n) if n % p == 0 and all(
             self.distance(points[i], points[(i + p) % n]) <= 1e-12 for i in range(n))), n)
 
-    def lyapunov_exponents(self, orbit_points: Sequence) -> tuple[float, ...]:
-        """(1/tau) log of the eigenvalue moduli of the derivative cocycle over
-        one period of the orbit, sorted descending."""
-        tau = len(orbit_points)
-        prod = [[1.0, 0.0], [0.0, 1.0]]
-        for p in orbit_points:
-            prod = _int_mat_mul([[float(v) for v in row] for row in self.differential(p)], prod)
-        tr = prod[0][0] + prod[1][1]
-        det = prod[0][0] * prod[1][1] - prod[0][1] * prod[1][0]
-        disc = tr * tr - 4.0 * det
-        if disc >= 0:
-            roots = ((tr + math.sqrt(disc)) / 2.0, (tr - math.sqrt(disc)) / 2.0)
-            moduli = sorted((abs(roots[0]), abs(roots[1])), reverse=True)
-        else:
-            modulus = math.sqrt(abs(det))  # complex pair: |root|^2 = det
-            moduli = [modulus, modulus]
-        return tuple(math.log(m) / tau if m > 0 else float("-inf") for m in moduli)
-
 
 class _CodedShift:
     """Orbit constructions of a system coded by a shift of finite type: they
@@ -218,15 +199,6 @@ class _CodedShift:
 
 # lattice points per chunk of the rational orbit walk (a larger q goes alone)
 _CHUNK_POINTS = 1 << 20
-
-
-def _orbit_entries(q: int, points: np.ndarray, lengths: np.ndarray) -> list:
-    """((i, j, q), orbit) for each orbit of ``ToralAutomorphism.rational_orbit_spans``
-    whose span of the integer ``points`` the ``lengths`` cut: orbit lists the
-    pairs (u, v) of the span, (i, j) its first."""
-    pairs = list(zip(*points.T.tolist()))
-    ends = np.cumsum(lengths).tolist()
-    return [(pairs[e - n] + (q,), pairs[e - n:e]) for e, n in zip(ends, lengths.tolist())]
 
 
 class ToralAutomorphism(_PlanarSystem):
@@ -472,16 +444,6 @@ class ToralAutomorphism(_PlanarSystem):
         for lo, hi in zip(runs, runs[1:] + [len(starts)]):
             yield int(moduli[lo]), points[first[lo]:ends[hi - 1]], period[lo:hi]
         return closed
-
-    def rational_orbit_lattices(self, max_period: int, max_denominator: int
-                                ) -> Iterator[tuple[int, np.ndarray, list]]:
-        """(q, points, orbits) per (q, points, lengths) of
-        :meth:`rational_orbit_spans`: ``orbits`` lists ((i, j, q), orbit) for
-        its orbits (``_orbit_entries``), each orbit the integer pairs (u, v) of
-        its points (u/q, v/q) from (i, j).  Callers build Fractions only for
-        the orbits they keep."""
-        for q, points, lengths in self.rational_orbit_spans(max_period, max_denominator):
-            yield q, points, _orbit_entries(q, points, lengths)
 
     # -- homoclinic orbit along the eigenlines ------------------------
 

@@ -265,6 +265,29 @@ def test_pseudo_shadow_zero_denominator_exit_2(files, capsys):
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("system, anchor, flag, value, bound", [
+    ("cat_map.json", "1/5,2/5", "--delta", "0", "> 0"),
+    ("full_2_shift.json", "01", "--delta", "0", "> 0"),
+    ("horseshoe.json", "01", "--delta", "-0.05", "> 0"),
+    ("cat_map.json", "1/5,2/5", "--tol", "-1", ">= 0"),
+    ("golden_mean.json", "0", "--tol", "-0.001", ">= 0"),
+], ids=["cat_delta_0", "full2_delta_0", "horseshoe_delta_negative", "cat_tol_negative",
+        "golden_tol_negative"])
+def test_pseudo_shadow_delta_and_tol_out_of_range_exit_2(files, capsys, monkeypatch, system,
+                                                         anchor, flag, value, bound):
+    # these failed late: "datum tolerances inconsistent", "forward tail ... not within
+    # delta/2", or a tol of -1 exiting 4 as a numerical failure of the shadow solve
+    def no_segment(*args, **kwargs):
+        raise AssertionError("homoclinic segment built")
+
+    monkeypatch.setattr(symshadow.cli, "homoclinic_point", no_segment)
+    assert main(["pseudo-shadow", str(DATA / system), anchor, flag, value,
+                 "--out", files["out"]]) == 2
+    assert f"invalid input: {flag} must be {bound}, got {float(value)}" \
+        in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 @pytest.mark.parametrize("argv", [["pseudo-shadow", "01", "--delta", "0.05"],
                                   ["coding-table"], ["perturb-smoke", "--magnitude", "0.01"]],
                          ids=["pseudo-shadow", "coding-table", "perturb-smoke"])
@@ -397,6 +420,18 @@ def test_approx_measure_target_must_fit_the_system_exit_2(files, capsys, target,
                  "--mode", mode, "--out", files["out"]]) == 2
     assert "invalid input: " in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("mode", ["periodic", "bernoulli"])
+def test_approx_measure_inadmissible_mix_component_names_the_target(capsys, tmp_path, mode):
+    # the golden mean has no cycle "1"; the bare "word (1,) is not an admissible
+    # cycle" read as if --cycle were wrong
+    target = DATA / "target_half_mix.json"
+    assert main(["approx-measure", str(target), str(DATA / "golden_mean.json"),
+                 "--epsilon", "0.1", "--mode", mode, "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid input: target {target}: components[1]: word (1,) is not an " \
+        "admissible cycle" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("horizon", [["--max-period", "0"], ["--max-denominator", "0"]])
@@ -713,9 +748,9 @@ def test_reports_are_byte_identical_across_reruns(files, tmp_path):
 
 @pytest.mark.parametrize("argv, sha256", [
     (["cat_map.json", "1/5,2/5", "--delta", "0.01"],
-     "6a6111995c131caf7acaf60c9c032f6f804c75b4f2b5fe021d2b0072e475d682"),
+     "5a1522eaf94a8648e258c6ee843c79cbf6071fda9c8b2b897b200d36f9210c0c"),
     (["horseshoe.json", "01", "--delta", "0.05"],
-     "dffddc5bb87e95bfa04032aa3db3a212aca432ebb820889fc90bf27a3d63db6d"),
+     "48e7f75562879be1b2a3e9554268c04ec803938e3991621cd8f95d16b4e9eb86"),
 ], ids=["cat_map", "horseshoe"])
 def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
     # a change in the last bit of a float distance or defect changes the digest
@@ -726,16 +761,16 @@ def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
 
 @pytest.mark.parametrize("system, wrap, argv, sha256", [
     ("full_2_shift.json", False, ["01", "--delta", "0.125", "--dump-orbits"],
-     "aace18207b306b47a6374d4ec0df97b0904629503e7f35fc4f8ca80d103c934b"),
+     "f9302e332e896d830a16304520ac1ae348ed13f48524ce1447e899ee620b2ab1"),
     ("golden_mean.json", True, ["0", "--delta", "0.125"],
-     "9e7d695414cb30374a5f189bbfdf2ed2c63bf5e576c731fd91c16c65cfba1175"),
+     "1c0aacadb34e9c5439050a34a2e4a458596bbf3433ff97b45bb5f8c1585b66aa"),
     ("golden_mean.json", False, ["0", "--delta", "0.125"],
-     "9e7d695414cb30374a5f189bbfdf2ed2c63bf5e576c731fd91c16c65cfba1175"),
+     "1c0aacadb34e9c5439050a34a2e4a458596bbf3433ff97b45bb5f8c1585b66aa"),
 ], ids=["full_2_shift", "golden_mean", "golden_mean_bare"])
 def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, wrap, argv, sha256):
-    # every shadow distance, dense_at_3eps flag (through the Hausdorff
-    # distance) and dumped orbit of the shift-space pipeline; a bare
-    # transition matrix and its {"kind": "sft"} wrapping are one system
+    # every shadow distance, Hausdorff distance to the reference and dumped
+    # orbit of the shift-space pipeline; a bare transition matrix and its
+    # {"kind": "sft"} wrapping are one system
     path, out = DATA / system, tmp_path / "out"
     if wrap:
         path = tmp_path / system

@@ -388,8 +388,9 @@ def test_int_mat_pow_zero_is_the_identity():
 
 @pytest.mark.parametrize("size", [2, 3])
 def test_float_products_are_bitwise_the_textbook_sum(size):
-    # lyapunov_exponents chains 2x2 float products through _int_mat_mul;
-    # at size 3 a change of the addition order would show in the last bits
+    # _int_mat_mul adds each entry's products in index order, so it is the
+    # textbook product on floats too; at size 3 another order would show in
+    # the last bits
     rng = random.Random(2014)
     chain = want = [[float(i == j) for j in range(size)] for i in range(size)]
     for _ in range(200):

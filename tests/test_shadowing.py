@@ -11,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
-                                  compute_excursion_parameters)
+                                  compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import DensityReport, ShadowingError, density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint, word_radius
@@ -319,6 +319,31 @@ def test_symbolic_density_accepts_epsilon_beyond_one():
         assert density_check(system, [zero], epsilon, net_points=net_points) == at_one
         assert density_check(system, [zero], epsilon).dense
     assert density_check(CAT, [(0.0, 0.0)], 3.0).dense
+
+
+@pytest.mark.parametrize("system, anchor, delta", [
+    (CAT, (Fraction(1, 5), Fraction(2, 5)), 0.01),
+    (HORSESHOE, (0, 1), 0.05),
+    (SftSystem(FULL2), (0, 1), 0.125),
+    (SftSystem(TransitionMatrix.golden_mean()), (0,), 0.125),
+], ids=["cat_map", "horseshoe", "full_2_shift", "golden_mean"])
+def test_shadowed_orbits_are_dense_at_three_times_hausdorff_and_shadow(system, anchor,
+                                                                        delta):
+    # the README pseudo-shadow anchors: every reference point lies within H of
+    # the pseudo-orbit, which lies within S of the orbit, so the orbit is
+    # 3 max(H, S)-dense on the reference; this is why pseudo-shadow rows report
+    # H rather than a density flag
+    datum = homoclinic_point(system, anchor, delta=delta)
+    params = compute_excursion_parameters(datum)
+    datum = datum.covering(params, params.N0 + 12)
+    for n in range(params.N0, params.N0 + 13):
+        po = build_periodic_pseudo_orbit(datum, params, n)
+        hausdorff = verify_pseudo_orbit(po, delta, reference=datum.reference)[
+            "hausdorff_to_reference"]
+        orbit = shadow_periodic(system, po)
+        epsilon = 3.0 * max(hausdorff, orbit.shadow_distance, 1e-12)
+        assert density_check(system, orbit.points, epsilon,
+                             net_points=datum.reference).dense, f"n = {n}"
 
 
 def test_density_check_without_orbit_points_raises():

@@ -1,5 +1,5 @@
 """Concrete system backends: evaluation, splittings, homoclinic oracles,
-Lyapunov exponents, nets, coding."""
+rational orbits, nets, coding."""
 
 import dataclasses
 import itertools
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import rational_orbit_lattices
 from symshadow import systems
 from symshadow.cli import main
 from symshadow.homoclinic import HomoclinicDatum, compute_excursion_parameters
@@ -80,7 +81,7 @@ def test_rational_orbits_are_the_short_lattice_orbits(max_period, max_denominato
 
 def lattice_orbits(system, max_period, max_denominator):
     """The ((i, j, q), orbit) entries of ``rational_orbit_lattices`` over all q."""
-    return [entry for _, _, orbits in system.rational_orbit_lattices(max_period, max_denominator)
+    return [entry for _, _, orbits in rational_orbit_lattices(system, max_period, max_denominator)
             for entry in orbits]
 
 
@@ -132,14 +133,14 @@ def test_rational_orbits_equal_the_fraction_scan(system, max_period, max_denomin
 def test_rational_orbits_are_the_same_over_many_chunks(monkeypatch):
     one_chunk = lattice_orbits(CAT, 12, 20)
     lattices = [(q, points.tolist(), orbits) for q, points, orbits
-                in CAT.rational_orbit_lattices(12, 20)]
+                in rational_orbit_lattices(CAT, 12, 20)]
     # chunks of at most 40 points: q <= 4 share chunks, every larger q goes alone;
     # a new system, as CAT keeps the one-chunk walk of (12, 20)
     monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
     cat = cat_map()
     assert lattice_orbits(cat, 12, 20) == one_chunk
     assert [(q, points.tolist(), orbits) for q, points, orbits
-            in cat.rational_orbit_lattices(12, 20)] == lattices
+            in rational_orbit_lattices(cat, 12, 20)] == lattices
     assert all(points == [list(p) for _, orbit in orbits for p in orbit]
                for _, points, orbits in lattices)
     assert fraction_orbits(cat, 12, 20) == list(fraction_orbit_scan(cat, 12, 20))
@@ -268,14 +269,14 @@ def test_the_orbit_walk_ends_once_every_orbit_has_closed():
     # at most 6q, so at q <= 40 every orbit closes within 120 steps
     def lattices(max_period):
         return [(q, points.tolist(), orbits) for q, points, orbits
-                in CAT.rational_orbit_lattices(max_period, 40)]
+                in rational_orbit_lattices(CAT, max_period, 40)]
 
     def best_time(max_period):  # on new systems, which walk the horizon
         times = []
         for _ in range(3):
             cat = cat_map()
             start = time.perf_counter()
-            list(cat.rational_orbit_lattices(max_period, 40))
+            list(rational_orbit_lattices(cat, max_period, 40))
             times.append(time.perf_counter() - start)
         return min(times)
 
@@ -673,36 +674,6 @@ def test_period_two_star_splice_raises_at_once(tmp_path):
     path.write_text(json.dumps({"rows": star}))
     assert main(["pseudo-shadow", str(path), "01", "--delta", "0.125",
                  "--out", str(tmp_path / "out")]) == 2
-
-
-# -- Lyapunov exponents --------------------------------------------------------
-
-
-def test_cat_lyapunov_exponents():
-    orbit = [(Fraction(1, 5), Fraction(2, 5)), (Fraction(4, 5), Fraction(3, 5))]
-    exponents = CAT.lyapunov_exponents(orbit)
-    assert abs(exponents[0] - math.log(LAM)) < 1e-10
-    assert abs(exponents[1] + math.log(LAM)) < 1e-10
-
-
-def test_horseshoe_lyapunov_exponents():
-    hs = Horseshoe(1 / 3, 3.0)
-    p = hs.code_point(ShiftPoint.from_cycle((0,)))
-    exponents = hs.lyapunov_exponents([p])
-    assert abs(exponents[0] - math.log(3)) < 1e-12
-    assert abs(exponents[1] - math.log(1 / 3)) < 1e-12
-
-
-def test_sft_has_no_lyapunov_exponents():
-    assert not hasattr(SftSystem(FULL2), "lyapunov_exponents")
-
-
-def test_exponents_bounded_away_from_zero():
-    hs = Horseshoe(0.4, 2.5)
-    p = hs.code_point(ShiftPoint.from_cycle((0, 1)))
-    orbit = [p, hs.apply(p)]
-    bound = math.log(min(1 / 0.4, 2.5))
-    assert all(abs(e) >= bound - 1e-12 for e in hs.lyapunov_exponents(orbit))
 
 
 # -- nets -----------------------------------------------------------------------
