@@ -42,9 +42,8 @@ from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSuppo
                        LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
                        cycle_measure, cylinder_family, fourier_family, weak_star_distance)
 from .sft import (ConvergenceError, NonEssentialMatrixError, ReducibleMatrixError,
-                  SymbolicCycle, TransitionMatrix, class_period,
-                  count_periodic_points, cyclic_decomposition, is_irreducible,
-                  is_primitive, topological_entropy)
+                  SymbolicCycle, TransitionMatrix, count_periodic_points,
+                  cyclic_decomposition, is_irreducible, is_primitive, topological_entropy)
 from .shadowing import ShadowingError, shadow_periodic
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, homoclinic_point,
                       parse_system)
@@ -321,6 +320,8 @@ def cmd_approx_measure(args) -> int:
     _refuse_below_one(args, "depth", "max_period", "max_denominator")
     if args.epsilon <= 0:  # a radius, as in lpp and perturb-smoke
         raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
+    if args.mode == "periodic" and args.cycle is not None:
+        raise ValueError(f"--cycle applies to bernoulli mode only, got {args.cycle!r}")
     target, target_id = _load_target(args.target, system)
     parameters = {"system": system.to_config(), "target": target_id, "epsilon": args.epsilon,
                   "mode": args.mode, "depth": args.depth, "max_period": args.max_period,
@@ -350,8 +351,10 @@ def cmd_approx_measure(args) -> int:
         if not is_primitive(matrix):
             raise ValueError("bernoulli mode requires a primitive (mixing) support")
         family = cylinder_family(matrix, args.depth)
+        parameters["cycle"] = args.cycle
         ba = bernoulli_approximation(target, matrix, args.epsilon, family,
-                                     cycle=_parse_word(args.cycle) if args.cycle else None)
+                                     cycle=_parse_word(args.cycle) if args.cycle else None,
+                                     max_period=args.max_period)
         report = {
             "mode": "bernoulli", "family": family.description,
             "cycle": "".join(map(str, ba.cycle)), "m": ba.m,

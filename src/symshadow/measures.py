@@ -57,7 +57,7 @@ FAMILY_SIZE = 1074
 # below: the weights fall as 2^-j, so the two heaviest carry 3/4 of the weight
 HEAVY_MODES = 2
 # the bound and the score each add a few thousand float terms w_j |t_j - I_j| <= 2 w_j,
-# so for weights summing to <= 1 they part by < 1e-12: a bound past max(within, U)
+# so for weights summing to <= 1 they part by < 1e-12: a bound past the least score U
 # by this absolute slack is a score past it too
 BOUND_SLACK = 1e-9
 
@@ -486,10 +486,10 @@ def _orbit_entries(q: int, points: np.ndarray, lengths: np.ndarray) -> list:
 
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
                              max_period: int, max_denominator: int,
-                             within: float = math.inf) -> Iterator[tuple]:
-    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_spans``
-    whose score d can be <= max(within, d*), d* the least score of the horizon;
-    ``within=inf`` lists them all.  The scan reads the integer form of the walk
+                             bounded: bool = False) -> Iterator[tuple]:
+    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_spans``:
+    all of them, or with ``bounded`` those whose score d can be the least score
+    d* of the horizon.  The scan reads the integer form of the walk
     (``rational_orbit_spans``: read-only arrays, kept on the system for a horizon
     of max_denominator <= 146, so a later scan of it does not walk again) and
     builds the ((i, j, q), orbit) entries of the orbits it yields only.  d is the
@@ -502,13 +502,12 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
     Real parts sum (c_r + c_{q-r}) cos and imaginary parts (c_r - c_{q-r}) sin,
     halved, so an orbit and its mirror under x -> -x get bit-identical |integral|s.
 
-    Below ``within=inf`` the orbits are first bounded, a group of lattices at a
-    time: every term of a score is >= 0, so the terms of its ``HEAVY_MODES``
-    heaviest modes are a lower bound b on it (``_heavy_mode_bounds``).  The orbit
-    of least b is scored; the least such score U so far is >= d*, and an orbit
-    with b > max(within, U) + ``BOUND_SLACK`` scores above both within and d*, so
-    it is dropped unscored.  The survivors are scored as above, so each yielded d
-    keeps the bits it has in the full listing."""
+    ``bounded`` scans bound the orbits first, a group of lattices at a time: every
+    term of a score is >= 0, so the terms of its ``HEAVY_MODES`` heaviest modes are a
+    lower bound b on it (``_heavy_mode_bounds``).  The orbit of least b is scored; the
+    least such score U so far is >= d*, and an orbit with b > U + ``BOUND_SLACK``
+    scores above d*, so it is dropped unscored.  The survivors are scored as above,
+    so each yielded d keeps the bits it has in the full listing."""
     if not all(isinstance(obs, FourierMode) for obs in family.observables):
         raise TypeError("torus orbits integrate Fourier modes only")
     modes = np.array([obs.k for obs in family.observables], dtype=int).reshape(-1, 2).T
@@ -546,14 +545,14 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
             start = lengths[:k].sum()
             orbit = points[start:start + lengths[k]]
             least = min(least, next(scores(q, orbit, lengths[k:k + 1])))
-            keep = bound <= max(least, within) + BOUND_SLACK
+            keep = bound <= least + BOUND_SLACK
             for q, points, lengths in group:
                 kept, keep = keep[:len(lengths)], keep[len(lengths):]
                 if kept.any():
                     yield q, points[np.repeat(kept, lengths)], lengths[kept]
 
     spans = system.rational_orbit_spans(max_period, max_denominator)
-    for q, points, lengths in spans if within == math.inf else survivors(spans):
+    for q, points, lengths in survivors(spans) if bounded else spans:
         yield from ((start, orbit, d) for (start, orbit), d
                     in zip(_orbit_entries(q, points, lengths), scores(q, points, lengths)))
 
@@ -580,55 +579,49 @@ def _heavy_mode_bounds(target, family: TestFamily, spans: Sequence[tuple]) -> np
     return np.abs(np.array(target.integrals(family))[heavy] - integrals) @ weights[heavy]
 
 
+def _shift_scan(target, matrix: TransitionMatrix, family: TestFamily, max_period: int
+                ) -> tuple[list, np.ndarray, list[int]]:
+    """The (text, word, n) candidates, scores and periods n of a shift scan: the
+    primitive cycles, listed once per matrix, whose integrals are kept per family
+    (``TestFamily.cycle_integrals``), and the "blocks xN" words matching the
+    cylinder frequencies of a finite-support target, each on its cyclic word.
+    The scores are the weak-* distances bit for bit."""
+    cycles = matrix.primitive_cycles(max_period)
+    blocks = [(f"blocks x{reps}", word, _primitive_period(word)) for reps, word
+              in _block_words(matrix, _orbit_cycles_of_target(target))
+              ] if isinstance(target, FiniteSupportMeasure) else []
+    integrals = np.hstack([family.cycle_integrals(matrix, cycles),
+                           _cyclic_word_integrals([w[:n] for _, w, n in blocks], family)])
+    candidates = cycles + blocks
+    return candidates, _gaps(target, family, integrals), [n for _, _, n in candidates]
+
+
 def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
-                            max_period: int = 12, max_denominator: int = 64,
-                            prefer: str = "distance") -> ApproximationResult:
+                            max_period: int = 12, max_denominator: int = 64
+                            ) -> ApproximationResult:
     """Best periodic measure within the search horizon, scored from integers.
 
-    Shift systems scan the matrix's primitive cycles, listed once per
-    matrix (``TransitionMatrix.primitive_cycles``), plus block concatenations
-    matching the cylinder frequencies of a finite-support target, each on
-    its cyclic word; the listed cycles' integrals do not depend on the target
-    and are kept per family (``TestFamily.cycle_integrals``), so a request
-    counts the cylinders of its block words only.  Toral systems scan
-    rational orbits on their residues mod q.  ``prefer`` picks the winner:
-    smallest distance (default, ties to the smaller period, then the
-    description) or the shortest orbit within epsilon ("shortest_within",
-    else smallest distance).  The candidates that cannot win on (distance,
-    period) are dropped in numpy (``_contenders``), and the least description
-    among the rest wins, so the tie rule settles bit-equal scores only.
+    Shift systems scan cycles and block words (``_shift_scan``); toral systems
+    scan rational orbits on their residues mod q.  The winner has the least
+    distance, then the least period, then the least description: ``_contenders``
+    drops in numpy the candidates that cannot win on (distance, period), so the
+    tie rule settles bit-equal scores only.
     Shift scores are the weak-* distances bit for bit; torus scores are them
     up to rounding, so an orbit and its mirror score alike, but orbits whose
     exact distances tie can score a few 1e-17 apart, and rounding picks among
-    them.  At (30, 40) over ``fourier_family(1)``, 68 orbits lie at distance 0
-    from Lebesgue in 12 distinct scores, and the period-30 orbit(1/40,11/40),
-    scoring 2.3e-17, wins over the period-10 orbit(0/5,1/5), scoring 4.2e-17.
-    A torus orbit that scores above epsilon and above the least score cannot
-    win, so ``rational_orbit_distances`` drops it unscored where its
-    heavy-mode bound shows that (within = epsilon under "shortest_within", 0
-    under "distance"); the survivors' starts, scores and periods are
-    collected.  Only the winner's measure is built.
+    them (``docs/formats.md`` gives a period-30 orbit that wins so at (30, 40)).
+    The ``bounded`` torus scan drops unscored the orbits whose heavy-mode bound
+    shows they score above the least score; the survivors' starts, scores and
+    periods are collected.  Only the winner's measure is built.
     """
     if isinstance(system, SftSystem):
-        matrix = system.matrix
-        cycles = matrix.primitive_cycles(max_period)
-        blocks = [(f"blocks x{reps}", word, _primitive_period(word)) for reps, word
-                  in _block_words(matrix, _orbit_cycles_of_target(target))
-                  ] if isinstance(target, FiniteSupportMeasure) else []
-        integrals = np.hstack([family.cycle_integrals(matrix, cycles),
-                               _cyclic_word_integrals([w[:n] for _, w, n in blocks], family)])
-        candidates = cycles + blocks
+        candidates, distances, periods = _shift_scan(target, system.matrix, family, max_period)
         names = [name for name, _, _ in candidates]
-        distances = _gaps(target, family, integrals)
-        periods = [n for _, _, n in candidates]
         describe = str
     elif isinstance(system, ToralAutomorphism):
-        # starts, scores and periods, not orbits: a loose "shortest_within" scan
-        # can keep ~10^5 survivors
-        names, distances, periods = [], [], []
-        for start, orbit, d in rational_orbit_distances(
-                target, system, family, max_period, max_denominator,
-                epsilon if prefer == "shortest_within" else 0.0):
+        names, distances, periods = [], [], []  # starts, not orbits
+        for start, orbit, d in rational_orbit_distances(target, system, family, max_period,
+                                                        max_denominator, bounded=True):
             names.append(start)
             distances.append(d)
             periods.append(len(orbit))
@@ -636,13 +629,10 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     else:
         raise TypeError(f"unsupported system {system!r}")
 
-    contenders = _contenders(np.array(distances), np.array(periods, dtype=float), epsilon,
-                             prefer).tolist()
-    if not contenders:
-        raise ValueError("no periodic candidates within the horizon")
+    contenders = _contenders((distances, periods), np.ones(len(distances), dtype=bool))
     k = min(contenders, key=lambda c: describe(names[c]))
     if isinstance(system, SftSystem):
-        mu = cycle_measure(matrix, candidates[k][1])
+        mu = cycle_measure(system.matrix, candidates[k][1])
     else:  # walked again from its start: the scan's points in the scan's order
         i, j, q = names[k]
         mu = periodic_measure(system.orbit_of((Fraction(i, q), Fraction(j, q)), max_period))
@@ -650,18 +640,15 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     return ApproximationResult(mu, d, d <= epsilon, describe(names[k]))
 
 
-def _contenders(distances: np.ndarray, periods: np.ndarray, epsilon: float,
-                prefer: str) -> np.ndarray:
-    """Indices of the candidates that can win: those of least distance, then
-    least period, or, under "shortest_within" when some distance is <= epsilon,
-    those within epsilon of least period, then least distance.  Only their
-    descriptions are left to compare."""
-    rows, keys = np.ones(len(distances), dtype=bool), (distances, periods)
-    if prefer == "shortest_within" and (distances <= epsilon).any():
-        rows, keys = distances <= epsilon, (periods, distances)
-    for key in keys:
-        rows &= key == key[rows].min(initial=math.inf)
-    return np.flatnonzero(rows)
+def _contenders(keys: Sequence[Sequence], rows: np.ndarray) -> list[int]:
+    """Indices of the candidates that can win: those among ``rows`` of least
+    first key, then of least second key.  Only their descriptions are left to
+    compare."""
+    for key in np.array(keys, dtype=float):
+        rows = rows & (key == key[rows].min(initial=math.inf))
+    if not rows.any():
+        raise ValueError("no periodic candidates within the horizon")
+    return np.flatnonzero(rows).tolist()
 
 
 # -- the mixing-subshift pipeline ------------------------------------------
@@ -752,13 +739,28 @@ def renewal_cylinders(loop: Sequence[int], excursion: Sequence[int], depth: int
     return 1.0 / x, {w: p / mean for w, p in masses.items()}
 
 
+def _shortest_within(target, matrix: TransitionMatrix, radius: float, family: TestFamily,
+                     max_period: int) -> tuple[int, ...]:
+    """Bernoulli's step 1 pick among the (text, word, n) of ``_shift_scan``: least
+    period within radius of the target, then least distance, or if none is within,
+    least distance, then least period; ties to the least text.  Its cycle is
+    word[:n]."""
+    candidates, distances, periods = _shift_scan(target, matrix, family, max_period)
+    within = distances <= radius
+    contenders = (_contenders((periods, distances), within) if within.any()
+                  else _contenders((distances, periods), ~within))
+    _, word, n = min((candidates[k] for k in contenders), key=lambda c: c[0])
+    return word[:n]
+
+
 def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
                             family: TestFamily, cycle: Sequence[int] | None = None,
-                            m_max: int = 16) -> BernoulliApproximation:
+                            m_max: int = 16, max_period: int = 12) -> BernoulliApproximation:
     """Approximate a target measure by a mixing-support Markov measure.
 
-    Steps: (1) pick a periodic measure mu_p within epsilon/2 of the target
-    (searched unless a cycle is supplied); (2) take the homoclinic splice
+    Steps: (1) unless a cycle is supplied, pick a periodic measure mu_p within
+    epsilon/2 of the target, the shortest that a shift scan up to ``max_period``
+    finds (``_shortest_within``); (2) take the homoclinic splice
     of the cycle and its minimal excursion word; (3) for each m, score the
     Parry measure of the block subshift {p-loop repeated m times, excursion}
     from its renewal closed form (:func:`renewal_cylinders`), skipping the m
@@ -773,14 +775,9 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
         raise ValueError("ambient shift must be primitive (mixing)")
     if not all(isinstance(obs, CylinderObservable) for obs in family.observables):
         raise TypeError("block subshift measures integrate cylinder observables only")
-    if cycle is None:
-        step1 = approximate_by_periodic(target, SftSystem(matrix), epsilon / 2.0, family,
-                                        prefer="shortest_within")
-        cycle = _orbit_cycles_of_target(step1.measure)[0][0]
-        mu_p = step1.measure
-    else:
-        cycle = tuple(cycle)
-        mu_p = cycle_measure(matrix, cycle)
+    cycle = tuple(cycle) if cycle is not None else _shortest_within(
+        target, matrix, epsilon / 2.0, family, max_period)
+    mu_p = cycle_measure(matrix, cycle)
 
     q, center = sft_homoclinic_splice(matrix, cycle)
     excursion = ((cycle[0],) + center) if len(cycle) > 1 else center

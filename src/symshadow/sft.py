@@ -178,7 +178,6 @@ class CyclicDecomposition:
 @dataclass(frozen=True)
 class CycleEnumeration:
     cycles: tuple[SymbolicCycle, ...]
-    truncated: bool
 
 
 def admissible_words(matrix: TransitionMatrix, length: int) -> list[Word]:
@@ -350,10 +349,10 @@ def _int_mat_pow(a: list[list[int]], n: int) -> list[list[int]]:
     return power
 
 
-def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> CycleEnumeration:
+def enumerate_cycles(matrix: TransitionMatrix, n: int) -> CycleEnumeration:
     """All admissible cyclic words of length exactly n, one representative
     per rotation class (the lexicographically least rotation), in
-    lexicographic order, truncated at ``limit``.
+    lexicographic order: at most ``count_periodic_points(matrix, n)`` of them.
 
     Least rotations are generated as necklaces by the Fredricksen-Kessler-
     Maiorana rule (Ruskey, Savage & Wang, J. Algorithms 13, 1992): with p
@@ -367,37 +366,28 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int, limit: int = 100_000) -> 
     if n < 1:
         raise ValueError("n must be >= 1")
     out: list[SymbolicCycle] = []
-    truncated = False
     word = [0] * n
 
-    def dfs(pos: int, p: int, layers: list[set[int]]) -> bool:
-        nonlocal truncated
+    def dfs(pos: int, p: int, layers: list[set[int]]) -> None:
         if pos == n:
             if n % p == 0 and matrix.rows[word[-1]][word[0]]:
-                if len(out) >= limit:
-                    truncated = True
-                    return False
                 out.append(SymbolicCycle(tuple(word), n, p))
-            return True
+            return
         for s in matrix.succ[word[pos - 1]]:
             # prune: s must keep the prefix a prenecklace, and from s there
             # must remain a path of exactly n - pos edges back to word[0]
             if s < word[pos - p] or s not in layers[n - pos]:
                 continue
             word[pos] = s
-            if not dfs(pos + 1, p if s == word[pos - p] else pos + 1, layers):
-                return False
-        return True
+            dfs(pos + 1, p if s == word[pos - p] else pos + 1, layers)
 
     for first in range(matrix.size):
         # layers[t] = states with a path of exactly t edges to ``first``
         layers = _step_layers(matrix.pred, first, n)
-        if first not in layers[n]:
-            continue
-        word[0] = first
-        if not dfs(1, 1, layers):
-            break
-    return CycleEnumeration(tuple(out), truncated)
+        if first in layers[n]:
+            word[0] = first
+            dfs(1, 1, layers)
+    return CycleEnumeration(tuple(out))
 
 
 def perron_data(matrix: TransitionMatrix) -> tuple[float, list[float], list[float]]:

@@ -183,7 +183,7 @@ class _CodedShift:
         if count_periodic_points(self.coding_matrix, n) > cap:
             raise ValueError(f"more than {cap} fixed points at period {n}")
         words = sorted((cyc.states[r:] + cyc.states[:r], cyc.primitive_period)
-                       for cyc in enumerate_cycles(self.coding_matrix, n, limit=cap).cycles
+                       for cyc in enumerate_cycles(self.coding_matrix, n).cycles
                        for r in range(cyc.primitive_period))
         return [[self.code_point(ShiftPoint.from_cycle(word).shift(i)) for i in range(pp)]
                 for word, pp in words]

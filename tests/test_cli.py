@@ -375,6 +375,36 @@ def test_format_is_refused_where_no_csv_trace_is_written(files):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("max_period, cycle", [("12", "0011"), ("4", "0011"), ("2", "01")])
+def test_bernoulli_mode_searches_its_cycle_up_to_max_period(tmp_path, max_period, cycle):
+    # the periodic step ran at max_period 12 whatever --max-period said
+    target = tmp_path / "bernoulli.json"
+    target.write_text(json.dumps({"kind": "bernoulli", "p": [0.45, 0.55]}))
+    assert main(["approx-measure", str(target), str(DATA / "full_2_shift.json"),
+                 "--epsilon", "0.1", "--mode", "bernoulli", "--max-period", max_period,
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "approx_measure.json").read_text())
+    assert report["cycle"] == cycle and report["within_epsilon"]
+    assert report["config"]["parameters"]["max_period"] == int(max_period)
+
+
+def test_approx_measure_records_cycle_in_bernoulli_mode_and_refuses_it_in_periodic(
+        files, tmp_path, capsys):
+    for cycle in (None, "01"):
+        out = tmp_path / str(cycle)
+        assert main(["approx-measure", files["mix"], files["full2"], "--epsilon", "0.1",
+                     "--mode", "bernoulli", *(["--cycle", cycle] if cycle else []),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "approx_measure.json").read_text())
+        assert report["config"]["parameters"]["cycle"] == cycle
+    assert report["cycle"] == "01"
+    # periodic mode searches: --cycle was accepted there and had no effect
+    assert main(["approx-measure", files["mix"], files["full2"], "--epsilon", "0.1",
+                 "--mode", "periodic", "--cycle", "01", "--out", files["out"]]) == 2
+    assert "invalid input: --cycle applies to bernoulli mode only" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):
     parity_system = tmp_path / "paritysys.json"
     parity_system.write_text(json.dumps(
@@ -571,7 +601,7 @@ def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
 @pytest.mark.parametrize("argv, sha256", [
     (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
       "--mode", "bernoulli"],
-     "409f609bf7ba6bdbb9958f57d96ca0b7f723dd211a04010557059230f5898251"),
+     "39d2ef4f95b1f4b38490d61e83b9e88bb37b1ad15e683b14a90f4f625ce1e02b"),
     (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
       "--mode", "periodic", "--max-period", "30"],
      "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),

@@ -26,7 +26,7 @@ from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, Cylin
                                 MarkovMeasure, _atom_sums, _block_words,
                                 _cyclic_word_integrals, _gaps,
                                 _orbit_cycles_of_target, _orbit_entries,
-                                approximate_by_periodic,
+                                _shortest_within, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
                                 fourier_family, parry_measure,
@@ -706,19 +706,24 @@ def test_cyclic_word_distances_equal_the_full_measure_scan_bit_for_bit(matrix):
               for c in enumerate_cycles(matrix, n).cycles if c.primitive_period == n]
     for target in targets:
         candidates = reference_candidates(target, system)
+        listings = ((12, candidates), (6, reference_candidates(target, system, 6)))
         blocks = [word[:len(mu.atoms)] for desc, word, mu in candidates
                   if desc.startswith("blocks")]
         assert blocks or not isinstance(target, FiniteSupportMeasure)
         for depth in range(1, 5):
             family = cylinder_family(matrix, depth)
             assert_cyclic_scores_bit_for_bit(target, matrix, cycles + blocks, family)
-            for prefer in ("distance", "shortest_within"):
-                for epsilon in (0.02, 0.1):
-                    res = approximate_by_periodic(target, system, epsilon, family,
-                                                  prefer=prefer)
-                    assert_same_result(res, reference_pick(target, candidates, epsilon,
-                                                           family, prefer))
-                    assert res.distance == weak_star_distance(target, res.measure, family)
+            for epsilon in (0.02, 0.1):
+                res = approximate_by_periodic(target, system, epsilon, family)
+                assert_same_result(res, reference_pick(target, candidates, epsilon, family))
+                assert res.distance == weak_star_distance(target, res.measure, family)
+                # Bernoulli's step 1 picks from the same scan by the shortest-within rule,
+                # epsilon standing for its epsilon/2
+                for max_period, listed in listings:
+                    cycle = _shortest_within(target, matrix, epsilon, family, max_period)
+                    _, n, _, mu = reference_pick(target, listed, epsilon, family,
+                                                 "shortest_within")
+                    assert len(cycle) == n and cycle_measure(matrix, cycle).atoms == mu.atoms
 
 
 def test_cyclic_word_distances_at_the_edges_bit_for_bit():
@@ -806,16 +811,15 @@ def test_a_warm_family_approximates_as_a_fresh_one(matrix):
             for max_period in (6, 8):
                 for target in targets:
                     reference = reference_candidates(target, system, max_period)
-                    for prefer in ("distance", "shortest_within"):
-                        for epsilon in (0.02, 0.1):
-                            res = approximate_by_periodic(target, system, epsilon, warm,
-                                                          max_period, prefer=prefer)
-                            fresh = approximate_by_periodic(
-                                target, system, epsilon, cylinder_family(matrix, depth),
-                                max_period, prefer=prefer)
-                            assert shift_result(res) == shift_result(fresh)
-                            assert_same_result(res, reference_pick(target, reference, epsilon,
-                                                                   warm, prefer))
+                    for epsilon in (0.02, 0.1):
+                        res = approximate_by_periodic(target, system, epsilon, warm,
+                                                      max_period)
+                        fresh = approximate_by_periodic(
+                            target, system, epsilon, cylinder_family(matrix, depth),
+                            max_period)
+                        assert shift_result(res) == shift_result(fresh)
+                        assert_same_result(res, reference_pick(target, reference, epsilon,
+                                                               warm))
         # one table per listing: 6 and 8 list different numbers of cycles
         assert len(warm._cycle_integrals) == 2
         assert all(not table.flags.writeable for table in warm._cycle_integrals.values())
@@ -825,8 +829,10 @@ def test_the_cycle_table_is_counted_once_per_matrix_family_and_listing(monkeypat
     runs = counted_kernel(monkeypatch)
     family, target = cylinder_family(FULL2, 3), BernoulliProduct([0.4, 0.6])
     listed = len(FULL2.primitive_cycles(8))
-    for prefer in ("distance", "shortest_within", "distance"):
-        approximate_by_periodic(target, SftSystem(FULL2), 0.1, family, 8, prefer=prefer)
+    # Bernoulli's step 1 scans with the same table
+    approximate_by_periodic(target, SftSystem(FULL2), 0.1, family, 8)
+    _shortest_within(target, FULL2, 0.1, family, 8)
+    approximate_by_periodic(target, SftSystem(FULL2), 0.1, family, 8)
     assert runs == [listed]
     # a finite-support target counts its "blocks xN" words on every request
     mix = periodic_mix(FULL2, [((0,), Fraction(1, 3)), ((0, 1), Fraction(2, 3))])
@@ -905,12 +911,9 @@ def test_torus_orbit_distances_match_the_full_measure_scan(bound):
                 # measures put 3.6e-17 apart at bound 3
                 for (i, j, q), _, d in scored:
                     assert score_at[(-i % q, -j % q, q)].hex() == d.hex()
-            for prefer in ("distance", "shortest_within"):
-                res = approximate_by_periodic(target, cat, 0.05, family, prefer=prefer,
-                                              **horizon)
-                assert_same_result(res, reference_pick(target, reference, 0.05, family,
-                                                       prefer))
-                assert res.distance == weak_star_distance(target, res.measure, family)
+            res = approximate_by_periodic(target, cat, 0.05, family, **horizon)
+            assert_same_result(res, reference_pick(target, reference, 0.05, family))
+            assert res.distance == weak_star_distance(target, res.measure, family)
 
 
 def test_the_torus_scan_breaks_ties_by_description(monkeypatch):
@@ -918,26 +921,19 @@ def test_the_torus_scan_breaks_ties_by_description(monkeypatch):
     # descriptions break them
     count = 100_000
 
-    def stream(target, system, family, max_period, max_denominator, within=math.inf):
+    def stream(target, system, family, max_period, max_denominator, bounded=False):
         for t in range(count):  # distinct starts: 7919 is a unit mod 400^2
             q, (i, j) = 400, divmod(t * 7919 % 160_000, 400)
             yield (i, j, q), [(i, j)] * (2 if t % 3 else 1), (0.125, 0.25, 0.0625)[t % 3] + t % 5
 
-    def listed(epsilon, prefer):
-        scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})")
-                  for (i, j, q), orbit, d in stream(*[None] * 5)]
-        within = [s for s in scored if s[0] <= epsilon] if prefer == "shortest_within" else []
-        return min(within, key=lambda s: (s[1], s[0], s[2])) if within else min(scored)
-
+    scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})")
+              for (i, j, q), orbit, d in stream(*[None] * 5)]
     monkeypatch.setattr(measures, "rational_orbit_distances", stream)
-    family = fourier_family(1)
-    for prefer, epsilon in (("distance", 0.2), ("shortest_within", 0.2),
-                            ("shortest_within", 0.1), ("shortest_within", 0.01)):
-        # the winner's measure is the cat map orbit walked from its start, and
-        # every orbit mod 400 closes within 300 steps (the Pisano period is 600)
-        res = approximate_by_periodic(LebesgueTorus(), cat_map(), epsilon, family,
-                                      max_period=300, prefer=prefer)
-        assert res.description == listed(epsilon, prefer)[2]
+    # the winner's measure is the cat map orbit walked from its start, and
+    # every orbit mod 400 closes within 300 steps (the Pisano period is 600)
+    res = approximate_by_periodic(LebesgueTorus(), cat_map(), 0.2, fourier_family(1),
+                                  max_period=300)
+    assert res.description == min(scored)[2]
 
 
 @pytest.mark.parametrize("budget", [1, 3000])
@@ -981,32 +977,25 @@ def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
             bounds = measures._heavy_mode_bounds(target, family, spans)
             assert len(bounds) == len(full)
             assert all(b <= d + measures.BOUND_SLACK for b, (_, _, d) in zip(bounds, full))
-            for within in (0.0, 0.01, 0.05, 0.3):
-                kept = list(rational_orbit_distances(target, CAT, family, *horizon, within))
-                # every kept score is the full scan's, and every orbit that can win is kept
-                assert all(score[start].hex() == d.hex() for start, _, d in kept)
-                kept_starts = {start for start, _, _ in kept}
-                assert {s for s, d in score.items() if d <= max(within, least)} <= kept_starts
-                if name == "lebesgue":  # a mirror pair is kept or dropped together
-                    kept_points = {(u, v, q) for (_, _, q), orbit, _ in kept for u, v in orbit}
-                    assert all(((-i % q, -j % q, q) in kept_points) == ((i, j, q) in kept_points)
-                               for i, j, q in score)
+            kept = list(rational_orbit_distances(target, CAT, family, *horizon, bounded=True))
+            # every kept score is the full scan's, and every orbit that can win is kept
+            assert all(score[start].hex() == d.hex() for start, _, d in kept)
+            kept_starts = {start for start, _, _ in kept}
+            assert {s for s, d in score.items() if d <= least} <= kept_starts
+            if name == "lebesgue":  # a mirror pair is kept or dropped together
+                kept_points = {(u, v, q) for (_, _, q), orbit, _ in kept for u, v in orbit}
+                assert all(((-i % q, -j % q, q) in kept_points) == ((i, j, q) in kept_points)
+                           for i, j, q in score)
             scanned = [(d, len(orbit), "orbit({0}/{2},{1}/{2})".format(*start))
                        for start, orbit, d in full]
-            for prefer in ("distance", "shortest_within"):
-                for epsilon in (0.01, 0.05, 0.3):
-                    res = approximate_by_periodic(target, CAT, epsilon, family, *horizon,
-                                                  prefer=prefer)
-                    within = [s for s in scanned if s[0] <= epsilon]
-                    pick = (min(within, key=lambda s: (s[1], s[0], s[2]))
-                            if prefer == "shortest_within" and within else min(scanned))
-                    assert res.description == pick[2]
-                    # the scan's scores and the full measures' distances part in their
-                    # last bits, so a near tie of the two can fall either way (127 of
-                    # these 864 requests, without the bound too); the distances agree
-                    d, n, _, _ = reference_pick(target, reference, epsilon, family, prefer)
-                    assert abs(res.distance - d) <= 1e-15
-                    assert len(res.measure.atoms) == n or prefer == "distance"
+            for epsilon in (0.01, 0.05, 0.3):
+                res = approximate_by_periodic(target, CAT, epsilon, family, *horizon)
+                assert res.description == min(scanned)[2]
+                # the scan's scores and the full measures' distances part in their
+                # last bits, so a near tie of the two can fall either way (99 of
+                # these 432 requests, without the bound too); the distances agree
+                d, _, _, _ = reference_pick(target, reference, epsilon, family)
+                assert abs(res.distance - d) <= 1e-15
 
 
 def per_point_bounds(target, family, spans):
@@ -1054,25 +1043,25 @@ def test_the_bounded_torus_scan_builds_entries_only_for_the_orbits_it_yields(mon
         for family in (fourier_family(1), fourier_family(3)):
             full = {start: (start, orbit, d.hex()) for start, orbit, d
                     in rational_orbit_distances(target, CAT, family, *horizon)}
-            for within in (0.0, 0.05):
-                built.clear()
-                kept = [(start, orbit, d.hex()) for start, orbit, d
-                        in rational_orbit_distances(target, CAT, family, *horizon, within)]
-                assert 0 < len(kept) < len(full)
-                assert kept == [full[start] for start, _, _ in kept]
-                assert built == [(start, orbit) for start, orbit, _ in kept]
+            built.clear()
+            kept = [(start, orbit, d.hex()) for start, orbit, d
+                    in rational_orbit_distances(target, CAT, family, *horizon, bounded=True)]
+            assert 0 < len(kept) < len(full)
+            assert kept == [full[start] for start, _, _ in kept]
+            assert built == [(start, orbit) for start, orbit, _ in kept]
 
 
 def test_the_bounded_torus_scan_at_the_edges(monkeypatch):
     family = fourier_family(3)
     for horizon in ((0, 0), (0, 1), (1, 0)):  # no orbits: nothing is bounded
-        assert list(rational_orbit_distances(LebesgueTorus(), CAT, family, *horizon, 0.0)) == []
-    # one orbit, the fixed point at the origin, is kept whatever within says
+        assert list(rational_orbit_distances(LebesgueTorus(), CAT, family, *horizon,
+                                             bounded=True)) == []
+    # one orbit, the fixed point at the origin, is kept, bounded or not
     assert [(start, orbit) for _, _, orbits in rational_orbit_lattices(CAT, 1, 1)
             for start, orbit in orbits] == [((0, 0, 1), [(0, 0)])]
-    for within in (0.0, 0.5, math.inf):
+    for bounded in (False, True):
         assert [(start, d.hex()) for start, _, d in
-                rational_orbit_distances(LebesgueTorus(), CAT, family, 1, 1, within)] \
+                rational_orbit_distances(LebesgueTorus(), CAT, family, 1, 1, bounded)] \
             == [((0, 0, 1), weak_star_distance(LebesgueTorus(), periodic_measure(
                 [(Fraction(0), Fraction(0))]), family).hex())]
     # in blocks of one orbit, and bounded one lattice per group, survivors score bit
@@ -1083,7 +1072,7 @@ def test_the_bounded_torus_scan_at_the_edges(monkeypatch):
     monkeypatch.setattr(measures, "_BLOCK_ENTRIES", 1)
     monkeypatch.setattr(measures, "_CHUNK_POINTS", 1)
     kept = {start: d.hex() for start, _, d in
-            rational_orbit_distances(target, CAT, family, 30, 33, 0.0)}
+            rational_orbit_distances(target, CAT, family, 30, 33, bounded=True)}
     assert kept.items() <= full.items()
     assert min(full.values(), key=float.fromhex) in kept.values()
 

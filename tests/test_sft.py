@@ -415,7 +415,6 @@ def test_enumerate_cycles_examples():
     gm2 = enumerate_cycles(GOLDEN, 2)
     assert [str(c) for c in gm2.cycles] == ["00", "01"]
     assert [c.primitive_period for c in gm2.cycles] == [1, 2]
-    assert not gm2.truncated
 
     assert [str(c) for c in enumerate_cycles(FULL2, 1).cycles] == ["0", "1"]
     assert [str(c) for c in enumerate_cycles(PARITY, 2).cycles] == ["01"]
@@ -423,27 +422,19 @@ def test_enumerate_cycles_examples():
 
 @given(st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 8)),
                  st.tuples(st.just(4), st.integers(1, 6))),
-       st.integers(1, 4), st.integers(0, 10**9))
-def test_enumerate_cycles_matches_brute_rotation_classes(size_n, limit, seed):
+       st.integers(0, 10**9))
+def test_enumerate_cycles_matches_brute_rotation_classes(size_n, seed):
     import random
     size, n = size_n
     matrix = random_essential(random.Random(seed), size, 0.5)
     enum = enumerate_cycles(matrix, n)
     brute = sorted({min(w[i:] + w[:i] for i in range(n))
                     for w in brute_cyclic_words(matrix, n)})
-    assert [c.states for c in enum.cycles] == brute and not enum.truncated
+    assert [c.states for c in enum.cycles] == brute
     assert all(c.period == n and c.primitive_period == _primitive_period(c.states)
                for c in enum.cycles)
     # each rotation class of primitive period p holds p fixed points of sigma^n
     assert sum(c.primitive_period for c in enum.cycles) == count_periodic_points(matrix, n)
-    head = enumerate_cycles(matrix, n, limit=limit)
-    assert head.cycles == enum.cycles[:limit]
-    assert head.truncated == (len(enum.cycles) > limit)
-
-
-def test_enumerate_cycles_truncation_flag():
-    enum = enumerate_cycles(FULL2, 8, limit=3)
-    assert enum.truncated and len(enum.cycles) == 3
 
 
 def test_enumeration_deterministic_order():
