@@ -99,11 +99,10 @@ def _load_matrix(path: str) -> TransitionMatrix:
     return system.matrix
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in text.strip())
-    except ValueError as exc:
-        raise ValueError(f"cycle word must be digits, got {text!r}") from exc
+def _parse_word(text: str, what: str = "cycle word") -> tuple[int, ...]:
+    if not text.strip().isdecimal():  # the characters int reads as one digit each
+        raise ValueError(f"{what} must be one or more digits, got {text!r}")
+    return tuple(int(c) for c in text.strip())
 
 
 def _parse_rational_point(text: str) -> tuple[Fraction, Fraction]:
@@ -184,8 +183,8 @@ def cmd_lpp(args) -> int:
     matrix = _load_matrix(args.matrix)
     parameters = {"matrix": [list(r) for r in matrix.rows], "epsilon": args.epsilon,
                   "n_max": args.n_max, "cycle": args.cycle}
-    if args.cycle:
-        cyc = SymbolicCycle.from_word(matrix, _parse_word(args.cycle))
+    if args.cycle is not None:
+        cyc = SymbolicCycle.from_word(matrix, _parse_word(args.cycle, "--cycle"))
         result = homoclinic_restricted_certificate(matrix, cyc, args.epsilon, args.n_max)
     else:
         result = dense_periods_certificate(matrix, args.epsilon, args.n_max)
@@ -348,12 +347,10 @@ def cmd_approx_measure(args) -> int:
     else:
         if matrix is None:
             raise ValueError("bernoulli mode needs an sft system")
-        if not is_primitive(matrix):
-            raise ValueError("bernoulli mode requires a primitive (mixing) support")
         family = cylinder_family(matrix, args.depth)
         parameters["cycle"] = args.cycle
-        ba = bernoulli_approximation(target, matrix, args.epsilon, family,
-                                     cycle=_parse_word(args.cycle) if args.cycle else None,
+        cycle = None if args.cycle is None else _parse_word(args.cycle, "--cycle")
+        ba = bernoulli_approximation(target, matrix, args.epsilon, family, cycle=cycle,
                                      max_period=args.max_period)
         report = {
             "mode": "bernoulli", "family": family.description,
@@ -419,10 +416,7 @@ def cmd_coding_table(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The argument parser; ``config`` values (keyed by dest) replace option
-    defaults and satisfy required options, so explicit flags still win."""
-    config = config or {}
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symshadow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
@@ -436,12 +430,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                        help="JSON file of option values (explicit flags win)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="recorded in reports")
-        options = {a.dest: a for a in p._actions
-                   if a.option_strings and a.dest not in ("config", "help")}
-        for key in config.keys() & options.keys():
-            options[key].default = _config_value(options[key], key, config[key])
-            options[key].required = False
-        p.set_defaults(unknown_config=sorted(set(config) - set(options)))
 
     p = sub.add_parser("analyze", help="subshift structure report")
     p.add_argument("matrix", help="matrix JSON file")
@@ -501,25 +489,29 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A config value as the option's default: true/false for a flag, else
-    its text, which argparse converts like a command-line value."""
-    text = value if value is None or isinstance(value, (str, bool)) else json.dumps(value)
-    if (action.nargs == 0) != isinstance(value, bool) or text not in (action.choices or [text]):
-        raise ValueError(f"config option {key}: invalid value {value!r}")
-    return text
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv after a pre-parse that loads the --config file."""
+    """Parse argv with the options of its --config file read as the tokens
+    they name: --key=value, a bare --key for true, none for false or null,
+    put right after the subcommand so explicit flags win."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
-    config = _load_json(path) if path else {}
-    args = build_parser({str(k).replace("-", "_"): v for k, v in config.items()}
-                        ).parse_args(argv)
-    if args.unknown_config:
-        raise ValueError(f"{path}: unknown option(s) {', '.join(args.unknown_config)}")
+    config = {str(k).replace("-", "_"): v for k, v in (_load_json(path) if path else {}).items()}
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if "--help".startswith(flag) or key == "config":  # a file cannot print help
+            raise ValueError(f"{path}: option {key!r} cannot come from a config file")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    args = build_parser().parse_args(argv[:1] + tokens + argv[1:])
+    for key, value in config.items():
+        if key not in vars(args):  # an abbreviation argparse accepted
+            raise ValueError(f"{path}: unknown option {key!r}")
+        if value is False and not isinstance(getattr(args, key), bool):
+            raise ValueError(f"{path}: option {key}: false sets only a flag")
     for key, value in sorted(vars(args).items()):
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"option {key}: {value} is not a finite number")

@@ -412,15 +412,18 @@ def _orbit_cycles_of_target(target: FiniteSupportMeasure) -> list[tuple[tuple[in
 
 def _block_words(matrix: TransitionMatrix, parts: list[tuple[tuple[int, ...], float]]
                  ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(N, word) for N <= BLOCK_REPS: each part's cycle repeated its rounded
-    share of N times, in order, where that is an admissible cyclic word.
+    """(N, word) for N <= BLOCK_REPS: each part's cycle c of weight w repeated
+    its rounded share of N among the shares w / |c|, in order, where that is
+    an admissible cyclic word.  A cycle repeated k times fills k |c| symbols,
+    so these shares give each cycle its weight's share of the word's time.
     Once each cycle is an admissible word only the joins can fail: between
     parts, back to the first, and inside a cycle repeated more than once."""
-    total, rows, cycles = sum(w for _, w in parts), matrix.rows, [c for c, _ in parts]
+    shares = [w / len(c) for c, w in parts]
+    total, rows, cycles = sum(shares), matrix.rows, [c for c, _ in parts]
     joins = all(map(matrix.is_admissible_word, cycles)) and all(
         rows[a[-1]][b[0]] for a, b in zip(cycles, cycles[1:] + cycles[:1]))
     for reps in range(1, BLOCK_REPS + 1) if total > 0 and joins else ():
-        counts = [max(1, round(reps * (w / total))) for _, w in parts]
+        counts = [max(1, round(reps * (s / total))) for s in shares]
         if all(k == 1 or rows[c[-1]][c[0]] for c, k in zip(cycles, counts)):
             yield reps, sum((c * k for c, k in zip(cycles, counts)), ())
 
@@ -583,8 +586,9 @@ def _shift_scan(target, matrix: TransitionMatrix, family: TestFamily, max_period
                 ) -> tuple[list, np.ndarray, list[int]]:
     """The (text, word, n) candidates, scores and periods n of a shift scan: the
     primitive cycles, listed once per matrix, whose integrals are kept per family
-    (``TestFamily.cycle_integrals``), and the "blocks xN" words matching the
-    cylinder frequencies of a finite-support target, each on its cyclic word.
+    (``TestFamily.cycle_integrals``), and the "blocks xN" words giving each
+    cycle of a finite-support target its share of the target's time, so their
+    cylinder frequencies come near the target's, each on its cyclic word.
     The scores are the weak-* distances bit for bit."""
     cycles = matrix.primitive_cycles(max_period)
     blocks = [(f"blocks x{reps}", word, _primitive_period(word)) for reps, word

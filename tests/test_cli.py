@@ -405,6 +405,19 @@ def test_approx_measure_records_cycle_in_bernoulli_mode_and_refuses_it_in_period
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("command", ["lpp", "bernoulli"])
+@pytest.mark.parametrize("cycle", ["", " "], ids=["empty", "blank"])
+def test_an_empty_cycle_exit_2(files, capsys, command, cycle):
+    # an empty word is no admissible cycle; it was read as no --cycle and searched
+    argv = (["lpp", files["golden"], "--epsilon", "0.25", "--n-max", "30"]
+            if command == "lpp" else
+            ["approx-measure", files["mix"], files["full2"], "--epsilon", "0.1",
+             "--mode", "bernoulli"])
+    assert main(argv + ["--cycle", cycle, "--out", files["out"]]) == 2
+    assert "invalid input: --cycle must be one or more digits" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):
     parity_system = tmp_path / "paritysys.json"
     parity_system.write_text(json.dumps(
@@ -867,3 +880,70 @@ def test_config_rejects_unknown_or_mistyped_options(files, capsys):
         assert code == 2
     assert main(shadow + ["--config", write_config(files, {"dump_orbits": False}),
                           "--out", files["out"]]) == 0
+
+
+def exit_code(argv):
+    """main's exit code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def config_file_argv(argv, tmp_path):
+    """argv with its options moved into a --config file: each --name value pair
+    becomes a key, its value a JSON number where the text is one, else a string."""
+    positional, config = [], {}
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("--"):
+            positional.append(word)
+            continue
+        text = next(words)
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        config[word[2:]] = value if json.dumps(value) == text else text
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return positional + ["--config", str(path)]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "_".join(argv[1:]))
+def test_a_config_file_reads_as_its_flags(argv, tmp_path, monkeypatch, capsys):
+    # every README command writes the same files and stdout, byte for byte, when
+    # its options come from a --config file
+    monkeypatch.chdir(ROOT)
+    runs = []
+    for name, args in (("flags", argv[1:]), ("config", config_file_argv(argv[1:], tmp_path))):
+        out = tmp_path / name
+        assert main([*args, "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out,
+                     {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+    assert "--config" not in argv and runs[0] == runs[1]
+
+
+def test_config_null_false_and_reserved_keys(files, capsys):
+    analyze = ["analyze", files["golden"], "--out", files["out"]]
+    lpp = ["lpp", files["golden"], "--out", files["out"]]
+    # null gives no token: a required option stays missing, an optional one
+    # keeps its default; both files ended in a TypeError traceback (exit 1)
+    assert exit_code(lpp + ["--config", write_config(files, {"epsilon": None,
+                                                             "n_max": 30})]) == 2
+    assert "the following arguments are required: --epsilon" in capsys.readouterr().err
+    assert main(analyze + ["--config", write_config(files, {"max_period": None})]) == 0
+    assert read_report(files, "analyze.json")["config"]["parameters"]["max_period"] == 10
+    capsys.readouterr()
+    # false sets only a flag; help and config cannot come from a file, nor can
+    # an abbreviation argparse would accept on the command line
+    for argv, payload, message in (
+            (analyze, {"max_period": False}, "false sets only a flag"),
+            (lpp, {"epsilon": False, "n_max": 30}, "required: --epsilon"),
+            (analyze, {"help": True}, "cannot come from a config file"),
+            (analyze, {"h": True}, "cannot come from a config file"),
+            (analyze, {"config": "other.json"}, "cannot come from a config file"),
+            (lpp, {"eps": 0.25, "n_max": 30}, "unknown option 'eps'")):
+        assert exit_code(argv + ["--config", write_config(files, payload)]) == 2
+        out, err = capsys.readouterr()
+        assert message in err and "usage: symshadow analyze" not in out

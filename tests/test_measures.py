@@ -590,11 +590,13 @@ def test_approximate_mixed_target_with_blocks():
 
 
 def letter_by_letter_block_words(matrix, parts):
-    """Oracle: every "blocks xN" word, each checked letter by letter."""
-    total = sum(w for _, w in parts)
+    """Oracle: every "blocks xN" word, each checked letter by letter; a cycle
+    repeats by its share of N among the shares weight / length."""
+    total = sum(w / len(cycle) for cycle, w in parts)
     out = []
     for reps in range(1, BLOCK_REPS + 1) if total > 0 else ():
-        word = sum((cycle * max(1, round(reps * (w / total))) for cycle, w in parts), ())
+        word = sum((cycle * max(1, round(reps * (w / len(cycle) / total)))
+                    for cycle, w in parts), ())
         if matrix.is_admissible_cycle(word):
             out.append((reps, word))
     return out
@@ -621,6 +623,27 @@ def test_block_words_match_the_letter_by_letter_check():
         assert list(_block_words(matrix, parts)) == letter_by_letter_block_words(matrix, parts)
 
 
+def cycle_mix(matrix, parts):
+    """The finite-support measure sum of w * O(cycle) over [(cycle, w)]."""
+    return FiniteSupportMeasure([(p, w * wp) for cycle, w in parts
+                                 for p, wp in cycle_measure(matrix, cycle).atoms])
+
+
+def test_block_words_give_each_cycle_its_share_of_the_target_time():
+    # 13/25 O(0) + 12/25 O(001) spends 13 of 25 steps on 0 and 12 in 001, so
+    # 0^13 (001)^4 is the target itself; shares by weight alone (13 : 12)
+    # never give it, and the best of them lands 0.0077 away
+    target = cycle_mix(GOLDEN, [((0,), Fraction(13, 25)), ((0, 0, 1), Fraction(12, 25))])
+    words = dict(_block_words(GOLDEN, _orbit_cycles_of_target(target)))
+    assert words[17] == (0,) * 13 + (0, 0, 1) * 4
+    res = approximate_by_periodic(target, SftSystem(GOLDEN), 0.01, cylinder_family(GOLDEN, 3))
+    assert res.description == "blocks x17" and len(res.measure.atoms) == 25
+    assert res.distance < 1e-15
+    # the Bernoulli step 1 now finds a periodic measure within epsilon / 2 here
+    target = cycle_mix(FULL2, [((0, 0, 0, 1), Fraction(1, 2)), ((0, 1, 1), Fraction(1, 2))])
+    assert bernoulli_approximation(target, FULL2, 0.01, FAM3).within_epsilon
+
+
 def test_approximate_lebesgue_on_torus():
     res = approximate_by_periodic(LebesgueTorus(), cat_map(), 0.05,
                                   fourier_family(3), max_period=30,
@@ -643,11 +666,11 @@ def reference_candidates(target, system, max_period=12, max_denominator=64, bloc
                     candidates.append((str(cyc), cyc.states, cycle_measure(matrix, cyc.states)))
         parts = _orbit_cycles_of_target(target) \
             if isinstance(target, FiniteSupportMeasure) else []
-        total = sum(w for _, w in parts)
+        total = sum(w / len(cyc_word) for cyc_word, w in parts)
         for reps in range(1, block_reps + 1) if parts and total > 0 else ():
             word = ()
             for cyc_word, w in parts:
-                word = word + cyc_word * max(1, round(reps * (w / total)))
+                word = word + cyc_word * max(1, round(reps * (w / len(cyc_word) / total)))
             if matrix.is_admissible_cycle(word):
                 candidates.append((f"blocks x{reps}", word, cycle_measure(matrix, word)))
     else:
