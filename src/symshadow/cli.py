@@ -416,9 +416,19 @@ def cmd_coding_table(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """argparse's usage error (parser, message), raised where argparse would exit,
+    so ``_parse_args`` can name the --config file when the file's token caused it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symshadow", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="symshadow", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -497,16 +507,26 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
     config = {str(k).replace("-", "_"): v for k, v in (_load_json(path) if path else {}).items()}
-    tokens = []
+    tokens = {}  # token -> its key
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         if "--help".startswith(flag) or key == "config":  # a file cannot print help
             raise ValueError(f"{path}: option {key!r} cannot come from a config file")
         if value is True:
-            tokens.append(flag)
+            tokens[flag] = key
         elif value is not None and value is not False:
-            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
-    args = build_parser().parse_args(argv[:1] + tokens + argv[1:])
+            tokens[f"{flag}={value if isinstance(value, str) else json.dumps(value)}"] = key
+    try:
+        args = build_parser().parse_args(argv[:1] + list(tokens) + argv[1:])
+    except _UsageError as exc:
+        parser, message = exc.args
+        for token, key in tokens.items():
+            flag, _, text = token.partition("=")
+            if message.startswith("unrecognized arguments:") and token in message:
+                raise ValueError(f"{path}: unknown option {key!r}") from None
+            if text and f"argument {flag}" in message and repr(text) in message:
+                raise ValueError(f"{path}: option {key}: {message}") from None
+        argparse.ArgumentParser.error(parser, message)  # the command line's own: usage, exit 2
     for key, value in config.items():
         if key not in vars(args):  # an abbreviation argparse accepted
             raise ValueError(f"{path}: unknown option {key!r}")

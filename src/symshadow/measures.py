@@ -21,8 +21,8 @@ with an excursion never following an excursion, so that typical points
 spend long stretches tracking the p-orbit.  As m grows the Parry measure
 converges to mu_p monotonically at desk scale.  Each m is scored from the
 renewal closed form of that Parry measure, primitive exactly when the block
-lengths are coprime; only the best m builds it from ``perron_data``,
-cross-checked against the closed form.
+lengths are coprime; only the best m builds its chain, in closed form from
+the renewal root, cross-checked against the renewal masses.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphis
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
-RENEWAL_TOL = 1e-12  # Parry integrals of the chosen block subshift vs its renewal masses
+RENEWAL_TOL = 1e-12  # integrals of the winning block subshift chain vs its renewal masses
 TWO_PI_I = 2j * math.pi
 # observables a test family keeps: 2.0 ** -FAMILY_SIZE is the least positive float
 # and 2.0 ** -(FAMILY_SIZE + 1) is 0.0
@@ -616,7 +616,8 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
     them (``docs/formats.md`` gives a period-30 orbit that wins so at (30, 40)).
     The ``bounded`` torus scan drops unscored the orbits whose heavy-mode bound
     shows they score above the least score; the survivors' starts, scores and
-    periods are collected.  Only the winner's measure is built.
+    periods are collected.  Only the winner's measure is built; a shift winner
+    reports its score, a torus winner the distance of that measure.
     """
     if isinstance(system, SftSystem):
         candidates, distances, periods = _shift_scan(target, system.matrix, family, max_period)
@@ -635,12 +636,12 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
 
     contenders = _contenders((distances, periods), np.ones(len(distances), dtype=bool))
     k = min(contenders, key=lambda c: describe(names[c]))
-    if isinstance(system, SftSystem):
-        mu = cycle_measure(system.matrix, candidates[k][1])
+    if isinstance(system, SftSystem):  # its score is the distance bit for bit
+        mu, d = cycle_measure(system.matrix, candidates[k][1]), float(distances[k])
     else:  # walked again from its start: the scan's points in the scan's order
         i, j, q = names[k]
         mu = periodic_measure(system.orbit_of((Fraction(i, q), Fraction(j, q)), max_period))
-    d = weak_star_distance(target, mu, family)
+        d = weak_star_distance(target, mu, family)
     return ApproximationResult(mu, d, d <= epsilon, describe(names[k]))
 
 
@@ -704,8 +705,8 @@ class BernoulliApproximation:
 
 def renewal_cylinders(loop: Sequence[int], excursion: Sequence[int], depth: int
                       ) -> tuple[float, dict[tuple[int, ...], float]]:
-    """Perron root of the block subshift {loop, excursion} and the masses of its
-    words of length 0..depth under its Parry measure, in closed form.
+    """Renewal root x = 1/lambda of the block subshift {loop, excursion} and the
+    masses of its words of length 0..depth under its Parry measure, in closed form.
 
     Its points concatenate the tiles L = loop and EL = excursion + loop, and its
     Parry measure (Trans. AMS 112, 1964) is the stationary renewal process that
@@ -740,7 +741,33 @@ def renewal_cylinders(loop: Sequence[int], excursion: Sequence[int], depth: int
     for window, p in windows.items():
         for k in range(depth + 1):
             masses[window[:k]] = masses.get(window[:k], 0.0) + p
-    return 1.0 / x, {w: p / mean for w, p in masses.items()}
+    return x, {w: p / mean for w, p in masses.items()}
+
+
+def _renewal_chain(sub: BlockSubshift, x: float) -> MarkovMeasure:
+    """The Parry measure of a primitive block subshift in closed form from its
+    renewal root x = 1/lambda (``renewal_cylinders``).  With a loop states and b
+    excursion states, every state moves on with probability 1 but the loop's last,
+    which starts the tile L with probability x^a and EL with x^(a+b), the pair
+    divided by its sum; pi is 1/mean on the loop and x^(a+b)/mean on the
+    excursion, mean = a + b x^(a+b).  Its chain entropy must equal log lambda."""
+    if not is_primitive(sub.matrix):
+        raise ValueError("Parry measure requires a primitive (mixing) support")
+    n, b = len(sub.labels), len(sub.excursion_word)
+    a = n - b
+    to_loop, to_excursion = x ** a, x ** (a + b)
+    total = to_loop + to_excursion  # so x's rounding error enters b times, not a times
+    to_loop, to_excursion = to_loop / total, to_excursion / total
+    P = list(sub.matrix.rows)  # 0/1 rows: every state but the loop's last has one move
+    P[a - 1] = [0.0] * n
+    P[a - 1][0], P[a - 1][a] = to_loop, to_excursion
+    mean = a + b * to_excursion
+    measure = MarkovMeasure(sub.matrix, P, [1.0 / mean] * a + [to_excursion / mean] * b,
+                            sub.labels)
+    h = measure.entropy()
+    if abs(h + math.log(x)) > 1e-10:
+        raise ValueError(f"renewal chain entropy {h} drifted from log Perron {-math.log(x)}")
+    return measure
 
 
 def _shortest_within(target, matrix: TransitionMatrix, radius: float, family: TestFamily,
@@ -772,8 +799,9 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
     class period of the tile lengths a and a + b; (4) return the best m, whose
     distance to mu_p decreases in m, so the total distance lands within
     epsilon when step (1) met epsilon/2.  Only the best m builds its letter
-    presentation and :func:`parry_measure` from ``perron_data``, whose
-    integrals must match the renewal masses to ``RENEWAL_TOL``.
+    presentation and its Parry chain, in closed form from the renewal root the
+    scan found (``_renewal_chain``), whose integrals must match the renewal
+    masses to ``RENEWAL_TOL``.
     """
     if not is_primitive(matrix):
         raise ValueError("ambient shift must be primitive (mixing)")
@@ -795,22 +823,22 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
             break
         if math.gcd(m * tau, b) != 1:
             continue
-        _, masses = renewal_cylinders(cycle * m, excursion, depth)
+        x, masses = renewal_cylinders(cycle * m, excursion, depth)
         renewal = [masses.get(obs.word, 0.0) for obs in family.observables]
         d_p = _weighted_gap(family.weights, renewal, mu_p.integrals(family))
         scan.append((m, d_p))
         if best is None or d_p < best[0] - 1e-15:
-            best = (d_p, m, renewal,
+            best = (d_p, m, x, renewal,
                     _weighted_gap(family.weights, renewal, target.integrals(family)))
     if best is None:
         raise BlockSubshiftTooLargeError(
             f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
-    d_p, m, renewal, d_t = best
+    d_p, m, x, renewal, d_t = best
     sub = block_subshift(matrix, cycle, m, excursion)
-    nu = parry_measure(sub.matrix, labels=sub.labels)
-    drift = max((abs(x - y) for x, y in zip(nu.integrals(family), renewal)), default=0.0)
+    nu = _renewal_chain(sub, x)
+    drift = max(np.abs(np.subtract(nu.integrals(family), renewal)), default=0.0)
     if not drift <= RENEWAL_TOL:
-        raise ConvergenceError(f"Parry integrals of m = {m} drift {drift:.2e} "
+        raise ConvergenceError(f"chain integrals of m = {m} drift {drift:.2e} "
                                "from their renewal masses")
     return BernoulliApproximation(
         subshift=sub, measure=nu, periodic_measure=mu_p, cycle=tuple(cycle),

@@ -614,7 +614,7 @@ def test_approx_measure_reads_a_bare_matrix(files, tmp_path):
 @pytest.mark.parametrize("argv, sha256", [
     (["target_half_mix.json", "full_2_shift.json", "--epsilon", "0.1",
       "--mode", "bernoulli"],
-     "39d2ef4f95b1f4b38490d61e83b9e88bb37b1ad15e683b14a90f4f625ce1e02b"),
+     "e844703e232d6b462064e60fb0852a42a5e1e5b7060e19233b71c61cacbd1624"),
     (["target_lebesgue.json", "cat_map.json", "--epsilon", "0.05",
       "--mode", "periodic", "--max-period", "30"],
      "e8f60f2d24dbe73792b5bcb112742c407988498866381fafbe73e965ced57bef"),
@@ -632,8 +632,8 @@ def test_readme_approx_measure_reports_are_pinned(tmp_path, argv, sha256):
 
 def test_readme_bernoulli_report_without_its_distances_is_pinned(tmp_path):
     # the chosen cycle, m, block subshift and its Parry measure byte for byte,
-    # as the per-m Parry scan wrote them; only the scan and distance floats,
-    # now read off the renewal closed form, may move in their last bits
+    # the chain as its closed form from the renewal root writes it; only the scan
+    # and distance floats, read off the renewal masses, may move in their last bits
     out = tmp_path / "out"
     assert main(["approx-measure", str(DATA / "target_half_mix.json"),
                  str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", "bernoulli",
@@ -642,7 +642,7 @@ def test_readme_bernoulli_report_without_its_distances_is_pinned(tmp_path):
     kept = {key: report[key] for key in ("cycle", "m", "excursion", "block_states",
                                          "measure", "within_epsilon")}
     assert hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest() == \
-        "a7281c464eb21d598cc65f2c24c214ec286064f037d05a04ad55fd85e20bde57"
+        "b99d2ee68846a7d7652e187e0ef3c7be4f13f60de2e8b08b36dd8202235baa98"
 
 
 def test_perturb_smoke(files):
@@ -880,6 +880,26 @@ def test_config_rejects_unknown_or_mistyped_options(files, capsys):
         assert code == 2
     assert main(shadow + ["--config", write_config(files, {"dump_orbits": False}),
                           "--out", files["out"]]) == 0
+
+
+def test_config_key_argparse_rejects_names_the_file(files, capsys):
+    # both messages named only the token the file became, not the file or its key
+    analyze = ["analyze", files["golden"], "--out", files["out"]]
+    for payload, message in (({"matrix": "x.json"}, "unknown option 'matrix'"),
+                             ({"max_period": [1, 2]},
+                              "option max_period: argument --max-period: "
+                              "invalid int value: '[1, 2]'")):
+        config = write_config(files, payload)
+        assert main(analyze + ["--config", config]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"invalid input: {config}: {message}\n" and out == ""
+    # a bad value on the command line is still argparse's, with its usage
+    config = write_config(files, {"max_period": 4})
+    with pytest.raises(SystemExit) as exc:
+        main(analyze + ["--max-period", "many", "--config", config])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: symshadow analyze")
+    assert "invalid int value: 'many'" in err and config not in err
 
 
 def exit_code(argv):

@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rational_orbit_lattices
-from symshadow import measures, systems
+from symshadow import measures, sft, systems
 from symshadow.measures import TestFamily as Family
 from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
@@ -1221,6 +1221,26 @@ def exact_renewal_root(a, b):
         return 1 / x
 
 
+def chain_errors(measure, a, root):
+    """The largest |P_ij| error and the largest relative pi_i error of a chain on
+    the block subshift of a loop and b excursion states against its closed form
+    in 60 digits from the root lambda: every state moves on with probability 1
+    but the loop's last, which goes to 0 with x^a and to a with x^(a+b), x =
+    1/lambda; pi is 1/mean on the loop and x^(a+b)/mean on the excursion, mean =
+    a + b x^(a+b).  Off the support's edges both chains are 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        n, x = measure.support.size, 1 / root
+        b = n - a
+        P = {(i, (i + 1) % n): Decimal(1) for i in range(n)}
+        P[a - 1, 0], P[a - 1, a] = x ** a, x ** (a + b)
+        mean = a + b * x ** (a + b)
+        pi = [1 / mean] * a + [x ** (a + b) / mean] * b
+        return (max(abs(Decimal(measure.P[i][j]) - P[i, j])
+                    for i, succ in enumerate(measure.support.succ) for j in succ),
+                max(abs(Decimal(measure.pi[i]) - pi[i]) / pi[i] for i in range(n)))
+
+
 def oracle_block_scan(target, matrix, epsilon, family, cycle, parry_by_m):
     """The per-m scan the renewal closed form replaced, over the Parry measures
     of the primitive block subshifts in increasing m: (m, scan, distance to
@@ -1248,7 +1268,7 @@ def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
                       if c.primitive_period == n):
             center = sft_homoclinic_splice(matrix, cycle)[1]
             excursion = (cycle[0],) + center if n > 1 else center
-            parry_by_m = {}
+            parry_by_m, chains = {}, {}
             for m in range(1, 65):
                 if m * n + len(excursion) > 64:
                     break
@@ -1259,7 +1279,8 @@ def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
                 parry = {w: nu.cylinder_mass(w) for w in words}
                 root = exact_renewal_root(m * n, len(excursion))
                 for depth in range(1, 5):
-                    lam, masses = renewal_cylinders(cycle * m, excursion, depth)
+                    x, masses = renewal_cylinders(cycle * m, excursion, depth)
+                    lam = 1.0 / x
                     # perron_data's midpoint of its bracket, certified to 1e-13,
                     # sits up to 3.6e-15 from the 60-digit root on these cases
                     assert abs(Decimal(lam) - root) <= Decimal(2e-16) * root
@@ -1268,6 +1289,16 @@ def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
                     for w in words:
                         if len(w) <= depth:
                             assert abs(masses.get(w, 0.0) - parry[w]) <= 1e-14
+                # the closed-form chain is the Parry chain perron_data gives, and no
+                # farther than it from the 60-digit closed form, or within 2^-52
+                chain = chains[m] = measures._renewal_chain(sub, x)
+                assert chain.support.rows == nu.support.rows and chain.labels == nu.labels
+                assert all(abs(u - v) <= 1e-13 for row, other in zip(chain.P, nu.P)
+                           for u, v in zip(row, other))
+                assert all(abs(u - v) <= 1e-13 for u, v in zip(chain.pi, nu.pi))
+                for mine, eig in zip(chain_errors(chain, m * n, root),
+                                     chain_errors(nu, m * n, root)):
+                    assert mine <= max(eig, Decimal(2.0 ** -52))
             assert parry_by_m
             for family, epsilon in zip(families, (0.05, 0.3, 0.05, 0.3)):
                 m, scan, d_p, d_t, within = oracle_block_scan(target, matrix, epsilon,
@@ -1279,20 +1310,37 @@ def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
                 assert all(abs(a - b) <= 1e-14 for (_, a), (_, b) in zip(ba.scan, scan))
                 assert abs(ba.distance_to_periodic - d_p) <= 1e-14
                 assert abs(ba.distance_to_target - d_t) <= 1e-14
-                assert ba.measure.to_json_dict() == parry_by_m[m].to_json_dict()
+                assert ba.measure.to_json_dict() == chains[m].to_json_dict()
                 verdicts.add(within)
     assert verdicts == {True, False}
 
 
 def test_renewal_cross_check_raises_on_drifted_parry_integrals(monkeypatch):
-    import symshadow.measures as measures
-    original = measures.parry_measure
+    original = measures._renewal_chain
 
-    def drifted(matrix, labels=None):
-        nu = original(matrix, labels)
+    def drifted(sub, x):
+        nu = original(sub, x)
         nu.cylinder_mass = lambda word: MarkovMeasure.cylinder_mass(nu, word) + 1e-9
         return nu
 
-    monkeypatch.setattr(measures, "parry_measure", drifted)
+    monkeypatch.setattr(measures, "_renewal_chain", drifted)
     with pytest.raises(ConvergenceError):
         bernoulli_approximation(cycle_measure(FULL2, (0, 1)), FULL2, 0.2, FAM3, cycle=(0, 1))
+
+
+def test_bernoulli_approximation_needs_no_eigen_solve(monkeypatch):
+    # the winner's chain comes from the renewal root, not from perron_data or eig
+    runs = [(mixed_target(), FULL2, 0.3, FAM3, None),
+            (cycle_measure(GOLDEN, (0, 1)), GOLDEN, 0.2, cylinder_family(GOLDEN, 3), (0, 1))]
+    expected = [bernoulli_approximation(*run[:4], cycle=run[4]) for run in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve on the bernoulli path")
+
+    for module, name in ((measures, "perron_data"), (sft, "perron_data"), (np.linalg, "eig")):
+        monkeypatch.setattr(module, name, refuse)
+    for run, ba in zip(runs, expected):
+        got = bernoulli_approximation(*run[:4], cycle=run[4])
+        assert (got.m, got.cycle, got.scan, got.distance_to_target) == \
+            (ba.m, ba.cycle, ba.scan, ba.distance_to_target)
+        assert got.measure.to_json_dict() == ba.measure.to_json_dict()
