@@ -15,16 +15,18 @@ strong connectivity there is no dense walk.  A dense walk passes every
 node, so a shortest cycle (length c, the girth) splices into it, and the
 least dense period in each residue class mod c fixes the class: with a
 loop (c = 1) it is the directed Chinese postman length L* of a min-cost
-flow (Edmonds & Johnson, Math. Programming 5, 1973), N0 = max(2, L*);
-without one a search over (unmet demand, residue) finds them; at m = 1 a
-breadth-first search over (visited symbols, symbol, residue), exponential
-in the number of symbols (n = #symbols asks for a Hamiltonian cycle).
-MAX_BLOCK_NODES bounds the block nodes and both searches.  The verdict
-reads only the sizes E + |x|, a flow's total or a search's least cost: the
-edges of a witness (every edge once, x once more, and girth cycles to
-stretch it) are counted out, from the flow or the least walks labelling a
-search's path, only when it is read, and walked as a Hierholzer circuit,
-least successor first.  Exactly the primitive matrices are certified; a
+flow x* (Edmonds & Johnson, Math. Programming 5, 1973), N0 = max(2, L*);
+at c = 2 the other parity adds to x* a least odd cycle of its residual
+graph, by a Dijkstra over (node, parity); for c >= 3 a search over (unmet
+demand, residue) finds them; at m = 1 a breadth-first search over
+(visited symbols, symbol, residue), exponential in the number of symbols
+(n = #symbols asks for a Hamiltonian cycle).  MAX_BLOCK_NODES bounds the
+block nodes and both exponential searches.  The verdict reads only the
+sizes E + |x|, a flow's total or a search's least cost: the edges of a
+witness (every edge once, x once more, and girth cycles to stretch it)
+are counted out, from the flow or the least walks labelling a search's
+path, only when it is read, and walked as a Hierholzer circuit, least
+successor first.  Exactly the primitive matrices are certified; a
 certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
 """
 
@@ -146,6 +148,14 @@ class _BlockGraph:
         walk = [s] + _least_walk(self.succ, _step_layers(self.pred, t, steps), s, steps)
         return list(zip(walk, walk[1:]))
 
+    def cycle_edges(self, s: int, steps: int) -> list[tuple[int, int]]:
+        """Edges of the least closed walk of ``steps`` steps from the block
+        node b starting the least cyclic word of that length at symbol s."""
+        succ, pred, k = self.matrix.succ, self.matrix.pred, len(self.nodes[0])
+        word = (s,) + tuple(_least_walk(succ, _step_layers(pred, s, steps), s, steps))
+        b = self.nodes.index((word[:-1] * k)[:k])
+        return self.walk_edges(b, b, steps)
+
 
 def _least_costs(start, moves: Callable) -> dict:
     """Dijkstra: moves(state) yields (cost, next state, label); returns
@@ -177,11 +187,11 @@ def _residue_graph(succ: Sequence[Sequence[int]], c: int) -> list[list[int]]:
     return [[w * c + (r + 1) % c for w in out] for out in succ for r in range(c)]
 
 
-def _cycle_walks(graph: _BlockGraph, c: int) -> list[tuple[int, int]]:
-    """(d, b) per residue class mod c of the cycle lengths of A: d is the
-    least length in the class, and b the block node starting the least
-    cyclic word of length d, so b has a closed d-step walk."""
-    matrix, k = graph.matrix, len(graph.nodes[0])
+def _cycle_walks(matrix: TransitionMatrix, c: int) -> list[tuple[int, int]]:
+    """(d, s) per residue class mod c of the cycle lengths of A: d is the
+    least length in the class, and s the least symbol with a closed d-step
+    walk (its block node is found only for a witness, by
+    :meth:`_BlockGraph.cycle_edges`)."""
     steps = _residue_graph(matrix.succ, c)
     best: list = [None] * c
     for s in range(matrix.size):
@@ -189,18 +199,31 @@ def _cycle_walks(graph: _BlockGraph, c: int) -> list[tuple[int, int]]:
         for r, d in enumerate(dist[s * c:s * c + c]):
             if d >= 0 and (best[r] is None or d + 1 < best[r][0]):
                 best[r] = (d + 1, s)
-    walks = []
-    for d, s in filter(None, best):
-        word = (s,) + tuple(_least_walk(matrix.succ, _step_layers(matrix.pred, s, d), s, d))
-        walks.append((d, graph.nodes.index((word[:-1] * k)[:k])))
-    return walks
+    return list(filter(None, best))
 
 
-def _postman_flow(graph: _BlockGraph, excess: list[int]) -> list[dict[int, int]]:
+def _girth(matrix: TransitionMatrix) -> tuple[int, int]:
+    """(c, s): the girth c of A and the least symbol s on a c-cycle, by
+    scans for a loop A_ss = 1 and a 2-cycle A_st = A_ts = 1 before a search."""
+    rows, succ = matrix.rows, matrix.succ
+    for s in range(matrix.size):
+        if rows[s][s]:
+            return 1, s
+    for s in range(matrix.size):
+        if any(rows[t][s] for t in succ[s]):
+            return 2, s
+    [(c, s)] = _cycle_walks(matrix, 1)
+    return c, s
+
+
+def _postman_flow(graph: _BlockGraph, excess: list[int]
+                  ) -> tuple[list[dict[int, int]], list[int]]:
     """Least integer flow x >= 0 on the (strongly connected) block edges
     sending excess[v] more units out of v than into it, as into[v][u] =
-    x(u, v) > 0: successive shortest paths from a super source (Dijkstra on
-    reduced costs, popping in (dist, node) order), along each tree path to a
+    x(u, v) > 0, and final potentials pot, under which every residual edge
+    u -> v of cost +-1 has reduced cost +-1 + pot[u] - pot[v] >= 0:
+    successive shortest paths from a super source (Dijkstra on reduced
+    costs, popping in (dist, node) order), along each tree path to a
     deficit.  The tree does not depend on the order in which a node relaxes
     its edges: they reach distinct nodes, except an edge u -> w next to a
     backward edge u -> w, which costs 2 less."""
@@ -254,7 +277,76 @@ def _postman_flow(graph: _BlockGraph, excess: list[int]) -> list[dict[int, int]]
             excess[s] -= amount
             excess[t] += amount
             unsent -= amount
-    return into
+    return into, pot
+
+
+def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: list[int]
+                        ) -> tuple[int, list[tuple[int, tuple[int, int], int]]] | None:
+    """The least cost of an odd-length cycle in the residual graph of the
+    flow and potentials of :func:`_postman_flow`, with a least odd closed
+    walk of that cost as (tail, edge, +1 or -1) steps (None if the graph is
+    bipartite).  A Dijkstra over (node, parity), state 2 node + parity, on
+    reduced costs runs from (s, even) through nodes >= s to (s, odd) for
+    each s.  A closed walk's reduced cost is its cost, so an odd one costs
+    an odd number >= 1, and a run stops where it cannot beat the best cost
+    found by 2."""
+    succ, size = graph.succ, len(graph.succ)
+    best, found = math.inf, None
+    for s in range(size):
+        dist, prev, heap = {2 * s: 0}, {}, [(0, 2 * s)]
+        while heap:
+            d, state = heapq.heappop(heap)
+            if d >= best - 1:
+                break
+            if state == 2 * s + 1:
+                best, found = d, (prev, state)
+                break
+            if d > dist[state]:
+                continue
+            u, flip = state >> 1, (state & 1) ^ 1
+            base = d + pot[u]
+            for v in succ[u]:
+                cost, key = base + 1 - pot[v], 2 * v + flip
+                if v >= s and cost < dist.get(key, math.inf):
+                    dist[key], prev[key] = cost, (state, 1)
+                    heapq.heappush(heap, (cost, key))
+            for w in into[u]:  # the residual backward edges u -> w
+                cost, key = base - 1 - pot[w], 2 * w + flip
+                if w >= s and cost < dist.get(key, math.inf):
+                    dist[key], prev[key] = cost, (state, -1)
+                    heapq.heappush(heap, (cost, key))
+    if found is None:
+        return None
+    prev, state, walk = *found, []
+    while state in prev:
+        before, sign = prev[state]
+        u, v = before >> 1, state >> 1
+        walk.append((u, (u, v) if sign > 0 else (v, u), sign))
+        state = before
+    return best, walk[::-1]
+
+
+def _odd_simple_cycle(walk: list) -> list[tuple[tuple[int, int], int]]:
+    """An odd simple cycle of the closed walk of :func:`_odd_residual_cycle`
+    as (edge, +1 or -1): the walk is split at each repeated node, and its
+    loops are dropped while even.  Added to the flow, a walk may take a
+    backward edge more often than its flow; a simple cycle takes it once,
+    and costs as much as the walk, since each dropped loop costs >= 0 on
+    reduced costs and the walk is least."""
+    path, at = [], {}  # a simple path of steps, and the index of the step out of each node
+    for step in walk:
+        u = step[0]
+        if u in at:
+            loop = path[at[u]:]
+            if len(loop) % 2:
+                path = loop
+                break
+            del path[at[u]:]
+            for tail, _, _ in loop:
+                del at[tail]
+        at[u] = len(path)
+        path.append(step)
+    return [(e, sign) for _, e, sign in path]
 
 
 def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict, list]:
@@ -270,12 +362,12 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict,
                                       f"needs more than {MAX_BLOCK_NODES} states")
     steps = _residue_graph(graph.succ, c)
     reach = {s: _bfs_distances(steps, [s * c]) for s in set(units)}
-    loops = [(d, b) for d, b in _cycle_walks(graph, c) if d % c]
+    loops = [(d, s) for d, s in _cycle_walks(graph.matrix, c) if d % c]
 
     def moves(state):
         unmet, r = state
-        for d, b in loops:
-            yield d, (unmet, (r + d) % c), (b, b, d)
+        for d, s in loops:  # a closed walk at symbol s's least cyclic d-word
+            yield d, (unmet, (r + d) % c), (s, None, d)
         if any(unmet):
             s = units[len(units) - sum(unmet)]
             for j, t in enumerate(sinks):
@@ -292,7 +384,10 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict,
 def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Counter]]:
     """Per residue r mod c, the size |x| = r (mod c) of the flow x of a least
     dense closed walk (None for a class without one), and r -> the edges of
-    x: the walk is every block edge once plus x at m >= 2, x at m = 1."""
+    x: the walk is every block edge once plus x at m >= 2, x at m = 1.  For
+    c <= 2 these are the postman flow x* and, at c = 2, x* plus a least odd
+    residual cycle: a least flow of the other class is x* plus conformal
+    residual cycles of cost >= 0, and one of them is odd."""
     if graph.m == 1:  # least closed walks from node 0 through every node
         size = len(graph.succ)
         if 2 ** size > MAX_BLOCK_NODES:
@@ -304,13 +399,28 @@ def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Coun
         ends = [((1 << size) - 1, 0, r) for r in range(c)]
     else:
         excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
-        if c == 1:
-            into = _postman_flow(graph, excess)
-            return [sum(map(sum, map(dict.values, into)))], lambda r: Counter(
-                {(u, v): k for v, flow in enumerate(into) for u, k in flow.items()})
-        best, ends = _residue_flows(graph, excess, c)
+        if c > 2:
+            best, ends = _residue_flows(graph, excess, c)
+        else:
+            into, pot = _postman_flow(graph, excess)
+            total = sum(map(sum, map(dict.values, into)))
+            odd = _odd_residual_cycle(graph, into, pot) if c == 2 else None
+            sizes = [None] * c
+            sizes[total % c] = total
+            if odd:
+                sizes[(total + 1) % c] = total + odd[0]
+
+            def flow(r: int) -> Counter:
+                x = Counter({(u, v): k for v, xv in enumerate(into) for u, k in xv.items()})
+                if r != total % c:
+                    for e, sign in _odd_simple_cycle(odd[1]):
+                        x[e] += sign
+                return x
+
+            return sizes, flow
     return [best[end][0] if end in best else None for end in ends], lambda r: Counter(
-        e for s, t, d in _labels(best, ends[r]) for e in graph.walk_edges(s, t, d))
+        e for s, t, d in _labels(best, ends[r])
+        for e in (graph.walk_edges(s, t, d) if t is not None else graph.cycle_edges(s, d)))
 
 
 def _euler_circuit(edges: Counter) -> list[int]:
@@ -344,11 +454,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
         # closed walk covers them all
         return DensePeriodsRefutation(epsilon, 2, True, n_max, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
-    loops = [s for s in range(matrix.size) if matrix.rows[s][s]]
-    if loops:  # girth 1: the least looped symbol spells a girth cycle
-        c, b = 1, graph.nodes.index((loops[0],) * len(graph.nodes[0]))
-    else:
-        [(c, b)] = _cycle_walks(graph, 1)  # the girth and a node on a girth cycle
+    c, s = _girth(matrix)
     E = sum(map(len, graph.succ)) if graph.m > 1 else 0
     sizes, flow = _least_flows(graph, c)
     least = {(E + x) % c: E + x for x in sizes if x is not None}
@@ -359,13 +465,13 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     N0 = max(2, max(least.values()) - c + 1)
     if N0 > n_max:
         raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")
-    tours: dict = {}  # r -> the edges of class r's least dense walk, and of a girth cycle at b
+    tours: dict = {}  # r -> the edges of class r's least dense walk, and of a girth cycle
 
     def build(n: int) -> SymbolicCycle:
         r = n % c
         if r not in tours:  # at m >= 2 the walk takes each block edge once more than x
             ones = Counter((u, v) for u, out in enumerate(graph.succ) for v in out if E)
-            tours[r] = ones + flow((r - E) % c), graph.walk_edges(b, b, c)
+            tours[r] = ones + flow((r - E) % c), graph.cycle_edges(s, c)
         edges, stretch = tours[r]
         edges = edges.copy()
         for e in stretch:

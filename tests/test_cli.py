@@ -126,6 +126,18 @@ def test_lpp_certificate_and_refutation(files):
     assert ref["blocking_n"] == 3 and ref["exhaustive"] is True
 
 
+def test_lpp_refutes_the_loop_free_star_without_a_residue_search(files, tmp_path):
+    # girth 2: the postman flow and an odd residual cycle decide it; the
+    # residue search over its 5 deficit nodes needed 2 * 5^5 states (exit 3)
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"rows": [[0, 1, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0, 0]] * 5}))
+    assert main(["lpp", str(star), "--epsilon", "0.125", "--n-max", "100",
+                 "--out", files["out"]]) == 0
+    ref = read_report(files, "lpp.json")
+    assert ref["verdict"] == "refutation"
+    assert ref["blocking_n"] == 2 and ref["exhaustive"] is True
+
+
 def test_lpp_horizon_too_small_exit_3(files, tmp_path):
     wheel4 = tmp_path / "wheel4.json"
     wheel4.write_text(json.dumps({"rows": [[1, 1, 0, 0], [0, 0, 1, 0],
@@ -873,11 +885,7 @@ def test_config_rejects_unknown_or_mistyped_options(files, capsys):
                           (shadow, {"dump_orbits": "yes"}),
                           (approx, {"mode": "sideways"})):
         config = write_config(files, payload)
-        try:  # argparse itself exits on values it cannot convert
-            code = main(argv + ["--config", config, "--out", files["out"]])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
+        assert main(argv + ["--config", config, "--out", files["out"]]) == 2
     assert main(shadow + ["--config", write_config(files, {"dump_orbits": False}),
                           "--out", files["out"]]) == 0
 

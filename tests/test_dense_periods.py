@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symshadow import dense_periods
 from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      CertificateTooCoarseError,
                                      DensePeriodsCertificate,
@@ -23,7 +24,8 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
                                      verify_mixing_from_certificate, _BlockGraph,
-                                     _ball_word, _labels, _least_costs, _postman_flow)
+                                     _ball_word, _labels, _least_costs, _least_flows,
+                                     _postman_flow, _residue_flows)
 from symshadow.sft import (NonEssentialMatrixError, SymbolicCycle,
                            TransitionMatrix, admissible_words, count_periodic_points,
                            enumerate_cycles, is_irreducible, is_primitive, _bfs_distances)
@@ -175,7 +177,7 @@ def test_certificates_are_pinned():
                 result = "horizon too small"
             digest.update(json.dumps(result, sort_keys=True).encode())
     assert digest.hexdigest() == \
-        "f4a05168f08abc993ddd32243208c5d28b8933d0c7ed74ffdc30006d8db4d5ab"
+        "d43ec7ba23f776a20eefeac243a5191abd4ec7d1fd39c6bcd51c58a9f54db268"
 
 
 def test_block_graph_size_guard():
@@ -229,13 +231,21 @@ def test_search_size_guards():
         else:
             with pytest.raises(BlockGraphTooLargeError, match="2\\^12 visited"):
                 dense_periods_certificate(cycle, 0.5, 100)
-    # a loop-free block graph: the residue search table is the girth 2 times
-    # the product of (deficit + 1) over the deficit nodes
+    # girth 2 needs no residue search: at m = 3 the star's five 2-words x0
+    # each lack 4 in-edges, a table of 2 * 5^5 states, but its block graph is
+    # bipartite, so no odd residual cycle exists and 2 is excluded
     star = TransitionMatrix([[0] + [1] * 5] + [[1, 0, 0, 0, 0, 0]] * 5)
-    assert isinstance(dense_periods_certificate(star, 0.25, 100), DensePeriodsRefutation)
-    # at m = 3 the five 2-words x0 each lack 4 in-edges: 2 * 5^5 states
+    for epsilon in (0.25, 0.125):
+        result = dense_periods_certificate(star, epsilon, 100)
+        assert isinstance(result, DensePeriodsRefutation) and result.blocking_n == 2
+    # girth 3: the residue search table is the girth times the product of
+    # (deficit + 1) over the deficit nodes; hub 0 fans out to 1..5, which
+    # meet at 6, back to 0
+    fan = TransitionMatrix([[0, 1, 1, 1, 1, 1, 0]] + [[0] * 6 + [1]] * 5 + [[1] + [0] * 6])
+    assert dense_periods_certificate(fan, 0.125, 100).blocking_n == 2
+    # at m = 4 the five 3-words x60 each lack 4 in-edges: 3 * 5^5 states
     with pytest.raises(BlockGraphTooLargeError, match="residue search over 5 deficit"):
-        dense_periods_certificate(star, 0.125, 100)
+        dense_periods_certificate(fan, 1 / 16, 100)
 
 
 def test_epsilon_one_is_rejected():
@@ -389,7 +399,8 @@ def test_postman_length_matches_assignment_oracle():
 
 def least_costs_postman_flow(graph, excess):
     """Oracle: the successive-shortest-path flow of ``_postman_flow`` on the
-    generic Dijkstra ``_least_costs``, whose moves are rebuilt per node."""
+    generic Dijkstra ``_least_costs``, whose moves are rebuilt per node, and
+    its potentials on the block nodes."""
     top = len(graph.succ)
     excess, pot, x = list(excess), [0] * (top + 1), Counter()
 
@@ -409,13 +420,14 @@ def least_costs_postman_flow(graph, excess):
                 x[e] += sign * amount
             excess[s] -= amount
             excess[t] += amount
-    return x
+    return x, pot[:top]
 
 
 def counter_postman_flow(graph, excess):
-    """Oracle: ``_postman_flow`` as a Counter of edges, written plainly:
-    per round the sources and deficits are listed again, each node scans
-    its whole into-dict, and a saturated backward edge stays at zero."""
+    """Oracle: ``_postman_flow`` as a Counter of edges and potentials,
+    written plainly: per round the sources and deficits are listed again,
+    each node scans its whole into-dict, and a saturated backward edge stays
+    at zero."""
     size = len(graph.succ)
     excess, pot = list(excess), [0] * size
     into = [{} for _ in range(size)]  # into[v][u] = x(u, v)
@@ -450,12 +462,22 @@ def counter_postman_flow(graph, excess):
                     into[u][v] -= amount
             excess[s] -= amount
             excess[t] += amount
-    return Counter({(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k})
+    return Counter({(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k}), pot
 
 
 def edge_flow(into):
     """The flow into[v][u] = x(u, v) of ``_postman_flow`` as {(u, v): x} > 0."""
     return {(u, v): k for v, flow in enumerate(into) for u, k in flow.items() if k}
+
+
+def assert_reduced_costs_nonnegative(graph, into, pot):
+    """Every residual edge of the flow, forward u -> v at cost 1 and
+    backward v -> u at cost -1 where x(u, v) > 0, costs >= 0 reduced."""
+    for u, out in enumerate(graph.succ):
+        for v in out:
+            assert 1 + pot[u] - pot[v] >= 0
+            if into[v].get(u):
+                assert -1 + pot[v] - pot[u] >= 0
 
 
 def verdict_and_ends(matrix, epsilon, n_max):
@@ -479,8 +501,10 @@ def test_postman_flow_matches_the_least_costs_oracle(size, seed):
         excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
         if all(len(_least_costs(0, lambda u: ((1, v, None) for v in out[u])))
                == len(out) for out in (graph.succ, graph.pred)):  # strongly connected
-            oracle = least_costs_postman_flow(graph, excess)
-            assert edge_flow(_postman_flow(graph, excess)) == {e: k for e, k in oracle.items() if k}
+            oracle, _ = least_costs_postman_flow(graph, excess)
+            into, pot = _postman_flow(graph, excess)
+            assert edge_flow(into) == {e: k for e, k in oracle.items() if k}
+            assert_reduced_costs_nonnegative(graph, into, pot)
         try:
             fast = verdict_and_ends(matrix, 2.0 ** -m, 150)
         except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
@@ -488,10 +512,11 @@ def test_postman_flow_matches_the_least_costs_oracle(size, seed):
 
         def slow_flow(graph, excess):
             into = [{} for _ in graph.succ]
-            for (u, v), k in least_costs_postman_flow(graph, excess).items():
+            x, pot = least_costs_postman_flow(graph, excess)
+            for (u, v), k in x.items():
                 if k:
                     into[v][u] = k
-            return into
+            return into, pot
 
         with mock.patch("symshadow.dense_periods._postman_flow", slow_flow):
             try:
@@ -516,21 +541,94 @@ def test_postman_flow_matches_the_counter_kernel(size, seed):
         if min(_bfs_distances(graph.succ, [0]) + _bfs_distances(graph.pred, [0])) < 0:
             continue
         excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
-        into = _postman_flow(graph, excess)
+        into, pot = _postman_flow(graph, excess)
         assert all(k > 0 for flow in into for k in flow.values())
-        assert edge_flow(into) == counter_postman_flow(graph, excess)
+        assert (edge_flow(into), pot) == counter_postman_flow(graph, excess)
 
 
 def test_loop_free_certificate_walks_edges_only_when_a_witness_is_read():
-    matrix = TransitionMatrix([[0, 1, 0], [1, 0, 1], [1, 0, 0]])  # cycles 01 and 012, no loop
-    with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
-                           side_effect=_BlockGraph.walk_edges) as walk_edges:
-        cert = dense_periods_certificate(matrix, 0.25, 40)
-        assert isinstance(cert, DensePeriodsCertificate)
-        assert walk_edges.call_count == 0
-        witness = cert.witnesses[cert.N0]
-        assert walk_edges.call_count > 0
-    assert len(witness.states) == cert.N0 and is_dense_cycle(matrix, witness.states, 2)
+    # girth 2 (cycles 01 and 012) and girth 3 (cycles 012 and 0123)
+    for rows in ([[0, 1, 0], [1, 0, 1], [1, 0, 0]],
+                 [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]]):
+        matrix = TransitionMatrix(rows)
+        with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
+                               side_effect=_BlockGraph.walk_edges) as walk_edges, \
+                mock.patch("symshadow.dense_periods._least_walk",
+                           side_effect=dense_periods._least_walk) as least_walk:
+            cert = dense_periods_certificate(matrix, 0.25, 40)
+            assert isinstance(cert, DensePeriodsCertificate)
+            assert walk_edges.call_count == least_walk.call_count == 0
+            witness = cert.witnesses[cert.N0]
+            assert walk_edges.call_count > 0 and least_walk.call_count > 0
+        assert len(witness.states) == cert.N0 and is_dense_cycle(matrix, witness.states, 2)
+
+
+def residue_search_sizes(graph, c):
+    """Oracle: per residue r mod c the least flow size |x| = r (mod c), by
+    the search over (unmet deficits, residue)."""
+    excess = [len(into) - len(out) for into, out in zip(graph.pred, graph.succ)]
+    best, ends = _residue_flows(graph, excess, c)
+    return [best[end][0] if end in best else None for end in ends]
+
+
+def assert_flow_balances(graph, x, size):
+    """x >= 0 on block edges, of total size, sends excess[v] = in-degree -
+    out-degree more units out of each node v than into it."""
+    edges = {(u, v) for u, out in enumerate(graph.succ) for v in out}
+    assert set(x) <= edges and all(k >= 0 for k in x.values()) and sum(x.values()) == size
+    for v, (into, out) in enumerate(zip(graph.pred, graph.succ)):
+        assert sum(x[v, w] for w in out) - sum(x[u, v] for u in into) == len(into) - len(out)
+
+
+def test_girth_two_flows_match_the_residue_search():
+    # at girth 2 the postman flow plus one least odd residual cycle gives the
+    # least flow of each parity; the residue search, with its table cap
+    # raised, is the oracle, among them on tables the cap refuses
+    rng, cut, walks = random.Random(39), dense_periods._odd_simple_cycle, []
+    checked = past_cap = 0
+
+    def spy(walk):
+        # the cut is an odd simple cycle of the walk's cost: each step's head
+        # is the next step's tail, and no tail repeats
+        cycle = cut(walk)
+        arcs = [(e[0], e[1]) if sign > 0 else (e[1], e[0]) for e, sign in cycle]
+        assert len(cycle) % 2 and len({u for u, _ in arcs}) == len(arcs)
+        assert all(v == w for (_, v), (w, _) in zip(arcs, arcs[1:] + arcs[:1]))
+        assert sum(sign for _, sign in cycle) == sum(sign for _, _, sign in walk)
+        walks.append(walk)
+        return cycle
+
+    with mock.patch("symshadow.dense_periods.MAX_BLOCK_NODES", 10_000), \
+            mock.patch("symshadow.dense_periods._odd_simple_cycle", spy):
+        for _ in range(150):
+            matrix = FULL2
+            while girth(matrix.rows) != 2:  # loop-free with a 2-cycle
+                matrix = random_essential(rng, rng.randint(4, 6), rng.choice([0.3, 0.45, 0.6]))
+            for m in (2, 3, 4):
+                graph = _BlockGraph(matrix, m)
+                if min(_bfs_distances(graph.succ, [0]) + _bfs_distances(graph.pred, [0])) < 0:
+                    continue
+                table = 2 * math.prod(1 + len(out) - len(into)
+                                      for into, out in zip(graph.pred, graph.succ)
+                                      if len(into) < len(out))
+                if table > 10_000:
+                    continue
+                past_cap += table > MAX_BLOCK_NODES
+                sizes, flow = _least_flows(graph, 2)
+                assert sizes == residue_search_sizes(graph, 2)
+                for r, size in enumerate(sizes):
+                    if size is not None:
+                        assert_flow_balances(graph, flow(r), size)
+                result = dense_periods_certificate(matrix, 2.0 ** -m, 10**4)
+                if isinstance(result, DensePeriodsCertificate):
+                    for n in (result.N0, result.N0 + 1):  # both parities
+                        witness = result.witnesses[n].states
+                        assert len(witness) == n and matrix.is_admissible_cycle(witness)
+                        assert scanner_contains_all_words(matrix, witness, m)
+                checked += 1
+    assert checked > 300 and past_cap > 5
+    # some least odd closed walk revisits a node, so the cut is exercised
+    assert any(len({u for u, _, _ in walk}) < len(walk) for walk in walks)
 
 
 def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):
