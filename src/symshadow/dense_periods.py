@@ -142,6 +142,7 @@ class _BlockGraph:
             for u, out in enumerate(self.succ):
                 for v in out:
                     self.pred[v].append(u)
+        self.levels = _bfs_distances(self.succ, [0])  # fewest steps from node 0, -1 if none
 
     def walk_edges(self, s: int, t: int, steps: int) -> list[tuple[int, int]]:
         """Edges of the least walk of exactly ``steps`` steps from s to t."""
@@ -280,6 +281,15 @@ def _postman_flow(graph: _BlockGraph, excess: list[int]
     return into, pot
 
 
+def _bipartite(graph: _BlockGraph) -> bool:
+    """Do the BFS levels of the strongly connected block graph alternate
+    parity across every edge?  Then each edge, and each residual backward
+    edge, joins the even-level nodes to the odd-level ones, so no residual
+    cycle is odd."""
+    levels = graph.levels
+    return all((levels[u] ^ levels[v]) & 1 for u, out in enumerate(graph.succ) for v in out)
+
+
 def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: list[int]
                         ) -> tuple[int, list[tuple[int, tuple[int, int], int]]] | None:
     """The least cost of an odd-length cycle in the residual graph of the
@@ -290,6 +300,8 @@ def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: lis
     each s.  A closed walk's reduced cost is its cost, so an odd one costs
     an odd number >= 1, and a run stops where it cannot beat the best cost
     found by 2."""
+    if _bipartite(graph):
+        return None
     succ, size = graph.succ, len(graph.succ)
     best, found = math.inf, None
     for s in range(size):
@@ -449,7 +461,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
     graph = _BlockGraph(matrix, word_radius(epsilon))
-    if min(_bfs_distances(graph.succ, [0]) + _bfs_distances(graph.pred, [0])) < 0:
+    if min(graph.levels + _bfs_distances(graph.pred, [0])) < 0:
         # every block node has an in- and an out-edge (A is essential), so no
         # closed walk covers them all
         return DensePeriodsRefutation(epsilon, 2, True, n_max, reason=(

@@ -21,7 +21,10 @@ l*tau^2 + 1 is built; n = l*tau^2 lies in class tau and would need
 n >= l*tau^2 + tau, so N0 is exact.
 
 The geometry is the system's: its map, its elementwise ``distances``, and
-its point-set queries ``cyclic_period`` and ``hausdorff``.
+its point-set queries ``cyclic_period`` and ``hausdorff``.  The Hausdorff
+distance of a pseudo-orbit to the reference set O(q) u O(p) takes the
+reference second, and the system keeps its index: every length checked
+against one reference indexes it once.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.
 
 The system supplies the geometry: ``splitting`` and ``shadowing_orbit``,
-``net`` and ``nearest`` for density.  Only two branches read the system
+``net`` and ``nearest`` for density (``forward_distances`` on shifts).
+Density measures the net, the reference, against the orbit: the net is the
+first argument of ``nearest``, and the system keeps its index, so a net
+passed again is not indexed again.  Only two branches read the system
 kind: the symbolic shadow takes its distances off the glued word, and shift
 density uses forward windows.
 
@@ -27,7 +30,7 @@ from typing import Sequence
 
 from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
 from .sft import _primitive_period
-from .shiftspace import ShiftPoint, cycle_distances, forward_distances, word_radius
+from .shiftspace import ShiftPoint, cycle_distances, word_radius
 from .systems import SftSystem
 
 
@@ -131,7 +134,7 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
     if isinstance(system, SftSystem):
         # any two shift points are within 1, so a larger epsilon reads as 1
         cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)
-        distances = forward_distances(net_points, orbit_points, cap)
+        distances = system.forward_distances(net_points, orbit_points, cap)
     else:
         distances = system.nearest(net_points, orbit_points)
     worst = max(distances, default=-1.0)

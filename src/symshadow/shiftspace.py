@@ -24,14 +24,16 @@ fixes the agreement radius k <= R, while a zero one only bounds d by
 the last rung decides equality.  Point-set queries sort the distinct keys
 of the set they measure against once and bisect each distinct query key
 not among them into them, since a key shares its longest prefix with a
-sorted set at its neighbour before or after.
+sorted set at its neighbour before or after.  A reference set's keys, set
+and sorted keys are cut once per key kind and rung into its
+:class:`_KeyIndex`, which a system keeps for its last reference set.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .sft import Word, _primitive_period
 
@@ -244,28 +246,101 @@ def _ladder(count: int, bits_at, last, distance=_key_distance, first: int = _FIR
     return out
 
 
-def _least_bits(keys: Sequence[int], others: Sequence[int]) -> dict:
-    """For each key of ``keys`` the least bit length of its XOR with a key of
-    ``others`` (keys of one size, others not empty), as a dict keyed by the
-    keys.  A key among the others reads 0 from one hash, as most query keys
-    do; any other shares its longest prefix with the sorted others at its
-    neighbour before or after, so it is bisected into them, sorted once."""
-    distinct = set(others)
-    ranked = sorted(distinct)
-    ranked = [ranked[0], *ranked, ranked[-1]]  # a neighbour either side of every key
-    least = {}
-    for key in set(keys):
-        if key in distinct:
-            least[key] = 0
-        else:
-            i = bisect_left(ranked, key, 1, len(ranked) - 1)
-            least[key] = min((key ^ ranked[i - 1]).bit_length(), (key ^ ranked[i]).bit_length())
-    return least
+class _SortedKeys:
+    """Keys of one size, the set of them, and that set sorted with its least
+    and greatest key repeated at the ends: a neighbour either side of every
+    key bisected in.  A key among them reads 0 from one hash, as most query
+    keys do; any other shares its longest prefix with them at its neighbour
+    before or after."""
+
+    __slots__ = ("keys", "distinct", "ranked")
+
+    def __init__(self, keys: list[int]):
+        self.keys, self.distinct = keys, set(keys)
+        ranked = sorted(self.distinct)
+        self.ranked = [ranked[0], *ranked, ranked[-1]]
+
+    def least_bits(self, keys: Iterable[int]) -> dict:
+        """For each of the distinct ``keys`` the least bit length of its XOR
+        with one of these keys, as a dict keyed by the keys."""
+        distinct, ranked, top = self.distinct, self.ranked, len(self.ranked) - 1
+        least = {}
+        for key in keys:
+            if key in distinct:
+                least[key] = 0
+            else:
+                i = bisect_left(ranked, key, 1, top)
+                least[key] = min((key ^ ranked[i - 1]).bit_length(), (key ^ ranked[i]).bit_length())
+        return least
 
 
-def _key_radius(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> int:
-    """A key radius past which no x in xs and y in ys can first differ."""
-    return max(x.extent for x in xs) + max(y.extent for y in ys)
+class _KeyIndex:
+    """The index of a reference point set: its points' keys, cut once per
+    key kind (``ShiftPoint.key`` or ``ShiftPoint.forward_key``) and rung
+    radius and kept as :class:`_SortedKeys`, and their largest extent.  The
+    point-set queries measure against it: the Hausdorff distance of a set
+    to the reference, and the nearest and forward distances of each
+    reference point to a set.  Every reference point is cut at each rung a
+    query reaches."""
+
+    def __init__(self, points: Sequence[ShiftPoint]):
+        self.points = points
+        self.extent = max((y.extent for y in points), default=0)
+        self._cuts: dict = {}  # (cut, radius) -> _SortedKeys
+
+    def keys(self, cut, radius: int) -> _SortedKeys:
+        entry = self._cuts.get((cut, radius))
+        if entry is None:
+            entry = self._cuts[cut, radius] = _SortedKeys([cut(y, radius) for y in self.points])
+        return entry
+
+    def hausdorff(self, xs: Sequence[ShiftPoint]) -> float:
+        """max(max_x d(x, reference), max_y d(y, xs)), exactly, from the least
+        XOR of each side at each rung: the first nonzero largest one settles
+        it; an empty set raises ValueError."""
+        if not xs or not self.points:
+            raise ValueError("distance to an empty point set")
+        for radius in _rungs(lambda: max(x.extent for x in xs) + self.extent):
+            ys, mine = self.keys(ShiftPoint.key, radius), _SortedKeys([x.key(radius) for x in xs])
+            bits = max(*ys.least_bits(mine.distinct).values(),
+                       *mine.least_bits(ys.distinct).values())
+            if bits:
+                break
+        return _key_distance(bits, radius)
+
+    def nearest(self, points: Sequence[ShiftPoint]) -> list[float]:
+        """d(y, points) = min over x in points of d(y, x), exactly, for each
+        reference point y."""
+        return self._ladder(points, ShiftPoint.key,
+                            lambda: self.extent + max(x.extent for x in points))
+
+    def forward(self, points: Sequence[ShiftPoint], length: int) -> list[float]:
+        """For each reference point y, 2^-m with m the longest common prefix
+        of y_0..y_{length-1} with x_0..x_{length-1} for some x in points,
+        read by rungs of prefix length up to ``length``."""
+        return self._ladder(points, ShiftPoint.forward_key, lambda: length,
+                            lambda bits, size: 2.0 ** -_common_prefix(bits, size),
+                            min(_FIRST_RADIUS, length))
+
+    def _ladder(self, points, cut, last, distance=_key_distance, first=_FIRST_RADIUS):
+        """``_ladder`` over the reference points, each against its nearest
+        point of ``points`` by the keys cut(point, radius).  No reference
+        points give []; an empty ``points`` raises ValueError."""
+        if not self.points:
+            return []
+        if not points:
+            raise ValueError("distance to an empty point set")
+
+        def bits_at(radius, todo):
+            ys = self.keys(cut, radius)
+            if len(todo) == len(ys.keys):  # every reference point: the kept keys and set
+                keys, distinct = ys.keys, ys.distinct
+            else:
+                keys = [ys.keys[i] for i in todo]
+                distinct = set(keys)
+            least = _SortedKeys([cut(x, radius) for x in points]).least_bits(distinct)
+            return [least[key] for key in keys]
+        return _ladder(len(self.points), bits_at, last, distance, first)
 
 
 def nearest_distances(queries: Sequence[ShiftPoint],
@@ -273,47 +348,13 @@ def nearest_distances(queries: Sequence[ShiftPoint],
     """d(x, points) = min over y in points of d(x, y), exactly, for each
     query x.  No queries give []; queries against an empty point set raise
     ValueError."""
-    return _nearest_ladder(queries, points, ShiftPoint.key, lambda: _key_radius(queries, points))
+    return _KeyIndex(queries).nearest(points)
 
 
 def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
-    """max(max_x d(x, ys), max_y d(y, xs)), exactly, from the least XOR of
-    each side at each rung: the first nonzero largest one settles it; an
-    empty set raises ValueError."""
-    if not xs or not ys:
-        raise ValueError("distance to an empty point set")
-    for radius in _rungs(lambda: _key_radius(xs, ys)):
-        xk, yk = [x.key(radius) for x in xs], [y.key(radius) for y in ys]
-        bits = max(*_least_bits(xk, yk).values(), *_least_bits(yk, xk).values())
-        if bits:
-            break
-    return _key_distance(bits, radius)
-
-
-def forward_distances(queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint],
-                      length: int) -> list[float]:
-    """For each query y, 2^-m with m the longest common prefix of
-    y_0..y_{length-1} with x_0..x_{length-1} for some x in points, read by
-    rungs of prefix length up to ``length``.  No queries give []; queries
-    against an empty point set raise ValueError."""
-    return _nearest_ladder(queries, points, ShiftPoint.forward_key, lambda: length,
-                           lambda bits, size: 2.0 ** -_common_prefix(bits, size),
-                           min(_FIRST_RADIUS, length))
-
-
-def _nearest_ladder(queries, points, cut, last, distance=_key_distance, first=_FIRST_RADIUS):
-    """``_ladder`` over the queries, each against its nearest point by the
-    keys cut(point, radius)."""
-    if not queries:
-        return []
-    if not points:
-        raise ValueError("distance to an empty point set")
-
-    def bits_at(radius, todo):
-        keys = [cut(queries[i], radius) for i in todo]
-        least = _least_bits(keys, [cut(y, radius) for y in points])
-        return [least[key] for key in keys]
-    return _ladder(len(queries), bits_at, last, distance, first)
+    """max(max_x d(x, ys), max_y d(y, xs)), exactly; an empty set raises
+    ValueError."""
+    return _KeyIndex(ys).hausdorff(xs)
 
 
 def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:

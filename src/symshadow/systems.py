@@ -4,7 +4,12 @@ Three kinds of system share one interface: the map ``apply`` and
 ``apply_inverse``; the metric ``distance`` and its elementwise form
 ``distances``; the point-set queries ``nearest``, ``hausdorff`` and
 ``cyclic_period``; and the orbit constructions ``periodic_orbits``,
-``homoclinic_orbit`` and ``net``.  The planar two add ``differential``.
+``homoclinic_orbit`` and ``net``.  The planar two add ``differential``,
+the shift ``forward_distances``.  A point-set query measures a set against
+a reference set, ``hausdorff``'s second argument and the first of
+``nearest`` and ``forward_distances``, and each system keeps the index of
+the last reference set it was given, so a reference queried again is not
+indexed again.
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -29,6 +34,7 @@ f^k(q) = f^{k+1}(p) + s lam_u^k v_u (k < 0), stable on both tails.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +48,7 @@ from .homoclinic import HomoclinicDatum
 from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
                   _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
                   _primitive_period, _step_layers)
-from .shiftspace import ShiftPoint, hausdorff_distance, nearest_distances, word_radius
+from .shiftspace import ShiftPoint, _KeyIndex, word_radius
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,35 @@ def _distinct(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
     return pairs.view(np.float64).reshape(-1, 2), inverse
 
 
-class _PlanarSystem:
+class _ReferenceSlot:
+    """One slot per system: the last reference set a point-set query took
+    and that set's index, built by ``_index_reference`` on a miss.  The
+    reference is ``hausdorff``'s second set and the first set of ``nearest``
+    and ``forward_distances`` (the net measured against an orbit).  A hit
+    needs the same number of points, each the identical object, in order;
+    a set mutated in place, or rebuilt from equal points, is indexed anew.
+    Points are values never mutated (tuples, shift points)."""
+
+    def _reference_index(self, points: Sequence):
+        kept, index = getattr(self, "_reference", ((), None))  # built lazily
+        if index is None or len(points) != len(kept) or not all(map(operator.is_, points, kept)):
+            kept = tuple(points)
+            index = self._index_reference(kept)
+            self._reference = kept, index
+        return index
+
+
+class _PlanarSystem(_ReferenceSlot):
     """The shared base of the planar systems: ``distance``, the elementwise
     ``distances`` and ``distance_matrix``, all one formula ``_root(_gauge)``
     over float coordinate differences, so the three agree bit for bit; the
     point-set queries, which reduce gauges and take the monotone ``_root`` of
-    each result.
+    each result.  The index of a reference set is its ``_distinct``
+    coordinates and inverse.
     Each system binds ``distance`` in its own class as well, where per-class
     wrappers (the bench tracer's) find it."""
+
+    _index_reference = staticmethod(_distinct)
 
     def distance(self, a, b) -> float:
         return float(self._root(self._gauge(float(a[0]) - float(b[0]),
@@ -146,13 +173,14 @@ class _PlanarSystem:
         """min over y in points of d(x, y) for each query x: the root of the
         least gauge in each row of the matrix of the distinct queries and
         points (equal points share every distance), in blocks of queries
-        that bound its memory.  No queries give []; queries against an empty
-        point set raise ValueError."""
+        that bound its memory.  The queries are the reference set, indexed
+        once.  No queries give []; queries against an empty point set raise
+        ValueError."""
         if not queries:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
-        (queries, inverse), points = _distinct(queries), _distinct(points)[0]
+        (queries, inverse), points = self._reference_index(queries), _distinct(points)[0]
         rows = max(1, _BLOCK_ENTRIES // len(points))
         mins = np.concatenate([self._gauges(queries[start:start + rows], points).min(axis=1)
                                for start in range(0, len(queries), rows)])
@@ -161,8 +189,9 @@ class _PlanarSystem:
     def hausdorff(self, xs: Sequence, ys: Sequence) -> float:
         """max(max_x d(x, ys), max_y d(y, xs)): the root of the largest row
         or column minimum of one gauge matrix of the distinct points (every
-        distinct point has the minimum of its copies)."""
-        matrix = self._gauges(_distinct(xs)[0], _distinct(ys)[0])
+        distinct point has the minimum of its copies).  ys is the reference
+        set, indexed once."""
+        matrix = self._gauges(_distinct(xs)[0], self._reference_index(ys)[0])
         return float(self._root(max(matrix.min(axis=1).max(), matrix.min(axis=0).max())))
 
     def cyclic_period(self, points: Sequence) -> int:
@@ -646,9 +675,12 @@ def _tail_sum(point: ShiftPoint, start: int, step: int, ratio: float) -> float:
     return total + ratio ** j * block / (1.0 - ratio ** period)
 
 
-class SftSystem(_CodedShift):
+class SftSystem(_CodedShift, _ReferenceSlot):
     """A subshift of finite type as a dynamical system on exact
-    eventually-periodic shift points; it is its own coding."""
+    eventually-periodic shift points; it is its own coding.  The index of a
+    reference set is its points' keys, cut once per key kind and rung."""
+
+    _index_reference = _KeyIndex
 
     def __init__(self, matrix: TransitionMatrix):
         self.matrix = self.coding_matrix = matrix
@@ -669,9 +701,25 @@ class SftSystem(_CodedShift):
         """d(xs[i], ys[i]) for each i."""
         return np.array([x.distance(y) for x, y in zip(xs, ys)], np.float64)
 
-    # exact point-set queries on the integer keys of shift points
-    nearest = staticmethod(nearest_distances)
-    hausdorff = staticmethod(hausdorff_distance)
+    # exact point-set queries on the integer keys of shift points, against
+    # the kept index of the reference set
+    def nearest(self, queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint]
+                ) -> list[float]:
+        """:func:`~symshadow.shiftspace.nearest_distances`, the queries the reference."""
+        return self._reference_index(queries).nearest(points)
+
+    def hausdorff(self, xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
+        """:func:`~symshadow.shiftspace.hausdorff_distance`, ys the reference."""
+        return self._reference_index(ys).hausdorff(xs)
+
+    def forward_distances(self, queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint],
+                          length: int) -> list[float]:
+        """For each query y, 2^-m with m the longest common prefix of
+        y_0..y_{length-1} with that of some x in points, the queries the
+        reference.  No queries give []; queries against an empty point set
+        raise ValueError."""
+        return self._reference_index(queries).forward(points, length)
+
     cyclic_period = staticmethod(_primitive_period)
 
     def net(self, spacing: float) -> list[ShiftPoint]:

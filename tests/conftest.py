@@ -1,5 +1,9 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import hypothesis
 
+from symshadow import systems
 from symshadow.measures import _orbit_entries
 
 hypothesis.settings.register_profile(
@@ -15,3 +19,22 @@ def rational_orbit_lattices(system, max_period, max_denominator):
     each orbit the integer pairs (u, v) of its points (u/q, v/q) from (i, j)."""
     for q, points, lengths in system.rational_orbit_spans(max_period, max_denominator):
         yield q, points, _orbit_entries(q, points, lengths)
+
+
+@contextmanager
+def index_builds():
+    """The reference sets that systems index while the block runs, in order:
+    the index builders of the planar and shift systems, wrapped to list them."""
+    builds = []
+
+    def listing(build):
+        def listed(points):
+            builds.append(points)
+            return build(points)
+        return staticmethod(listed)
+
+    with mock.patch.object(systems._PlanarSystem, "_index_reference",
+                           listing(systems._PlanarSystem._index_reference)), \
+            mock.patch.object(systems.SftSystem, "_index_reference",
+                              listing(systems.SftSystem._index_reference)):
+        yield builds

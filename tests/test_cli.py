@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import symshadow.cli
+from conftest import index_builds
 from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_SHADOW_LENGTH,
                            MAX_WITNESS_SYMBOLS, main)
 from symshadow.dense_periods import WitnessMap
@@ -328,6 +329,17 @@ def test_pseudo_shadow_symbolic(files):
     report = read_report(files, "pseudo_shadow.json")
     assert report["all_pass"] is True
     assert all(row["defect"] <= 0.125 for row in report["rows"])
+
+
+@pytest.mark.parametrize("system, anchor, delta", [("cat_map.json", "1/5,2/5", "0.01"),
+                                                   ("full_2_shift.json", "01", "0.125")],
+                         ids=["cat", "full2"])
+def test_pseudo_shadow_indexes_its_reference_once(files, system, anchor, delta):
+    with index_builds() as builds:
+        assert main(["pseudo-shadow", str(DATA / system), anchor, "--delta", delta,
+                     "--out", files["out"]]) == 0
+    assert len(read_report(files, "pseudo_shadow.json")["rows"]) == 31
+    assert len(builds) == 1
 
 
 def test_approx_measure_periodic_mode(files):

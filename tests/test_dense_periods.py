@@ -1,5 +1,6 @@
 """Dense-period certificates, refutations, and mixing thresholds."""
 
+import contextlib
 import hashlib
 import heapq
 import json
@@ -629,6 +630,60 @@ def test_girth_two_flows_match_the_residue_search():
     assert checked > 300 and past_cap > 5
     # some least odd closed walk revisits a node, so the cut is exercised
     assert any(len({u for u, _, _ in walk}) < len(walk) for walk in walks)
+
+
+def full_odd_cycle_search():
+    """Oracle: the odd residual cycle search from every start node, with no
+    early return on a bipartite block graph."""
+    return mock.patch("symshadow.dense_periods._bipartite", return_value=False)
+
+
+def test_a_bipartite_block_graph_refutes_as_the_full_search_does():
+    # the star 0 <-> 1..5 has only even closed walks: at m = 9 its residual
+    # graph has no odd cycle, which the BFS levels show with no search
+    matrix = TransitionMatrix([[0, 1, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0, 0]] * 5)
+    assert dense_periods._bipartite(_BlockGraph(matrix, 9))
+    fast = dense_periods_certificate(matrix, 2.0 ** -9, 10**4)
+    with full_odd_cycle_search():
+        slow = dense_periods_certificate(matrix, 2.0 ** -9, 10**4)
+    assert isinstance(fast, DensePeriodsRefutation) and fast == slow and fast.blocking_n == 2
+
+
+def random_bipartite(rng, size, density):
+    """An essential matrix whose edges all join the even symbols to the odd ones."""
+    while True:
+        rows = [[int((i - j) % 2 == 1 and rng.random() < density) for j in range(size)]
+                for i in range(size)]
+        if all(map(any, rows)) and all(map(any, zip(*rows))):
+            return TransitionMatrix(rows)
+
+
+def test_bipartite_early_return_keeps_the_full_search_verdicts():
+    rng, bipartite, checked = random.Random(40), 0, 0
+    for trial in range(120):
+        matrix = FULL2
+        while girth(matrix.rows) != 2:  # loop-free with a 2-cycle, half of them bipartite
+            size, density = rng.randint(3, 6), rng.choice([0.3, 0.45, 0.6])
+            matrix = (random_bipartite if trial % 2 else random_essential)(rng, size, density)
+        for m in (2, 3, 4):
+            graph = _BlockGraph(matrix, m)
+            if min(graph.levels + _bfs_distances(graph.pred, [0])) < 0:
+                continue
+            bipartite += dense_periods._bipartite(graph)
+            verdicts = []
+            for search in (contextlib.nullcontext(), full_odd_cycle_search()):
+                with search:
+                    try:
+                        result = dense_periods_certificate(matrix, 2.0 ** -m, 10**4)
+                    except BlockGraphTooLargeError as exc:
+                        result = type(exc)
+                if isinstance(result, DensePeriodsCertificate):
+                    result = (result.N0, result.witnesses[result.N0].states,
+                              result.witnesses[result.N0 + 1].states)
+                verdicts.append(result)
+            assert verdicts[0] == verdicts[1]
+            checked += 1
+    assert checked > 150 and bipartite > 50
 
 
 def no_dense_cyclic_word(matrix, m, lengths=range(2, 9)):

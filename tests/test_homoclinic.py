@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import index_builds
 from symshadow import systems
 from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
                                   build_periodic_pseudo_orbit,
@@ -17,7 +18,7 @@ from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
 from symshadow.shiftspace import ShiftPoint, nearest_distances
-from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point
+from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point, parse_system
 
 FULL2 = TransitionMatrix.full_shift(2)
 DELTA_SYM = 2.0 ** -3
@@ -306,6 +307,32 @@ def test_min_distances_equal_the_pairwise_scan(data, system):
     points = data.draw(point_sets(system))
     assert system.nearest(queries, points) == pairwise_min(system, queries, points)
     assert system.nearest(points, queries) == pairwise_min(system, points, queries)
+
+
+@given(st.data(), float_systems)
+def test_a_kept_reference_index_answers_as_the_pairwise_scan_warm_and_cold(data, system):
+    points, reference = data.draw(point_sets(system)), data.draw(point_sets(system))
+
+    def answers(reference):
+        return system.hausdorff(points, reference), system.nearest(reference, points)
+
+    def pairwise(reference):
+        back = pairwise_min(system, reference, points)
+        return max(pairwise_min(system, points, reference) + back), back
+
+    system = parse_system(system.to_config())  # a cold slot
+    with index_builds() as builds:
+        assert answers(reference) == answers(reference) == pairwise(reference)
+        assert len(builds) == 1  # warm: the second query and the second set reuse it
+        fresh = [(x, y) for x, y in reference]  # equal points, not the same objects
+        assert answers(fresh) == pairwise(fresh) and len(builds) == 2
+        x, y = points[0]
+        reference[0], fresh[-1] = (x, y), (x, y)  # both mutated in place
+        for changed in (reference, fresh):
+            cold = parse_system(system.to_config())
+            expected = cold.hausdorff(points, changed), cold.nearest(changed, points)
+            assert answers(changed) == expected == pairwise(changed)
+        assert len(builds) == 6  # each mutated set indexed anew, and once by each cold system
 
 
 @given(st.data(), float_systems)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_builds
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _digits, _least_bits,
+from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _SortedKeys, _digits,
                                   cycle_distances, hausdorff_distance, nearest_distances,
                                   word_radius)
 from symshadow.systems import SftSystem, homoclinic_point
@@ -443,6 +444,44 @@ def test_every_query_matches_the_brute_radius_at_every_rung(data):
                                              for s, y in zip(shifts, points)]
 
 
+def brute_forward(y, points, length):
+    """2^-m for the longest common prefix m <= length of y_0, y_1, ... with
+    that of some x in points, read symbol by symbol."""
+    return min(2.0 ** -next((i for i in range(length) if x[i] != y[i]), length)
+               for x in points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
+    core = data.draw(cores)
+    points, reference = data.draw(cored_sets(core)), data.draw(cored_sets(core))
+    length = data.draw(st.integers(1, 2 * len(core)))  # up to rungs past 2 * _FIRST_RADIUS
+
+    def answers(system, reference):
+        return (system.hausdorff(points, reference), system.nearest(reference, points),
+                system.forward_distances(reference, points, length))
+
+    def brute(reference):
+        back = [min(brute_distance(y, x) for x in points) for y in reference]
+        there = [min(brute_distance(x, y) for y in reference) for x in points]
+        return max(there + back), back, [brute_forward(y, points, length) for y in reference]
+
+    system = SftSystem(TransitionMatrix.full_shift(3))  # a cold slot
+    with index_builds() as builds:
+        assert answers(system, reference) == answers(system, reference) == brute(reference)
+        assert len(builds) == 1  # warm: each query and the second pass reuse it
+        # equal points, not the same objects, with no keys cut yet
+        fresh = [ShiftPoint(y.left, y.center, y.right, y.pos) for y in reference]
+        assert answers(system, fresh) == brute(fresh) and len(builds) == 2
+        x = points[0]
+        reference[0], fresh[-1] = (ShiftPoint(x.left, x.center, x.right, x.pos) for _ in "ab")
+        for changed in (reference, fresh):  # each mutated in place
+            expected = answers(SftSystem(TransitionMatrix.full_shift(3)), changed)
+            assert answers(system, changed) == expected == brute(changed)
+        assert len(builds) == 6  # each mutated set indexed anew, and once by each cold system
+
+
 @st.composite
 def key_sets(draw):
     """Query keys and other keys of one width, each a shared word cut at a
@@ -466,13 +505,16 @@ def key_sets(draw):
 
 @given(key_sets())
 def test_least_bits_match_the_brute_minimum(sets):
+    def least_bits(keys, others):
+        return _SortedKeys(others).least_bits(set(keys))
+
     keys, others = sets
-    assert _least_bits(keys, others) == {key: min((key ^ other).bit_length() for other in others)
-                                         for key in keys}
+    assert least_bits(keys, others) == {key: min((key ^ other).bit_length() for other in others)
+                                        for key in keys}
     # one-element sets either side
-    assert _least_bits(keys[:1], others) == {keys[0]: min((keys[0] ^ o).bit_length()
-                                                          for o in others)}
-    assert _least_bits(keys, others[:1]) == {key: (key ^ others[0]).bit_length() for key in keys}
+    assert least_bits(keys[:1], others) == {keys[0]: min((keys[0] ^ o).bit_length()
+                                                         for o in others)}
+    assert least_bits(keys, others[:1]) == {key: (key ^ others[0]).bit_length() for key in keys}
 
 
 def test_deep_agreement_and_equal_points_reach_the_last_rung():
