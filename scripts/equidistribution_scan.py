@@ -15,7 +15,7 @@ from symshadow.systems import cat_map
 
 def run(args):
     start = time.time()
-    ranked = sorted((d, len(orbit), q, (i, j)) for (i, j, q), orbit, d in
+    ranked = sorted((d, period, q, (i, j)) for (i, j, q), period, d in
                     rational_orbit_distances(LebesgueTorus(), cat_map(), fourier_family(3),
                                              args.max_period, args.max_denominator))
     print(f"{len(ranked)} orbits of period <= {args.max_period} with "

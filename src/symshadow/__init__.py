@@ -27,8 +27,8 @@ from .homoclinic import (ExcursionParameters, HomoclinicDatum,
                          compute_excursion_parameters, verify_pseudo_orbit)
 from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
                         density_check, shadow_periodic)
-from .systems import (Horseshoe, HyperbolicSplitting, SftSystem,
-                      ToralAutomorphism, cat_map, homoclinic_point, parse_system)
+from .systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
+                      homoclinic_point, parse_system)
 from .measures import (ApproximationResult, BernoulliApproximation,
                        BernoulliProduct, CylinderObservable,
                        FiniteSupportMeasure, FourierMode, LebesgueTorus,

@@ -249,8 +249,7 @@ def cmd_pseudo_shadow(args) -> int:
         })
     report = {
         "excursion": {"N": params.N, "l": params.l, "N0": params.N0},
-        "shadowing_constant": None if isinstance(system, SftSystem)
-        else system.splitting().shadowing_constant,
+        "shadowing_constant": None if isinstance(system, SftSystem) else system.shadowing_constant,
         "rows": rows,
         "all_pass": all(r["defect"] <= args.delta and r["residual"] <= args.tol
                         and r["exact_period"] for r in rows),

@@ -105,7 +105,6 @@ class DensePeriodsRefutation:
     epsilon: float
     blocking_n: int
     exhaustive: bool  # always true: every refutation is a proof
-    n_max: int
     reason: str = ""
 
     def to_json_dict(self) -> dict:
@@ -464,7 +463,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     if min(graph.levels + _bfs_distances(graph.pred, [0])) < 0:
         # every block node has an in- and an out-edge (A is essential), so no
         # closed walk covers them all
-        return DensePeriodsRefutation(epsilon, 2, True, n_max, reason=(
+        return DensePeriodsRefutation(epsilon, 2, True, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
     c, s = _girth(matrix)
     E = sum(map(len, graph.succ)) if graph.m > 1 else 0
@@ -472,7 +471,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     least = {(E + x) % c: E + x for x in sizes if x is not None}
     if len(least) < c:
         n = next(n for n in range(2, c + 2) if n < least.get(n % c, math.inf))
-        return DensePeriodsRefutation(epsilon, n, True, n_max, reason=(
+        return DensePeriodsRefutation(epsilon, n, True, reason=(
             f"dense cycle lengths miss a residue class mod {c}; {n} is the least excluded"))
     N0 = max(2, max(least.values()) - c + 1)
     if N0 > n_max:

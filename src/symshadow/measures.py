@@ -478,24 +478,15 @@ def _atom_sums(n: int) -> list[float]:
     return list(accumulate(repeat(1 / n, n), initial=0.0))
 
 
-def _orbit_entries(q: int, points: np.ndarray, lengths: np.ndarray) -> list:
-    """((i, j, q), orbit) for each orbit of ``ToralAutomorphism.rational_orbit_spans``
-    whose span of the integer ``points`` the ``lengths`` cut: orbit lists the
-    pairs (u, v) of the span, (i, j) its first."""
-    pairs = list(zip(*points.T.tolist()))
-    ends = np.cumsum(lengths).tolist()
-    return [(pairs[e - n] + (q,), pairs[e - n:e]) for e, n in zip(ends, lengths.tolist())]
-
-
 def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFamily,
                              max_period: int, max_denominator: int,
                              bounded: bool = False) -> Iterator[tuple]:
-    """((i, j, q), orbit, d) for the orbits of ``system.rational_orbit_spans``:
+    """((i, j, q), period, d) for the orbits of ``system.rational_orbit_spans``:
     all of them, or with ``bounded`` those whose score d can be the least score
     d* of the horizon.  The scan reads the integer form of the walk
     (``rational_orbit_spans``: read-only arrays, kept on the system for a horizon
-    of max_denominator <= 146, so a later scan of it does not walk again) and
-    builds the ((i, j, q), orbit) entries of the orbits it yields only.  d is the
+    of max_denominator <= 146, so a later scan of it does not walk again), and
+    each orbit's start (i, j) and period are read off its span.  d is the
     weak-* distance from the target up to rounding: (u/q, v/q) has e(k.x) =
     zeta_q^r, r = (k0 u + k1 v) mod q, so an n-point orbit integrates to
     sum_r c_r zeta_q^r / n over its residue counts c_r, counted for a block of a
@@ -556,8 +547,9 @@ def rational_orbit_distances(target, system: ToralAutomorphism, family: TestFami
 
     spans = system.rational_orbit_spans(max_period, max_denominator)
     for q, points, lengths in survivors(spans) if bounded else spans:
-        yield from ((start, orbit, d) for (start, orbit), d
-                    in zip(_orbit_entries(q, points, lengths), scores(q, points, lengths)))
+        starts = points[lengths.cumsum() - lengths].tolist()
+        yield from (((i, j, q), n, d) for (i, j), n, d
+                    in zip(starts, lengths.tolist(), scores(q, points, lengths)))
 
 
 def _heavy_mode_bounds(target, family: TestFamily, spans: Sequence[tuple]) -> np.ndarray:
@@ -625,11 +617,11 @@ def approximate_by_periodic(target, system, epsilon: float, family: TestFamily,
         describe = str
     elif isinstance(system, ToralAutomorphism):
         names, distances, periods = [], [], []  # starts, not orbits
-        for start, orbit, d in rational_orbit_distances(target, system, family, max_period,
-                                                        max_denominator, bounded=True):
+        for start, n, d in rational_orbit_distances(target, system, family, max_period,
+                                                    max_denominator, bounded=True):
             names.append(start)
             distances.append(d)
-            periods.append(len(orbit))
+            periods.append(n)
         describe = lambda start: "orbit({0}/{2},{1}/{2})".format(*start)
     else:
         raise TypeError(f"unsupported system {system!r}")

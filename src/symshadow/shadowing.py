@@ -12,8 +12,9 @@ admissible whenever the defect is below 1/2, and the resulting periodic
 sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.
 
-The system supplies the geometry: ``splitting`` and ``shadowing_orbit``,
-``net`` and ``nearest`` for density (``forward_distances`` on shifts).
+The system supplies the geometry: ``shadowing_constant`` and
+``shadowing_orbit``, ``net`` and ``nearest`` for density
+(``forward_distances`` on shifts).
 Density measures the net, the reference, against the orbit: the net is the
 first argument of ``nearest``, and the system keeps its index, so a net
 passed again is not indexed again.  Only two branches read the system
@@ -65,13 +66,13 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
     The smooth systems solve for the orbit in closed form
     (``system.shadowing_orbit``), with its float per-step residual at most
     ``tol``; the distance to the source pseudo-orbit must stay within
-    C * delta for the shadowing constant C reported by the system's
-    splitting, else the bound is declared violated.
+    C * delta for the system's ``shadowing_constant`` C, else the bound is
+    declared violated.
     """
     if isinstance(system, SftSystem):
         return _shadow_symbolic(system, po)
 
-    C = system.splitting().shadowing_constant
+    C = system.shadowing_constant
     delta = max(po.defect, 1e-300)
     if C * delta > system.chart_radius:
         raise ShadowingError(

@@ -4,8 +4,9 @@ Three kinds of system share one interface: the map ``apply`` and
 ``apply_inverse``; the metric ``distance`` and its elementwise form
 ``distances``; the point-set queries ``nearest``, ``hausdorff`` and
 ``cyclic_period``; and the orbit constructions ``periodic_orbits``,
-``homoclinic_orbit`` and ``net``.  The planar two add ``differential``,
-the shift ``forward_distances``.  A point-set query measures a set against
+``homoclinic_orbit`` and ``net``.  The planar two add ``differential`` and
+the closing-lemma bound ``shadowing_constant``, the shift
+``forward_distances``.  A point-set query measures a set against
 a reference set, ``hausdorff``'s second argument and the first of
 ``nearest`` and ``forward_distances``, and each system keeps the index of
 the last reference set it was given, so a reference queried again is not
@@ -36,11 +37,10 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,41 +49,6 @@ from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enu
                   _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
                   _primitive_period, _step_layers)
 from .shiftspace import ShiftPoint, _KeyIndex, word_radius
-
-
-@dataclass(frozen=True)
-class HyperbolicSplitting:
-    """Stable/unstable data: eigenvalues, unit directions, contraction and
-    expansion moduli, and the shadowing constant C derived from them.
-
-    C bounds the distance from a periodic delta-pseudo-orbit to its
-    shadowing orbit: the geometric-series bound max(1/(1-mu_s),
-    1/(1-1/mu_u)) per adapted coordinate, times 2/sin(angle) to convert
-    between the adapted frame and the ambient metric.
-    """
-
-    lam_s: float
-    lam_u: float
-    v_s: tuple[float, float]
-    v_u: tuple[float, float]
-
-    @property
-    def mu_s(self) -> float:
-        return abs(self.lam_s)
-
-    @property
-    def mu_u(self) -> float:
-        return abs(self.lam_u)
-
-    @property
-    def basis_angle_sin(self) -> float:
-        cross = self.v_s[0] * self.v_u[1] - self.v_s[1] * self.v_u[0]
-        return abs(cross)  # unit vectors: |cross| = sin(angle)
-
-    @property
-    def shadowing_constant(self) -> float:
-        per_coord = max(1.0 / (1.0 - self.mu_s), 1.0 / (1.0 - 1.0 / self.mu_u))
-        return 2.0 / self.basis_angle_sin * per_coord
 
 
 def _wrap_point(p):
@@ -140,12 +105,11 @@ class _ReferenceSlot:
 
 
 class _PlanarSystem(_ReferenceSlot):
-    """The shared base of the planar systems: ``distance``, the elementwise
-    ``distances`` and ``distance_matrix``, all one formula ``_root(_gauge)``
-    over float coordinate differences, so the three agree bit for bit; the
-    point-set queries, which reduce gauges and take the monotone ``_root`` of
-    each result.  The index of a reference set is its ``_distinct``
-    coordinates and inverse.
+    """The shared base of the planar systems: ``distance`` and the elementwise
+    ``distances``, one formula ``_root(_gauge)`` over float coordinate
+    differences, so the two agree bit for bit; the point-set queries, which
+    reduce gauges and take the monotone ``_root`` of each result.  The index
+    of a reference set is its ``_distinct`` coordinates and inverse.
     Each system binds ``distance`` in its own class as well, where per-class
     wrappers (the bench tracer's) find it."""
 
@@ -159,10 +123,6 @@ class _PlanarSystem(_ReferenceSlot):
         """d(xs[i], ys[i]) for each i."""
         d = _coordinates(xs) - _coordinates(ys)
         return self._root(self._gauge(d[:, 0], d[:, 1]))
-
-    def distance_matrix(self, queries: Sequence, points: Sequence) -> np.ndarray:
-        """d(x, y) for x in queries (rows) and y in points (columns)."""
-        return self._root(self._gauges(_coordinates(queries), _coordinates(points)))
 
     def _gauges(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         """The gauge matrix of two (n, 2) coordinate arrays."""
@@ -190,7 +150,9 @@ class _PlanarSystem(_ReferenceSlot):
         """max(max_x d(x, ys), max_y d(y, xs)): the root of the largest row
         or column minimum of one gauge matrix of the distinct points (every
         distinct point has the minimum of its copies).  ys is the reference
-        set, indexed once."""
+        set, indexed once; an empty set raises ValueError."""
+        if not xs or not ys:
+            raise ValueError("distance to an empty point set")
         matrix = self._gauges(_distinct(xs)[0], self._reference_index(ys)[0])
         return float(self._root(max(matrix.min(axis=1).max(), matrix.min(axis=0).max())))
 
@@ -256,7 +218,6 @@ class ToralAutomorphism(_PlanarSystem):
         if disc <= 0:
             raise ValueError("matrix is not hyperbolic (eigenvalues on the unit circle)")
         self.matrix = m
-        self.det = det
         root = math.sqrt(disc)
         lam1 = (tr + root) / 2.0
         lam2 = (tr - root) / 2.0
@@ -268,11 +229,15 @@ class ToralAutomorphism(_PlanarSystem):
         self.lam_s = lam2
         self.v_u = self._unit_eigenvector(lam1)
         self.v_s = self._unit_eigenvector(lam2)
+        # C of the closing lemma: the geometric-series bound per adapted coordinate,
+        # times 2 / sin(angle of v_s and v_u) back to the ambient metric
+        self.shadowing_constant = (
+            2.0 / abs(self.v_s[0] * self.v_u[1] - self.v_s[1] * self.v_u[0])
+            * max(1.0 / (1.0 - abs(lam2)), 1.0 / (1.0 - 1.0 / abs(lam1))))
         inv_det = det  # inverse of a unimodular 2x2: adj / det, det = +-1
         self.inverse_matrix = ((m[1][1] * inv_det, -m[0][1] * inv_det),
                                (-m[1][0] * inv_det, m[0][0] * inv_det))
         self._kept_spans: dict = {}  # (max_period, max_denominator) -> rational_orbit_spans
-        self._closed_at: dict = {}  # max_denominator -> step by which a kept walk closed all
 
     def _unit_eigenvector(self, lam: float) -> tuple[float, float]:
         (a, b), (c, d) = self.matrix
@@ -298,9 +263,6 @@ class ToralAutomorphism(_PlanarSystem):
 
     def differential(self, p=None):
         return self.matrix
-
-    def splitting(self) -> HyperbolicSplitting:
-        return HyperbolicSplitting(self.lam_s, self.lam_u, self.v_s, self.v_u)
 
     # -- exact periodic points ----------------------------------------
 
@@ -405,12 +367,9 @@ class ToralAutomorphism(_PlanarSystem):
         q depend on the matrix and q alone, so a horizon that fits one chunk
         (sum of q^2 <= ``_CHUNK_POINTS``: max_denominator <= 146) is walked once
         per system, its spans kept by (max_period, max_denominator) and handed
-        out again unwalked.  A kept walk that closed every orbit by step s < inf
-        is kept by (s, max_denominator) and handed to every max_period >= s, as
-        later steps find no more orbits.  A larger horizon streams, each chunk's
-        walk freed before the next, and keeps nothing."""
-        closed = self._closed_at.get(max_denominator, math.inf)
-        key = (min(max_period, closed), max_denominator)
+        out again unwalked.  A larger horizon streams, each chunk's walk freed
+        before the next, and keeps nothing."""
+        key = (max_period, max_denominator)
         if key not in self._kept_spans:
             chunks: list[list[int]] = []
             for q in range(1, max_denominator + 1):
@@ -420,25 +379,15 @@ class ToralAutomorphism(_PlanarSystem):
             if len(chunks) != 1:
                 return chain.from_iterable(self._walk_spans(np.array(qs), max_period)
                                            for qs in chunks)
-            walk, spans = self._walk_spans(np.array(chunks[0]), max_period), []
-            try:
-                while True:
-                    spans.append(next(walk))
-            except StopIteration as end:  # the walk returns the step it closed by
-                closed = end.value
-            if closed < math.inf:
-                self._closed_at[max_denominator] = closed
-            key = (min(max_period, closed), max_denominator)
-            self._kept_spans[key] = spans
+            self._kept_spans[key] = list(self._walk_spans(np.array(chunks[0]), max_period))
         return iter(self._kept_spans[key])
 
     def _walk_spans(self, qs: np.ndarray, max_period: int
-                    ) -> Generator[tuple[int, np.ndarray, np.ndarray], None, float]:
+                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """The (q, points, lengths) of :meth:`rational_orbit_spans` for the
-        chunk of denominators qs, returning the step by which every orbit had
-        closed (inf if one had not by max_period): up to max_period steps of
-        the index map (u, v) -> A(u, v) mod q, ending once every point has
-        closed its orbit, give each point of exact order q its period and the
+        chunk of denominators qs: up to max_period steps of the index map
+        (u, v) -> A(u, v) mod q, ending once every point has closed its
+        orbit, give each point of exact order q its period and the
         least point (i, j) of its orbit, from which a short orbit is walked
         once.  It stays a generator: freeing a streamed chunk's walk arrays
         before its spans are scored, as a list would, raised the peak of a
@@ -459,7 +408,6 @@ class ToralAutomorphism(_PlanarSystem):
             closing = (period == 0) & (walk == index)
             period[closing] = step
             unclosed -= np.count_nonzero(closing)
-        closed = math.inf if unclosed else int(period.max(initial=0))
         keep = (period > 0) & (least == index)
         starts, period = index[keep], period[keep]
         ends, walk, flat = period.cumsum(), starts, np.empty(period.sum(), int)
@@ -472,7 +420,6 @@ class ToralAutomorphism(_PlanarSystem):
         runs = np.flatnonzero(np.diff(moduli, prepend=0)).tolist()  # each q's first orbit
         for lo, hi in zip(runs, runs[1:] + [len(starts)]):
             yield int(moduli[lo]), points[first[lo]:ends[hi - 1]], period[lo:hi]
-        return closed
 
     # -- homoclinic orbit along the eigenlines ------------------------
 
@@ -557,6 +504,9 @@ class Horseshoe(_PlanarSystem, _CodedShift):
             raise ValueError("expansion rate must be a finite number above 2")
         self.mu_s = float(contraction)
         self.mu_u = float(expansion)
+        # the torus's C with v_s and v_u the axes, sin(angle) = 1
+        self.shadowing_constant = 2.0 * max(1.0 / (1.0 - self.mu_s),
+                                            1.0 / (1.0 - 1.0 / self.mu_u))
         self.coding_matrix = TransitionMatrix.full_shift(2)
 
     def branch_of(self, p) -> int:
@@ -585,9 +535,6 @@ class Horseshoe(_PlanarSystem, _CodedShift):
 
     def differential(self, p=None):
         return ((self.mu_s, 0.0), (0.0, self.mu_u))
-
-    def splitting(self) -> HyperbolicSplitting:
-        return HyperbolicSplitting(self.mu_s, self.mu_u, (1.0, 0.0), (0.0, 1.0))
 
     def shadowing_orbit(self, points: Sequence) -> tuple[list, int]:
         """The periodic orbit shadowing the cyclic pseudo-orbit ``points``

@@ -130,7 +130,7 @@ def test_criterion_3_shadowing_composition():
     datum = homoclinic_point(CAT, (Fraction(1, 5), Fraction(2, 5)), 1e-2,
                              forward_length=260, backward_length=100)
     params = compute_excursion_parameters(datum)
-    C = CAT.splitting().shadowing_constant
+    C = CAT.shadowing_constant
     reference = datum.reference
     for n in range(params.N0, params.N0 + 51):
         po = build_periodic_pseudo_orbit(datum, params, n)

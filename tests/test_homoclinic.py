@@ -512,6 +512,9 @@ def test_empty_queries_and_empty_point_sets():
         assert system.nearest([], []) == []
         with pytest.raises(ValueError, match="empty point set"):
             system.nearest(points, [])
+        for xs, ys in ((points, []), ([], points), ([], [])):  # either set empty
+            with pytest.raises(ValueError, match="distance to an empty point set"):
+                system.hausdorff(xs, ys)
     assert nearest_distances([], shift_points) == []
     with pytest.raises(ValueError, match="empty point set"):
         nearest_distances(shift_points, [])

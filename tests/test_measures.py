@@ -25,7 +25,7 @@ from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, Cylin
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
                                 MarkovMeasure, _atom_sums, _block_words,
                                 _cyclic_word_integrals, _gaps,
-                                _orbit_cycles_of_target, _orbit_entries,
+                                _orbit_cycles_of_target,
                                 _shortest_within, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
                                 correlation, cycle_measure, cylinder_family,
@@ -921,11 +921,12 @@ def test_torus_orbit_distances_match_the_full_measure_scan(bound):
         for target in (LebesgueTorus(), orbit_target):
             reference = reference_candidates(target, cat, **horizon)
             scored = list(rational_orbit_distances(target, cat, family, **horizon))
-            assert [(start, orbit) for start, orbit, _ in scored] \
-                == [entry for _, _, orbits in rational_orbit_lattices(cat, **horizon)
-                    for entry in orbits]
+            entries = [entry for _, _, orbits in rational_orbit_lattices(cat, **horizon)
+                       for entry in orbits]
+            assert [(start, n) for start, n, _ in scored] \
+                == [(start, len(orbit)) for start, orbit in entries]
             score_at = {}
-            for ((i, j, q), orbit, d), (_, _, mu) in zip(scored, reference):
+            for ((i, j, q), _, d), (_, orbit), (_, _, mu) in zip(scored, entries, reference):
                 assert abs(d - weak_star_distance(target, mu, family)) <= 1e-15
                 score_at.update(((u, v, q), d) for u, v in orbit)
             if isinstance(target, LebesgueTorus):
@@ -947,10 +948,9 @@ def test_the_torus_scan_breaks_ties_by_description(monkeypatch):
     def stream(target, system, family, max_period, max_denominator, bounded=False):
         for t in range(count):  # distinct starts: 7919 is a unit mod 400^2
             q, (i, j) = 400, divmod(t * 7919 % 160_000, 400)
-            yield (i, j, q), [(i, j)] * (2 if t % 3 else 1), (0.125, 0.25, 0.0625)[t % 3] + t % 5
+            yield (i, j, q), 2 if t % 3 else 1, (0.125, 0.25, 0.0625)[t % 3] + t % 5
 
-    scored = [(d, len(orbit), f"orbit({i}/{q},{j}/{q})")
-              for (i, j, q), orbit, d in stream(*[None] * 5)]
+    scored = [(d, n, f"orbit({i}/{q},{j}/{q})") for (i, j, q), n, d in stream(*[None] * 5)]
     monkeypatch.setattr(measures, "rational_orbit_distances", stream)
     # the winner's measure is the cat map orbit walked from its start, and
     # every orbit mod 400 closes within 300 steps (the Pisano period is 600)
@@ -991,6 +991,8 @@ BOUND_FAMILIES = [fourier_family(bound) for bound in (1, 2, 3, 4)] + [
 @pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)
 def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
     spans = list(CAT.rational_orbit_spans(*horizon))
+    orbit_at = dict(entry for _, _, orbits in rational_orbit_lattices(CAT, *horizon)
+                    for entry in orbits)
     for name, target in TORUS_TARGETS.items():
         reference = reference_candidates(target, CAT, *horizon)
         for family in BOUND_FAMILIES:
@@ -1006,11 +1008,11 @@ def test_the_heavy_mode_bound_drops_only_orbits_that_cannot_win(horizon):
             kept_starts = {start for start, _, _ in kept}
             assert {s for s, d in score.items() if d <= least} <= kept_starts
             if name == "lebesgue":  # a mirror pair is kept or dropped together
-                kept_points = {(u, v, q) for (_, _, q), orbit, _ in kept for u, v in orbit}
+                kept_points = {(u, v, start[2]) for start, _, _ in kept
+                               for u, v in orbit_at[start]}
                 assert all(((-i % q, -j % q, q) in kept_points) == ((i, j, q) in kept_points)
                            for i, j, q in score)
-            scanned = [(d, len(orbit), "orbit({0}/{2},{1}/{2})".format(*start))
-                       for start, orbit, d in full]
+            scanned = [(d, n, "orbit({0}/{2},{1}/{2})".format(*start)) for start, n, d in full]
             for epsilon in (0.01, 0.05, 0.3):
                 res = approximate_by_periodic(target, CAT, epsilon, family, *horizon)
                 assert res.description == min(scanned)[2]
@@ -1052,26 +1054,21 @@ def test_the_heavy_mode_bound_tables_keep_the_per_point_bits(monkeypatch, matrix
 
 
 @pytest.mark.parametrize("horizon", TORUS_HORIZONS + BENCH_HORIZONS, ids=str)
-def test_the_bounded_torus_scan_builds_entries_only_for_the_orbits_it_yields(monkeypatch,
-                                                                              horizon):
-    built = []
-
-    def counted(q, points, lengths):
-        entries = _orbit_entries(q, points, lengths)
-        built.extend(entries)
-        return entries
-
-    monkeypatch.setattr(measures, "_orbit_entries", counted)
+def test_the_torus_scan_yields_each_start_with_the_period_of_its_orbit(horizon):
+    period_of = {}
     for target in TORUS_TARGETS.values():
         for family in (fourier_family(1), fourier_family(3)):
-            full = {start: (start, orbit, d.hex()) for start, orbit, d
+            full = {start: (start, n, d.hex()) for start, n, d
                     in rational_orbit_distances(target, CAT, family, *horizon)}
-            built.clear()
-            kept = [(start, orbit, d.hex()) for start, orbit, d
+            kept = [(start, n, d.hex()) for start, n, d
                     in rational_orbit_distances(target, CAT, family, *horizon, bounded=True)]
+            # the bounded scan yields some of the full scan's entries, bit for bit
             assert 0 < len(kept) < len(full)
             assert kept == [full[start] for start, _, _ in kept]
-            assert built == [(start, orbit) for start, orbit, _ in kept]
+            for (i, j, q), n, _ in [*full.values(), *kept]:
+                if (i, j, q) not in period_of:
+                    period_of[i, j, q] = len(CAT.orbit_of((Fraction(i, q), Fraction(j, q))))
+                assert type(n) is int and n == period_of[i, j, q]
 
 
 def test_the_bounded_torus_scan_at_the_edges(monkeypatch):

@@ -52,7 +52,7 @@ def test_equidistribution_scan_ranks_the_scored_orbits():
                          "--max-denominator", "20", "--top", "3"])
     assert result.returncode == 0, result.stdout + result.stderr
     count, header, *rows = result.stdout.splitlines()
-    ranked = sorted((d, len(orbit), q, i, j) for (i, j, q), orbit, d in
+    ranked = sorted((d, period, q, i, j) for (i, j, q), period, d in
                     rational_orbit_distances(LebesgueTorus(), cat_map(), fourier_family(3),
                                              12, 20))
     assert re.fullmatch(rf"{len(ranked)} orbits of period <= 12 with denominator <= 20 "

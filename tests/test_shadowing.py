@@ -66,7 +66,7 @@ def test_shadow_perturbed_orbit_matches_dense_oracle():
     for mine, ref in zip(orbit.points, oracle):
         assert CAT.distance(mine, ref) <= 1e-10
     assert orbit.residual <= 1e-12
-    C = CAT.splitting().shadowing_constant
+    C = CAT.shadowing_constant
     assert orbit.shadow_distance <= C * defect
 
 

@@ -1,4 +1,4 @@
-"""Concrete system backends: evaluation, splittings, homoclinic oracles,
+"""Concrete system backends: evaluation, shadowing constants, homoclinic oracles,
 rational orbits, nets, coding."""
 
 import dataclasses
@@ -152,8 +152,6 @@ def span_lists(spans):
 
 
 KEPT_HORIZONS = [(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60), (300, 20)]
-# the cat map closes every orbit mod q <= 20 by step 30, so (300, 20) is kept as (30, 20)
-KEPT_KEYS = {(0, 5), (1, 1), (6, 12), (12, 20), (24, 28), (30, 33), (30, 60), (30, 20)}
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
@@ -161,7 +159,7 @@ def test_kept_spans_equal_a_fresh_walk(monkeypatch, order):
     cat = cat_map()
     kept = {horizon: span_lists(cat.rational_orbit_spans(*horizon))
             for horizon in KEPT_HORIZONS[::order]}
-    assert cat._kept_spans.keys() == KEPT_KEYS
+    assert cat._kept_spans.keys() == set(KEPT_HORIZONS)
 
     def no_walk(*args):
         raise AssertionError("lattice walked")
@@ -209,42 +207,16 @@ def test_only_a_one_chunk_horizon_is_kept(monkeypatch):
     walks.clear()
     for _ in range(2):
         assert span_lists(cat.rational_orbit_spans(12, 4)) == fresh[:4]
-    # every orbit mod q <= 4 closes by step 4, so the walk is kept as (4, 4)
-    assert walks == [[1, 2, 3, 4]] and list(cat._kept_spans) == [(4, 4)]
+    assert walks == [[1, 2, 3, 4]] and list(cat._kept_spans) == [(12, 4)]
     # at the real chunk size, sum(q^2, q <= 146) = 1,048,061 <= 2^20 is the last kept
     monkeypatch.setattr(systems, "_CHUNK_POINTS", 1 << 20)
-    def unwalked(self, qs, max_period):  # no orbits, so none closed
+    def unwalked(self, qs, max_period):
         yield from ()
-        return math.inf
 
     monkeypatch.setattr(ToralAutomorphism, "_walk_spans", unwalked)
     for q in (146, 147):
         list(cat.rational_orbit_spans(30, q))
-    assert list(cat._kept_spans) == [(4, 4), (30, 146)]
-
-
-def test_a_closed_walk_is_handed_to_every_longer_max_period(monkeypatch):
-    walks = []
-
-    def counted(self, qs, max_period):
-        walks.append(max_period)
-        return walk(self, qs, max_period)
-
-    walk = ToralAutomorphism._walk_spans
-    monkeypatch.setattr(ToralAutomorphism, "_walk_spans", counted)
-    cat = cat_map()
-    # every orbit mod q <= 146 closes by step 250: 438 takes the spans of 300
-    spans = span_lists(cat.rational_orbit_spans(300, 146))
-    assert span_lists(cat.rational_orbit_spans(438, 146)) == spans
-    assert walks == [300] and list(cat._kept_spans) == [(250, 146)]
-    list(cat.rational_orbit_spans(30, 146))  # shorter than the closing step: walked
-    assert walks == [300, 30] and list(cat._kept_spans) == [(250, 146), (30, 146)]
-    assert span_lists(cat.rational_orbit_spans(250, 146)) == spans and walks == [300, 30]
-    # below the real chunk size, so every horizon walks: the same spans, fresh
-    monkeypatch.setattr(systems, "_CHUNK_POINTS", 40)
-    for max_period in (30, 31, 300):
-        assert span_lists(cat_map().rational_orbit_spans(max_period, 20)) == \
-            span_lists(cat.rational_orbit_spans(300, 20))
+    assert list(cat._kept_spans) == [(12, 4), (30, 146)]
 
 
 def test_a_reused_system_approximates_as_fresh_ones():
@@ -346,9 +318,18 @@ def torus_distance_by_ops(a, b) -> float:
 @given(st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6),
        st.lists(st.tuples(torus_coordinates, torus_coordinates), min_size=1, max_size=6))
 def test_torus_distance_matrix_is_the_metric_bit_for_bit(queries, points):
-    matrix = CAT.distance_matrix(queries, points).tolist()
-    assert [[d.hex() for d in row] for row in matrix] == \
-        [[torus_distance_by_ops(x, y).hex() for y in points] for x in queries]
+    # the matrix d(x, y) of queries x and points y, pairwise by distance and
+    # distances, and reduced by nearest and hausdorff (the roots of reduced
+    # gauges, as sqrt is monotone)
+    oracle = [[torus_distance_by_ops(x, y) for y in points] for x in queries]
+    assert [[CAT.distance(x, y).hex() for y in points] for x in queries] == \
+        [[d.hex() for d in row] for row in oracle]
+    pairs = list(itertools.product(queries, points))
+    assert [d.hex() for d in CAT.distances(*zip(*pairs)).tolist()] == \
+        [d.hex() for row in oracle for d in row]
+    assert [d.hex() for d in CAT.nearest(queries, points)] == [min(row).hex() for row in oracle]
+    assert CAT.hausdorff(points, queries).hex() == \
+        max(max(map(min, oracle)), max(map(min, zip(*oracle)))).hex()
 
 
 FOLD_EDGES = (0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53, 2.0 ** 52 + 0.5, 2.0 ** 53, 1e300,
@@ -384,16 +365,13 @@ planar_coordinates = st.one_of(
 @pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
 @given(data=st.data())
 def test_distance_forms_are_one_formula_bit_for_bit(system, data):
-    # seam, nudged and subnormal coordinates: distance, the elementwise
-    # distances and distance_matrix read one formula, so they agree exactly
+    # seam, nudged and subnormal coordinates: distance and the elementwise
+    # distances read one formula, so they agree exactly
     pairs = st.tuples(planar_coordinates, planar_coordinates)
     xs = data.draw(st.lists(pairs, min_size=1, max_size=6))
     ys = data.draw(st.lists(pairs, min_size=len(xs), max_size=len(xs)))
-    pairwise = [[system.distance(x, y).hex() for y in ys] for x in xs]
-    assert [[d.hex() for d in row] for row in system.distance_matrix(xs, ys).tolist()] \
-        == pairwise
     assert [d.hex() for d in system.distances(xs, ys).tolist()] \
-        == [pairwise[i][i] for i in range(len(xs))]
+        == [system.distance(x, y).hex() for x, y in zip(xs, ys)]
     assert all(type(system.distance(x, y)) is float for x, y in zip(xs, ys))
 
 
@@ -413,16 +391,24 @@ def test_rejects_non_hyperbolic_matrices():
         ToralAutomorphism([[2, 0], [0, 2]])  # determinant 4
 
 
+def closing_lemma_bound(mu_s, mu_u, v_s, v_u):
+    """C of the stable/unstable splitting: max(1/(1-mu_s), 1/(1-1/mu_u)) per
+    adapted coordinate, times 2/sin(angle of v_s and v_u)."""
+    sin = abs(v_s[0] * v_u[1] - v_s[1] * v_u[0])
+    return 2.0 / sin * max(1.0 / (1.0 - mu_s), 1.0 / (1.0 - 1.0 / mu_u))
+
+
 def test_splitting_and_shadowing_constant():
-    split = CAT.splitting()
-    assert abs(split.lam_u - LAM) < 1e-12
-    assert abs(split.lam_s - 1 / LAM) < 1e-12
-    # symmetric matrix: orthogonal eigenvectors
-    dot = sum(a * b for a, b in zip(split.v_u, split.v_s))
-    assert abs(dot) < 1e-12
-    assert abs(split.basis_angle_sin - 1.0) < 1e-12
-    golden_ratio = (1 + math.sqrt(5)) / 2
-    assert abs(split.shadowing_constant - 2 * golden_ratio) < 1e-10
+    assert abs(CAT.lam_u - LAM) < 1e-12 and abs(CAT.lam_s - 1 / LAM) < 1e-12
+    # symmetric matrix: orthogonal eigenvectors, so C = 2 / (1 - 1/LAM) = 2 phi
+    assert abs(sum(a * b for a, b in zip(CAT.v_u, CAT.v_s))) < 1e-12
+    assert abs(CAT.shadowing_constant - (1 + math.sqrt(5))) < 1e-10
+    for torus in (CAT, ToralAutomorphism([[2, 1], [3, 2]])):
+        assert torus.shadowing_constant.hex() == closing_lemma_bound(
+            abs(torus.lam_s), abs(torus.lam_u), torus.v_s, torus.v_u).hex()
+    for rates in ((1 / 3, 3.0), (0.2, 5.0)):
+        assert Horseshoe(*rates).shadowing_constant.hex() == \
+            closing_lemma_bound(*rates, (1.0, 0.0), (0.0, 1.0)).hex()
 
 
 def test_differential_dispatch():
