@@ -62,10 +62,15 @@ class PreconditionError(RuntimeError):
 # and depth 9 already peaks near 400 MB and writes 35 MB of JSON
 MAX_CODING_DEPTH = 9
 
-# pseudo-shadow lengths above this are refused before the homoclinic segment is sized
-# from N0 and --n-to (a defaulted N0 + 30 too): the symbolic run grows near n^2.7, about
-# 5 s at n = 300 and 2 min with 420 MB at n = 1000 on the full 2-shift (2-core x86_64)
-MAX_SHADOW_LENGTH = 512
+# pseudo-shadow lengths above these are refused before the homoclinic segment is sized
+# from N0 and --n-to (a defaulted N0 + 30 too), one bound per system kind.  Whole CLI runs
+# of the 31 lengths ending at the bound (2-core x86_64, about 0.25 s of it the imports):
+# planar, 0.7-1.2 s and at most 53 MB on the cat map and the horseshoe (fixed points,
+# 1/5,2/5 and 01); at 4096 the cat map's fixed point took 2.0-2.7 s and 71 MB.  Shift,
+# 0.9-1.3 s and 35 MB on the full 2-shift (0 and 01), where the symbolic run grows near
+# n^2.7
+MAX_PLANAR_SHADOW_LENGTH = 2048
+MAX_SHIFT_SHADOW_LENGTH = 512
 
 # torus approx-measure requests walking more lattice steps than this are refused: each
 # of the sum of q^2 lattice points over q <= Q = --max-denominator takes up to
@@ -209,9 +214,10 @@ def cmd_pseudo_shadow(args) -> int:
         raise ValueError(f"--delta must be > 0, got {args.delta}")
     if args.tol < 0:
         raise ValueError(f"--tol must be >= 0, got {args.tol}")
+    cap = MAX_SHIFT_SHADOW_LENGTH if isinstance(system, SftSystem) else MAX_PLANAR_SHADOW_LENGTH
     for flag, bound in (("--n-from", args.n_from), ("--n-to", args.n_to)):
-        if bound is not None and bound > MAX_SHADOW_LENGTH:
-            raise PreconditionError(f"{flag} {bound} exceeds {MAX_SHADOW_LENGTH}: the "
+        if bound is not None and bound > cap:
+            raise PreconditionError(f"{flag} {bound} exceeds {cap}: the "
                                     "segment and the orbits grow with the length")
     datum = homoclinic_point(system, anchor, delta=args.delta)
     params = compute_excursion_parameters(datum)
@@ -222,9 +228,9 @@ def cmd_pseudo_shadow(args) -> int:
     if n_to < n_from:
         raise PreconditionError(f"empty length range [{n_from}, {n_to}] "
                                 f"(N0 = {params.N0})")
-    if n_to > MAX_SHADOW_LENGTH:  # a defaulted range [N0, N0 + 30] can reach past it
+    if n_to > cap:  # a defaulted range [N0, N0 + 30] can reach past it
         raise PreconditionError(f"length range [{n_from}, {n_to}] (N0 = {params.N0}) exceeds "
-                                f"{MAX_SHADOW_LENGTH}: the orbits grow with the length")
+                                f"{cap}: the orbits grow with the length")
     datum = datum.covering(params, n_to)
     parameters = {"system": system.to_config(), "anchor": str(args.point_or_cycle),
                   "delta": args.delta, "n_from": n_from, "n_to": n_to, "tol": args.tol}

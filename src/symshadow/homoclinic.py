@@ -24,7 +24,10 @@ The geometry is the system's: its map, its elementwise ``distances``, and
 its point-set queries ``cyclic_period`` and ``hausdorff``.  The Hausdorff
 distance of a pseudo-orbit to the reference set O(q) u O(p) takes the
 reference second, and the system keeps its index: every length checked
-against one reference indexes it once.
+against one reference indexes it once.  Every pseudo-orbit point is a
+segment point, so a member of the reference: on the planar systems it
+reads 0 and its row of the gauge matrix the index holds (up to
+``systems._BLOCK_ENTRIES`` entries), and the check measures nothing afresh.
 """
 
 from __future__ import annotations

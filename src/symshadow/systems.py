@@ -10,7 +10,10 @@ the closing-lemma bound ``shadowing_constant``, the shift
 a reference set, ``hausdorff``'s second argument and the first of
 ``nearest`` and ``forward_distances``, and each system keeps the index of
 the last reference set it was given, so a reference queried again is not
-indexed again.
+indexed again.  A planar index holds the reference's own gauge matrix up
+to ``_BLOCK_ENTRIES`` entries, so a query point equal to a reference point
+(a member) reads 0 and its row of that matrix, as a shift query key found
+among the reference's keys reads 0.
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -72,7 +75,8 @@ def _coordinates(points: Sequence) -> np.ndarray:
     return np.fromiter(chain.from_iterable(points), np.float64, 2 * len(points)).reshape(-1, 2)
 
 
-# float entries per distance-matrix block of _PlanarSystem.nearest (8 MB)
+# float entries per gauge-matrix block of the planar point-set queries, and at most
+# in a reference's own gauge matrix (8 MB)
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -88,7 +92,9 @@ def _distinct(points: Sequence) -> tuple[np.ndarray, np.ndarray]:
 
 class _ReferenceSlot:
     """One slot per system: the last reference set a point-set query took
-    and that set's index, built by ``_index_reference`` on a miss.  The
+    and that set's index, built by ``_index_reference`` on a miss (on a
+    planar system, its distinct coordinates and, up to ``_BLOCK_ENTRIES``
+    entries, its own gauge matrix; on a shift, its keys).  The
     reference is ``hausdorff``'s second set and the first set of ``nearest``
     and ``forward_distances`` (the net measured against an orbit).  A hit
     needs the same number of points, each the identical object, in order;
@@ -109,11 +115,24 @@ class _PlanarSystem(_ReferenceSlot):
     ``distances``, one formula ``_root(_gauge)`` over float coordinate
     differences, so the two agree bit for bit; the point-set queries, which
     reduce gauges and take the monotone ``_root`` of each result.  The index
-    of a reference set is its ``_distinct`` coordinates and inverse.
+    of a reference set is its ``_distinct`` coordinates and inverse, and the
+    set's own gauge matrix over them when that has at most ``_BLOCK_ENTRIES``
+    entries: a query point equal to a reference point, a member, reads 0 and
+    its row of that matrix (a column too, as the matrix is symmetric), and
+    only the other points are measured afresh.
     Each system binds ``distance`` in its own class as well, where per-class
     wrappers (the bench tracer's) find it."""
 
-    _index_reference = staticmethod(_distinct)
+    def _index_reference(self, points: Sequence) -> tuple:
+        """The ``_distinct`` pairs and inverse of points, and the gauge
+        matrix of the pairs against themselves, built 32 rows at a time to
+        keep its temporaries small; past ``_BLOCK_ENTRIES`` entries it keeps
+        no rows."""
+        pairs, inverse = _distinct(points)
+        own = np.empty((len(pairs) if len(pairs) ** 2 <= _BLOCK_ENTRIES else 0, len(pairs)))
+        for start in range(0, len(own), 32):
+            own[start:start + 32] = self._gauges(pairs[start:start + 32], pairs)
+        return pairs, inverse, own
 
     def distance(self, a, b) -> float:
         return float(self._root(self._gauge(float(a[0]) - float(b[0]),
@@ -129,32 +148,52 @@ class _PlanarSystem(_ReferenceSlot):
         return self._gauge(np.subtract.outer(queries[:, 0], points[:, 0]),
                            np.subtract.outer(queries[:, 1], points[:, 1]))
 
+    def _minima(self, index: tuple, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least gauge from each reference pair of ``index`` to the (n, 2)
+        coordinates ``points``, and from each point to the reference.  A
+        member, a point whose coordinates equal a reference pair (bisected
+        in the pairs' sorted complex view), reads 0 and that pair's row of
+        the reference's own gauge matrix; the other points take fresh rows
+        against the reference, in blocks that bound their memory.  With no
+        own rows every point is one of the others.  Each row is the one
+        formula on the same coordinates, and a gauge is symmetric bit for
+        bit (|a - b| = |b - a|, hypot of negated differences), so on finite
+        coordinates every minimum is the pairwise one either way."""
+        pairs, _, own = index
+        keys, found = pairs.view(np.complex128).ravel(), points.view(np.complex128).ravel()
+        at = np.searchsorted(keys, found)
+        member = (keys.take(at, mode="clip") == found) & (len(own) > 0)
+        to_points = own[at[member]].min(axis=0, initial=np.inf)
+        to_reference, others = np.zeros(len(points)), np.flatnonzero(~member)
+        rows = max(1, _BLOCK_ENTRIES // len(keys))
+        for start in range(0, len(others), rows):
+            block = self._gauges(points[others[start:start + rows]], pairs)
+            np.minimum(to_points, block.min(axis=0), out=to_points)
+            to_reference[others[start:start + rows]] = block.min(axis=1)
+        return to_points, to_reference
+
     def nearest(self, queries: Sequence, points: Sequence) -> list[float]:
         """min over y in points of d(x, y) for each query x: the root of the
-        least gauge in each row of the matrix of the distinct queries and
-        points (equal points share every distance), in blocks of queries
-        that bound its memory.  The queries are the reference set, indexed
-        once.  No queries give []; queries against an empty point set raise
-        ValueError."""
+        least gauge from each distinct query to the points, by ``_minima``
+        (equal queries share every distance).  The queries are the reference
+        set, indexed once.  No queries give []; queries against an empty
+        point set raise ValueError."""
         if not queries:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
-        (queries, inverse), points = self._reference_index(queries), _distinct(points)[0]
-        rows = max(1, _BLOCK_ENTRIES // len(points))
-        mins = np.concatenate([self._gauges(queries[start:start + rows], points).min(axis=1)
-                               for start in range(0, len(queries), rows)])
-        return self._root(mins)[inverse].tolist()
+        index = self._reference_index(queries)
+        return self._root(self._minima(index, _coordinates(points))[0])[index[1]].tolist()
 
     def hausdorff(self, xs: Sequence, ys: Sequence) -> float:
-        """max(max_x d(x, ys), max_y d(y, xs)): the root of the largest row
-        or column minimum of one gauge matrix of the distinct points (every
-        distinct point has the minimum of its copies).  ys is the reference
-        set, indexed once; an empty set raises ValueError."""
+        """max(max_x d(x, ys), max_y d(y, xs)): the root of the largest least
+        gauge of ``_minima`` either way, so a set of members reads only rows
+        of the reference's own matrix.  ys is the reference set, indexed
+        once; an empty set raises ValueError."""
         if not xs or not ys:
             raise ValueError("distance to an empty point set")
-        matrix = self._gauges(_distinct(xs)[0], self._reference_index(ys)[0])
-        return float(self._root(max(matrix.min(axis=1).max(), matrix.min(axis=0).max())))
+        to_xs, to_ys = self._minima(self._reference_index(ys), _coordinates(xs))
+        return float(self._root(np.maximum(to_xs.max(), to_ys.max())))
 
     def cyclic_period(self, points: Sequence) -> int:
         """Smallest p dividing n with d(points[i], points[i + p mod n]) <= 1e-12 for all i."""

@@ -35,17 +35,18 @@ def rational_orbit_lattices(system, max_period, max_denominator):
 @contextmanager
 def index_builds():
     """The reference sets that systems index while the block runs, in order:
-    the index builders of the planar and shift systems, wrapped to list them."""
+    the index builders of the planar systems (a method) and the shift systems
+    (the key index class), wrapped to list them."""
     builds = []
 
     def listing(build):
-        def listed(points):
-            builds.append(points)
-            return build(points)
-        return staticmethod(listed)
+        def listed(*args):  # (system, points) for a method, (points,) for the class
+            builds.append(args[-1])
+            return build(*args)
+        return listed
 
     with mock.patch.object(systems._PlanarSystem, "_index_reference",
                            listing(systems._PlanarSystem._index_reference)), \
             mock.patch.object(systems.SftSystem, "_index_reference",
-                              listing(systems.SftSystem._index_reference)):
+                              staticmethod(listing(systems.SftSystem._index_reference))):
         yield builds

@@ -12,8 +12,8 @@ import pytest
 
 import symshadow.cli
 from conftest import index_builds
-from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_SHADOW_LENGTH,
-                           MAX_WITNESS_SYMBOLS, main)
+from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_PLANAR_SHADOW_LENGTH,
+                           MAX_SHIFT_SHADOW_LENGTH, MAX_WITNESS_SYMBOLS, main)
 from symshadow.dense_periods import WitnessMap
 from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
                                 cylinder_family, fourier_family)
@@ -245,8 +245,29 @@ def test_pseudo_shadow_overlong_bounds_exit_3_before_the_segment(files, bound, c
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 1.0
-    assert f"{bound} 100000000 exceeds {MAX_SHADOW_LENGTH}" in capsys.readouterr().err
+    assert f"{bound} 100000000 exceeds {MAX_SHIFT_SHADOW_LENGTH}" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("bound", ["--n-from", "--n-to"])
+def test_pseudo_shadow_bounds_are_per_system_kind(files, bound, capsys, monkeypatch):
+    # a planar length past the shift bound runs; one past the planar bound
+    # exits 3 before the segment is built
+    assert MAX_SHIFT_SHADOW_LENGTH < 600 < MAX_PLANAR_SHADOW_LENGTH
+    argv = ["pseudo-shadow", files["cat"], "1/5,2/5", "--delta", "0.01", "--out", files["out"]]
+    assert main(argv + ["--n-from", "600", "--n-to", "602"]) == 0
+    assert [row["n"] for row in read_report(files, "pseudo_shadow.json")["rows"]] \
+        == [600, 601, 602]
+
+    def no_segment(*args, **kwargs):
+        raise AssertionError("homoclinic segment built")
+
+    monkeypatch.setattr(symshadow.cli, "homoclinic_point", no_segment)
+    n = MAX_PLANAR_SHADOW_LENGTH + 1
+    lengths = ["--n-from", str(n), "--n-to", str(n)] if bound == "--n-from" \
+        else ["--n-from", "40", "--n-to", str(n)]
+    assert main(argv + lengths) == 3
+    assert f"{bound} {n} exceeds {MAX_PLANAR_SHADOW_LENGTH}" in capsys.readouterr().err
 
 
 def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_extension(files, capsys,
@@ -266,7 +287,7 @@ def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_extension(file
                  "--out", files["out"]]) == 3
     assert time.perf_counter() - start < 1.0
     assert max(evaluated) == 160
-    assert f"length range [577, 607] (N0 = 577) exceeds {MAX_SHADOW_LENGTH}" \
+    assert f"length range [577, 607] (N0 = 577) exceeds {MAX_SHIFT_SHADOW_LENGTH}" \
         in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
@@ -818,9 +839,15 @@ def test_reports_are_byte_identical_across_reruns(files, tmp_path):
      "5a1522eaf94a8648e258c6ee843c79cbf6071fda9c8b2b897b200d36f9210c0c"),
     (["horseshoe.json", "01", "--delta", "0.05"],
      "48e7f75562879be1b2a3e9554268c04ec803938e3991621cd8f95d16b4e9eb86"),
-], ids=["cat_map", "horseshoe"])
+    (["cat_map.json", "0,0", "--delta", "0.01"],
+     "ab04828914406661e0c77e87efb7f89b16113e361562193a46c9e8a007a83f2f"),
+    (["horseshoe.json", "0", "--delta", "0.05"],
+     "8d790d7b34973978631ff4f2ed123104f57d8aa77d67bf027a3ccf6d55de0ece"),
+], ids=["cat_map", "horseshoe", "cat_map_fixed_point", "horseshoe_fixed_point"])
 def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
-    # a change in the last bit of a float distance or defect changes the digest
+    # a change in the last bit of a float distance or defect changes the digest; the
+    # fixed-point anchors' references are all distinct points, so there every
+    # pseudo-orbit point reads its row of the reference's own gauge matrix
     out = tmp_path / "out"
     assert main(["pseudo-shadow", str(DATA / argv[0]), *argv[1:], "--out", str(out)]) == 0
     assert hashlib.sha256((out / "pseudo_shadow.json").read_bytes()).hexdigest() == sha256

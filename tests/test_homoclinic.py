@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -468,6 +469,96 @@ def test_min_distances_on_many_rows_with_near_ties(system, monkeypatch):
     points += [(nudge(x, 1), y) for x, y in points]
     queries = [(rng.random(), rng.random()) for _ in range(3000)]
     assert system.nearest(queries, points) == pairwise_min(system, queries, points)
+
+
+@pytest.mark.parametrize("system", [CAT, HORSESHOE], ids=["cat", "horseshoe"])
+def test_hausdorff_in_small_blocks_equals_the_pairwise_scan(system, monkeypatch):
+    # each gauge block holds at most _BLOCK_ENTRIES entries, or one row where a
+    # row is longer, whichever set is the reference: 3,000 points keep no own
+    # matrix, 24 points (and a few of them among the 3,000 as members) keep theirs
+    monkeypatch.setattr(systems, "_BLOCK_ENTRIES", 1000)
+    sizes, gauges = [], systems._PlanarSystem._gauges
+
+    def sized(self, queries, points):
+        sizes.append(len(queries) * len(points))
+        return gauges(self, queries, points)
+
+    monkeypatch.setattr(systems._PlanarSystem, "_gauges", sized)
+    rng = random.Random(11)
+    points = [(rng.random(), rng.random() / 3.0) for _ in range(12)]
+    points += [(nudge(x, 1), y) for x, y in points]
+    many = [(rng.random(), rng.random() / 3.0) for _ in range(3000)] + points[::5]
+    for xs, ys in ((many, points), (points, many)):
+        system = parse_system(system.to_config())
+        expected = max(pairwise_min(system, xs, ys) + pairwise_min(system, ys, xs))
+        sizes.clear()
+        assert system.hausdorff(xs, ys) == expected
+        assert sizes and max(sizes) <= max(1000, len(ys))
+        assert len(system._reference[1][2]) == (24 if ys is points else 0)
+
+
+def member_forms(point, system):
+    """Copies of a reference point as a query: the same object, and new tuples
+    of equal coordinates (Fraction, 0.0 and -0.0 forms)."""
+    return [point] + [(x, y) for x in equal_forms(point[0], system)
+                      for y in equal_forms(point[1], system)]
+
+
+@given(st.data(), float_systems, st.booleans())
+def test_member_queries_match_the_pairwise_scan_with_and_without_own_gauges(data, system,
+                                                                             kept):
+    # members read their row of the reference's own gauge matrix, and with no
+    # matrix (a block budget below its entries) every query is measured afresh
+    reference = data.draw(point_sets(system))
+    forms = [form for point in reference for form in member_forms(point, system)]
+    queries = data.draw(st.lists(st.sampled_from(forms), min_size=1, max_size=12))
+    queries = data.draw(st.permutations(queries + data.draw(point_sets(system))[:4]))
+    distinct = len(systems._distinct(reference)[0])
+    budget = systems._BLOCK_ENTRIES if kept else distinct ** 2 - 1
+    to_queries = pairwise_min(system, reference, queries)
+    hausdorff = max(pairwise_min(system, queries, reference) + to_queries)
+    epsilon = data.draw(st.sampled_from([0.0, max(to_queries) / 2.0, max(to_queries)]))
+    with mock.patch.object(systems, "_BLOCK_ENTRIES", budget):
+        system = parse_system(system.to_config())  # a cold slot, then warm
+        for _ in range(2):
+            assert system.hausdorff(queries, reference) == hausdorff
+            assert system.nearest(reference, queries) == to_queries
+            density = density_check(system, queries, epsilon, net_points=reference)
+            assert density.worst_distance == max(to_queries)
+            assert density.dense == (max(to_queries) <= epsilon)
+        assert len(system._reference[1][2]) == (distinct if kept else 0)
+
+
+@pytest.mark.parametrize("system, anchor, delta", [
+    (CAT, (Fraction(0), Fraction(0)), DELTA_CAT),
+    (CAT, (Fraction(1, 5), Fraction(2, 5)), DELTA_CAT),
+    (HORSESHOE, (0,), 0.05),
+    (HORSESHOE, (0, 1), 0.05),
+], ids=["cat_fixed_point", "cat_period_2", "horseshoe_fixed_point", "horseshoe_01"])
+def test_verifying_pseudo_orbits_computes_no_fresh_gauges(system, anchor, delta, monkeypatch):
+    # every pseudo-orbit point is a segment point, so once the reference is
+    # indexed each Hausdorff distance reads rows of its own gauge matrix
+    datum = homoclinic_point(parse_system(system.to_config()), anchor, delta)
+    params, reference = compute_excursion_parameters(datum), datum.reference
+    datum.system.hausdorff(reference, reference)  # the index build
+    entries, gauges = [], systems._PlanarSystem._gauges
+
+    def counted(self, queries, points):
+        entries.append(len(queries) * len(points))
+        return gauges(self, queries, points)
+
+    monkeypatch.setattr(systems._PlanarSystem, "_gauges", counted)
+    with index_builds() as builds:
+        reports = [verify_pseudo_orbit(build_periodic_pseudo_orbit(datum, params, n), delta,
+                                       reference=reference)
+                   for n in range(params.N0, params.N0 + 12)]
+    assert entries == [] and builds == []
+    monkeypatch.undo()
+    for n, report in zip(range(params.N0, params.N0 + 12), reports):
+        points = build_periodic_pseudo_orbit(datum, params, n).points
+        assert report["hausdorff_to_reference"] == max(
+            pairwise_min(datum.system, points, reference)
+            + pairwise_min(datum.system, reference, points))
 
 
 def test_min_distances_edge_cases():
