@@ -230,8 +230,7 @@ def periodic_measure(orbit_points: Sequence) -> FiniteSupportMeasure:
 def cycle_measure(matrix: TransitionMatrix, word: Sequence[int]) -> FiniteSupportMeasure:
     """Periodic measure of the shift orbit of an admissible cyclic word."""
     cyc = SymbolicCycle.from_word(matrix, word)
-    base = ShiftPoint.from_cycle(cyc.states)
-    return periodic_measure([base.shift(i) for i in range(cyc.primitive_period)])
+    return periodic_measure(ShiftPoint.cycle_orbit(cyc.states[:cyc.primitive_period]))
 
 
 class MarkovMeasure(_Measure):

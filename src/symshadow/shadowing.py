@@ -10,7 +10,10 @@ For shift systems shadowing is exact word concatenation: the glued cyclic
 word reads off coordinate zero of every pseudo-orbit point, which is
 admissible whenever the defect is below 1/2, and the resulting periodic
 sequence agrees with each pseudo-orbit string outside a logarithmic
-window around the jumps.
+window around the jumps.  The shadow distance reads one-sided keys cut per
+rung from the glued word by shift and mask (``cycle_distances``), and the
+orbit is ``ShiftPoint.cycle_orbit``, whose points carry their forward keys
+pre-cut for the density check; its reference ladders run per distinct key.
 
 The system supplies the geometry: ``shadowing_constant`` and
 ``shadowing_orbit``, ``net`` and ``nearest`` for density
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
-from .sft import _primitive_period
 from .shiftspace import ShiftPoint, cycle_distances, word_radius
 from .systems import SftSystem
 
@@ -101,12 +103,11 @@ def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
     word = tuple(p[0] for p in po.points)
     if not system.matrix.is_admissible_cycle(word):
         raise ShadowingError("glued word inadmissible; defect accounting broken")
-    base = ShiftPoint.from_cycle(word)
-    points = [base.shift(i) for i in range(po.period)]
+    points = ShiftPoint.cycle_orbit(word)
     shadow_distance = max(cycle_distances(word, po.points))
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,
                          shadow_distance=shadow_distance,
-                         primitive_period=_primitive_period(word))
+                         primitive_period=points[0].period())
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,22 @@ of the set they measure against once and bisect each distinct query key
 not among them into them, since a key shares its longest prefix with a
 sorted set at its neighbour before or after.  A reference set's keys, set
 and sorted keys are cut once per key kind and rung into its
-:class:`_KeyIndex`, which a system keeps for its last reference set.
+:class:`_KeyIndex`, which a system keeps for its last reference set; its
+ladders read each rung once per distinct key of the reference points still
+open, and map the points to their answers at the end.
+
+A glued cyclic word is read without building its orbit: ``cycle_distances``
+(the shadow distance) cuts the one-sided keys x_0..x_R and x_-1..x_-R of
+every phase at rung R by shift and mask from two integers, the repeated
+word and its reverse.  ``ShiftPoint.cycle_orbit`` builds the orbit once,
+each point with its forward key at the first rung pre-cut from one integer.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .sft import Word, _primitive_period
 
@@ -53,7 +61,7 @@ class ShiftPoint:
     and periodic points anchored at coordinate 0.  Symbols are ints >= 0.
     """
 
-    __slots__ = ("left", "center", "right", "pos", "extent", "_key", "_forward")
+    __slots__ = ("left", "center", "right", "pos", "extent", "_key", "_forward", "_backward")
 
     def __init__(self, left: Sequence[int], center: Sequence[int],
                  right: Sequence[int], pos: int = 0):
@@ -97,6 +105,24 @@ class ShiftPoint:
     def from_cycle(cls, word: Sequence[int], phase: int = 0) -> "ShiftPoint":
         """The periodic point x with x_i = word[(i + phase) mod len]."""
         return cls(word, (), word, -phase)
+
+    @classmethod
+    def cycle_orbit(cls, word: Sequence[int]) -> list["ShiftPoint"]:
+        """sigma^i x for i < len(word), x = from_cycle(word): one canonical
+        point per rotation of the word's primitive block, each with its
+        forward key at _FIRST_RADIUS cut from one integer."""
+        word = tuple(int(s) for s in word)
+        if not word:
+            raise ValueError("tails must be non-empty periodic words")
+        block = word[:_primitive_period(word)]
+        orbit = []
+        for k, key in enumerate(_windows("".join(map(chr, block)), _FIRST_RADIUS,
+                                         range(len(block)))):
+            rotated = block[k:] + block[:k]
+            point = cls._canonical(rotated, (), rotated, 0)
+            point._forward = _FIRST_RADIUS, key
+            orbit.append(point)
+        return orbit * (len(word) // len(block))
 
     def period(self) -> int | None:
         """Smallest p > 0 with sigma^p x = x; None for a non-periodic point."""
@@ -154,6 +180,15 @@ class ShiftPoint:
             built = max(length, 2 * built)  # grow at least twofold
             key = _digits(self.text(0, built))
             self._forward = built, key
+        return key >> (WIDTH * (built - length))
+
+    def backward_key(self, length: int) -> int:
+        """x_-1, ..., x_-length: ``length`` symbols."""
+        built, key = getattr(self, "_backward", (-1, 0))  # built lazily
+        if built < length:
+            built = max(length, 2 * built)  # grow at least twofold
+            key = _digits(self.text(-built, 0)[::-1])
+            self._backward = built, key
         return key >> (WIDTH * (built - length))
 
     def agreement_radius(self, other: "ShiftPoint") -> int | float:
@@ -228,22 +263,14 @@ def _rungs(last, radius: int = _FIRST_RADIUS):
         yield radius
 
 
-def _ladder(count: int, bits_at, last, distance=_key_distance, first: int = _FIRST_RADIUS
-            ) -> list[float]:
-    """distance(bits, radius) for each of ``count`` entries, where
-    bits_at(radius, entries) gives their XOR bit lengths at a rung: an entry
-    is settled by a nonzero one, and only the zero ones take the next rung,
-    up to the last."""
-    out, todo = [0.0] * count, range(count)
-    for radius in _rungs(last, first):
-        bits = bits_at(radius, todo)
-        read = {b: distance(b, radius) for b in set(bits)}  # one float per distinct answer
-        for i, b in zip(todo, bits):
-            out[i] = read[b]
-        todo = [i for i, b in zip(todo, bits) if not b]
-        if not todo:
-            break
-    return out
+def _windows(unit: str, length: int, starts: Iterable[int]) -> Iterator[int]:
+    """The key of the ``length`` symbols from each start (mod len(unit)) of
+    the cyclic word ``unit`` of chr(symbol)s: a shift and mask of one
+    integer cut from its repetitions, one key at a time."""
+    n = len(unit)
+    text = (unit * (length // n + 2))[:n + length - 1]  # every window from a start < n
+    digits, mask, top = _digits(text), (1 << WIDTH * length) - 1, len(text) - length
+    return (digits >> WIDTH * (top - k % n) & mask for k in starts)
 
 
 class _SortedKeys:
@@ -311,36 +338,48 @@ class _KeyIndex:
     def nearest(self, points: Sequence[ShiftPoint]) -> list[float]:
         """d(y, points) = min over x in points of d(y, x), exactly, for each
         reference point y."""
-        return self._ladder(points, ShiftPoint.key,
+        return self._ladder(points, ShiftPoint.key, 2,
                             lambda: self.extent + max(x.extent for x in points))
 
     def forward(self, points: Sequence[ShiftPoint], length: int) -> list[float]:
         """For each reference point y, 2^-m with m the longest common prefix
         of y_0..y_{length-1} with x_0..x_{length-1} for some x in points,
         read by rungs of prefix length up to ``length``."""
-        return self._ladder(points, ShiftPoint.forward_key, lambda: length,
+        return self._ladder(points, ShiftPoint.forward_key, 1, lambda: length,
                             lambda bits, size: 2.0 ** -_common_prefix(bits, size),
                             min(_FIRST_RADIUS, length))
 
-    def _ladder(self, points, cut, last, distance=_key_distance, first=_FIRST_RADIUS):
-        """``_ladder`` over the reference points, each against its nearest
-        point of ``points`` by the keys cut(point, radius).  No reference
-        points give []; an empty ``points`` raises ValueError."""
+    def _ladder(self, points, cut, symbols: int, last, distance=_key_distance,
+                first=_FIRST_RADIUS) -> list[float]:
+        """distance(bits, radius) for each reference point, with bits the
+        least XOR bit length of its key cut(point, radius) with those of
+        ``points``, at the first rung where that is nonzero, or the last.
+        Each rung reads the distinct keys of the reference points still
+        open: a key one rung up extends its key below by ``symbols`` symbols
+        per unit of radius, so they are the keys there whose cut below read
+        zero.  The points map to their answers once, at the end.  No
+        reference points give []; an empty ``points`` raises ValueError."""
         if not self.points:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
-
-        def bits_at(radius, todo):
+        stages, below = [], None
+        for radius in _rungs(last, first):
             ys = self.keys(cut, radius)
-            if len(todo) == len(ys.keys):  # every reference point: the kept keys and set
-                keys, distinct = ys.keys, ys.distinct
-            else:
-                keys = [ys.keys[i] for i in todo]
-                distinct = set(keys)
-            least = _SortedKeys([cut(x, radius) for x in points]).least_bits(distinct)
-            return [least[key] for key in keys]
-        return _ladder(len(self.points), bits_at, last, distance, first)
+            keys = ys.distinct if below is None else {
+                key for key in ys.distinct if key >> WIDTH * symbols * (radius - below) in zeros}
+            least = _SortedKeys([cut(x, radius) for x in points]).least_bits(keys)
+            zeros = {key for key, bits in least.items() if not bits}
+            read = {key: distance(bits, radius) for key, bits in least.items() if bits}
+            stages.append((ys.keys, read))
+            if not zeros:
+                break
+            below = radius
+        read.update((key, distance(0, radius)) for key in zeros)  # open at the last rung
+        out = [None] * len(self.points)
+        for keys, read in stages:  # a point's key is read only at the rung that settles it
+            out = list(map(read.get, keys, out))
+        return out
 
 
 def nearest_distances(queries: Sequence[ShiftPoint],
@@ -359,21 +398,33 @@ def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> fl
 
 def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:
     """d(sigma^i x, points[i]) for each i, exactly, with x the periodic point
-    x_j = word[j mod len(word)]: the key of sigma^i x is cut from
-    repetitions of the cyclic word, with no point built."""
+    x_j = word[j mod len(word)], with no point built.  At each rung R the
+    one-sided keys x_0..x_R and x_-1..x_-R of every sigma^i x still open are
+    cut from two integers, the repeated word and its reverse.  With f and b
+    their common prefixes with those of points[i], sigma^i x and points[i]
+    agree on |j| < min(f, b + 1), the coordinates that the interleaved key
+    at radius R covers: R + 1 less the symbols of the longer XOR of the two,
+    and R + 1 (open) when both are zero."""
     n, unit = len(word), "".join(map(chr, word))
-
-    def bits_at(radius, todo):
-        text = unit * (radius // n + 2)  # text[t] = x_t
-        back = text[:1] + text[:0:-1]  # back[t] = x_-t
-        bits = []
-        for i in todo:
-            k = i % n  # sigma^i x = sigma^k x
-            key = _digits(_interleave(back[n - k:n - k + radius + 1], text[k + 1:k + radius + 1]))
-            bits.append((key ^ points[i].key(radius)).bit_length())
-        return bits
+    out, todo = [0.0] * len(points), range(len(points))
     # e(sigma^i x) <= 2n
-    return _ladder(len(points), bits_at, lambda: max(y.extent for y in points) + 2 * n)
+    for radius in _rungs(lambda: max(y.extent for y in points) + 2 * n):
+        # sigma^i x: x_j = unit[(i + j) % n], x_-1-j = unit[::-1][(j - i) % n]
+        forward = _windows(unit, radius + 1, todo)
+        backward = _windows(unit[::-1], radius, (-i for i in todo))
+        still = []
+        for i, f, b in zip(todo, forward, backward):
+            y = points[i]
+            bits = max((f ^ y.forward_key(radius + 1)).bit_length(),
+                       (b ^ y.backward_key(radius)).bit_length())
+            if bits:
+                out[i] = _radius_distance(_common_prefix(bits, radius + 1))
+            else:
+                still.append(i)
+        todo = still
+        if not todo:
+            break
+    return out
 
 
 def word_radius(epsilon: float) -> int:

@@ -215,16 +215,14 @@ class _CodedShift:
         words = sorted((cyc.states[r:] + cyc.states[:r], cyc.primitive_period)
                        for cyc in enumerate_cycles(self.coding_matrix, n).cycles
                        for r in range(cyc.primitive_period))
-        return [[self.code_point(ShiftPoint.from_cycle(word).shift(i)) for i in range(pp)]
-                for word, pp in words]
+        return [list(map(self.code_point, ShiftPoint.cycle_orbit(w[:pp]))) for w, pp in words]
 
     def homoclinic_orbit(self, cycle: Sequence[int]) -> tuple[list, Callable]:
         """The orbit of the periodic point of ``cycle`` and k -> f^k(q) for
         its exact splice q (:func:`sft_homoclinic_splice`)."""
-        w = tuple(cycle)
-        q, _ = sft_homoclinic_splice(self.coding_matrix, w)
-        p_orbit = [self.code_point(ShiftPoint.from_cycle(w, phase)) for phase in range(len(w))]
-        return p_orbit, lambda k: self.code_point(q.shift(k))
+        q, _ = sft_homoclinic_splice(self.coding_matrix, cycle)
+        return (list(map(self.code_point, ShiftPoint.cycle_orbit(cycle))),
+                lambda k: self.code_point(q.shift(k)))
 
 
 # lattice points per chunk of the rational orbit walk (a larger q goes alone)

@@ -860,7 +860,15 @@ def test_float_pseudo_shadow_reports_are_pinned(tmp_path, argv, sha256):
      "1c0aacadb34e9c5439050a34a2e4a458596bbf3433ff97b45bb5f8c1585b66aa"),
     ("golden_mean.json", False, ["0", "--delta", "0.125"],
      "1c0aacadb34e9c5439050a34a2e4a458596bbf3433ff97b45bb5f8c1585b66aa"),
-], ids=["full_2_shift", "golden_mean", "golden_mean_bare"])
+    ("full_2_shift.json", False, ["0", "--delta", "0.125"],
+     "4a0afa699ed69d2f374b8c58439b4d6ad43bafdefc220991957e07a3dcb1c441"),
+    ("golden_mean.json", False, ["01", "--delta", "0.125"],
+     "af2fcb4139e8884b7ab99b8d026c636327fa3a4ce20e8c9121dc91b27a4bb7f5"),
+    ("full_2_shift.json", False, ["01", "--delta", "0.125", "--n-from", "482", "--n-to", "512",
+                                  "--dump-orbits"],
+     "d2449df5204c6712208dc7359ea4a2fd8f87d0ca20d76bd2035cb1f4c0c1aa7a"),
+], ids=["full_2_shift", "golden_mean", "golden_mean_bare", "full_2_shift_fixed_point",
+        "golden_mean_01", "full_2_shift_long"])
 def test_symbolic_pseudo_shadow_reports_are_pinned(tmp_path, system, wrap, argv, sha256):
     # every shadow distance, Hausdorff distance to the reference and dumped
     # orbit of the shift-space pipeline; a bare transition matrix and its

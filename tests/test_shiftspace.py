@@ -4,6 +4,7 @@ The properties compare the canonical points against oracles that read the
 raw presentations coordinate by coordinate.
 """
 
+import functools
 import math
 
 import pytest
@@ -15,8 +16,8 @@ from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _SortedKeys, _digits,
-                                  cycle_distances, hausdorff_distance, nearest_distances,
+from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _KeyIndex, _SortedKeys,
+                                  _digits, cycle_distances, hausdorff_distance, nearest_distances,
                                   word_radius)
 from symshadow.systems import SftSystem, homoclinic_point
 
@@ -295,11 +296,50 @@ def test_keys_hold_the_interleaved_coordinates(left, center, right, k, radius, l
     # a key cut from a longer key built before is the key built afresh
     x.key(radius + longer)
     assert x.key(radius) == ShiftPoint(left, center, right, pos=k).key(radius) == expected
-    forward = 0
+    forward = backward = 0
     for i in range(radius):
         forward = (forward << WIDTH) | raw_coordinate(raw, i)
+        backward = (backward << WIDTH) | raw_coordinate(raw, -1 - i)
     x.forward_key(radius + longer)
-    assert x.forward_key(radius) == forward
+    x.backward_key(radius + longer)
+    fresh = ShiftPoint(left, center, right, pos=k)
+    assert x.forward_key(radius) == fresh.forward_key(radius) == forward
+    assert x.backward_key(radius) == fresh.backward_key(radius) == backward
+
+
+def symbols_of(key, length):
+    """The ``length`` symbols of a key, the first most significant."""
+    return tuple(key >> WIDTH * (length - 1 - i) & (1 << WIDTH) - 1 for i in range(length))
+
+
+@given(st.one_of(st.lists(st.sampled_from(WIDE), min_size=1, max_size=40).map(tuple),
+                 st.tuples(wide_words, st.integers(2, 12)).map(lambda t: t[0] * t[1])))
+def test_a_cycle_orbit_is_the_shifted_cycle_point(word):
+    # a word of wide symbols, or a repeated one (primitive period below its length)
+    orbit = ShiftPoint.cycle_orbit(word)
+    shifts = [ShiftPoint.from_cycle(word).shift(i) for i in range(len(word))]
+    assert orbit == shifts and list(map(hash, orbit)) == list(map(hash, shifts))
+    assert list(map(raw_of, orbit)) == list(map(raw_of, shifts))  # canonical
+    assert {x._forward[0] for x in orbit} == {_FIRST_RADIUS}
+    for i, x in enumerate(orbit):
+        # the pre-cut key is the key built afresh, and longer keys extend it
+        expected = tuple(word[(i + j) % len(word)] for j in range(2 * _FIRST_RADIUS + 1))
+        assert symbols_of(x.forward_key(_FIRST_RADIUS), _FIRST_RADIUS) == expected[:_FIRST_RADIUS]
+        assert x.forward_key(_FIRST_RADIUS) == shifts[i].forward_key(_FIRST_RADIUS)
+        assert x.forward_key(len(expected)) == shifts[i].forward_key(len(expected))
+        assert symbols_of(x.forward_key(len(expected)), len(expected)) == expected
+
+
+def test_a_cycle_orbit_pre_cuts_keys_of_one_length_whatever_the_word():
+    word = tuple(i * 7919 % 0x110000 for i in range(1000))
+    orbit = ShiftPoint.cycle_orbit(word)
+    assert len(orbit) == 1000 and orbit[999] == ShiftPoint.from_cycle(word, 999)
+    assert {x._forward[0] for x in orbit} == {_FIRST_RADIUS}
+    assert max(x._forward[1].bit_length() for x in orbit) <= WIDTH * _FIRST_RADIUS
+    # nothing else is cut ahead of a query
+    assert not any(hasattr(x, "_key") or hasattr(x, "_backward") for x in orbit)
+    with pytest.raises(ValueError):
+        ShiftPoint.cycle_orbit(())
 
 
 @given(far_sets(), far_sets())
@@ -451,6 +491,18 @@ def brute_forward(y, points, length):
                for x in points)
 
 
+@functools.cache
+def homoclinic_datum():
+    return homoclinic_point(SftSystem(TransitionMatrix.full_shift(2)), (0, 1), 2.0 ** -3)
+
+
+def homoclinic_reference():
+    """Fresh copies of the points of a homoclinic datum's segment and p-orbit
+    on the full 2-shift, with no keys cut."""
+    datum = homoclinic_datum()
+    return [ShiftPoint(y.left, y.center, y.right, y.pos) for y in [*datum.segment, *datum.p_orbit]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
@@ -480,6 +532,27 @@ def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
             expected = answers(SftSystem(TransitionMatrix.full_shift(3)), changed)
             assert answers(system, changed) == expected == brute(changed)
         assert len(builds) == 6  # each mutated set indexed anew, and once by each cold system
+
+    # a homoclinic datum's reference: 243 points over 17 distinct forward keys
+    # at length 16, so each rung settles many points per key.  One rung where
+    # the points keep apart from it (a symbol 2 at |i| <= 1) and the length is
+    # at most the first; several where some points are its own, which stay
+    # open up to the last rung
+    reference = homoclinic_reference()
+    apart = ShiftPoint.cycle_orbit((2, 2, 0)) + [x for x in points if 2 in x.window(-1, 2)]
+    shared = points + data.draw(st.lists(st.sampled_from(reference), min_size=1, max_size=3))
+    short = data.draw(st.integers(1, _FIRST_RADIUS))
+    for queries, size, several in ((apart, short, False), (shared, _FIRST_RADIUS + length, True)):
+        nearest = [min(brute_distance(y, x) for x in queries) for y in reference]
+        forward = [brute_forward(y, queries, size) for y in reference]
+        for answer, query in ((nearest, lambda index: index.nearest(queries)),
+                              (forward, lambda index: index.forward(queries, size))):
+            index = _KeyIndex(reference)
+            assert query(index) == answer
+            assert (len({radius for _, radius in index._cuts}) > 1) == several
+        system = SftSystem(TransitionMatrix.full_shift(3))
+        assert system.nearest(reference, queries) == nearest
+        assert system.forward_distances(reference, queries, size) == forward
 
 
 @st.composite
