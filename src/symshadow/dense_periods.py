@@ -339,25 +339,22 @@ def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: lis
 
 def _odd_simple_cycle(walk: list) -> list[tuple[tuple[int, int], int]]:
     """An odd simple cycle of the closed walk of :func:`_odd_residual_cycle`
-    as (edge, +1 or -1): the walk is split at each repeated node, and its
-    loops are dropped while even.  Added to the flow, a walk may take a
-    backward edge more often than its flow; a simple cycle takes it once,
-    and costs as much as the walk, since each dropped loop costs >= 0 on
-    reduced costs and the walk is least."""
-    path, at = [], {}  # a simple path of steps, and the index of the step out of each node
-    for step in walk:
-        u = step[0]
+    as (edge, +1 or -1): the loop the walk's first repeated node closes, or
+    the whole walk if no node repeats.  That loop is odd: the walk is a
+    Dijkstra path over (node, parity), so simple there, and each step flips
+    the parity, so a node is a step's tail at most once per parity, and two
+    visits of one node are an odd number of steps apart.  Added to the
+    flow, a walk may take a backward edge more often than its flow; a simple
+    cycle takes it once, and costs as much as the walk, since the rest of
+    the walk, a closed walk too, costs >= 0 on reduced costs and the walk is
+    least."""
+    at = {}  # the index of the step out of each node
+    for i, (u, _, _) in enumerate(walk):
         if u in at:
-            loop = path[at[u]:]
-            if len(loop) % 2:
-                path = loop
-                break
-            del path[at[u]:]
-            for tail, _, _ in loop:
-                del at[tail]
-        at[u] = len(path)
-        path.append(step)
-    return [(e, sign) for _, e, sign in path]
+            walk = walk[at[u]:i]
+            break
+        at[u] = i
+    return [(e, sign) for _, e, sign in walk]
 
 
 def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict, list]:

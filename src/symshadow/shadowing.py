@@ -13,16 +13,16 @@ sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.  The shadow distance reads one-sided keys cut per
 rung from the glued word by shift and mask (``cycle_distances``), and the
 orbit is ``ShiftPoint.cycle_orbit``, whose points carry their forward keys
-pre-cut for the density check; its reference ladders run per distinct key.
+pre-cut for the density check; its forward ladder runs per distinct key.
 
 The system supplies the geometry: ``shadowing_constant`` and
-``shadowing_orbit``, ``net`` and ``nearest`` for density
-(``forward_distances`` on shifts).
-Density measures the net, the reference, against the orbit: the net is the
-first argument of ``nearest``, and the system keeps its index, so a net
-passed again is not indexed again.  Only two branches read the system
-kind: the symbolic shadow takes its distances off the glued word, and shift
-density uses forward windows.
+``shadowing_orbit`` on the planar systems, and ``net`` with a density
+query, ``nearest`` on the planar systems and the forward-window
+``forward_distances`` on shifts.  Density measures the net, the reference,
+against the orbit: the net is the query's first argument, and the system
+keeps its index, so a net passed again is not indexed again.  Only two
+branches read the system kind: the symbolic shadow takes its distances off
+the glued word, and shift density uses forward windows.
 
 Residual bounds are floating point, not interval-arithmetic proofs.
 """

@@ -24,11 +24,13 @@ fixes the agreement radius k <= R, while a zero one only bounds d by
 the last rung decides equality.  Point-set queries sort the distinct keys
 of the set they measure against once and bisect each distinct query key
 not among them into them, since a key shares its longest prefix with a
-sorted set at its neighbour before or after.  A reference set's keys, set
-and sorted keys are cut once per key kind and rung into its
-:class:`_KeyIndex`, which a system keeps for its last reference set; its
-ladders read each rung once per distinct key of the reference points still
-open, and map the points to their answers at the end.
+sorted set at its neighbour before or after.  The two point-set queries
+are a reference set's: the Hausdorff distance of a set to it, and the
+forward-window distance of each of its points to a set.  Its keys, set and
+sorted keys are cut once per key kind and rung into its :class:`_KeyIndex`,
+which a system keeps for its last reference set; the forward ladder reads
+each rung once per distinct key of the reference points still open, and
+maps the points to their answers at the end.
 
 A glued cyclic word is read without building its orbit: ``cycle_distances``
 (the shadow distance) cuts the one-sided keys x_0..x_R and x_-1..x_-R of
@@ -229,11 +231,6 @@ def _radius_distance(k: int) -> float:
     return max(2.0 ** -k, math.ulp(0.0))
 
 
-def _key_distance(bits: int, radius: int) -> float:
-    """The distance of two points whose keys at ``radius`` XOR to ``bits`` bits."""
-    return _radius_distance((_common_prefix(bits, 2 * radius + 1) + 1) // 2) if bits else 0.0
-
-
 def _common_prefix(bits: int, size: int) -> int:
     """The number of leading symbols shared by two keys of ``size`` symbols
     whose XOR is ``bits`` bits long."""
@@ -305,10 +302,9 @@ class _KeyIndex:
     """The index of a reference point set: its points' keys, cut once per
     key kind (``ShiftPoint.key`` or ``ShiftPoint.forward_key``) and rung
     radius and kept as :class:`_SortedKeys`, and their largest extent.  The
-    point-set queries measure against it: the Hausdorff distance of a set
-    to the reference, and the nearest and forward distances of each
-    reference point to a set.  Every reference point is cut at each rung a
-    query reaches."""
+    two point-set queries measure against it: the Hausdorff distance of a
+    set to the reference, and the forward distance of each reference point
+    to a set.  Every reference point is cut at each rung a query reaches."""
 
     def __init__(self, points: Sequence[ShiftPoint]):
         self.points = points
@@ -333,67 +329,40 @@ class _KeyIndex:
                        *mine.least_bits(ys.distinct).values())
             if bits:
                 break
-        return _key_distance(bits, radius)
-
-    def nearest(self, points: Sequence[ShiftPoint]) -> list[float]:
-        """d(y, points) = min over x in points of d(y, x), exactly, for each
-        reference point y."""
-        return self._ladder(points, ShiftPoint.key, 2,
-                            lambda: self.extent + max(x.extent for x in points))
+        return _radius_distance((_common_prefix(bits, 2 * radius + 1) + 1) // 2) if bits else 0.0
 
     def forward(self, points: Sequence[ShiftPoint], length: int) -> list[float]:
         """For each reference point y, 2^-m with m the longest common prefix
-        of y_0..y_{length-1} with x_0..x_{length-1} for some x in points,
-        read by rungs of prefix length up to ``length``."""
-        return self._ladder(points, ShiftPoint.forward_key, 1, lambda: length,
-                            lambda bits, size: 2.0 ** -_common_prefix(bits, size),
-                            min(_FIRST_RADIUS, length))
-
-    def _ladder(self, points, cut, symbols: int, last, distance=_key_distance,
-                first=_FIRST_RADIUS) -> list[float]:
-        """distance(bits, radius) for each reference point, with bits the
-        least XOR bit length of its key cut(point, radius) with those of
-        ``points``, at the first rung where that is nonzero, or the last.
-        Each rung reads the distinct keys of the reference points still
-        open: a key one rung up extends its key below by ``symbols`` symbols
-        per unit of radius, so they are the keys there whose cut below read
-        zero.  The points map to their answers once, at the end.  No
-        reference points give []; an empty ``points`` raises ValueError."""
+        of y_0..y_{length-1} with x_0..x_{length-1} for some x in points:
+        m is read off the least XOR of y's forward key with those of
+        ``points`` at the first rung where that is nonzero, or is the last
+        rung, ``length``; the first is min(_FIRST_RADIUS, length).  Each rung
+        reads the distinct keys of the reference points still open: a key
+        one rung up extends its key below, so they are the keys there whose
+        cut below read zero.  The points map to their answers once, at the
+        end.  No reference points give []; an empty ``points`` raises
+        ValueError."""
         if not self.points:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
         stages, below = [], None
-        for radius in _rungs(last, first):
-            ys = self.keys(cut, radius)
+        for size in _rungs(lambda: length, min(_FIRST_RADIUS, length)):
+            ys = self.keys(ShiftPoint.forward_key, size)
             keys = ys.distinct if below is None else {
-                key for key in ys.distinct if key >> WIDTH * symbols * (radius - below) in zeros}
-            least = _SortedKeys([cut(x, radius) for x in points]).least_bits(keys)
+                key for key in ys.distinct if key >> WIDTH * (size - below) in zeros}
+            least = _SortedKeys([x.forward_key(size) for x in points]).least_bits(keys)
             zeros = {key for key, bits in least.items() if not bits}
-            read = {key: distance(bits, radius) for key, bits in least.items() if bits}
+            read = {key: 2.0 ** -_common_prefix(bits, size) for key, bits in least.items() if bits}
             stages.append((ys.keys, read))
             if not zeros:
                 break
-            below = radius
-        read.update((key, distance(0, radius)) for key in zeros)  # open at the last rung
+            below = size
+        read.update((key, 2.0 ** -size) for key in zeros)  # open at the last rung
         out = [None] * len(self.points)
         for keys, read in stages:  # a point's key is read only at the rung that settles it
             out = list(map(read.get, keys, out))
         return out
-
-
-def nearest_distances(queries: Sequence[ShiftPoint],
-                      points: Sequence[ShiftPoint]) -> list[float]:
-    """d(x, points) = min over y in points of d(x, y), exactly, for each
-    query x.  No queries give []; queries against an empty point set raise
-    ValueError."""
-    return _KeyIndex(queries).nearest(points)
-
-
-def hausdorff_distance(xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
-    """max(max_x d(x, ys), max_y d(y, xs)), exactly; an empty set raises
-    ValueError."""
-    return _KeyIndex(ys).hausdorff(xs)
 
 
 def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:

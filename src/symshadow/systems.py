@@ -1,19 +1,19 @@
 """Concrete hyperbolic system backends.
 
-Three kinds of system share one interface: the map ``apply`` and
-``apply_inverse``; the metric ``distance`` and its elementwise form
-``distances``; the point-set queries ``nearest``, ``hausdorff`` and
-``cyclic_period``; and the orbit constructions ``periodic_orbits``,
-``homoclinic_orbit`` and ``net``.  The planar two add ``differential`` and
-the closing-lemma bound ``shadowing_constant``, the shift
-``forward_distances``.  A point-set query measures a set against
-a reference set, ``hausdorff``'s second argument and the first of
-``nearest`` and ``forward_distances``, and each system keeps the index of
-the last reference set it was given, so a reference queried again is not
-indexed again.  A planar index holds the reference's own gauge matrix up
-to ``_BLOCK_ENTRIES`` entries, so a query point equal to a reference point
-(a member) reads 0 and its row of that matrix, as a shift query key found
-among the reference's keys reads 0.
+Three kinds of system share one interface, what the pipeline calls: the
+map ``apply``; the metric ``distance`` and its elementwise form
+``distances``; the point-set queries ``hausdorff`` and ``cyclic_period``;
+and the orbit constructions ``periodic_orbits``, ``homoclinic_orbit`` and
+``net``.  Density against a net is ``nearest`` on the planar two, which
+also carry the closing-lemma bound ``shadowing_constant``, and the
+forward-window ``forward_distances`` on the shift.  A point-set query
+measures a set against a reference set, ``hausdorff``'s second argument
+and the first of ``nearest`` and ``forward_distances``, and each system
+keeps the index of the last reference set it was given, so a reference
+queried again is not indexed again.  A planar index holds the reference's
+own gauge matrix up to ``_BLOCK_ENTRIES`` entries, so a query point equal
+to a reference point (a member) reads 0 and its row of that matrix, as a
+shift query key found among the reference's keys reads 0.
 
 * :class:`ToralAutomorphism` -- a hyperbolic 2x2 integer matrix acting on
   the torus R^2/Z^2 (the cat map [[2,1],[1,1]] being the standard
@@ -94,12 +94,13 @@ class _ReferenceSlot:
     """One slot per system: the last reference set a point-set query took
     and that set's index, built by ``_index_reference`` on a miss (on a
     planar system, its distinct coordinates and, up to ``_BLOCK_ENTRIES``
-    entries, its own gauge matrix; on a shift, its keys).  The
-    reference is ``hausdorff``'s second set and the first set of ``nearest``
-    and ``forward_distances`` (the net measured against an orbit).  A hit
-    needs the same number of points, each the identical object, in order;
-    a set mutated in place, or rebuilt from equal points, is indexed anew.
-    Points are values never mutated (tuples, shift points)."""
+    entries, its own gauge matrix; on a shift, its keys).  The reference is
+    ``hausdorff``'s second set and the first set of the planar ``nearest``
+    and the shift ``forward_distances`` (the net measured against an
+    orbit).  A hit needs the same number of points, each the identical
+    object, in order; a set mutated in place, or rebuilt from equal points,
+    is indexed anew.  Points are values never mutated (tuples, shift
+    points)."""
 
     def _reference_index(self, points: Sequence):
         kept, index = getattr(self, "_reference", ((), None))  # built lazily
@@ -271,9 +272,6 @@ class ToralAutomorphism(_PlanarSystem):
         self.shadowing_constant = (
             2.0 / abs(self.v_s[0] * self.v_u[1] - self.v_s[1] * self.v_u[0])
             * max(1.0 / (1.0 - abs(lam2)), 1.0 / (1.0 - 1.0 / abs(lam1))))
-        inv_det = det  # inverse of a unimodular 2x2: adj / det, det = +-1
-        self.inverse_matrix = ((m[1][1] * inv_det, -m[0][1] * inv_det),
-                               (-m[1][0] * inv_det, m[0][0] * inv_det))
         self._kept_spans: dict = {}  # (max_period, max_denominator) -> rational_orbit_spans
 
     def _unit_eigenvector(self, lam: float) -> tuple[float, float]:
@@ -293,13 +291,6 @@ class ToralAutomorphism(_PlanarSystem):
         (a, b), (c, d) = self.matrix
         x, y = a * p[0] + b * p[1], c * p[0] + d * p[1]
         return (x - math.floor(x), y - math.floor(y))
-
-    def apply_inverse(self, p):
-        (a, b), (c, d) = self.inverse_matrix
-        return _wrap_point((a * p[0] + b * p[1], c * p[0] + d * p[1]))
-
-    def differential(self, p=None):
-        return self.matrix
 
     # -- exact periodic points ----------------------------------------
 
@@ -559,20 +550,6 @@ class Horseshoe(_PlanarSystem, _CodedShift):
         return (self.mu_s * p[0] + c * (1.0 - self.mu_s),
                 self.mu_u * p[1] - c * (self.mu_u - 1.0))
 
-    def apply_inverse(self, p):
-        x = p[0]
-        if x <= self.mu_s + 1e-12:
-            c = 0
-        elif x >= 1.0 - self.mu_s - 1e-12:
-            c = 1
-        else:
-            raise ValueError(f"point {p} has no preimage in the horseshoe strips")
-        return ((x - c * (1.0 - self.mu_s)) / self.mu_s,
-                (p[1] + c * (self.mu_u - 1.0)) / self.mu_u)
-
-    def differential(self, p=None):
-        return ((self.mu_s, 0.0), (0.0, self.mu_u))
-
     def shadowing_orbit(self, points: Sequence) -> tuple[list, int]:
         """The periodic orbit shadowing the cyclic pseudo-orbit ``points``
         and its exact primitive period: the coding is a conjugacy, so the
@@ -675,9 +652,6 @@ class SftSystem(_CodedShift, _ReferenceSlot):
     def apply(self, p: ShiftPoint) -> ShiftPoint:
         return p.shift(1)
 
-    def apply_inverse(self, p: ShiftPoint) -> ShiftPoint:
-        return p.shift(-1)
-
     def distance(self, a: ShiftPoint, b: ShiftPoint) -> float:
         return a.distance(b)
 
@@ -687,13 +661,9 @@ class SftSystem(_CodedShift, _ReferenceSlot):
 
     # exact point-set queries on the integer keys of shift points, against
     # the kept index of the reference set
-    def nearest(self, queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint]
-                ) -> list[float]:
-        """:func:`~symshadow.shiftspace.nearest_distances`, the queries the reference."""
-        return self._reference_index(queries).nearest(points)
-
     def hausdorff(self, xs: Sequence[ShiftPoint], ys: Sequence[ShiftPoint]) -> float:
-        """:func:`~symshadow.shiftspace.hausdorff_distance`, ys the reference."""
+        """max(max_x d(x, ys), max_y d(y, xs)), exactly, ys the reference; an
+        empty set raises ValueError."""
         return self._reference_index(ys).hausdorff(xs)
 
     def forward_distances(self, queries: Sequence[ShiftPoint], points: Sequence[ShiftPoint],

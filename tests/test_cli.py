@@ -335,6 +335,47 @@ def test_infinite_horseshoe_rate_exit_2(files, capsys, argv):
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pseudo-shadow", "cat_map.json", "1/5"], "point must be 'x,y', got '1/5'"),
+    (["pseudo-shadow", "full_2_shift.json", "2"], "cycle (2,) not admissible"),
+    (["pseudo-shadow", "horseshoe.json", "2"], "cycle (2,) not admissible"),
+    (["approx-measure", "target_lebesgue.json", "cat_map.json", "--epsilon", "0.1",
+      "--mode", "bernoulli"], "bernoulli mode needs an sft system"),
+    (["approx-measure", "nope.json", "full_2_shift.json", "--epsilon", "0.1",
+      "--mode", "periodic"], "unknown target kind 'nope'"),
+    (["perturb-smoke", "golden_mean.json", "--magnitude", "0.01"],
+     "perturb-smoke runs on horseshoe systems"),
+    (["coding-table", "cat_map.json"], "coding-table runs on horseshoe systems"),
+    (["lpp", "golden_mean.json", "--epsilon", "0.25", "--n-max", "1"],
+     "n_max must be at least 2"),
+    (["lpp", "golden_mean.json", "--epsilon", "0.25", "--n-max", "30", "--cycle", "5"],
+     "word (5,) is not an admissible cycle"),
+    (["pseudo-shadow", "swap.json", "1/5,2/5"], "matrix is not hyperbolic (|eigenvalue| = 1)"),
+    (["pseudo-shadow", "wide.json", "01"], "contraction rate must lie in (0, 1/2)"),
+], ids=["point_not_a_pair", "full2_symbol_2", "horseshoe_symbol_2", "bernoulli_on_torus",
+        "unknown_target", "perturb_smoke_on_sft", "coding_table_on_torus", "n_max_1",
+        "inadmissible_cycle", "swap_matrix", "wide_contraction"])
+def test_input_guards_exit_2(files, capsys, argv, message):
+    made = {"nope.json": {"kind": "nope"},
+            "swap.json": {"kind": "toral", "matrix": [[0, 1], [1, 0]]},
+            "wide.json": {"kind": "horseshoe", "rates": [0.7, 3]}}
+    for name, payload in made.items():
+        (files["tmp"] / name).write_text(json.dumps(payload))
+    paths = [str((files["tmp"] if a in made else DATA) / a) if a.endswith(".json") else a
+             for a in argv]
+    assert main([*paths, "--out", files["out"]]) == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_a_missed_shadow_tol_exit_4(files, capsys):
+    # the closed-form cat map shadow misses --tol 0 by rounding: a numerical failure
+    assert main(["pseudo-shadow", str(DATA / "cat_map.json"), "1/5,2/5", "--delta", "0.01",
+                 "--tol", "0", "--out", files["out"]]) == 4
+    assert "numerical failure: closed-form orbit misses tol 0.0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
 def test_non_finite_report_exit_2_and_is_not_written(files, capsys, monkeypatch):
     # reports are strict JSON: a NaN that reaches one stops the run before any file
     monkeypatch.setattr(symshadow.cli, "topological_entropy", lambda matrix: math.nan)

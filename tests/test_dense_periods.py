@@ -581,6 +581,25 @@ def assert_flow_balances(graph, x, size):
         assert sum(x[v, w] for w in out) - sum(x[u, v] for u in into) == len(into) - len(out)
 
 
+def odd_cycle_dropping_even_loops(walk):
+    """Oracle: an odd simple cycle of a closed walk as (edge, +1 or -1), the
+    walk split at each repeated node and its loops dropped while even."""
+    path, at = [], {}
+    for step in walk:
+        u = step[0]
+        if u in at:
+            loop = path[at[u]:]
+            if len(loop) % 2:
+                path = loop
+                break
+            del path[at[u]:]
+            for tail, _, _ in loop:
+                del at[tail]
+        at[u] = len(path)
+        path.append(step)
+    return [(e, sign) for _, e, sign in path]
+
+
 def test_girth_two_flows_match_the_residue_search():
     # at girth 2 the postman flow plus one least odd residual cycle gives the
     # least flow of each parity; the residue search, with its table cap
@@ -596,6 +615,7 @@ def test_girth_two_flows_match_the_residue_search():
         assert len(cycle) % 2 and len({u for u, _ in arcs}) == len(arcs)
         assert all(v == w for (_, v), (w, _) in zip(arcs, arcs[1:] + arcs[:1]))
         assert sum(sign for _, sign in cycle) == sum(sign for _, _, sign in walk)
+        assert cycle == odd_cycle_dropping_even_loops(walk)  # no even loop comes first
         walks.append(walk)
         return cycle
 

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
-from symshadow.shiftspace import ShiftPoint, nearest_distances
+from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point, parse_system
 
 FULL2 = TransitionMatrix.full_shift(2)
@@ -188,6 +189,21 @@ def test_short_segment_raises_insufficient_segment():
             raised = err
             break
     assert raised is not None, "short segment never ran out"
+
+
+def test_excursion_parameters_on_too_short_segments_raise():
+    # q = 0^inf.1 0^inf comes within delta/2 = 2^-4 of p = 0^inf from f^4(q) on
+    system = SftSystem(FULL2)
+    datum = homoclinic_point(system, (0,), DELTA_SYM, forward_length=4, backward_length=4)
+    # only the last forward point is near p: no anchor with a near point before it
+    with pytest.raises(InsufficientSegmentError, match="no anchor"):
+        compute_excursion_parameters(datum)
+    # a segment from f^4(q), near p throughout with no backward tail: the anchor
+    # x = f(q') has no point f^(-l - 1)(x) left to return through
+    near = dataclasses.replace(datum, segment=tuple(datum.orbit(k) for k in range(4, 9)),
+                               k_back=0)
+    with pytest.raises(InsufficientSegmentError, match="backward tail never re-enters"):
+        compute_excursion_parameters(near)
 
 
 @pytest.mark.parametrize("system, anchor, delta", [
@@ -599,16 +615,15 @@ def test_empty_queries_and_empty_point_sets():
     shift_points = [ShiftPoint.from_cycle((0, 1))]
     for system, points in ((CAT, [(0.0, 0.0)]), (HORSESHOE, [(0.0, 0.0)]),
                            (SftSystem(FULL2), shift_points)):
-        assert system.nearest([], points) == []
-        assert system.nearest([], []) == []
+        density = (partial(system.forward_distances, length=8)
+                   if isinstance(system, SftSystem) else system.nearest)
+        assert density([], points) == []
+        assert density([], []) == []
         with pytest.raises(ValueError, match="empty point set"):
-            system.nearest(points, [])
+            density(points, [])
         for xs, ys in ((points, []), ([], points), ([], [])):  # either set empty
             with pytest.raises(ValueError, match="distance to an empty point set"):
                 system.hausdorff(xs, ys)
-    assert nearest_distances([], shift_points) == []
-    with pytest.raises(ValueError, match="empty point set"):
-        nearest_distances(shift_points, [])
 
 
 # -- pseudo-orbits read their period, defect and exact period off their points --

@@ -24,3 +24,42 @@ def unread_imports(path: Path) -> list[str]:
                          ids=lambda p: p.stem)
 def test_every_imported_name_is_read(path):
     assert unread_imports(path) == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private names a module defines at its top level, and the private
+    methods and class attributes of its classes (dunders aside)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    def defined(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+    names = list(defined(tree.body))
+    names += [name for node in tree.body if isinstance(node, ast.ClassDef)
+              for name in defined(node.body)]
+    return [name for name in names if private(name)]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names and attributes a module loads, and the names it imports."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_every_private_definition_is_read_in_src():
+    # a private helper nothing in src reads is dead code, whatever tests call it
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name in private_definitions(tree) if name not in read]
+    assert unread == []

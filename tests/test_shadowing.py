@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import DensityReport, ShadowingError, density_check, shadow_periodic
+from symshadow.shadowing import (DensityReport, ShadowingBoundViolatedError, ShadowingError,
+                                 density_check, shadow_periodic)
 from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                homoclinic_point)
@@ -360,3 +361,31 @@ def test_shadowing_bound_guard():
     assert po.defect >= 0.4
     with pytest.raises(ShadowingError):
         shadow_periodic(CAT, po)
+
+
+def test_a_shadow_past_c_delta_raises_the_bound_violation():
+    # the cat map with its closing-lemma constant cut a thousandfold: the
+    # shadow of a pseudo-orbit lies farther than C * delta from it
+    datum = homoclinic_point(CAT, (Fraction(1, 5), Fraction(2, 5)), 0.01)
+    params = compute_excursion_parameters(datum)
+    po = build_periodic_pseudo_orbit(datum, params, params.N0)
+    orbit = shadow_periodic(CAT, po)
+    assert 0.0 < orbit.shadow_distance <= CAT.shadowing_constant * po.defect
+    weak = cat_map()
+    weak.shadowing_constant = CAT.shadowing_constant / 1000
+    with pytest.raises(ShadowingBoundViolatedError, match="shadowing bound violated"):
+        shadow_periodic(weak, PseudoOrbit(weak, po.points))
+
+
+def test_symbolic_gluing_guards():
+    # 0^inf then 1^inf: f(x_0) and x_1 differ at coordinate 0, defect 1 > 1/2
+    po = PseudoOrbit(SftSystem(FULL2), [ShiftPoint.from_cycle((0,)), ShiftPoint.from_cycle((1,))])
+    assert po.defect == 1.0
+    with pytest.raises(ShadowingError, match="defect <= 1/2"):
+        shadow_periodic(po.system, po)
+    # a fixed point outside the golden mean shift: defect 0, glued word 1 not a cycle there
+    golden = SftSystem(TransitionMatrix.golden_mean())
+    po = PseudoOrbit(golden, [ShiftPoint.from_cycle((1,))])
+    assert po.defect == 0.0
+    with pytest.raises(ShadowingError, match="glued word inadmissible"):
+        shadow_periodic(golden, po)

@@ -17,8 +17,7 @@ from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
 from symshadow.sft import TransitionMatrix
 from symshadow.shadowing import density_check
 from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _KeyIndex, _SortedKeys,
-                                  _digits, cycle_distances, hausdorff_distance, nearest_distances,
-                                  word_radius)
+                                  _digits, cycle_distances, word_radius)
 from symshadow.systems import SftSystem, homoclinic_point
 
 
@@ -203,21 +202,12 @@ def test_metric_matches_the_coordinate_loop(raw, other, k):
     assert point(raw).period() == period
 
 
-@given(st.lists(st.tuples(raws, st.integers(-10, 10)), min_size=1, max_size=6),
-       st.lists(st.tuples(raws, st.integers(-10, 10)), min_size=1, max_size=6))
-def test_nearest_distances_match_the_pairwise_scan(queries, points):
-    qs = [point(raw).shift(k) for raw, k in queries]
-    ps = [point(raw).shift(k) for raw, k in points] + qs[:1]
-    assert nearest_distances(qs, ps) == [min(x.distance(y) for y in ps) for x in qs]
-    assert nearest_distances(ps, qs) == [min(y.distance(x) for x in qs) for y in ps]
-
-
 def test_agreement_far_out_in_long_tails():
     # no center: the rays first differ deep inside the left tails
     x = ShiftPoint((0, 0, 0, 0, 0, 1), (), (0,))
     y = ShiftPoint((0, 0, 0, 0, 0, 0, 0, 1), (), (0,))
     assert x.agreement_radius(y) == 7 and x.distance(y) == 2.0 ** -7
-    assert nearest_distances([x], [y]) == [2.0 ** -7]
+    assert _KeyIndex([y]).hausdorff([x]) == 2.0 ** -7
 
 
 def test_distinct_points_stay_apart_beyond_float_range():
@@ -226,8 +216,8 @@ def test_distinct_points_stay_apart_beyond_float_range():
     assert far != p and hash(far) != hash(p)
     assert p.agreement_radius(far) == 2000
     assert p.distance(far) > 0.0 and far.distance(p) > 0.0
-    assert nearest_distances([far], [p, far.shift(1)]) == [p.distance(far)]
-    assert nearest_distances([far], [p, far]) == [0.0]
+    assert _KeyIndex([p]).hausdorff([far]) == p.distance(far)
+    assert _KeyIndex([ShiftPoint((0,), (1,), (0,), pos=2000)]).hausdorff([far]) == 0.0
     near = ShiftPoint((0,), (1,), (0,), pos=60)
     assert p.distance(near) == 2.0 ** -60
 
@@ -346,9 +336,7 @@ def test_a_cycle_orbit_pre_cuts_keys_of_one_length_whatever_the_word():
 def test_point_set_distances_on_wide_far_points_match_the_pairwise_scan(xs, ys):
     there = [min(x.distance(y) for y in ys) for x in xs]
     back = [min(y.distance(x) for x in xs) for y in ys]
-    assert nearest_distances(xs, ys) == there
-    assert nearest_distances(ys, xs) == back
-    assert hausdorff_distance(xs, ys) == hausdorff_distance(ys, xs) == max(there + back)
+    assert _KeyIndex(ys).hausdorff(xs) == _KeyIndex(xs).hausdorff(ys) == max(there + back)
     po = PseudoOrbit(SftSystem(TransitionMatrix.full_shift(2)), xs)
     report = verify_pseudo_orbit(po, 1.0, reference=ys)
     assert report["hausdorff_to_reference"] == max(there + back)
@@ -404,12 +392,13 @@ def test_point_set_queries_far_out_and_on_empty_sets():
     assert cycle_distances((0x10FFFF,), [far]) == [math.ulp(0.0)]
     # points past one period of the word follow its phases around again
     assert cycle_distances((0x10FFFF,), [top, near, far]) == [0.0, 2.0 ** -1000, math.ulp(0.0)]
-    assert hausdorff_distance([top, far], [near]) == 2.0 ** -1000
-    assert nearest_distances([top, far], [near]) == [2.0 ** -1000, 2.0 ** -1000]
-    assert nearest_distances([top, near], [far.shift(1)]) == [math.ulp(0.0), 2.0 ** -1000]
+    assert _KeyIndex([near]).hausdorff([top, far]) == 2.0 ** -1000
+    assert [_KeyIndex([near]).hausdorff([x]) for x in (top, far)] == [2.0 ** -1000] * 2
+    assert [_KeyIndex([far.shift(1)]).hausdorff([x]) for x in (top, near)] \
+        == [math.ulp(0.0), 2.0 ** -1000]
     for xs, ys in (([top], []), ([], [top])):
         with pytest.raises(ValueError, match="empty point set"):
-            hausdorff_distance(xs, ys)
+            _KeyIndex(ys).hausdorff(xs)
 
 
 # -- keys cut by rungs: agreement past the first rung, equal points, duplicates --
@@ -471,12 +460,10 @@ def test_every_query_matches_the_brute_radius_at_every_rung(data):
         for y in ys:
             k = brute_radius(x, y)
             assert x.agreement_radius(y) == y.agreement_radius(x) == k
-            assert x.distance(y) == brute_distance(x, y)
+            assert x.distance(y) == _KeyIndex([y]).hausdorff([x]) == brute_distance(x, y)
     there = [min(brute_distance(x, y) for y in ys) for x in xs]
     back = [min(brute_distance(y, x) for x in xs) for y in ys]
-    assert nearest_distances(xs, ys) == there
-    assert nearest_distances(ys, xs) == back
-    assert hausdorff_distance(xs, ys) == hausdorff_distance(ys, xs) == max(there + back)
+    assert _KeyIndex(ys).hausdorff(xs) == _KeyIndex(xs).hausdorff(ys) == max(there + back)
     # the orbit of the core's periodic point against the points, some of them its own
     shifts = [ShiftPoint.from_cycle(core).shift(i) for i in range(len(xs))]
     points = [shifts[i] if data.draw(st.booleans()) else x for i, x in enumerate(xs)]
@@ -511,13 +498,13 @@ def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
     length = data.draw(st.integers(1, 2 * len(core)))  # up to rungs past 2 * _FIRST_RADIUS
 
     def answers(system, reference):
-        return (system.hausdorff(points, reference), system.nearest(reference, points),
+        return (system.hausdorff(points, reference),
                 system.forward_distances(reference, points, length))
 
     def brute(reference):
         back = [min(brute_distance(y, x) for x in points) for y in reference]
         there = [min(brute_distance(x, y) for y in reference) for x in points]
-        return max(there + back), back, [brute_forward(y, points, length) for y in reference]
+        return max(there + back), [brute_forward(y, points, length) for y in reference]
 
     system = SftSystem(TransitionMatrix.full_shift(3))  # a cold slot
     with index_builds() as builds:
@@ -543,15 +530,11 @@ def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
     shared = points + data.draw(st.lists(st.sampled_from(reference), min_size=1, max_size=3))
     short = data.draw(st.integers(1, _FIRST_RADIUS))
     for queries, size, several in ((apart, short, False), (shared, _FIRST_RADIUS + length, True)):
-        nearest = [min(brute_distance(y, x) for x in queries) for y in reference]
         forward = [brute_forward(y, queries, size) for y in reference]
-        for answer, query in ((nearest, lambda index: index.nearest(queries)),
-                              (forward, lambda index: index.forward(queries, size))):
-            index = _KeyIndex(reference)
-            assert query(index) == answer
-            assert (len({radius for _, radius in index._cuts}) > 1) == several
+        index = _KeyIndex(reference)
+        assert index.forward(queries, size) == forward
+        assert (len({radius for _, radius in index._cuts}) > 1) == several
         system = SftSystem(TransitionMatrix.full_shift(3))
-        assert system.nearest(reference, queries) == nearest
         assert system.forward_distances(reference, queries, size) == forward
 
 
@@ -596,9 +579,9 @@ def test_deep_agreement_and_equal_points_reach_the_last_rung():
     assert x.agreement_radius(y) == brute_radius(x, y) == 45
     twin = ShiftPoint((0, 0), core + (0,), (1, 1), pos=-45)
     assert twin == x and x.agreement_radius(twin) == math.inf
-    assert nearest_distances([x, y, x], [twin, twin]) == [0.0, 2.0 ** -45, 0.0]
-    assert hausdorff_distance([x, x], [twin]) == 0.0
-    assert hausdorff_distance([x, y], [twin, twin]) == 2.0 ** -45
+    assert [_KeyIndex([twin]).hausdorff([z]) for z in (x, y, x)] == [0.0, 2.0 ** -45, 0.0]
+    assert _KeyIndex([twin]).hausdorff([x, x]) == 0.0
+    assert _KeyIndex([twin, twin]).hausdorff([x, y]) == 2.0 ** -45
 
 
 def test_a_coarse_hausdorff_distance_cuts_reference_keys_at_the_first_rung():
@@ -608,7 +591,7 @@ def test_a_coarse_hausdorff_distance_cuts_reference_keys_at_the_first_rung():
     # fresh copies: building the datum may have cut keys of its own points
     reference = [ShiftPoint(y.left, y.center, y.right, y.pos)
                  for y in [*datum.segment, *datum.p_orbit]]
-    d = hausdorff_distance(po.points, reference)
+    d = _KeyIndex(reference).hausdorff(po.points)
     assert 2.0 ** -_FIRST_RADIUS < d <= datum.delta
     assert d == max(max(min(brute_distance(x, y) for y in reference) for x in po.points),
                     max(min(brute_distance(y, x) for x in po.points) for y in reference))

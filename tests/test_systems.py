@@ -22,7 +22,7 @@ from symshadow.homoclinic import HomoclinicDatum, compute_excursion_parameters
 from symshadow.measures import (LebesgueTorus, approximate_by_periodic, fourier_family,
                                 periodic_measure)
 from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
-from symshadow.shiftspace import ShiftPoint, hausdorff_distance, nearest_distances
+from symshadow.shiftspace import ShiftPoint, _KeyIndex
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                homoclinic_point, parse_system, sft_homoclinic_splice)
 
@@ -375,13 +375,6 @@ def test_distance_forms_are_one_formula_bit_for_bit(system, data):
     assert all(type(system.distance(x, y)) is float for x, y in zip(xs, ys))
 
 
-def test_inverse_round_trip():
-    x = (0.123, 0.789)
-    y = CAT.apply(x)
-    back = CAT.apply_inverse(y)
-    assert CAT.distance(back, x) < 1e-12
-
-
 def test_rejects_non_hyperbolic_matrices():
     with pytest.raises(ValueError):
         ToralAutomorphism([[0, 1], [-1, 0]])  # rotation, eigenvalues on S^1
@@ -409,13 +402,6 @@ def test_splitting_and_shadowing_constant():
     for rates in ((1 / 3, 3.0), (0.2, 5.0)):
         assert Horseshoe(*rates).shadowing_constant.hex() == \
             closing_lemma_bound(*rates, (1.0, 0.0), (0.0, 1.0)).hex()
-
-
-def test_differential_dispatch():
-    # the planar systems carry a differential; a shift system has none
-    assert CAT.differential((0.3, 0.3)) == ((2, 1), (1, 1))
-    assert Horseshoe(1 / 3, 3.0).differential((0.1, 0.1)) == ((1 / 3, 0.0), (0.0, 3.0))
-    assert not hasattr(SftSystem(FULL2), "differential")
 
 
 # -- homoclinic oracles ------------------------------------------------------
@@ -536,8 +522,7 @@ def test_shift_point_set_queries_are_the_shiftspace_functions():
 
     points = [ShiftPoint(word(1), word(0), word(1), pos=rng.randint(-6, 6)) for _ in range(40)]
     for xs, ys in ((points[:25], points[25:]), (points[:3], points), (points[5:6], points[:1])):
-        assert system.nearest(xs, ys) == nearest_distances(xs, ys)
-        assert system.hausdorff(xs, ys) == hausdorff_distance(xs, ys)
+        assert system.hausdorff(xs, ys) == _KeyIndex(ys).hausdorff(xs)
     cycle = [ShiftPoint.from_cycle((0, 1, 1)).shift(i) for i in range(3)]
     for sequence in (points[:6], cycle * 4, cycle[:2] * 3, points[:1] * 5,
                      points[:2] * 2 + points[:1]):
@@ -813,11 +798,10 @@ def test_itinerary_round_trip():
     # independent route: the strips that f^k of the coded point visits
     hs = Horseshoe(1 / 3, 3.0)
     point = ShiftPoint((1, 0), (0, 0, 1), (0, 1), pos=-1)
-    cur = hs.code_point(point)
-    for _ in range(4):
-        cur = hs.apply_inverse(cur)
-    word = []
-    for _ in range(8):
+    cur, word = hs.code_point(point.shift(-4)), []
+    for i in range(8):
+        if i == 4:  # f^4 of the coded sigma^-4 point is the coded point
+            assert hs.distance(cur, hs.code_point(point)) < 1e-12
         word.append(hs.branch_of(cur))
         cur = hs.apply(cur)
     assert word == [point[i] for i in range(-4, 4)]
