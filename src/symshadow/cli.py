@@ -268,9 +268,10 @@ def cmd_pseudo_shadow(args) -> int:
 
 
 def _finite_number(value) -> bool:
-    """Is ``value`` a number, finite as a float (not NaN, infinite or too large)?"""
+    """Is ``value`` a number, finite as a float (not NaN, infinite or too
+    large), and not a JSON boolean (a Python int)?"""
     try:
-        return math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
 

@@ -86,7 +86,7 @@ class DensePeriodsCertificate:
     word_length: int
     N0: int
     n_max: int
-    witnesses: Mapping
+    witnesses: WitnessMap
     component: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
@@ -96,7 +96,7 @@ class DensePeriodsCertificate:
             "N0": self.N0,
             "n_max": self.n_max,
             "witnesses": {str(n): "".join(map(str, w.states))
-                          for n, w in sorted(self.witnesses.items())},
+                          for n, w in self.witnesses.items()},  # ascending n
         }
 
 

@@ -242,12 +242,10 @@ def build_periodic_pseudo_orbit(datum: HomoclinicDatum, params: ExcursionParamet
     return po
 
 
-def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence = ()
-                        ) -> dict:
+def verify_pseudo_orbit(po: PseudoOrbit, delta: float, reference: Sequence) -> dict:
     """The defect against delta and the exact period, as the pseudo-orbit
-    read them off its points, and the Hausdorff distance to ``reference``."""
-    report = {"max_defect": po.defect, "within_delta": po.defect <= delta,
-              "exact_period_ok": po.exact_period}
-    if reference:
-        report["hausdorff_to_reference"] = po.system.hausdorff(po.points, reference)
-    return report
+    read them off its points, and the Hausdorff distance to the required,
+    non-empty ``reference``."""
+    return {"max_defect": po.defect, "within_delta": po.defect <= delta,
+            "exact_period_ok": po.exact_period,
+            "hausdorff_to_reference": po.system.hausdorff(po.points, reference)}

@@ -99,9 +99,10 @@ class TransitionMatrix:
             raise ValueError(f'a transition matrix is an object {{"rows": ...}}, got {data!r}')
         rows = data["rows"]
         if not (isinstance(rows, list)
-                and all(isinstance(r, list) and all(v in (0, 1) for v in r) for r in rows)):
+                and all(isinstance(r, list) and all(v in (0, 1) and not isinstance(v, bool)
+                                                    for v in r) for r in rows)):
             raise ValueError(f"transition matrix rows must be lists of 0/1 entries, got {rows!r}")
-        if "size" in data and data["size"] != len(rows):
+        if "size" in data and (isinstance(data["size"], bool) or data["size"] != len(rows)):
             raise ValueError("declared size does not match rows")
         return cls(rows)
 

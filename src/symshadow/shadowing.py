@@ -13,11 +13,11 @@ sequence agrees with each pseudo-orbit string outside a logarithmic
 window around the jumps.  The shadow distance reads one-sided keys cut per
 rung from the glued word by shift and mask (``cycle_distances``), and the
 orbit is ``ShiftPoint.cycle_orbit``, whose points carry their forward keys
-pre-cut for the density check; its forward ladder runs per distinct key.
+pre-cut at the window the density check cuts once.
 
 The system supplies the geometry: ``shadowing_constant`` and
-``shadowing_orbit`` on the planar systems, and ``net`` with a density
-query, ``nearest`` on the planar systems and the forward-window
+``shadowing_orbit`` on the planar systems, and a density query,
+``nearest`` on the planar systems and the forward-window
 ``forward_distances`` on shifts.  Density measures the net, the reference,
 against the orbit: the net is the query's first argument, and the system
 keeps its index, so a net passed again is not indexed again.  Only two
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
-from .shiftspace import ShiftPoint, cycle_distances, word_radius
+from .shiftspace import _FIRST_RADIUS, ShiftPoint, cycle_distances, word_radius
 from .systems import SftSystem
 
 
@@ -118,12 +118,12 @@ class DensityReport:
 
 
 def density_check(system, orbit_points: Sequence, epsilon: float,
-                  net_points: Sequence | None = None) -> DensityReport:
+                  net_points: Sequence) -> DensityReport:
     """Is every net point within epsilon of some orbit point?
 
-    With no explicit net, an epsilon/2-net of the full phase space is
-    requested from the system; for semi-local statements pass the
-    reference set (e.g. the homoclinic segment) as the net.
+    The net is required: pass ``system.net(epsilon / 2)`` for the full
+    phase space, or the reference set (e.g. the homoclinic segment) for a
+    semi-local statement.
 
     On shift spaces the net representatives stand for anchored cylinders
     (one per admissible m-word at spacing 2^-m), so proximity there means
@@ -131,11 +131,11 @@ def density_check(system, orbit_points: Sequence, epsilon: float,
     when it enters its cylinder, which matches the factor-scan density of
     certificate witnesses.
     """
-    if net_points is None:
-        net_points = system.net(epsilon / 2.0)
     if isinstance(system, SftSystem):
-        # any two shift points are within 1, so a larger epsilon reads as 1
-        cap = max(word_radius(min(epsilon, 1.0)) + 8, 16)
+        # any two shift points are within 1, so a larger epsilon reads as 1;
+        # the window is at least the length cycle_orbit pre-cuts, so the one
+        # cut of a shadow orbit reads its keys as built
+        cap = max(word_radius(min(epsilon, 1.0)) + 8, _FIRST_RADIUS)
         distances = system.forward_distances(net_points, orbit_points, cap)
     else:
         distances = system.nearest(net_points, orbit_points)

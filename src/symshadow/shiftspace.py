@@ -16,8 +16,8 @@ a positive distance, the smallest positive float where 2^(-k) underflows.
 Comparisons run on cached integer keys, WIDTH = 32 bits per symbol (the
 UTF-32 code unit of chr(symbol)), first symbol most significant: keys of
 one size compare as their symbol sequences do, and two of them share
-size - ceil(bitlength(a ^ b) / WIDTH) leading symbols.  Keys are cut by
-rungs: radius 16, doubled while an answer is open, and last
+size - ceil(bitlength(a ^ b) / WIDTH) leading symbols.  The metric's keys
+are cut by rungs: radius 16, doubled while an answer is open, and last
 e(x) + e(y), past which distinct points differ.  At radius R a nonzero XOR
 fixes the agreement radius k <= R, while a zero one only bounds d by
 2^-(R+1), so only the pairs that agree that far take the next rung, and
@@ -27,10 +27,9 @@ not among them into them, since a key shares its longest prefix with a
 sorted set at its neighbour before or after.  The two point-set queries
 are a reference set's: the Hausdorff distance of a set to it, and the
 forward-window distance of each of its points to a set.  Its keys, set and
-sorted keys are cut once per key kind and rung into its :class:`_KeyIndex`,
-which a system keeps for its last reference set; the forward ladder reads
-each rung once per distinct key of the reference points still open, and
-maps the points to their answers at the end.
+sorted keys are cut once per key kind and size into its :class:`_KeyIndex`,
+which a system keeps for its last reference set.  The forward query is one
+cut, at the window it asks for, read once per distinct reference key.
 
 A glued cyclic word is read without building its orbit: ``cycle_distances``
 (the shadow distance) cuts the one-sided keys x_0..x_R and x_-1..x_-R of
@@ -48,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 from .sft import Word, _primitive_period
 
 WIDTH = 32  # bits per symbol in a key
-_FIRST_RADIUS = 16  # the first key radius of every query
+_FIRST_RADIUS = 16  # the first rung of every metric query, and cycle_orbit's pre-cut length
 
 
 class ShiftPoint:
@@ -250,9 +249,10 @@ def _interleave(back, forward) -> str:
     return "".join(chars)
 
 
-def _rungs(last, radius: int = _FIRST_RADIUS):
-    """Key radii: ``radius``, doubled while below last(), then last() itself;
-    last is called only when a second rung is asked for."""
+def _rungs(last):
+    """Key radii: _FIRST_RADIUS, doubled while below last(), then last()
+    itself; last is called only when a second rung is asked for."""
+    radius = _FIRST_RADIUS
     yield radius
     last = last()
     while radius < last:
@@ -300,11 +300,11 @@ class _SortedKeys:
 
 class _KeyIndex:
     """The index of a reference point set: its points' keys, cut once per
-    key kind (``ShiftPoint.key`` or ``ShiftPoint.forward_key``) and rung
-    radius and kept as :class:`_SortedKeys`, and their largest extent.  The
-    two point-set queries measure against it: the Hausdorff distance of a
-    set to the reference, and the forward distance of each reference point
-    to a set.  Every reference point is cut at each rung a query reaches."""
+    key kind (``ShiftPoint.key`` or ``ShiftPoint.forward_key``) and size
+    and kept as :class:`_SortedKeys`, and their largest extent.  The two
+    point-set queries measure against it: the Hausdorff distance of a set
+    to the reference, cut at each rung it reaches, and the forward distance
+    of each reference point to a set, cut once at the window."""
 
     def __init__(self, points: Sequence[ShiftPoint]):
         self.points = points
@@ -333,36 +333,19 @@ class _KeyIndex:
 
     def forward(self, points: Sequence[ShiftPoint], length: int) -> list[float]:
         """For each reference point y, 2^-m with m the longest common prefix
-        of y_0..y_{length-1} with x_0..x_{length-1} for some x in points:
-        m is read off the least XOR of y's forward key with those of
-        ``points`` at the first rung where that is nonzero, or is the last
-        rung, ``length``; the first is min(_FIRST_RADIUS, length).  Each rung
-        reads the distinct keys of the reference points still open: a key
-        one rung up extends its key below, so they are the keys there whose
-        cut below read zero.  The points map to their answers once, at the
-        end.  No reference points give []; an empty ``points`` raises
-        ValueError."""
+        of y_0..y_{length-1} with x_0..x_{length-1} for some x in points,
+        read off the least XOR of y's forward key with those of ``points``,
+        all cut once at ``length``: m is ``length`` where that XOR is zero.
+        Each distinct key of the reference points is read once.  No
+        reference points give []; an empty ``points`` raises ValueError."""
         if not self.points:
             return []
         if not points:
             raise ValueError("distance to an empty point set")
-        stages, below = [], None
-        for size in _rungs(lambda: length, min(_FIRST_RADIUS, length)):
-            ys = self.keys(ShiftPoint.forward_key, size)
-            keys = ys.distinct if below is None else {
-                key for key in ys.distinct if key >> WIDTH * (size - below) in zeros}
-            least = _SortedKeys([x.forward_key(size) for x in points]).least_bits(keys)
-            zeros = {key for key, bits in least.items() if not bits}
-            read = {key: 2.0 ** -_common_prefix(bits, size) for key, bits in least.items() if bits}
-            stages.append((ys.keys, read))
-            if not zeros:
-                break
-            below = size
-        read.update((key, 2.0 ** -size) for key in zeros)  # open at the last rung
-        out = [None] * len(self.points)
-        for keys, read in stages:  # a point's key is read only at the rung that settles it
-            out = list(map(read.get, keys, out))
-        return out
+        ys = self.keys(ShiftPoint.forward_key, length)
+        least = _SortedKeys([x.forward_key(length) for x in points]).least_bits(ys.distinct)
+        read = {key: 2.0 ** -_common_prefix(bits, length) for key, bits in least.items()}
+        return list(map(read.get, ys.keys))
 
 
 def cycle_distances(word: Sequence[int], points: Sequence[ShiftPoint]) -> list[float]:

@@ -639,7 +639,8 @@ def _tail_sum(point: ShiftPoint, start: int, step: int, ratio: float) -> float:
 class SftSystem(_CodedShift, _ReferenceSlot):
     """A subshift of finite type as a dynamical system on exact
     eventually-periodic shift points; it is its own coding.  The index of a
-    reference set is its points' keys, cut once per key kind and rung."""
+    reference set is its points' keys, cut once per key kind and size: at
+    each rung a Hausdorff query reaches, and at a forward query's window."""
 
     _index_reference = _KeyIndex
 
@@ -670,8 +671,8 @@ class SftSystem(_CodedShift, _ReferenceSlot):
                           length: int) -> list[float]:
         """For each query y, 2^-m with m the longest common prefix of
         y_0..y_{length-1} with that of some x in points, the queries the
-        reference.  No queries give []; queries against an empty point set
-        raise ValueError."""
+        reference, from forward keys cut once at ``length``.  No queries
+        give []; queries against an empty point set raise ValueError."""
         return self._reference_index(queries).forward(points, length)
 
     cyclic_period = staticmethod(_primitive_period)
@@ -756,14 +757,14 @@ def parse_system(config: dict):
     if kind == "toral":
         matrix = config["matrix"]
         if not (isinstance(matrix, list)
-                and all(isinstance(r, list) and all(isinstance(v, int) for v in r)
-                        for r in matrix)):
+                and all(isinstance(r, list) and all(isinstance(v, int) and not isinstance(v, bool)
+                                                    for v in r) for r in matrix)):
             raise ValueError(f"toral matrix must be a list of integer rows, got {matrix!r}")
         return ToralAutomorphism(matrix)
     if kind == "horseshoe":
         rates = config["rates"]
         if not (isinstance(rates, list) and len(rates) == 2
-                and all(isinstance(r, (int, float)) for r in rates)):
+                and all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in rates)):
             raise ValueError(f"horseshoe rates must be [contraction, expansion], got {rates!r}")
         return Horseshoe(*rates)
     if kind == "sft":

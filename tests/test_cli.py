@@ -335,6 +335,32 @@ def test_infinite_horseshoe_rate_exit_2(files, capsys, argv):
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["analyze"], {"rows": [[True, 1], [1, 0]]}, "transition matrix rows must be lists of 0/1"),
+    (["analyze"], {"rows": [[1]], "size": True}, "declared size does not match rows"),
+    (["pseudo-shadow", "0,0"], {"kind": "toral", "matrix": [[2, True], [True, True]]},
+     "toral matrix must be a list of integer rows"),
+    (["pseudo-shadow", "01"], {"kind": "horseshoe", "rates": [True, 3.0]},
+     "horseshoe rates must be [contraction, expansion]"),
+    (["approx-measure", "golden", "--epsilon", "0.1", "--mode", "periodic"],
+     {"kind": "periodic_mix", "components": [{"cycle": "01", "weight": True}]},
+     "periodic_mix components must be a list"),
+    (["approx-measure", "golden", "--epsilon", "0.1", "--mode", "bernoulli"],
+     {"kind": "bernoulli", "p": [True, 0]}, "bernoulli target needs an sft system and one"),
+], ids=["matrix_rows", "matrix_size", "toral_matrix", "horseshoe_rates", "mix_weight",
+        "bernoulli_probability"])
+def test_json_booleans_are_refused_where_a_number_is_read_exit_2(files, capsys, argv, payload,
+                                                                 message):
+    # bool is an int in Python, so an int or 0/1 check alone reads true as 1
+    path = files["tmp"] / "booleans.json"
+    path.write_text(json.dumps(payload))
+    rest = [files.get(a, a) for a in argv[1:]]
+    assert main([argv[0], str(path), *rest, "--out", files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: {message}" in err and "Traceback" not in err
+    assert not Path(files["out"]).exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["pseudo-shadow", "cat_map.json", "1/5"], "point must be 'x,y', got '1/5'"),
     (["pseudo-shadow", "full_2_shift.json", "2"], "cycle (2,) not admissible"),

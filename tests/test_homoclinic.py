@@ -248,10 +248,10 @@ def test_verify_detects_artificial_jump(cat_datum):
     x, y = points[3]
     points[3] = ((x + 2 * DELTA_CAT) % 1.0, y)
     worst = PseudoOrbit(cat_datum.system, points)
-    report = verify_pseudo_orbit(worst, DELTA_CAT)
+    report = verify_pseudo_orbit(worst, DELTA_CAT, reference=cat_datum.reference)
     assert report["max_defect"] > DELTA_CAT
     assert not report["within_delta"]
-    assert verify_pseudo_orbit(po, DELTA_CAT)["within_delta"]
+    assert verify_pseudo_orbit(po, DELTA_CAT, reference=cat_datum.reference)["within_delta"]
 
 
 def test_hausdorff_stays_near_reference(cat_datum):
@@ -658,7 +658,7 @@ def test_built_pseudo_orbits_match_the_step_and_rotation_oracles(symbolic_datum,
             assert po.period == len(po.points) == n
             assert po.defect == step_defect(datum.system, po.points)
             assert po.exact_period == exact_period_by_rotation(datum.system, po.points)
-            report = verify_pseudo_orbit(po, datum.delta)
+            report = verify_pseudo_orbit(po, datum.delta, reference=datum.reference)
             assert (report["max_defect"], report["exact_period_ok"]) \
                 == (po.defect, po.exact_period)
 

@@ -261,7 +261,8 @@ def test_density_symbolic_witness_matches_factor_scan():
     witness = cert.witnesses[cert.N0]
     base = ShiftPoint.from_cycle(witness.states)
     orbit_points = [base.shift(i) for i in range(cert.N0)]
-    report = density_check(system, orbit_points, 2.0 ** -cert.word_length)
+    epsilon = 2.0 ** -cert.word_length
+    report = density_check(system, orbit_points, epsilon, net_points=system.net(epsilon / 2))
     assert report.dense
 
 
@@ -318,8 +319,8 @@ def test_symbolic_density_accepts_epsilon_beyond_one():
     assert at_one == DensityReport(True, 1.0, None)
     for epsilon in (1.5, 3.0, 1e9):
         assert density_check(system, [zero], epsilon, net_points=net_points) == at_one
-        assert density_check(system, [zero], epsilon).dense
-    assert density_check(CAT, [(0.0, 0.0)], 3.0).dense
+        assert density_check(system, [zero], epsilon, net_points=system.net(epsilon / 2)).dense
+    assert density_check(CAT, [(0.0, 0.0)], 3.0, net_points=CAT.net(1.5)).dense
 
 
 @pytest.mark.parametrize("system, anchor, delta", [
@@ -348,9 +349,9 @@ def test_shadowed_orbits_are_dense_at_three_times_hausdorff_and_shadow(system, a
 
 
 def test_density_check_without_orbit_points_raises():
-    shift_net = [ShiftPoint.from_cycle((0, 1))]
-    for system, net_points in ((SftSystem(FULL2), shift_net), (SftSystem(FULL2), None),
-                               (CAT, [(0.5, 0.5)]), (CAT, None)):
+    shift, shift_net = SftSystem(FULL2), [ShiftPoint.from_cycle((0, 1))]
+    for system, net_points in ((shift, shift_net), (shift, shift.net(0.25)),
+                               (CAT, [(0.5, 0.5)]), (CAT, CAT.net(0.25))):
         with pytest.raises(ValueError, match="distance to an empty point set"):
             density_check(system, [], 0.5, net_points=net_points)
 

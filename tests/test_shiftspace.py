@@ -15,7 +15,7 @@ from conftest import index_builds
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import density_check
+from symshadow.shadowing import DensityReport, density_check, shadow_periodic
 from symshadow.shiftspace import (_FIRST_RADIUS, WIDTH, ShiftPoint, _KeyIndex, _SortedKeys,
                                   _digits, cycle_distances, word_radius)
 from symshadow.systems import SftSystem, homoclinic_point
@@ -521,21 +521,56 @@ def test_a_kept_reference_index_answers_as_the_brute_scan_warm_and_cold(data):
         assert len(builds) == 6  # each mutated set indexed anew, and once by each cold system
 
     # a homoclinic datum's reference: 243 points over 17 distinct forward keys
-    # at length 16, so each rung settles many points per key.  One rung where
-    # the points keep apart from it (a symbol 2 at |i| <= 1) and the length is
-    # at most the first; several where some points are its own, which stay
-    # open up to the last rung
+    # at length 16, so each key settles many points.  Queries that keep apart
+    # from it (a symbol 2 at |i| <= 1) at a window up to _FIRST_RADIUS, and
+    # queries some of which are its own points, equal over the whole window,
+    # at a window past it: each query is one forward cut, at its window
     reference = homoclinic_reference()
     apart = ShiftPoint.cycle_orbit((2, 2, 0)) + [x for x in points if 2 in x.window(-1, 2)]
     shared = points + data.draw(st.lists(st.sampled_from(reference), min_size=1, max_size=3))
     short = data.draw(st.integers(1, _FIRST_RADIUS))
-    for queries, size, several in ((apart, short, False), (shared, _FIRST_RADIUS + length, True)):
+    for queries, size in ((apart, short), (shared, _FIRST_RADIUS + length)):
         forward = [brute_forward(y, queries, size) for y in reference]
         index = _KeyIndex(reference)
         assert index.forward(queries, size) == forward
-        assert (len({radius for _, radius in index._cuts}) > 1) == several
+        assert list(index._cuts) == [(ShiftPoint.forward_key, size)]
         system = SftSystem(TransitionMatrix.full_shift(3))
         assert system.forward_distances(reference, queries, size) == forward
+
+
+def shadow_density(epsilon):
+    """The bench's symbolic shadow op at N0 on the full 2-shift: the density
+    of the shadow orbit, a cycle orbit, against fresh copies of the datum's
+    reference, with the orbit, the reference and the index the check read."""
+    datum = homoclinic_datum()
+    params = compute_excursion_parameters(datum)
+    orbit = shadow_periodic(datum.system, build_periodic_pseudo_orbit(datum, params, params.N0))
+    system, reference = SftSystem(TransitionMatrix.full_shift(2)), homoclinic_reference()
+    pre_cut = [x._forward for x in orbit.points]
+    report = density_check(system, orbit.points, epsilon, net_points=reference)
+    return report, orbit.points, pre_cut, reference, system._reference[1]
+
+
+def test_a_sixteen_symbol_density_check_reads_the_pre_cut_orbit_keys():
+    # 3 delta, as the bench shadow ops ask: a 16-symbol window
+    report, orbit, pre_cut, reference, index = shadow_density(3 * homoclinic_datum().delta)
+    assert all(x._forward is kept for x, kept in zip(orbit, pre_cut))  # none grown or cut again
+    assert {length for length, _ in pre_cut} == {_FIRST_RADIUS}
+    assert list(index._cuts) == [(ShiftPoint.forward_key, _FIRST_RADIUS)]
+    assert {y._forward[0] for y in reference} == {_FIRST_RADIUS}
+    assert report.worst_distance == max(brute_forward(y, orbit, _FIRST_RADIUS)
+                                        for y in reference)
+
+
+def test_a_density_check_past_sixteen_symbols_matches_the_brute_scan():
+    epsilon = 2.0 ** -12  # below 2^-8: a 20-symbol window
+    size = word_radius(epsilon) + 8
+    report, orbit, _, reference, index = shadow_density(epsilon)
+    assert size > _FIRST_RADIUS and list(index._cuts) == [(ShiftPoint.forward_key, size)]
+    forward = [brute_forward(y, orbit, size) for y in reference]
+    worst = max(forward)
+    assert report == DensityReport(worst <= epsilon, worst,
+                                   None if worst <= epsilon else reference[forward.index(worst)])
 
 
 @st.composite
