@@ -513,17 +513,27 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
     config = {str(k).replace("-", "_"): v for k, v in (_load_json(path) if path else {}).items()}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
     tokens = {}  # token -> its key
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         if "--help".startswith(flag) or key == "config":  # a file cannot print help
             raise ValueError(f"{path}: option {key!r} cannot come from a config file")
         if value is True:
+            # a bare token naming an option that takes a value, in full or
+            # abbreviated, would eat the token after it
+            action = command._option_string_actions.get(flag) if command else None
+            if command and action is None:
+                raise ValueError(f"{path}: unknown option {key!r}")
+            if action is not None and action.nargs != 0:
+                raise ValueError(f"{path}: option {key}: true sets only a flag")
             tokens[flag] = key
         elif value is not None and value is not False:
             tokens[f"{flag}={value if isinstance(value, str) else json.dumps(value)}"] = key
     try:
-        args = build_parser().parse_args(argv[:1] + list(tokens) + argv[1:])
+        args = parser.parse_args(argv[:1] + list(tokens) + argv[1:])
     except _UsageError as exc:
         parser, message = exc.args
         for token, key in tokens.items():

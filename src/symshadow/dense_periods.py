@@ -26,7 +26,8 @@ sizes E + |x|, a flow's total or a search's least cost: the edges of a
 witness (every edge once, x once more, and girth cycles to stretch it)
 are counted out, from the flow or the least walks labelling a search's
 path, only when it is read, and walked as a Hierholzer circuit, least
-successor first.  Exactly the primitive matrices are certified; a
+successor first; the block nodes, the (m-1)-words that spell it, are
+listed only then too.  Exactly the primitive matrices are certified; a
 certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
 """
 
@@ -37,6 +38,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
@@ -130,7 +132,6 @@ class _BlockGraph:
         if count > MAX_BLOCK_NODES:
             raise BlockGraphTooLargeError(
                 f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
-        self.nodes = admissible_words(matrix, k)
         self.succ, self.pred = matrix.succ, matrix.pred
         for _ in range(k - 1):  # the (j+1)-words are the edges of the j-word graph in
             # lexicographic order, and edge u -> v steps to the edges out of v
@@ -142,6 +143,11 @@ class _BlockGraph:
                 for v in out:
                     self.pred[v].append(u)
         self.levels = _bfs_distances(self.succ, [0])  # fewest steps from node 0, -1 if none
+
+    @cached_property
+    def nodes(self) -> list[tuple[int, ...]]:
+        """The admissible k-words, listed on first read: only a witness reads them."""
+        return admissible_words(self.matrix, max(self.m - 1, 1))
 
     def walk_edges(self, s: int, t: int, steps: int) -> list[tuple[int, int]]:
         """Edges of the least walk of exactly ``steps`` steps from s to t."""
@@ -224,18 +230,21 @@ def _postman_flow(graph: _BlockGraph, excess: list[int]
     u -> v of cost +-1 has reduced cost +-1 + pot[u] - pot[v] >= 0:
     successive shortest paths from a super source (Dijkstra on reduced
     costs, popping in (dist, node) order), along each tree path to a
-    deficit.  The tree does not depend on the order in which a node relaxes
-    its edges: they reach distinct nodes, except an edge u -> w next to a
+    deficit.  One predecessor array holds each tree node's (tail, forward)
+    pair, None at the roots, and a path's amount is taken as it is traced.
+    The tree does not depend on the order in which a node relaxes its
+    edges: they reach distinct nodes, except an edge u -> w next to a
     backward edge u -> w, which costs 2 less."""
     succ, size = graph.succ, len(graph.succ)
+    heappush, heappop = heapq.heappush, heapq.heappop
     excess, pot = list(excess), [0] * size
     into: list[dict[int, int]] = [{} for _ in range(size)]
     sources = [s for s, e in enumerate(excess) if e > 0]
     sinks = [t for t, e in enumerate(excess) if e < 0]
     unsent = sum(excess[s] for s in sources)
     while unsent:
-        # the super source steps to each s with excess at cost -pot[s]; prev -1
-        dist, prev, forward = [math.inf] * size, [-1] * size, [True] * size
+        # the super source steps to each s with excess at cost -pot[s]
+        dist, prev = [math.inf] * size, [None] * size
         heap = []
         for s in sources:
             if excess[s]:
@@ -243,32 +252,36 @@ def _postman_flow(graph: _BlockGraph, excess: list[int]
                 heap.append((-pot[s], s))
         heapq.heapify(heap)
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if d > dist[u]:
                 continue
             base = d + pot[u]  # an edge u -> v costs base + 1 - pot[v] reduced
             for v in succ[u]:
-                if base + 1 - pot[v] < dist[v]:
-                    dist[v], prev[v], forward[v] = base + 1 - pot[v], u, True
-                    heapq.heappush(heap, (dist[v], v))
+                dv = base + 1 - pot[v]
+                if dv < dist[v]:
+                    dist[v], prev[v] = dv, (u, True)
+                    heappush(heap, (dv, v))
             for w in into[u]:  # the residual backward edges u -> w
-                if base - 1 - pot[w] < dist[w]:
-                    dist[w], prev[w], forward[w] = base - 1 - pot[w], u, False
-                    heapq.heappush(heap, (dist[w], w))
+                dw = base - 1 - pot[w]
+                if dw < dist[w]:
+                    dist[w], prev[w] = dw, (u, False)
+                    heappush(heap, (dw, w))
         pot = [p + d for p, d in zip(pot, dist)]  # tree edges now cost 0
         for t in sinks:
             if not excess[t]:
                 continue
-            path, s = [], t
-            while prev[s] >= 0:
-                path.append((prev[s], s))
-                s = prev[s]
-            amount = min([excess[s], -excess[t]]
-                         + [into[u].get(v, 0) for u, v in path if not forward[v]])
+            path, s, amount = [], t, -excess[t]
+            while prev[s]:
+                u, forward = prev[s]
+                if not forward:
+                    amount = min(amount, into[u].get(s, 0))
+                path.append((u, s, forward))
+                s = u
+            amount = min(amount, excess[s])
             if not amount:  # s is spent, or a backward edge on the path saturated
                 continue
-            for u, v in path:
-                if forward[v]:
+            for u, v, forward in path:
+                if forward:
                     into[v][u] = into[v].get(u, 0) + amount
                 elif into[u][v] > amount:
                     into[u][v] -= amount
@@ -457,7 +470,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
     graph = _BlockGraph(matrix, word_radius(epsilon))
-    if min(graph.levels + _bfs_distances(graph.pred, [0])) < 0:
+    if -1 in graph.levels or -1 in _bfs_distances(graph.pred, [0]):
         # every block node has an in- and an out-edge (A is essential), so no
         # closed walk covers them all
         return DensePeriodsRefutation(epsilon, 2, True, reason=(

@@ -1077,15 +1077,22 @@ def test_config_null_false_and_reserved_keys(files, capsys):
     assert main(analyze + ["--config", write_config(files, {"max_period": None})]) == 0
     assert read_report(files, "analyze.json")["config"]["parameters"]["max_period"] == 10
     capsys.readouterr()
-    # false sets only a flag; help and config cannot come from a file, nor can
-    # an abbreviation argparse would accept on the command line
+    # true and false set only a flag (a bare --depth took the system file as
+    # its value); help and config cannot come from a file, nor can an
+    # abbreviation argparse would accept on the command line
+    coding = ["coding-table", files["horseshoe"], "--out", files["out"]]
     for argv, payload, message in (
             (analyze, {"max_period": False}, "false sets only a flag"),
+            (coding, {"depth": True}, "option depth: true sets only a flag"),
+            (lpp + ["--n-max", "30"], {"epsilon": True}, "option epsilon: true sets only a flag"),
+            (coding, {"dep": True}, "unknown option 'dep'"),
             (lpp, {"epsilon": False, "n_max": 30}, "required: --epsilon"),
             (analyze, {"help": True}, "cannot come from a config file"),
             (analyze, {"h": True}, "cannot come from a config file"),
             (analyze, {"config": "other.json"}, "cannot come from a config file"),
             (lpp, {"eps": 0.25, "n_max": 30}, "unknown option 'eps'")):
-        assert exit_code(argv + ["--config", write_config(files, payload)]) == 2
+        config = write_config(files, payload)
+        assert exit_code(argv + ["--config", config]) == 2
         out, err = capsys.readouterr()
         assert message in err and "usage: symshadow analyze" not in out
+        assert "sets only a flag" not in message or f"{config}: option" in err

@@ -548,20 +548,35 @@ def test_postman_flow_matches_the_counter_kernel(size, seed):
 
 
 def test_loop_free_certificate_walks_edges_only_when_a_witness_is_read():
-    # girth 2 (cycles 01 and 012) and girth 3 (cycles 012 and 0123)
-    for rows in ([[0, 1, 0], [1, 0, 1], [1, 0, 0]],
-                 [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]]):
+    # girth 2 (cycles 01 and 012), girth 3 (cycles 012 and 0123), girth 1,
+    # and the full 2-shift at m = 12, whose 2,048 block words a verdict
+    # listed; the block words, like the walks, are read only by a witness
+    for rows, epsilon, n_max in (([[0, 1, 0], [1, 0, 1], [1, 0, 0]], 0.25, 40),
+                                 ([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]],
+                                  0.25, 40),
+                                 ([[1, 1, 0], [0, 0, 1], [1, 1, 0]], 0.125, 40),
+                                 (FULL2.rows, 2.0 ** -12, 4096)):
         matrix = TransitionMatrix(rows)
         with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
                                side_effect=_BlockGraph.walk_edges) as walk_edges, \
                 mock.patch("symshadow.dense_periods._least_walk",
-                           side_effect=dense_periods._least_walk) as least_walk:
-            cert = dense_periods_certificate(matrix, 0.25, 40)
+                           side_effect=dense_periods._least_walk) as least_walk, \
+                mock.patch("symshadow.dense_periods.admissible_words",
+                           side_effect=admissible_words) as words:
+            cert = dense_periods_certificate(matrix, epsilon, n_max)
             assert isinstance(cert, DensePeriodsCertificate)
-            assert walk_edges.call_count == least_walk.call_count == 0
+            assert walk_edges.call_count == least_walk.call_count == words.call_count == 0
             witness = cert.witnesses[cert.N0]
             assert walk_edges.call_count > 0 and least_walk.call_count > 0
-        assert len(witness.states) == cert.N0 and is_dense_cycle(matrix, witness.states, 2)
+            assert words.call_count > 0
+        assert len(witness.states) == cert.N0
+        assert is_dense_cycle(matrix, witness.states, cert.word_length)
+    # a reducible matrix is refuted on its block graph, with no word listed
+    with mock.patch("symshadow.dense_periods.admissible_words",
+                    side_effect=admissible_words) as words:
+        refutation = dense_periods_certificate(TransitionMatrix([[1, 1], [0, 1]]), 0.25, 40)
+    assert isinstance(refutation, DensePeriodsRefutation) and refutation.blocking_n == 2
+    assert words.call_count == 0
 
 
 def residue_search_sizes(graph, c):
