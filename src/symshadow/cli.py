@@ -422,21 +422,12 @@ def cmd_coding_table(args) -> int:
 # -- entry point ----------------------------------------------------------
 
 
-class _UsageError(Exception):
-    """argparse's usage error (parser, message), raised where argparse would exit,
-    so ``_parse_args`` can name the --config file when the file's token caused it."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(self, message)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="symshadow", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="symshadow", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     def common(p, trace: bool = False):
         if trace:
@@ -505,48 +496,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """The value a --config file gives ``action``: a flag's true or false, or
+    the option's text (a string as written, else its JSON text) converted and
+    checked as argparse reads it from the command line."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise argparse.ArgumentError(action, f"a flag takes true or false, got {value!r}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise argparse.ArgumentError(
+            action, f"invalid {action.type.__name__} value: {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from "
+                                             f"{', '.join(map(repr, action.choices))})")
+    return value
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the options of its --config file read as the tokens
-    they name: --key=value, a bare --key for true, none for false or null,
-    put right after the subcommand so explicit flags win."""
+    """Parse argv with the options of its --config file as the subcommand's
+    defaults, so explicit flags win.  Each key (dashes or underscores) is an
+    option's dest; true and false set a flag, and null is absent."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
-    config = {str(k).replace("-", "_"): v for k, v in (_load_json(path) if path else {}).items()}
+    config = {k.replace("-", "_"): v for k, v in (_load_json(path) if path else {}).items()}
     parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices.get(argv[0]) if argv else None
-    tokens = {}  # token -> its key
-    for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        if "--help".startswith(flag) or key == "config":  # a file cannot print help
+    command = parser.commands.get(argv[0]) if argv else None
+    options = {a.dest: a for a in command._actions if a.option_strings} if command else {}
+    for key, value in config.items() if command else ():  # else argparse names the fault
+        if key in ("h", "help", "config"):  # a file cannot print help or name another file
             raise ValueError(f"{path}: option {key!r} cannot come from a config file")
-        if value is True:
-            # a bare token naming an option that takes a value, in full or
-            # abbreviated, would eat the token after it
-            action = command._option_string_actions.get(flag) if command else None
-            if command and action is None:
-                raise ValueError(f"{path}: unknown option {key!r}")
-            if action is not None and action.nargs != 0:
-                raise ValueError(f"{path}: option {key}: true sets only a flag")
-            tokens[flag] = key
-        elif value is not None and value is not False:
-            tokens[f"{flag}={value if isinstance(value, str) else json.dumps(value)}"] = key
-    try:
-        args = parser.parse_args(argv[:1] + list(tokens) + argv[1:])
-    except _UsageError as exc:
-        parser, message = exc.args
-        for token, key in tokens.items():
-            flag, _, text = token.partition("=")
-            if message.startswith("unrecognized arguments:") and token in message:
-                raise ValueError(f"{path}: unknown option {key!r}") from None
-            if text and f"argument {flag}" in message and repr(text) in message:
-                raise ValueError(f"{path}: option {key}: {message}") from None
-        argparse.ArgumentParser.error(parser, message)  # the command line's own: usage, exit 2
-    for key, value in config.items():
-        if key not in vars(args):  # an abbreviation argparse accepted
+        action = options.get(key)
+        if action is None:
             raise ValueError(f"{path}: unknown option {key!r}")
-        if value is False and not isinstance(getattr(args, key), bool):
+        if isinstance(value, bool) and action.nargs != 0:
+            if value:
+                raise ValueError(f"{path}: option {key}: true sets only a flag")
+        elif value is not None:
+            try:
+                command.set_defaults(**{key: _config_value(action, value)})
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}: option {key}: {exc}") from None
+            action.required = False
+    args = parser.parse_args(argv)
+    for key, value in config.items():  # after argparse has named any missing option
+        if value is False and options[key].nargs != 0:
             raise ValueError(f"{path}: option {key}: false sets only a flag")
     for key, value in sorted(vars(args).items()):
         if isinstance(value, float) and not math.isfinite(value):

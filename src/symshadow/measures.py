@@ -309,9 +309,6 @@ class LebesgueTorus(_Measure):
             return 0.0 if obs.k != (0, 0) else 1.0
         raise TypeError(f"Lebesgue integrates Fourier modes, not {obs!r}")
 
-    def to_json_dict(self) -> dict:
-        return {"reference": "lebesgue_torus"}
-
 
 class BernoulliProduct(_Measure):
     """Product measure on the full shift with per-symbol probabilities."""
@@ -330,9 +327,6 @@ class BernoulliProduct(_Measure):
                 mass *= self.p[s]
             return mass
         raise TypeError(f"Bernoulli products integrate cylinders, not {obs!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"reference": "bernoulli", "p": list(self.p)}
 
 
 def weak_star_distance(mu, nu, family: TestFamily) -> float:

@@ -13,7 +13,8 @@ import pytest
 import symshadow.cli
 from conftest import index_builds
 from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_PLANAR_SHADOW_LENGTH,
-                           MAX_SHIFT_SHADOW_LENGTH, MAX_WITNESS_SYMBOLS, main)
+                           MAX_SHIFT_SHADOW_LENGTH, MAX_WITNESS_SYMBOLS, _parse_args,
+                           build_parser, main)
 from symshadow.dense_periods import WitnessMap
 from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
                                 cylinder_family, fourier_family)
@@ -358,6 +359,19 @@ def test_json_booleans_are_refused_where_a_number_is_read_exit_2(files, capsys, 
     assert main([argv[0], str(path), *rest, "--out", files["out"]]) == 2
     err = capsys.readouterr().err
     assert f"invalid input: {message}" in err and "Traceback" not in err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("probability", ['"0.5"', "9" * 400], ids=["string", "past_float"])
+def test_bernoulli_probability_strings_and_huge_ints_exit_2(files, capsys, probability):
+    # math.isfinite raises on a string (TypeError) and on an int too large for
+    # a float (OverflowError); both are refused as no finite probability
+    path = files["tmp"] / "target.json"
+    path.write_text(f'{{"kind": "bernoulli", "p": [{probability}, {probability}]}}')
+    assert main(["approx-measure", str(path), files["full2"], "--epsilon", "0.1",
+                 "--mode", "bernoulli", "--out", files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert "one finite probability per symbol" in err and "Traceback" not in err
     assert not Path(files["out"]).exists()
 
 
@@ -1096,3 +1110,39 @@ def test_config_null_false_and_reserved_keys(files, capsys):
         out, err = capsys.readouterr()
         assert message in err and "usage: symshadow analyze" not in out
         assert "sets only a flag" not in message or f"{config}: option" in err
+
+
+def config_option_cases() -> list[tuple[str, str]]:
+    """(subcommand, dest) of every valued option and flag build_parser gives a
+    subcommand, --help and --config aside."""
+    return [(name, action.dest) for name, command in build_parser().commands.items()
+            for action in command._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+def sample_value(action):
+    """A value for ``action`` that is none of the defaults: true for a flag."""
+    if action.nargs == 0:
+        return True
+    return action.choices[-1] if action.choices else {int: 7, float: 0.375, None: "01"}[action.type]
+
+
+@pytest.mark.parametrize("command, dest", config_option_cases())
+def test_each_option_parses_alike_from_config_and_command_line(command, dest, tmp_path):
+    # every option, those no README command passes too, gives the Namespace its
+    # flag gives, keyed by its dest or with dashes, as a JSON value or its text
+    actions = build_parser().commands[command]._actions
+    action = next(a for a in actions if a.dest == dest)
+    base = [command] + [f"arg{k}" for k, a in enumerate(actions) if not a.option_strings]
+    base += [word for a in actions if a.required and a.option_strings and a is not action
+             for word in (a.option_strings[0], str(sample_value(a)))]
+    value = sample_value(action)
+    flag = [action.option_strings[0]] + ([] if value is True else [str(value)])
+    want = vars(_parse_args(base + flag))
+    assert want.pop("config") is None and want[dest] != action.default
+    path = tmp_path / "config.json"
+    text = value if value is True else str(value)
+    for payload in ({dest: value}, {dest.replace("_", "-"): text}):
+        path.write_text(json.dumps(payload))
+        got = vars(_parse_args(base + ["--config", str(path)]))
+        assert got.pop("config") == str(path) and got == want
