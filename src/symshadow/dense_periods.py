@@ -10,8 +10,8 @@ Cyclic n-words are the closed n-step walks of the (m-1)-block graph,
 whose edges are the admissible m-words (the graph of A at m = 1).  For
 m >= 2 a walk is dense iff it uses every edge, so by Euler's theorem the
 dense periods are E + |x| for the integer flows x >= 0 that balance the
-E edges; at m = 1 a walk is dense iff it visits every symbol.  Without
-strong connectivity there is no dense walk.  A dense walk passes every
+E edges; at m = 1 a walk is dense iff it visits every symbol.  A
+non-primitive A is refuted before any search.  A dense walk passes every
 node, so a shortest cycle (length c, the girth) splices into it, and the
 least dense period in each residue class mod c fixes the class: with a
 loop (c = 1) it is the directed Chinese postman length L* of a min-cost
@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 
 from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
                   return_time_set, strongly_connected_component, _bfs_distances,
-                  _int_mat_pow, _least_walk, _merge_overlap, _step_layers)
+                  _cyclic_levels, _int_mat_pow, _least_walk, _merge_overlap, _step_layers)
 from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
@@ -142,7 +142,6 @@ class _BlockGraph:
             for u, out in enumerate(self.succ):
                 for v in out:
                     self.pred[v].append(u)
-        self.levels = _bfs_distances(self.succ, [0])  # fewest steps from node 0, -1 if none
 
     @cached_property
     def nodes(self) -> list[tuple[int, ...]]:
@@ -293,27 +292,16 @@ def _postman_flow(graph: _BlockGraph, excess: list[int]
     return into, pot
 
 
-def _bipartite(graph: _BlockGraph) -> bool:
-    """Do the BFS levels of the strongly connected block graph alternate
-    parity across every edge?  Then each edge, and each residual backward
-    edge, joins the even-level nodes to the odd-level ones, so no residual
-    cycle is odd."""
-    levels = graph.levels
-    return all((levels[u] ^ levels[v]) & 1 for u, out in enumerate(graph.succ) for v in out)
-
-
 def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: list[int]
-                        ) -> tuple[int, list[tuple[int, tuple[int, int], int]]] | None:
+                        ) -> tuple[int, list[tuple[int, tuple[int, int], int]]]:
     """The least cost of an odd-length cycle in the residual graph of the
     flow and potentials of :func:`_postman_flow`, with a least odd closed
-    walk of that cost as (tail, edge, +1 or -1) steps (None if the graph is
-    bipartite).  A Dijkstra over (node, parity), state 2 node + parity, on
-    reduced costs runs from (s, even) through nodes >= s to (s, odd) for
-    each s.  A closed walk's reduced cost is its cost, so an odd one costs
-    an odd number >= 1, and a run stops where it cannot beat the best cost
-    found by 2."""
-    if _bipartite(graph):
-        return None
+    walk of that cost as (tail, edge, +1 or -1) steps; the block graph of a
+    primitive A has an odd cycle, and its edges are residual.  A Dijkstra
+    over (node, parity), state 2 node + parity, on reduced costs runs from
+    (s, even) through nodes >= s to (s, odd) for each s.  A closed walk's
+    reduced cost is its cost, so an odd one costs an odd number >= 1, and a
+    run stops where it cannot beat the best cost found by 2."""
     succ, size = graph.succ, len(graph.succ)
     best, found = math.inf, None
     for s in range(size):
@@ -339,8 +327,6 @@ def _odd_residual_cycle(graph: _BlockGraph, into: list[dict[int, int]], pot: lis
                 if w >= s and cost < dist.get(key, math.inf):
                     dist[key], prev[key] = cost, (state, -1)
                     heapq.heappush(heap, (cost, key))
-    if found is None:
-        return None
     prev, state, walk = *found, []
     while state in prev:
         before, sign = prev[state]
@@ -404,11 +390,11 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict,
 
 def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Counter]]:
     """Per residue r mod c, the size |x| = r (mod c) of the flow x of a least
-    dense closed walk (None for a class without one), and r -> the edges of
-    x: the walk is every block edge once plus x at m >= 2, x at m = 1.  For
-    c <= 2 these are the postman flow x* and, at c = 2, x* plus a least odd
-    residual cycle: a least flow of the other class is x* plus conformal
-    residual cycles of cost >= 0, and one of them is odd."""
+    dense closed walk of the block graph of a primitive A, and r -> the
+    edges of x: the walk is every block edge once plus x at m >= 2, x at
+    m = 1.  For c <= 2 these are the postman flow x* and, at c = 2, x* plus
+    a least odd residual cycle: a least flow of the other class is x* plus
+    conformal residual cycles of cost >= 0, and one of them is odd."""
     if graph.m == 1:  # least closed walks from node 0 through every node
         size = len(graph.succ)
         if 2 ** size > MAX_BLOCK_NODES:
@@ -425,11 +411,10 @@ def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Coun
         else:
             into, pot = _postman_flow(graph, excess)
             total = sum(map(sum, map(dict.values, into)))
-            odd = _odd_residual_cycle(graph, into, pot) if c == 2 else None
-            sizes = [None] * c
-            sizes[total % c] = total
-            if odd:
-                sizes[(total + 1) % c] = total + odd[0]
+            sizes = [total] * c
+            if c == 2:
+                odd = _odd_residual_cycle(graph, into, pot)
+                sizes[(total + 1) % 2] = total + odd[0]
 
             def flow(r: int) -> Counter:
                 x = Counter({(u, v): k for v, xv in enumerate(into) for u, k in xv.items()})
@@ -439,7 +424,7 @@ def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Coun
                 return x
 
             return sizes, flow
-    return [best[end][0] if end in best else None for end in ends], lambda r: Counter(
+    return [best[end][0] for end in ends], lambda r: Counter(
         e for s, t, d in _labels(best, ends[r])
         for e in (graph.walk_edges(s, t, d) if t is not None else graph.cycle_edges(s, d)))
 
@@ -464,25 +449,32 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     """Exact verdict (see the module docstring); a certificate builds its
     witnesses for n in [N0, n_max] on access.  Raises ``ValueError`` unless
     0 < epsilon < 1 and n_max >= 2, :class:`HorizonTooSmallError` if
-    N0 > n_max, and :class:`BlockGraphTooLargeError`."""
+    N0 > n_max, and :class:`BlockGraphTooLargeError` (primitive A only).
+
+    A non-primitive A is refuted before any search, by one of two proofs.
+    If state 0 misses a symbol forward or backward, A is reducible: no
+    closed walk visits every symbol, so 2 is excluded.  If A is irreducible
+    of class period d > 1, every cycle length is a multiple of d, and a
+    dense cycle visits every symbol, so it is as long as the alphabet at
+    least: 2 is excluded, unless d = 2 and A has two symbols, so A is
+    [[0, 1], [1, 0]], whose cycle 01 is dense at every m, and 3 is."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
-    graph = _BlockGraph(matrix, word_radius(epsilon))
-    if -1 in graph.levels or -1 in _bfs_distances(graph.pred, [0]):
-        # every block node has an in- and an out-edge (A is essential), so no
-        # closed walk covers them all
+    d, levels = _cyclic_levels(matrix)
+    if -1 in levels or -1 in _bfs_distances(matrix.pred, [0]):
         return DensePeriodsRefutation(epsilon, 2, True, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
+    if d > 1:
+        n = 3 if d == 2 and matrix.size == 2 else 2
+        return DensePeriodsRefutation(epsilon, n, True, reason=(
+            f"dense cycle lengths miss a residue class mod {d}; {n} is the least excluded"))
+    graph = _BlockGraph(matrix, word_radius(epsilon))
     c, s = _girth(matrix)
     E = sum(map(len, graph.succ)) if graph.m > 1 else 0
     sizes, flow = _least_flows(graph, c)
-    least = {(E + x) % c: E + x for x in sizes if x is not None}
-    if len(least) < c:
-        n = next(n for n in range(2, c + 2) if n < least.get(n % c, math.inf))
-        return DensePeriodsRefutation(epsilon, n, True, reason=(
-            f"dense cycle lengths miss a residue class mod {c}; {n} is the least excluded"))
+    least = {(E + x) % c: E + x for x in sizes}
     N0 = max(2, max(least.values()) - c + 1)
     if N0 > n_max:
         raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")

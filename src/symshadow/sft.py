@@ -298,13 +298,14 @@ def class_period(matrix: TransitionMatrix) -> int:
 
 def _cyclic_levels(matrix: TransitionMatrix) -> tuple[int, list[int]]:
     """Class period and breadth-first distance from state 0 of each state of
-    an irreducible matrix; the period is the gcd over edges u -> v of
-    dist[u] + 1 - dist[v]."""
+    an irreducible matrix (-1 where state 0 does not reach); the period is
+    the gcd over edges u -> v of dist[u] + 1 - dist[v], read until it is 1."""
     dist = _bfs_distances(matrix.succ, [0])
     g = 0
     for u in range(matrix.size):
         for v in matrix.succ[u]:
-            g = math.gcd(g, dist[u] + 1 - dist[v])
+            if (g := math.gcd(g, dist[u] + 1 - dist[v])) == 1:
+                return g, dist
     return g, dist
 
 

@@ -129,8 +129,8 @@ def test_lpp_certificate_and_refutation(files):
 
 
 def test_lpp_refutes_the_loop_free_star_without_a_residue_search(files, tmp_path):
-    # girth 2: the postman flow and an odd residual cycle decide it; the
-    # residue search over its 5 deficit nodes needed 2 * 5^5 states (exit 3)
+    # class period 2 decides it on A; the residue search over its 5 deficit
+    # nodes would need 2 * 5^5 states (exit 3)
     star = tmp_path / "star.json"
     star.write_text(json.dumps({"rows": [[0, 1, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0, 0]] * 5}))
     assert main(["lpp", str(star), "--epsilon", "0.125", "--n-max", "100",
@@ -162,6 +162,23 @@ def test_lpp_block_graph_too_large_exit_3(files, capsys):
                  "--n-max", "100", "--out", files["out"]]) == 3
     assert "524288 block nodes > 2048" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1], [0, 0, 1, 1]],
+    [[0, 1, 1, 1, 1, 1, 0]] + [[0] * 6 + [1]] * 5 + [[1] + [0] * 6],
+], ids=["reducible", "fan"])
+def test_lpp_refutes_a_non_primitive_matrix_at_any_scale(files, tmp_path, rows):
+    # at m = 20 the block graphs would need 3,407,872 and 109,375 nodes (a
+    # primitive matrix there exits 3, as the full 2-shift does above); A is
+    # refuted by a closed set of symbols and by its class period 3
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"rows": rows}))
+    assert main(["lpp", str(matrix), "--epsilon", "1e-6", "--n-max", "100",
+                 "--out", files["out"]]) == 0
+    ref = read_report(files, "lpp.json")
+    assert ref["verdict"] == "refutation"
+    assert ref["blocking_n"] == 2 and ref["exhaustive"] is True
 
 
 @pytest.mark.parametrize("cycle", [[], ["--cycle", "01"]], ids=["plain", "cycle"])
