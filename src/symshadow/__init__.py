@@ -18,8 +18,7 @@ from .sft import (CyclicDecomposition, NonEssentialMatrixError,
                   return_time_set, topological_entropy)
 from .shiftspace import ShiftPoint, word_radius
 from .dense_periods import (DensePeriodsCertificate, DensePeriodsRefutation,
-                            HorizonTooSmallError, dense_periods_certificate,
-                            homoclinic_restricted_certificate,
+                            dense_periods_certificate, homoclinic_restricted_certificate,
                             verify_mixing_from_certificate)
 from .homoclinic import (ExcursionParameters, HomoclinicDatum,
                          InsufficientSegmentError, PseudoOrbit,

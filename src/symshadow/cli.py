@@ -34,15 +34,13 @@ from pathlib import Path
 
 from . import __version__
 from .dense_periods import (BlockGraphTooLargeError, DensePeriodsCertificate,
-                            DensePeriodsRefutation, HorizonTooSmallError,
                             dense_periods_certificate, homoclinic_restricted_certificate)
 from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
 from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSupportMeasure,
                        LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
                        cycle_measure, cylinder_family, fourier_family, weak_star_distance)
-from .sft import (ConvergenceError, NonEssentialMatrixError, ReducibleMatrixError,
-                  SymbolicCycle, TransitionMatrix, count_periodic_points,
+from .sft import (ConvergenceError, SymbolicCycle, TransitionMatrix, count_periodic_points,
                   cyclic_decomposition, is_irreducible, is_primitive, topological_entropy)
 from .shadowing import ShadowingError, shadow_periodic
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, homoclinic_point,
@@ -387,14 +385,11 @@ def cmd_perturb_smoke(args) -> int:
         raise ValueError(f"magnitude {mag} exceeds the hyperbolicity margin: "
                          f"perturbed rates ({new_c:.4g}, {new_e:.4g})")
     perturbed = Horseshoe(new_c, new_e)
-    parameters = {"system": system.to_config(), "magnitude": mag, "epsilon": args.epsilon,
-                  "n_max": args.n_max}
+    parameters = {"system": system.to_config(), "magnitude": mag, "epsilon": args.epsilon}
 
-    def certificate_for(h: Horseshoe):
+    def certificate_for(h: Horseshoe):  # the coding shift, the full 2-shift, is primitive
         m_geo = h.word_length(args.epsilon)
-        result = dense_periods_certificate(h.coding_matrix, 2.0 ** (-m_geo), args.n_max)
-        if isinstance(result, DensePeriodsRefutation):
-            raise ShadowingError("horseshoe coding shift refuted; impossible")
+        result = dense_periods_certificate(h.coding_matrix, 2.0 ** (-m_geo))
         return {"word_length": m_geo, "N0": result.N0, "rates": [h.mu_s, h.mu_u]}
 
     before = certificate_for(system)
@@ -483,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--magnitude", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--n-max", type=int, default=40)
     common(p)
     p.set_defaults(func=cmd_perturb_smoke)
 
@@ -562,14 +556,14 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except (PreconditionError, InsufficientSegmentError, HorizonTooSmallError,
-            BlockGraphTooLargeError, BlockSubshiftTooLargeError) as exc:
+    except (PreconditionError, InsufficientSegmentError, BlockGraphTooLargeError,
+            BlockSubshiftTooLargeError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ShadowingError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, NonEssentialMatrixError, ReducibleMatrixError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # the matrix errors are ValueErrors
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -28,7 +28,8 @@ are counted out, from the flow or the least walks labelling a search's
 path, only when it is read, and walked as a Hierholzer circuit, least
 successor first; the block nodes, the (m-1)-words that spell it, are
 listed only then too.  Exactly the primitive matrices are certified; a
-certificate yields mixing thresholds (:func:`verify_mixing_from_certificate`).
+certificate's proof is the girth cycle and each class's least witness,
+and it yields mixing thresholds (:func:`verify_mixing_from_certificate`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import heapq
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -51,10 +52,6 @@ from .shiftspace import word_radius
 MAX_BLOCK_NODES = 2048  # bound on block nodes, 2^#symbols at m = 1 and residue search states
 
 
-class HorizonTooSmallError(ValueError):
-    """The exact N0 exceeds n_max, so the window [N0, n_max] is empty."""
-
-
 class BlockGraphTooLargeError(ValueError):
     """The scale epsilon = 2^-m needs a search larger than MAX_BLOCK_NODES."""
 
@@ -64,16 +61,16 @@ class CertificateTooCoarseError(ValueError):
 
 
 class WitnessMap(Mapping):
-    """Mapping n -> witness cycle for n in [N0, n_max], each built on access."""
+    """Mapping n -> witness for n in [N0, n_max] (none without n_max), made on access."""
 
-    def __init__(self, N0: int, n_max: int, build: Callable[[int], SymbolicCycle]):
-        self._periods = range(N0, n_max + 1)
-        self._build = build
+    def __init__(self, N0: int, n_max: int | None, build: Callable[[int], SymbolicCycle]):
+        self._periods = range(N0, (n_max or 0) + 1)
+        self.build = build  # makes the witness of any n >= least[n % girth]
 
     def __getitem__(self, n: int) -> SymbolicCycle:
         if n not in self._periods:
             raise KeyError(n)
-        return self._build(n)
+        return self.build(n)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._periods)
@@ -87,9 +84,19 @@ class DensePeriodsCertificate:
     epsilon: float
     word_length: int
     N0: int
-    n_max: int
+    n_max: int | None
     witnesses: WitnessMap
+    girth: int
+    least: dict[int, int]  # r -> the least dense period n = r (mod girth)
+    girth_cycle: Callable[[], tuple[int, ...]]  # a cycle of length girth, made on call
     component: tuple[int, ...] | None = None
+
+    @cached_property
+    def proof(self) -> dict:
+        """The girth cycle and each class's least witness, spelled."""
+        return {"girth": self.girth, "girth_cycle": "".join(map(str, self.girth_cycle())),
+                "classes": {str(r): "".join(map(str, self.witnesses.build(n).states))
+                            for r, n in sorted(self.least.items())}}
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,6 +104,7 @@ class DensePeriodsCertificate:
             "m": self.word_length,
             "N0": self.N0,
             "n_max": self.n_max,
+            "proof": self.proof,
             "witnesses": {str(n): "".join(map(str, w.states))
                           for n, w in self.witnesses.items()},  # ascending n
         }
@@ -400,7 +408,8 @@ def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Coun
         if 2 ** size > MAX_BLOCK_NODES:
             raise BlockGraphTooLargeError(
                 f"m = 1 needs 2^{size} visited-symbol sets > {MAX_BLOCK_NODES}")
-        best = _least_costs((1, 0, 0), lambda state: (
+        # residue c is 0 but a state apart: a lone symbol's least walk is its loop
+        best = _least_costs((1, 0, c), lambda state: (
             (1, (state[0] | 1 << v, v, (state[2] + 1) % c), (state[1], v, 1))
             for v in graph.succ[state[1]]))
         ends = [((1 << size) - 1, 0, r) for r in range(c)]
@@ -444,12 +453,12 @@ def _euler_circuit(edges: Counter) -> list[int]:
     return circuit[:0:-1]
 
 
-def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: int
+def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: int | None = None
                               ) -> DensePeriodsCertificate | DensePeriodsRefutation:
-    """Exact verdict (see the module docstring); a certificate builds its
-    witnesses for n in [N0, n_max] on access.  Raises ``ValueError`` unless
-    0 < epsilon < 1 and n_max >= 2, :class:`HorizonTooSmallError` if
-    N0 > n_max, and :class:`BlockGraphTooLargeError` (primitive A only).
+    """Exact verdict (see the module docstring); a certificate lists its
+    witnesses for n in [N0, n_max], none without n_max, and builds each on
+    access.  Raises ``ValueError`` unless 0 < epsilon < 1 and n_max is None
+    or >= 2, and :class:`BlockGraphTooLargeError` (primitive A only).
 
     A non-primitive A is refuted before any search, by one of two proofs.
     If state 0 misses a symbol forward or backward, A is reducible: no
@@ -458,7 +467,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     dense cycle visits every symbol, so it is as long as the alphabet at
     least: 2 is excluded, unless d = 2 and A has two symbols, so A is
     [[0, 1], [1, 0]], whose cycle 01 is dense at every m, and 3 is."""
-    if n_max < 2:
+    if n_max is not None and n_max < 2:
         raise ValueError("n_max must be at least 2")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
@@ -476,8 +485,6 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     sizes, flow = _least_flows(graph, c)
     least = {(E + x) % c: E + x for x in sizes}
     N0 = max(2, max(least.values()) - c + 1)
-    if N0 > n_max:
-        raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")
     tours: dict = {}  # r -> the edges of class r's least dense walk, and of a girth cycle
 
     def build(n: int) -> SymbolicCycle:
@@ -492,16 +499,18 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
         return SymbolicCycle.from_word(
             matrix, tuple(graph.nodes[v][0] for v in _euler_circuit(edges)))
 
-    return DensePeriodsCertificate(epsilon=epsilon, word_length=graph.m, N0=N0,
-                                   n_max=n_max, witnesses=WitnessMap(N0, n_max, build))
+    return DensePeriodsCertificate(
+        epsilon=epsilon, word_length=graph.m, N0=N0, n_max=n_max,
+        witnesses=WitnessMap(N0, n_max, build), girth=c, least=least,
+        girth_cycle=lambda: tuple(graph.nodes[u][0] for u, _ in graph.cycle_edges(s, c)))
 
 
 def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle,
-                                      epsilon: float, n_max: int
+                                      epsilon: float, n_max: int | None = None
                                       ) -> DensePeriodsCertificate | DensePeriodsRefutation:
-    """Certificate with every witness confined to the irreducible component
-    of the cycle p (the symbolic stand-in for homoclinically related
-    orbits: mutual reachability with the p-cycle)."""
+    """Certificate with every witness and proof word confined to the
+    irreducible component of the cycle p (the symbolic stand-in for
+    homoclinically related orbits: mutual reachability with the p-cycle)."""
     if not matrix.is_admissible_cycle(p.states):
         raise ValueError(f"cycle {p.states} not admissible")
     sub, order = restrict(matrix, strongly_connected_component(matrix, p.states[0]))
@@ -511,13 +520,11 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
 
     def build(n: int) -> SymbolicCycle:
         # order is injective and maps each edge of sub to an edge of matrix
-        w = result.witnesses[n]
+        w = result.witnesses.build(n)
         return SymbolicCycle(tuple(order[s] for s in w.states), w.period, w.primitive_period)
 
-    return DensePeriodsCertificate(
-        epsilon=result.epsilon, word_length=result.word_length, N0=result.N0,
-        n_max=result.n_max, witnesses=WitnessMap(result.N0, result.n_max, build),
-        component=order)
+    return replace(result, witnesses=WitnessMap(result.N0, result.n_max, build), component=order,
+                   girth_cycle=lambda: tuple(order[s] for s in result.girth_cycle()))
 
 
 # -- mixing verification --------------------------------------------------
@@ -562,14 +569,14 @@ def verify_mixing_from_certificate(matrix: TransitionMatrix,
         if n1 is None:
             raise ValueError(f"no hitting time for pair {u}, {v}; matrix not mixing")
         ball = _ball_word(matrix, v, u, n1)
-        fine = dense_periods_certificate(matrix, 2.0 ** (-len(ball)), cert.n_max)
+        fine = dense_periods_certificate(matrix, 2.0 ** (-len(ball)))
         if isinstance(fine, DensePeriodsRefutation):
             raise ValueError("internal fine certificate refuted; matrix not mixing")
-        threshold = fine.N0
-        hits = return_time_set(matrix, u, v, cert.n_max)
-        misses = tuple(n for n in range(threshold, cert.n_max + 1) if n not in hits)
+        top = cert.n_max or 0  # no n_max, no n to check
+        hits = return_time_set(matrix, u, v, top)
+        misses = tuple(n for n in range(fine.N0, top + 1) if n not in hits)
         reports.append(MixingPairReport(u=u, v=v, first_hit=n1, ball_word=ball,
-                                        threshold=threshold,
+                                        threshold=fine.N0,
                                         verified_all=not misses, misses=misses))
     return reports
 

@@ -73,8 +73,8 @@ class HomoclinicDatum:
                 ("backward", "f(p)", range(-self.k_back, tau - self.k_back), 1)):
             near = [self.p_orbit[(k + phase) % tau] for k in ks]
             if self.system.distances([self.q_point(k) for k in ks], near).max() > half:
-                raise ValueError(f"{tail} tail of homoclinic segment not within "
-                                 f"delta/2 of the {orbit}-orbit")
+                raise InsufficientSegmentError(f"{tail} tail of homoclinic segment not "
+                                               f"within delta/2 of the {orbit}-orbit")
 
     def q_point(self, k: int):
         """f^k(q); raises when the stored segment does not reach k."""

@@ -140,12 +140,17 @@ def test_lpp_refutes_the_loop_free_star_without_a_residue_search(files, tmp_path
     assert ref["blocking_n"] == 2 and ref["exhaustive"] is True
 
 
-def test_lpp_horizon_too_small_exit_3(files, tmp_path):
+def test_lpp_past_n_max_reports_the_exact_n0(files, tmp_path):
+    # N0 = 5 > n_max = 3 used to exit 3; n_max bounds only the listing
     wheel4 = tmp_path / "wheel4.json"
     wheel4.write_text(json.dumps({"rows": [[1, 1, 0, 0], [0, 0, 1, 0],
                                            [0, 0, 0, 1], [1, 0, 0, 0]]}))
     assert main(["lpp", str(wheel4), "--epsilon", "0.25", "--n-max", "3",
-                 "--out", files["out"]]) == 3
+                 "--out", files["out"]]) == 0
+    cert = read_report(files, "lpp.json")
+    assert (cert["verdict"], cert["N0"], cert["n_max"], cert["witnesses"]) == \
+        ("certificate", 5, 3, {})
+    assert cert["proof"] == {"girth": 1, "girth_cycle": "0", "classes": {"0": "00123"}}
 
 
 def test_lpp_epsilon_one_exit_2(files, capsys):
@@ -306,6 +311,21 @@ def test_pseudo_shadow_defaulted_overlong_range_exit_3_before_the_extension(file
     assert time.perf_counter() - start < 1.0
     assert max(evaluated) == 160
     assert f"length range [577, 607] (N0 = 577) exceeds {MAX_SHIFT_SHADOW_LENGTH}" \
+        in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("system, delta, tail", [
+    ("horseshoe.json", "1e-20", "forward tail"),
+    ("full_2_shift.json", "1e-30", "backward tail"),
+    ("golden_mean.json", "1e-30", "backward tail"),
+], ids=["horseshoe", "full2", "golden"])
+def test_pseudo_shadow_segment_short_of_delta_exit_3(files, capsys, system, delta, tail):
+    # the homoclinic segment's tails miss the delta/2-ball; this exited 2 as
+    # invalid input, though a short segment is a precondition failure
+    assert main(["pseudo-shadow", str(DATA / system), "01", "--delta", delta,
+                 "--out", files["out"]]) == 3
+    assert f"precondition failed: {tail} of homoclinic segment not within delta/2" \
         in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
@@ -803,6 +823,16 @@ def test_perturb_smoke(files):
                  "--out", files["out"]]) == 0
     zero = read_report(files, "perturb_smoke.json")
     assert zero["before"] == zero["after"]
+
+
+def test_perturb_smoke_reads_n0_past_any_listing(files):
+    # at epsilon 0.001 (m = 7) N0 = 128 exceeded the former default n_max of
+    # 40, and the run exited 3
+    assert main(["perturb-smoke", str(DATA / "horseshoe.json"), "--magnitude", "0.033",
+                 "--epsilon", "0.001", "--out", files["out"]]) == 0
+    report = read_report(files, "perturb_smoke.json")
+    assert (report["before"]["N0"], report["after"]["N0"], report["same_N0"]) == (128, 128, True)
+    assert report["config"]["parameters"].keys() == {"system", "magnitude", "epsilon"}
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.1"])

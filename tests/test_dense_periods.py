@@ -20,7 +20,6 @@ from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
                                      CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
-                                     HorizonTooSmallError,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
                                      verify_mixing_from_certificate, WitnessMap,
@@ -116,33 +115,47 @@ def test_witnesses_outside_the_window_raise_key_error():
             cert.witnesses[n]
 
 
-def test_horizon_too_small_error():
-    # primitive 4-state wheel with loop: covering 2-word cycle is longer
-    # than this tiny horizon
+def test_an_n0_past_n_max_is_exact_and_lists_no_witness():
+    # primitive 4-state wheel with a loop: its least covering 2-word cycle,
+    # 00123, is longer than n_max, which bounds only the listing
     wheel4 = TransitionMatrix([[1, 1, 0, 0], [0, 0, 1, 0],
                                [0, 0, 0, 1], [1, 0, 0, 0]])
     assert is_primitive(wheel4)
-    with pytest.raises(HorizonTooSmallError):
-        dense_periods_certificate(wheel4, 0.25, 3)
+    for n_max in (3, None):
+        cert = dense_periods_certificate(wheel4, 0.25, n_max)
+        assert (cert.N0, cert.n_max, dict(cert.witnesses)) == (5, n_max, {})
+        assert cert.proof == {"girth": 1, "girth_cycle": "0", "classes": {"0": "00123"}}
+    assert dense_periods_certificate(wheel4, 0.25, 5).witnesses[5].states == (0, 0, 1, 2, 3)
 
 
 def test_primitive_matrix_with_a_cover_of_exactly_n_max_is_never_refuted():
     # every period from N0 = 77 on is dense: at n_max = 77 only n = 77 is in
-    # the window, which is still a certificate, never a refutation
+    # the window, which is still a certificate, never a refutation, and at
+    # n_max = 76 the window is empty, with the same N0
     matrix = TransitionMatrix([[1, 1, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 0, 1],
                                [1, 1, 1, 0, 1], [0, 1, 0, 1, 1]])
     assert is_primitive(matrix)
-    with pytest.raises(HorizonTooSmallError, match="N0 = 77 > n_max = 76"):
-        dense_periods_certificate(matrix, 1 / 8, 76)
+    past = dense_periods_certificate(matrix, 1 / 8, 76)
+    assert (past.N0, len(past.witnesses)) == (77, 0)
     cert = dense_periods_certificate(matrix, 1 / 8, 77)
     assert isinstance(cert, DensePeriodsCertificate) and cert.N0 == 77
     assert list(cert.witnesses) == [77]
     [report] = verify_mixing_from_certificate(matrix, cert, [((2, 0), (2,))])
     assert report.verified_all
-    # a coarser certificate whose internal fine certificate hits the same horizon
+    # a coarser certificate whose internal fine certificate has that N0 = 77:
+    # the threshold is exact, and [77, 76] holds no n to check
     coarse = dense_periods_certificate(matrix, 1 / 4, 76)
-    with pytest.raises(HorizonTooSmallError):
-        verify_mixing_from_certificate(matrix, coarse, [((2, 0), (2,))])
+    [report] = verify_mixing_from_certificate(matrix, coarse, [((2, 0), (2,))])
+    assert (report.threshold, report.misses, report.verified_all) == (77, (), True)
+
+
+def test_mixing_threshold_past_the_certificate_n_max():
+    # the golden mean pair (01, 10) first hits at 1 through the ball 101, whose
+    # fine certificate at m = 3 has N0 = 6 > n_max = 5
+    cert = dense_periods_certificate(GOLDEN, 0.25, 5)
+    [report] = verify_mixing_from_certificate(GOLDEN, cert, [((0, 1), (1, 0))])
+    assert (report.first_hit, report.ball_word, report.threshold) == (1, (1, 0, 1), 6)
+    assert report.misses == () and report.verified_all
 
 
 def test_refutation_for_reducible_matrix():
@@ -175,20 +188,21 @@ def test_every_witness_passes_independent_scanner(seed):
 
 
 def test_certificates_are_pinned():
-    # sha256 of to_json_dict() over seeded random matrices: pins N0 and every
-    # witness word, so an engine change that moves either must re-pin on purpose
+    # sha256 of to_json_dict() over seeded random matrices, the proof blocks
+    # apart: pins N0 and every witness word, and the proofs' words, so an
+    # engine change that moves any must re-pin on purpose
     rng = random.Random(20140)
-    digest = hashlib.sha256()
+    digest, proofs = hashlib.sha256(), hashlib.sha256()
     for _ in range(100):
         matrix = random_essential(rng, rng.randint(2, 6), rng.choice([0.35, 0.5, 0.65]))
         for epsilon in (0.5, 0.25):
-            try:
-                result = dense_periods_certificate(matrix, epsilon, 60).to_json_dict()
-            except HorizonTooSmallError:
-                result = "horizon too small"
+            result = dense_periods_certificate(matrix, epsilon, 60).to_json_dict()
+            proofs.update(json.dumps(result.pop("proof", None), sort_keys=True).encode())
             digest.update(json.dumps(result, sort_keys=True).encode())
     assert digest.hexdigest() == \
         "d43ec7ba23f776a20eefeac243a5191abd4ec7d1fd39c6bcd51c58a9f54db268"
+    assert proofs.hexdigest() == \
+        "a0a9c2af3e151d354ac1c9af1527fd155f881001d7489370b43590f6d45c5e7e"
 
 
 def test_block_graph_size_guard():
@@ -500,13 +514,13 @@ def assert_reduced_costs_nonnegative(graph, into, pot):
                 assert -1 + pot[v] - pot[u] >= 0
 
 
-def verdict_and_ends(matrix, epsilon, n_max):
-    """The certificate's N0 and its witnesses at N0 and n_max, or the
-    refutation's report."""
-    result = dense_periods_certificate(matrix, epsilon, n_max)
+def verdict_and_ends(matrix, epsilon, stretch):
+    """The certificate's N0, its proof and its witness at N0 + stretch, or
+    the refutation's report."""
+    result = dense_periods_certificate(matrix, epsilon)
     if isinstance(result, DensePeriodsRefutation):
         return result.to_json_dict()
-    return result.N0, result.witnesses[result.N0].states, result.witnesses[n_max].states
+    return result.N0, result.proof, result.witnesses.build(result.N0 + stretch).states
 
 
 @given(st.integers(2, 6), st.integers(0, 10**9))
@@ -527,7 +541,7 @@ def test_postman_flow_matches_the_least_costs_oracle(size, seed):
             assert_reduced_costs_nonnegative(graph, into, pot)
         try:
             fast = verdict_and_ends(matrix, 2.0 ** -m, 150)
-        except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
+        except BlockGraphTooLargeError as exc:
             fast = type(exc)
 
         def slow_flow(graph, excess):
@@ -541,7 +555,7 @@ def test_postman_flow_matches_the_least_costs_oracle(size, seed):
         with mock.patch("symshadow.dense_periods._postman_flow", slow_flow):
             try:
                 slow = verdict_and_ends(matrix, 2.0 ** -m, 150)
-            except (HorizonTooSmallError, BlockGraphTooLargeError) as exc:
+            except BlockGraphTooLargeError as exc:
                 slow = type(exc)
         assert fast == slow
 
@@ -569,27 +583,35 @@ def test_postman_flow_matches_the_counter_kernel(size, seed):
 def test_loop_free_certificate_walks_edges_only_when_a_witness_is_read():
     # girth 2 (cycles 01 and 012), girth 3 (cycles 012 and 0123), girth 1,
     # and the full 2-shift at m = 12, whose 2,048 block words a verdict
-    # listed; the block words, like the walks, are read only by a witness
+    # listed; the block words, like the walks and the Euler circuits, are
+    # read only by a witness or the proof
     for rows, epsilon, n_max in (([[0, 1, 0], [1, 0, 1], [1, 0, 0]], 0.25, 40),
                                  ([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]],
                                   0.25, 40),
                                  ([[1, 1, 0], [0, 0, 1], [1, 1, 0]], 0.125, 40),
                                  (FULL2.rows, 2.0 ** -12, 4096)):
         matrix = TransitionMatrix(rows)
-        with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
-                               side_effect=_BlockGraph.walk_edges) as walk_edges, \
-                mock.patch("symshadow.dense_periods._least_walk",
-                           side_effect=dense_periods._least_walk) as least_walk, \
-                mock.patch("symshadow.dense_periods.admissible_words",
-                           side_effect=admissible_words) as words:
-            cert = dense_periods_certificate(matrix, epsilon, n_max)
-            assert isinstance(cert, DensePeriodsCertificate)
-            assert walk_edges.call_count == least_walk.call_count == words.call_count == 0
-            witness = cert.witnesses[cert.N0]
-            assert walk_edges.call_count > 0 and least_walk.call_count > 0
-            assert words.call_count > 0
-        assert len(witness.states) == cert.N0
-        assert is_dense_cycle(matrix, witness.states, cert.word_length)
+        for read in ("witnesses", "proof"):
+            with mock.patch.object(_BlockGraph, "walk_edges", autospec=True,
+                                   side_effect=_BlockGraph.walk_edges) as walk_edges, \
+                    mock.patch("symshadow.dense_periods._least_walk",
+                               side_effect=dense_periods._least_walk) as least_walk, \
+                    mock.patch("symshadow.dense_periods.admissible_words",
+                               side_effect=admissible_words) as words, \
+                    mock.patch("symshadow.dense_periods._euler_circuit",
+                               side_effect=_euler_circuit) as circuits:
+                cert = dense_periods_certificate(matrix, epsilon, n_max)
+                assert isinstance(cert, DensePeriodsCertificate)
+                calls = (walk_edges, least_walk, words, circuits)
+                assert [f.call_count for f in calls] == [0, 0, 0, 0]
+                if read == "witnesses":
+                    n, witness = cert.N0, cert.witnesses[cert.N0].states
+                else:  # the least witness of the class of N0
+                    n = cert.least[cert.N0 % cert.girth]
+                    witness = tuple(map(int, cert.proof["classes"][str(n % cert.girth)]))
+                assert all(f.call_count > 0 for f in calls)
+            assert len(witness) == n
+            assert is_dense_cycle(matrix, witness, cert.word_length)
     # a reducible matrix is refuted on A, with no word listed
     with mock.patch("symshadow.dense_periods.admissible_words",
                     side_effect=admissible_words) as words:
@@ -785,8 +807,6 @@ def search_first_certificate(matrix, epsilon, n_max):
         return DensePeriodsRefutation(epsilon, n, True, reason=(
             f"dense cycle lengths miss a residue class mod {c}; {n} is the least excluded"))
     N0 = max(2, max(least.values()) - c + 1)
-    if N0 > n_max:
-        raise HorizonTooSmallError(f"exact N0 = {N0} > n_max = {n_max}")
     tours = {}
 
     def build(n):
@@ -801,8 +821,10 @@ def search_first_certificate(matrix, epsilon, n_max):
         return SymbolicCycle.from_word(
             matrix, tuple(graph.nodes[v][0] for v in _euler_circuit(edges)))
 
-    return DensePeriodsCertificate(epsilon=epsilon, word_length=graph.m, N0=N0,
-                                   n_max=n_max, witnesses=WitnessMap(N0, n_max, build))
+    return DensePeriodsCertificate(
+        epsilon=epsilon, word_length=graph.m, N0=N0, n_max=n_max,
+        witnesses=WitnessMap(N0, n_max, build), girth=c, least=least,
+        girth_cycle=lambda: tuple(graph.nodes[u][0] for u, _ in graph.cycle_edges(s, c)))
 
 
 STAR = TransitionMatrix([[0, 1, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0, 0]] * 5)
@@ -847,8 +869,8 @@ def block_cyclic(rng, size, period):
 
 @given(st.integers(2, 7), st.integers(1, 4), st.integers(4, 12), st.integers(0, 10**9))
 def test_verdicts_match_the_search_first_flow(size, period, fine, seed):
-    # equal verdicts, N0 and blocking_n, and witnesses at N0 and N0 + 1,
-    # wherever the oracle answers
+    # equal verdicts, N0 and blocking_n, proofs, and witnesses at N0 and
+    # N0 + 1, wherever the oracle answers
     rng = random.Random(seed)
     matrix = (block_cyclic(rng, max(size, period), period) if period > 1
               else random_essential(rng, size, rng.choice([0.3, 0.45, 0.6])))
@@ -857,10 +879,10 @@ def test_verdicts_match_the_search_first_flow(size, period, fine, seed):
         for certify in (dense_periods_certificate, search_first_certificate):
             try:
                 result = certify(matrix, 2.0 ** -m, 10**4)
-            except (BlockGraphTooLargeError, HorizonTooSmallError) as exc:
+            except BlockGraphTooLargeError as exc:
                 result = type(exc)
             if isinstance(result, DensePeriodsCertificate):
-                result = (result.N0, result.witnesses[result.N0].states,
+                result = (result.N0, result.proof, result.witnesses[result.N0].states,
                           result.witnesses[result.N0 + 1].states)
             elif isinstance(result, DensePeriodsRefutation):  # the class text names d, not c
                 result = result.to_json_dict(), result.reason == STRUCTURAL
@@ -1105,10 +1127,7 @@ def test_mixing_reports_match_per_n_walks_and_dfs_ball(size, seed):
     matrix = random_essential(rng, size, rng.choice([0.4, 0.55, 0.7]))
     if not is_primitive(matrix):
         return
-    try:
-        cert = dense_periods_certificate(matrix, 0.25, 120)
-    except HorizonTooSmallError:
-        return
+    cert = dense_periods_certificate(matrix, 0.25, 120)
     words = admissible_words(matrix, 1) + admissible_words(matrix, 2)
     for _ in range(3):
         u, v = rng.choice(words), rng.choice(words)
@@ -1117,8 +1136,8 @@ def test_mixing_reports_match_per_n_walks_and_dfs_ball(size, seed):
                 assert _ball_word(matrix, v, u, k) == dfs_ball_word(matrix, v, u, k)
         try:
             rep = verify_mixing_from_certificate(matrix, cert, [(u, v)])[0]
-        except ValueError as exc:  # the internal fine certificate does not fit n_max
-            assert isinstance(exc, (HorizonTooSmallError, BlockGraphTooLargeError)) \
+        except ValueError as exc:  # the internal fine certificate needs too large a search
+            assert isinstance(exc, BlockGraphTooLargeError) \
                 or "fine certificate refuted" in str(exc)
             continue
         n1 = next(k for k in range(1, 100) if per_n_hits(matrix, v, u, k))
