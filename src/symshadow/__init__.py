@@ -19,7 +19,7 @@ from .sft import (CyclicDecomposition, NonEssentialMatrixError,
 from .shiftspace import ShiftPoint, word_radius
 from .dense_periods import (DensePeriodsCertificate, DensePeriodsRefutation,
                             dense_periods_certificate, homoclinic_restricted_certificate,
-                            verify_mixing_from_certificate)
+                            mixing_thresholds)
 from .homoclinic import (ExcursionParameters, HomoclinicDatum,
                          InsufficientSegmentError, PseudoOrbit,
                          build_periodic_pseudo_orbit,

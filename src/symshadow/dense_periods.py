@@ -28,8 +28,9 @@ are counted out, from the flow or the least walks labelling a search's
 path, only when it is read, and walked as a Hierholzer circuit, least
 successor first; the block nodes, the (m-1)-words that spell it, are
 listed only then too.  Exactly the primitive matrices are certified; a
-certificate's proof is the girth cycle and each class's least witness,
-and it yields mixing thresholds (:func:`verify_mixing_from_certificate`).
+certificate's proof is the girth cycle and each class's least witness.
+The certificate at the length of a cylinder pair's ball word bounds the
+pair's exact mixing time (:func:`mixing_thresholds`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 
 from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
                   return_time_set, strongly_connected_component, _bfs_distances,
-                  _cyclic_levels, _int_mat_pow, _least_walk, _merge_overlap, _step_layers)
+                  _cyclic_levels, _least_walk, _merge_overlap, _step_layers)
 from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
@@ -54,10 +55,6 @@ MAX_BLOCK_NODES = 2048  # bound on block nodes, 2^#symbols at m = 1 and residue 
 
 class BlockGraphTooLargeError(ValueError):
     """The scale epsilon = 2^-m needs a search larger than MAX_BLOCK_NODES."""
-
-
-class CertificateTooCoarseError(ValueError):
-    """A requested cylinder pair is finer than the certificate scale."""
 
 
 class WitnessMap(Mapping):
@@ -134,12 +131,14 @@ class _BlockGraph:
         self.matrix = matrix
         self.m = m
         k = max(m - 1, 1)
-        # the admissible k-words are counted by the entries of A^(k-1)
-        count = (matrix.size if k == 1 else
-                 sum(map(sum, _int_mat_pow([list(r) for r in matrix.rows], k - 1))))
-        if count > MAX_BLOCK_NODES:
+        # the admissible j-words ending at each symbol, j = 1, ..., k, counted until
+        # past the bound: an essential A has no fewer (j+1)-words than j-words
+        ends, j = [1] * matrix.size, 1
+        while j < k and sum(ends) <= MAX_BLOCK_NODES:
+            ends, j = [sum(ends[s] for s in pred) for pred in matrix.pred], j + 1
+        if (count := sum(ends)) > MAX_BLOCK_NODES:
             raise BlockGraphTooLargeError(
-                f"word length m = {m} needs {count} block nodes > {MAX_BLOCK_NODES}")
+                f"word length m = {m} needs at least {count} block nodes > {MAX_BLOCK_NODES}")
         self.succ, self.pred = matrix.succ, matrix.pred
         for _ in range(k - 1):  # the (j+1)-words are the edges of the j-word graph in
             # lexicographic order, and edge u -> v steps to the edges out of v
@@ -527,7 +526,7 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
                    girth_cycle=lambda: tuple(order[s] for s in result.girth_cycle()))
 
 
-# -- mixing verification --------------------------------------------------
+# -- mixing thresholds -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -537,47 +536,41 @@ class MixingPairReport:
     first_hit: int
     ball_word: tuple[int, ...]
     threshold: int
-    verified_all: bool
-    misses: tuple[int, ...]
+    mixing_time: int
 
 
-def verify_mixing_from_certificate(matrix: TransitionMatrix,
-                                   cert: DensePeriodsCertificate,
-                                   pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-                                   ) -> list[MixingPairReport]:
-    """Per-pair mixing thresholds from dense-period witnesses.
+def mixing_thresholds(matrix: TransitionMatrix,
+                      pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+                      ) -> list[MixingPairReport]:
+    """Per-pair mixing thresholds from dense-period witnesses, and the
+    exact mixing times they bound.
 
     For a cylinder pair ([u], [v]) take the first hitting time n1 of [v]
     into [u] and the ball B = [W] inside [v] with sigma^n1(B) inside [u]
     (W superposes v at 0 and u at n1).  A period-(n + n1) point whose
     orbit visits every |W|-cylinder has an iterate z in B, and
     sigma^n(sigma^{n1} z) = z, so sigma^n([u]) meets [v].  The threshold
-    is therefore the N0 of an internal certificate at word length |W|;
-    every n in [threshold, n_max] is additionally checked directly against
-    the exact-step reachability layers of :func:`return_time_set` and any
-    miss reported.  A reducible matrix raises ``ValueError``.
+    is therefore the N0 of a certificate at word length |W|.  The mixing
+    time, the least N with sigma^n([u]) meeting [v] for every n >= N, is
+    read off :func:`return_time_set` up to H = size^2 + |u| + |v| + 1, the
+    horizon of the first hit: A^k > 0 for every k > (size - 1)^2
+    (Wielandt), so every n past (size - 1)^2 + |u| is a return time.  A
+    matrix that is not mixing raises ``ValueError``.
     """
     reports = []
     for u_raw, v_raw in pairs:
         u = matrix.require_word(u_raw)
         v = matrix.require_word(v_raw)
-        if max(len(u), len(v)) > max(cert.word_length, 1):
-            raise CertificateTooCoarseError(
-                f"pair words longer than certificate scale m = {cert.word_length}")
-        back = return_time_set(matrix, v, u, matrix.size * matrix.size + len(u) + len(v) + 1)
-        n1 = min(back - {0}, default=None)
-        if n1 is None:
-            raise ValueError(f"no hitting time for pair {u}, {v}; matrix not mixing")
+        horizon = matrix.size * matrix.size + len(u) + len(v) + 1
+        # an irreducible A returns to [u] within size + |v| steps; a reducible one raises
+        n1 = min(return_time_set(matrix, v, u, horizon) - {0})
         ball = _ball_word(matrix, v, u, n1)
         fine = dense_periods_certificate(matrix, 2.0 ** (-len(ball)))
         if isinstance(fine, DensePeriodsRefutation):
             raise ValueError("internal fine certificate refuted; matrix not mixing")
-        top = cert.n_max or 0  # no n_max, no n to check
-        hits = return_time_set(matrix, u, v, top)
-        misses = tuple(n for n in range(fine.N0, top + 1) if n not in hits)
+        gaps = set(range(horizon + 1)) - return_time_set(matrix, u, v, horizon)
         reports.append(MixingPairReport(u=u, v=v, first_hit=n1, ball_word=ball,
-                                        threshold=fine.N0,
-                                        verified_all=not misses, misses=misses))
+                                        threshold=fine.N0, mixing_time=max(gaps, default=-1) + 1))
     return reports
 
 

@@ -94,15 +94,18 @@ class HomoclinicDatum:
         return self.segment + self.p_orbit
 
     def covering(self, params: "ExcursionParameters", n: int) -> "HomoclinicDatum":
-        """This datum, if its segment reaches f^(x_index + n)(q), past the last
-        point a pseudo-orbit of length <= n reads; otherwise the datum with the
-        missing forward points evaluated and appended, its tails checked again.
+        """This datum, if its segment reaches back to f^(x_index - (l + tau) tau - 1)(q),
+        where the first of tau excursions starts, and on to f^(x_index + n)(q), past
+        the last point a pseudo-orbit of length <= n reads; otherwise the datum with
+        the missing points evaluated and added at either end, its tails checked again.
         The points do not depend on the segment's length, so ``params`` stand."""
+        first = params.x_index - (params.l + self.tau) * self.tau - 1
         last = params.x_index + n
-        if last <= self.k_fwd:
+        if -self.k_back <= first and last <= self.k_fwd:
             return self
-        return replace(self, segment=self.segment + tuple(
-            self.orbit(k) for k in range(self.k_fwd + 1, last + 1)))
+        before = tuple(self.orbit(k) for k in range(first, -self.k_back))
+        return replace(self, k_back=self.k_back + len(before), segment=before + self.segment
+                       + tuple(self.orbit(k) for k in range(self.k_fwd + 1, last + 1)))
 
     def in_p_ball(self, point, radius: float) -> bool:
         return self.system.distance(point, self.p_orbit[0]) <= radius

@@ -162,10 +162,11 @@ def test_lpp_epsilon_one_exit_2(files, capsys):
 
 
 def test_lpp_block_graph_too_large_exit_3(files, capsys):
-    # epsilon = 1e-6 is m = 20: 2^19 block nodes, refused before the graph is built
+    # epsilon = 1e-6 is m = 20: 2^19 block nodes, refused before the graph is
+    # built, at the 12-words, the first count past the bound
     assert main(["lpp", str(DATA / "full_2_shift.json"), "--epsilon", "1e-6",
                  "--n-max", "100", "--out", files["out"]]) == 3
-    assert "524288 block nodes > 2048" in capsys.readouterr().err
+    assert "needs at least 4096 block nodes > 2048" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 
@@ -236,6 +237,17 @@ def test_pseudo_shadow_segment_is_sized_from_n0(files, point, bounds):
     n0 = report["excursion"]["N0"]
     assert [row["n"] for row in report["rows"]] \
         == (list(range(190, 193)) if bounds else list(range(n0, n0 + 31)))
+
+
+def test_pseudo_shadow_segment_reaches_back_to_the_first_excursion(files):
+    # tau = 8 and l = 12: the first of 8 excursions starts at f^-81(q), one
+    # point before the default backward segment; this exited 3 at n = 776
+    assert main(["pseudo-shadow", files["cat"], "1/7,3/7", "--delta", "1e-6",
+                 "--out", files["out"]]) == 0
+    report = read_report(files, "pseudo_shadow.json")
+    assert report["all_pass"] is True
+    assert report["excursion"] == {"N": 10, "l": 12, "N0": 769}
+    assert [row["n"] for row in report["rows"]] == list(range(769, 800))
 
 
 def test_pseudo_shadow_below_threshold_exit_3(files):

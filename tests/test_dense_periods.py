@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 
 from symshadow import dense_periods
 from symshadow.dense_periods import (MAX_BLOCK_NODES, BlockGraphTooLargeError,
-                                     CertificateTooCoarseError,
                                      DensePeriodsCertificate,
                                      DensePeriodsRefutation,
                                      dense_periods_certificate,
                                      homoclinic_restricted_certificate,
-                                     verify_mixing_from_certificate, WitnessMap,
+                                     mixing_thresholds, WitnessMap,
                                      _BlockGraph, _ball_word, _euler_circuit, _girth,
                                      _labels, _least_costs, _least_flows, _odd_simple_cycle,
                                      _postman_flow, _residue_flows)
@@ -140,22 +139,20 @@ def test_primitive_matrix_with_a_cover_of_exactly_n_max_is_never_refuted():
     cert = dense_periods_certificate(matrix, 1 / 8, 77)
     assert isinstance(cert, DensePeriodsCertificate) and cert.N0 == 77
     assert list(cert.witnesses) == [77]
-    [report] = verify_mixing_from_certificate(matrix, cert, [((2, 0), (2,))])
-    assert report.verified_all
-    # a coarser certificate whose internal fine certificate has that N0 = 77:
-    # the threshold is exact, and [77, 76] holds no n to check
-    coarse = dense_periods_certificate(matrix, 1 / 4, 76)
-    [report] = verify_mixing_from_certificate(matrix, coarse, [((2, 0), (2,))])
-    assert (report.threshold, report.misses, report.verified_all) == (77, (), True)
+    # the pair (20, 2) has a ball word of length 3, whose certificate has that
+    # N0 = 77: the threshold bounds the exact mixing time 3
+    [report] = mixing_thresholds(matrix, [((2, 0), (2,))])
+    assert (report.threshold, report.mixing_time) == (77, 3)
+    assert per_n_mixing_time(matrix, (2, 0), (2,)) == 3
 
 
-def test_mixing_threshold_past_the_certificate_n_max():
+def test_mixing_golden_mean_pair_threshold_and_mixing_time():
     # the golden mean pair (01, 10) first hits at 1 through the ball 101, whose
-    # fine certificate at m = 3 has N0 = 6 > n_max = 5
-    cert = dense_periods_certificate(GOLDEN, 0.25, 5)
-    [report] = verify_mixing_from_certificate(GOLDEN, cert, [((0, 1), (1, 0))])
+    # certificate at m = 3 has N0 = 6
+    [report] = mixing_thresholds(GOLDEN, [((0, 1), (1, 0))])
     assert (report.first_hit, report.ball_word, report.threshold) == (1, (1, 0, 1), 6)
-    assert report.misses == () and report.verified_all
+    assert report.mixing_time == 3
+    assert per_n_mixing_time(GOLDEN, (0, 1), (1, 0)) == 3
 
 
 def test_refutation_for_reducible_matrix():
@@ -216,6 +213,11 @@ def test_block_graph_size_guard():
     assert len(_BlockGraph(GOLDEN, 16).nodes) == 1597
     with pytest.raises(BlockGraphTooLargeError, match="2584 block nodes"):
         _BlockGraph(GOLDEN, 17)
+    # the words are counted up to the first length past the bound: at m = 997
+    # the 64-symbol full shift is refused at its 2-words, in a short message
+    with pytest.raises(BlockGraphTooLargeError, match="at least 4096 block nodes") as refused:
+        dense_periods_certificate(TransitionMatrix.full_shift(64), 1e-300)
+    assert len(str(refused.value)) < 200
 
 
 def tuple_dict_block_graph(matrix, m):
@@ -1044,29 +1046,20 @@ def brute_all_hits_from(matrix, u, v, horizon):
 
 
 def test_mixing_full_shift_pair():
-    cert = dense_periods_certificate(FULL2, 0.5, 20)
-    report = verify_mixing_from_certificate(FULL2, cert, [((0,), (1,))])[0]
-    assert report.verified_all and not report.misses
+    report = mixing_thresholds(FULL2, [((0,), (1,))])[0]
     # ground truth: the full shift hits from n = 1 on
-    assert brute_all_hits_from(FULL2, (0,), (1,), 20) == 1
+    assert brute_all_hits_from(FULL2, (0,), (1,), 20) == report.mixing_time == 1
+    assert per_n_mixing_time(FULL2, (0,), (1,)) == 1
     assert report.threshold >= 1
 
 
 def test_mixing_wheel_thresholds_within_five():
-    cert = dense_periods_certificate(WHEEL, 0.5, 40)
     pairs = [((a,), (b,)) for a in range(3) for b in range(3)]
-    reports = verify_mixing_from_certificate(WHEEL, cert, pairs)
-    for rep in reports:
-        assert rep.verified_all and not rep.misses
+    for rep in mixing_thresholds(WHEEL, pairs):
         truth = brute_all_hits_from(WHEEL, rep.u, rep.v, 40)
         assert truth is not None and truth <= 5
+        assert rep.mixing_time == per_n_mixing_time(WHEEL, rep.u, rep.v) <= truth
         assert rep.threshold >= truth  # derived threshold never overclaims
-
-
-def test_mixing_pair_too_fine_raises():
-    cert = dense_periods_certificate(FULL2, 0.5, 20)  # m = 1
-    with pytest.raises(CertificateTooCoarseError):
-        verify_mixing_from_certificate(FULL2, cert, [((0, 1), (1,))])
 
 
 def test_mixing_never_misses_above_threshold_random():
@@ -1075,11 +1068,11 @@ def test_mixing_never_misses_above_threshold_random():
         matrix = random_essential(rng, rng.choice([2, 3, 4]), 0.55)
         if not is_primitive(matrix):
             continue
-        cert = dense_periods_certificate(matrix, 0.5, 50)
         u = (rng.randrange(matrix.size),)
         v = (rng.randrange(matrix.size),)
-        rep = verify_mixing_from_certificate(matrix, cert, [(u, v)])[0]
-        assert rep.verified_all, f"miss above threshold for {matrix} {u} {v}"
+        rep = mixing_thresholds(matrix, [(u, v)])[0]
+        assert rep.mixing_time == per_n_mixing_time(matrix, u, v)
+        assert rep.threshold >= rep.mixing_time, f"miss above threshold for {matrix} {u} {v}"
 
 
 # -- density helper -------------------------------------------------------------
@@ -1101,6 +1094,16 @@ def per_n_hits(matrix, u, v, n):
     for _ in range(n - len(u) + 1):
         reach = {t for s in reach for t in matrix.succ[s]}
     return v[0] in reach
+
+
+def per_n_mixing_time(matrix, u, v):
+    """Least N with sigma^n([u]) meeting [v] for every n in [N, 4H], by a
+    fresh walk per n, scanned down from 4H: four times the horizon H =
+    size^2 + |u| + |v| + 1 past which a primitive matrix hits every n."""
+    n = 4 * (matrix.size ** 2 + len(u) + len(v) + 1)
+    while n >= 0 and per_n_hits(matrix, u, v, n):
+        n -= 1
+    return n + 1
 
 
 def dfs_ball_word(matrix, v, u, n1):
@@ -1128,7 +1131,6 @@ def test_mixing_reports_match_per_n_walks_and_dfs_ball(size, seed):
     matrix = random_essential(rng, size, rng.choice([0.4, 0.55, 0.7]))
     if not is_primitive(matrix):
         return
-    cert = dense_periods_certificate(matrix, 0.25, 120)
     words = admissible_words(matrix, 1) + admissible_words(matrix, 2)
     for _ in range(3):
         u, v = rng.choice(words), rng.choice(words)
@@ -1136,32 +1138,26 @@ def test_mixing_reports_match_per_n_walks_and_dfs_ball(size, seed):
             if per_n_hits(matrix, v, u, k):
                 assert _ball_word(matrix, v, u, k) == dfs_ball_word(matrix, v, u, k)
         try:
-            rep = verify_mixing_from_certificate(matrix, cert, [(u, v)])[0]
-        except ValueError as exc:  # the internal fine certificate needs too large a search
-            assert isinstance(exc, BlockGraphTooLargeError) \
-                or "fine certificate refuted" in str(exc)
+            rep = mixing_thresholds(matrix, [(u, v)])[0]
+        except BlockGraphTooLargeError:  # the ball word's certificate needs too large a search
             continue
         n1 = next(k for k in range(1, 100) if per_n_hits(matrix, v, u, k))
         assert rep.first_hit == n1
         assert rep.ball_word == dfs_ball_word(matrix, v, u, n1)
-        assert rep.misses == tuple(n for n in range(rep.threshold, cert.n_max + 1)
-                                   if not per_n_hits(matrix, u, v, n))
+        assert rep.mixing_time == per_n_mixing_time(matrix, u, v)
+        assert rep.threshold >= rep.mixing_time
 
 
 def test_mixing_on_reducible_matrix_raises_value_error():
     block = TransitionMatrix([[1, 1, 0, 0], [1, 1, 0, 0],
                               [0, 0, 1, 1], [0, 0, 1, 1]])
-    cert = homoclinic_restricted_certificate(block, SymbolicCycle.from_word(block, (0,)),
-                                             0.5, 20)
-    assert isinstance(cert, DensePeriodsCertificate)
     for pair in (((0,), (1,)), ((0,), (2,))):
         with pytest.raises(ValueError):
-            verify_mixing_from_certificate(block, cert, [pair])
+            mixing_thresholds(block, [pair])
 
 
 def test_mixing_from_a_certificate_refuses_a_period_two_matrix():
-    # PARITY returns 0 to 0 at n1 = 2 through the ball 010, whose fine
+    # PARITY returns 0 to 0 at n1 = 2 through the ball 010, whose
     # certificate at m = 3 is refuted: PARITY is not mixing
-    golden = dense_periods_certificate(GOLDEN, 0.5, 20)
     with pytest.raises(ValueError, match="internal fine certificate refuted"):
-        verify_mixing_from_certificate(PARITY, golden, [((0,), (0,))])
+        mixing_thresholds(PARITY, [((0,), (0,))])

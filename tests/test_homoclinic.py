@@ -18,7 +18,7 @@ from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
                                   build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
 from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import density_check
+from symshadow.shadowing import density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point, parse_system
 
@@ -225,6 +225,27 @@ def test_covering_extends_the_segment_to_a_fresh_build(system, anchor, delta):
         assert datum == fresh and datum.reference == fresh.reference
         assert compute_excursion_parameters(datum) == params
         assert datum.covering(params, n) is datum
+
+
+@pytest.mark.parametrize("delta, l", [(1e-6, 12), (1e-12, 16)])
+def test_covering_extends_the_segment_back_to_the_first_excursion(delta, l):
+    # the cat map anchor 1/7,3/7 has tau = 8: the first of 8 excursions starts
+    # at f^(x_index - (l + 8) 8 - 1)(q), below the default backward segment
+    anchor = (Fraction(1, 7), Fraction(3, 7))
+    datum = homoclinic_point(CAT, anchor, delta)
+    params = compute_excursion_parameters(datum)
+    first = params.x_index - (l + 8) * 8 - 1
+    assert (datum.tau, params.l, datum.k_back) == (8, l, 80) and first < -80
+    last = params.N0 + 30
+    covered = datum.covering(params, last)
+    assert (covered.k_back, covered.k_fwd) == (-first, params.x_index + last)
+    assert covered == homoclinic_point(CAT, anchor, delta, forward_length=covered.k_fwd,
+                                       backward_length=covered.k_back)
+    assert covered.covering(params, last) is covered
+    for n in range(params.N0, last + 1):
+        po = build_periodic_pseudo_orbit(covered, params, n)
+        assert po.period == n and po.exact_period and po.defect <= delta
+        assert shadow_periodic(CAT, po).primitive_period == n
 
 
 def test_verify_repeated_true_orbit(symbolic_datum):
