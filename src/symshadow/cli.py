@@ -40,8 +40,9 @@ from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
 from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSupportMeasure,
                        LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
                        cycle_measure, cylinder_family, fourier_family, weak_star_distance)
-from .sft import (ConvergenceError, SymbolicCycle, TransitionMatrix, count_periodic_points,
-                  cyclic_decomposition, is_irreducible, is_primitive, topological_entropy)
+from .sft import (LETTERS, ConvergenceError, SymbolicCycle, TransitionMatrix,
+                  count_periodic_points, cyclic_decomposition, is_irreducible, is_primitive,
+                  spell, topological_entropy)
 from .shadowing import ShadowingError, shadow_periodic
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, homoclinic_point,
                       parse_system)
@@ -103,9 +104,9 @@ def _load_matrix(path: str) -> TransitionMatrix:
 
 
 def _parse_word(text: str, what: str = "cycle word") -> tuple[int, ...]:
-    if not text.strip().isdecimal():  # the characters int reads as one digit each
-        raise ValueError(f"{what} must be one or more digits, got {text!r}")
-    return tuple(int(c) for c in text.strip())
+    if not text.strip() or not set(text.strip()) <= set(LETTERS):
+        raise ValueError(f"{what} must be one or more digits 0-9A-Za-z{{}}, got {text!r}")
+    return tuple(map(LETTERS.index, text.strip()))
 
 
 def _parse_rational_point(text: str) -> tuple[Fraction, Fraction]:
@@ -301,7 +302,7 @@ def _load_target(path: str, system):
                 and (isinstance(c.get("weight"), str) or _finite_number(c.get("weight")))
                 for c in components):
             raise ValueError('periodic_mix components must be a list of {"cycle": '
-                             '"<digits>", "weight": <string or finite number>} objects')
+                             '"<word>", "weight": <string or finite number>} objects')
         atoms = []
         for k, comp in enumerate(components):
             try:
@@ -358,8 +359,8 @@ def cmd_approx_measure(args) -> int:
                                      max_period=args.max_period)
         report = {
             "mode": "bernoulli", "family": family.description,
-            "cycle": "".join(map(str, ba.cycle)), "m": ba.m,
-            "excursion": "".join(map(str, ba.subshift.excursion_word)),
+            "cycle": spell(ba.cycle), "m": ba.m,
+            "excursion": spell(ba.subshift.excursion_word),
             "block_states": ba.subshift.matrix.size,
             "measure": ba.measure.to_json_dict(),
             "distance_to_target": ba.distance_to_target,

@@ -27,8 +27,9 @@ witness (every edge once, x once more, and girth cycles to stretch it)
 are counted out, from the flow or the least walks labelling a search's
 path, only when it is read, and walked as a Hierholzer circuit, least
 successor first; the block nodes, the (m-1)-words that spell it, are
-listed only then too.  Exactly the primitive matrices are certified; a
-certificate's proof is the girth cycle and each class's least witness.
+listed only then too.  Exactly the primitive matrices are certified, by
+the class period ``sft._cyclic_levels`` reads from A; a certificate's proof
+is the girth cycle and each class's least witness, in ``sft.spell``'s letters.
 The certificate at the length of a cylinder pair's ball word bounds the
 pair's exact mixing time (:func:`mixing_thresholds`).
 """
@@ -45,8 +46,8 @@ from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
-                  return_time_set, strongly_connected_component, _bfs_distances,
-                  _cyclic_levels, _least_walk, _merge_overlap, _step_layers)
+                  return_time_set, spell, _bfs_distances, _cyclic_levels, _least_walk,
+                  _merge_overlap, _step_layers)
 from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
@@ -91,8 +92,8 @@ class DensePeriodsCertificate:
     @cached_property
     def proof(self) -> dict:
         """The girth cycle and each class's least witness, spelled."""
-        return {"girth": self.girth, "girth_cycle": "".join(map(str, self.girth_cycle())),
-                "classes": {str(r): "".join(map(str, self.witnesses.build(n).states))
+        return {"girth": self.girth, "girth_cycle": spell(self.girth_cycle()),
+                "classes": {str(r): str(self.witnesses.build(n))
                             for r, n in sorted(self.least.items())}}
 
     def to_json_dict(self) -> dict:
@@ -102,8 +103,7 @@ class DensePeriodsCertificate:
             "N0": self.N0,
             "n_max": self.n_max,
             "proof": self.proof,
-            "witnesses": {str(n): "".join(map(str, w.states))
-                          for n, w in self.witnesses.items()},  # ascending n
+            "witnesses": {str(n): str(w) for n, w in self.witnesses.items()},  # ascending n
         }
 
 
@@ -470,8 +470,7 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
         raise ValueError("n_max must be at least 2")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1): at epsilon = 1 every cycle is dense")
-    d, levels = _cyclic_levels(matrix)
-    if -1 in levels or -1 in _bfs_distances(matrix.pred, [0]):
+    if not (d := _cyclic_levels(matrix)[0]):
         return DensePeriodsRefutation(epsilon, 2, True, reason=(
             "block graph not strongly connected: no closed walk covers every m-word"))
     if d > 1:
@@ -512,7 +511,8 @@ def homoclinic_restricted_certificate(matrix: TransitionMatrix, p: SymbolicCycle
     homoclinically related orbits: mutual reachability with the p-cycle)."""
     if not matrix.is_admissible_cycle(p.states):
         raise ValueError(f"cycle {p.states} not admissible")
-    sub, order = restrict(matrix, strongly_connected_component(matrix, p.states[0]))
+    _, forward, backward = _cyclic_levels(matrix, p.states[0])
+    sub, order = restrict(matrix, [s for s, f in enumerate(forward) if min(f, backward[s]) >= 0])
     result = dense_periods_certificate(sub, epsilon, n_max)
     if isinstance(result, DensePeriodsRefutation):
         return result

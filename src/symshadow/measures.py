@@ -40,7 +40,7 @@ import numpy as np
 from .homoclinic import encode_point
 from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix,
                   _merge_overlap, _primitive_period, admissible_words, is_primitive,
-                  longer_words, perron_data)
+                  longer_words, perron_data, spell)
 from .shiftspace import ShiftPoint
 from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphism,
                       sft_homoclinic_splice)
@@ -77,7 +77,7 @@ class CylinderObservable:
     word: tuple[int, ...]
 
     def __str__(self) -> str:
-        return "[" + "".join(map(str, self.word)) + "]"
+        return f"[{spell(self.word)}]"
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ the combinatorial layer: irreducibility, primitivity, the class period
 (gcd of cycle lengths) and the cyclic class decomposition, exact periodic
 point counts, cycle enumeration up to rotation, topological entropy via
 the Perron root, return-time sets of cylinder pairs, and the graph core the
-other modules walk on: admissible words, BFS levels and least walks.
+other modules walk on: admissible words, BFS levels and least walks, one
+routine for reachability and class period, and the word codec :func:`spell`.
 
 All arithmetic on matrix powers is exact (Python integers); only the
 Perron eigenvalue computation uses floating point.
@@ -27,6 +28,7 @@ PERRON_TOL = 1e-13  # certified relative spread of the Collatz-Wielandt bracket
 PERRON_FLOOR = 2.0 ** -52  # eig seed floor: its accuracy on a unit-norm vector
 MAX_POWER_STEPS = 500_000
 MAX_LISTED_POINTS = 2048  # primitive_cycles ends before a period with more periodic points
+LETTERS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz{}"  # rising code points
 
 Word = tuple[int, ...]
 
@@ -164,7 +166,7 @@ class SymbolicCycle:
         return cls(word, len(word), _primitive_period(word))
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.states)
+        return spell(self.states)
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,11 @@ def longer_words(words: list[Word], matrix: TransitionMatrix) -> list[Word]:
     """The admissible words one symbol longer than ``words``, in lexicographic
     order, given every admissible word of one length >= 1 in that order."""
     return [w + (t,) for w in words for t in matrix.succ[w[-1]]]
+
+
+def spell(word: Iterable[int]) -> str:
+    """The text of ``word``, symbol s as ``LETTERS[s]``, so text order is word order."""
+    return "".join(map(LETTERS.__getitem__, word))
 
 
 def _primitive_period(word: Word) -> int:
@@ -279,34 +286,35 @@ def _next_walk(succ: Sequence[Sequence[int]], ending_layers: list[set[int]], sta
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """True iff every state reaches every state in >= 1 steps, i.e. state 0
     reaches every state and every state reaches state 0."""
-    return len(strongly_connected_component(matrix, 0)) == matrix.size
+    return _cyclic_levels(matrix)[0] > 0
 
 
 def is_primitive(matrix: TransitionMatrix) -> bool:
     """True iff irreducible with class period 1, which holds iff some power
     of the matrix is entrywise positive (Lind & Marcus, Theorem 4.5.8)."""
-    return is_irreducible(matrix) and _cyclic_levels(matrix)[0] == 1
+    return _cyclic_levels(matrix)[0] == 1
 
 
 def class_period(matrix: TransitionMatrix) -> int:
     """gcd of the lengths of all cycles (equivalently, all cycles through
     state 0) of an irreducible matrix."""
-    if not is_irreducible(matrix):
+    if not (period := _cyclic_levels(matrix)[0]):
         raise ReducibleMatrixError("class period undefined for reducible matrix")
-    return _cyclic_levels(matrix)[0]
+    return period
 
 
-def _cyclic_levels(matrix: TransitionMatrix) -> tuple[int, list[int]]:
-    """Class period and breadth-first distance from state 0 of each state of
-    an irreducible matrix (-1 where state 0 does not reach); the period is
-    the gcd over edges u -> v of dist[u] + 1 - dist[v], read until it is 1."""
-    dist = _bfs_distances(matrix.succ, [0])
+def _cyclic_levels(matrix: TransitionMatrix, start: int = 0) -> tuple[int, list[int], list[int]]:
+    """Class period (0 if ``start`` misses a state either way: A is reducible) and the
+    forward and backward BFS distances from ``start``, -1 where no walk arrives; the
+    period is the gcd over edges u -> v of forward[u] + 1 - forward[v], read until 1."""
+    forward = _bfs_distances(matrix.succ, [start])
+    backward = _bfs_distances(matrix.pred, [start])
     g = 0
-    for u in range(matrix.size):
+    for u in range(matrix.size) if -1 not in forward + backward else ():
         for v in matrix.succ[u]:
-            if (g := math.gcd(g, dist[u] + 1 - dist[v])) == 1:
-                return g, dist
-    return g, dist
+            if (g := math.gcd(g, forward[u] + 1 - forward[v])) == 1:
+                return g, forward, backward
+    return g, forward, backward
 
 
 def cyclic_decomposition(matrix: TransitionMatrix) -> CyclicDecomposition:
@@ -316,9 +324,9 @@ def cyclic_decomposition(matrix: TransitionMatrix) -> CyclicDecomposition:
     the matrix maps class k into class k+1 mod l, and A^l restricted to
     each class is primitive.
     """
-    if not is_irreducible(matrix):
+    l, dist, _ = _cyclic_levels(matrix)
+    if not l:
         raise ReducibleMatrixError("class period undefined for reducible matrix")
-    l, dist = _cyclic_levels(matrix)
     classes = tuple(frozenset(i for i in range(matrix.size) if dist[i] % l == k)
                     for k in range(l))
     return CyclicDecomposition(l, classes)
@@ -465,15 +473,6 @@ def _merge_overlap(u: Word, v: Word, n: int) -> Word | None:
             return None
         out.append(a if a is not None else b)  # type: ignore[arg-type]
     return tuple(out)
-
-
-def strongly_connected_component(matrix: TransitionMatrix, state: int) -> frozenset[int]:
-    """States mutually reachable with ``state`` (in >= 1 steps in each
-    direction, so a loop-free isolated state is not in its own component
-    unless it lies on a cycle)."""
-    forward = _bfs_distances(matrix.succ, matrix.succ[state])
-    backward = _bfs_distances(matrix.pred, matrix.pred[state])
-    return frozenset(s for s in range(matrix.size) if forward[s] >= 0 and backward[s] >= 0)
 
 
 def restrict(matrix: TransitionMatrix, states: Iterable[int]

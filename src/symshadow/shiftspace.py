@@ -44,7 +44,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
-from .sft import Word, _primitive_period
+from .sft import Word, _primitive_period, spell
 
 WIDTH = 32  # bits per symbol in a key
 _FIRST_RADIUS = 16  # the first rung of every metric query, and cycle_orbit's pre-cut length
@@ -213,8 +213,7 @@ class ShiftPoint:
 
     def centered_word(self, radius: int) -> str:
         """Coordinates -radius..radius-1 with a dot before coordinate 0."""
-        return ".".join("".join(map(str, self.window(lo, lo + radius)))
-                        for lo in (-radius, 0))
+        return ".".join(spell(self.window(lo, lo + radius)) for lo in (-radius, 0))
 
     def __repr__(self) -> str:
         return f"ShiftPoint({self.centered_word(8)!r})"

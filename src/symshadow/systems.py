@@ -49,7 +49,7 @@ import numpy as np
 
 from .homoclinic import HomoclinicDatum
 from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
-                  _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
+                  spell, _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
                   _primitive_period, _step_layers)
 from .shiftspace import ShiftPoint, _KeyIndex, word_radius
 
@@ -219,9 +219,11 @@ class _CodedShift:
         return [list(map(self.code_point, ShiftPoint.cycle_orbit(w[:pp]))) for w, pp in words]
 
     def homoclinic_orbit(self, cycle: Sequence[int]) -> tuple[list, Callable]:
-        """The orbit of the periodic point of ``cycle`` and k -> f^k(q) for
-        its exact splice q (:func:`sft_homoclinic_splice`)."""
+        """The orbit of the periodic point of ``cycle``, which repeats no shorter
+        block, and k -> f^k(q) for its exact splice q (:func:`sft_homoclinic_splice`)."""
         q, _ = sft_homoclinic_splice(self.coding_matrix, cycle)
+        if (p := _primitive_period(cycle := tuple(cycle))) < len(cycle):
+            raise ValueError(f"cycle {spell(cycle)} repeats the block {spell(cycle[:p])}")
         return (list(map(self.code_point, ShiftPoint.cycle_orbit(cycle))),
                 lambda k: self.code_point(q.shift(k)))
 
@@ -590,8 +592,7 @@ class Horseshoe(_PlanarSystem, _CodedShift):
         for back in words:
             for fwd in words:
                 x, y = self.code_point(ShiftPoint((0,), back + fwd, (0,), pos=-depth))
-                rows.append({"backward": "".join(map(str, back)),
-                             "forward": "".join(map(str, fwd)), "x": x, "y": y})
+                rows.append({"backward": spell(back), "forward": spell(fwd), "x": x, "y": y})
         return rows
 
     def net(self, spacing: float) -> list:

@@ -9,16 +9,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symshadow.cli
 from conftest import index_builds
 from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_PLANAR_SHADOW_LENGTH,
                            MAX_SHIFT_SHADOW_LENGTH, MAX_WITNESS_SYMBOLS, _parse_args,
-                           build_parser, main)
+                           _parse_word, build_parser, main)
 from symshadow.dense_periods import WitnessMap
 from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
                                 cylinder_family, fourier_family)
-from symshadow.sft import TransitionMatrix
+from symshadow.sft import LETTERS, TransitionMatrix, spell
 from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism, cat_map
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -590,6 +592,86 @@ def test_an_empty_cycle_exit_2(files, capsys, command, cycle):
              "--mode", "bernoulli"])
     assert main(argv + ["--cycle", cycle, "--out", files["out"]]) == 2
     assert "invalid input: --cycle must be one or more digits" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+def test_a_unicode_digit_is_no_symbol_exit_2(files, capsys):
+    # str.isdecimal let "\u0663" (ARABIC-INDIC DIGIT THREE) through, and int read it as 3
+    assert main(["lpp", files["golden"], "--epsilon", "0.25", "--n-max", "30",
+                 "--cycle", "\u0663", "--out", files["out"]]) == 2
+    assert "invalid input: --cycle must be one or more digits" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=80))
+def test_a_word_reads_back_from_its_spelling(word):
+    assert _parse_word(spell(word)) == tuple(word)
+    assert _parse_word(f" {spell(word)} ") == tuple(word)  # spaces around it allowed
+
+
+def test_the_alphabet_spells_text_order_as_word_order():
+    assert LETTERS == "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz{}"
+    assert list(LETTERS) == sorted(set(LETTERS))  # 64 letters, rising code points
+    words = [(), (0,), (0, 63), (9,), (10,), (10, 0), (35,), (36,), (61,), (62,), (63,)]
+    assert sorted(map(spell, words)) == list(map(spell, sorted(words)))
+
+
+def test_words_past_ten_symbols_take_one_letter_each(tmp_path):
+    # symbol 10 is "A": a word's text has one letter per symbol, so an n-witness
+    # has n letters, and "10" is the word (1, 0), not the symbol 10
+    paths = {}
+    for name, rows in (("full11", [[1] * 11] * 11),
+                       ("full10_and_loop", [[1] * 10 + [0]] * 10 + [[0] * 10 + [1]])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"rows": rows}))
+
+    def lpp(name, *cycle):
+        out = tmp_path / f"{name}{''.join(cycle)}"
+        assert main(["lpp", str(paths[name]), "--epsilon", "0.5", "--n-max", "12", *cycle,
+                     "--out", str(out)]) == 0
+        return json.loads((out / "lpp.json").read_text())
+
+    report = lpp("full11")
+    assert report["witnesses"] == {"11": "0A987654321", "12": "00A987654321"}
+    assert report["proof"]["classes"] == {"0": "0A987654321"}
+    loop = lpp("full10_and_loop", "--cycle", "A")
+    assert loop["proof"] == {"girth": 1, "girth_cycle": "A", "classes": {"0": "A"}}
+    assert loop["witnesses"] == {str(n): "A" * n for n in range(2, 13)}
+    ten = lpp("full10_and_loop", "--cycle", "10")
+    assert ten["N0"] == 10 and "A" not in "".join(ten["witnesses"].values())
+
+
+def test_cycle_names_every_symbol_of_64(tmp_path):
+    # each symbol of the 64-symbol identity matrix is its own component
+    matrix = tmp_path / "identity64.json"
+    matrix.write_text(json.dumps({"rows": [[int(i == j) for j in range(64)]
+                                           for i in range(64)]}))
+    for letter in LETTERS:
+        assert main(["lpp", str(matrix), "--epsilon", "0.5", "--n-max", "3", "--cycle", letter,
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "lpp.json").read_text())
+        assert report["witnesses"] == {"2": letter * 2, "3": letter * 3}
+
+
+def test_shift_orbits_past_ten_symbols_dump_one_letter_a_coordinate(tmp_path):
+    matrix = tmp_path / "full11.json"
+    matrix.write_text(json.dumps({"rows": [[1] * 11] * 11}))
+    assert main(["pseudo-shadow", str(matrix), "0A", "--delta", "0.125", "--n-to", "27",
+                 "--dump-orbits", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "pseudo_shadow.json").read_text())
+    assert report["all_pass"] and len(report["orbits"]) == 3
+    words = [w for dump in report["orbits"] for kind in ("pseudo_orbit", "orbit")
+             for w in dump[kind]["points"]]
+    assert {len(w) for w in words} == {2 * 12 + 1}  # radius 12 a side and the dot
+    assert "A" in "".join(words)
+
+
+def test_a_repeated_anchor_cycle_exit_2(files, capsys):
+    # 00 is the fixed point 0 read twice: its homoclinic orbit would take tau = 2
+    # for a period-1 point, and every even length failed with an internal defect
+    assert main(["pseudo-shadow", str(DATA / "full_2_shift.json"), "00", "--delta", "0.125",
+                 "--out", files["out"]]) == 2
+    assert "invalid input: cycle 00 repeats the block 0" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
 
 

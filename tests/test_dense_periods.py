@@ -969,6 +969,40 @@ def test_homoclinic_restriction_block_diagonal():
         assert set(cert.witnesses[n].states) <= {2, 3}
 
 
+def closure_component(matrix, state):
+    """The states that ``state`` reaches and is reached from in >= 1 steps,
+    read off the transitive closure A + A^2 + ... + A^n."""
+    a = np.array(matrix.rows, dtype=np.int64)
+    reach, power = a.copy(), a.copy()
+    for _ in range(matrix.size):
+        power = (power @ a > 0).astype(np.int64)
+        reach |= power
+    return tuple(t for t in range(matrix.size) if reach[state, t] and reach[t, state])
+
+
+def test_restricted_component_matches_the_transitive_closure():
+    # reducible matrices included: each admissible cycle's certificate is
+    # confined to exactly the closure component of the cycle's states
+    rng, proper = random.Random(12), Counter()
+    for _ in range(300):
+        size = rng.randint(1, 7)
+        matrix = random_essential(rng, size, rng.choice([0.2, 0.3, 0.5]))
+        for n in range(1, 4):
+            for cycle in enumerate_cycles(matrix, n).cycles:
+                component = closure_component(matrix, cycle.states[0])
+                assert all(closure_component(matrix, s) == component for s in cycle.states)
+                cert = homoclinic_restricted_certificate(matrix, cycle, 0.5, 2)
+                if isinstance(cert, DensePeriodsCertificate):
+                    assert cert.component == component
+                else:  # the component's own matrix is refuted too
+                    assert isinstance(dense_periods_certificate(
+                        TransitionMatrix([[matrix.rows[a][b] for b in component]
+                                          for a in component]), 0.5, 2), DensePeriodsRefutation)
+                proper[type(cert).__name__] += len(component) < size
+    # proper components of reducible matrices, both certified and refuted
+    assert min(proper.values()) >= 20, proper
+
+
 def test_homoclinic_restriction_refuses_an_inadmissible_cycle():
     with pytest.raises(ValueError, match=r"cycle \(1,\) not admissible"):
         homoclinic_restricted_certificate(GOLDEN, SymbolicCycle((1,), 1, 1), 0.25, 20)

@@ -96,6 +96,23 @@ def test_fixed_point_empty_product_branch():
     assert po.defect <= DELTA_SYM
 
 
+@pytest.mark.parametrize("system, delta", [(HORSESHOE, 0.05), (SftSystem(FULL2), DELTA_SYM)],
+                         ids=["horseshoe", "full2"])
+def test_a_repeated_anchor_cycle_is_refused_and_its_block_builds_every_length(system, delta):
+    # (0, 0) is the fixed point read twice: the builder took tau = 2 for a
+    # period-1 point, and 15 of the 31 lengths from N0 = 5 (every even n in
+    # [6, 34]) came out with a defect past delta
+    for cycle in ((0, 0), [0, 0]):
+        with pytest.raises(ValueError, match=r"cycle 00 repeats the block 0$"):
+            homoclinic_point(system, cycle, delta)
+    datum = homoclinic_point(system, (0,), delta)
+    params = compute_excursion_parameters(datum)
+    datum = datum.covering(params, params.N0 + 30)
+    for n in range(params.N0, params.N0 + 31):
+        po = build_periodic_pseudo_orbit(datum, params, n)
+        assert po.period == n and po.exact_period and po.defect <= delta
+
+
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
 THRESHOLD_ANCHORS = [
     *(pytest.param(CAT, tuple(Fraction(c) for c in text.split(",")), DELTA_CAT,

@@ -63,3 +63,25 @@ def test_every_private_definition_is_read_in_src():
     unread = [f"{stem}.{name}" for stem, tree in trees.items()
               for name in private_definitions(tree) if name not in read]
     assert unread == []
+
+
+def str_joins(tree: ast.Module) -> list[int]:
+    """Lines of the calls ``<sep>.join(map(str, ...))`` in a module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join" and node.args
+            and isinstance(call := node.args[0], ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "map"
+            and isinstance(call.args[0], ast.Name) and call.args[0].id == "str"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_words_are_spelled_only_by_the_codec(path):
+    # sft.spell writes every word, one letter a symbol; str(s) writes symbols
+    # of 10 and up in two characters, so such a join is ambiguous
+    assert str_joins(ast.parse(path.read_text())) == []
+
+
+def test_the_str_join_check_finds_a_join():
+    tree = ast.parse('text = "".join(map(str, word))\nkeys = "".join(map(chr, word))\n')
+    assert str_joins(tree) == [1]

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from symshadow.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# the documented word alphabet (docs/formats.md), copied: symbol s is ALPHABET[s]
+ALPHABET = "0123456789" + "ABCDEFGHIJKLMNOPQRSTUVWXYZ" + "abcdefghijklmnopqrstuvwxyz" + "{}"
 # the fan 0 -> 1..5 -> 6 -> 0 with a return path 6 -> 7 -> 0: cycles of lengths 3 and 4
 FAN_BACK = [[0, 1, 1, 1, 1, 1, 0, 0]] + [[0, 0, 0, 0, 0, 0, 1, 0]] * 5 \
     + [[1, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0]]
@@ -61,8 +63,8 @@ def splice(word, cycle, copies, b):
     return word[:i] + cycle * copies + word[i:]
 
 
-def digits(text):
-    return tuple(map(int, text))
+def decode(text):
+    return tuple(map(ALPHABET.index, text))
 
 
 def check_proof(report):
@@ -72,7 +74,7 @@ def check_proof(report):
     config = report["config"]["parameters"]
     rows, m, proof = config["matrix"], report["m"], report["proof"]
     symbols = (set(range(len(rows))) if config["cycle"] is None
-               else component(rows, int(config["cycle"][0])))
+               else component(rows, ALPHABET.index(config["cycle"][0])))
     targets = set(m_words(rows, symbols, m))
 
     def admissible(word):
@@ -81,9 +83,9 @@ def check_proof(report):
     def dense(word):
         return admissible(word) and targets <= set(cyclic_factors(word, m))
 
-    c, cycle = proof["girth"], digits(proof["girth_cycle"])
+    c, cycle = proof["girth"], decode(proof["girth_cycle"])
     assert len(cycle) == c and admissible(cycle)
-    classes = {int(r): digits(word) for r, word in proof["classes"].items()}
+    classes = {int(r): decode(word) for r, word in proof["classes"].items()}
     assert sorted(classes) == list(range(c))
     assert all(len(word) % c == r and dense(word) for r, word in classes.items())
     assert report["N0"] == max(2, max(map(len, classes.values())) - c + 1)
@@ -95,6 +97,8 @@ def check_proof(report):
     for r, word in classes.items():
         listed = report["witnesses"].get(str(len(word)))
         assert listed is None or listed == proof["classes"][str(r)]
+    for n, listed in report["witnesses"].items():  # one letter a symbol
+        assert len(listed) == int(n) and admissible(decode(listed))
     return {r: len(word) for r, word in classes.items()}
 
 
@@ -165,7 +169,7 @@ def draw(rng, size):
     for i in range(size):  # every symbol gets a successor and a predecessor
         rows[i][(i + rng.randrange(1, size)) % size] = 1
         rows[(i + rng.randrange(1, size)) % size][i] = 1
-    return rows, rng.choice([str(i) for i in range(size) if rows[i][i]] + [None])
+    return rows, rng.choice([ALPHABET[i] for i in range(size) if rows[i][i]] + [None])
 
 
 @given(st.integers(2, 5), st.sampled_from([0.5, 0.25, 0.125]), st.integers(0, 10**9))
@@ -174,5 +178,16 @@ def test_every_drawn_certificate_carries_a_sound_proof(size, epsilon, seed):
     rows, cycle = draw(random.Random(seed), size)
     with tempfile.TemporaryDirectory() as out:
         report = lpp(out, rows, epsilon, n_max=30, cycle=cycle)
+    if report is not None and report["verdict"] == "certificate":
+        check_proof(report)
+
+
+@given(st.integers(11, 12), st.integers(0, 10**9))
+def test_drawn_proofs_past_ten_symbols(size, seed):
+    # symbols 10 and 11 are letters; at m = 1 the visited-set search refuses
+    # more than 11 symbols, so these are drawn at m = 2; N0 is near 60
+    rows, cycle = draw(random.Random(seed), size)
+    with tempfile.TemporaryDirectory() as out:
+        report = lpp(out, rows, 0.25, n_max=80, cycle=cycle)
     if report is not None and report["verdict"] == "certificate":
         check_proof(report)

@@ -1,16 +1,20 @@
 """Core subshift machinery against independent brute-force oracles."""
 
+import contextlib
 import json
 import math
 import random
 from itertools import product
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symshadow.dense_periods import _BlockGraph
+from symshadow import dense_periods, sft
+from symshadow.dense_periods import _BlockGraph, dense_periods_certificate
 from symshadow.sft import (NonEssentialMatrixError,
                            ReducibleMatrixError, TransitionMatrix,
                            class_period, count_periodic_points,
@@ -217,6 +221,32 @@ def test_primitive_iff_class_period_one_thousand_samples():
             continue
         assert wielandt_primitive(matrix) == (class_period(matrix) == 1)
         checked += 1
+
+
+@pytest.mark.parametrize("matrix", [GOLDEN, PARITY, WHEEL, TransitionMatrix([[1, 0], [0, 1]]),
+                                    TransitionMatrix([[1, 1], [0, 1]])],
+                         ids=["golden", "parity", "wheel", "identity", "triangular"])
+def test_each_predicate_walks_the_graph_twice(matrix):
+    # one forward and one backward breadth-first search from state 0 decide
+    # reachability and the class period; dense_periods' own binding counts too
+    calls = []
+
+    def counted(adjacency, sources):
+        calls.append(adjacency)
+        return _bfs_distances(adjacency, sources)
+
+    irreducible = is_irreducible(matrix)
+    with mock.patch.object(sft, "_bfs_distances", counted), \
+            mock.patch.object(dense_periods, "_bfs_distances", counted):
+        for predicate in (is_irreducible, is_primitive, class_period, cyclic_decomposition):
+            calls.clear()
+            with contextlib.suppress(ReducibleMatrixError):  # the last two, on a reducible A
+                predicate(matrix)
+            assert calls == [matrix.succ, matrix.pred], predicate.__name__
+        if not irreducible:
+            calls.clear()
+            assert dense_periods_certificate(matrix, 0.5, 10).blocking_n == 2
+            assert calls == [matrix.succ, matrix.pred]
 
 
 def block_subshift_cases():
