@@ -40,9 +40,9 @@ from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
 from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSupportMeasure,
                        LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
                        cycle_measure, cylinder_family, fourier_family, weak_star_distance)
-from .sft import (LETTERS, ConvergenceError, SymbolicCycle, TransitionMatrix,
-                  count_periodic_points, cyclic_decomposition, is_irreducible, is_primitive,
-                  spell, topological_entropy)
+from .sft import (LETTERS, ConvergenceError, ReducibleMatrixError, SymbolicCycle,
+                  TransitionMatrix, count_periodic_points, cyclic_decomposition, spell,
+                  topological_entropy)
 from .shadowing import ShadowingError, shadow_periodic
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, homoclinic_point,
                       parse_system)
@@ -79,6 +79,12 @@ MAX_SHIFT_SHADOW_LENGTH = 512
 # Q = 400 takes 2.0 s and Q = 500 3.9 s, both near 148 MB, and Q = 100,000 ran past 60 s
 # (2-core x86_64)
 MAX_LATTICE_STEPS = 1 << 29
+
+# analyze refuses up front the counts up to N = --max-period past these units: the count at
+# n is at most 2 bitlen(n) products of size^3 multiply-adds at 1 + n bitlen(size - 1) / 1024
+# units each.  Full shifts at their largest N run 3.2-7.1 s (2-core x86_64), 14284 on 2
+# symbols and 35 on 64, where 64 symbols at N = 150 counted for 36 s
+MAX_COUNT_WORK = 1 << 27
 
 # lpp reports listing more witness symbols than this (the sum of n over [N0, n_max])
 # are refused: golden mean, epsilon 1/4, n_max 8000 lists 32M symbols in 10.5 s,
@@ -155,17 +161,24 @@ def _refuse_below_one(args, *names: str) -> None:
 def cmd_analyze(args) -> int:
     matrix = _load_matrix(args.matrix)
     _refuse_below_one(args, "max_period")
-    parameters = {"matrix": [list(r) for r in matrix.rows], "max_period": args.max_period}
-    irreducible = is_irreducible(matrix)
-    report: dict = {
-        "size": matrix.size,
-        "irreducible": irreducible,
-        "primitive": is_primitive(matrix),
-        "periodic_counts": {str(n): _printable(count_periodic_points(matrix, n))
-                            for n in range(1, args.max_period + 1)},
-    }
-    if irreducible:
+    n, size = args.max_period, matrix.size
+    work = n * 2 * n.bit_length() * size ** 3 * (1024 + n * (size - 1).bit_length()) // 1024
+    if work > MAX_COUNT_WORK:
+        raise PreconditionError(f"--max-period {n} on {size} symbols costs more than "
+                                f"{MAX_COUNT_WORK} units of counting work")
+    parameters = {"matrix": [list(r) for r in matrix.rows], "max_period": n}
+    try:
         decomp = cyclic_decomposition(matrix)
+    except ReducibleMatrixError:
+        decomp = None
+    report: dict = {
+        "size": size,
+        "irreducible": decomp is not None,
+        "primitive": decomp is not None and decomp.class_period == 1,
+        "periodic_counts": {str(k): _printable(count_periodic_points(matrix, k))
+                            for k in range(1, n + 1)},
+    }
+    if decomp is not None:
         report["class_period"] = decomp.class_period
         report["classes"] = [sorted(c) for c in decomp.classes]
         report["entropy"] = topological_entropy(matrix)

@@ -31,22 +31,23 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat, takewhile
 from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .homoclinic import encode_point
-from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix,
-                  _merge_overlap, _primitive_period, admissible_words, is_primitive,
-                  longer_words, perron_data, spell)
+from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix, _merge_overlap,
+                  _primitive_period, _unrepeated, admissible_words, count_periodic_points,
+                  enumerate_cycles, is_primitive, longer_words, perron_data, spell)
 from .shiftspace import ShiftPoint
 from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphism,
                       sft_homoclinic_splice)
 
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
+MAX_LISTED_POINTS = 2048  # _cycle_table ends before a period with more periodic points
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
 RENEWAL_TOL = 1e-12  # integrals of the winning block subshift chain vs its renewal masses
 TWO_PI_I = 2j * math.pi
@@ -101,19 +102,6 @@ class TestFamily:
 
     def __len__(self) -> int:
         return len(self.observables)
-
-    def cycle_integrals(self, matrix: TransitionMatrix, cycles: Sequence[tuple]) -> np.ndarray:
-        """``_cyclic_word_integrals`` of the (text, word, n) listing ``cycles`` of
-        ``matrix.primitive_cycles``, computed once per (matrix, number of listed
-        cycles) and kept, read-only, for the family's lifetime: the listing is a
-        prefix of one list per matrix, so its length names it."""
-        kept = self.__dict__.setdefault("_cycle_integrals", {})
-        key = (matrix, len(cycles))
-        if key not in kept:
-            table = _cyclic_word_integrals([w[:n] for _, w, n in cycles], self)
-            table.flags.writeable = False
-            kept[key] = table
-        return kept[key]
 
 
 def _weighed(observables: Iterable, description: str) -> TestFamily:
@@ -567,19 +555,36 @@ def _heavy_mode_bounds(target, family: TestFamily, spans: Sequence[tuple]) -> np
     return np.abs(np.array(target.integrals(family))[heavy] - integrals) @ weights[heavy]
 
 
+def _cycle_table(matrix: TransitionMatrix, family: TestFamily, max_period: int
+                 ) -> tuple[list, np.ndarray]:
+    """The (text, word, n) of each primitive cycle of length n <= max_period, by n and
+    then as :func:`enumerate_cycles` lists them, ending before the first n with more than
+    ``MAX_LISTED_POINTS`` periodic points, and the read-only ``_cyclic_word_integrals``
+    table of their words, built once per (matrix, max_period) and kept on the family."""
+    kept = family.__dict__.setdefault("_cycle_tables", {})
+    if (key := (matrix, max_period)) not in kept:
+        listed = takewhile(lambda n: count_periodic_points(matrix, n) <= MAX_LISTED_POINTS,
+                           range(1, max_period + 1))
+        cycles = [(str(c), c.states, n) for n in listed
+                  for c in enumerate_cycles(matrix, n).cycles if c.primitive_period == n]
+        table = _cyclic_word_integrals([w for _, w, _ in cycles], family)
+        table.flags.writeable = False
+        kept[key] = cycles, table
+    return kept[key]
+
+
 def _shift_scan(target, matrix: TransitionMatrix, family: TestFamily, max_period: int
                 ) -> tuple[list, np.ndarray, list[int]]:
     """The (text, word, n) candidates, scores and periods n of a shift scan: the
-    primitive cycles, listed once per matrix, whose integrals are kept per family
-    (``TestFamily.cycle_integrals``), and the "blocks xN" words giving each
-    cycle of a finite-support target its share of the target's time, so their
-    cylinder frequencies come near the target's, each on its cyclic word.
-    The scores are the weak-* distances bit for bit."""
-    cycles = matrix.primitive_cycles(max_period)
+    primitive cycles and their integrals, kept per family (``_cycle_table``), and
+    the "blocks xN" words giving each cycle of a finite-support target its share
+    of the target's time, so their cylinder frequencies come near the target's,
+    each on its cyclic word.  The scores are the weak-* distances bit for bit."""
+    cycles, table = _cycle_table(matrix, family, max_period)
     blocks = [(f"blocks x{reps}", word, _primitive_period(word)) for reps, word
               in _block_words(matrix, _orbit_cycles_of_target(target))
               ] if isinstance(target, FiniteSupportMeasure) else []
-    integrals = np.hstack([family.cycle_integrals(matrix, cycles),
+    integrals = np.hstack([table,
                            _cyclic_word_integrals([w[:n] for _, w, n in blocks], family)])
     candidates = cycles + blocks
     return candidates, _gaps(target, family, integrals), [n for _, _, n in candidates]
@@ -786,7 +791,7 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
     epsilon when step (1) met epsilon/2.  Only the best m builds its letter
     presentation and its Parry chain, in closed form from the renewal root the
     scan found (``_renewal_chain``), whose integrals must match the renewal
-    masses to ``RENEWAL_TOL``.
+    masses to ``RENEWAL_TOL``.  A supplied cycle repeating a shorter block is refused.
     """
     if not is_primitive(matrix):
         raise ValueError("ambient shift must be primitive (mixing)")
@@ -796,7 +801,7 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
         target, matrix, epsilon / 2.0, family, max_period)
     mu_p = cycle_measure(matrix, cycle)
 
-    q, center = sft_homoclinic_splice(matrix, cycle)
+    q, center = sft_homoclinic_splice(matrix, _unrepeated(cycle))
     excursion = ((cycle[0],) + center) if len(cycle) > 1 else center
     tau, b = len(cycle), len(excursion)
     depth = max((len(obs.word) for obs in family.observables), default=0)

@@ -27,7 +27,6 @@ MAX_SYMBOLS = 64
 PERRON_TOL = 1e-13  # certified relative spread of the Collatz-Wielandt bracket
 PERRON_FLOOR = 2.0 ** -52  # eig seed floor: its accuracy on a unit-norm vector
 MAX_POWER_STEPS = 500_000
-MAX_LISTED_POINTS = 2048  # primitive_cycles ends before a period with more periodic points
 LETTERS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz{}"  # rising code points
 
 Word = tuple[int, ...]
@@ -53,7 +52,7 @@ class TransitionMatrix:
     operation may assume each symbol occurs in some bi-infinite sequence.
     """
 
-    __slots__ = ("size", "rows", "succ", "pred", "_cycles")
+    __slots__ = ("size", "rows", "succ", "pred")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         rows = tuple(tuple(map(int, r)) for r in rows)
@@ -129,25 +128,6 @@ class TransitionMatrix:
             raise ValueError(f"inadmissible word {word}")
         return word
 
-    # -- cycles ----------------------------------------------------------
-
-    def primitive_cycles(self, max_period: int) -> list[tuple[str, Word, int]]:
-        """(text, word, n) of each primitive cycle of length n <= max_period, by n
-        and then as :func:`enumerate_cycles` lists them, ending before the first
-        n with more than ``MAX_LISTED_POINTS`` periodic points.  The list is
-        built once per instance and extended when a larger max_period is asked."""
-        cycles, ends, cut = getattr(self, "_cycles", ([], [0], None))  # built lazily
-        while cut is None and len(ends) <= max_period:
-            n = len(ends)  # ends[n] = number of listed cycles of length <= n
-            if count_periodic_points(self, n) > MAX_LISTED_POINTS:
-                cut = n
-                break
-            cycles += [(str(c), c.states, n) for c in enumerate_cycles(self, n).cycles
-                       if c.primitive_period == n]
-            ends.append(len(cycles))
-        self._cycles = cycles, ends, cut
-        return cycles[:ends[min(max_period, len(ends) - 1)]]
-
 
 @dataclass(frozen=True)
 class SymbolicCycle:
@@ -210,6 +190,13 @@ def _primitive_period(word: Word) -> int:
         if n % p == 0 and word == word[p:] + word[:p]:
             return p
     return n
+
+
+def _unrepeated(cycle: Sequence[int]) -> Word:
+    """``cycle`` as a word; ValueError if it repeats a shorter block."""
+    if (p := _primitive_period(cycle := tuple(cycle))) < len(cycle):
+        raise ValueError(f"cycle {spell(cycle)} repeats the block {spell(cycle[:p])}")
+    return cycle
 
 
 # -- graph walks on adjacency lists -----------------------------------
@@ -298,9 +285,7 @@ def is_primitive(matrix: TransitionMatrix) -> bool:
 def class_period(matrix: TransitionMatrix) -> int:
     """gcd of the lengths of all cycles (equivalently, all cycles through
     state 0) of an irreducible matrix."""
-    if not (period := _cyclic_levels(matrix)[0]):
-        raise ReducibleMatrixError("class period undefined for reducible matrix")
-    return period
+    return cyclic_decomposition(matrix).class_period
 
 
 def _cyclic_levels(matrix: TransitionMatrix, start: int = 0) -> tuple[int, list[int], list[int]]:

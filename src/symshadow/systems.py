@@ -50,7 +50,7 @@ import numpy as np
 from .homoclinic import HomoclinicDatum
 from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
                   spell, _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
-                  _primitive_period, _step_layers)
+                  _primitive_period, _step_layers, _unrepeated)
 from .shiftspace import ShiftPoint, _KeyIndex, word_radius
 
 
@@ -222,9 +222,7 @@ class _CodedShift:
         """The orbit of the periodic point of ``cycle``, which repeats no shorter
         block, and k -> f^k(q) for its exact splice q (:func:`sft_homoclinic_splice`)."""
         q, _ = sft_homoclinic_splice(self.coding_matrix, cycle)
-        if (p := _primitive_period(cycle := tuple(cycle))) < len(cycle):
-            raise ValueError(f"cycle {spell(cycle)} repeats the block {spell(cycle[:p])}")
-        return (list(map(self.code_point, ShiftPoint.cycle_orbit(cycle))),
+        return (list(map(self.code_point, ShiftPoint.cycle_orbit(_unrepeated(cycle)))),
                 lambda k: self.code_point(q.shift(k)))
 
 

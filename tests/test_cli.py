@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import symshadow.cli
 from conftest import index_builds
-from symshadow.cli import (MAX_CODING_DEPTH, MAX_LATTICE_STEPS, MAX_PLANAR_SHADOW_LENGTH,
-                           MAX_SHIFT_SHADOW_LENGTH, MAX_WITNESS_SYMBOLS, _parse_args,
-                           _parse_word, build_parser, main)
+from symshadow.cli import (MAX_CODING_DEPTH, MAX_COUNT_WORK, MAX_LATTICE_STEPS,
+                           MAX_PLANAR_SHADOW_LENGTH, MAX_SHIFT_SHADOW_LENGTH,
+                           MAX_WITNESS_SYMBOLS, _parse_args, _parse_word, build_parser, main)
 from symshadow.dense_periods import WitnessMap
 from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
                                 cylinder_family, fourier_family)
+from symshadow import sft
 from symshadow.sft import LETTERS, TransitionMatrix, spell
 from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism, cat_map
 
@@ -115,6 +116,53 @@ def test_analyze_counts_past_the_digit_limit_exit_3(files, capsys, rows, max_per
         sys.set_int_max_str_digits(limit)
     assert "has more than 640 digits" in capsys.readouterr().err
     assert not (files["tmp"] / "refused").exists()
+
+
+def test_analyze_reads_every_verdict_off_one_decomposition(files, monkeypatch):
+    # is_irreducible, is_primitive, cyclic_decomposition and perron_data each ran
+    # the two BFS of the class period: 8 runs on the golden mean, now 4
+    matrices = {"golden": [[1, 1], [1, 0]], "parity": [[0, 1], [1, 0]], "full2": [[1, 1], [1, 1]],
+                "wheel": [[1, 1, 0], [0, 0, 1], [1, 0, 0]],
+                "reducible": [[1, 1, 0], [0, 1, 0], [0, 1, 1]]}
+    bfs, runs = sft._bfs_distances, []
+    monkeypatch.setattr(sft, "_bfs_distances", lambda *a: runs.append(a) or bfs(*a))
+    for name, rows in matrices.items():
+        path = files["tmp"] / f"{name}.json"
+        path.write_text(json.dumps({"rows": rows}))
+        runs.clear()
+        assert main(["analyze", str(path), "--out", files["out"]]) == 0
+        bfs_runs, report = len(runs), read_report(files, "analyze.json")
+        matrix = TransitionMatrix(rows)
+        irreducible = sft.is_irreducible(matrix)
+        assert bfs_runs == (4 if irreducible else 2)
+        assert (report["irreducible"], report["primitive"]) == (irreducible,
+                                                                sft.is_primitive(matrix))
+        if irreducible:
+            decomp = sft.cyclic_decomposition(matrix)
+            assert report["class_period"] == sft.class_period(matrix) == decomp.class_period
+            assert report["classes"] == [sorted(c) for c in decomp.classes]
+            assert report["entropy"] == sft.topological_entropy(matrix)
+        else:
+            assert not {"class_period", "classes", "entropy"} & set(report)
+    assert (name, irreducible) == ("reducible", False)
+
+
+def test_analyze_refuses_counts_past_the_work_bound_exit_3(files, capsys, monkeypatch):
+    # 64 symbols at --max-period 150 counted for 36 s and exited 0; 35 is the last kept
+    path = files["tmp"] / "full64.json"
+    path.write_text(json.dumps({"rows": [[1] * 64] * 64}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--max-period", "150", "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "--max-period 150 on 64 symbols costs" in err and str(MAX_COUNT_WORK) in err
+    assert not Path(files["out"]).exists()
+    # the bound is read before any count: 64 symbols keep --max-period 35 and the
+    # full 2-shift the documented 14284 (counts stubbed, so nothing is counted here)
+    monkeypatch.setattr(symshadow.cli, "count_periodic_points", lambda matrix, n: 0)
+    for rows, n, code in ((path, 35, 0), (path, 36, 3), (files["full2"], 14284, 0)):
+        assert main(["analyze", str(rows), "--max-period", str(n), "--out", files["out"]]) \
+            == code
 
 
 def test_lpp_certificate_and_refutation(files):
@@ -673,6 +721,19 @@ def test_a_repeated_anchor_cycle_exit_2(files, capsys):
                  "--out", files["out"]]) == 2
     assert "invalid input: cycle 00 repeats the block 0" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+def test_a_repeated_bernoulli_cycle_exit_2(files, capsys):
+    # --cycle 00 ran on 00, the fixed point 0 read twice: excursion 001, 35 block
+    # states and d_t 0.4359, where --cycle 0 gives excursion 1 and 17 states
+    argv = ["approx-measure", str(DATA / "target_half_mix.json"),
+            str(DATA / "full_2_shift.json"), "--epsilon", "0.1", "--mode", "bernoulli"]
+    assert main(argv + ["--cycle", "00", "--out", files["out"]]) == 2
+    assert "invalid input: cycle 00 repeats the block 0" in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+    assert main(argv + ["--cycle", "0", "--out", files["out"]]) == 0
+    report = read_report(files, "approx_measure.json")
+    assert (report["cycle"], report["excursion"], report["block_states"]) == ("0", "1", 17)
 
 
 def test_approx_measure_nonprimitive_bernoulli_exit_2(files, tmp_path):

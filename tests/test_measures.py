@@ -24,7 +24,7 @@ from symshadow.cli import _load_target
 from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, CylinderObservable,
                                 FiniteSupportMeasure, FourierMode, LebesgueTorus,
                                 MarkovMeasure, _atom_sums, _block_words,
-                                _cyclic_word_integrals, _gaps,
+                                _cycle_table, _cyclic_word_integrals, _gaps,
                                 _orbit_cycles_of_target,
                                 _shortest_within, approximate_by_periodic,
                                 bernoulli_approximation, block_subshift,
@@ -843,15 +843,16 @@ def test_a_warm_family_approximates_as_a_fresh_one(matrix):
                         assert shift_result(res) == shift_result(fresh)
                         assert_same_result(res, reference_pick(target, reference, epsilon,
                                                                warm))
-        # one table per listing: 6 and 8 list different numbers of cycles
-        assert len(warm._cycle_integrals) == 2
-        assert all(not table.flags.writeable for table in warm._cycle_integrals.values())
+        # one table per max_period
+        assert list(warm._cycle_tables) == [(matrix, 6), (matrix, 8)]
+        assert all(not table.flags.writeable for _, table in warm._cycle_tables.values())
 
 
 def test_the_cycle_table_is_counted_once_per_matrix_family_and_listing(monkeypatch):
+    listed, listed_6 = (len(_cycle_table(FULL2, cylinder_family(FULL2, 1), k)[0])
+                        for k in (8, 6))
     runs = counted_kernel(monkeypatch)
     family, target = cylinder_family(FULL2, 3), BernoulliProduct([0.4, 0.6])
-    listed = len(FULL2.primitive_cycles(8))
     # Bernoulli's step 1 scans with the same table
     approximate_by_periodic(target, SftSystem(FULL2), 0.1, family, 8)
     _shortest_within(target, FULL2, 0.1, family, 8)
@@ -863,26 +864,32 @@ def test_the_cycle_table_is_counted_once_per_matrix_family_and_listing(monkeypat
     for _ in range(2):
         approximate_by_periodic(mix, SftSystem(FULL2), 0.1, family, 8)
     assert runs == [listed, blocks, blocks]
-    # a new listing is a new table; an equal matrix shares the kept one
-    approximate_by_periodic(target, SftSystem(TransitionMatrix.full_shift(2)), 0.1, family, 6)
-    assert runs[3:] == [len(FULL2.primitive_cycles(6))]
-    assert list(family._cycle_integrals) == [(FULL2, listed), (FULL2, runs[3])]
+    # a new max_period is a new table; an equal matrix shares the kept one
+    for matrix in (TransitionMatrix.full_shift(2), FULL2):
+        approximate_by_periodic(target, SftSystem(matrix), 0.1, family, 6)
+        _shortest_within(target, matrix, 0.1, family, 8)
+    assert runs[3:] == [listed_6]
+    assert list(family._cycle_tables) == [(FULL2, 8), (FULL2, 6)]
 
 
 @pytest.mark.parametrize("matrix", [FULL2, GOLDEN], ids=["full2", "golden"])
-def test_a_max_period_past_the_listing_cut_reuses_the_table(monkeypatch, matrix):
+def test_a_max_period_past_the_listing_cut_lists_the_same_cycles(monkeypatch, matrix):
     # the listing ends before 2^12 (full 2-shift) and L_16 = 2207 (golden mean)
     # periodic points, so every max_period from the cut on lists the same cycles
     cut = {FULL2: 11, GOLDEN: 15}[matrix]
-    assert len(matrix.primitive_cycles(cut - 1)) < len(matrix.primitive_cycles(cut)) \
-        == len(matrix.primitive_cycles(cut + 30))
+    lists = [_cycle_table(matrix, cylinder_family(matrix, 1), k)[0]
+             for k in (cut - 1, cut, cut + 30)]
+    assert len(lists[0]) < len(lists[1]) and lists[1] == lists[2]
     runs, family = counted_kernel(monkeypatch), cylinder_family(matrix, 3)
     target = BernoulliProduct([0.45, 0.55])
     results = [shift_result(approximate_by_periodic(target, SftSystem(matrix), 0.1, family,
                                                     max_period))
                for max_period in (cut, cut + 1, cut + 30)]
     assert results[0] == results[1] == results[2]
-    assert runs == [len(matrix.primitive_cycles(cut))]
+    # each max_period keeps its own table of the same cycles
+    assert runs == [len(lists[1])] * 3
+    tables = [table for _, table in family._cycle_tables.values()]
+    assert len(tables) == 3 and all(np.array_equal(tables[0], t) for t in tables[1:])
 
 
 def test_one_family_on_two_matrices_keeps_two_tables():
@@ -895,8 +902,9 @@ def test_one_family_on_two_matrices_keeps_two_tables():
                                             cylinder_family(FULL2, 2), 5)
             assert shift_result(res) == shift_result(fresh)
             assert res.distance == weak_star_distance(target, res.measure, family)
-    assert list(family._cycle_integrals) == [(full3, len(full3.primitive_cycles(5))),
-                                             (FULL2, len(FULL2.primitive_cycles(5)))]
+    assert list(family._cycle_tables) == [(full3, 5), (FULL2, 5)]
+    cycles, table = family._cycle_tables[full3, 5]
+    assert table.shape == (len(family), len(cycles)) and {w for _, w, _ in cycles} > {(2,)}
 
 
 def test_a_non_cylinder_family_keeps_no_cycle_table():
@@ -905,7 +913,11 @@ def test_a_non_cylinder_family_keeps_no_cycle_table():
         with pytest.raises(TypeError):
             approximate_by_periodic(BernoulliProduct([0.5, 0.5]), SftSystem(FULL2), 0.1,
                                     family, 6)
-        assert "_cycle_integrals" not in vars(family) or not family._cycle_integrals
+        assert "_cycle_tables" not in vars(family) or not family._cycle_tables
+    # a cylinder family keeps its table under that name
+    family = cylinder_family(FULL2, 1)
+    approximate_by_periodic(BernoulliProduct([0.5, 0.5]), SftSystem(FULL2), 0.1, family, 6)
+    assert list(vars(family)["_cycle_tables"]) == [(FULL2, 6)]
 
 
 TORUS_HORIZONS = [(6, 12), (12, 20), (20, 33), (30, 40)]
@@ -1310,6 +1322,21 @@ def test_renewal_scan_matches_the_per_m_parry_scan(matrix):
                 assert ba.measure.to_json_dict() == chains[m].to_json_dict()
                 verdicts.add(within)
     assert verdicts == {True, False}
+
+
+def test_a_fixed_cycle_that_repeats_a_block_is_refused():
+    # (0, 0) is the fixed point 0 read twice: it ran with excursion 001 and 35 block
+    # states, where (0,) has excursion 1 and 17; pseudo-shadow refuses it alike
+    target = periodic_mix(FULL2, [((0,), Fraction(1, 2)), ((0, 1), Fraction(1, 2))])
+    for cycle in ((0, 0), [0, 0], (0, 1, 0, 1)):
+        with pytest.raises(ValueError, match=r"^cycle (00|0101) repeats the block (0|01)$"):
+            bernoulli_approximation(target, FULL2, 0.1, FAM3, cycle=cycle)
+    ba = bernoulli_approximation(target, FULL2, 0.1, FAM3, cycle=[0])
+    assert (ba.cycle, ba.subshift.excursion_word, ba.subshift.matrix.size) == ((0,), (1,), 17)
+    # an inadmissible word is refused as such first
+    with pytest.raises(ValueError, match="is not an admissible cycle"):
+        bernoulli_approximation(parry_measure(GOLDEN), GOLDEN, 0.1, cylinder_family(GOLDEN, 2),
+                                cycle=(1, 1))
 
 
 def test_renewal_cross_check_raises_on_drifted_parry_integrals(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from symshadow import dense_periods, sft
 from symshadow.dense_periods import _BlockGraph, dense_periods_certificate
+from symshadow.measures import _cycle_table, _cyclic_word_integrals, cylinder_family
 from symshadow.sft import (NonEssentialMatrixError,
                            ReducibleMatrixError, TransitionMatrix,
                            class_period, count_periodic_points,
@@ -280,7 +281,7 @@ def test_block_subshifts_are_primitive_exactly_when_the_block_lengths_are_coprim
 
 
 def fresh_cycle_list(matrix, max_period):
-    """The per-request scan the cached list replaced."""
+    """The per-request scan the kept table replaced."""
     out = []
     for n in range(1, max_period + 1):
         if count_periodic_points(matrix, n) > 2048:
@@ -295,18 +296,27 @@ def fresh_cycle_list(matrix, max_period):
 def test_cached_cycle_list_equals_a_fresh_scan_in_any_order(rows, longest):
     fresh = {k: fresh_cycle_list(TransitionMatrix(rows), k) for k in range(1, 15)}
     for order in (range(1, 15), range(14, 0, -1)):
-        matrix = TransitionMatrix(rows)
+        matrix, family = TransitionMatrix(rows), cylinder_family(TransitionMatrix(rows), 2)
         for k in order:
-            assert matrix.primitive_cycles(k) == fresh[k]
+            cycles, table = _cycle_table(matrix, family, k)
+            assert cycles == fresh[k]
             assert max(n for _, _, n in fresh[k]) == min(k, longest)
+            assert np.array_equal(table, _cyclic_word_integrals([w for _, w, _ in cycles],
+                                                                family))
+            assert not table.flags.writeable
     # the full shift stops before its 4096 points of period 12, the golden mean
     # (322 points) reaches the measure scan's max_period 12
-    assert max(n for _, _, n in TransitionMatrix(rows).primitive_cycles(12)) == min(12, longest)
-    # equal but distinct matrices hold equal lists, each its own
+    assert max(n for _, _, n in _cycle_table(matrix, family, 12)[0]) == min(12, longest)
+    # equal but distinct matrices share one kept table
     a, b = TransitionMatrix(rows), TransitionMatrix(rows)
-    a.primitive_cycles(14)
-    assert a == b and a is not b and b.primitive_cycles(14) == a.primitive_cycles(14)
-    assert b.primitive_cycles(3) == fresh[3] and a.primitive_cycles(0) == []
+    assert a == b and a is not b and _cycle_table(b, family, 14) is _cycle_table(a, family, 14)
+    assert _cycle_table(a, family, 0)[0] == [] and _cycle_table(a, family, 0)[1].shape == \
+        (len(family), 0)
+
+
+def test_a_matrix_keeps_only_its_rows_and_adjacency():
+    # the primitive cycle listing lives with its integrals in measures._cycle_table
+    assert TransitionMatrix.__slots__ == ("size", "rows", "succ", "pred")
 
 
 @given(st.integers(2, 5), st.integers(0, 10**9))
