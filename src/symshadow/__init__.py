@@ -11,7 +11,7 @@ maximal-entropy Markov measures on small mixing subshifts.
 
 __version__ = "0.1.0"
 
-from .sft import (CyclicDecomposition, NonEssentialMatrixError,
+from .sft import (CyclicDecomposition, NumericalError, PreconditionError,
                   ReducibleMatrixError, SymbolicCycle, TransitionMatrix,
                   class_period, count_periodic_points, cyclic_decomposition,
                   enumerate_cycles, is_irreducible, is_primitive, perron_data,
@@ -21,11 +21,10 @@ from .dense_periods import (DensePeriodsCertificate, DensePeriodsRefutation,
                             dense_periods_certificate, homoclinic_restricted_certificate,
                             mixing_thresholds)
 from .homoclinic import (ExcursionParameters, HomoclinicDatum,
-                         InsufficientSegmentError, PseudoOrbit,
-                         build_periodic_pseudo_orbit,
+                         PseudoOrbit, build_periodic_pseudo_orbit,
                          compute_excursion_parameters, verify_pseudo_orbit)
-from .shadowing import (DensityReport, PeriodicOrbit, ShadowingError,
-                        density_check, shadow_periodic)
+from .shadowing import (DensityReport, PeriodicOrbit, density_check,
+                        shadow_periodic)
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                       homoclinic_point, parse_system)
 from .measures import (ApproximationResult, BernoulliApproximation,

@@ -33,17 +33,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dense_periods import (BlockGraphTooLargeError, DensePeriodsCertificate,
-                            dense_periods_certificate, homoclinic_restricted_certificate)
-from .homoclinic import (InsufficientSegmentError, build_periodic_pseudo_orbit,
-                         compute_excursion_parameters, verify_pseudo_orbit)
-from .measures import (BernoulliProduct, BlockSubshiftTooLargeError, FiniteSupportMeasure,
-                       LebesgueTorus, approximate_by_periodic, bernoulli_approximation,
-                       cycle_measure, cylinder_family, fourier_family, weak_star_distance)
-from .sft import (LETTERS, ConvergenceError, ReducibleMatrixError, SymbolicCycle,
-                  TransitionMatrix, count_periodic_points, cyclic_decomposition, spell,
-                  topological_entropy)
-from .shadowing import ShadowingError, shadow_periodic
+from .dense_periods import (DensePeriodsCertificate, dense_periods_certificate,
+                            homoclinic_restricted_certificate)
+from .homoclinic import (build_periodic_pseudo_orbit, compute_excursion_parameters,
+                         verify_pseudo_orbit)
+from .measures import (BernoulliProduct, FiniteSupportMeasure, LebesgueTorus,
+                       approximate_by_periodic, bernoulli_approximation, cycle_measure,
+                       cylinder_family, fourier_family, weak_star_distance)
+from .sft import (LETTERS, NumericalError, PreconditionError, ReducibleMatrixError,
+                  SymbolicCycle, TransitionMatrix, _unrepeated, count_periodic_points,
+                  cyclic_decomposition, spell, topological_entropy)
+from .shadowing import shadow_periodic
 from .systems import (Horseshoe, SftSystem, ToralAutomorphism, homoclinic_point,
                       parse_system)
 
@@ -51,11 +51,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
-
-
-class PreconditionError(RuntimeError):
-    """Horizon or precondition failures mapped to exit code 3."""
-
 
 # coding-table depths above this are refused: the table has 4^depth rows,
 # and depth 9 already peaks near 400 MB and writes 35 MB of JSON
@@ -231,6 +226,16 @@ def cmd_pseudo_shadow(args) -> int:
         if bound is not None and bound > cap:
             raise PreconditionError(f"{flag} {bound} exceeds {cap}: the "
                                     "segment and the orbits grow with the length")
+    fits = math.isqrt(cap - 1)  # N0 = l tau^2 + 1 with l >= 1 fits the cap only for tau <= fits
+    if isinstance(system, ToralAutomorphism):
+        try:  # the anchor's orbit is walked no further than that
+            system.orbit_of(anchor, cap=fits)
+        except PreconditionError as exc:
+            raise PreconditionError(f"{exc}: anchor period tau > {fits}, so N0 = l tau^2 + 1 "
+                                    f"exceeds {cap}") from None
+    elif len(anchor) > fits and system.coding_matrix.is_admissible_cycle(_unrepeated(anchor)):
+        raise PreconditionError(f"anchor period tau = {len(anchor)} > {fits}, so N0 = "
+                                f"l tau^2 + 1 exceeds {cap}")
     datum = homoclinic_point(system, anchor, delta=args.delta)
     params = compute_excursion_parameters(datum)
     n_from = params.N0 if args.n_from is None else args.n_from
@@ -570,11 +575,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     try:
         return args.func(args)
-    except (PreconditionError, InsufficientSegmentError, BlockGraphTooLargeError,
-            BlockSubshiftTooLargeError) as exc:
+    except PreconditionError as exc:  # before ValueError, its base
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ShadowingError, ConvergenceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:  # the matrix errors are ValueErrors

@@ -45,17 +45,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .sft import (SymbolicCycle, TransitionMatrix, admissible_words, restrict,
-                  return_time_set, spell, _bfs_distances, _cyclic_levels, _least_walk,
-                  _merge_overlap, _step_layers)
+from .sft import (PreconditionError, SymbolicCycle, TransitionMatrix, admissible_words,
+                  restrict, return_time_set, spell, _bfs_distances, _cyclic_levels,
+                  _least_walk, _merge_overlap, _step_layers)
 from .sft import enumerate_cycles  # noqa: F401  bench/test_bench.py checks this binding
 from .shiftspace import word_radius
 
 MAX_BLOCK_NODES = 2048  # bound on block nodes, 2^#symbols at m = 1 and residue search states
-
-
-class BlockGraphTooLargeError(ValueError):
-    """The scale epsilon = 2^-m needs a search larger than MAX_BLOCK_NODES."""
 
 
 class WitnessMap(Mapping):
@@ -137,7 +133,7 @@ class _BlockGraph:
         while j < k and sum(ends) <= MAX_BLOCK_NODES:
             ends, j = [sum(ends[s] for s in pred) for pred in matrix.pred], j + 1
         if (count := sum(ends)) > MAX_BLOCK_NODES:
-            raise BlockGraphTooLargeError(
+            raise PreconditionError(
                 f"word length m = {m} needs at least {count} block nodes > {MAX_BLOCK_NODES}")
         self.succ, self.pred = matrix.succ, matrix.pred
         for _ in range(k - 1):  # the (j+1)-words are the edges of the j-word graph in
@@ -372,8 +368,8 @@ def _residue_flows(graph: _BlockGraph, excess: list[int], c: int) -> tuple[dict,
     units = [v for v, e in enumerate(excess) for _ in range(e)]
     sinks = [v for v, e in enumerate(excess) if e < 0]
     if c * math.prod(1 - excess[t] for t in sinks) > MAX_BLOCK_NODES:
-        raise BlockGraphTooLargeError(f"residue search over {len(sinks)} deficit nodes "
-                                      f"needs more than {MAX_BLOCK_NODES} states")
+        raise PreconditionError(f"residue search over {len(sinks)} deficit nodes "
+                                f"needs more than {MAX_BLOCK_NODES} states")
     steps = _residue_graph(graph.succ, c)
     reach = {s: _bfs_distances(steps, [s * c]) for s in set(units)}
     loops = [(d, s) for d, s in _cycle_walks(graph.matrix, c) if d % c]
@@ -405,8 +401,7 @@ def _least_flows(graph: _BlockGraph, c: int) -> tuple[list, Callable[[int], Coun
     if graph.m == 1:  # least closed walks from node 0 through every node
         size = len(graph.succ)
         if 2 ** size > MAX_BLOCK_NODES:
-            raise BlockGraphTooLargeError(
-                f"m = 1 needs 2^{size} visited-symbol sets > {MAX_BLOCK_NODES}")
+            raise PreconditionError(f"m = 1 needs 2^{size} visited-symbol sets > {MAX_BLOCK_NODES}")
         # residue c is 0 but a state apart: a lone symbol's least walk is its loop
         best = _least_costs((1, 0, c), lambda state: (
             (1, (state[0] | 1 << v, v, (state[2] + 1) % c), (state[1], v, 1))
@@ -457,7 +452,8 @@ def dense_periods_certificate(matrix: TransitionMatrix, epsilon: float, n_max: i
     """Exact verdict (see the module docstring); a certificate lists its
     witnesses for n in [N0, n_max], none without n_max, and builds each on
     access.  Raises ``ValueError`` unless 0 < epsilon < 1 and n_max is None
-    or >= 2, and :class:`BlockGraphTooLargeError` (primitive A only).
+    or >= 2, and :class:`~symshadow.sft.PreconditionError` where the search would
+    pass ``MAX_BLOCK_NODES`` (primitive A only).
 
     A non-primitive A is refuted before any search, by one of two proofs.
     If state 0 misses a symbol forward or backward, A is reducible: no

@@ -35,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
-
-class InsufficientSegmentError(ValueError):
-    """Homoclinic orbit segment too short for the point asked of it."""
+from .sft import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,14 @@ class HomoclinicDatum:
                 ("backward", "f(p)", range(-self.k_back, tau - self.k_back), 1)):
             near = [self.p_orbit[(k + phase) % tau] for k in ks]
             if self.system.distances([self.q_point(k) for k in ks], near).max() > half:
-                raise InsufficientSegmentError(f"{tail} tail of homoclinic segment not "
-                                               f"within delta/2 of the {orbit}-orbit")
+                raise PreconditionError(f"{tail} tail of homoclinic segment not "
+                                        f"within delta/2 of the {orbit}-orbit")
 
     def q_point(self, k: int):
         """f^k(q); raises when the stored segment does not reach k."""
         idx = k + self.k_back
         if not 0 <= idx < len(self.segment):
-            raise InsufficientSegmentError(
+            raise PreconditionError(
                 f"segment covers q-orbit indices [{-self.k_back}, {self.k_fwd}], needed {k}")
         return self.segment[idx]
 
@@ -189,9 +187,9 @@ def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
             N = cand
             break
     if N is None:
-        raise InsufficientSegmentError(
-            "no anchor x = f^(N tau)(q) with tau+1 backward tau-multiples near p; "
-            "extend the forward segment")
+        raise PreconditionError(
+            f"no anchor x = f^(N tau)(q) with tau+1 backward tau-multiples near p, tau = {tau}, "
+            f"in the q-orbit indices [{-datum.k_back}, {k_fwd}]")
 
     x_index = N * tau
     l = None
@@ -202,9 +200,9 @@ def compute_excursion_parameters(datum: HomoclinicDatum) -> ExcursionParameters:
             break
         cand += 1
     if l is None:
-        raise InsufficientSegmentError(
-            "backward tail never re-enters the delta/2-ball of p at a "
-            "(-l tau - 1)-index; extend the backward segment")
+        raise PreconditionError(
+            "backward tail never re-enters the delta/2-ball of p at a (-l tau - 1)-index, "
+            f"tau = {tau}, in the q-orbit indices [{-datum.k_back}, {x_index - tau - 1}]")
 
     return ExcursionParameters(N=N, l=l, x_index=x_index, N0=l * tau * tau + 1)
 

@@ -38,9 +38,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .homoclinic import encode_point
-from .sft import (MAX_SYMBOLS, ConvergenceError, SymbolicCycle, TransitionMatrix, _merge_overlap,
-                  _primitive_period, _unrepeated, admissible_words, count_periodic_points,
-                  enumerate_cycles, is_primitive, longer_words, perron_data, spell)
+from .sft import (MAX_SYMBOLS, NumericalError, PreconditionError, SymbolicCycle,
+                  TransitionMatrix, _merge_overlap, _primitive_period, _unrepeated,
+                  admissible_words, count_periodic_points, enumerate_cycles, is_primitive,
+                  longer_words, perron_data, spell)
 from .shiftspace import ShiftPoint
 from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphism,
                       sft_homoclinic_splice)
@@ -48,6 +49,11 @@ from .systems import (_BLOCK_ENTRIES, _CHUNK_POINTS, SftSystem, ToralAutomorphis
 STOCHASTIC_TOL = 1e-12
 NORMALIZATION_TOL = 1e-14
 MAX_LISTED_POINTS = 2048  # _cycle_table ends before a period with more periodic points
+# _cycle_table refuses up front a listing up to N past these units, size (size^2 + 32) N^2:
+# period n walks n-step layers back to each of size symbols, a step over at most size^2
+# edges plus a fixed cost near 32 of them.  Whole CLI runs at each size's largest N on its
+# upper triangular matrix took 1.8-5.4 s (2-core x86_64): 2 symbols at 1930, 3 at 1477, 64 at 31
+MAX_LISTING_WORK = 1 << 28
 BLOCK_REPS = 40  # "blocks xN" candidates of a finite-support shift target, N <= BLOCK_REPS
 RENEWAL_TOL = 1e-12  # integrals of the winning block subshift chain vs its renewal masses
 TWO_PI_I = 2j * math.pi
@@ -61,11 +67,6 @@ HEAVY_MODES = 2
 # so for weights summing to <= 1 they part by < 1e-12: a bound past the least score U
 # by this absolute slack is a score past it too
 BOUND_SLACK = 1e-9
-
-
-class BlockSubshiftTooLargeError(ValueError):
-    """Every primitive block subshift of a Bernoulli scan has more than
-    ``MAX_SYMBOLS`` letter states."""
 
 
 # -- observables ----------------------------------------------------------
@@ -563,8 +564,15 @@ def _cycle_table(matrix: TransitionMatrix, family: TestFamily, max_period: int
     table of their words, built once per (matrix, max_period) and kept on the family."""
     kept = family.__dict__.setdefault("_cycle_tables", {})
     if (key := (matrix, max_period)) not in kept:
-        listed = takewhile(lambda n: count_periodic_points(matrix, n) <= MAX_LISTED_POINTS,
-                           range(1, max_period + 1))
+        size = matrix.size  # the listing work allows the periods up to horizon
+        horizon = math.isqrt(MAX_LISTING_WORK // (size * (size * size + 32)))
+        listed = list(takewhile(lambda n: count_periodic_points(matrix, n) <= MAX_LISTED_POINTS,
+                                range(1, min(max_period, horizon + 1) + 1)))
+        if len(listed) > horizon:
+            raise PreconditionError(
+                f"max_period {max_period} on {size} symbols: every period up to "
+                f"{horizon + 1} has at most {MAX_LISTED_POINTS} periodic points, and listing "
+                f"them costs more than {MAX_LISTING_WORK} units")
         cycles = [(str(c), c.states, n) for n in listed
                   for c in enumerate_cycles(matrix, n).cycles if c.primitive_period == n]
         table = _cyclic_word_integrals([w for _, w, _ in cycles], family)
@@ -714,7 +722,7 @@ def renewal_cylinders(loop: Sequence[int], excursion: Sequence[int], depth: int
             break
         x -= step
     else:
-        raise ConvergenceError(f"renewal root for tiles of {a} and {a + b} letters")
+        raise NumericalError(f"renewal root for tiles of {a} and {a + b} letters")
     tiles = ((loop, x ** a), (exc + loop, x ** (a + b)))
     # runs[k]: (first k letters on fresh tiles, their probability)
     runs = [[((), 1.0)]]
@@ -821,15 +829,14 @@ def bernoulli_approximation(target, matrix: TransitionMatrix, epsilon: float,
             best = (d_p, m, x, renewal,
                     _weighted_gap(family.weights, renewal, target.integrals(family)))
     if best is None:
-        raise BlockSubshiftTooLargeError(
-            f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
+        raise PreconditionError(f"no primitive block subshift fits the {MAX_SYMBOLS}-state cap")
     d_p, m, x, renewal, d_t = best
     sub = block_subshift(matrix, cycle, m, excursion)
     nu = _renewal_chain(sub, x)
     drift = max(np.abs(np.subtract(nu.integrals(family), renewal)), default=0.0)
     if not drift <= RENEWAL_TOL:
-        raise ConvergenceError(f"chain integrals of m = {m} drift {drift:.2e} "
-                               "from their renewal masses")
+        raise NumericalError(f"chain integrals of m = {m} drift {drift:.2e} "
+                             "from their renewal masses")
     return BernoulliApproximation(
         subshift=sub, measure=nu, periodic_measure=mu_p, cycle=tuple(cycle),
         distance_to_target=d_t, distance_to_periodic=d_p,

@@ -8,6 +8,9 @@ point counts, cycle enumeration up to rotation, topological entropy via
 the Perron root, return-time sets of cylinder pairs, and the graph core the
 other modules walk on: admissible words, BFS levels and least walks, one
 routine for reachability and class period, and the word codec :func:`spell`.
+It also holds the package's failure types, one per CLI exit code:
+``PreconditionError`` (exit 3), ``NumericalError`` (exit 4), and
+``ReducibleMatrixError``, an invalid input (exit 2) that callers branch on.
 
 All arithmetic on matrix powers is exact (Python integers); only the
 Perron eigenvalue computation uses floating point.
@@ -32,16 +35,16 @@ LETTERS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz{}"  # 
 Word = tuple[int, ...]
 
 
-class NonEssentialMatrixError(ValueError):
-    """Some symbol cannot be extended forward or backward."""
+class PreconditionError(ValueError):
+    """Valid input past a horizon or a cost bound: exit code 3."""
+
+
+class NumericalError(RuntimeError):
+    """A computation that missed its tolerance or broke its own bound: exit code 4."""
 
 
 class ReducibleMatrixError(ValueError):
     """Operation requires an irreducible (strongly connected) matrix."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative eigenvalue computation failed to converge."""
 
 
 class TransitionMatrix:
@@ -69,9 +72,8 @@ class TransitionMatrix:
         self.succ = tuple([tuple(compress(symbols, r)) for r in rows])
         self.pred = tuple([tuple(compress(symbols, col)) for col in zip(*rows)])
         if not all(self.succ) or not all(self.pred):
-            raise NonEssentialMatrixError(
-                "non-essential matrix: every symbol needs an outgoing and an incoming edge"
-            )
+            raise ValueError("non-essential matrix: every symbol needs an outgoing "
+                             "and an incoming edge")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionMatrix) and self.rows == other.rows
@@ -362,26 +364,24 @@ def enumerate_cycles(matrix: TransitionMatrix, n: int) -> CycleEnumeration:
         raise ValueError("n must be >= 1")
     out: list[SymbolicCycle] = []
     word = [0] * n
-
-    def dfs(pos: int, p: int, layers: list[set[int]]) -> None:
-        if pos == n:
-            if n % p == 0 and matrix.rows[word[-1]][word[0]]:
-                out.append(SymbolicCycle(tuple(word), n, p))
-            return
-        for s in matrix.succ[word[pos - 1]]:
-            # prune: s must keep the prefix a prenecklace, and from s there
-            # must remain a path of exactly n - pos edges back to word[0]
-            if s < word[pos - p] or s not in layers[n - pos]:
-                continue
-            word[pos] = s
-            dfs(pos + 1, p if s == word[pos - p] else pos + 1, layers)
-
     for first in range(matrix.size):
         # layers[t] = states with a path of exactly t edges to ``first``
         layers = _step_layers(matrix.pred, first, n)
-        if first in layers[n]:
-            word[0] = first
-            dfs(1, 1, layers)
+        if first not in layers[n]:
+            continue
+        stack = [(0, first, 1)]  # (position, symbol, Lyndon period of the word through it)
+        while stack:  # depth first, each position's symbols in rising order
+            pos, s, p = stack.pop()
+            word[pos] = s
+            if (pos := pos + 1) == n:
+                if n % p == 0 and matrix.rows[s][first]:
+                    out.append(SymbolicCycle(tuple(word), n, p))
+                continue
+            # prune: t must keep the prefix a prenecklace, and from t there
+            # must remain a path of exactly n - pos edges back to word[0]
+            least, ahead = word[pos - p], layers[n - pos]
+            stack += [(pos, t, p if t == least else pos + 1)
+                      for t in reversed(matrix.succ[s]) if t >= least and t in ahead]
     return CycleEnumeration(tuple(out))
 
 
@@ -410,12 +410,12 @@ def perron_data(matrix: TransitionMatrix) -> tuple[float, list[float], list[floa
             v = w / w.sum()
             if hi - lo <= PERRON_TOL * hi:
                 return (lo + hi) / 2.0 - 1.0, [float(x) for x in v]
-        raise ConvergenceError("power iteration did not converge")
+        raise NumericalError("power iteration did not converge")
 
     lam, right = iterate(shifted)
     lam_l, left = iterate(shifted.T)
     if abs(lam - lam_l) > 1e-9 * max(1.0, lam):
-        raise ConvergenceError("left/right Perron eigenvalues disagree")
+        raise NumericalError("left/right Perron eigenvalues disagree")
     return lam, right, left
 
 

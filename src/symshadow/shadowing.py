@@ -33,17 +33,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .homoclinic import PseudoOrbit, cyclic_defect, encode_point
+from .sft import NumericalError
 from .shiftspace import _FIRST_RADIUS, ShiftPoint, cycle_distances, word_radius
 from .systems import SftSystem
-
-
-class ShadowingError(RuntimeError):
-    pass
-
-
-class ShadowingBoundViolatedError(ShadowingError):
-    """The shadowing orbit lies farther than C * delta from the pseudo-orbit:
-    bad hyperbolicity constants or a pseudo-orbit too coarse for the chart."""
 
 
 @dataclass
@@ -77,18 +69,18 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
     C = system.shadowing_constant
     delta = max(po.defect, 1e-300)
     if C * delta > system.chart_radius:
-        raise ShadowingError(
+        raise NumericalError(
             f"C * delta = {C * delta:.3g} exceeds the chart radius "
             f"{system.chart_radius}; pseudo-orbit too coarse to shadow")
 
     points, primitive_period = system.shadowing_orbit(po.points)
     residual = cyclic_defect(system, points)
     if residual > tol:
-        raise ShadowingError(f"closed-form orbit misses tol {tol}; residual {residual:.3g}")
+        raise NumericalError(f"closed-form orbit misses tol {tol}; residual {residual:.3g}")
 
     shadow_distance = float(system.distances(points, po.points).max())
     if shadow_distance > C * delta:
-        raise ShadowingBoundViolatedError(
+        raise NumericalError(
             f"shadowing bound violated: distance {shadow_distance:.3g} > "
             f"C * delta = {C * delta:.3g}")
     return PeriodicOrbit(points=points, period=po.period, residual=residual,
@@ -98,11 +90,10 @@ def shadow_periodic(system, po: PseudoOrbit, tol: float = 1e-12) -> PeriodicOrbi
 
 def _shadow_symbolic(system: SftSystem, po: PseudoOrbit) -> PeriodicOrbit:
     if po.defect > 0.5:
-        raise ShadowingError("symbolic gluing needs defect <= 1/2 "
-                             "(agreement on coordinate zero)")
+        raise NumericalError("symbolic gluing needs defect <= 1/2 (agreement on coordinate zero)")
     word = tuple(p[0] for p in po.points)
     if not system.matrix.is_admissible_cycle(word):
-        raise ShadowingError("glued word inadmissible; defect accounting broken")
+        raise NumericalError("glued word inadmissible; defect accounting broken")
     points = ShiftPoint.cycle_orbit(word)
     shadow_distance = max(cycle_distances(word, po.points))
     return PeriodicOrbit(points=points, period=po.period, residual=0.0,

@@ -48,9 +48,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .homoclinic import HomoclinicDatum
-from .sft import (TransitionMatrix, admissible_words, count_periodic_points, enumerate_cycles,
-                  spell, _bfs_distances, _int_mat_pow, _least_walk, _next_walk,
-                  _primitive_period, _step_layers, _unrepeated)
+from .sft import (PreconditionError, TransitionMatrix, admissible_words,
+                  count_periodic_points, enumerate_cycles, spell, _bfs_distances, _int_mat_pow,
+                  _least_walk, _next_walk, _primitive_period, _step_layers, _unrepeated)
 from .shiftspace import ShiftPoint, _KeyIndex, word_radius
 
 
@@ -347,7 +347,8 @@ class ToralAutomorphism(_PlanarSystem):
             if (u, v) == start:
                 return walk
             if len(walk) == cap:
-                raise ValueError(f"{start} / {modulus} not periodic within {cap} iterates")
+                raise PreconditionError(f"the orbit of {start} / {modulus} is longer than "
+                                        f"{cap} points")
             walk.append((u, v))
 
     def periodic_orbits(self, n: int, cap: int) -> list[list]:

@@ -18,8 +18,8 @@ from symshadow.cli import (MAX_CODING_DEPTH, MAX_COUNT_WORK, MAX_LATTICE_STEPS,
                            MAX_PLANAR_SHADOW_LENGTH, MAX_SHIFT_SHADOW_LENGTH,
                            MAX_WITNESS_SYMBOLS, _parse_args, _parse_word, build_parser, main)
 from symshadow.dense_periods import WitnessMap
-from symshadow.measures import (FAMILY_SIZE, LebesgueTorus, approximate_by_periodic,
-                                cylinder_family, fourier_family)
+from symshadow.measures import (FAMILY_SIZE, MAX_LISTING_WORK, LebesgueTorus,
+                                approximate_by_periodic, cylinder_family, fourier_family)
 from symshadow import sft
 from symshadow.sft import LETTERS, TransitionMatrix, spell
 from symshadow.systems import Horseshoe, SftSystem, ToralAutomorphism, cat_map
@@ -392,6 +392,60 @@ def test_pseudo_shadow_segment_short_of_delta_exit_3(files, capsys, system, delt
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("system, anchor, message", [
+    ("cat_map.json", "1/10007,0", "the orbit of (1, 0) / 10007 is longer than 45 points: "
+                                  "anchor period tau > 45, so N0 = l tau^2 + 1 exceeds 2048"),
+    ("cat_map.json", "1/1009,0", "anchor period tau > 45"),
+    ("cat_map.json", "1/4001,3/4001", "anchor period tau > 45"),
+    ("horseshoe.json", "0" * 45 + "1", "anchor period tau = 46 > 45, so N0 = l tau^2 + 1 "
+                                       "exceeds 2048"),
+    ("full_2_shift.json", "0" * 22 + "1", "anchor period tau = 23 > 22, so N0 = l tau^2 + 1 "
+                                          "exceeds 512"),
+], ids=["cat_tau_past_10000", "cat_tau_63", "cat_tau_1000", "horseshoe_tau_46", "full2_tau_23"])
+def test_pseudo_shadow_refuses_an_anchor_period_that_cannot_fit_exit_3(files, capsys,
+                                                                      monkeypatch, system,
+                                                                      anchor, message):
+    # N0 = l tau^2 + 1 with l >= 1 passes the cap at every length; 1/10007,0 exited 2
+    # as "not periodic within 10000 iterates", though every rational point is periodic
+    def no_segment(*args, **kwargs):
+        raise AssertionError("homoclinic segment built")
+
+    monkeypatch.setattr(symshadow.cli, "homoclinic_point", no_segment)
+    start = time.perf_counter()
+    assert main(["pseudo-shadow", str(DATA / system), anchor, "--delta", "0.01",
+                 "--out", files["out"]]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    assert not Path(files["out"]).exists()
+
+
+@pytest.mark.parametrize("system, anchor, tau", [("cat_map.json", "1/20,0", 30),
+                                                 ("full_2_shift.json", "0" * 21 + "1", 22)],
+                         ids=["cat_tau_30", "full2_tau_22"])
+def test_pseudo_shadow_names_tau_and_the_indices_an_excursion_search_missed_exit_3(
+        files, capsys, system, anchor, tau):
+    # tau fits, but no anchor x = f^(N tau)(q) lies in the default segment; this
+    # asked to extend the forward segment, which no option does
+    assert main(["pseudo-shadow", str(DATA / system), anchor, "--delta", "0.01",
+                 "--out", files["out"]]) == 3
+    assert (f"precondition failed: no anchor x = f^(N tau)(q) with tau+1 backward "
+            f"tau-multiples near p, tau = {tau}, in the q-orbit indices [-80, 160]"
+            ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, block, reps", [("full_2_shift.json", "01", 12),
+                                                  ("horseshoe.json", "001", 16)],
+                         ids=["full2", "horseshoe"])
+def test_a_long_repeated_anchor_still_exits_2_naming_its_block(files, capsys, system, block,
+                                                              reps):
+    # past the longest anchor period that fits, a repeat is still the fault named
+    anchor = block * reps
+    assert main(["pseudo-shadow", str(DATA / system), anchor, "--delta", "0.01",
+                 "--out", files["out"]]) == 2
+    assert f"invalid input: cycle {anchor} repeats the block {block}" \
+        in capsys.readouterr().err
+
+
 def test_pseudo_shadow_zero_denominator_exit_2(files, capsys):
     assert main(["pseudo-shadow", files["cat"], "1/0,1/2", "--delta", "0.01",
                  "--out", files["out"]]) == 2
@@ -756,6 +810,41 @@ def test_approx_measure_bernoulli_past_the_state_cap_exit_3(files, capsys):
                  "--cycle", "0" * 63 + "1", "--out", files["out"]]) == 3
     assert "no primitive block subshift fits the 64-state cap" in capsys.readouterr().err
     assert not Path(files["out"]).exists()
+
+
+def test_the_periodic_listing_is_bounded_before_it_starts(files, capsys, tmp_path):
+    # the 3-cycle's periodic points never pass 2048, so the scan lists every period
+    # up to --max-period: 1000 ended in a RecursionError traceback (exit 1)
+    perm3, target = tmp_path / "perm3.json", tmp_path / "t.json"
+    perm3.write_text(json.dumps({"rows": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}))
+    target.write_text(json.dumps({"kind": "periodic_mix",
+                                  "components": [{"cycle": "012", "weight": 1}]}))
+    argv = ["approx-measure", str(target), str(perm3), "--epsilon", "0.1", "--mode", "periodic"]
+    assert main(argv + ["--max-period", "1000", "--out", files["out"]]) == 0
+    report = read_report(files, "approx_measure.json")
+    assert (report["method"], report["distance"]) == ("012", 0.0)
+    horizon = math.isqrt(MAX_LISTING_WORK // (3 * (9 + 32)))
+    assert horizon >= 1000
+    for max_period in (horizon + 1, 10 ** 6):
+        start = time.perf_counter()
+        assert main(argv + ["--max-period", str(max_period), "--out", str(tmp_path / "no")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert (f"precondition failed: max_period {max_period} on 3 symbols: every period up "
+                f"to {horizon + 1} has at most 2048 periodic points") in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
+
+
+def test_a_listing_that_stops_at_its_cut_runs_at_any_max_period(files):
+    # the full 2-shift's listing ends at n = 11, before 2^12 periodic points
+    reports = []
+    for max_period in ("12", "1000000"):
+        assert main(["approx-measure", files["mix"], files["full2"], "--epsilon", "0.1",
+                     "--mode", "periodic", "--max-period", max_period,
+                     "--out", files["out"]]) == 0
+        report = read_report(files, "approx_measure.json")
+        assert report["config"]["parameters"].pop("max_period") == int(max_period)
+        reports.append((report, (Path(files["out"]) / "approx_measure.csv").read_text()))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("target, system, mode", [

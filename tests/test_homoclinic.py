@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import index_builds
 from symshadow import systems
-from symshadow.homoclinic import (InsufficientSegmentError, PseudoOrbit,
-                                  build_periodic_pseudo_orbit,
+from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
-from symshadow.sft import TransitionMatrix
+from symshadow.sft import PreconditionError, TransitionMatrix
 from symshadow.shadowing import density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import Horseshoe, SftSystem, cat_map, homoclinic_point, parse_system
@@ -202,7 +201,7 @@ def test_short_segment_raises_insufficient_segment():
     for n in range(params.N0, params.N0 + 80):
         try:
             build_periodic_pseudo_orbit(datum, params, n)
-        except InsufficientSegmentError as err:
+        except PreconditionError as err:
             raised = err
             break
     assert raised is not None, "short segment never ran out"
@@ -213,13 +212,13 @@ def test_excursion_parameters_on_too_short_segments_raise():
     system = SftSystem(FULL2)
     datum = homoclinic_point(system, (0,), DELTA_SYM, forward_length=4, backward_length=4)
     # only the last forward point is near p: no anchor with a near point before it
-    with pytest.raises(InsufficientSegmentError, match="no anchor"):
+    with pytest.raises(PreconditionError, match="no anchor"):
         compute_excursion_parameters(datum)
     # a segment from f^4(q), near p throughout with no backward tail: the anchor
     # x = f(q') has no point f^(-l - 1)(x) left to return through
     near = dataclasses.replace(datum, segment=tuple(datum.orbit(k) for k in range(4, 9)),
                                k_back=0)
-    with pytest.raises(InsufficientSegmentError, match="backward tail never re-enters"):
+    with pytest.raises(PreconditionError, match="backward tail never re-enters"):
         compute_excursion_parameters(near)
 
 

@@ -32,7 +32,7 @@ from symshadow.measures import (BLOCK_REPS, FAMILY_SIZE, BernoulliProduct, Cylin
                                 fourier_family, parry_measure,
                                 periodic_measure, rational_orbit_distances,
                                 renewal_cylinders, weak_star_distance)
-from symshadow.sft import (ConvergenceError, TransitionMatrix, _primitive_period,
+from symshadow.sft import (NumericalError, TransitionMatrix, _primitive_period,
                            admissible_words, count_periodic_points, enumerate_cycles, is_primitive, perron_data, topological_entropy)
 from symshadow.shiftspace import ShiftPoint
 from symshadow.systems import SftSystem, ToralAutomorphism, cat_map, sft_homoclinic_splice
@@ -907,6 +907,24 @@ def test_one_family_on_two_matrices_keeps_two_tables():
     assert table.shape == (len(family), len(cycles)) and {w for _, w, _ in cycles} > {(2,)}
 
 
+def test_a_listing_past_the_work_bound_is_refused_before_it_starts(monkeypatch):
+    # the 3-cycle's periodic points never pass MAX_LISTED_POINTS, so its listing
+    # runs to max_period; with the bound cut so that 3 (9 + 32) 40^2 units fit,
+    # 40 lists and 41 is refused before any cycle is enumerated
+    perm3 = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    monkeypatch.setattr(measures, "MAX_LISTING_WORK", 3 * (9 + 32) * 40 ** 2)
+    cycles, _ = _cycle_table(perm3, cylinder_family(perm3, 1), 40)
+    assert [(text, n) for text, _, n in cycles] == [("012", 3)]
+    # under the same bound the full 2-shift's listing ends at n = 11, at any max_period
+    assert _cycle_table(FULL2, cylinder_family(FULL2, 1), 10 ** 6)[0] \
+        == _cycle_table(FULL2, cylinder_family(FULL2, 1), 12)[0]
+    monkeypatch.setattr(measures, "enumerate_cycles", lambda *args: pytest.fail("listed"))
+    for max_period in (41, 10 ** 6):
+        with pytest.raises(sft.PreconditionError, match="every period up to 41 has at most "
+                                                        "2048 periodic points"):
+            _cycle_table(perm3, cylinder_family(perm3, 1), max_period)
+
+
 def test_a_non_cylinder_family_keeps_no_cycle_table():
     mixed = Family((CylinderObservable((0,)), FourierMode((1, 0))), (0.5, 0.25), "mixed")
     for family in (fourier_family(1), mixed):
@@ -1348,7 +1366,7 @@ def test_renewal_cross_check_raises_on_drifted_parry_integrals(monkeypatch):
         return nu
 
     monkeypatch.setattr(measures, "_renewal_chain", drifted)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NumericalError, match="drift"):
         bernoulli_approximation(cycle_measure(FULL2, (0, 1)), FULL2, 0.2, FAM3, cycle=(0, 1))
 
 

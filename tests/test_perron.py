@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symshadow.measures import block_subshift, parry_measure
-from symshadow.sft import (PERRON_TOL, ConvergenceError, ReducibleMatrixError,
+from symshadow.sft import (PERRON_TOL, NumericalError, ReducibleMatrixError,
                            TransitionMatrix, enumerate_cycles, is_irreducible,
                            is_primitive, perron_data)
 from symshadow.systems import sft_homoclinic_splice
@@ -33,12 +33,12 @@ def cold_perron_data(matrix, tol=1e-13, max_iter=500_000):
             v = w / w.sum()
             if hi - lo <= tol * hi:
                 return (lo + hi) / 2.0 - 1.0, [float(x) for x in v]
-        raise ConvergenceError("power iteration did not converge")
+        raise NumericalError("power iteration did not converge")
 
     lam, right = iterate(shifted)
     lam_l, left = iterate(shifted.T)
     if abs(lam - lam_l) > 1e-9 * max(1.0, lam):
-        raise ConvergenceError("left/right Perron eigenvalues disagree")
+        raise NumericalError("left/right Perron eigenvalues disagree")
     return lam, right, left
 
 

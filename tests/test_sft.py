@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import random
+import sys
 from itertools import product
 
 from unittest import mock
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 from symshadow import dense_periods, sft
 from symshadow.dense_periods import _BlockGraph, dense_periods_certificate
 from symshadow.measures import _cycle_table, _cyclic_word_integrals, cylinder_family
-from symshadow.sft import (NonEssentialMatrixError,
-                           ReducibleMatrixError, TransitionMatrix,
+from symshadow.sft import (ReducibleMatrixError, TransitionMatrix,
                            class_period, count_periodic_points,
                            cyclic_decomposition, enumerate_cycles, is_irreducible,
                            is_primitive, perron_data, return_time_set,
@@ -96,9 +96,9 @@ def random_essential(rng, size, density):
 
 
 def test_rejects_non_essential():
-    with pytest.raises(NonEssentialMatrixError):
+    with pytest.raises(ValueError, match="non-essential matrix"):
         TransitionMatrix([[1, 0], [0, 0]])
-    with pytest.raises(NonEssentialMatrixError):
+    with pytest.raises(ValueError, match="non-essential matrix"):
         TransitionMatrix([[0, 1], [0, 1]])  # column 0 empty
 
 
@@ -125,7 +125,7 @@ def entrywise_matrix_fields(rows):
     succ = tuple(tuple(j for j in range(n) if rows[i][j]) for i in range(n))
     pred = tuple(tuple(i for i in range(n) if rows[i][j]) for j in range(n))
     if any(not s for s in succ) or any(not p for p in pred):
-        raise NonEssentialMatrixError(
+        raise ValueError(
             "non-essential matrix: every symbol needs an outgoing and an incoming edge")
     return rows, succ, pred
 
@@ -475,6 +475,16 @@ def test_enumerate_cycles_matches_brute_rotation_classes(size_n, seed):
                for c in enum.cycles)
     # each rotation class of primitive period p holds p fixed points of sigma^n
     assert sum(c.primitive_period for c in enum.cycles) == count_periodic_points(matrix, n)
+
+
+def test_enumerate_cycles_walks_words_past_the_recursion_limit():
+    # one step per symbol on an explicit stack: the 3-cycle at n = 3000 has one
+    # rotation class, 012 repeated, and a recursive walk died at depth ~1000
+    perm3 = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    n = 3 * sys.getrecursionlimit()
+    (cycle,) = enumerate_cycles(perm3, n).cycles
+    assert cycle.states == (0, 1, 2) * (n // 3) and cycle.period == n
+    assert cycle.primitive_period == 3 == count_periodic_points(perm3, n)
 
 
 def test_enumeration_deterministic_order():

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from symshadow.homoclinic import (PseudoOrbit, build_periodic_pseudo_orbit,
                                   compute_excursion_parameters, verify_pseudo_orbit)
-from symshadow.sft import TransitionMatrix
-from symshadow.shadowing import (DensityReport, ShadowingBoundViolatedError, ShadowingError,
-                                 density_check, shadow_periodic)
+from symshadow.sft import NumericalError, TransitionMatrix
+from symshadow.shadowing import DensityReport, density_check, shadow_periodic
 from symshadow.shiftspace import ShiftPoint, word_radius
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                homoclinic_point)
@@ -360,7 +359,7 @@ def test_shadowing_bound_guard():
     # a pseudo-orbit with a huge defect violates the chart precondition
     po = PseudoOrbit(CAT, [(0.1, 0.1), (0.9, 0.8)])
     assert po.defect >= 0.4
-    with pytest.raises(ShadowingError):
+    with pytest.raises(NumericalError, match="exceeds the chart radius"):
         shadow_periodic(CAT, po)
 
 
@@ -374,7 +373,7 @@ def test_a_shadow_past_c_delta_raises_the_bound_violation():
     assert 0.0 < orbit.shadow_distance <= CAT.shadowing_constant * po.defect
     weak = cat_map()
     weak.shadowing_constant = CAT.shadowing_constant / 1000
-    with pytest.raises(ShadowingBoundViolatedError, match="shadowing bound violated"):
+    with pytest.raises(NumericalError, match="shadowing bound violated"):
         shadow_periodic(weak, PseudoOrbit(weak, po.points))
 
 
@@ -382,11 +381,11 @@ def test_symbolic_gluing_guards():
     # 0^inf then 1^inf: f(x_0) and x_1 differ at coordinate 0, defect 1 > 1/2
     po = PseudoOrbit(SftSystem(FULL2), [ShiftPoint.from_cycle((0,)), ShiftPoint.from_cycle((1,))])
     assert po.defect == 1.0
-    with pytest.raises(ShadowingError, match="defect <= 1/2"):
+    with pytest.raises(NumericalError, match="defect <= 1/2"):
         shadow_periodic(po.system, po)
     # a fixed point outside the golden mean shift: defect 0, glued word 1 not a cycle there
     golden = SftSystem(TransitionMatrix.golden_mean())
     po = PseudoOrbit(golden, [ShiftPoint.from_cycle((1,))])
     assert po.defect == 0.0
-    with pytest.raises(ShadowingError, match="glued word inadmissible"):
+    with pytest.raises(NumericalError, match="glued word inadmissible"):
         shadow_periodic(golden, po)

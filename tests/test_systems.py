@@ -21,7 +21,7 @@ from symshadow.cli import main
 from symshadow.homoclinic import HomoclinicDatum, compute_excursion_parameters
 from symshadow.measures import (LebesgueTorus, approximate_by_periodic, fourier_family,
                                 periodic_measure)
-from symshadow.sft import TransitionMatrix, _primitive_period, admissible_words
+from symshadow.sft import PreconditionError, TransitionMatrix, _primitive_period, admissible_words
 from symshadow.shiftspace import ShiftPoint, _KeyIndex
 from symshadow.systems import (Horseshoe, SftSystem, ToralAutomorphism, cat_map,
                                homoclinic_point, parse_system, sft_homoclinic_splice)
@@ -54,7 +54,7 @@ def test_orbit_of_matches_exact_fraction_steps():
                 oracle.append(system.apply(oracle[-1]))
             assert system.orbit_of(p) == oracle
             assert system.orbit_of(p, cap=len(oracle)) == oracle
-            with pytest.raises(ValueError):
+            with pytest.raises(PreconditionError, match=f"is longer than {len(oracle) - 1} "):
                 system.orbit_of(p, cap=len(oracle) - 1)
 
 
